@@ -26,8 +26,7 @@ from .simulation import (CameraPolicy, FrameLog, World, ground,
                          insert_movements, simulate, update_camera, validate,
                          visible_mask)
 from .collectors import (EventFrameMapping, PairRelation,
-                         SpatialRelationRecord, collect_event_mappings,
-                         collect_frame, collect_story_relations,
+                         collect_event_mappings, collect_story_relations,
                          compute_pair_relation)
 from .textgen import ProtoText, RefineConfig, proto_text, refine
 from .probes import (ClipSpec, HybridSampleConfig, ProbeConfig,
@@ -54,9 +53,8 @@ __all__ = [
     "GenConfig", "generate_story", "story_seed",
     "CameraPolicy", "FrameLog", "World", "ground", "insert_movements",
     "simulate", "update_camera", "validate", "visible_mask",
-    "EventFrameMapping", "PairRelation", "SpatialRelationRecord",
-    "collect_event_mappings", "collect_frame", "collect_story_relations",
-    "compute_pair_relation",
+    "EventFrameMapping", "PairRelation", "collect_event_mappings",
+    "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
     "ClipSpec", "HybridSampleConfig", "ProbeConfig", "extract_story_clips",
     "hybrid_sample", "label_clip", "label_entity", "label_pair", "label_scene",

@@ -16,20 +16,17 @@ import sys
 from pathlib import Path
 
 from . import binio
-from .collectors import collect_event_mappings, collect_story_relations
+from .collectors import collect_story_relations
 from .default_registry import build_default_registry
 from .documents import (parse_graph, parse_registry, parse_timeline,
                         serialize_timeline)
-from .errors import StorysimError
-from .pipeline import (CorpusConfig, camera_from_manifest, derived_rng,
-                       generate_corpus, load_manifest,
-                       probe_config_from_manifest, compute_stats, verify,
-                       _json_doc, _jsonl, _sha256, _story_entries)
-from .probes import ProbeConfig, extract_story_clips, label_clip
+from .errors import StorysimError, ValidationFailure
+from .pipeline import (CorpusConfig, camera_from_manifest, compute_stats,
+                       events_doc, generate_corpus, load_manifest, probe_docs,
+                       probe_config_from_manifest, simulate_graph, verify,
+                       _json_doc, _sha256, _story_entries)
+from .probes import ProbeConfig
 from .procgen import GenConfig
-from .scheduling import SchedulePolicy, schedule
-from .simulation import (CameraPolicy, ground, insert_movements, simulate,
-                         validate, visible_mask)
 from .textgen import RefineConfig, proto_text
 
 
@@ -67,17 +64,13 @@ def _cmd_generate(args) -> int:
 def _cmd_simulate(args) -> int:
     registry = _load_registry(args.registry)
     graph = parse_graph(Path(args.graph).read_bytes())
-    issues = validate(graph, registry)
-    if issues:
-        for issue in issues:
+    try:
+        graph, timeline, log = simulate_graph(CorpusConfig(fps=args.fps), registry, graph)
+    except ValidationFailure as exc:
+        for issue in exc.issues:
             print(f"{issue['code']} (event {issue['event_id']}): "
                   f"{issue['message']}", file=sys.stderr)
         return 2
-    world = ground(graph, registry, derived_rng(graph.seed, "ground"),
-                   fps=args.fps)
-    graph = insert_movements(graph, world, registry)
-    timeline = schedule(graph, registry, SchedulePolicy(), args.fps)
-    log = simulate(world, graph, timeline)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,11 +79,7 @@ def _cmd_simulate(args) -> int:
     records = collect_story_relations(log)
     binio.write_relations(out / "relations.bin", records, log.fps,
                           log.entity_ids, log.entity_kinds, log.entity_names)
-    mappings = collect_event_mappings(timeline, graph)
-    (out / "events.jsonl").write_bytes(_jsonl(
-        {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
-         "start_frame": m.start_frame, "end_frame": m.end_frame,
-         "is_movement": m.is_movement} for m in mappings))
+    (out / "events.jsonl").write_bytes(events_doc(graph, timeline))
     print(f"simulated {log.frame_count} frames, {len(records)} relation records "
           f"-> {out}")
     return 0
@@ -120,31 +109,22 @@ def _cmd_probes(args) -> int:
     )
     out_root = Path(args.out) if args.out else corpus
     in_place = out_root.resolve() == corpus.resolve()
-    movement_actions = {k for k, a in registry.actions.items()
-                        if a.is_movement_only}
     n_clips = 0
     for entry in _story_entries(manifest):
         story_dir = corpus / entry["story_id"]
         graph = parse_graph((story_dir / "graph.json").read_bytes())
         timeline = parse_timeline((story_dir / "timeline.json").read_bytes())
         log = binio.read_framelog(story_dir / "framelog.bin")
-        clips = extract_story_clips(entry["story_id"], graph, timeline,
-                                    movement_actions, cfg, entry["split"])
-        vis = visible_mask(log, camera)
+        clips_doc, labels_doc = probe_docs(entry["story_id"], graph, timeline, log,
+                                           registry, cfg, camera, entry["split"])
         out_dir = out_root / entry["story_id"] / "probes"
         out_dir.mkdir(parents=True, exist_ok=True)
-        clips_doc = _jsonl(
-            {"clip_id": c.clip_id, "story_id": c.story_id,
-             "event_id": c.event_id, "frame_indices": list(c.frame_indices),
-             "split": c.split} for c in clips)
-        labels_doc = _jsonl(
-            label_clip(c, log, timeline, cfg, vis, camera) for c in clips)
         (out_dir / "clips.jsonl").write_bytes(clips_doc)
         (out_dir / "labels.jsonl").write_bytes(labels_doc)
         if in_place:
             entry["files"]["probes/clips.jsonl"] = _sha256(clips_doc)
             entry["files"]["probes/labels.jsonl"] = _sha256(labels_doc)
-        n_clips += len(clips)
+        n_clips += clips_doc.count(b"\n")
     if in_place:
         (corpus / "manifest.json").write_bytes(_json_doc(manifest))
     print(f"derived {n_clips} clips -> {out_root}")

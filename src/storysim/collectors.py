@@ -52,18 +52,6 @@ class PairRelation:
 
 
 @dataclass(frozen=True)
-class SpatialRelationRecord:
-    frame: int
-    a: int
-    b: int
-    distance_m: float
-    compass: str
-    azimuth_deg: float
-    elevation_deg: float
-    coincident: bool
-
-
-@dataclass(frozen=True)
 class EventFrameMapping:
     event_id: int
     actor_id: int
@@ -90,26 +78,6 @@ def compute_pair_relation(pose_a, pose_b) -> PairRelation:
     elevation = math.degrees(math.asin(max(-1.0, min(1.0, dz / dist))))
     return PairRelation(dist, COMPASS_NAMES[compass_bin(bearing)], azimuth,
                         elevation, False)
-
-
-def collect_frame(log: FrameLog, frame: int) -> list[SpatialRelationRecord]:
-    """All ordered-pair records for one frame, sorted by (a,b)."""
-    out = []
-    ids = log.entity_ids
-    for a in ids:
-        ia = log.index_of(a)
-        pose_a = (tuple(log.positions[frame, ia]), float(log.yaws[frame, ia]))
-        for b in ids:
-            if b == a:
-                continue
-            ib = log.index_of(b)
-            pose_b = (tuple(log.positions[frame, ib]), float(log.yaws[frame, ib]))
-            r = compute_pair_relation(pose_a, pose_b)
-            out.append(SpatialRelationRecord(frame, a, b, r.distance_m, r.compass,
-                                             r.azimuth_deg, r.elevation_deg,
-                                             r.coincident))
-    out.sort(key=lambda r: (r.a, r.b))
-    return out
 
 
 def collect_story_relations(log: FrameLog, chunk_frames: int = 1024) -> np.ndarray:

@@ -119,9 +119,6 @@ class GestGraph:
     def actor_index(self) -> dict[int, Actor]:
         return {a.id.id: a for a in self.actors}
 
-    def object_index(self) -> dict[int, ObjectEntity]:
-        return {o.id.id: o for o in self.objects}
-
     def event_index(self) -> dict[int, Event]:
         return {e.event_id: e for e in self.events}
 

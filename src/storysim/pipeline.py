@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import binio
@@ -24,14 +24,14 @@ from .collectors import (collect_event_mappings, collect_story_relations,
 from .documents import (parse_graph, parse_registry, parse_timeline,
                         serialize_graph, serialize_registry, serialize_timeline)
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
-from .model import CapabilityRegistry, EventKind
+from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, story_seed
 from .probes import (ClipSpec, HybridSampleConfig, ProbeConfig,
                      extract_story_clips, label_clip, split_stories)
 from .probes_oracle import oracle_clip
-from .scheduling import SchedulePolicy, duration_frames, schedule
-from .simulation import (CameraPolicy, ground, insert_movements, simulate,
-                         validate, visible_mask)
+from .scheduling import EventTimeline, SchedulePolicy, duration_frames, schedule
+from .simulation import (CameraPolicy, FrameLog, ground, insert_movements,
+                         simulate, validate, visible_mask)
 from .textgen import RefineConfig, proto_text, refine
 
 MANIFEST_VERSION = 1
@@ -90,16 +90,43 @@ def build_story(cfg: CorpusConfig, registry: CapabilityRegistry, story_index: in
 
     Returns (graph with movements inserted, timeline, frame log).
     """
-    graph = generate_story(cfg.gen, registry, story_index)
+    return simulate_graph(cfg, registry, generate_story(cfg.gen, registry, story_index))
+
+
+def simulate_graph(cfg: CorpusConfig, registry: CapabilityRegistry, graph: GestGraph):
+    """Validate, ground, insert movements, schedule and simulate one story
+    graph; raises ValidationFailure listing the graph's issues."""
     issues = validate(graph, registry)
     if issues:
         raise ValidationFailure(issues)
     world = ground(graph, registry, derived_rng(graph.seed, "ground"),
                    fps=cfg.fps, walk_speed=cfg.walk_speed, camera=cfg.camera)
     graph = insert_movements(graph, world, registry)
-    timeline = schedule(graph, registry, cfg.policy, cfg.fps)
+    timeline = schedule(graph, cfg.policy, cfg.fps)
     log = simulate(world, graph, timeline)
     return graph, timeline, log
+
+
+def events_doc(graph: GestGraph, timeline: EventTimeline) -> bytes:
+    """events.jsonl: one event-to-frame mapping per graph event."""
+    return _jsonl(
+        {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
+         "start_frame": m.start_frame, "end_frame": m.end_frame,
+         "is_movement": m.is_movement} for m in collect_event_mappings(timeline, graph))
+
+
+def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: FrameLog,
+               registry: CapabilityRegistry, probe: ProbeConfig, camera: CameraPolicy,
+               split: str) -> tuple[bytes, bytes]:
+    """probes/clips.jsonl and probes/labels.jsonl of one story."""
+    movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
+    clips = extract_story_clips(story_id, graph, timeline, movement_actions, probe, split)
+    clips_doc = _jsonl(
+        {"clip_id": c.clip_id, "story_id": c.story_id, "event_id": c.event_id,
+         "frame_indices": list(c.frame_indices), "split": c.split} for c in clips)
+    vis = visible_mask(log, camera)
+    labels_doc = _jsonl(label_clip(c, log, timeline, probe, vis, camera) for c in clips)
+    return clips_doc, labels_doc
 
 
 def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
@@ -132,26 +159,15 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
                           log.entity_ids, log.entity_kinds, log.entity_names)
     binio.write_framelog(story_dir / "framelog.bin", log)
 
-    mappings = collect_event_mappings(timeline, graph)
-    files["events.jsonl"] = _jsonl(
-        {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
-         "start_frame": m.start_frame, "end_frame": m.end_frame,
-         "is_movement": m.is_movement} for m in mappings)
+    files["events.jsonl"] = events_doc(graph, timeline)
 
     proto = proto_text(graph, timeline, registry)
     files["text.txt"] = (proto.full_text + "\n").encode("utf-8")
     if cfg.refine.endpoint_url:
         files["text.refined.txt"] = (refine(proto, cfg.refine) + "\n").encode("utf-8")
 
-    movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
-    clips = extract_story_clips(story_id, graph, timeline, movement_actions,
-                                cfg.probe, split)
-    files["probes/clips.jsonl"] = _jsonl(
-        {"clip_id": c.clip_id, "story_id": c.story_id, "event_id": c.event_id,
-         "frame_indices": list(c.frame_indices), "split": c.split} for c in clips)
-    vis = visible_mask(log, cfg.camera)
-    files["probes/labels.jsonl"] = _jsonl(
-        label_clip(c, log, timeline, cfg.probe, vis, cfg.camera) for c in clips)
+    files["probes/clips.jsonl"], files["probes/labels.jsonl"] = probe_docs(
+        story_id, graph, timeline, log, registry, cfg.probe, cfg.camera, split)
 
     if cfg.jsonl_relations:
         files["relations.jsonl"] = _jsonl(
@@ -321,17 +337,35 @@ def _load_story(corpus_dir: Path, entry: dict):
     return story_dir, graph, timeline
 
 
+def _config_from_manifest(manifest: dict, key: str, cls, tuple_keys: tuple[str, ...]):
+    """cls rebuilt from manifest["config"][key]; CorruptCorpus names any
+    key that cls does not declare or that the manifest lacks."""
+    try:
+        d = dict(manifest["config"][key])
+    except (KeyError, TypeError, ValueError):
+        raise CorruptCorpus(f"manifest has no config.{key} section") from None
+    declared = {f.name for f in fields(cls)}
+    for problem, names in (("unknown", d.keys() - declared),
+                           ("missing", declared - d.keys())):
+        if names:
+            raise CorruptCorpus(f"manifest config.{key}: {problem} key(s) "
+                                f"{', '.join(sorted(names))}")
+    try:
+        for name in tuple_keys:
+            d[name] = tuple(d[name])
+        return cls(**d)
+    except (TypeError, ValueError) as exc:
+        raise CorruptCorpus(f"manifest config.{key}: {exc}") from None
+
+
 def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
-    d = dict(manifest["config"]["probe"])
-    for key in ("camera_dist_bounds_m", "pair_dist_bounds_m", "split_fracs"):
-        d[key] = tuple(d[key])
-    return ProbeConfig(**d)
+    return _config_from_manifest(manifest, "probe", ProbeConfig,
+                                 ("camera_dist_bounds_m", "pair_dist_bounds_m",
+                                  "split_fracs"))
 
 
 def camera_from_manifest(manifest: dict) -> CameraPolicy:
-    d = dict(manifest["config"]["camera"])
-    d["offset"] = tuple(d["offset"])
-    return CameraPolicy(**d)
+    return _config_from_manifest(manifest, "camera", CameraPolicy, ("offset",))
 
 
 def verify(corpus_dir: Path | str, label_samples: int = 1000,

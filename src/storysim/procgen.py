@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .allen import Coarse, coarse_to_allen
 from .default_registry import EXCHANGE_ACTION_KEY
 from .errors import (
     EmptyRegistry,
-    InconsistentNetwork,
     NoFreeSlot,
     NoValidAction,
     RelationInjectionExhausted,
@@ -44,7 +42,7 @@ from .model import (
     PoiSpec,
     TemporalRelation,
 )
-from .scheduling import TemporalNetwork, _propagate, chain_constraints, closure
+from .scheduling import TemporalNetwork, closure
 
 CHAIN_LEN_MIN = 3
 CHAIN_LEN_MAX = 5
@@ -260,27 +258,20 @@ def _graph_so_far(draw: StoryDraw) -> GestGraph:
     )
 
 
-def inject_relations(draw: StoryDraw, registry: CapabilityRegistry,
-                     rng: random.Random, cfg: GenConfig) -> None:
+def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> None:
     """Coarse relations between plain events of different actors at a
     shared POI, resampled on conflict up to the retry bound.
 
-    Consistency is maintained incrementally: each accepted relation is
-    propagated through a working path-consistent matrix, and conflicting
-    candidates are rolled back and resampled.
+    Consistency is maintained incrementally: each accepted relation
+    narrows a working path-consistent network, and conflicting
+    candidates are dropped and resampled.
     """
     by_poi: dict[str, dict[int, list[Event]]] = {}
     for ev in draw.events:
         if ev.kind is EventKind.ACTION:
             by_poi.setdefault(ev.poi, {}).setdefault(ev.actor.id, []).append(ev)
 
-    graph = _graph_so_far(draw)
-    net = TemporalNetwork([e.event_id for e in draw.events])
-    for a, b, rs in chain_constraints(graph):
-        net.constrain(a, b, rs)
-    for rel in draw.relations:
-        net.constrain(rel.source, rel.target, rel.allen_set)
-    work = closure(net)
+    work = closure(TemporalNetwork.from_graph(_graph_so_far(draw)))
 
     for poi_key in sorted(by_poi):
         actors_here = sorted(by_poi[poi_key])
@@ -289,28 +280,23 @@ def inject_relations(draw: StoryDraw, registry: CapabilityRegistry,
                 if rng.random() >= cfg.relation_prob:
                     continue
                 try:
-                    accepted = _try_inject(draw, work, by_poi[poi_key][a1],
-                                           by_poi[poi_key][a2], rng)
+                    accepted, work = _try_inject(work, by_poi[poi_key][a1],
+                                                 by_poi[poi_key][a2], rng)
                 except RelationInjectionExhausted:
                     continue
                 draw.relations.append(accepted)
 
 
-def _try_inject(draw: StoryDraw, work: TemporalNetwork, events_a: list[Event],
-                events_b: list[Event], rng: random.Random) -> TemporalRelation:
+def _try_inject(work: TemporalNetwork, events_a: list[Event], events_b: list[Event],
+                rng: random.Random) -> tuple[TemporalRelation, TemporalNetwork]:
     for _ in range(RELATION_RETRY_BOUND):
         source = rng.choice(events_a).event_id
         target = rng.choice(events_b).event_id
         coarse = rng.choice((Coarse.BEFORE, Coarse.AFTER, Coarse.SAME_TIME))
         allen_set = coarse_to_allen(coarse)
-        snapshot = [row[:] for row in work._m]
-        try:
-            work.constrain(source, target, allen_set)
-            _propagate(work, deque([(work._pos[source], work._pos[target])]))
-        except InconsistentNetwork:
-            work._m = snapshot
-            continue
-        return TemporalRelation(source, target, coarse, allen_set)
+        narrowed = work.narrowed(source, target, allen_set)
+        if narrowed is not None:
+            return TemporalRelation(source, target, coarse, allen_set), narrowed
     raise RelationInjectionExhausted("retry bound hit")
 
 
@@ -376,5 +362,5 @@ def generate_story(cfg: GenConfig, registry: CapabilityRegistry,
             groups.setdefault(last_poi[actor_id], []).append(actor_id)
         plan_interactions(draw, groups, registry, rng, cfg)
 
-    inject_relations(draw, registry, rng, cfg)
+    inject_relations(draw, rng, cfg)
     return _graph_so_far(draw)

@@ -108,13 +108,16 @@ class TemporalNetwork:
         self._m[pi][pj] = new
         self._m[pj][pi] = _converse_mask(new)
 
-    def constrained_pairs(self) -> list[tuple[int, int, RelationSet]]:
-        out = []
-        n = len(self.ids)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._m[i][j] != FULL_MASK:
-                    out.append((self.ids[i], self.ids[j], RelationSet(self._m[i][j])))
+    def narrowed(self, i: int, j: int, rs: RelationSet) -> TemporalNetwork | None:
+        """Copy with edge (i, j) intersected with rs and propagated from
+        that edge (enough when self is path-consistent), or None when an
+        edge empties."""
+        out = self.copy()
+        try:
+            out.constrain(i, j, rs)
+            _propagate(out, deque([(out._pos[i], out._pos[j])]))
+        except InconsistentNetwork:
+            return None
         return out
 
     @classmethod
@@ -243,25 +246,14 @@ def _solve_stn(node_ids, constraints, origin_frame: int) -> dict[int, int]:
     return {nid: origin_frame - int(dist[nid]) for nid in node_ids}
 
 
-def schedule(graph: GestGraph, registry, policy: SchedulePolicy,
-             fps: int) -> EventTimeline:
-    """Concrete earliest-start frame intervals for every graph event.
-
-    The registry parameter is accepted for interface symmetry with the
-    rest of the pipeline; durations are already fixed on the events.
-    """
+def schedule(graph: GestGraph, policy: SchedulePolicy, fps: int) -> EventTimeline:
+    """Concrete earliest-start frame intervals for every graph event."""
     ids = [e.event_id for e in graph.events]
     lengths = {e.event_id: duration_frames(e.duration_s, fps) for e in graph.events}
 
-    base: list[tuple[int, int, RelationSet]] = list(chain_constraints(graph))
-    net = TemporalNetwork(ids)
-    for a, b, rs in base:
-        net.constrain(a, b, rs)
-    for rel in graph.relations:
-        net.constrain(rel.source, rel.target, rel.allen_set)
-        base.append((rel.source, rel.target, rel.allen_set))
-
-    closed = closure(net)
+    base = chain_constraints(graph) + [(rel.source, rel.target, rel.allen_set)
+                                       for rel in graph.relations]
+    closed = closure(TemporalNetwork.from_graph(graph))
 
     convex_edges: list[tuple[int, int, RelationSet]] = []
     disjunctions: list[tuple[int, int]] = []
@@ -296,7 +288,10 @@ def schedule(graph: GestGraph, registry, policy: SchedulePolicy,
     intervals = {eid: (starts[eid], starts[eid] + lengths[eid]) for eid in ids}
     timeline = EventTimeline(intervals=intervals, fps=fps)
     for a, b, rs in base:
-        assert check_relation(intervals[a], intervals[b], rs), (a, b, rs)
+        if not check_relation(intervals[a], intervals[b], rs):
+            raise InconsistentNetwork(
+                a, b, message=f"schedule places events {a}, {b} outside "
+                              f"{{{rs.codes()}}}")
     return timeline
 
 
@@ -305,9 +300,8 @@ def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
     """Chronological search over base relations of the non-convex edges,
     pruning with incremental closure after each commitment."""
     order = sorted(disjunctions, key=lambda ab: (len(closed.edge(*ab)), ab))
-    work = closed.copy()
 
-    def dfs(level: int) -> dict[int, int] | None:
+    def dfs(level: int, work: TemporalNetwork) -> dict[int, int] | None:
         if level == len(order):
             chosen = [(a, b, work.edge(a, b)) for a, b in order]
             try:
@@ -315,21 +309,15 @@ def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
             except _StnInfeasible:
                 return None
         a, b = order[level]
-        for r in list(work.edge(a, b)):
-            snapshot = [row[:] for row in work._m]
-            try:
-                work.constrain(a, b, RelationSet.of(r))
-                _propagate(work, deque([(work._pos[a], work._pos[b])]))
-            except InconsistentNetwork:
-                work._m = snapshot
-                continue
-            found = dfs(level + 1)
-            if found is not None:
-                return found
-            work._m = snapshot
+        for r in work.edge(a, b):
+            narrowed = work.narrowed(a, b, RelationSet.of(r))
+            if narrowed is not None:
+                found = dfs(level + 1, narrowed)
+                if found is not None:
+                    return found
         return None
 
-    found = dfs(0)
+    found = dfs(0, closed)
     if found is None:
         raise UnschedulableDisjunction(
             f"no base-relation choice over {len(order)} non-convex edge(s) "

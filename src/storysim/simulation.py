@@ -191,7 +191,7 @@ def validate(graph: GestGraph, registry: CapabilityRegistry) -> list[dict]:
                 flag("InvalidChainTransition", nxt.event_id,
                      f"{prev.action!r} -> {nxt.action!r} not allowed at {prev.poi!r}")
 
-    for ev, partner in _paired_events(graph):
+    for ev, partner in paired_events(graph):
         if partner is None:
             flag("NotCoLocated", ev.event_id,
                  f"{ev.kind.value} event has no partner event")
@@ -201,14 +201,13 @@ def validate(graph: GestGraph, registry: CapabilityRegistry) -> list[dict]:
     return issues
 
 
-def _paired_events(graph: GestGraph):
+def paired_events(graph: GestGraph):
     """Match interaction/exchange events into pairs by mutual patients.
 
     Yields (event, partner-or-None) once per pair, plus unmatched events.
     """
     paired = [e for e in graph.events
               if e.kind in (EventKind.INTERACTION, EventKind.EXCHANGE)]
-    matched: dict[int, Event] = {}
     used: set[int] = set()
     for ev in paired:
         if ev.event_id in used:
@@ -225,14 +224,13 @@ def _paired_events(graph: GestGraph):
         used.add(ev.event_id)
         if partner is not None:
             used.add(partner.event_id)
-            matched[ev.event_id] = partner
         yield ev, partner
 
 
 def exchange_pairs(graph: GestGraph) -> list[tuple[Event, Event]]:
     """(giver event, receiver event) pairs; the giver is the lower id."""
     out = []
-    for ev, partner in _paired_events(graph):
+    for ev, partner in paired_events(graph):
         if partner is not None and ev.kind is EventKind.EXCHANGE:
             out.append((ev, partner) if ev.event_id < partner.event_id else (partner, ev))
     return out

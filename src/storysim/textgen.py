@@ -14,13 +14,16 @@ to the proto text on any failure; corpus generation never depends on it.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
-from dataclasses import dataclass, field
+import urllib.request
+from dataclasses import dataclass
 
 from .allen import Coarse
 from .model import CapabilityRegistry, EventKind, Gender, GestGraph
 from .scheduling import EventTimeline
+from .simulation import paired_events
 
 log = logging.getLogger(__name__)
 
@@ -78,22 +81,10 @@ def proto_text(graph: GestGraph, timeline: EventTimeline,
 
     # joint sentences: pair interactions/exchanges by mutual patients
     partner_of: dict[int, int] = {}
-    paired = [e for e in graph.events
-              if e.kind in (EventKind.INTERACTION, EventKind.EXCHANGE)]
-    used: set[int] = set()
-    for ev in paired:
-        if ev.event_id in used:
-            continue
-        for cand in paired:
-            if (cand.event_id not in used and cand.event_id != ev.event_id
-                    and cand.kind is ev.kind
-                    and ev.patient is not None and cand.patient is not None
-                    and cand.actor.id == ev.patient.id
-                    and cand.patient.id == ev.actor.id):
-                partner_of[ev.event_id] = cand.event_id
-                partner_of[cand.event_id] = ev.event_id
-                used.update((ev.event_id, cand.event_id))
-                break
+    for ev, partner in paired_events(graph):
+        if partner is not None:
+            partner_of[ev.event_id] = partner.event_id
+            partner_of[partner.event_id] = ev.event_id
 
     ordered = sorted(
         (e for e in graph.events if e.kind is not EventKind.MOVEMENT),
@@ -169,22 +160,18 @@ def refine(proto: ProtoText, config: RefineConfig) -> str:
     if not config.endpoint_url:
         return proto.full_text
     try:
-        import requests
-
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(REFINE_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         if config.model:
             headers["X-Model"] = config.model
-        resp = requests.post(
-            config.endpoint_url,
-            json={"prompt": REFINE_PROMPT, "text": proto.full_text},
-            headers=headers,
-            timeout=config.timeout_s,
-        )
-        resp.raise_for_status()
-        refined = resp.json()["text"]
+        body = json.dumps({"prompt": REFINE_PROMPT, "text": proto.full_text})
+        request = urllib.request.Request(config.endpoint_url, data=body.encode("utf-8"),
+                                         headers=headers, method="POST")
+        # urlopen raises HTTPError on a non-2xx status
+        with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
+            refined = json.loads(resp.read())["text"]
         if not isinstance(refined, str) or not refined:
             raise ValueError("endpoint returned no text")
         return refined

@@ -1,15 +1,20 @@
-"""Independent brute-force reference implementations used by the tests.
+"""Independent reference implementations used by the tests.
 
 Nothing here imports the package's algebra internals: every answer is
 obtained by enumerating concrete integer interval configurations and
 classifying them with a from-scratch case analysis.  Keeping the two
 routes separate is the point; do not "simplify" by calling into
-storysim.
+storysim.  The one exception is collect_frame, the scalar per-pair
+route that the vectorized collector must match bit for bit: it shares
+compute_pair_relation with the package on purpose.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
+
+from storysim.collectors import compute_pair_relation
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
 
@@ -99,3 +104,35 @@ def satisfies_all(
         classify(*schedule[i], *schedule[j]) in allowed
         for (i, j), allowed in constraints.items()
     )
+
+
+@dataclass(frozen=True)
+class SpatialRelationRecord:
+    frame: int
+    a: int
+    b: int
+    distance_m: float
+    compass: str
+    azimuth_deg: float
+    elevation_deg: float
+    coincident: bool
+
+
+def collect_frame(log, frame: int) -> list[SpatialRelationRecord]:
+    """All ordered-pair records for one frame, sorted by (a,b)."""
+    out = []
+    ids = log.entity_ids
+    for a in ids:
+        ia = log.index_of(a)
+        pose_a = (tuple(log.positions[frame, ia]), float(log.yaws[frame, ia]))
+        for b in ids:
+            if b == a:
+                continue
+            ib = log.index_of(b)
+            pose_b = (tuple(log.positions[frame, ib]), float(log.yaws[frame, ib]))
+            r = compute_pair_relation(pose_a, pose_b)
+            out.append(SpatialRelationRecord(frame, a, b, r.distance_m, r.compass,
+                                             r.azimuth_deg, r.elevation_deg,
+                                             r.coincident))
+    out.sort(key=lambda r: (r.a, r.b))
+    return out

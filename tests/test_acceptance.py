@@ -142,7 +142,7 @@ def test_ac03_five_hundred_stories_validate_and_schedule():
         graph = generate_story(cfg, registry, index)
         issues = validate(graph, registry)
         assert not issues, f"story {index}: {issues[:2]}"
-        timeline = schedule(graph, registry, policy, fps=25)
+        timeline = schedule(graph, policy, fps=25)
         assert timeline.intervals.keys() == {e.event_id for e in graph.events}
 
 
@@ -361,7 +361,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
         assert not validate(graph, registry)
         world = ground(graph, registry, derived_rng(graph.seed, "ground"))
         augmented = insert_movements(graph, world, registry)
-        timeline = schedule(augmented, registry, policy, fps=25)
+        timeline = schedule(augmented, policy, fps=25)
         events = sum(1 for e in augmented.events
                      if e.kind is not EventKind.MOVEMENT)
         entities = 1 + len(graph.actors) + len(graph.objects)
@@ -379,7 +379,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
     assert not validate(graph, registry)
     world = ground(graph, registry, derived_rng(graph.seed, "ground"))
     graph = insert_movements(graph, world, registry)
-    timeline = schedule(graph, registry, policy, fps=25)
+    timeline = schedule(graph, policy, fps=25)
     log = simulate(world, graph, timeline)
     records = collect_story_relations(log)
     (out / "graph.json").write_bytes(serialize_graph(graph))

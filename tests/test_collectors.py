@@ -20,7 +20,6 @@ from storysim.collectors import (
     COMPASS_NAMES,
     RELATION_DTYPE,
     collect_event_mappings,
-    collect_frame,
     collect_story_relations,
     compass_bin,
     compute_pair_relation,
@@ -31,6 +30,8 @@ from storysim.model import EntityKind, EventKind
 from storysim.pipeline import build_story, CorpusConfig
 from storysim.procgen import GenConfig
 from storysim.simulation import FrameLog
+
+from _oracles import collect_frame
 
 
 def pose(x, y, z=0.0, yaw=0.0):

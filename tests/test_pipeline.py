@@ -4,6 +4,7 @@ localization, and the CLI wiring."""
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 
 import pytest
@@ -25,6 +26,12 @@ from storysim.pipeline import (
 from storysim.procgen import GenConfig, story_seed
 from storysim.scheduling import EventTimeline
 
+# corpus_digest of the seed-7, 8-story corpus of the default config and
+# bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
+# only in a change whose CHANGES.md says why the corpus bytes changed.
+GOLDEN_DIGEST = "c67c3cfec3178175fc7c5378cc09d086de8b91d041742e034a033783d82faa30"
+STORIES = 8
+
 STORY_FILES = ("graph.json", "timeline.json", "relations.bin", "framelog.bin",
                "events.jsonl", "text.txt", "probes/clips.jsonl",
                "probes/labels.jsonl")
@@ -34,8 +41,13 @@ STORY_FILES = ("graph.json", "timeline.json", "relations.bin", "framelog.bin",
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     cfg = CorpusConfig(gen=GenConfig(master_seed=7))
-    manifest = generate_corpus(root, cfg, build_default_registry(), stories=6)
+    manifest = generate_corpus(root, cfg, build_default_registry(), stories=STORIES)
     return root, cfg, manifest
+
+
+def test_golden_corpus_digest(corpus):
+    root, _, _ = corpus
+    assert corpus_digest(root) == GOLDEN_DIGEST
 
 
 def test_artifact_inventory(corpus):
@@ -43,8 +55,8 @@ def test_artifact_inventory(corpus):
     assert (root / "registry.json").is_file()
     assert (root / "manifest.json").is_file()
     assert (root / "stats.json").is_file()
-    assert manifest["story_count"] == 6
-    assert len(manifest["stories"]) == 6
+    assert manifest["story_count"] == STORIES
+    assert len(manifest["stories"]) == STORIES
     for entry in manifest["stories"]:
         assert "error" not in entry
         story_dir = root / entry["story_id"]
@@ -67,7 +79,7 @@ def test_stats_file_equals_rescan(corpus):
     root, _, _ = corpus
     stored = json.loads((root / "stats.json").read_text())
     assert stored == compute_stats(root)
-    assert stored["stories"] == 6
+    assert stored["stories"] == STORIES
     assert stored["total_events"] > 0
     assert stored["spatial_relation_count"] > 0
     assert stored["event_frame_mapping_count"] >= stored["total_events"]
@@ -99,7 +111,7 @@ def test_artifacts_parse_and_cross_reference(corpus):
 def test_rerun_is_byte_identical(corpus, tmp_path):
     root, cfg, _ = corpus
     again = tmp_path / "again"
-    generate_corpus(again, cfg, build_default_registry(), stories=6)
+    generate_corpus(again, cfg, build_default_registry(), stories=STORIES)
     assert corpus_digest(again) == corpus_digest(root)
 
 
@@ -107,7 +119,7 @@ def test_seed_change_changes_bytes(corpus, tmp_path):
     root, _, _ = corpus
     other = tmp_path / "other"
     cfg = CorpusConfig(gen=GenConfig(master_seed=8))
-    generate_corpus(other, cfg, build_default_registry(), stories=6)
+    generate_corpus(other, cfg, build_default_registry(), stories=STORIES)
     assert corpus_digest(other) != corpus_digest(root)
 
 
@@ -123,7 +135,7 @@ def test_verify_clean_corpus(corpus):
 def test_tamper_is_localized(corpus, tmp_path):
     root, cfg, _ = corpus
     copy = tmp_path / "tampered"
-    generate_corpus(copy, cfg, build_default_registry(), stories=6)
+    generate_corpus(copy, cfg, build_default_registry(), stories=STORIES)
     victim = copy / "story_00003" / "relations.bin"
     raw = bytearray(victim.read_bytes())
     raw[-40] ^= 0xFF
@@ -142,7 +154,7 @@ def test_tamper_is_localized(corpus, tmp_path):
 def test_injected_temporal_fault_is_caught(corpus, tmp_path):
     root, cfg, _ = corpus
     copy = tmp_path / "fault"
-    generate_corpus(copy, cfg, build_default_registry(), stories=6)
+    generate_corpus(copy, cfg, build_default_registry(), stories=STORIES)
 
     # pick a story with a cross-actor relation and break its realization
     manifest = load_manifest(copy)
@@ -183,6 +195,10 @@ def test_config_round_trips_through_manifest(corpus):
     _, cfg, manifest = corpus
     assert probe_config_from_manifest(manifest) == cfg.probe
     assert camera_from_manifest(manifest) == cfg.camera
+    broken = json.loads(json.dumps(manifest))
+    del broken["config"]["probe"]["clip_frames"]
+    with pytest.raises(CorruptCorpus, match="missing key.*clip_frames"):
+        probe_config_from_manifest(broken)
 
 
 def test_refined_text_artifact(tmp_path, monkeypatch):
@@ -243,10 +259,8 @@ def test_cli_simulate_and_text(tmp_path, capsys):
     assert main(["simulate", "--graph", str(story / "graph.json"),
                  "--out", str(sim_out)]) == 0
     capsys.readouterr()
-    assert (sim_out / "framelog.bin").read_bytes() \
-        == (story / "framelog.bin").read_bytes()
-    assert (sim_out / "relations.bin").read_bytes() \
-        == (story / "relations.bin").read_bytes()
+    for name in ("framelog.bin", "relations.bin", "timeline.json", "events.jsonl"):
+        assert (sim_out / name).read_bytes() == (story / name).read_bytes(), name
 
     assert main(["text", "--graph", str(story / "graph.json"),
                  "--timeline", str(story / "timeline.json")]) == 0
@@ -272,6 +286,19 @@ def test_cli_probes_regenerates_in_place(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--corpus", str(out)]) == 1
     assert "probe-labels" in capsys.readouterr().out
+
+
+def test_cli_verify_rejects_unknown_manifest_config_key(corpus, tmp_path, capsys):
+    # a manifest written by an older config carries keys this one dropped
+    root, _, _ = corpus
+    copy = tmp_path / "old"
+    shutil.copytree(root, copy)
+    manifest = load_manifest(copy)
+    manifest["config"]["camera"]["retired_knob"] = "tracking"
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--corpus", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "camera" in err and "retired_knob" in err
 
 
 def test_cli_rejects_bad_graph(tmp_path, capsys):

@@ -134,10 +134,10 @@ def test_relations_reference_shared_poi_events(stories):
             assert index[rel.source].poi == index[rel.target].poi
 
 
-def test_injected_relations_keep_network_schedulable(stories, registry):
+def test_injected_relations_keep_network_schedulable(stories):
     policy = SchedulePolicy()
     for graph in stories:
-        timeline = schedule(graph, registry, policy, fps=25)
+        timeline = schedule(graph, policy, fps=25)
         assert timeline.intervals.keys() == {e.event_id for e in graph.events}
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from storysim import scheduling
 from storysim.allen import AllenRelation, Coarse, RelationSet, coarse_to_allen
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import Actor, EntityId, EntityKind, Event, EventKind, Gender, GestGraph
@@ -72,6 +73,16 @@ class TestNetwork:
         with pytest.raises(InconsistentNetwork):
             net.constrain(0, 1, RelationSet.from_codes("bi"))
 
+    def test_narrowed_propagates_into_a_copy(self):
+        net = TemporalNetwork([0, 1, 2])
+        net.constrain(0, 1, RelationSet.from_codes("b"))
+        closed = closure(net)
+        narrowed = closed.narrowed(1, 2, RelationSet.from_codes("b"))
+        assert narrowed.edge(0, 2) == RelationSet.from_codes("b")
+        assert closed.edge(0, 2) == RelationSet.full()
+        assert narrowed == closure(narrowed)
+        assert narrowed.narrowed(2, 0, RelationSet.from_codes("b")) is None
+
 
 class TestClosure:
     def test_before_chain_derives_before(self):
@@ -126,7 +137,7 @@ class TestClosure:
 class TestSchedule:
     def test_chain_earliest_start(self):
         g = _graph([_event(0, 1, 0.4), _event(1, 1, 0.2)])
-        tl = schedule(g, None, SchedulePolicy(), FPS)
+        tl = schedule(g, SchedulePolicy(), FPS)
         assert tl.intervals == {0: (0, 10), 1: (10, 15)}
 
     def test_same_time_co_start(self):
@@ -135,7 +146,7 @@ class TestSchedule:
             [_rel(0, 1, Coarse.SAME_TIME)],
             n_actors=2,
         )
-        tl = schedule(g, None, SchedulePolicy(), FPS)
+        tl = schedule(g, SchedulePolicy(), FPS)
         assert tl.intervals == {0: (0, 10), 1: (0, 10)}
 
     def test_same_time_with_unequal_durations(self):
@@ -144,9 +155,16 @@ class TestSchedule:
             [_rel(0, 1, Coarse.SAME_TIME)],
             n_actors=2,
         )
-        tl = schedule(g, None, SchedulePolicy(), FPS)
+        tl = schedule(g, SchedulePolicy(), FPS)
         assert tl.start(0) == tl.start(1) == 0
         assert tl.end(0) == 10 and tl.end(1) == 25
+
+    def test_self_check_survives_optimized_mode(self, monkeypatch):
+        # the output check must raise, not assert, so python -O keeps it
+        monkeypatch.setattr(scheduling, "check_relation", lambda *args: False)
+        g = _graph([_event(0, 1, 0.4), _event(1, 1, 0.2)])
+        with pytest.raises(InconsistentNetwork, match="events 0, 1"):
+            schedule(g, SchedulePolicy(), FPS)
 
     def test_cyclic_before_raises(self):
         g = _graph(
@@ -155,7 +173,7 @@ class TestSchedule:
             n_actors=3,
         )
         with pytest.raises(InconsistentNetwork):
-            schedule(g, None, SchedulePolicy(), FPS)
+            schedule(g, SchedulePolicy(), FPS)
 
     def test_movement_meets_follower(self):
         g = _graph(
@@ -163,7 +181,7 @@ class TestSchedule:
         )
         cons = chain_constraints(g)
         assert cons == [(0, 1, CHAIN_SET), (1, 2, MEETS_ONLY)]
-        tl = schedule(g, None, SchedulePolicy(), FPS)
+        tl = schedule(g, SchedulePolicy(), FPS)
         assert tl.end(1) == tl.start(2)
 
     def test_metric_infeasibility_with_fixed_durations(self):
@@ -175,7 +193,7 @@ class TestSchedule:
             n_actors=2,
         )
         with pytest.raises(InconsistentNetwork):
-            schedule(g, None, SchedulePolicy(), FPS)
+            schedule(g, SchedulePolicy(), FPS)
 
     def test_backtracking_applies_strict_before_gap(self):
         from storysim.model import TemporalRelation
@@ -185,7 +203,7 @@ class TestSchedule:
             [TemporalRelation(0, 1, Coarse.BEFORE, RelationSet.from_codes("b bi"))],
             n_actors=2,
         )
-        tl = schedule(g, None, SchedulePolicy(strict_before_gap_frames=25), FPS)
+        tl = schedule(g, SchedulePolicy(strict_before_gap_frames=25), FPS)
         assert tl.intervals == {0: (0, 10), 1: (35, 45)}
 
     def test_unschedulable_disjunction(self):
@@ -198,7 +216,7 @@ class TestSchedule:
             n_actors=2,
         )
         with pytest.raises(UnschedulableDisjunction):
-            schedule(g, None, SchedulePolicy(), FPS)
+            schedule(g, SchedulePolicy(), FPS)
 
     def test_schedule_respects_relations_randomly(self):
         rng = random.Random(5)
@@ -220,7 +238,7 @@ class TestSchedule:
                 relations.append(_rel(s, t, rng.choice(list(Coarse))))
             g = _graph(events, relations, n_actors=n_actors)
             try:
-                tl = schedule(g, None, SchedulePolicy(), FPS)
+                tl = schedule(g, SchedulePolicy(), FPS)
             except InconsistentNetwork:
                 continue
             for ev in events:

@@ -236,7 +236,7 @@ class TestInsertMovements:
             [actor(1)])
         w = flat_world(reg, g)
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g2, SchedulePolicy(), fps=25)
         move = next(e for e in g2.events if e.kind is EventKind.MOVEMENT)
         assert tl.end(move.event_id) == tl.start(11)
 
@@ -246,7 +246,7 @@ class TestInsertMovements:
             g = generate_story(GenConfig(master_seed=31), reg, idx)
             w = ground(g, reg, random.Random(7))
             g2 = insert_movements(g, w, reg)
-            tl = schedule(g2, reg, SchedulePolicy(), fps=25)
+            tl = schedule(g2, SchedulePolicy(), fps=25)
             for rel in g.relations:
                 a0, a1 = tl.interval(rel.source)
                 b0, b1 = tl.interval(rel.target)
@@ -258,7 +258,7 @@ class TestSimulate:
         reg = mini_registry()
         g = make_graph([ev(10, 1, "sit", "ep.a.p1", 10.0)], [actor(1)])
         w = ground(g, reg, random.Random(2))
-        tl = schedule(g, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g, SchedulePolicy(), fps=25)
         assert tl.interval(10) == (0, 250)
         log = simulate(w, g, tl)
         assert log.frame_count == 250 + CAMERA_SETTLE_FRAMES
@@ -273,7 +273,7 @@ class TestSimulate:
             [actor(1)])
         w = flat_world(reg, g)
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g2, SchedulePolicy(), fps=25)
         move = next(e for e in g2.events if e.kind is EventKind.MOVEMENT)
         s, e = tl.interval(move.event_id)
         log = simulate(w, g2, tl)
@@ -288,7 +288,7 @@ class TestSimulate:
         g = generate_story(GenConfig(master_seed=13), reg, 1)
         w = ground(g, reg, random.Random(5))
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g2, SchedulePolicy(), fps=25)
         log = simulate(w, g2, tl)
         for a in g.actors:
             idx = log.index_of(a.id.id)
@@ -300,7 +300,7 @@ class TestSimulate:
         g = generate_story(GenConfig(master_seed=13), reg, 3)
         w = ground(g, reg, random.Random(5))
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g2, SchedulePolicy(), fps=25)
         log = simulate(w, g2, tl)
         for event in g2.events:
             if event.kind is EventKind.MOVEMENT:
@@ -318,7 +318,7 @@ class TestSimulate:
         for _ in range(2):
             w = ground(g, reg, random.Random(99))
             g2 = insert_movements(g, w, reg)
-            tl = schedule(g2, reg, SchedulePolicy(), fps=25)
+            tl = schedule(g2, SchedulePolicy(), fps=25)
             log = simulate(w, g2, tl)
             logs.append((log.positions.tobytes(), log.yaws.tobytes()))
         assert logs[0] == logs[1]
@@ -337,7 +337,7 @@ class TestSimulate:
         g = make_graph(events, [a, b], objects=[cup], relations=[rel])
         assert validate(g, reg) == []
         w = ground(g, reg, random.Random(3))
-        tl = schedule(g, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g, SchedulePolicy(), fps=25)
         flip = tl.end(10)
         log = simulate(w, g, tl)
         carry_reach = math.sqrt(0.3 ** 2 + 0.2 ** 2 + 1.0 ** 2) + 1e-9
@@ -377,7 +377,7 @@ class TestCamera:
         reg = mini_registry()
         g = make_graph([ev(10, 1, "sit", "ep.a.p1", 10.0)], [actor(1)])
         w = ground(g, reg, random.Random(2))
-        tl = schedule(g, reg, SchedulePolicy(), fps=25)
+        tl = schedule(g, SchedulePolicy(), fps=25)
         log = simulate(w, g, tl)
         cam = log.index_of(0)
         idx = log.index_of(1)
