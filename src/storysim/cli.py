@@ -47,7 +47,6 @@ def _cmd_generate(args) -> int:
     cfg = CorpusConfig(
         gen=gen,
         fps=args.fps,
-        jsonl_relations=args.jsonl_relations,
         refine=RefineConfig(endpoint_url=args.refine_endpoint,
                             model=args.refine_model),
     )
@@ -163,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-actors-per-region", type=int, default=4)
     p.add_argument("--regions", type=int, default=2)
     p.add_argument("--fps", type=int, default=25)
-    p.add_argument("--jsonl-relations", action="store_true",
-                   help="also write a JSONL mirror of relations.bin")
     p.add_argument("--refine-endpoint", default=None)
     p.add_argument("--refine-model", default="")
     p.add_argument("--workers", type=int, default=1)

@@ -26,8 +26,8 @@ from .documents import (parse_graph, parse_registry, parse_timeline,
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, story_seed
-from .probes import (ClipSpec, HybridSampleConfig, ProbeConfig,
-                     extract_story_clips, label_clip, split_stories)
+from .probes import (ClipSpec, ProbeConfig, extract_story_clips, label_clip,
+                     split_stories)
 from .probes_oracle import oracle_clip
 from .scheduling import EventTimeline, SchedulePolicy, duration_frames, schedule
 from .simulation import (CameraPolicy, FrameLog, ground, insert_movements,
@@ -45,8 +45,6 @@ class CorpusConfig:
     camera: CameraPolicy = field(default_factory=CameraPolicy)
     policy: SchedulePolicy = field(default_factory=SchedulePolicy)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    hybrid: HybridSampleConfig = field(default_factory=HybridSampleConfig)
-    jsonl_relations: bool = False
     refine: RefineConfig = field(default_factory=RefineConfig)
 
 
@@ -168,15 +166,6 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
 
     files["probes/clips.jsonl"], files["probes/labels.jsonl"] = probe_docs(
         story_id, graph, timeline, log, registry, cfg.probe, cfg.camera, split)
-
-    if cfg.jsonl_relations:
-        files["relations.jsonl"] = _jsonl(
-            {"frame": int(r["frame"]), "a": int(r["a"]), "b": int(r["b"]),
-             "distance_m": float(r["distance_m"]),
-             "azimuth_deg": float(r["azimuth_deg"]),
-             "elevation_deg": float(r["elevation_deg"]),
-             "compass": COMPASS_NAMES[r["compass"]],
-             "flags": int(r["flags"])} for r in relations)
 
     for rel_path, data in files.items():
         path = story_dir / rel_path

@@ -38,13 +38,10 @@ _BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask
 class SchedulePolicy:
     origin_frame: int = 0
     strict_before_gap_frames: int = 25
-    assignment: str = "earliest_start"
 
     def __post_init__(self):
         if self.strict_before_gap_frames < 1:
             raise ValueError("strict_before_gap_frames must be >= 1")
-        if self.assignment != "earliest_start":
-            raise ValueError(f"unknown assignment policy {self.assignment!r}")
 
 
 @dataclass(frozen=True)

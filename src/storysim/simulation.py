@@ -42,7 +42,6 @@ STAND_JITTER_MAX = 0.5
 
 @dataclass(frozen=True)
 class CameraPolicy:
-    mode: str = "tracking"
     offset: tuple[float, float, float] = (0.0, -6.0, 3.0)
     smoothing: float = 0.1
     fov_deg: float = 90.0

@@ -29,7 +29,7 @@ from storysim.scheduling import EventTimeline
 # corpus_digest of the seed-7, 8-story corpus of the default config and
 # bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
 # only in a change whose CHANGES.md says why the corpus bytes changed.
-GOLDEN_DIGEST = "c67c3cfec3178175fc7c5378cc09d086de8b91d041742e034a033783d82faa30"
+GOLDEN_DIGEST = "03b7b8aa721fb3b10a1ff4506d15e576e9ece5f1e27f0de1cf7b96616e23e5d5"
 STORIES = 8
 
 STORY_FILES = ("graph.json", "timeline.json", "relations.bin", "framelog.bin",
@@ -294,11 +294,11 @@ def test_cli_verify_rejects_unknown_manifest_config_key(corpus, tmp_path, capsys
     copy = tmp_path / "old"
     shutil.copytree(root, copy)
     manifest = load_manifest(copy)
-    manifest["config"]["camera"]["retired_knob"] = "tracking"
+    manifest["config"]["camera"]["mode"] = "tracking"
     (copy / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", "--corpus", str(copy)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "camera" in err and "retired_knob" in err
+    assert err.startswith("error:") and "camera" in err and "mode" in err
 
 
 def test_cli_rejects_bad_graph(tmp_path, capsys):

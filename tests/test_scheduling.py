@@ -261,8 +261,6 @@ def test_duration_frames_minimum_one():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SchedulePolicy(strict_before_gap_frames=0)
-    with pytest.raises(ValueError):
-        SchedulePolicy(assignment="latest_start")
 
 
 def test_timeline_accessors():
