@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import urllib.request
 from dataclasses import dataclass
 
 from .allen import Coarse
@@ -160,6 +159,10 @@ def refine(proto: ProtoText, config: RefineConfig) -> str:
     if not config.endpoint_url:
         return proto.full_text
     try:
+        # imported here: urllib.request pulls in http.client and email,
+        # which every importer of the package would otherwise pay for
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(REFINE_TOKEN_ENV)
         if token:

@@ -135,7 +135,7 @@ def test_verify_clean_corpus(corpus):
 def test_tamper_is_localized(corpus, tmp_path):
     root, cfg, _ = corpus
     copy = tmp_path / "tampered"
-    generate_corpus(copy, cfg, build_default_registry(), stories=STORIES)
+    generate_corpus(copy, cfg, build_default_registry(), stories=6)
     victim = copy / "story_00003" / "relations.bin"
     raw = bytearray(victim.read_bytes())
     raw[-40] ^= 0xFF
@@ -154,7 +154,7 @@ def test_tamper_is_localized(corpus, tmp_path):
 def test_injected_temporal_fault_is_caught(corpus, tmp_path):
     root, cfg, _ = corpus
     copy = tmp_path / "fault"
-    generate_corpus(copy, cfg, build_default_registry(), stories=STORIES)
+    generate_corpus(copy, cfg, build_default_registry(), stories=6)
 
     # pick a story with a cross-actor relation and break its realization
     manifest = load_manifest(copy)
