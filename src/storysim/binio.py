@@ -38,9 +38,10 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 def _pack_entity_table(ids, kinds, names) -> bytes:
     rows = []
     for eid, kind, name in zip(ids, kinds, names):
-        raw = name.encode("utf-8")
-        if len(raw) > 255:
-            raw = raw[:255]
+        if not 0 <= eid <= 0xFFFF:
+            raise ValueError(f"entity id {eid} does not fit the u16 id field")
+        # a name longer than 255 bytes is cut on a character boundary
+        raw = name.encode("utf-8")[:255].decode("utf-8", "ignore").encode("utf-8")
         rows.append(struct.pack("<HBB", eid, _KIND_CODE[kind], len(raw)) + raw)
     return b"".join(rows)
 
@@ -60,7 +61,10 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
             raise CorruptCorpus(f"unknown entity kind code {kind_code}") from None
         ids.append(eid)
         kinds.append(kind)
-        names.append(buf[offset:offset + name_len].decode("utf-8"))
+        try:
+            names.append(buf[offset:offset + name_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorruptCorpus(f"entity {eid} name is not UTF-8: {exc}") from None
         offset += name_len
     return tuple(ids), tuple(kinds), tuple(names), offset
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import binio
@@ -25,7 +26,6 @@ from .pipeline import (CorpusConfig, camera_from_manifest, compute_stats,
                        events_doc, generate_corpus, load_manifest, probe_docs,
                        probe_config_from_manifest, simulate_graph, verify,
                        _json_doc, _sha256, _story_entries)
-from .probes import ProbeConfig
 from .procgen import GenConfig
 from .textgen import RefineConfig, proto_text
 
@@ -97,15 +97,12 @@ def _cmd_probes(args) -> int:
     manifest = load_manifest(corpus)
     registry = parse_registry((corpus / "registry.json").read_bytes())
     camera = camera_from_manifest(manifest)
-    base = probe_config_from_manifest(manifest)
-    cfg = ProbeConfig(
-        motion_threshold_m=args.motion_threshold,
-        min_event_s=args.min_event_s,
-        camera_dist_bounds_m=base.camera_dist_bounds_m,
-        pair_dist_bounds_m=base.pair_dist_bounds_m,
-        ambiguity_eps_m=args.ambiguity_eps_m,
-        ambiguity_eps_deg=args.ambiguity_eps_deg,
-    )
+    flags = {"motion_threshold_m": args.motion_threshold,
+             "min_event_s": args.min_event_s,
+             "ambiguity_eps_m": args.ambiguity_eps_m,
+             "ambiguity_eps_deg": args.ambiguity_eps_deg}
+    cfg = replace(probe_config_from_manifest(manifest),
+                  **{k: v for k, v in flags.items() if v is not None})
     out_root = Path(args.out) if args.out else corpus
     in_place = out_root.resolve() == corpus.resolve()
     n_clips = 0
@@ -183,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probes", help="re-derive probe clips and labels")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--motion-threshold", type=float, default=0.2)
-    p.add_argument("--min-event-s", type=float, default=4.0)
-    p.add_argument("--ambiguity-eps-m", type=float, default=0.1)
-    p.add_argument("--ambiguity-eps-deg", type=float, default=2.0)
+    for flag in ("--motion-threshold", "--min-event-s", "--ambiguity-eps-m",
+                 "--ambiguity-eps-deg"):
+        p.add_argument(flag, type=float, default=None,
+                       help="default: the value in the corpus manifest")
     p.set_defaults(func=_cmd_probes)
 
     p = sub.add_parser("stats", help="recompute corpus statistics")

@@ -234,9 +234,16 @@ def load_manifest(corpus_dir: Path | str) -> dict:
     if not path.is_file():
         raise CorruptCorpus(f"{path} is missing")
     try:
-        return json.loads(path.read_text("utf-8"))
+        manifest = json.loads(path.read_text("utf-8"))
     except ValueError as exc:
         raise CorruptCorpus(f"{path}: {exc}") from None
+    for key_path in (("registry_hash",), ("stories",), ("config", "fps")):
+        node = manifest
+        for key in key_path:
+            if not isinstance(node, dict) or key not in node:
+                raise CorruptCorpus(f"{path}: no key {'.'.join(key_path)}")
+            node = node[key]
+    return manifest
 
 
 def _story_entries(manifest: dict):

@@ -168,86 +168,123 @@ def label_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
             "motion_presence": motion}
 
 
-def _camera_series(clip: ClipSpec, log: FrameLog, entity_id: int):
-    """Per-clip-frame camera distance and camera-frame azimuth of one
-    entity."""
+@dataclass(frozen=True)
+class _ClipGeometry:
+    """Clip-frame geometry of some entity columns, from one gather of the
+    frame log."""
+    ids: tuple[int, ...]
+    cols: list[int]  # frame-log columns of ids
+    frames: list[int]
+    pos: np.ndarray  # (clip frames, entities, 3)
+    rel: np.ndarray  # pos minus the camera position
+    cam_yaw: np.ndarray  # (clip frames,)
+
+
+def _clip_geometry(clip: ClipSpec, log: FrameLog, entity_ids) -> _ClipGeometry:
+    try:
+        cols = [log.index_of(e) for e in entity_ids]
+    except KeyError as exc:
+        raise EntityUnknown(f"entity {exc.args[0]} not in frame log") from None
     cam = log.index_of(CAMERA_ID)
-    idx = log.index_of(entity_id)
-    dists, azimuths = [], []
-    for f in clip.frame_indices:
-        rel = log.positions[f, idx] - log.positions[f, cam]
-        d = float(np.sqrt((rel * rel).sum()))
-        bearing = float(np.degrees(np.arctan2(rel[0], rel[1])))
-        dists.append(d)
-        azimuths.append(wrap_signed(float(log.yaws[f, cam]) - bearing))
-    return dists, azimuths
+    frames = list(clip.frame_indices)
+    at = log.positions[frames]
+    pos = at[:, cols]
+    return _ClipGeometry(tuple(entity_ids), cols, frames, pos,
+                         pos - at[:, cam:cam + 1], log.yaws[frames, cam])
+
+
+def _entity_labels(geo: _ClipGeometry, vis: np.ndarray, cfg: ProbeConfig) -> list[dict]:
+    """Entity labels of every column of geo.
+
+    Each distance sums its squares in x, y, z order, as numpy sums one
+    3-vector; means run over C-contiguous rows of clip frames, as
+    np.mean of one entity's frame series does.
+    """
+    dists = np.ascontiguousarray(np.sqrt((geo.rel * geo.rel).sum(axis=2)).T)
+    means = dists.mean(axis=1).tolist()
+    ends = geo.rel[[0, -1]]
+    bearings = np.degrees(np.arctan2(ends[..., 0], ends[..., 1])).tolist()
+    yaw0, yaw1 = float(geo.cam_yaw[0]), float(geo.cam_yaw[-1])
+    presence = vis[geo.frames][:, geo.cols].any(axis=0).tolist()
+    out = []
+    for k, entity_id in enumerate(geo.ids):
+        d_az = wrap_signed(wrap_signed(yaw1 - bearings[1][k])
+                           - wrap_signed(yaw0 - bearings[0][k]))
+        angle_change = None
+        if abs(d_az) >= cfg.ambiguity_eps_deg:
+            angle_change = "left" if d_az > 0 else "right"
+
+        d_d = float(dists[k, -1]) - float(dists[k, 0])
+        approach_recede = None
+        if abs(d_d) >= cfg.ambiguity_eps_m:
+            approach_recede = "approach" if d_d < 0 else "recede"
+
+        out.append({"entity_id": entity_id, "entity_presence": presence[k],
+                    "camera_distance": _dist_class(means[k], cfg.camera_dist_bounds_m),
+                    "angle_change": angle_change,
+                    "approach_recede": approach_recede})
+    return out
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Lengths of the (frames, columns, 3) vectors v as (columns, frames)
+    C-contiguous rows.  A stacked (1, 3) @ (3, 1) product runs the dot
+    kernel that np.linalg.norm uses for one vector; its rounding can
+    differ from a sum of squares."""
+    return np.ascontiguousarray(np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0]).T)
+
+
+def _pair_labels(geo: _ClipGeometry, ia, ib, cfg: ProbeConfig) -> list[dict]:
+    """Pair labels of the columns (ia[k], ib[k]) of geo.
+
+    Direction sines and cosines add up frame by frame from 0, vectorised
+    across pairs.
+    """
+    cam_dists = _norms(geo.rel)
+    cam_means = cam_dists.mean(axis=1).tolist()
+    gap = geo.pos[:, ib] - geo.pos[:, ia]
+    dpair = _norms(gap)
+    pair_means = dpair.mean(axis=1).tolist()
+    deltas = (dpair[:, -1] - dpair[:, 0]).tolist()
+    theta = np.arctan2(gap[..., 0], gap[..., 1]) - np.radians(geo.cam_yaw)[:, None]
+    sin_sum = np.zeros(len(ia))
+    cos_sum = np.zeros(len(ia))
+    for row in theta:
+        sin_sum += np.sin(row)
+        cos_sum += np.cos(row)
+    mean_dirs = np.degrees(np.arctan2(sin_sum, cos_sum)).tolist()
+
+    out = []
+    for k, (i, j) in enumerate(zip(ia, ib)):
+        relative_motion = None
+        if deltas[k] < -cfg.ambiguity_eps_m:
+            relative_motion = "converging"
+        elif deltas[k] > cfg.ambiguity_eps_m:
+            relative_motion = "diverging"
+        out.append({
+            "a": geo.ids[i],
+            "b": geo.ids[j],
+            "depth_order": cam_means[i] < cam_means[j],
+            "pair_direction": COMPASS_NAMES[compass_bin(mean_dirs[k])],
+            "pair_distance": _dist_class(pair_means[k], cfg.pair_dist_bounds_m,
+                                         ("close", "medium", "far")),
+            "relative_motion": relative_motion,
+        })
+    return out
 
 
 def label_entity(clip: ClipSpec, entity_id: int, log: FrameLog, cfg: ProbeConfig,
                  vis: np.ndarray | None = None,
                  policy: CameraPolicy | None = None) -> dict:
-    try:
-        idx = log.index_of(entity_id)
-    except KeyError:
-        raise EntityUnknown(f"entity {entity_id} not in frame log") from None
+    geo = _clip_geometry(clip, log, [entity_id])
     if vis is None:
         vis = visible_mask(log, policy or CameraPolicy())
-    frames = np.array(clip.frame_indices)
-    presence = bool(vis[frames, idx].any())
-
-    dists, azimuths = _camera_series(clip, log, entity_id)
-    camera_distance = _dist_class(float(np.mean(dists)), cfg.camera_dist_bounds_m)
-
-    d_az = wrap_signed(azimuths[-1] - azimuths[0])
-    angle_change = None
-    if abs(d_az) >= cfg.ambiguity_eps_deg:
-        angle_change = "left" if d_az > 0 else "right"
-
-    d_d = dists[-1] - dists[0]
-    approach_recede = None
-    if abs(d_d) >= cfg.ambiguity_eps_m:
-        approach_recede = "approach" if d_d < 0 else "recede"
-
-    return {"entity_id": entity_id, "entity_presence": presence,
-            "camera_distance": camera_distance, "angle_change": angle_change,
-            "approach_recede": approach_recede}
+    return _entity_labels(geo, vis, cfg)[0]
 
 
 def label_pair(clip: ClipSpec, a: int, b: int, log: FrameLog,
                cfg: ProbeConfig) -> dict:
-    cam = log.index_of(CAMERA_ID)
-    ia, ib = log.index_of(a), log.index_of(b)
-    da, db, dpair = [], [], []
-    sin_sum = cos_sum = 0.0
-    for f in clip.frame_indices:
-        pa = log.positions[f, ia]
-        pb = log.positions[f, ib]
-        pc = log.positions[f, cam]
-        da.append(float(np.linalg.norm(pa - pc)))
-        db.append(float(np.linalg.norm(pb - pc)))
-        dpair.append(float(np.linalg.norm(pb - pa)))
-        theta_w = np.arctan2(pb[0] - pa[0], pb[1] - pa[1])
-        theta_c = theta_w - np.radians(log.yaws[f, cam])
-        sin_sum += float(np.sin(theta_c))
-        cos_sum += float(np.cos(theta_c))
-
-    mean_dir = float(np.degrees(np.arctan2(sin_sum, cos_sum)))
-    delta = dpair[-1] - dpair[0]
-    relative_motion = None
-    if delta < -cfg.ambiguity_eps_m:
-        relative_motion = "converging"
-    elif delta > cfg.ambiguity_eps_m:
-        relative_motion = "diverging"
-
-    return {
-        "a": a,
-        "b": b,
-        "depth_order": bool(np.mean(da) < np.mean(db)),
-        "pair_direction": COMPASS_NAMES[compass_bin(mean_dir)],
-        "pair_distance": _dist_class(float(np.mean(dpair)), cfg.pair_dist_bounds_m,
-                                     ("close", "medium", "far")),
-        "relative_motion": relative_motion,
-    }
+    return _pair_labels(_clip_geometry(clip, log, [a, b]), [0], [1], cfg)[0]
 
 
 def label_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
@@ -257,17 +294,15 @@ def label_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
     every canonical (a < b) entity pair."""
     if vis is None:
         vis = visible_mask(log, policy or CameraPolicy())
-    entity_ids = [e for e, k in zip(log.entity_ids, log.entity_kinds)
-                  if k in (EntityKind.ACTOR, EntityKind.OBJECT)]
-    entity_ids.sort()
-    entities = [label_entity(clip, e, log, cfg, vis) for e in entity_ids]
-    pairs = [label_pair(clip, a, b, log, cfg)
-             for i, a in enumerate(entity_ids) for b in entity_ids[i + 1:]]
+    entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
+                        if k in (EntityKind.ACTOR, EntityKind.OBJECT))
+    geo = _clip_geometry(clip, log, entity_ids)
+    ia, ib = np.triu_indices(len(entity_ids), 1)
     return {
         "clip_id": clip.clip_id,
         "scene": label_scene(clip, log, timeline, cfg, vis),
-        "entities": entities,
-        "pairs": pairs,
+        "entities": _entity_labels(geo, vis, cfg),
+        "pairs": _pair_labels(geo, ia.tolist(), ib.tolist(), cfg),
     }
 
 

@@ -533,45 +533,67 @@ def _lay_objects(world: World, graph: GestGraph, timeline: EventTimeline,
                 yaw[start:end, idx] = yaw[start:end, o_idx]
 
 
-def update_camera(cam_pos: np.ndarray, focus_positions: np.ndarray,
-                  policy: CameraPolicy) -> tuple[np.ndarray, float]:
+def _centroid(rows) -> tuple[float, float, float]:
+    """Mean of (x, y, z) rows, summed from 0.0 in row order as numpy's
+    mean over axis 0 sums them."""
+    sx = sy = sz = 0.0
+    for x, y, z in rows:
+        sx += x
+        sy += y
+        sz += z
+    n = len(rows)
+    return sx / n, sy / n, sz / n
+
+
+def update_camera(cam_pos, focus_positions, policy: CameraPolicy
+                  ) -> tuple[tuple[float, float, float], float]:
     """One tracking step: smooth toward the focus centroid plus offset,
-    yaw facing the centroid.  Returns (new position, new yaw)."""
-    centroid = np.asarray(focus_positions, dtype=np.float64).mean(axis=0)
-    target = centroid + np.asarray(policy.offset)
-    new_pos = cam_pos + policy.smoothing * (target - cam_pos)
-    look = centroid - new_pos
-    return new_pos, bearing_deg(look[0], look[1])
+    yaw facing the centroid.  cam_pos is one (x, y, z) row and
+    focus_positions a sequence of them.  Returns (new position, new yaw)."""
+    cx, cy, cz = _centroid(focus_positions)
+    px, py, pz = cam_pos
+    ox, oy, oz = policy.offset
+    s = policy.smoothing
+    new_pos = (px + s * (cx + ox - px), py + s * (cy + oy - py),
+               pz + s * (cz + oz - pz))
+    return new_pos, bearing_deg(cx - new_pos[0], cy - new_pos[1])
 
 
 def _run_camera(world: World, graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
                 index: dict[int, int], actor_ids: list[int], active: np.ndarray,
                 actor_region: np.ndarray):
+    """Camera column of pos and yaw.  Each frame focuses the active actors
+    of the region most of them are in (ties go to the lower region
+    index); idle frames keep the last focus, and before any actor is
+    active the focus is every actor.  Frame 0 starts converged."""
     policy = world.camera_policy
-    frames = pos.shape[0]
     n_regions = max(len(graph.region_plan), 1)
-    offset = np.array(policy.offset)
-    actor_idx = np.array([index[a] for a in actor_ids])
-    cam = index[CAMERA_ID]
-
-    centroid = None
-    for f in range(frames):
-        act = active[f]
-        if act.any():
-            counts = np.bincount(actor_region[f, act], minlength=n_regions)
-            focus_region = int(np.argmax(counts))
-            members = act & (actor_region[f] == focus_region)
-            centroid = pos[f, actor_idx[members]].mean(axis=0)
-        elif centroid is None:
-            centroid = pos[f, actor_idx].mean(axis=0)
-        # else: idle frames hold the last focus centroid
-        if f == 0:
-            pos[0, cam] = centroid + offset
-            look = centroid - pos[0, cam]
-            yaw[0, cam] = bearing_deg(look[0], look[1])
+    actor_pos = pos[:, [index[a] for a in actor_ids]].tolist()
+    cam_pos: list[tuple[float, float, float]] = []
+    cam_yaw: list[float] = []
+    focus = None
+    for act, regions, at in zip(active.tolist(), actor_region.tolist(), actor_pos):
+        members = [k for k, on in enumerate(act) if on]
+        if members:
+            counts = [0] * n_regions
+            for k in members:
+                counts[regions[k]] += 1
+            top = counts.index(max(counts))
+            focus = [at[k] for k in members if regions[k] == top]
+        elif focus is None:
+            focus = at
+        if cam_pos:
+            p, y = update_camera(cam_pos[-1], focus, policy)
         else:
-            pos[f, cam], yaw[f, cam] = update_camera(
-                pos[f - 1, cam], centroid[None, :], policy)
+            cx, cy, cz = _centroid(focus)
+            ox, oy, oz = policy.offset
+            p = (cx + ox, cy + oy, cz + oz)
+            y = bearing_deg(cx - p[0], cy - p[1])
+        cam_pos.append(p)
+        cam_yaw.append(y)
+    cam = index[CAMERA_ID]
+    pos[:, cam] = cam_pos
+    yaw[:, cam] = cam_yaw
 
 
 def visible_mask(log: FrameLog, policy: CameraPolicy) -> np.ndarray:

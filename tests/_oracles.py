@@ -4,9 +4,11 @@ Nothing here imports the package's algebra internals: every answer is
 obtained by enumerating concrete integer interval configurations and
 classifying them with a from-scratch case analysis.  Keeping the two
 routes separate is the point; do not "simplify" by calling into
-storysim.  The one exception is collect_frame, the scalar per-pair
-route that the vectorized collector must match bit for bit: it shares
-compute_pair_relation with the package on purpose.
+storysim.  Two exceptions are routes that the package must match bit
+for bit: collect_frame, the scalar per-pair route of the vectorized
+collector, shares compute_pair_relation with the package on purpose,
+and numpy_run_camera, the numpy per-frame camera loop that the
+plain-float one replaced, shares bearing_deg.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from storysim.collectors import compute_pair_relation
+from storysim.model import CAMERA_ID
+from storysim.simulation import bearing_deg
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
 
@@ -136,3 +142,40 @@ def collect_frame(log, frame: int) -> list[SpatialRelationRecord]:
                                              r.coincident))
     out.sort(key=lambda r: (r.a, r.b))
     return out
+
+
+def numpy_update_camera(cam_pos, focus_positions, policy):
+    centroid = np.asarray(focus_positions, dtype=np.float64).mean(axis=0)
+    target = centroid + np.asarray(policy.offset)
+    new_pos = cam_pos + policy.smoothing * (target - cam_pos)
+    look = centroid - new_pos
+    return new_pos, bearing_deg(look[0], look[1])
+
+
+def numpy_run_camera(world, graph, pos, yaw, index, actor_ids, active, actor_region):
+    """The camera column of pos and yaw, one frame at a time on numpy rows."""
+    policy = world.camera_policy
+    frames = pos.shape[0]
+    n_regions = max(len(graph.region_plan), 1)
+    offset = np.array(policy.offset)
+    actor_idx = np.array([index[a] for a in actor_ids])
+    cam = index[CAMERA_ID]
+
+    centroid = None
+    for f in range(frames):
+        act = active[f]
+        if act.any():
+            counts = np.bincount(actor_region[f, act], minlength=n_regions)
+            focus_region = int(np.argmax(counts))
+            members = act & (actor_region[f] == focus_region)
+            centroid = pos[f, actor_idx[members]].mean(axis=0)
+        elif centroid is None:
+            centroid = pos[f, actor_idx].mean(axis=0)
+        # else: idle frames hold the last focus centroid
+        if f == 0:
+            pos[0, cam] = centroid + offset
+            look = centroid - pos[0, cam]
+            yaw[0, cam] = bearing_deg(look[0], look[1])
+        else:
+            pos[f, cam], yaw[f, cam] = numpy_update_camera(
+                pos[f - 1, cam], centroid[None, :], policy)

@@ -257,3 +257,32 @@ def test_synthetic_log_small_counts():
     assert (first["a"], first["b"]) == (0, 1)
     assert first["distance_m"] == np.float32(5.0)
     assert COMPASS_NAMES[first["compass"]] == "N"
+
+
+def _named_log(ids, names):
+    kinds = (EntityKind.CAMERA,) + (EntityKind.OBJECT,) * (len(ids) - 1)
+    return FrameLog(positions=np.zeros((1, len(ids), 3)), yaws=np.zeros((1, len(ids))),
+                    fps=25, entity_ids=ids, entity_kinds=kinds, entity_names=names)
+
+
+def test_long_utf8_name_is_cut_on_a_character_boundary(tmp_path):
+    # 200 two-byte characters: a cut at byte 255 would split the 128th
+    path = tmp_path / "framelog.bin"
+    write_framelog(path, _named_log((0, 1), ("camera", "é" * 200)))
+    assert read_framelog(path).entity_names == ("camera", "é" * 127)
+
+
+def test_entity_id_outside_u16_is_rejected_at_write(tmp_path):
+    with pytest.raises(ValueError, match="65536"):
+        write_framelog(tmp_path / "framelog.bin", _named_log((0, 65536), ("camera", "cup")))
+    assert not (tmp_path / "framelog.bin").exists()
+
+
+def test_broken_name_byte_reads_as_corrupt(tmp_path):
+    path = tmp_path / "framelog.bin"
+    write_framelog(path, _named_log((0, 1), ("camera", "cup")))
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"cup")] = 0xFF
+    path.write_bytes(raw)
+    with pytest.raises(CorruptCorpus, match="UTF-8"):
+        read_framelog(path)

@@ -23,6 +23,7 @@ from storysim.pipeline import (
     probe_config_from_manifest,
     verify,
 )
+from storysim.probes import ProbeConfig
 from storysim.procgen import GenConfig, story_seed
 from storysim.scheduling import EventTimeline
 
@@ -216,6 +217,26 @@ def test_refined_text_artifact(tmp_path, monkeypatch):
         == (story_dir / "text.txt").read_bytes()
 
 
+@pytest.mark.parametrize("key_path", [("registry_hash",), ("stories",), ("config", "fps")])
+def test_verify_fails_closed_on_a_missing_manifest_key(corpus, tmp_path, capsys, key_path):
+    # verify reads the manifest first, so the manifest alone is enough
+    root, _, _ = corpus
+    manifest = load_manifest(root)
+    node = manifest
+    for key in key_path[:-1]:
+        node = node[key]
+    del node[key_path[-1]]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    name = ".".join(key_path)
+    with pytest.raises(CorruptCorpus, match=f"no key {name}"):
+        load_manifest(tmp_path)
+    report = verify(tmp_path)
+    assert not report["ok"]
+    assert name in report["checks"][0]["details"]
+    assert main(["verify", "--corpus", str(tmp_path)]) == 1
+    assert "FAIL manifest: " in capsys.readouterr().out
+
+
 def test_load_manifest_rejects_garbage(tmp_path):
     with pytest.raises(CorruptCorpus):
         load_manifest(tmp_path)
@@ -286,6 +307,19 @@ def test_cli_probes_regenerates_in_place(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--corpus", str(out)]) == 1
     assert "probe-labels" in capsys.readouterr().out
+
+
+def test_cli_probes_keeps_the_manifest_probe_config(tmp_path, capsys):
+    root = tmp_path / "c"
+    cfg = CorpusConfig(gen=GenConfig(master_seed=3), probe=ProbeConfig(clip_frames=8))
+    generate_corpus(root, cfg, build_default_registry(), stories=2)
+    other = tmp_path / "other"
+    assert main(["probes", "--corpus", str(root), "--out", str(other)]) == 0
+    capsys.readouterr()
+    written = sorted(other.glob("story_*/probes/*.jsonl"))
+    assert len(written) == 4
+    for path in written:
+        assert path.read_bytes() == (root / path.relative_to(other)).read_bytes(), path
 
 
 def test_cli_verify_rejects_unknown_manifest_config_key(corpus, tmp_path, capsys):

@@ -4,6 +4,7 @@ and the hybrid frame sampler."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -374,3 +375,27 @@ def test_labels_match_independent_oracle():
         mine = label_clip(clip, log, timeline, CFG, vis, policy)
         theirs = oracle_clip(clip, log, timeline, CFG, policy)
         assert mine == theirs, clip.clip_id
+
+
+def test_labels_match_oracle_on_every_clip_of_dense_stories():
+    # six actors over three regions give about four times the pairs of
+    # the default corpus; compare as verify does, after a JSON round trip
+    registry = build_default_registry()
+    cfg = CorpusConfig(gen=GenConfig(master_seed=7, actors_min_max=(6, 6),
+                                     max_actors_per_region=6, regions_to_visit=3,
+                                     relation_prob=1.0, interaction_prob=0.6,
+                                     exchange_prob=0.3))
+    movement = {k for k, a in registry.actions.items() if a.is_movement_only}
+    policy = CameraPolicy()
+    pairs = 0
+    for index in range(3):
+        graph, timeline, log = build_story(cfg, registry, index)
+        vis = visible_mask(log, policy)
+        clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
+        assert clips
+        for clip in clips:
+            mine = json.loads(json.dumps(label_clip(clip, log, timeline, CFG, vis, policy)))
+            theirs = json.loads(json.dumps(oracle_clip(clip, log, timeline, CFG, policy)))
+            assert mine == theirs, clip.clip_id
+            pairs += len(mine["pairs"])
+    assert pairs > 3000

@@ -43,7 +43,15 @@ from storysim.simulation import (
     visible_mask,
 )
 
-from _oracles import classify
+from storysim import simulation
+from storysim.pipeline import CorpusConfig, build_story
+
+from _oracles import classify, numpy_run_camera
+
+# the dense scene settings: six actors over three regions
+DENSE = GenConfig(master_seed=7, actors_min_max=(6, 6), max_actors_per_region=6,
+                  regions_to_visit=3, relation_prob=1.0, interaction_prob=0.6,
+                  exchange_prob=0.3)
 
 
 def mini_registry() -> CapabilityRegistry:
@@ -368,6 +376,29 @@ class TestCamera:
         cam = np.array(policy.offset, dtype=float)
         new, _ = update_camera(cam, focus, policy)
         assert new[0] == pytest.approx(policy.offset[0])
+
+    def test_camera_matches_numpy_reference_on_dense_stories(self, monkeypatch):
+        runs = []
+        real = simulation._run_camera
+
+        def checked(world, graph, pos, yaw, index, actor_ids, active, actor_region):
+            want_pos, want_yaw = pos.copy(), yaw.copy()
+            numpy_run_camera(world, graph, want_pos, want_yaw, index, actor_ids,
+                             active, actor_region)
+            real(world, graph, pos, yaw, index, actor_ids, active, actor_region)
+            busy = active.any(axis=1)
+            # idle frames after the first active one hold the last centroid
+            held = int((~busy & (np.cumsum(busy) > 0)).sum())
+            runs.append((pos.tobytes() == want_pos.tobytes(),
+                         yaw.tobytes() == want_yaw.tobytes(), held))
+
+        monkeypatch.setattr(simulation, "_run_camera", checked)
+        reg = build_default_registry()
+        for index in range(3):
+            build_story(CorpusConfig(gen=DENSE), reg, index)
+        assert len(runs) == 3
+        assert all(same_pos and same_yaw for same_pos, same_yaw, _ in runs), runs
+        assert all(held > 0 for _, _, held in runs)
 
     def test_smoothing_validated(self):
         with pytest.raises(ValueError):

@@ -18,3 +18,24 @@ def test_no_assert_statements_in_package():
              if isinstance(node, ast.Assert)]
     assert SOURCES
     assert not found, f"assert statements in package source: {found}"
+
+
+def test_probe_oracle_shares_no_arithmetic_with_the_labeller():
+    # verify judges probes.py by probes_oracle.py, so the oracle must not
+    # reach numpy or the labeller's functions
+    path = Path(storysim.__file__).parent / "probes_oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "numpy" or a.name == "storysim.probes"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {a.name for a in node.names}
+            if module.split(".")[0] == "numpy":
+                found.append(module)
+            elif module in (".probes", "storysim.probes"):
+                found += sorted(names - {"ClipSpec", "ProbeConfig"})
+            elif module in (".", "storysim") and "probes" in names:
+                found.append(f"{module} probes")
+    assert not found, f"probes_oracle.py imports {found}"
