@@ -243,6 +243,15 @@ def load_manifest(corpus_dir: Path | str) -> dict:
             if not isinstance(node, dict) or key not in node:
                 raise CorruptCorpus(f"{path}: no key {'.'.join(key_path)}")
             node = node[key]
+    if not isinstance(manifest["stories"], list):
+        raise CorruptCorpus(f"{path}: stories is not a list")
+    for i, entry in enumerate(manifest["stories"]):
+        for key, kind in (("story_id", str), ("split", str), ("files", dict)):
+            if key == "files" and isinstance(entry, dict) and "error" in entry:
+                continue
+            if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
+                raise CorruptCorpus(
+                    f"{path}: stories[{i}].{key} is missing or not a {kind.__name__}")
     return manifest
 
 
@@ -326,13 +335,6 @@ def corpus_digest(corpus_dir: Path | str) -> str:
     return h.hexdigest()
 
 
-def _load_story(corpus_dir: Path, entry: dict):
-    story_dir = corpus_dir / entry["story_id"]
-    graph = parse_graph((story_dir / "graph.json").read_bytes())
-    timeline = parse_timeline((story_dir / "timeline.json").read_bytes())
-    return story_dir, graph, timeline
-
-
 def _config_from_manifest(manifest: dict, key: str, cls, tuple_keys: tuple[str, ...]):
     """cls rebuilt from manifest["config"][key]; CorruptCorpus names any
     key that cls does not declare or that the manifest lacks."""
@@ -364,152 +366,186 @@ def camera_from_manifest(manifest: dict) -> CameraPolicy:
     return _config_from_manifest(manifest, "camera", CameraPolicy, ("offset",))
 
 
+def _load_failure(name: str, exc: Exception) -> str:
+    if isinstance(exc, FileNotFoundError):
+        return f"{name} missing"
+    return f"{name} cannot be loaded: {exc}"
+
+
+def _jsonl_rows(path: Path) -> list:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
+                    fps: int, durations: list[str], relations: list[str]):
+    """Failures of the timeline-durations and temporal-relations checks."""
+    if timeline.fps != fps:
+        durations.append(f"{story_id}: fps {timeline.fps} != {fps}")
+    for ev in graph.events:
+        s, e = timeline.interval(ev.event_id)
+        if e - s != duration_frames(ev.duration_s, fps):
+            durations.append(
+                f"{story_id} event {ev.event_id}: span {e - s} "
+                f"!= {duration_frames(ev.duration_s, fps)}")
+
+    for rel in graph.relations:
+        a0, a1 = timeline.interval(rel.source)
+        b0, b1 = timeline.interval(rel.target)
+        base = relation_between(a0, a1, b0, b1)
+        if base not in rel.allen_set:
+            relations.append(
+                f"{story_id}: relation {rel.source}->{rel.target} "
+                f"realized {base.value} outside {{{rel.allen_set.codes()}}}")
+    for chain in graph.chains().values():
+        for prev, nxt in zip(chain, chain[1:]):
+            p0, p1 = timeline.interval(prev.event_id)
+            n0, _ = timeline.interval(nxt.event_id)
+            if prev.kind is EventKind.MOVEMENT and p1 != n0:
+                relations.append(
+                    f"{story_id}: movement {prev.event_id} must "
+                    f"meet {nxt.event_id}")
+            elif p1 > n0:
+                relations.append(
+                    f"{story_id}: chain overlap {prev.event_id}"
+                    f"->{nxt.event_id}")
+
+
+def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Random,
+                   samples: int, failures: list[str]):
+    """Recompute `samples` records of read_relations' `relation_file`,
+    drawn by `rng`, with the scalar route."""
+    _, (ids, _, _), records = relation_file
+    n_entities = len(ids)
+    expect = log.frame_count * n_entities * (n_entities - 1)
+    if len(records) != expect:
+        failures.append(f"{story_id}: {len(records)} records, expected {expect}")
+        return
+    picks = [rng.randrange(len(records)) for _ in range(samples)]
+    for f, a, b, distance, azimuth, elevation, compass, flags in records[picks].tolist():
+        mismatch = f"{story_id} frame {f} pair ({a},{b}) record mismatch"
+        try:
+            ia, ib = log.index_of(a), log.index_of(b)
+            pose_a = log.positions[f, ia].tolist(), log.yaws[f, ia].item()
+            pose_b = log.positions[f, ib].tolist(), log.yaws[f, ib].item()
+        except (KeyError, IndexError):  # an id or frame the log does not have
+            failures.append(mismatch)
+            continue
+        pr = compute_pair_relation(pose_a, pose_b)
+        if (abs(pr.distance_m - distance) > 1e-5
+                or abs(pr.azimuth_deg - azimuth) > 1e-5
+                or abs(pr.elevation_deg - elevation) > 1e-5
+                or COMPASS_NAMES.index(pr.compass) != compass
+                or bool(flags & 1) != pr.coincident):
+            failures.append(mismatch)
+
+
 def verify(corpus_dir: Path | str, label_samples: int = 1000,
            spatial_samples: int = 10000) -> dict:
     """Replay every oracle against the stored artifacts.
 
+    Each story's files are loaded once.  A file that is missing or does
+    not load fails every check that needs it, naming the story and the
+    file; the story's other checks still run.
+
     Returns {"ok": bool, "checks": [{"name", "ok", "details"}]}.
     """
     corpus_dir = Path(corpus_dir)
-    checks: list[dict] = []
-
-    def check(name: str, failures: list[str]):
-        checks.append({
-            "name": name,
-            "ok": not failures,
-            "details": "ok" if not failures else "; ".join(failures[:5]),
-        })
-
     try:
         manifest = load_manifest(corpus_dir)
     except CorruptCorpus as exc:
         return {"ok": False, "checks": [{"name": "manifest", "ok": False,
                                          "details": str(exc)}]}
-
-    failures = []
-    registry_json = (corpus_dir / "registry.json").read_bytes()
-    if _sha256(registry_json) != manifest["registry_hash"]:
-        failures.append("registry.json hash mismatch")
-    for entry in _story_entries(manifest):
-        for rel_path, want in entry["files"].items():
-            path = corpus_dir / entry["story_id"] / rel_path
-            if not path.is_file():
-                failures.append(f"{entry['story_id']}/{rel_path} missing")
-            elif _hash_file(path) != want:
-                failures.append(f"{entry['story_id']}/{rel_path} hash mismatch")
-    check("manifest-hashes", failures)
-
-    registry = parse_registry(registry_json)
     fps = manifest["config"]["fps"]
-    entries = list(_story_entries(manifest))
-
-    failures = []
-    for entry in entries:
-        _, graph, timeline = _load_story(corpus_dir, entry)
-        if timeline.fps != fps:
-            failures.append(f"{entry['story_id']}: fps {timeline.fps} != {fps}")
-        for ev in graph.events:
-            s, e = timeline.interval(ev.event_id)
-            if e - s != duration_frames(ev.duration_s, fps):
-                failures.append(
-                    f"{entry['story_id']} event {ev.event_id}: span {e - s} "
-                    f"!= {duration_frames(ev.duration_s, fps)}")
-    check("timeline-durations", failures)
-
-    failures = []
-    for entry in entries:
-        _, graph, timeline = _load_story(corpus_dir, entry)
-        for rel in graph.relations:
-            a0, a1 = timeline.interval(rel.source)
-            b0, b1 = timeline.interval(rel.target)
-            base = relation_between(a0, a1, b0, b1)
-            if base not in rel.allen_set:
-                failures.append(
-                    f"{entry['story_id']}: relation {rel.source}->{rel.target} "
-                    f"realized {base.value} outside {{{rel.allen_set.codes()}}}")
-        for chain in graph.chains().values():
-            for prev, nxt in zip(chain, chain[1:]):
-                p0, p1 = timeline.interval(prev.event_id)
-                n0, _ = timeline.interval(nxt.event_id)
-                if prev.kind is EventKind.MOVEMENT and p1 != n0:
-                    failures.append(
-                        f"{entry['story_id']}: movement {prev.event_id} must "
-                        f"meet {nxt.event_id}")
-                elif p1 > n0:
-                    failures.append(
-                        f"{entry['story_id']}: chain overlap {prev.event_id}"
-                        f"->{nxt.event_id}")
-    check("temporal-relations", failures)
-
-    failures = []
-    rng = random.Random(0xC0FFEE)
-    per_story = max(1, spatial_samples // max(len(entries), 1))
-    for entry in entries:
-        story_dir = corpus_dir / entry["story_id"]
-        log = binio.read_framelog(story_dir / "framelog.bin")
-        _, (ids, _, _), records = binio.read_relations(story_dir / "relations.bin")
-        n_entities = len(ids)
-        expect = log.frame_count * n_entities * (n_entities - 1)
-        if len(records) != expect:
-            failures.append(f"{entry['story_id']}: {len(records)} records, "
-                            f"expected {expect}")
-            continue
-        for _ in range(per_story):
-            rec = records[rng.randrange(len(records))]
-            f, a, b = int(rec["frame"]), int(rec["a"]), int(rec["b"])
-            ia, ib = log.index_of(a), log.index_of(b)
-            pr = compute_pair_relation(
-                (tuple(log.positions[f, ia]), float(log.yaws[f, ia])),
-                (tuple(log.positions[f, ib]), float(log.yaws[f, ib])))
-            bad = (abs(pr.distance_m - float(rec["distance_m"])) > 1e-5
-                   or abs(pr.azimuth_deg - float(rec["azimuth_deg"])) > 1e-5
-                   or abs(pr.elevation_deg - float(rec["elevation_deg"])) > 1e-5
-                   or COMPASS_NAMES[rec["compass"]] != pr.compass
-                   or bool(rec["flags"] & 1) != pr.coincident)
-            if bad:
-                failures.append(f"{entry['story_id']} frame {f} pair ({a},{b}) "
-                                f"record mismatch")
-    check("spatial-records", failures)
-
-    failures = []
-    movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
     cfg_probe = probe_config_from_manifest(manifest)
     camera = camera_from_manifest(manifest)
     min_frames = round(cfg_probe.min_event_s * fps)
+    entries = list(_story_entries(manifest))
+
+    names = ("manifest-hashes", "timeline-durations", "temporal-relations",
+             "spatial-records", "probe-labels")
+    failures: dict[str, list[str]] = {name: [] for name in names}
+    hashes, durations, relations, spatial, labels = failures.values()
+
+    movement_actions: set[str] = set()
+    try:
+        registry_json = (corpus_dir / "registry.json").read_bytes()
+        if _sha256(registry_json) != manifest["registry_hash"]:
+            hashes.append("registry.json hash mismatch")
+        registry = parse_registry(registry_json)
+        movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
+    except (OSError, ValueError, StorysimError) as exc:
+        if isinstance(exc, OSError):
+            hashes.append(_load_failure("registry.json", exc))
+        labels.append(_load_failure("registry.json", exc))
+
+    rng = random.Random(0xC0FFEE)
+    spatial_per_story = max(1, spatial_samples // max(len(entries), 1))
+    label_per_story = max(1, -(-label_samples // max(len(entries), 1)))
     sampled = 0
-    per_story = max(1, -(-label_samples // max(len(entries), 1)))
     for entry in entries:
-        story_dir, graph, timeline = _load_story(corpus_dir, entry)
-        clip_rows = [json.loads(line) for line in
-                     (story_dir / "probes" / "clips.jsonl").read_text().splitlines()]
-        label_rows = {row["clip_id"]: row for row in
-                      (json.loads(line) for line in
-                       (story_dir / "probes" / "labels.jsonl").read_text().splitlines())}
+        story_id = entry["story_id"]
+        story_dir = corpus_dir / story_id
+        for rel_path, want in entry["files"].items():
+            path = story_dir / rel_path
+            if not path.is_file():
+                hashes.append(f"{story_id}/{rel_path} missing")
+            elif _hash_file(path) != want:
+                hashes.append(f"{story_id}/{rel_path} hash mismatch")
+
+        def load(rel_path: str, parse, *needed_by: list[str]):
+            try:
+                return parse(story_dir / rel_path)
+            except (OSError, ValueError, StorysimError) as exc:
+                for check_failures in needed_by:
+                    check_failures.append(_load_failure(f"{story_id}/{rel_path}", exc))
+                return None
+
+        graph = load("graph.json", lambda p: parse_graph(p.read_bytes()),
+                     durations, relations, labels)
+        timeline = load("timeline.json", lambda p: parse_timeline(p.read_bytes()),
+                        durations, relations, labels)
+        clip_rows = load("probes/clips.jsonl", _jsonl_rows, labels)
+        label_rows = load("probes/labels.jsonl", _jsonl_rows, labels)
+        log = load("framelog.bin", binio.read_framelog,
+                   *((spatial, labels) if clip_rows else (spatial,)))
+        relation_file = load("relations.bin", binio.read_relations, spatial)
+
+        if graph is not None and timeline is not None:
+            _check_timeline(story_id, graph, timeline, fps, durations, relations)
+        if log is not None and relation_file is not None:
+            _check_spatial(story_id, log, relation_file, rng, spatial_per_story, spatial)
+        if any(doc is None for doc in (graph, timeline, clip_rows, label_rows)):
+            continue
+
         actions = {e.event_id: e.action for e in graph.events}
         for row in clip_rows:
             idxs = row["frame_indices"]
             if (len(idxs) != cfg_probe.clip_frames or idxs != sorted(set(idxs))
                     or actions.get(row["event_id"]) in movement_actions):
-                failures.append(f"{row['clip_id']}: malformed clip")
+                labels.append(f"{row['clip_id']}: malformed clip")
             s, e = timeline.interval(row["event_id"])
             if e - s < min_frames:
-                failures.append(f"{row['clip_id']}: event shorter than minimum")
+                labels.append(f"{row['clip_id']}: event shorter than minimum")
             if row["split"] != entry["split"]:
-                failures.append(f"{row['clip_id']}: split mismatch")
-        if not clip_rows:
+                labels.append(f"{row['clip_id']}: split mismatch")
+        if not clip_rows or log is None:
             continue
-        log = binio.read_framelog(story_dir / "framelog.bin")
-        for row in clip_rows[:per_story]:
-            clip = ClipSpec(row["clip_id"], row["story_id"], row["event_id"],
-                            tuple(row["frame_indices"]), row["split"])
+        stored = {row["clip_id"]: row for row in label_rows}
+        for row in clip_rows[:label_per_story]:
+            try:
+                clip = ClipSpec(row["clip_id"], row["story_id"], row["event_id"],
+                                tuple(row["frame_indices"]), row["split"])
+            except ValueError:
+                continue  # reported above as a malformed clip
             want = json.loads(json.dumps(oracle_clip(clip, log, timeline,
                                                      cfg_probe, camera)))
-            got = label_rows.get(clip.clip_id)
-            if got != want:
-                failures.append(f"{clip.clip_id}: label mismatch")
+            if stored.get(clip.clip_id) != want:
+                labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1
             if sampled >= label_samples:
                 break
-    check("probe-labels", failures)
 
+    checks = [{"name": name, "ok": not found,
+               "details": "ok" if not found else "; ".join(found[:5])}
+              for name, found in failures.items()]
     return {"ok": all(c["ok"] for c in checks), "checks": checks}

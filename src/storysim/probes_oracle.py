@@ -28,22 +28,37 @@ def _wrap(deg: float) -> float:
     return deg
 
 
-def _pos(log: FrameLog, frame: int, idx: int):
-    p = log.positions[frame, idx]
-    return float(p[0]), float(p[1]), float(p[2])
+class _ClipPoses:
+    """One clip's poses as Python floats, read from the frame log once.
+
+    positions[k][col] and yaws[k][col] are the values at the clip's k-th
+    frame and cam_yaw_rad[k] the camera yaw there in radians;
+    cam_dists[col] lists an entity's camera distance per clip frame and
+    mean_cam_dist[col] their mean.
+    """
+
+    def __init__(self, clip: ClipSpec, log: FrameLog, cols):
+        self.cam = log.index_of(CAMERA_ID)
+        self.positions = [log.positions[f].tolist() for f in clip.frame_indices]
+        self.yaws = [log.yaws[f].tolist() for f in clip.frame_indices]
+        self.cam_yaw_rad = [math.radians(y[self.cam]) for y in self.yaws]
+        frames = range(len(self.positions))
+        self.cam_dists = {idx: [_camera_distance(self, k, idx) for k in frames]
+                          for idx in cols}
+        self.mean_cam_dist = {idx: sum(d) / len(d) for idx, d in self.cam_dists.items()}
 
 
-def _visible(log: FrameLog, policy: CameraPolicy, frame: int, idx: int) -> bool:
-    cam = log.index_of(CAMERA_ID)
+def _visible(poses: _ClipPoses, policy: CameraPolicy, k: int, idx: int) -> bool:
+    cam = poses.cam
     if idx == cam:
         return False
-    cx, cy, cz = _pos(log, frame, cam)
-    ex, ey, ez = _pos(log, frame, idx)
+    cx, cy, cz = poses.positions[k][cam]
+    ex, ey, ez = poses.positions[k][idx]
     dx, dy, dz = ex - cx, ey - cy, ez - cz
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist > policy.max_range_m:
         return False
-    yaw = math.radians(float(log.yaws[frame, cam]))
+    yaw = poses.cam_yaw_rad[k]
     fx, fy = math.sin(yaw), math.cos(yaw)
     horiz = math.hypot(dx, dy)
     if horiz == 0.0:
@@ -67,13 +82,12 @@ def _bucket(value: float, lo: float, hi: float, names) -> str:
     return names[2]
 
 
-def oracle_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
+def oracle_scene(clip: ClipSpec, poses: _ClipPoses, actor_cols, timeline: EventTimeline,
                  cfg: ProbeConfig, policy: CameraPolicy) -> dict:
-    actor_cols = [i for i, k in enumerate(log.entity_kinds)
-                  if k is EntityKind.ACTOR]
+    frames = range(len(clip.frame_indices))
     quorum = 0
     for idx in actor_cols:
-        hits = sum(1 for f in clip.frame_indices if _visible(log, policy, f, idx))
+        hits = sum(1 for k in frames if _visible(poses, policy, k, idx))
         if hits >= math.ceil(len(clip.frame_indices) / 2):
             quorum += 1
     actor_count = min(5, max(1, quorum))
@@ -89,8 +103,8 @@ def oracle_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
 
     motion = False
     for idx in actor_cols:
-        x0, y0, z0 = _pos(log, first, idx)
-        x1, y1, z1 = _pos(log, last, idx)
+        x0, y0, z0 = poses.positions[0][idx]
+        x1, y1, z1 = poses.positions[-1][idx]
         d = math.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2 + (z1 - z0) ** 2)
         if d > cfg.motion_threshold_m:
             motion = True
@@ -98,34 +112,31 @@ def oracle_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
             "motion_presence": motion}
 
 
-def _camera_distance(log: FrameLog, frame: int, idx: int) -> float:
-    cam = log.index_of(CAMERA_ID)
-    cx, cy, cz = _pos(log, frame, cam)
-    ex, ey, ez = _pos(log, frame, idx)
+def _camera_distance(poses: _ClipPoses, k: int, idx: int) -> float:
+    cx, cy, cz = poses.positions[k][poses.cam]
+    ex, ey, ez = poses.positions[k][idx]
     return math.sqrt((ex - cx) ** 2 + (ey - cy) ** 2 + (ez - cz) ** 2)
 
 
-def _camera_azimuth(log: FrameLog, frame: int, idx: int) -> float:
-    cam = log.index_of(CAMERA_ID)
-    cx, cy, _ = _pos(log, frame, cam)
-    ex, ey, _ = _pos(log, frame, idx)
+def _camera_azimuth(poses: _ClipPoses, k: int, idx: int) -> float:
+    cx, cy, _ = poses.positions[k][poses.cam]
+    ex, ey, _ = poses.positions[k][idx]
     bearing = math.degrees(math.atan2(ex - cx, ey - cy))
-    return _wrap(float(log.yaws[frame, cam]) - bearing)
+    return _wrap(poses.yaws[k][poses.cam] - bearing)
 
 
-def oracle_entity(clip: ClipSpec, entity_id: int, log: FrameLog,
+def oracle_entity(clip: ClipSpec, entity_id: int, idx: int, poses: _ClipPoses,
                   cfg: ProbeConfig, policy: CameraPolicy) -> dict:
-    idx = log.index_of(entity_id)
-    presence = any(_visible(log, policy, f, idx) for f in clip.frame_indices)
+    presence = any(_visible(poses, policy, k, idx)
+                   for k in range(len(clip.frame_indices)))
 
-    dists = [_camera_distance(log, f, idx) for f in clip.frame_indices]
-    mean_d = sum(dists) / len(dists)
-    camera_distance = _bucket(mean_d, cfg.camera_dist_bounds_m[0],
+    dists = poses.cam_dists[idx]
+    camera_distance = _bucket(poses.mean_cam_dist[idx], cfg.camera_dist_bounds_m[0],
                               cfg.camera_dist_bounds_m[1],
                               ("near", "medium", "far"))
 
-    az0 = _camera_azimuth(log, clip.frame_indices[0], idx)
-    az1 = _camera_azimuth(log, clip.frame_indices[-1], idx)
+    az0 = _camera_azimuth(poses, 0, idx)
+    az1 = _camera_azimuth(poses, -1, idx)
     d_az = _wrap(az1 - az0)
     if abs(d_az) < cfg.ambiguity_eps_deg:
         angle_change = None
@@ -143,20 +154,16 @@ def oracle_entity(clip: ClipSpec, entity_id: int, log: FrameLog,
             "approach_recede": approach_recede}
 
 
-def oracle_pair(clip: ClipSpec, a: int, b: int, log: FrameLog,
+def oracle_pair(a: int, b: int, ia: int, ib: int, poses: _ClipPoses,
                 cfg: ProbeConfig) -> dict:
-    ia, ib = log.index_of(a), log.index_of(b)
-    cam = log.index_of(CAMERA_ID)
-    da = [_camera_distance(log, f, ia) for f in clip.frame_indices]
-    db = [_camera_distance(log, f, ib) for f in clip.frame_indices]
     dpair = []
     sx = sy = 0.0
-    for f in clip.frame_indices:
-        ax, ay, az = _pos(log, f, ia)
-        bx, by, bz = _pos(log, f, ib)
+    for frame_pos, cam_yaw in zip(poses.positions, poses.cam_yaw_rad):
+        ax, ay, az = frame_pos[ia]
+        bx, by, bz = frame_pos[ib]
         dpair.append(math.sqrt((bx - ax) ** 2 + (by - ay) ** 2 + (bz - az) ** 2))
         world = math.atan2(bx - ax, by - ay)
-        cam_frame = world - math.radians(float(log.yaws[f, cam]))
+        cam_frame = world - cam_yaw
         sx += math.sin(cam_frame)
         sy += math.cos(cam_frame)
     mean_dir = math.degrees(math.atan2(sx, sy))
@@ -172,7 +179,7 @@ def oracle_pair(clip: ClipSpec, a: int, b: int, log: FrameLog,
     return {
         "a": a,
         "b": b,
-        "depth_order": (sum(da) / len(da)) < (sum(db) / len(db)),
+        "depth_order": poses.mean_cam_dist[ia] < poses.mean_cam_dist[ib],
         "pair_direction": _compass_of(mean_dir),
         "pair_distance": _bucket(sum(dpair) / len(dpair),
                                  cfg.pair_dist_bounds_m[0],
@@ -187,11 +194,15 @@ def oracle_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
     policy = policy or CameraPolicy()
     entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
                         if k in (EntityKind.ACTOR, EntityKind.OBJECT))
+    cols = [log.index_of(e) for e in entity_ids]
+    actor_cols = [i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR]
+    poses = _ClipPoses(clip, log, cols)
     return {
         "clip_id": clip.clip_id,
-        "scene": oracle_scene(clip, log, timeline, cfg, policy),
-        "entities": [oracle_entity(clip, e, log, cfg, policy)
-                     for e in entity_ids],
-        "pairs": [oracle_pair(clip, a, b, log, cfg)
-                  for i, a in enumerate(entity_ids) for b in entity_ids[i + 1:]],
+        "scene": oracle_scene(clip, poses, actor_cols, timeline, cfg, policy),
+        "entities": [oracle_entity(clip, e, idx, poses, cfg, policy)
+                     for e, idx in zip(entity_ids, cols)],
+        "pairs": [oracle_pair(a, b, ia, ib, poses, cfg)
+                  for i, (a, ia) in enumerate(zip(entity_ids, cols))
+                  for b, ib in zip(entity_ids[i + 1:], cols[i + 1:])],
     }

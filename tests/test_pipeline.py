@@ -3,12 +3,15 @@ localization, and the CLI wiring."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import struct
+from collections import Counter
 
 import pytest
 
+from storysim import binio, pipeline
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
 from storysim.documents import parse_graph, parse_timeline, serialize_timeline
@@ -33,6 +36,9 @@ from storysim.scheduling import EventTimeline
 GOLDEN_DIGEST = "03b7b8aa721fb3b10a1ff4506d15e576e9ece5f1e27f0de1cf7b96616e23e5d5"
 STORIES = 8
 
+CHECKS = ("manifest-hashes", "timeline-durations", "temporal-relations",
+          "spatial-records", "probe-labels")
+
 STORY_FILES = ("graph.json", "timeline.json", "relations.bin", "framelog.bin",
                "events.jsonl", "text.txt", "probes/clips.jsonl",
                "probes/labels.jsonl")
@@ -44,6 +50,30 @@ def corpus(tmp_path_factory):
     cfg = CorpusConfig(gen=GenConfig(master_seed=7))
     manifest = generate_corpus(root, cfg, build_default_registry(), stories=STORIES)
     return root, cfg, manifest
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    generate_corpus(root, CorpusConfig(gen=GenConfig(master_seed=7)),
+                    build_default_registry(), stories=3)
+    return root
+
+
+def expected_checks(failed: dict[str, str]) -> list[dict]:
+    """verify's checks list when the checks named in `failed` fail with
+    those details and the others pass."""
+    return [{"name": name, "ok": name not in failed, "details": failed.get(name, "ok")}
+            for name in CHECKS]
+
+
+def rewrite_with_hash(root, story_id: str, rel_path: str, data: bytes):
+    """Replace one story file and record its sha256 in the manifest."""
+    (root / story_id / rel_path).write_bytes(data)
+    manifest = load_manifest(root)
+    entry = next(e for e in manifest["stories"] if e["story_id"] == story_id)
+    entry["files"][rel_path] = hashlib.sha256(data).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def test_golden_corpus_digest(corpus):
@@ -131,6 +161,27 @@ def test_verify_clean_corpus(corpus):
     assert [c["name"] for c in report["checks"]] == [
         "manifest-hashes", "timeline-durations", "temporal-relations",
         "spatial-records", "probe-labels"]
+    assert report["checks"] == expected_checks({})
+
+
+def test_verify_loads_each_artifact_once_per_story(corpus, monkeypatch):
+    root, _, _ = corpus
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((pipeline, "parse_graph"), (pipeline, "parse_timeline"),
+                        (binio, "read_framelog"), (binio, "read_relations")):
+        counted(owner, name)
+    assert verify(root)["ok"]
+    assert calls == dict.fromkeys(
+        ("parse_graph", "parse_timeline", "read_framelog", "read_relations"), STORIES)
 
 
 def test_tamper_is_localized(corpus, tmp_path):
@@ -148,6 +199,8 @@ def test_tamper_is_localized(corpus, tmp_path):
     assert not hashes["ok"]
     assert "story_00003/relations.bin" in hashes["details"]
     assert "story_00002" not in hashes["details"]
+    assert report["checks"] == expected_checks(
+        {"manifest-hashes": "story_00003/relations.bin hash mismatch"})
     with pytest.raises(CorruptCorpus, match="story_00003/relations.bin"):
         compute_stats(copy)
 
@@ -190,6 +243,89 @@ def test_injected_temporal_fault_is_caught(corpus, tmp_path):
     assert by_name["manifest-hashes"]["ok"]
     assert not by_name["temporal-relations"]["ok"]
     assert f"{rel.source}->{rel.target}" in by_name["temporal-relations"]["details"]
+    assert report["checks"] == expected_checks({"temporal-relations": (
+        "story_00000: relation 10->11 realized b outside {s eq si}; "
+        "story_00000: chain overlap 11->12")})
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _reverse_first_clip(path):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["frame_indices"].reverse()
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def _frames_past_the_log(path):
+    fps, (ids, kinds, names), records = binio.read_relations(path)
+    records = records.copy()
+    records["frame"] = 1 << 30
+    binio.write_relations(path, records, fps, ids, kinds, names)
+
+
+@pytest.mark.parametrize("rel_path, damage, failing, named", [
+    pytest.param("story_00001/graph.json", lambda p: p.unlink(),
+                 ("timeline-durations", "temporal-relations", "probe-labels"),
+                 "story_00001/graph.json missing", id="graph-missing"),
+    pytest.param("story_00001/framelog.bin", lambda p: p.unlink(),
+                 ("spatial-records", "probe-labels"), "story_00001/framelog.bin missing",
+                 id="framelog-missing"),
+    pytest.param("story_00001/probes/labels.jsonl", lambda p: p.write_text("{nope\n"),
+                 ("probe-labels",), "story_00001/probes/labels.jsonl cannot be loaded",
+                 id="labels-not-json"),
+    pytest.param("story_00001/framelog.bin", _truncate,
+                 ("spatial-records", "probe-labels"),
+                 "story_00001/framelog.bin cannot be loaded", id="framelog-truncated"),
+    pytest.param("registry.json", lambda p: p.unlink(), ("probe-labels",),
+                 "registry.json missing", id="registry-missing"),
+    pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
+                 ("probe-labels",), "story_00001-ev0000: malformed clip",
+                 id="clip-frames-reversed"),
+    pytest.param("story_00001/relations.bin", _frames_past_the_log,
+                 ("spatial-records",), "story_00001 frame 1073741824 pair",
+                 id="record-frames-past-the-log"),
+])
+def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
+                                                 rel_path, damage, failing, named):
+    # every damaged file also fails manifest-hashes; no other check fails
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    damage(root / rel_path)
+    report = verify(root)
+    assert not report["ok"]
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert list(by_name) == list(CHECKS)
+    assert [n for n in CHECKS if not by_name[n]["ok"]] == [
+        n for n in CHECKS if n == "manifest-hashes" or n in failing]
+    assert rel_path in by_name["manifest-hashes"]["details"]
+    for name in failing:
+        assert named in by_name[name]["details"], by_name[name]
+    assert main(["verify", "--corpus", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    for name in failing:
+        assert f"FAIL {name}: " in captured.out
+
+
+def test_verify_judges_a_rewritten_label(small_corpus, tmp_path):
+    root = tmp_path / "relabelled"
+    shutil.copytree(small_corpus, root)
+    rel_path = "probes/labels.jsonl"
+    original = (root / "story_00002" / rel_path).read_bytes()
+    rows = [json.loads(line) for line in original.decode().splitlines()]
+    row = next(r for r in rows if r["pairs"])
+    row["pairs"][0]["depth_order"] = not row["pairs"][0]["depth_order"]
+    rewrite_with_hash(root, "story_00002", rel_path, b"".join(
+        (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        for r in rows))
+
+    report = verify(root)
+    assert report["checks"] == expected_checks(
+        {"probe-labels": f"{row['clip_id']}: label mismatch"})
+    rewrite_with_hash(root, "story_00002", rel_path, original)
+    assert verify(root)["ok"]
 
 
 def test_config_round_trips_through_manifest(corpus):
@@ -235,6 +371,37 @@ def test_verify_fails_closed_on_a_missing_manifest_key(corpus, tmp_path, capsys,
     assert name in report["checks"][0]["details"]
     assert main(["verify", "--corpus", str(tmp_path)]) == 1
     assert "FAIL manifest: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value", [("story_id", None), ("split", None),
+                                        ("files", None), ("files", ["graph.json"])])
+def test_verify_fails_closed_on_a_bad_story_entry(corpus, tmp_path, capsys, key, value):
+    # value None deletes the key
+    root, _, _ = corpus
+    manifest = load_manifest(root)
+    if value is None:
+        del manifest["stories"][1][key]
+    else:
+        manifest["stories"][1][key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptCorpus, match=rf"stories\[1\]\.{key} is missing"):
+        load_manifest(tmp_path)
+    report = verify(tmp_path)
+    assert not report["ok"]
+    assert f"stories[1].{key}" in report["checks"][0]["details"]
+    assert main(["verify", "--corpus", str(tmp_path)]) == 1
+    assert "FAIL manifest: " in capsys.readouterr().out
+    assert main(["stats", "--corpus", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_failed_story_entry_needs_no_files(corpus, tmp_path):
+    root, _, _ = corpus
+    manifest = load_manifest(root)
+    del manifest["stories"][1]["files"]
+    manifest["stories"][1]["error"] = "ValidationFailure: x"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert load_manifest(tmp_path) == manifest
 
 
 def test_load_manifest_rejects_garbage(tmp_path):
@@ -307,6 +474,8 @@ def test_cli_probes_regenerates_in_place(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--corpus", str(out)]) == 1
     assert "probe-labels" in capsys.readouterr().out
+    assert verify(out)["checks"] == expected_checks(
+        {"probe-labels": "story_00000-ev0007: label mismatch"})
 
 
 def test_cli_probes_keeps_the_manifest_probe_config(tmp_path, capsys):
