@@ -294,7 +294,8 @@ def _mask_bits(mask: int):
 
 
 @functools.lru_cache(maxsize=65536)
-def _compose_masks(mask_a: int, mask_b: int) -> int:
+def compose_masks(mask_a: int, mask_b: int) -> int:
+    """Mask of the composition of two relation masks."""
     out = 0
     for i in _mask_bits(mask_a):
         row = i * N_RELATIONS
@@ -306,7 +307,8 @@ def _compose_masks(mask_a: int, mask_b: int) -> int:
 
 
 @functools.lru_cache(maxsize=8192)
-def _converse_mask(mask: int) -> int:
+def converse_mask(mask: int) -> int:
+    """Mask of the converses of a relation mask's members."""
     out = 0
     for i in _mask_bits(mask):
         out |= _CONVERSE_BIT[i]
@@ -373,10 +375,10 @@ class RelationSet:
         return self.mask & ~other.mask == 0
 
     def converse(self) -> RelationSet:
-        return RelationSet(_converse_mask(self.mask))
+        return RelationSet(converse_mask(self.mask))
 
     def compose(self, other: RelationSet) -> RelationSet:
-        return RelationSet(_compose_masks(self.mask, other.mask))
+        return RelationSet(compose_masks(self.mask, other.mask))
 
     def codes(self) -> str:
         return " ".join(r.value for r in self)

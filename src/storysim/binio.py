@@ -14,6 +14,7 @@ bit-identically from a reloaded log.
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -69,57 +70,58 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
     return tuple(ids), tuple(kinds), tuple(names), offset
 
 
-def write_relations(path, records: np.ndarray, fps: int, ids, kinds, names):
-    header = RELATIONS_MAGIC + struct.pack("<HHHH", FORMAT_VERSION, fps, len(ids), 0)
-    table = _pack_entity_table(ids, kinds, names)
+def _parse_prefix(buf: bytes, magic: bytes, header_fmt: str, what: str, source):
+    """-> (header fields after the version, (ids, kinds, names), payload
+    offset) of a file's bytes; errors name `source`."""
+    size = 4 + struct.calcsize(header_fmt)
+    if len(buf) < size or buf[:4] != magic:
+        raise CorruptCorpus(f"{source}: not a {what} file")
+    version, *header = struct.unpack_from(header_fmt, buf, 4)
+    if version != FORMAT_VERSION:
+        raise CorruptCorpus(f"{source}: unsupported version {version}")
+    ids, kinds, names, offset = _unpack_entity_table(buf, size, header[1])
+    return header, (ids, kinds, names), offset
+
+
+def relations_bytes(records: np.ndarray, fps: int, ids, kinds, names) -> memoryview:
+    """The bytes of a relations file; the records are copied once."""
+    prefix = (RELATIONS_MAGIC + struct.pack("<HHHH", FORMAT_VERSION, fps, len(ids), 0)
+              + _pack_entity_table(ids, kinds, names))
     body = np.ascontiguousarray(records.astype(RELATION_DTYPE, copy=False))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table)
-        fh.write(body.tobytes())
+    return np.concatenate((np.frombuffer(prefix, np.uint8), body.view(np.uint8))).data
 
 
-def read_relations(path):
-    """-> (fps, (ids, kinds, names), records array)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[:4] != RELATIONS_MAGIC:
-        raise CorruptCorpus(f"{path}: not a relations file")
-    version, fps, entity_count, _ = struct.unpack_from("<HHHH", buf, 4)
-    if version != FORMAT_VERSION:
-        raise CorruptCorpus(f"{path}: unsupported version {version}")
-    ids, kinds, names, offset = _unpack_entity_table(buf, 12, entity_count)
-    payload = len(buf) - offset
-    if payload % RELATION_DTYPE.itemsize:
-        raise CorruptCorpus(f"{path}: record payload not a multiple of "
+def parse_relations(buf: bytes, source):
+    """-> (fps, (ids, kinds, names), records array) of a relations file's
+    bytes; errors name `source`."""
+    (fps, _, _), table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "<HHHH",
+                                               "relations", source)
+    if (len(buf) - offset) % RELATION_DTYPE.itemsize:
+        raise CorruptCorpus(f"{source}: record payload not a multiple of "
                             f"{RELATION_DTYPE.itemsize} bytes")
-    records = np.frombuffer(buf, dtype=RELATION_DTYPE, offset=offset)
-    return fps, (ids, kinds, names), records
+    return fps, table, np.frombuffer(buf, dtype=RELATION_DTYPE, offset=offset)
 
 
-def write_framelog(path, log: FrameLog):
-    header = FRAMELOG_MAGIC + struct.pack(
-        "<HHHHI", FORMAT_VERSION, log.fps, log.entity_count, 0, log.frame_count)
-    table = _pack_entity_table(log.entity_ids, log.entity_kinds, log.entity_names)
-    poses = np.concatenate([log.positions, log.yaws[:, :, None]], axis=2)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table)
-        fh.write(np.ascontiguousarray(poses, dtype="<f8").tobytes())
+def framelog_bytes(log: FrameLog) -> memoryview:
+    """The bytes of a framelog file; the poses are copied once."""
+    prefix = (FRAMELOG_MAGIC + struct.pack("<HHHHI", FORMAT_VERSION, log.fps,
+                                           log.entity_count, 0, log.frame_count)
+              + _pack_entity_table(log.entity_ids, log.entity_kinds, log.entity_names))
+    buf = np.empty(len(prefix) + log.frame_count * log.entity_count * 4 * 8, np.uint8)
+    buf[:len(prefix)] = np.frombuffer(prefix, np.uint8)
+    poses = buf[len(prefix):].view("<f8").reshape(log.frame_count, log.entity_count, 4)
+    poses[:, :, :3] = log.positions
+    poses[:, :, 3] = log.yaws
+    return buf.data
 
 
-def read_framelog(path) -> FrameLog:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 16 or buf[:4] != FRAMELOG_MAGIC:
-        raise CorruptCorpus(f"{path}: not a framelog file")
-    version, fps, entity_count, _, frame_count = struct.unpack_from("<HHHHI", buf, 4)
-    if version != FORMAT_VERSION:
-        raise CorruptCorpus(f"{path}: unsupported version {version}")
-    ids, kinds, names, offset = _unpack_entity_table(buf, 16, entity_count)
+def parse_framelog(buf: bytes, source) -> FrameLog:
+    """The FrameLog of a framelog file's bytes; errors name `source`."""
+    (fps, entity_count, _, frame_count), (ids, kinds, names), offset = _parse_prefix(
+        buf, FRAMELOG_MAGIC, "<HHHHI", "framelog", source)
     expect = frame_count * entity_count * 4 * 8
     if len(buf) - offset != expect:
-        raise CorruptCorpus(f"{path}: pose payload is {len(buf) - offset} bytes, "
+        raise CorruptCorpus(f"{source}: pose payload is {len(buf) - offset} bytes, "
                             f"expected {expect}")
     poses = np.frombuffer(buf, dtype="<f8", offset=offset).reshape(
         frame_count, entity_count, 4).copy()
@@ -127,7 +129,24 @@ def read_framelog(path) -> FrameLog:
         positions=poses[:, :, :3],
         yaws=poses[:, :, 3],
         fps=fps,
-        entity_ids=tuple(ids),
-        entity_kinds=tuple(kinds),
-        entity_names=tuple(names),
+        entity_ids=ids,
+        entity_kinds=kinds,
+        entity_names=names,
     )
+
+
+def write_relations(path, records: np.ndarray, fps: int, ids, kinds, names):
+    Path(path).write_bytes(relations_bytes(records, fps, ids, kinds, names))
+
+
+def read_relations(path):
+    """-> (fps, (ids, kinds, names), records array)."""
+    return parse_relations(Path(path).read_bytes(), path)
+
+
+def write_framelog(path, log: FrameLog):
+    Path(path).write_bytes(framelog_bytes(log))
+
+
+def read_framelog(path) -> FrameLog:
+    return parse_framelog(Path(path).read_bytes(), path)

@@ -13,19 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import binio
 from .collectors import collect_story_relations
 from .default_registry import build_default_registry
-from .documents import (parse_graph, parse_registry, parse_timeline,
+from .documents import (json_document, parse_graph, parse_registry, parse_timeline,
                         serialize_timeline)
 from .errors import StorysimError, ValidationFailure
 from .pipeline import (CorpusConfig, camera_from_manifest, compute_stats,
                        events_doc, generate_corpus, load_manifest, probe_docs,
-                       probe_config_from_manifest, simulate_graph, verify,
-                       _json_doc, _sha256, _story_entries)
+                       probe_config_from_manifest, simulate_graph, story_entries,
+                       verify, write_files)
 from .procgen import GenConfig
 from .textgen import RefineConfig, proto_text
 
@@ -106,23 +106,19 @@ def _cmd_probes(args) -> int:
     out_root = Path(args.out) if args.out else corpus
     in_place = out_root.resolve() == corpus.resolve()
     n_clips = 0
-    for entry in _story_entries(manifest):
+    for entry in story_entries(manifest):
         story_dir = corpus / entry["story_id"]
         graph = parse_graph((story_dir / "graph.json").read_bytes())
         timeline = parse_timeline((story_dir / "timeline.json").read_bytes())
         log = binio.read_framelog(story_dir / "framelog.bin")
-        clips_doc, labels_doc = probe_docs(entry["story_id"], graph, timeline, log,
-                                           registry, cfg, camera, entry["split"])
-        out_dir = out_root / entry["story_id"] / "probes"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "clips.jsonl").write_bytes(clips_doc)
-        (out_dir / "labels.jsonl").write_bytes(labels_doc)
-        if in_place:
-            entry["files"]["probes/clips.jsonl"] = _sha256(clips_doc)
-            entry["files"]["probes/labels.jsonl"] = _sha256(labels_doc)
-        n_clips += clips_doc.count(b"\n")
+        docs = probe_docs(entry["story_id"], graph, timeline, log, registry, cfg,
+                          camera, entry["split"])
+        # the manifest, and so these hashes, is written only in place
+        write_files(out_root / entry["story_id"], docs, entry["files"])
+        n_clips += docs["probes/clips.jsonl"].count(b"\n")
     if in_place:
-        (corpus / "manifest.json").write_bytes(_json_doc(manifest))
+        manifest["config"]["probe"] = asdict(cfg)
+        (corpus / "manifest.json").write_bytes(json_document(manifest))
     print(f"derived {n_clips} clips -> {out_root}")
     return 0
 

@@ -36,11 +36,20 @@ from .scheduling import EventTimeline
 FORMAT_VERSION = 1
 
 
+def json_document(obj) -> bytes:
+    """The deterministic encoding of every JSON document the corpus holds."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def _decode(data: bytes, what: str) -> Any:
     try:
-        return json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentSyntaxError(f"not valid JSON for a {what} document: {exc}") from None
+    version = _get(doc, "format_version", int, what)
+    if version != FORMAT_VERSION:
+        raise DocumentSyntaxError(f"unsupported format_version {version}", what)
+    return doc
 
 
 def _get(obj: dict, key: str, kind: type | tuple, loc: str):
@@ -54,12 +63,6 @@ def _get(obj: dict, key: str, kind: type | tuple, loc: str):
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise DocumentSyntaxError(f"field {key!r} has wrong type", loc)
     return val
-
-
-def _check_version(doc: dict, what: str):
-    version = _get(doc, "format_version", int, what)
-    if version != FORMAT_VERSION:
-        raise DocumentSyntaxError(f"unsupported format_version {version}", what)
 
 
 def _vec3(val, loc: str) -> tuple[float, float, float]:
@@ -120,12 +123,11 @@ def serialize_graph(graph: GestGraph) -> bytes:
             for r in graph.relations
         ],
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_document(doc)
 
 
 def parse_graph(data: bytes) -> GestGraph:
     doc = _decode(data, "graph")
-    _check_version(doc, "graph")
 
     seed = _get(doc, "seed", int, "seed")
     region_plan = _get(doc, "region_plan", list, "region_plan")
@@ -286,12 +288,11 @@ def serialize_registry(reg: CapabilityRegistry) -> bytes:
             for ep in reg.episodes
         ],
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_document(doc)
 
 
 def parse_registry(data: bytes) -> CapabilityRegistry:
     doc = _decode(data, "registry")
-    _check_version(doc, "registry")
 
     actor_models = tuple(_get(doc, "actor_models", list, "actor_models"))
     object_types = tuple(_get(doc, "object_types", list, "object_types"))
@@ -407,12 +408,11 @@ def serialize_timeline(timeline: EventTimeline) -> bytes:
             [eid, s, e] for eid, (s, e) in sorted(timeline.intervals.items())
         ],
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_document(doc)
 
 
 def parse_timeline(data: bytes) -> EventTimeline:
     doc = _decode(data, "timeline")
-    _check_version(doc, "timeline")
     fps = _get(doc, "fps", int, "fps")
     if fps <= 0:
         raise InvariantError("fps must be positive", "fps")

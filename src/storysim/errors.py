@@ -12,8 +12,8 @@ class StorysimError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DocumentSyntaxError(StorysimError):
-    """A JSON document is malformed or missing required fields.
+class DocumentError(StorysimError):
+    """A document is rejected.
 
     Carries an optional location string (e.g. "events[3].actor") so the
     message pinpoints the offending element.
@@ -26,24 +26,16 @@ class DocumentSyntaxError(StorysimError):
         super().__init__(message)
 
 
-class DanglingReferenceError(StorysimError):
+class DocumentSyntaxError(DocumentError):
+    """A JSON document is malformed or missing required fields."""
+
+
+class DanglingReferenceError(DocumentError):
     """A document references an id that is not defined anywhere in it."""
 
-    def __init__(self, message: str, location: str | None = None):
-        self.location = location
-        if location:
-            message = f"{message} (at {location})"
-        super().__init__(message)
 
-
-class InvariantError(StorysimError):
+class InvariantError(DocumentError):
     """A structural invariant of a parsed document is violated."""
-
-    def __init__(self, message: str, location: str | None = None):
-        self.location = location
-        if location:
-            message = f"{message} (at {location})"
-        super().__init__(message)
 
 
 class UnknownActionInTransition(StorysimError):

@@ -21,7 +21,7 @@ from . import binio
 from .allen import relation_between
 from .collectors import (collect_event_mappings, collect_story_relations,
                          compute_pair_relation, COMPASS_NAMES)
-from .documents import (parse_graph, parse_registry, parse_timeline,
+from .documents import (json_document, parse_graph, parse_registry, parse_timeline,
                         serialize_graph, serialize_registry, serialize_timeline)
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
@@ -48,10 +48,6 @@ class CorpusConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
 
 
-def _json_doc(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def _jsonl(rows) -> bytes:
     return "".join(
         json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows
@@ -60,14 +56,6 @@ def _jsonl(rows) -> bytes:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _hash_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def derived_rng(seed: int, tag: str) -> random.Random:
@@ -115,8 +103,8 @@ def events_doc(graph: GestGraph, timeline: EventTimeline) -> bytes:
 
 def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: FrameLog,
                registry: CapabilityRegistry, probe: ProbeConfig, camera: CameraPolicy,
-               split: str) -> tuple[bytes, bytes]:
-    """probes/clips.jsonl and probes/labels.jsonl of one story."""
+               split: str) -> dict[str, bytes]:
+    """probes/clips.jsonl and probes/labels.jsonl of one story, by path."""
     movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
     clips = extract_story_clips(story_id, graph, timeline, movement_actions, probe, split)
     clips_doc = _jsonl(
@@ -124,7 +112,17 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
          "frame_indices": list(c.frame_indices), "split": c.split} for c in clips)
     vis = visible_mask(log, camera)
     labels_doc = _jsonl(label_clip(c, log, timeline, probe, vis, camera) for c in clips)
-    return clips_doc, labels_doc
+    return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
+
+
+def write_files(root: Path, files: dict, hashes: dict[str, str]):
+    """Write each of `files` (rel path -> bytes) under root and record its
+    sha256 in `hashes`."""
+    for rel_path, data in sorted(files.items()):
+        path = root / rel_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        hashes[rel_path] = _sha256(data)
 
 
 def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
@@ -145,18 +143,14 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
 
-    story_dir.mkdir(parents=True, exist_ok=True)
-    (story_dir / "probes").mkdir(exist_ok=True)
-    files: dict[str, bytes] = {}
+    files: dict[str, bytes | memoryview] = {}
 
     files["graph.json"] = serialize_graph(graph)
     files["timeline.json"] = serialize_timeline(timeline)
-
-    relations = collect_story_relations(log)
-    binio.write_relations(story_dir / "relations.bin", relations, log.fps,
-                          log.entity_ids, log.entity_kinds, log.entity_names)
-    binio.write_framelog(story_dir / "framelog.bin", log)
-
+    files["relations.bin"] = binio.relations_bytes(
+        collect_story_relations(log), log.fps, log.entity_ids, log.entity_kinds,
+        log.entity_names)
+    files["framelog.bin"] = binio.framelog_bytes(log)
     files["events.jsonl"] = events_doc(graph, timeline)
 
     proto = proto_text(graph, timeline, registry)
@@ -164,16 +158,9 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
     if cfg.refine.endpoint_url:
         files["text.refined.txt"] = (refine(proto, cfg.refine) + "\n").encode("utf-8")
 
-    files["probes/clips.jsonl"], files["probes/labels.jsonl"] = probe_docs(
-        story_id, graph, timeline, log, registry, cfg.probe, cfg.camera, split)
-
-    for rel_path, data in files.items():
-        path = story_dir / rel_path
-        path.write_bytes(data)
-        entry["files"][rel_path] = _sha256(data)
-    for rel_path in ("relations.bin", "framelog.bin"):
-        entry["files"][rel_path] = _hash_file(story_dir / rel_path)
-    entry["files"] = dict(sorted(entry["files"].items()))
+    files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe,
+                            cfg.camera, split))
+    write_files(story_dir, files, entry["files"])
     return entry
 
 
@@ -223,9 +210,9 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
         "config": asdict(cfg),
         "stories": entries,
     }
-    (out_root / "manifest.json").write_bytes(_json_doc(manifest))
+    (out_root / "manifest.json").write_bytes(json_document(manifest))
     stats = compute_stats(out_root)
-    (out_root / "stats.json").write_bytes(_json_doc(stats))
+    (out_root / "stats.json").write_bytes(json_document(stats))
     return manifest
 
 
@@ -255,24 +242,66 @@ def load_manifest(corpus_dir: Path | str) -> dict:
     return manifest
 
 
-def _story_entries(manifest: dict):
+def story_entries(manifest: dict):
+    """The manifest entries of the stories that were built."""
     for entry in manifest["stories"]:
         if "error" not in entry:
             yield entry
 
 
+class _HashedFiles:
+    """Files under `root`, each read at most once: to check it against
+    `hashes` (rel path -> sha256 in the manifest) or to parse it.
+    `failures` names, after `prefix`, each hashed file that is missing,
+    unreadable or mismatched."""
+
+    def __init__(self, root: Path, prefix: str, hashes: dict[str, str]):
+        self.root, self.prefix = root, prefix
+        self._data: dict[str, bytes | OSError] = {}
+        self.failures: list[str] = []
+        for rel_path, want in hashes.items():
+            data = self.load(rel_path, lambda data, _: data, self.failures)
+            if data is not None and _sha256(data) != want:
+                self.failures.append(f"{prefix}{rel_path} hash mismatch")
+
+    def load(self, rel_path: str, parse, *needed_by: list[str]):
+        """parse(bytes, path) of one file, or None once each list in
+        `needed_by` is told that the file is missing or does not parse."""
+        if rel_path not in self._data:
+            try:
+                self._data[rel_path] = (self.root / rel_path).read_bytes()
+            except OSError as exc:
+                self._data[rel_path] = exc
+        try:
+            data = self._data[rel_path]
+            if isinstance(data, OSError):
+                raise data
+            return parse(data, self.root / rel_path)
+        except (OSError, ValueError, StorysimError) as exc:
+            name = self.prefix + rel_path
+            for found in needed_by:
+                found.append(f"{name} missing" if isinstance(exc, FileNotFoundError)
+                             else f"{name} cannot be loaded: {exc}")
+            return None
+
+
+def _jsonl_rows(data: bytes, _path) -> list:
+    return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+
+
 def compute_stats(corpus_dir: Path | str) -> dict:
     """Corpus statistics by full rescan of the artifact files.
 
-    Hashes are re-verified along the way; any mismatch raises
-    CorruptCorpus naming the offending file.
+    Hashes are re-verified along the way; a missing, unreadable or
+    mismatching file raises CorruptCorpus naming it.
     """
     corpus_dir = Path(corpus_dir)
     manifest = load_manifest(corpus_dir)
-    registry_json = (corpus_dir / "registry.json").read_bytes()
-    if _sha256(registry_json) != manifest["registry_hash"]:
-        raise CorruptCorpus("registry.json hash mismatch")
-    registry = parse_registry(registry_json)
+    root = _HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
+    registry = root.load("registry.json", lambda data, _: parse_registry(data),
+                         root.failures)
+    if root.failures:
+        raise CorruptCorpus(root.failures[0])
 
     actor_counts: list[int] = []
     event_counts: list[int] = []
@@ -282,22 +311,22 @@ def compute_stats(corpus_dir: Path | str) -> dict:
     total_frames = 0
     fps = manifest["config"]["fps"]
 
-    for entry in _story_entries(manifest):
-        story_dir = corpus_dir / entry["story_id"]
-        for rel_path, want in entry["files"].items():
-            got = _hash_file(story_dir / rel_path)
-            if got != want:
-                raise CorruptCorpus(f"{entry['story_id']}/{rel_path} hash mismatch")
-        graph = parse_graph((story_dir / "graph.json").read_bytes())
+    for entry in story_entries(manifest):
+        story_id = entry["story_id"]
+        story = _HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
+        problems = story.failures
+        graph = story.load("graph.json", lambda data, _: parse_graph(data), problems)
+        mappings = story.load("events.jsonl", lambda data, _: data.count(b"\n"), problems)
+        relation_file = story.load("relations.bin", binio.parse_relations, problems)
+        log = story.load("framelog.bin", binio.parse_framelog, problems)
+        if problems:
+            raise CorruptCorpus(problems[0])
         actor_counts.append(len(graph.actors))
         event_counts.append(sum(1 for e in graph.events
                                 if e.kind is not EventKind.MOVEMENT))
         total_relations += len(graph.relations)
-        with open(story_dir / "events.jsonl", "rb") as fh:
-            total_mappings += sum(1 for _ in fh)
-        _, (ids, _, _), records = binio.read_relations(story_dir / "relations.bin")
-        total_spatial += len(records)
-        log = binio.read_framelog(story_dir / "framelog.bin")
+        total_mappings += mappings
+        total_spatial += len(relation_file[2])
         total_frames += log.frame_count
 
     n = len(actor_counts)
@@ -366,21 +395,17 @@ def camera_from_manifest(manifest: dict) -> CameraPolicy:
     return _config_from_manifest(manifest, "camera", CameraPolicy, ("offset",))
 
 
-def _load_failure(name: str, exc: Exception) -> str:
-    if isinstance(exc, FileNotFoundError):
-        return f"{name} missing"
-    return f"{name} cannot be loaded: {exc}"
-
-
-def _jsonl_rows(path: Path) -> list:
-    return [json.loads(line) for line in path.read_text().splitlines()]
-
-
 def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
                     fps: int, durations: list[str], relations: list[str]):
     """Failures of the timeline-durations and temporal-relations checks."""
     if timeline.fps != fps:
         durations.append(f"{story_id}: fps {timeline.fps} != {fps}")
+    missing = [f"{story_id}: event {ev.event_id} not in the timeline"
+               for ev in graph.events if ev.event_id not in timeline.intervals]
+    if missing:
+        durations.extend(missing)
+        relations.extend(missing)
+        return
     for ev in graph.events:
         s, e = timeline.interval(ev.event_id)
         if e - s != duration_frames(ev.duration_s, fps):
@@ -412,7 +437,7 @@ def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
 
 def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Random,
                    samples: int, failures: list[str]):
-    """Recompute `samples` records of read_relations' `relation_file`,
+    """Recompute `samples` records of parse_relations' `relation_file`,
     drawn by `rng`, with the scalar route."""
     _, (ids, _, _), records = relation_file
     n_entities = len(ids)
@@ -459,24 +484,18 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
     cfg_probe = probe_config_from_manifest(manifest)
     camera = camera_from_manifest(manifest)
     min_frames = round(cfg_probe.min_event_s * fps)
-    entries = list(_story_entries(manifest))
+    entries = list(story_entries(manifest))
 
     names = ("manifest-hashes", "timeline-durations", "temporal-relations",
              "spatial-records", "probe-labels")
     failures: dict[str, list[str]] = {name: [] for name in names}
     hashes, durations, relations, spatial, labels = failures.values()
 
-    movement_actions: set[str] = set()
-    try:
-        registry_json = (corpus_dir / "registry.json").read_bytes()
-        if _sha256(registry_json) != manifest["registry_hash"]:
-            hashes.append("registry.json hash mismatch")
-        registry = parse_registry(registry_json)
-        movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
-    except (OSError, ValueError, StorysimError) as exc:
-        if isinstance(exc, OSError):
-            hashes.append(_load_failure("registry.json", exc))
-        labels.append(_load_failure("registry.json", exc))
+    root = _HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
+    hashes.extend(root.failures)
+    registry = root.load("registry.json", lambda data, _: parse_registry(data), labels)
+    movement_actions = set() if registry is None else {
+        k for k, a in registry.actions.items() if a.is_movement_only}
 
     rng = random.Random(0xC0FFEE)
     spatial_per_story = max(1, spatial_samples // max(len(entries), 1))
@@ -484,31 +503,17 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
     sampled = 0
     for entry in entries:
         story_id = entry["story_id"]
-        story_dir = corpus_dir / story_id
-        for rel_path, want in entry["files"].items():
-            path = story_dir / rel_path
-            if not path.is_file():
-                hashes.append(f"{story_id}/{rel_path} missing")
-            elif _hash_file(path) != want:
-                hashes.append(f"{story_id}/{rel_path} hash mismatch")
-
-        def load(rel_path: str, parse, *needed_by: list[str]):
-            try:
-                return parse(story_dir / rel_path)
-            except (OSError, ValueError, StorysimError) as exc:
-                for check_failures in needed_by:
-                    check_failures.append(_load_failure(f"{story_id}/{rel_path}", exc))
-                return None
-
-        graph = load("graph.json", lambda p: parse_graph(p.read_bytes()),
-                     durations, relations, labels)
-        timeline = load("timeline.json", lambda p: parse_timeline(p.read_bytes()),
-                        durations, relations, labels)
-        clip_rows = load("probes/clips.jsonl", _jsonl_rows, labels)
-        label_rows = load("probes/labels.jsonl", _jsonl_rows, labels)
-        log = load("framelog.bin", binio.read_framelog,
-                   *((spatial, labels) if clip_rows else (spatial,)))
-        relation_file = load("relations.bin", binio.read_relations, spatial)
+        story = _HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
+        hashes.extend(story.failures)
+        graph = story.load("graph.json", lambda data, _: parse_graph(data),
+                           durations, relations, labels)
+        timeline = story.load("timeline.json", lambda data, _: parse_timeline(data),
+                              durations, relations, labels)
+        clip_rows = story.load("probes/clips.jsonl", _jsonl_rows, labels)
+        label_rows = story.load("probes/labels.jsonl", _jsonl_rows, labels)
+        log = story.load("framelog.bin", binio.parse_framelog,
+                         *((spatial, labels) if clip_rows else (spatial,)))
+        relation_file = story.load("relations.bin", binio.parse_relations, spatial)
 
         if graph is not None and timeline is not None:
             _check_timeline(story_id, graph, timeline, fps, durations, relations)
@@ -523,8 +528,11 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
             if (len(idxs) != cfg_probe.clip_frames or idxs != sorted(set(idxs))
                     or actions.get(row["event_id"]) in movement_actions):
                 labels.append(f"{row['clip_id']}: malformed clip")
-            s, e = timeline.interval(row["event_id"])
-            if e - s < min_frames:
+            span = timeline.intervals.get(row["event_id"])
+            if span is None:
+                labels.append(f"{row['clip_id']}: event {row['event_id']} "
+                              f"not in the timeline")
+            elif span[1] - span[0] < min_frames:
                 labels.append(f"{row['clip_id']}: event shorter than minimum")
             if row["split"] != entry["split"]:
                 labels.append(f"{row['clip_id']}: split mismatch")

@@ -19,9 +19,9 @@ from .allen import (
     FULL_MASK,
     AllenRelation,
     RelationSet,
-    _compose_masks,
-    _converse_mask,
     check_relation,
+    compose_masks,
+    converse_mask,
     is_convex,
     signature_bounds,
 )
@@ -103,7 +103,7 @@ class TemporalNetwork:
         if not new:
             raise InconsistentNetwork(i, j)
         self._m[pi][pj] = new
-        self._m[pj][pi] = _converse_mask(new)
+        self._m[pj][pi] = converse_mask(new)
 
     def narrowed(self, i: int, j: int, rs: RelationSet) -> TemporalNetwork | None:
         """Copy with edge (i, j) intersected with rs and propagated from
@@ -154,21 +154,21 @@ def _propagate(net: TemporalNetwork, queue: deque[tuple[int, int]]) -> None:
         for k in range(n):
             if k == i or k == j:
                 continue
-            new = m[i][k] & _compose_masks(mij, m[j][k])
+            new = m[i][k] & compose_masks(mij, m[j][k])
             if new != m[i][k]:
                 if not new:
                     raise InconsistentNetwork(ids[i], ids[k], ids[j])
                 m[i][k] = new
-                m[k][i] = _converse_mask(new)
+                m[k][i] = converse_mask(new)
                 if (i, k) not in pending:
                     pending.add((i, k))
                     queue.append((i, k))
-            new = m[k][j] & _compose_masks(m[k][i], mij)
+            new = m[k][j] & compose_masks(m[k][i], mij)
             if new != m[k][j]:
                 if not new:
                     raise InconsistentNetwork(ids[k], ids[j], ids[i])
                 m[k][j] = new
-                m[j][k] = _converse_mask(new)
+                m[j][k] = converse_mask(new)
                 if (k, j) not in pending:
                     pending.add((k, j))
                     queue.append((k, j))

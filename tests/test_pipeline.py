@@ -3,11 +3,15 @@ localization, and the CLI wiring."""
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
+import os
 import shutil
 import struct
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from storysim.documents import parse_graph, parse_timeline, serialize_timeline
 from storysim.errors import CorruptCorpus
 from storysim.pipeline import (
     CorpusConfig,
+    assemble_story,
     camera_from_manifest,
     compute_stats,
     corpus_digest,
@@ -177,11 +182,41 @@ def test_verify_loads_each_artifact_once_per_story(corpus, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((pipeline, "parse_graph"), (pipeline, "parse_timeline"),
-                        (binio, "read_framelog"), (binio, "read_relations")):
+                        (binio, "parse_framelog"), (binio, "parse_relations")):
         counted(owner, name)
     assert verify(root)["ok"]
     assert calls == dict.fromkeys(
-        ("parse_graph", "parse_timeline", "read_framelog", "read_relations"), STORIES)
+        ("parse_graph", "parse_timeline", "parse_framelog", "parse_relations"), STORIES)
+
+
+def test_each_story_file_is_read_at_most_once(corpus, tmp_path, monkeypatch):
+    # verify and stats hash and parse the same bytes; assemble_story hashes
+    # what it writes from memory
+    root, cfg, manifest = corpus
+    registry = build_default_registry()
+    reads = Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            reads[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+
+    listed = {(root / e["story_id"] / rel_path).resolve()
+              for e in manifest["stories"] for rel_path in e["files"]}
+    for run in (verify, compute_stats):
+        reads.clear()
+        run(root)
+        story_reads = {path: n for path, n in reads.items() if path in listed}
+        assert story_reads == dict.fromkeys(listed, 1), run.__name__
+
+    reads.clear()
+    story_dir = (tmp_path / "story").resolve()
+    entry = assemble_story(cfg, registry, 0, story_dir, "train")
+    assert len(entry["files"]) == len(STORY_FILES)
+    assert not [path for path in reads if story_dir in path.parents]
 
 
 def test_tamper_is_localized(corpus, tmp_path):
@@ -258,6 +293,18 @@ def _reverse_first_clip(path):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
+def _drop_first_interval(path):
+    doc = json.loads(path.read_text())
+    del doc["intervals"][0]
+    path.write_text(json.dumps(doc))
+
+
+def _clip_of_an_unknown_event(path):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["event_id"] = 9999
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
 def _frames_past_the_log(path):
     fps, (ids, kinds, names), records = binio.read_relations(path)
     records = records.copy()
@@ -286,6 +333,12 @@ def _frames_past_the_log(path):
     pytest.param("story_00001/relations.bin", _frames_past_the_log,
                  ("spatial-records",), "story_00001 frame 1073741824 pair",
                  id="record-frames-past-the-log"),
+    pytest.param("story_00001/timeline.json", _drop_first_interval,
+                 ("timeline-durations", "temporal-relations", "probe-labels"),
+                 "event 0 not in the timeline", id="timeline-lacks-an-event"),
+    pytest.param("story_00001/probes/clips.jsonl", _clip_of_an_unknown_event,
+                 ("probe-labels",), "story_00001-ev0000: event 9999 not in the timeline",
+                 id="clip-of-an-unknown-event"),
 ])
 def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
                                                  rel_path, damage, failing, named):
@@ -307,6 +360,20 @@ def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
     assert "Traceback" not in captured.err
     for name in failing:
         assert f"FAIL {name}: " in captured.out
+
+
+@pytest.mark.parametrize("rel_path", ["registry.json", "story_00001/framelog.bin",
+                                      "story_00001/text.txt"])
+def test_stats_fails_closed_on_a_missing_file(small_corpus, tmp_path, capsys, rel_path):
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    (root / rel_path).unlink()
+    with pytest.raises(CorruptCorpus, match=f"^{rel_path} missing$"):
+        compute_stats(root)
+    assert main(["stats", "--corpus", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {rel_path} missing\n"
+    assert not captured.out
 
 
 def test_verify_judges_a_rewritten_label(small_corpus, tmp_path):
@@ -468,14 +535,14 @@ def test_cli_probes_regenerates_in_place(tmp_path, capsys):
     assert main(["verify", "--corpus", str(out)]) == 0
     capsys.readouterr()
 
-    # a changed threshold rewrites labels and keeps the manifest honest
+    # a changed threshold rewrites labels and records the config it used
     assert main(["probes", "--corpus", str(out),
                  "--motion-threshold", "0.5"]) == 0
     capsys.readouterr()
-    assert main(["verify", "--corpus", str(out)]) == 1
-    assert "probe-labels" in capsys.readouterr().out
-    assert verify(out)["checks"] == expected_checks(
-        {"probe-labels": "story_00000-ev0007: label mismatch"})
+    assert (next(out.glob("story_*/probes/labels.jsonl"))).read_bytes() != before
+    assert probe_config_from_manifest(load_manifest(out)).motion_threshold_m == 0.5
+    assert main(["verify", "--corpus", str(out)]) == 0
+    assert verify(out)["checks"] == expected_checks({})
 
 
 def test_cli_probes_keeps_the_manifest_probe_config(tmp_path, capsys):

@@ -39,3 +39,14 @@ def test_probe_oracle_shares_no_arithmetic_with_the_labeller():
             elif module in (".", "storysim") and "probes" in names:
                 found.append(f"{module} probes")
     assert not found, f"probes_oracle.py imports {found}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name private to its module
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "storysim")
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"
