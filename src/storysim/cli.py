@@ -22,7 +22,7 @@ from .default_registry import build_default_registry
 from .documents import (json_document, parse_graph, parse_registry, parse_timeline,
                         serialize_timeline)
 from .errors import StorysimError, ValidationFailure
-from .pipeline import (CorpusConfig, camera_from_manifest, compute_stats,
+from .pipeline import (CorpusConfig, HashedFiles, camera_from_manifest, compute_stats,
                        events_doc, generate_corpus, load_manifest, probe_docs,
                        probe_config_from_manifest, simulate_graph, story_entries,
                        verify, write_files)
@@ -95,7 +95,8 @@ def _cmd_text(args) -> int:
 def _cmd_probes(args) -> int:
     corpus = Path(args.corpus)
     manifest = load_manifest(corpus)
-    registry = parse_registry((corpus / "registry.json").read_bytes())
+    root = HashedFiles(corpus, "", {"registry.json": manifest["registry_hash"]})
+    registry = root.require("registry.json", lambda data, _: parse_registry(data))
     camera = camera_from_manifest(manifest)
     flags = {"motion_threshold_m": args.motion_threshold,
              "min_event_s": args.min_event_s,
@@ -107,14 +108,18 @@ def _cmd_probes(args) -> int:
     in_place = out_root.resolve() == corpus.resolve()
     n_clips = 0
     for entry in story_entries(manifest):
-        story_dir = corpus / entry["story_id"]
-        graph = parse_graph((story_dir / "graph.json").read_bytes())
-        timeline = parse_timeline((story_dir / "timeline.json").read_bytes())
-        log = binio.read_framelog(story_dir / "framelog.bin")
-        docs = probe_docs(entry["story_id"], graph, timeline, log, registry, cfg,
+        story_id = entry["story_id"]
+        # a story whose inputs fail their manifest hashes is refused
+        story = HashedFiles(corpus / story_id, f"{story_id}/",
+                            {name: entry["files"].get(name) for name in
+                             ("graph.json", "timeline.json", "framelog.bin")})
+        graph = story.require("graph.json", lambda data, _: parse_graph(data))
+        timeline = story.require("timeline.json", lambda data, _: parse_timeline(data))
+        log = story.require("framelog.bin", binio.parse_framelog)
+        docs = probe_docs(story_id, graph, timeline, log, registry, cfg,
                           camera, entry["split"])
         # the manifest, and so these hashes, is written only in place
-        write_files(out_root / entry["story_id"], docs, entry["files"])
+        write_files(out_root / story_id, docs, entry["files"])
         n_clips += docs["probes/clips.jsonl"].count(b"\n")
     if in_place:
         manifest["config"]["probe"] = asdict(cfg)

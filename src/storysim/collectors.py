@@ -62,7 +62,8 @@ class EventFrameMapping:
 
 
 def compass_bin(bearing_deg: float) -> int:
-    return int(((bearing_deg + 22.5) % 360.0) // 45.0)
+    # a bearing a few ulps below -22.5 wraps to exactly 360.0; it is NW
+    return min(int(((bearing_deg + 22.5) % 360.0) // 45.0), 7)
 
 
 def compute_pair_relation(pose_a, pose_b) -> PairRelation:
@@ -80,45 +81,84 @@ def compute_pair_relation(pose_a, pose_b) -> PairRelation:
                         elevation, False)
 
 
-def collect_story_relations(log: FrameLog, chunk_frames: int = 1024) -> np.ndarray:
+# Records per chunk of collect_story_relations, whatever the entity count:
+# its float64 temporaries, about ten of 128 KiB, then fit a 2 MiB L2 cache.
+_CHUNK_RECORDS = 1 << 14
+_COMPASS_EDGES = (45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
+
+
+def collect_story_relations(log: FrameLog) -> np.ndarray:
     """Vectorized per-story collection into RELATION_DTYPE rows ordered
-    by (frame, a, b)."""
+    by (frame, a, b), each computed as compute_pair_relation computes one
+    pair.  Its `%` and `//` are done with compares and adds, which give
+    the same bits only for yaws in [-180, 180], the range the simulator
+    writes; other yaws raise ValueError.
+    """
+    if (np.abs(log.yaws) > 180.0).any():
+        raise ValueError("yaws must lie in [-180, 180] degrees")
     ids = sorted(log.entity_ids)
-    idx = np.array([log.index_of(e) for e in ids])
-    n = len(ids)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    ia = idx[np.array([p[0] for p in pairs])]
-    ib = idx[np.array([p[1] for p in pairs])]
-    id_a = np.array([ids[p[0]] for p in pairs], dtype=np.uint16)
-    id_b = np.array([ids[p[1]] for p in pairs], dtype=np.uint16)
-    n_pairs = len(pairs)
+    idx = np.array([log.index_of(e) for e in ids], dtype=np.intp)
+    pair_a, pair_b = np.nonzero(~np.eye(len(ids), dtype=bool))
+    ia, ib = idx[pair_a], idx[pair_b]
+    frames, n_pairs = log.frame_count, len(pair_a)
 
-    frames = log.frame_count
     out = np.empty(frames * n_pairs, dtype=RELATION_DTYPE)
-    for lo in range(0, frames, chunk_frames):
-        hi = min(lo + chunk_frames, frames)
-        delta = log.positions[lo:hi, ib, :] - log.positions[lo:hi, ia, :]
-        dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        coincident = dist < COINCIDENT_EPS
-        safe = np.where(coincident, 1.0, dist)
-        bearing = np.degrees(np.arctan2(dx, dy))
-        # same operation order as wrap_signed so results match bitwise
-        wrapped = (log.yaws[lo:hi, ia] - bearing) % 360.0
-        azimuth = np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
-        elevation = np.degrees(np.arcsin(np.clip(dz / safe, -1.0, 1.0)))
-        compass = (((bearing + 22.5) % 360.0) // 45.0).astype(np.uint8)
+    # little-endian views of each record: frame|a|b as one u8 at byte 0,
+    # distance, azimuth and elevation as three f4 at byte 8, compass|flags
+    # as one u2 at byte 20
+    raw = out.view(np.uint8).reshape(frames, n_pairs, RELATION_DTYPE.itemsize)
+    keys = raw[..., :8].view("<u8")[..., 0]
+    values = raw[..., 8:20].view("<f4")
+    tail = raw[..., 20:].view("<u2")[..., 0]
+    # an id that does not fit the u16 field raises OverflowError here
+    id_keys = np.array(ids, dtype=np.uint16).astype(np.uint64)
+    np.bitwise_or(np.arange(frames, dtype=np.uint64)[:, None],
+                  id_keys[pair_a] << 32 | id_keys[pair_b] << 48, out=keys)
 
-        rows = out[lo * n_pairs:hi * n_pairs]
-        count = hi - lo
-        rows["frame"] = np.repeat(np.arange(lo, hi, dtype=np.uint32), n_pairs)
-        rows["a"] = np.tile(id_a, count)
-        rows["b"] = np.tile(id_b, count)
-        rows["distance_m"] = np.where(coincident, 0.0, dist).ravel()
-        rows["azimuth_deg"] = np.where(coincident, 0.0, azimuth).ravel()
-        rows["elevation_deg"] = np.where(coincident, 0.0, elevation).ravel()
-        rows["compass"] = np.where(coincident, 0, compass).ravel()
-        rows["flags"] = np.where(coincident, FLAG_COINCIDENT, 0).astype(np.uint8).ravel()
+    x, y, z = np.ascontiguousarray(np.moveaxis(log.positions, 2, 0))
+    step = max(1, _CHUNK_RECORDS // max(n_pairs, 1))
+    # a coincident pair divides by a zero distance; its record is zeroed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, frames, step):
+            hi = min(lo + step, frames)
+            dx = x[lo:hi, ib] - x[lo:hi, ia]
+            dy = y[lo:hi, ib] - y[lo:hi, ia]
+            dz = z[lo:hi, ib] - z[lo:hi, ia]
+            res = np.empty((3,) + dx.shape)
+            dist, azimuth, elevation = res
+            # same operation order as compute_pair_relation
+            np.multiply(dx, dx, out=dist)
+            dist += dy * dy
+            dist += dz * dz
+            np.sqrt(dist, out=dist)
+            bearing = np.degrees(np.arctan2(dx, dy))
+
+            # (yaw - bearing) % 360.0 for a difference in [-360, 360], then
+            # into (-180, 180]; a zero of either sign goes round to 360.0
+            # and back to +0.0, as -0.0 % 360.0 is +0.0
+            np.subtract(log.yaws[lo:hi, ia], bearing, out=azimuth)
+            np.add(azimuth, 360.0, out=azimuth, where=azimuth <= 0.0)
+            np.subtract(azimuth, 360.0, out=azimuth, where=azimuth > 180.0)
+
+            np.divide(dz, dist, out=dz)
+            np.clip(dz, -1.0, 1.0, out=dz)
+            np.degrees(np.arcsin(dz, out=elevation), out=elevation)
+
+            # (bearing + 22.5) % 360.0 // 45.0 as the count of bin edges
+            # passed, which is exact where a division by 45 is not; the
+            # 360.0 of a bearing a few ulps below -22.5 passes 7: NW
+            shifted = np.add(bearing, 22.5, out=bearing)
+            np.add(shifted, 360.0, out=shifted, where=shifted < 0.0)
+            compass = (shifted >= _COMPASS_EDGES[0]).view(np.uint8)
+            for edge in _COMPASS_EDGES[1:]:
+                compass += shifted >= edge
+
+            values[lo:hi] = np.moveaxis(res, 0, -1)
+            tail[lo:hi] = compass
+            coincident = dist < COINCIDENT_EPS
+            if coincident.any():
+                values[lo:hi][coincident] = 0.0
+                tail[lo:hi][coincident] = FLAG_COINCIDENT << 8  # compass 0
     return out
 
 

@@ -249,7 +249,7 @@ def story_entries(manifest: dict):
             yield entry
 
 
-class _HashedFiles:
+class HashedFiles:
     """Files under `root`, each read at most once: to check it against
     `hashes` (rel path -> sha256 in the manifest) or to parse it.
     `failures` names, after `prefix`, each hashed file that is missing,
@@ -284,9 +284,36 @@ class _HashedFiles:
                              else f"{name} cannot be loaded: {exc}")
             return None
 
+    def require(self, rel_path: str, parse):
+        """parse(bytes, path) of one file; raises CorruptCorpus naming the
+        first failure so far, this file's included."""
+        value = self.load(rel_path, parse, self.failures)
+        if self.failures:
+            raise CorruptCorpus(self.failures[0])
+        return value
 
-def _jsonl_rows(data: bytes, _path) -> list:
-    return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+
+def _checked_rows(*keys: tuple[str, type]):
+    """A parser of JSONL rows that raises CorruptCorpus on a row lacking
+    one of `keys` (name, type) or holding a value of another type; a list
+    must hold ints."""
+    def parse(data: bytes, _path) -> list[dict]:
+        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        for line, row in enumerate(rows, 1):
+            for key, kind in keys:
+                value = row.get(key) if isinstance(row, dict) else None
+                if not isinstance(value, kind) or (
+                        kind is list and not all(isinstance(i, int) for i in value)):
+                    raise CorruptCorpus(f"line {line}: {key} is missing or not "
+                                        f"a {kind.__name__}")
+        return rows
+    return parse
+
+
+# the keys verify reads from each row of probes/clips.jsonl and labels.jsonl
+_clip_rows = _checked_rows(("clip_id", str), ("story_id", str), ("event_id", int),
+                           ("frame_indices", list), ("split", str))
+_label_rows = _checked_rows(("clip_id", str))
 
 
 def compute_stats(corpus_dir: Path | str) -> dict:
@@ -297,11 +324,8 @@ def compute_stats(corpus_dir: Path | str) -> dict:
     """
     corpus_dir = Path(corpus_dir)
     manifest = load_manifest(corpus_dir)
-    root = _HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
-    registry = root.load("registry.json", lambda data, _: parse_registry(data),
-                         root.failures)
-    if root.failures:
-        raise CorruptCorpus(root.failures[0])
+    root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
+    registry = root.require("registry.json", lambda data, _: parse_registry(data))
 
     actor_counts: list[int] = []
     event_counts: list[int] = []
@@ -313,14 +337,11 @@ def compute_stats(corpus_dir: Path | str) -> dict:
 
     for entry in story_entries(manifest):
         story_id = entry["story_id"]
-        story = _HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
-        problems = story.failures
-        graph = story.load("graph.json", lambda data, _: parse_graph(data), problems)
-        mappings = story.load("events.jsonl", lambda data, _: data.count(b"\n"), problems)
-        relation_file = story.load("relations.bin", binio.parse_relations, problems)
-        log = story.load("framelog.bin", binio.parse_framelog, problems)
-        if problems:
-            raise CorruptCorpus(problems[0])
+        story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
+        graph = story.require("graph.json", lambda data, _: parse_graph(data))
+        mappings = story.require("events.jsonl", lambda data, _: data.count(b"\n"))
+        relation_file = story.require("relations.bin", binio.parse_relations)
+        log = story.require("framelog.bin", binio.parse_framelog)
         actor_counts.append(len(graph.actors))
         event_counts.append(sum(1 for e in graph.events
                                 if e.kind is not EventKind.MOVEMENT))
@@ -491,7 +512,7 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
     failures: dict[str, list[str]] = {name: [] for name in names}
     hashes, durations, relations, spatial, labels = failures.values()
 
-    root = _HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
+    root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
     hashes.extend(root.failures)
     registry = root.load("registry.json", lambda data, _: parse_registry(data), labels)
     movement_actions = set() if registry is None else {
@@ -503,14 +524,14 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
     sampled = 0
     for entry in entries:
         story_id = entry["story_id"]
-        story = _HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
+        story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
         hashes.extend(story.failures)
         graph = story.load("graph.json", lambda data, _: parse_graph(data),
                            durations, relations, labels)
         timeline = story.load("timeline.json", lambda data, _: parse_timeline(data),
                               durations, relations, labels)
-        clip_rows = story.load("probes/clips.jsonl", _jsonl_rows, labels)
-        label_rows = story.load("probes/labels.jsonl", _jsonl_rows, labels)
+        clip_rows = story.load("probes/clips.jsonl", _clip_rows, labels)
+        label_rows = story.load("probes/labels.jsonl", _label_rows, labels)
         log = story.load("framelog.bin", binio.parse_framelog,
                          *((spatial, labels) if clip_rows else (spatial,)))
         relation_file = story.load("relations.bin", binio.parse_relations, spatial)

@@ -4,11 +4,13 @@ Nothing here imports the package's algebra internals: every answer is
 obtained by enumerating concrete integer interval configurations and
 classifying them with a from-scratch case analysis.  Keeping the two
 routes separate is the point; do not "simplify" by calling into
-storysim.  Two exceptions are routes that the package must match bit
+storysim.  Some exceptions are routes that the package must match bit
 for bit: collect_frame, the scalar per-pair route of the vectorized
-collector, shares compute_pair_relation with the package on purpose,
-and numpy_run_camera, the numpy per-frame camera loop that the
-plain-float one replaced, shares bearing_deg.
+collector, shares compute_pair_relation with the package on purpose;
+numpy_run_camera, the numpy per-frame camera loop that the plain-float
+one replaced, shares bearing_deg; and numpy_collect_story_relations, the
+remainder-and-floor-divide collector that the compare-and-add one
+replaced, shares the record layout.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from storysim.collectors import compute_pair_relation
+from storysim.collectors import (COINCIDENT_EPS, FLAG_COINCIDENT, RELATION_DTYPE,
+                                 compute_pair_relation)
 from storysim.model import CAMERA_ID
 from storysim.simulation import bearing_deg
 
@@ -179,3 +182,48 @@ def numpy_run_camera(world, graph, pos, yaw, index, actor_ids, active, actor_reg
         else:
             pos[f, cam], yaw[f, cam] = numpy_update_camera(
                 pos[f - 1, cam], centroid[None, :], policy)
+
+
+def numpy_collect_story_relations(log, chunk_frames: int = 1024) -> np.ndarray:
+    """RELATION_DTYPE rows ordered by (frame, a, b), with numpy's % and //.
+
+    A bearing a few ulps below -22.5 wraps to exactly 360.0, which // 45
+    puts in a ninth bin; it is clamped to NW, as compass_bin does.
+    """
+    ids = sorted(log.entity_ids)
+    idx = np.array([log.index_of(e) for e in ids])
+    n = len(ids)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    ia = idx[np.array([p[0] for p in pairs])]
+    ib = idx[np.array([p[1] for p in pairs])]
+    id_a = np.array([ids[p[0]] for p in pairs], dtype=np.uint16)
+    id_b = np.array([ids[p[1]] for p in pairs], dtype=np.uint16)
+    n_pairs = len(pairs)
+
+    frames = log.frame_count
+    out = np.empty(frames * n_pairs, dtype=RELATION_DTYPE)
+    for lo in range(0, frames, chunk_frames):
+        hi = min(lo + chunk_frames, frames)
+        delta = log.positions[lo:hi, ib, :] - log.positions[lo:hi, ia, :]
+        dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        coincident = dist < COINCIDENT_EPS
+        safe = np.where(coincident, 1.0, dist)
+        bearing = np.degrees(np.arctan2(dx, dy))
+        # same operation order as wrap_signed so results match bitwise
+        wrapped = (log.yaws[lo:hi, ia] - bearing) % 360.0
+        azimuth = np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
+        elevation = np.degrees(np.arcsin(np.clip(dz / safe, -1.0, 1.0)))
+        compass = np.minimum(((bearing + 22.5) % 360.0) // 45.0, 7).astype(np.uint8)
+
+        rows = out[lo * n_pairs:hi * n_pairs]
+        count = hi - lo
+        rows["frame"] = np.repeat(np.arange(lo, hi, dtype=np.uint32), n_pairs)
+        rows["a"] = np.tile(id_a, count)
+        rows["b"] = np.tile(id_b, count)
+        rows["distance_m"] = np.where(coincident, 0.0, dist).ravel()
+        rows["azimuth_deg"] = np.where(coincident, 0.0, azimuth).ravel()
+        rows["elevation_deg"] = np.where(coincident, 0.0, elevation).ravel()
+        rows["compass"] = np.where(coincident, 0, compass).ravel()
+        rows["flags"] = np.where(coincident, FLAG_COINCIDENT, 0).astype(np.uint8).ravel()
+    return out

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storysim.binio import (
     FORMAT_VERSION,
@@ -31,7 +32,7 @@ from storysim.pipeline import build_story, CorpusConfig
 from storysim.procgen import GenConfig
 from storysim.simulation import FrameLog
 
-from _oracles import collect_frame
+from _oracles import collect_frame, numpy_collect_story_relations
 
 
 def pose(x, y, z=0.0, yaw=0.0):
@@ -81,6 +82,20 @@ def test_bin_edges_are_half_open_clockwise():
     assert COMPASS_NAMES[compass_bin(-22.5)] == "N"
     assert COMPASS_NAMES[compass_bin(-22.5 - 1e-6)] == "NW"
     assert COMPASS_NAMES[compass_bin(337.5)] == "N"
+
+
+def test_bearing_ulps_below_the_nw_edge_is_nw_in_both_routes():
+    # (bearing + 22.5) % 360.0 rounds up to exactly 360.0 here
+    a, b = pose(0.0, 0.0), pose(-0.41421356237309565, 1.0)
+    bearing = math.degrees(math.atan2(b[0][0], b[0][1]))
+    assert bearing < -22.5 and (bearing + 22.5) % 360.0 == 360.0
+    assert compass_bin(bearing) == 7
+    assert compute_pair_relation(a, b).compass == "NW"
+    positions = np.array([[a[0], b[0]]])
+    log = FrameLog(positions=positions, yaws=np.zeros((1, 2)), fps=25,
+                   entity_ids=(0, 1), entity_kinds=(EntityKind.CAMERA, EntityKind.ACTOR),
+                   entity_names=("camera", "Anna"))
+    assert collect_story_relations(log)["compass"][0] == COMPASS_NAMES.index("NW")
 
 
 def test_azimuth_sign_is_positive_left():
@@ -160,6 +175,87 @@ def test_vectorized_matches_scalar_route(log):
             assert np.float32(rec.elevation_deg) == row["elevation_deg"]
             assert COMPASS_NAMES.index(rec.compass) == row["compass"]
             assert int(rec.coincident) == row["flags"]
+
+
+@pytest.fixture(scope="module")
+def dense_logs():
+    cfg = CorpusConfig(gen=GenConfig(
+        master_seed=7, actors_min_max=(6, 6), max_actors_per_region=6,
+        regions_to_visit=3, relation_prob=1.0, interaction_prob=0.6,
+        exchange_prob=0.3))
+    registry = build_default_registry()
+    return [build_story(cfg, registry, index)[2] for index in range(3)]
+
+
+def test_collector_matches_the_numpy_remainder_route_on_dense_stories(dense_logs):
+    for log in dense_logs:
+        assert log.entity_count >= 7  # six actors and the camera, plus objects
+        assert collect_story_relations(log).tobytes() \
+            == numpy_collect_story_relations(log).tobytes()
+
+
+# bearings of the compass bin centres (0 and the +-180 wrap among them) and edges
+_OCTANT_BEARINGS = tuple(range(-180, 181, 45)) + tuple(b + 22.5 for b in range(-180, 180, 45))
+_SPECIAL = (0.0, -0.0, 1e-9, -1e-9, 5e-10, -7e-10, 1e-300, -1e-300, 1.0, -1.0, 3.0)
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+_coordinate = st.one_of(st.sampled_from(_SPECIAL),
+                        st.floats(-50.0, 50.0, allow_subnormal=True))
+_free_delta = st.tuples(_coordinate, _coordinate, _coordinate)
+_edge_delta = st.builds(
+    lambda bearing, r, ulps, z: (_nudged(r * math.sin(math.radians(bearing)), ulps),
+                                 r * math.cos(math.radians(bearing)), z),
+    st.sampled_from(_OCTANT_BEARINGS), st.sampled_from((1e-6, 1.0, 7.5, 40.0)),
+    st.integers(-4, 4), st.sampled_from((0.0, -0.0, 1e-9, 2.0)))
+_yaw = st.one_of(st.sampled_from((0.0, -0.0, 180.0, -180.0, 90.0, -22.5)),
+                 st.sampled_from(_OCTANT_BEARINGS).map(float),
+                 st.floats(-180.0, 180.0))
+
+
+@st.composite
+def _frame_logs(draw):
+    """Small logs whose pair deltas hit signed zeros, coincident and
+    1e-9 m pairs, tiny deltas and bearings a few ulps off each compass
+    edge; entity ids need not be in index order."""
+    n = draw(st.integers(2, 5))
+    frames = draw(st.integers(1, 3))
+    positions = np.empty((frames, n, 3))
+    for f in range(frames):
+        origin = draw(st.sampled_from(((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+                                       (12.25, -3.5, 0.0))))
+        positions[f, 0] = origin
+        for e in range(1, n):
+            delta = draw(st.one_of(_free_delta, _edge_delta))
+            positions[f, e] = np.add(origin, delta)
+    yaws = np.array(draw(st.lists(_yaw, min_size=frames * n, max_size=frames * n)),
+                    dtype=np.float64).reshape(frames, n)
+    ids = tuple(draw(st.lists(st.integers(0, 0xFFFF), min_size=n, max_size=n,
+                              unique=True)))
+    return FrameLog(positions=positions, yaws=yaws, fps=25, entity_ids=ids,
+                    entity_kinds=(EntityKind.OBJECT,) * n,
+                    entity_names=tuple(f"e{i}" for i in ids))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_frame_logs())
+def test_collector_matches_the_numpy_remainder_route_on_edge_cases(log):
+    assert collect_story_relations(log).tobytes() \
+        == numpy_collect_story_relations(log).tobytes()
+
+
+def test_collector_rejects_yaws_outside_its_exact_range():
+    log = FrameLog(positions=np.zeros((1, 2, 3)), yaws=np.array([[0.0, 180.5]]),
+                   fps=25, entity_ids=(0, 1),
+                   entity_kinds=(EntityKind.CAMERA, EntityKind.ACTOR),
+                   entity_names=("camera", "Anna"))
+    with pytest.raises(ValueError, match="yaws"):
+        collect_story_relations(log)
 
 
 def test_event_mappings_follow_graph_order(story):

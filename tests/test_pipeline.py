@@ -305,6 +305,14 @@ def _clip_of_an_unknown_event(path):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
+def _first_row_without(key):
+    def damage(path):
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        del rows[0][key]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return damage
+
+
 def _frames_past_the_log(path):
     fps, (ids, kinds, names), records = binio.read_relations(path)
     records = records.copy()
@@ -339,6 +347,13 @@ def _frames_past_the_log(path):
     pytest.param("story_00001/probes/clips.jsonl", _clip_of_an_unknown_event,
                  ("probe-labels",), "story_00001-ev0000: event 9999 not in the timeline",
                  id="clip-of-an-unknown-event"),
+    *(pytest.param(f"story_00001/probes/{doc}.jsonl", _first_row_without(key),
+                   ("probe-labels",),
+                   f"story_00001/probes/{doc}.jsonl cannot be loaded: line 1: {key} "
+                   f"is missing", id=f"{doc[:-1]}-without-{key}")
+      for doc, key in (("clips", "frame_indices"), ("clips", "event_id"),
+                       ("clips", "clip_id"), ("clips", "split"),
+                       ("labels", "clip_id"))),
 ])
 def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
                                                  rel_path, damage, failing, named):
@@ -373,6 +388,16 @@ def test_stats_fails_closed_on_a_missing_file(small_corpus, tmp_path, capsys, re
     assert main(["stats", "--corpus", str(root)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {rel_path} missing\n"
+    assert not captured.out
+
+
+def test_cli_probes_fails_closed_on_a_missing_file(small_corpus, tmp_path, capsys):
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    (root / "story_00001/framelog.bin").unlink()
+    assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: story_00001/framelog.bin missing\n"
     assert not captured.out
 
 
