@@ -106,7 +106,7 @@ def _cmd_probes(args) -> int:
                   **{k: v for k, v in flags.items() if v is not None})
     out_root = Path(args.out) if args.out else corpus
     in_place = out_root.resolve() == corpus.resolve()
-    n_clips = 0
+    derived = []
     for entry in story_entries(manifest):
         story_id = entry["story_id"]
         # a story whose inputs fail their manifest hashes is refused
@@ -116,10 +116,14 @@ def _cmd_probes(args) -> int:
         graph = story.require("graph.json", lambda data, _: parse_graph(data))
         timeline = story.require("timeline.json", lambda data, _: parse_timeline(data))
         log = story.require("framelog.bin", binio.parse_framelog)
-        docs = probe_docs(story_id, graph, timeline, log, registry, cfg,
-                          camera, entry["split"])
+        derived.append((entry, probe_docs(story_id, graph, timeline, log, registry,
+                                          cfg, camera, entry["split"])))
+    # written only once every story is derived, so a refused story leaves
+    # every file as it was
+    n_clips = 0
+    for entry, docs in derived:
         # the manifest, and so these hashes, is written only in place
-        write_files(out_root / story_id, docs, entry["files"])
+        write_files(out_root / entry["story_id"], docs, entry["files"])
         n_clips += docs["probes/clips.jsonl"].count(b"\n")
     if in_place:
         manifest["config"]["probe"] = asdict(cfg)

@@ -10,6 +10,7 @@ float formatting via json's repr, no timestamps.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .allen import Coarse, RelationSet
@@ -44,7 +45,9 @@ def json_document(obj) -> bytes:
 def _decode(data: bytes, what: str) -> Any:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON or an integer too long for int();
+        # RecursionError: arrays or objects nested too deep to decode
         raise DocumentSyntaxError(f"not valid JSON for a {what} document: {exc}") from None
     version = _get(doc, "format_version", int, what)
     if version != FORMAT_VERSION:
@@ -58,18 +61,38 @@ def _get(obj: dict, key: str, kind: type | tuple, loc: str):
     if key not in obj:
         raise DocumentSyntaxError(f"missing field {key!r}", loc)
     val = obj[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+    if kind is float:
+        return _float(val, f"field {key!r}", loc)
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise DocumentSyntaxError(f"field {key!r} has wrong type", loc)
     return val
 
 
+def _float(val, what: str, loc: str) -> float:
+    """A finite float; json decodes NaN, Infinity and integers past the
+    float range too."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise DocumentSyntaxError(f"{what} is not a number", loc)
+    try:
+        val = float(val)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise DocumentSyntaxError(f"{what} is not finite", loc)
+    return val
+
+
+def _strings(obj: dict, key: str, loc: str) -> tuple[str, ...]:
+    val = _get(obj, key, list, loc)
+    if not all(isinstance(v, str) for v in val):
+        raise DocumentSyntaxError(f"field {key!r} must hold only strings", loc)
+    return tuple(val)
+
+
 def _vec3(val, loc: str) -> tuple[float, float, float]:
-    if not (isinstance(val, list) and len(val) == 3
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)):
+    if not (isinstance(val, list) and len(val) == 3):
         raise DocumentSyntaxError("expected a 3-element number list", loc)
-    return (float(val[0]), float(val[1]), float(val[2]))
+    return tuple(_float(v, "coordinate", loc) for v in val)
 
 
 def _enum(cls, val, loc: str):
@@ -130,9 +153,7 @@ def parse_graph(data: bytes) -> GestGraph:
     doc = _decode(data, "graph")
 
     seed = _get(doc, "seed", int, "seed")
-    region_plan = _get(doc, "region_plan", list, "region_plan")
-    if not all(isinstance(r, str) for r in region_plan):
-        raise DocumentSyntaxError("region keys must be strings", "region_plan")
+    region_plan = _strings(doc, "region_plan", "region_plan")
 
     actors = []
     actor_ids: dict[int, EntityId] = {}
@@ -294,8 +315,8 @@ def serialize_registry(reg: CapabilityRegistry) -> bytes:
 def parse_registry(data: bytes) -> CapabilityRegistry:
     doc = _decode(data, "registry")
 
-    actor_models = tuple(_get(doc, "actor_models", list, "actor_models"))
-    object_types = tuple(_get(doc, "object_types", list, "object_types"))
+    actor_models = _strings(doc, "actor_models", "actor_models")
+    object_types = _strings(doc, "object_types", "object_types")
     if not actor_models:
         raise InvariantError("at least one actor model is required", "actor_models")
 
@@ -309,7 +330,7 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
             actions[key] = ActionSpec(
                 key=key,
                 category=_enum(ActionCategory, _get(obj, "category", str, loc), loc),
-                duration_range_s=(float(rng[0]), float(rng[1])),
+                duration_range_s=tuple(_float(v, "duration_range_s", loc) for v in rng),
                 requires_object=_get(obj, "requires_object", bool, loc),
                 is_movement_only=_get(obj, "is_movement_only", bool, loc),
                 verb_phrase=_get(obj, "verb_phrase", str, loc),
@@ -346,7 +367,7 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
                 position = _vec3(_get(p_obj, "position", list, p_loc), p_loc)
                 if not all(lo[c] <= position[c] <= hi[c] for c in range(3)):
                     raise InvariantError("POI position outside region bounds", p_loc)
-                valid_actions = tuple(_get(p_obj, "valid_actions", list, p_loc))
+                valid_actions = _strings(p_obj, "valid_actions", p_loc)
                 transitions_raw = _get(p_obj, "transitions", dict, p_loc)
                 for act in valid_actions:
                     if act not in actions:
@@ -360,6 +381,10 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
                             f"transition source {act!r} at POI {p_obj.get('key')!r} "
                             "is not a declared action"
                         )
+                    if not (isinstance(nexts, list)
+                            and all(isinstance(nxt, str) for nxt in nexts)):
+                        raise DocumentSyntaxError(
+                            f"transitions[{act!r}] must be a list of strings", p_loc)
                     for nxt in nexts:
                         if nxt not in actions:
                             raise UnknownActionInTransition(
@@ -373,7 +398,7 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
                 poi_keys.add(poi_key)
                 pois.append(
                     PoiSpec(poi_key, position, valid_actions, transitions,
-                            tuple(_get(p_obj, "object_slots", list, p_loc)))
+                            _strings(p_obj, "object_slots", p_loc))
                 )
             region_key = _get(r_obj, "key", str, r_loc)
             if region_key in region_keys:

@@ -3,9 +3,9 @@
 One story directory holds graph.json, timeline.json, framelog.bin,
 relations.bin, events.jsonl, text.txt and probes/{clips,labels}.jsonl.
 The corpus root holds registry.json, manifest.json (per-file sha256)
-and stats.json.  Every byte is a pure function of (master seed, config,
-registry); story jobs can fan out to worker processes without changing
-any output.
+and stats.json, summed from the counts the story jobs return.  Every
+byte is a pure function of (master seed, config, registry); story jobs
+can fan out to worker processes without changing any output.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import binio
 from .allen import relation_between
@@ -125,9 +126,28 @@ def write_files(root: Path, files: dict, hashes: dict[str, str]):
         hashes[rel_path] = _sha256(data)
 
 
+class StoryCounts(NamedTuple):
+    """What stats.json totals of one built story."""
+    actors: int
+    events: int  # not counting movements
+    relations: int  # temporal relations
+    mappings: int  # events.jsonl rows
+    records: int  # spatial records
+    frames: int
+
+
+def story_counts(graph: GestGraph, mappings: int, records: int,
+                 frames: int) -> StoryCounts:
+    return StoryCounts(len(graph.actors),
+                       sum(1 for e in graph.events if e.kind is not EventKind.MOVEMENT),
+                       len(graph.relations), mappings, records, frames)
+
+
 def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
-                   story_index: int, story_dir: Path, split: str) -> dict:
-    """Emit all artifacts for one story; returns its manifest entry."""
+                   story_index: int, story_dir: Path,
+                   split: str) -> tuple[dict, StoryCounts | None]:
+    """Emit all artifacts for one story; returns its manifest entry and
+    its counts, which are None when the story fails."""
     story_id = f"story_{story_index:05d}"
     entry = {
         "story_id": story_id,
@@ -141,15 +161,15 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
         graph, timeline, log = build_story(cfg, registry, story_index)
     except StorysimError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry
+        return entry, None
 
     files: dict[str, bytes | memoryview] = {}
 
     files["graph.json"] = serialize_graph(graph)
     files["timeline.json"] = serialize_timeline(timeline)
+    records = collect_story_relations(log)
     files["relations.bin"] = binio.relations_bytes(
-        collect_story_relations(log), log.fps, log.entity_ids, log.entity_kinds,
-        log.entity_names)
+        records, log.fps, log.entity_ids, log.entity_kinds, log.entity_names)
     files["framelog.bin"] = binio.framelog_bytes(log)
     files["events.jsonl"] = events_doc(graph, timeline)
 
@@ -161,7 +181,8 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
     files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe,
                             cfg.camera, split))
     write_files(story_dir, files, entry["files"])
-    return entry
+    return entry, story_counts(graph, files["events.jsonl"].count(b"\n"), len(records),
+                               log.frame_count)
 
 
 _WORKER: dict = {}
@@ -182,7 +203,12 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
                     registry: CapabilityRegistry, stories: int,
                     workers: int = 1) -> dict:
     """Build a corpus of `stories` stories under out_root; returns the
-    manifest.  Output bytes do not depend on `workers`."""
+    manifest.  Output bytes do not depend on `workers`.
+
+    Nothing is read back: manifest.json holds the hashes of the bytes the
+    story jobs wrote, and stats.json sums the counts they returned with
+    the same function as compute_stats' rescan, so the two agree byte
+    for byte."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     registry_json = serialize_registry(registry)
@@ -194,12 +220,13 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
 
     jobs = [(i, str(out_root / ids[i]), splits[ids[i]]) for i in range(stories)]
     if workers <= 1:
-        entries = [assemble_story(cfg, registry, i, Path(d), s) for i, d, s in jobs]
+        built = [assemble_story(cfg, registry, i, Path(d), s) for i, d, s in jobs]
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(cfg, registry_json)) as pool:
-            entries = list(pool.map(_worker_job, jobs))
+            built = list(pool.map(_worker_job, jobs))
+    entries = [entry for entry, _ in built]
 
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -211,7 +238,7 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
         "stories": entries,
     }
     (out_root / "manifest.json").write_bytes(json_document(manifest))
-    stats = compute_stats(out_root)
+    stats = corpus_stats(registry, cfg.fps, [c for _, c in built if c is not None])
     (out_root / "stats.json").write_bytes(json_document(stats))
     return manifest
 
@@ -294,11 +321,14 @@ class HashedFiles:
 
 
 def _checked_rows(*keys: tuple[str, type]):
-    """A parser of JSONL rows that raises CorruptCorpus on a row lacking
-    one of `keys` (name, type) or holding a value of another type; a list
-    must hold ints."""
+    """A parser of JSONL rows that raises CorruptCorpus on bytes that are
+    not JSON lines, or on a row lacking one of `keys` (name, type) or
+    holding a value of another type; a list must hold ints."""
     def parse(data: bytes, _path) -> list[dict]:
-        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        try:
+            rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+            raise CorruptCorpus(str(exc)) from None
         for line, row in enumerate(rows, 1):
             for key, kind in keys:
                 value = row.get(key) if isinstance(row, dict) else None
@@ -316,8 +346,37 @@ _clip_rows = _checked_rows(("clip_id", str), ("story_id", str), ("event_id", int
 _label_rows = _checked_rows(("clip_id", str))
 
 
+def corpus_stats(registry: CapabilityRegistry, fps: int,
+                 stories: list[StoryCounts]) -> dict:
+    """The stats.json document of the built stories' counts, in story
+    order."""
+    def _dist(values):
+        if not values:
+            return {"min": 0, "max": 0, "mean": 0.0}
+        return {"min": min(values), "max": max(values),
+                "mean": sum(values) / len(values)}
+
+    actor_counts = [c.actors for c in stories]
+    event_counts = [c.events for c in stories]
+    return {
+        "stories": len(stories),
+        "total_duration_h": sum(c.frames for c in stories) / fps / 3600.0,
+        "total_events": sum(event_counts),
+        "temporal_relation_count": sum(c.relations for c in stories),
+        "unique_action_types": len(registry.actions),
+        "object_types": len(registry.object_types),
+        "episodes": len(registry.episodes),
+        "categories": len(registry.categories()),
+        "actors_per_story": _dist(actor_counts),
+        "events_per_story": _dist(event_counts),
+        "spatial_relation_count": sum(c.records for c in stories),
+        "event_frame_mapping_count": sum(c.mappings for c in stories),
+    }
+
+
 def compute_stats(corpus_dir: Path | str) -> dict:
-    """Corpus statistics by full rescan of the artifact files.
+    """Corpus statistics by full rescan of the artifact files: the check
+    of the stats.json that generate_corpus sums from its story jobs.
 
     Hashes are re-verified along the way; a missing, unreadable or
     mismatching file raises CorruptCorpus naming it.
@@ -327,14 +386,7 @@ def compute_stats(corpus_dir: Path | str) -> dict:
     root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
     registry = root.require("registry.json", lambda data, _: parse_registry(data))
 
-    actor_counts: list[int] = []
-    event_counts: list[int] = []
-    total_relations = 0
-    total_spatial = 0
-    total_mappings = 0
-    total_frames = 0
-    fps = manifest["config"]["fps"]
-
+    counts: list[StoryCounts] = []
     for entry in story_entries(manifest):
         story_id = entry["story_id"]
         story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
@@ -342,36 +394,9 @@ def compute_stats(corpus_dir: Path | str) -> dict:
         mappings = story.require("events.jsonl", lambda data, _: data.count(b"\n"))
         relation_file = story.require("relations.bin", binio.parse_relations)
         log = story.require("framelog.bin", binio.parse_framelog)
-        actor_counts.append(len(graph.actors))
-        event_counts.append(sum(1 for e in graph.events
-                                if e.kind is not EventKind.MOVEMENT))
-        total_relations += len(graph.relations)
-        total_mappings += mappings
-        total_spatial += len(relation_file[2])
-        total_frames += log.frame_count
-
-    n = len(actor_counts)
-
-    def _dist(values):
-        if not values:
-            return {"min": 0, "max": 0, "mean": 0.0}
-        return {"min": min(values), "max": max(values),
-                "mean": sum(values) / len(values)}
-
-    return {
-        "stories": n,
-        "total_duration_h": total_frames / fps / 3600.0,
-        "total_events": sum(event_counts),
-        "temporal_relation_count": total_relations,
-        "unique_action_types": len(registry.actions),
-        "object_types": len(registry.object_types),
-        "episodes": len(registry.episodes),
-        "categories": len(registry.categories()),
-        "actors_per_story": _dist(actor_counts),
-        "events_per_story": _dist(event_counts),
-        "spatial_relation_count": total_spatial,
-        "event_frame_mapping_count": total_mappings,
-    }
+        counts.append(story_counts(graph, mappings, len(relation_file[2]),
+                                   log.frame_count))
+    return corpus_stats(registry, manifest["config"]["fps"], counts)
 
 
 def corpus_digest(corpus_dir: Path | str) -> str:

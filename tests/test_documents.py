@@ -222,6 +222,24 @@ def test_rejects_undeclared_transition_target(registry):
         parse_registry(_edit(serialize_registry(registry), mutate))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_rejects_numbers_that_are_not_finite_floats(graph, registry, literal):
+    # json decodes each of these, the last to an int past the float range
+    def with_number(data: bytes, mutate) -> bytes:
+        return _edit(data, mutate).replace(b'"NUMBER"', literal.encode())
+
+    def event_duration(d):
+        d["events"][0]["duration_s"] = "NUMBER"
+
+    def region_corner(d):
+        d["episodes"][0]["regions"][0]["bounds"][1][0] = "NUMBER"
+
+    with pytest.raises(DocumentSyntaxError, match="duration_s.*not finite"):
+        parse_graph(with_number(serialize_graph(graph), event_duration))
+    with pytest.raises(DocumentSyntaxError, match="coordinate is not finite"):
+        parse_registry(with_number(serialize_registry(registry), region_corner))
+
+
 def test_timeline_rejects_bad_interval():
     tl = EventTimeline(intervals={0: (0, 10)}, fps=25)
     data = _edit(serialize_timeline(tl), lambda d: d["intervals"].append([1, 5, 5]))

@@ -7,6 +7,7 @@ import builtins
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -18,7 +19,8 @@ import pytest
 from storysim import binio, pipeline
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
-from storysim.documents import parse_graph, parse_timeline, serialize_timeline
+from storysim.documents import (json_document, parse_graph, parse_timeline,
+                                serialize_timeline)
 from storysim.errors import CorruptCorpus
 from storysim.pipeline import (
     CorpusConfig,
@@ -72,6 +74,21 @@ def expected_checks(failed: dict[str, str]) -> list[dict]:
             for name in CHECKS]
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts, by resolved path, each file opened for reading only."""
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
 def rewrite_with_hash(root, story_id: str, rel_path: str, data: bytes):
     """Replace one story file and record its sha256 in the manifest."""
     (root / story_id / rel_path).write_bytes(data)
@@ -113,8 +130,8 @@ def test_manifest_loads_and_matches_disk(corpus):
 
 def test_stats_file_equals_rescan(corpus):
     root, _, _ = corpus
+    assert (root / "stats.json").read_bytes() == json_document(compute_stats(root))
     stored = json.loads((root / "stats.json").read_text())
-    assert stored == compute_stats(root)
     assert stored["stories"] == STORIES
     assert stored["total_events"] > 0
     assert stored["spatial_relation_count"] > 0
@@ -189,21 +206,11 @@ def test_verify_loads_each_artifact_once_per_story(corpus, monkeypatch):
         ("parse_graph", "parse_timeline", "parse_framelog", "parse_relations"), STORIES)
 
 
-def test_each_story_file_is_read_at_most_once(corpus, tmp_path, monkeypatch):
+def test_each_story_file_is_read_at_most_once(corpus, tmp_path, reads):
     # verify and stats hash and parse the same bytes; assemble_story hashes
     # what it writes from memory
     root, cfg, manifest = corpus
     registry = build_default_registry()
-    reads = Counter()
-    real_open = io.open
-
-    def counting_open(file, mode="r", *args, **kwargs):
-        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
-            reads[Path(file).resolve()] += 1
-        return real_open(file, mode, *args, **kwargs)
-    monkeypatch.setattr(io, "open", counting_open)
-    monkeypatch.setattr(builtins, "open", counting_open)
-
     listed = {(root / e["story_id"] / rel_path).resolve()
               for e in manifest["stories"] for rel_path in e["files"]}
     for run in (verify, compute_stats):
@@ -214,9 +221,28 @@ def test_each_story_file_is_read_at_most_once(corpus, tmp_path, monkeypatch):
 
     reads.clear()
     story_dir = (tmp_path / "story").resolve()
-    entry = assemble_story(cfg, registry, 0, story_dir, "train")
+    entry, counts = assemble_story(cfg, registry, 0, story_dir, "train")
     assert len(entry["files"]) == len(STORY_FILES)
+    assert counts.frames > 0 and counts.records > 0
     assert not [path for path in reads if story_dir in path.parents]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("gen, stories, failing", [
+    (GenConfig(master_seed=7), 3, False),
+    (GenConfig(master_seed=7), 0, False),
+    (GenConfig(master_seed=7, chains_per_actor=2), 3, True),
+], ids=["built", "empty", "with-a-failed-story"])
+def test_generate_reads_nothing_back_and_stats_equal_the_rescan(
+        tmp_path, reads, gen, stories, failing, workers):
+    # stats.json is summed from the story jobs' counts; compute_stats
+    # rescans the files and must encode to the same bytes
+    root = (tmp_path / "corpus").resolve()
+    manifest = generate_corpus(root, CorpusConfig(gen=gen), build_default_registry(),
+                               stories=stories, workers=workers)
+    assert not [path for path in reads if root in path.parents]
+    assert any("error" in e for e in manifest["stories"]) == failing
+    assert (root / "stats.json").read_bytes() == json_document(compute_stats(root))
 
 
 def test_tamper_is_localized(corpus, tmp_path):
@@ -313,6 +339,12 @@ def _first_row_without(key):
     return damage
 
 
+def _first_duration_nan(path):
+    doc = json.loads(path.read_text())
+    doc["events"][0]["duration_s"] = math.nan
+    path.write_text(json.dumps(doc))  # json writes the bare token NaN
+
+
 def _frames_past_the_log(path):
     fps, (ids, kinds, names), records = binio.read_relations(path)
     records = records.copy()
@@ -330,6 +362,13 @@ def _frames_past_the_log(path):
     pytest.param("story_00001/probes/labels.jsonl", lambda p: p.write_text("{nope\n"),
                  ("probe-labels",), "story_00001/probes/labels.jsonl cannot be loaded",
                  id="labels-not-json"),
+    pytest.param("story_00001/probes/labels.jsonl",
+                 lambda p: p.write_text("[" * 100_000 + "\n"), ("probe-labels",),
+                 "story_00001/probes/labels.jsonl cannot be loaded",
+                 id="labels-nested-too-deep"),
+    pytest.param("story_00001/graph.json", _first_duration_nan,
+                 ("timeline-durations", "temporal-relations", "probe-labels"),
+                 "story_00001/graph.json cannot be loaded", id="graph-duration-nan"),
     pytest.param("story_00001/framelog.bin", _truncate,
                  ("spatial-records", "probe-labels"),
                  "story_00001/framelog.bin cannot be loaded", id="framelog-truncated"),
@@ -399,6 +438,21 @@ def test_cli_probes_fails_closed_on_a_missing_file(small_corpus, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == "error: story_00001/framelog.bin missing\n"
     assert not captured.out
+
+
+def test_failed_in_place_probes_run_changes_nothing(tmp_path, capsys):
+    root = tmp_path / "c"
+    generate_corpus(root, CorpusConfig(gen=GenConfig(master_seed=3)),
+                    build_default_registry(), stories=3)
+    victim = root / "story_00002/framelog.bin"
+    kept = victim.read_bytes()
+    victim.unlink()
+    before = corpus_digest(root)
+    assert main(["probes", "--corpus", str(root), "--motion-threshold", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: story_00002/framelog.bin missing\n"
+    assert corpus_digest(root) == before
+    victim.write_bytes(kept)
+    assert verify(root)["checks"] == expected_checks({})
 
 
 def test_verify_judges_a_rewritten_label(small_corpus, tmp_path):
