@@ -23,8 +23,7 @@ from .scheduling import (EventTimeline, SchedulePolicy, TemporalNetwork,
                          closure, duration_frames, schedule)
 from .procgen import GenConfig, generate_story, story_seed
 from .simulation import (CameraPolicy, FrameLog, World, ground,
-                         insert_movements, simulate, update_camera, validate,
-                         visible_mask)
+                         insert_movements, simulate, validate, visible_mask)
 from .collectors import (EventFrameMapping, PairRelation,
                          collect_event_mappings, collect_story_relations,
                          compute_pair_relation)
@@ -52,7 +51,7 @@ __all__ = [
     "duration_frames", "schedule",
     "GenConfig", "generate_story", "story_seed",
     "CameraPolicy", "FrameLog", "World", "ground", "insert_movements",
-    "simulate", "update_camera", "validate", "visible_mask",
+    "simulate", "validate", "visible_mask",
     "EventFrameMapping", "PairRelation", "collect_event_mappings",
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",

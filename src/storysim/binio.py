@@ -37,6 +37,8 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
 def _pack_entity_table(ids, kinds, names) -> bytes:
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"entity ids {tuple(ids)} repeat an id")
     rows = []
     for eid, kind, name in zip(ids, kinds, names):
         if not 0 <= eid <= 0xFFFF:
@@ -48,7 +50,8 @@ def _pack_entity_table(ids, kinds, names) -> bytes:
 
 
 def _unpack_entity_table(buf: bytes, offset: int, count: int):
-    ids, kinds, names = [], [], []
+    ids: dict[int, None] = {}  # ordered, and a repeat is found at once
+    kinds, names = [], []
     for _ in range(count):
         if offset + 4 > len(buf):
             raise CorruptCorpus("truncated entity table")
@@ -60,7 +63,9 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
             kind = _CODE_KIND[kind_code]
         except KeyError:
             raise CorruptCorpus(f"unknown entity kind code {kind_code}") from None
-        ids.append(eid)
+        if eid in ids:
+            raise CorruptCorpus(f"entity id {eid} appears twice in the entity table")
+        ids[eid] = None
         kinds.append(kind)
         try:
             names.append(buf[offset:offset + name_len].decode("utf-8"))

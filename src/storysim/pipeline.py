@@ -176,7 +176,9 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
     proto = proto_text(graph, timeline, registry)
     files["text.txt"] = (proto.full_text + "\n").encode("utf-8")
     if cfg.refine.endpoint_url:
-        files["text.refined.txt"] = (refine(proto, cfg.refine) + "\n").encode("utf-8")
+        text, refined = refine(proto, cfg.refine)
+        files["text.refined.txt"] = (text + "\n").encode("utf-8")
+        entry["refine"] = "ok" if refined else "fell_back"
 
     files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe,
                             cfg.camera, split))

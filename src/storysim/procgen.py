@@ -146,12 +146,15 @@ def select_episode(registry: CapabilityRegistry, rng: random.Random) -> EpisodeS
 
 
 def build_action_chain(poi: PoiSpec, length: int, registry: CapabilityRegistry,
-                       rng: random.Random) -> list[tuple[str, float]]:
-    """Sample (action, duration) skeletons following the POI's transitions.
+                       rng: random.Random, after: str | None = None
+                       ) -> list[tuple[str, float]]:
+    """Sample (action, duration) skeletons following the POI's transitions,
+    starting from any chainable action or, given `after`, from one that
+    may follow that action.
 
     The chain may terminate early at a dead-end transition entry.
     """
-    starts = sorted(poi.transitions)
+    starts = sorted(poi.transitions) if after is None else poi.transitions.get(after, ())
     if not starts:
         raise NoValidAction(f"POI {poi.key!r} offers no chainable action")
     chain: list[tuple[str, float]] = []
@@ -347,15 +350,25 @@ def generate_story(cfg: GenConfig, registry: CapabilityRegistry,
         region = registry.region(region_key)
         last_poi: dict[int, str] = {}
         for actor_id in roster:
+            last_action = None
             for _ in range(cfg.chains_per_actor):
                 poi = rng.choice(region.pois)
+                after = last_action if poi.key == last_poi.get(actor_id) else None
+                if after is not None and not poi.transitions.get(after):
+                    # a dead end here: the next chain goes to another POI
+                    others = [p for p in region.pois if p.key != poi.key]
+                    if not others:
+                        break
+                    poi, after = rng.choice(others), None
                 length = rng.randint(CHAIN_LEN_MIN, CHAIN_LEN_MAX)
-                for action, duration in build_action_chain(poi, length, registry, rng):
+                for action, duration in build_action_chain(poi, length, registry, rng,
+                                                           after):
                     patient = None
                     if registry.actions[action].requires_object:
                         patient = _pick_patient(draw, poi, rng)
                     draw.new_event(actor_id, action, patient, poi.key, duration,
                                    EventKind.ACTION)
+                    last_action = action
                 last_poi[actor_id] = poi.key
         groups: dict[str, list[int]] = {}
         for actor_id in roster:

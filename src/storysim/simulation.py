@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -533,67 +534,39 @@ def _lay_objects(world: World, graph: GestGraph, timeline: EventTimeline,
                 yaw[start:end, idx] = yaw[start:end, o_idx]
 
 
-def _centroid(rows) -> tuple[float, float, float]:
-    """Mean of (x, y, z) rows, summed from 0.0 in row order as numpy's
-    mean over axis 0 sums them."""
-    sx = sy = sz = 0.0
-    for x, y, z in rows:
-        sx += x
-        sy += y
-        sz += z
-    n = len(rows)
-    return sx / n, sy / n, sz / n
-
-
-def update_camera(cam_pos, focus_positions, policy: CameraPolicy
-                  ) -> tuple[tuple[float, float, float], float]:
-    """One tracking step: smooth toward the focus centroid plus offset,
-    yaw facing the centroid.  cam_pos is one (x, y, z) row and
-    focus_positions a sequence of them.  Returns (new position, new yaw)."""
-    cx, cy, cz = _centroid(focus_positions)
-    px, py, pz = cam_pos
-    ox, oy, oz = policy.offset
-    s = policy.smoothing
-    new_pos = (px + s * (cx + ox - px), py + s * (cy + oy - py),
-               pz + s * (cz + oz - pz))
-    return new_pos, bearing_deg(cx - new_pos[0], cy - new_pos[1])
-
-
 def _run_camera(world: World, graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
                 index: dict[int, int], actor_ids: list[int], active: np.ndarray,
                 actor_region: np.ndarray):
     """Camera column of pos and yaw.  Each frame focuses the active actors
     of the region most of them are in (ties go to the lower region
     index); idle frames keep the last focus, and before any actor is
-    active the focus is every actor.  Frame 0 starts converged."""
+    active the focus is every actor.  Frame 0 starts converged; later
+    frames smooth toward the focus centroid plus offset, facing the
+    centroid."""
     policy = world.camera_policy
+    frames, n_actors = active.shape
     n_regions = max(len(graph.region_plan), 1)
-    actor_pos = pos[:, [index[a] for a in actor_ids]].tolist()
-    cam_pos: list[tuple[float, float, float]] = []
-    cam_yaw: list[float] = []
-    focus = None
-    for act, regions, at in zip(active.tolist(), actor_region.tolist(), actor_pos):
-        members = [k for k, on in enumerate(act) if on]
-        if members:
-            counts = [0] * n_regions
-            for k in members:
-                counts[regions[k]] += 1
-            top = counts.index(max(counts))
-            focus = [at[k] for k in members if regions[k] == top]
-        elif focus is None:
-            focus = at
-        if cam_pos:
-            p, y = update_camera(cam_pos[-1], focus, policy)
-        else:
-            cx, cy, cz = _centroid(focus)
-            ox, oy, oz = policy.offset
-            p = (cx + ox, cy + oy, cz + oz)
-            y = bearing_deg(cx - p[0], cy - p[1])
-        cam_pos.append(p)
-        cam_yaw.append(y)
+    at = pos[:, [index[a] for a in actor_ids]]
+    slot = np.arange(frames)[:, None] * n_regions + actor_region
+    counts = np.bincount(slot[active], minlength=frames * n_regions)
+    top = counts.reshape(frames, n_regions).argmax(axis=1)
+    busy = active.any(axis=1)
+    sel = active & (actor_region == top[:, None])
+    sel[~busy] = True  # every actor; only frame 0's survives the hold below
+    # summed from 0.0 in actor order, as a scalar mean of the rows would be
+    acc = np.zeros((frames, 3))
+    for k in range(n_actors):
+        acc = np.where(sel[:, k, None], acc + at[:, k], acc)
+    centroid = acc / sel.sum(axis=1)[:, None]
+    # an idle frame holds the centroid of the last busy frame, or of frame 0
+    centroid = centroid[np.maximum.accumulate(np.where(busy, np.arange(frames), 0))]
+    s = policy.smoothing
     cam = index[CAMERA_ID]
-    pos[:, cam] = cam_pos
-    yaw[:, cam] = cam_yaw
+    for axis, target in enumerate((centroid + policy.offset).T.tolist()):
+        pos[:, cam, axis] = list(accumulate(target[1:], lambda p, t: p + s * (t - p),
+                                            initial=target[0]))
+    look = (centroid - pos[:, cam]).T.tolist()
+    yaw[:, cam] = list(map(bearing_deg, look[0], look[1]))
 
 
 def visible_mask(log: FrameLog, policy: CameraPolicy) -> np.ndarray:

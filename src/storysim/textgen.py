@@ -153,11 +153,12 @@ def proto_text(graph: GestGraph, timeline: EventTimeline,
     return ProtoText(tuple(sentences), full)
 
 
-def refine(proto: ProtoText, config: RefineConfig) -> str:
-    """Refined prose from the configured endpoint, or the proto text
-    unchanged on any failure."""
+def refine(proto: ProtoText, config: RefineConfig) -> tuple[str, bool]:
+    """(text, refined): the configured endpoint's prose and True, or the
+    proto text unchanged and False when no endpoint is set or on any
+    failure."""
     if not config.endpoint_url:
-        return proto.full_text
+        return proto.full_text, False
     try:
         # imported here: urllib.request pulls in http.client and email,
         # which every importer of the package would otherwise pay for
@@ -177,7 +178,7 @@ def refine(proto: ProtoText, config: RefineConfig) -> str:
             refined = json.loads(resp.read())["text"]
         if not isinstance(refined, str) or not refined:
             raise ValueError("endpoint returned no text")
-        return refined
+        return refined, True
     except Exception as exc:  # degrade to identity, never fail the corpus
         log.warning("refinement failed (%s); keeping proto text", exc)
-        return proto.full_text
+        return proto.full_text, False

@@ -7,7 +7,7 @@ routes separate is the point; do not "simplify" by calling into
 storysim.  Some exceptions are routes that the package must match bit
 for bit: collect_frame, the scalar per-pair route of the vectorized
 collector, shares compute_pair_relation with the package on purpose;
-numpy_run_camera, the numpy per-frame camera loop that the plain-float
+numpy_run_camera, the numpy per-frame camera loop that the whole-story
 one replaced, shares bearing_deg; and numpy_collect_story_relations, the
 remainder-and-floor-divide collector that the compare-and-add one
 replaced, shares the record layout.

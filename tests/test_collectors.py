@@ -12,8 +12,12 @@ from hypothesis import given, settings, strategies as st
 from storysim.binio import (
     FORMAT_VERSION,
     RELATIONS_MAGIC,
+    framelog_bytes,
+    parse_framelog,
+    parse_relations,
     read_framelog,
     read_relations,
+    relations_bytes,
     write_framelog,
     write_relations,
 )
@@ -372,6 +376,27 @@ def test_entity_id_outside_u16_is_rejected_at_write(tmp_path):
     with pytest.raises(ValueError, match="65536"):
         write_framelog(tmp_path / "framelog.bin", _named_log((0, 65536), ("camera", "cup")))
     assert not (tmp_path / "framelog.bin").exists()
+
+
+def _relations_file(log):
+    return relations_bytes(collect_story_relations(log), log.fps, log.entity_ids,
+                           log.entity_kinds, log.entity_names)
+
+
+@pytest.mark.parametrize("encode, parse", [
+    pytest.param(framelog_bytes, parse_framelog, id="framelog"),
+    pytest.param(_relations_file, parse_relations, id="relations"),
+])
+def test_repeated_entity_id_is_refused_by_writer_and_reader(encode, parse):
+    with pytest.raises(ValueError, match="repeat"):
+        encode(_named_log((5, 5), ("camera", "cup")))
+    raw = bytearray(encode(_named_log((5, 6), ("camera", "cup"))))
+    # the second table row follows the first's 4-byte head and 6-byte name
+    second = raw.index(b"camera") + len(b"camera")
+    assert raw[second:second + 2] == (6).to_bytes(2, "little")
+    raw[second:second + 2] = (5).to_bytes(2, "little")
+    with pytest.raises(CorruptCorpus, match="entity id 5 appears twice"):
+        parse(bytes(raw), "story_00000/file.bin")
 
 
 def test_broken_name_byte_reads_as_corrupt(tmp_path):

@@ -12,6 +12,7 @@ import os
 import shutil
 import struct
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from storysim.pipeline import (
     verify,
 )
 from storysim.probes import ProbeConfig
-from storysim.procgen import GenConfig, story_seed
+from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 
 # corpus_digest of the seed-7, 8-story corpus of the default config and
@@ -227,18 +228,36 @@ def test_each_story_file_is_read_at_most_once(corpus, tmp_path, reads):
     assert not [path for path in reads if story_dir in path.parents]
 
 
+def _registry_failing_story(gen: GenConfig, index: int):
+    """The default registry with every POI of the episode that story `index`
+    draws stripped of its chainable actions, so generating it raises
+    NoValidAction."""
+    registry = build_default_registry()
+    region = generate_story(gen, registry, index).region_plan[0]
+    doomed = registry.episode_of_region(region)
+    episodes = tuple(
+        replace(ep, regions=tuple(
+            replace(r, pois=tuple(replace(p, transitions={}) for p in r.pois))
+            for r in ep.regions))
+        if ep.key == doomed else ep
+        for ep in registry.episodes)
+    return replace(registry, episodes=episodes)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("gen, stories, failing", [
-    (GenConfig(master_seed=7), 3, False),
-    (GenConfig(master_seed=7), 0, False),
-    (GenConfig(master_seed=7, chains_per_actor=2), 3, True),
+@pytest.mark.parametrize("gen, registry, stories, failing", [
+    (GenConfig(master_seed=7), None, 3, False),
+    (GenConfig(master_seed=7), None, 0, False),
+    (GenConfig(master_seed=7), _registry_failing_story(GenConfig(master_seed=7), 1),
+     3, True),
 ], ids=["built", "empty", "with-a-failed-story"])
 def test_generate_reads_nothing_back_and_stats_equal_the_rescan(
-        tmp_path, reads, gen, stories, failing, workers):
+        tmp_path, reads, gen, registry, stories, failing, workers):
     # stats.json is summed from the story jobs' counts; compute_stats
     # rescans the files and must encode to the same bytes
     root = (tmp_path / "corpus").resolve()
-    manifest = generate_corpus(root, CorpusConfig(gen=gen), build_default_registry(),
+    manifest = generate_corpus(root, CorpusConfig(gen=gen),
+                               registry or build_default_registry(),
                                stories=stories, workers=workers)
     assert not [path for path in reads if root in path.parents]
     assert any("error" in e for e in manifest["stories"]) == failing
@@ -345,6 +364,19 @@ def _first_duration_nan(path):
     path.write_text(json.dumps(doc))  # json writes the bare token NaN
 
 
+def _repeat_an_id_with_its_hash(path):
+    # the second entity takes the first one's id, and the manifest keeps up,
+    # so only the framelog's reader can catch it
+    data = bytearray(path.read_bytes())
+    first = 4 + struct.calcsize("<HHHHI")
+    second = first + 4 + data[first + 3]
+    data[second:second + 2] = data[first:first + 2]
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name, bytes(data))
+
+
+_repeat_an_id_with_its_hash.rehashes = True
+
+
 def _frames_past_the_log(path):
     fps, (ids, kinds, names), records = binio.read_relations(path)
     records = records.copy()
@@ -372,6 +404,10 @@ def _frames_past_the_log(path):
     pytest.param("story_00001/framelog.bin", _truncate,
                  ("spatial-records", "probe-labels"),
                  "story_00001/framelog.bin cannot be loaded", id="framelog-truncated"),
+    pytest.param("story_00001/framelog.bin", _repeat_an_id_with_its_hash,
+                 ("spatial-records", "probe-labels"),
+                 "story_00001/framelog.bin cannot be loaded: entity id 0 appears twice",
+                 id="framelog-repeats-an-id"),
     pytest.param("registry.json", lambda p: p.unlink(), ("probe-labels",),
                  "registry.json missing", id="registry-missing"),
     pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
@@ -396,17 +432,20 @@ def _frames_past_the_log(path):
 ])
 def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
                                                  rel_path, damage, failing, named):
-    # every damaged file also fails manifest-hashes; no other check fails
+    # every damaged file also fails manifest-hashes unless the damage
+    # re-hashed it; no other check fails
     root = tmp_path / "damaged"
     shutil.copytree(small_corpus, root)
     damage(root / rel_path)
+    stale = not getattr(damage, "rehashes", False)
     report = verify(root)
     assert not report["ok"]
     by_name = {c["name"]: c for c in report["checks"]}
     assert list(by_name) == list(CHECKS)
     assert [n for n in CHECKS if not by_name[n]["ok"]] == [
-        n for n in CHECKS if n == "manifest-hashes" or n in failing]
-    assert rel_path in by_name["manifest-hashes"]["details"]
+        n for n in CHECKS if (n == "manifest-hashes" and stale) or n in failing]
+    if stale:
+        assert rel_path in by_name["manifest-hashes"]["details"]
     for name in failing:
         assert named in by_name[name]["details"], by_name[name]
     assert main(["verify", "--corpus", str(root)]) == 1
@@ -484,19 +523,35 @@ def test_config_round_trips_through_manifest(corpus):
         probe_config_from_manifest(broken)
 
 
-def test_refined_text_artifact(tmp_path, monkeypatch):
-    # endpoint that is unreachable: refined file falls back to proto text
+def _refined_story(tmp_path):
+    """(manifest entry, story dir) of a 1-story corpus whose refine
+    endpoint is unreachable."""
     cfg = CorpusConfig(gen=GenConfig(master_seed=7),
                        refine=__import__("storysim.textgen", fromlist=["RefineConfig"])
                        .RefineConfig(endpoint_url="http://127.0.0.1:9/x",
                                      timeout_s=0.2))
     root = tmp_path / "refined"
-    manifest = generate_corpus(root, cfg, build_default_registry(), stories=1)
-    entry = manifest["stories"][0]
+    entry = generate_corpus(root, cfg, build_default_registry(), stories=1)["stories"][0]
     assert "text.refined.txt" in entry["files"]
-    story_dir = root / entry["story_id"]
+    assert load_manifest(root)["stories"][0]["refine"] == entry["refine"]
+    return entry, root / entry["story_id"]
+
+
+def test_refined_text_artifact(tmp_path):
+    # endpoint that is unreachable: refined file falls back to proto text
+    entry, story_dir = _refined_story(tmp_path)
+    assert entry["refine"] == "fell_back"
     assert (story_dir / "text.refined.txt").read_bytes() \
         == (story_dir / "text.txt").read_bytes()
+
+
+def test_refined_text_status_ok(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "refine",
+                        lambda proto, _: (proto.full_text.upper(), True))
+    entry, story_dir = _refined_story(tmp_path)
+    assert entry["refine"] == "ok"
+    assert (story_dir / "text.refined.txt").read_text("utf-8") \
+        == (story_dir / "text.txt").read_text("utf-8").upper()
 
 
 @pytest.mark.parametrize("key_path", [("registry_hash",), ("stories",), ("config", "fps")])

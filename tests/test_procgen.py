@@ -11,7 +11,8 @@ import pytest
 from storysim.allen import Coarse
 from storysim.default_registry import build_default_registry
 from storysim.documents import serialize_graph
-from storysim.model import EntityKind, EventKind
+from storysim.model import (ActionCategory, ActionSpec, CapabilityRegistry, EntityKind,
+                            EpisodeSpec, EventKind, PoiSpec, RegionSpec)
 from storysim.procgen import (
     GenConfig,
     build_action_chain,
@@ -21,6 +22,7 @@ from storysim.procgen import (
     story_seed,
 )
 from storysim.scheduling import SchedulePolicy, schedule
+from storysim.simulation import validate
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,54 @@ def test_chains_follow_transitions(stories, registry):
                 poi = registry.poi(prev.poi)
                 assert nxt.action in poi.transitions.get(prev.action, ()), \
                     f"{prev.action} -> {nxt.action} at {prev.poi}"
+
+
+@pytest.mark.parametrize("chains", [1, 2, 3])
+@pytest.mark.parametrize("regions", [1, 2, 3])
+@pytest.mark.parametrize("max_actors", [1, 2, 3, 4])
+def test_every_generated_story_validates_and_schedules(registry, chains, regions,
+                                                        max_actors):
+    cfg_of = lambda seed: GenConfig(master_seed=seed, chains_per_actor=chains,
+                                    regions_to_visit=regions,
+                                    max_actors_per_region=max_actors)
+    for seed in (3, 7, 11):
+        for index in range(2):
+            graph = generate_story(cfg_of(seed), registry, index)
+            assert validate(graph, registry) == [], (seed, index)
+            schedule(graph, SchedulePolicy(), fps=25)
+
+
+def _dead_end_registry() -> CapabilityRegistry:
+    # every action ends its chain; region b has a single POI
+    actions = {
+        "sit": ActionSpec("sit", ActionCategory.SOCIAL, (4.0, 10.0), False, False, "sits"),
+        "walk_to": ActionSpec("walk_to", ActionCategory.LOCOMOTION, (1.0, 30.0), False,
+                              True, "walks over"),
+    }
+    pois = [PoiSpec(f"ep.{r}.p{i}", (float(5 * i), 2.0, 0.0), ("sit",), {"sit": ()}, ())
+            for r, i in (("a", 1), ("a", 2), ("b", 3))]
+    region_a = RegionSpec("ep.a", "parlor", ((0.0, 0.0, 0.0), (12.0, 12.0, 3.0)),
+                          tuple(pois[:2]))
+    region_b = RegionSpec("ep.b", "annex", ((12.0, 0.0, 0.0), (24.0, 12.0, 3.0)),
+                          (pois[2],))
+    return CapabilityRegistry(episodes=(EpisodeSpec("ep", "test", (region_a, region_b)),),
+                              actor_models=("m_one", "f_one"), object_types=("cup",),
+                              actions=actions)
+
+
+def test_a_chain_after_a_dead_end_moves_to_another_poi():
+    registry = _dead_end_registry()
+    cfg = GenConfig(master_seed=5, chains_per_actor=3, regions_to_visit=2)
+    for index in range(10):
+        graph = generate_story(cfg, registry, index)
+        assert validate(graph, registry) == [], index
+        for chain in graph.chains().values():
+            plain = [e.poi for e in chain if e.kind is EventKind.ACTION]
+            # three chains per region: two POIs can hold them in region a,
+            # the single POI of region b only one
+            assert plain.count("ep.b.p3") <= 1
+            if plain and plain[0].startswith("ep.a"):
+                assert len([p for p in plain if p.startswith("ep.a")]) == 3
 
 
 def test_events_use_valid_actions(stories, registry):

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from storysim.default_registry import build_default_registry
 from storysim.errors import NoFreeSlot
 from storysim.model import (
+    CAMERA_ID,
     ActionSpec,
     Actor,
     ActionCategory,
@@ -38,7 +41,6 @@ from storysim.simulation import (
     ground,
     insert_movements,
     simulate,
-    update_camera,
     validate,
     visible_mask,
 )
@@ -357,25 +359,101 @@ class TestSimulate:
         assert d_after <= carry_reach
 
 
+def camera_column(active, actor_region, actor_pos, regions=1, policy=CameraPolicy(),
+                  run=None):
+    """The camera's (positions, yaws) that `run` (by default the package's
+    _run_camera) gives for hand-built per-frame actor arrays."""
+    frames, n = active.shape
+    pos = np.zeros((frames, n + 1, 3))
+    pos[:, 1:] = actor_pos
+    yaw = np.zeros((frames, n + 1))
+    actor_ids = list(range(1, n + 1))
+    index = {CAMERA_ID: 0, **{a: a for a in actor_ids}}
+    (run or simulation._run_camera)(
+        SimpleNamespace(camera_policy=policy),
+        SimpleNamespace(region_plan=[f"r{i}" for i in range(regions)]),
+        pos, yaw, index, actor_ids, np.asarray(active, dtype=bool),
+        np.asarray(actor_region, dtype=np.int16))
+    return pos[:, 0], yaw[:, 0]
+
+
+def _scene(active, actor_region, actor_pos, regions=1, policy=CameraPolicy()):
+    return (np.array(active, dtype=bool), np.array(actor_region, dtype=np.int16),
+            np.array(actor_pos, dtype=np.float64), regions, policy)
+
+
+_coord = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -2.25)), st.floats(-60.0, 60.0))
+
+
+@st.composite
+def _camera_scenes(draw):
+    """Per-frame activity, regions and positions of a few actors, with
+    idle frames, region ties and signed-zero coordinates."""
+    frames = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    regions = draw(st.integers(1, 3))
+    cells = frames * n
+    active = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    actor_region = draw(st.lists(st.integers(0, regions - 1), min_size=cells,
+                                 max_size=cells))
+    actor_pos = draw(st.lists(_coord, min_size=cells * 3, max_size=cells * 3))
+    policy = CameraPolicy(
+        offset=draw(st.sampled_from(((0.0, -6.0, 3.0), (-0.0, -0.0, -0.0),
+                                     (1.25, 0.0, -2.0)))),
+        smoothing=draw(st.sampled_from((0.1, 0.35, 1.0))))
+    return _scene(np.reshape(active, (frames, n)),
+                  np.reshape(actor_region, (frames, n)),
+                  np.reshape(actor_pos, (frames, n, 3)), regions, policy)
+
+
 class TestCamera:
     def test_converges_within_100_frames(self):
+        # the actor jumps about 30 m after frame 0, then holds still
         policy = CameraPolicy()
-        focus = np.array([[4.0, 7.0, 0.0]])
-        target = focus[0] + np.array(policy.offset)
-        cam = target + np.array([30.0, -12.0, 4.0])
-        for _ in range(100):
-            cam, yaw = update_camera(cam, focus, policy)
-        assert np.linalg.norm(cam - target) < 0.01
-        look = focus[0] - cam
+        here, there = [34.0, -5.0, 4.0], [4.0, 7.0, 0.0]
+        cam, yaw = camera_column(np.ones((101, 1)), np.zeros((101, 1)),
+                                 [[here]] + [[there]] * 100, policy=policy)
+        target = np.array(there) + np.array(policy.offset)
+        assert np.linalg.norm(cam[0] - target) > 30.0
+        assert np.linalg.norm(cam[-1] - target) < 0.01
+        look = np.array(there) - cam[-1]
         want = math.degrees(math.atan2(look[0], look[1]))
-        assert abs(math.radians(yaw - want)) < 1e-3
+        assert abs(math.radians(yaw[-1] - want)) < 1e-3
 
     def test_symmetric_actor_target(self):
         policy = CameraPolicy()
-        focus = np.array([[-3.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        cam = np.array(policy.offset, dtype=float)
-        new, _ = update_camera(cam, focus, policy)
-        assert new[0] == pytest.approx(policy.offset[0])
+        mirrored = [[[-3.0, 0.0, 0.0], [3.0, 0.0, 0.0]],
+                    [[-5.0, 2.0, 0.0], [5.0, 2.0, 0.0]],
+                    [[-1.0, 4.0, 1.0], [1.0, 4.0, 1.0]]]
+        cam, _ = camera_column(np.ones((3, 2)), np.zeros((3, 2)), mirrored,
+                               policy=policy)
+        assert cam[:, 0] == pytest.approx([policy.offset[0]] * 3)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_camera_scenes())
+    # no actor active at frame 0, then one per region
+    @example(_scene([[0, 0], [1, 0], [0, 1]], [[0, 1]] * 3,
+                    [[[1.0, 2.0, 0.0], [-4.0, 6.5, 1.0]]] * 3, regions=2))
+    # idle stretches after activity hold the last centroid
+    @example(_scene([[1], [0], [0], [1], [0], [0]], [[0]] * 6,
+                    [[[float(f), -f / 3, 0.5]] for f in range(6)]))
+    # tied region counts go to the lower region index, whatever the actor order
+    @example(_scene([[1, 1], [1, 1]], [[1, 0], [0, 1]],
+                    [[[3.0, 0.0, 0.0], [-2.0, 1.0, 0.0]]] * 2, regions=2))
+    # one actor and one frame, active or not
+    @example(_scene([[1]], [[0]], [[[2.0, -3.0, 0.0]]]))
+    @example(_scene([[0]], [[0]], [[[2.0, -3.0, 0.0]]]))
+    # signed zeros in positions and offset
+    @example(_scene([[1, 0], [1, 1]], [[0, 0]] * 2,
+                    [[[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]] * 2,
+                    policy=CameraPolicy(offset=(-0.0, -0.0, -0.0))))
+    def test_camera_matches_numpy_reference_on_edge_cases(self, scene):
+        active, actor_region, actor_pos, regions, policy = scene
+        got = camera_column(active, actor_region, actor_pos, regions, policy)
+        want = camera_column(active, actor_region, actor_pos, regions, policy,
+                             run=numpy_run_camera)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_camera_matches_numpy_reference_on_dense_stories(self, monkeypatch):
         runs = []

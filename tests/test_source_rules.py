@@ -50,3 +50,12 @@ def test_no_module_imports_a_private_name_of_another():
              and (node.level or (node.module or "").split(".")[0] == "storysim")
              for alias in node.names if alias.name.startswith("_")]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_every_export_resolves_once():
+    # a name left in __all__ after its function is removed breaks
+    # `from storysim import *`
+    missing = [name for name in storysim.__all__ if not hasattr(storysim, name)]
+    assert not missing, f"__all__ names no package attribute: {missing}"
+    repeated = sorted({n for n in storysim.__all__ if storysim.__all__.count(n) > 1})
+    assert not repeated, f"__all__ repeats {repeated}"

@@ -226,14 +226,14 @@ PROTO = ProtoText((Sentence("Anna waves in the kitchen.", (0,)),),
 
 
 def test_refine_disabled_returns_proto():
-    assert refine(PROTO, RefineConfig()) == PROTO.full_text
+    assert refine(PROTO, RefineConfig()) == (PROTO.full_text, False)
 
 
 def test_refine_round_trip(stub_server, monkeypatch):
     monkeypatch.setenv("REFINE_API_TOKEN", "sekret")
     _StubHandler.behavior = "upper"
     out = refine(PROTO, RefineConfig(endpoint_url=stub_server, model="tiny-1"))
-    assert out == PROTO.full_text.upper()
+    assert out == (PROTO.full_text.upper(), True)
     req = _StubHandler.last_request
     assert req["payload"]["text"] == PROTO.full_text
     assert "prompt" in req["payload"]
@@ -243,14 +243,16 @@ def test_refine_round_trip(stub_server, monkeypatch):
 
 def test_refine_server_error_falls_back(stub_server):
     _StubHandler.behavior = "error"
-    assert refine(PROTO, RefineConfig(endpoint_url=stub_server)) == PROTO.full_text
+    out = refine(PROTO, RefineConfig(endpoint_url=stub_server))
+    assert out == (PROTO.full_text, False)
 
 
 def test_refine_empty_text_falls_back(stub_server):
     _StubHandler.behavior = "empty"
-    assert refine(PROTO, RefineConfig(endpoint_url=stub_server)) == PROTO.full_text
+    out = refine(PROTO, RefineConfig(endpoint_url=stub_server))
+    assert out == (PROTO.full_text, False)
 
 
 def test_refine_unreachable_endpoint_falls_back():
     cfg = RefineConfig(endpoint_url="http://127.0.0.1:9/nope", timeout_s=0.2)
-    assert refine(PROTO, cfg) == PROTO.full_text
+    assert refine(PROTO, cfg) == (PROTO.full_text, False)
