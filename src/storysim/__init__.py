@@ -19,11 +19,11 @@ from .model import (CAMERA_ID, ActionCategory, ActionSpec, Actor,
                     CapabilityRegistry, EntityId, EntityKind, EpisodeSpec,
                     Event, EventKind, Gender, GestGraph, ObjectEntity,
                     PoiSpec, RegionSpec, TemporalRelation)
-from .scheduling import (EventTimeline, SchedulePolicy, TemporalNetwork,
-                         closure, duration_frames, schedule)
+from .scheduling import (EventTimeline, TemporalNetwork, closure, duration_frames,
+                         schedule)
 from .procgen import GenConfig, generate_story, story_seed
-from .simulation import (CameraPolicy, FrameLog, World, ground,
-                         insert_movements, simulate, validate, visible_mask)
+from .simulation import (FrameLog, World, ground, insert_movements, simulate,
+                         validate, visible_mask)
 from .collectors import (EventFrameMapping, PairRelation,
                          collect_event_mappings, collect_story_relations,
                          compute_pair_relation)
@@ -47,10 +47,10 @@ __all__ = [
     "CAMERA_ID", "ActionCategory", "ActionSpec", "Actor", "CapabilityRegistry",
     "EntityId", "EntityKind", "EpisodeSpec", "Event", "EventKind", "Gender",
     "GestGraph", "ObjectEntity", "PoiSpec", "RegionSpec", "TemporalRelation",
-    "EventTimeline", "SchedulePolicy", "TemporalNetwork", "closure",
+    "EventTimeline", "TemporalNetwork", "closure",
     "duration_frames", "schedule",
     "GenConfig", "generate_story", "story_seed",
-    "CameraPolicy", "FrameLog", "World", "ground", "insert_movements",
+    "FrameLog", "World", "ground", "insert_movements",
     "simulate", "validate", "visible_mask",
     "EventFrameMapping", "PairRelation", "collect_event_mappings",
     "collect_story_relations", "compute_pair_relation",

@@ -22,8 +22,8 @@ from .default_registry import build_default_registry
 from .documents import (json_document, parse_graph, parse_registry, parse_timeline,
                         serialize_timeline)
 from .errors import StorysimError, ValidationFailure
-from .pipeline import (CorpusConfig, HashedFiles, camera_from_manifest, compute_stats,
-                       events_doc, generate_corpus, load_manifest, probe_docs,
+from .pipeline import (CorpusConfig, HashedFiles, compute_stats, events_doc,
+                       generate_corpus, load_manifest, probe_docs,
                        probe_config_from_manifest, simulate_graph, story_entries,
                        verify, write_files)
 from .procgen import GenConfig
@@ -71,16 +71,16 @@ def _cmd_simulate(args) -> int:
                   f"{issue['message']}", file=sys.stderr)
         return 2
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "timeline.json").write_bytes(serialize_timeline(timeline))
-    binio.write_framelog(out / "framelog.bin", log)
     records = collect_story_relations(log)
-    binio.write_relations(out / "relations.bin", records, log.fps,
-                          log.entity_ids, log.entity_kinds, log.entity_names)
-    (out / "events.jsonl").write_bytes(events_doc(graph, timeline))
+    write_files(Path(args.out), {
+        "timeline.json": serialize_timeline(timeline),
+        "framelog.bin": binio.framelog_bytes(log),
+        "relations.bin": binio.relations_bytes(records, log.fps, log.entity_ids,
+                                               log.entity_kinds, log.entity_names),
+        "events.jsonl": events_doc(graph, timeline),
+    }, {})
     print(f"simulated {log.frame_count} frames, {len(records)} relation records "
-          f"-> {out}")
+          f"-> {args.out}")
     return 0
 
 
@@ -97,7 +97,6 @@ def _cmd_probes(args) -> int:
     manifest = load_manifest(corpus)
     root = HashedFiles(corpus, "", {"registry.json": manifest["registry_hash"]})
     registry = root.require("registry.json", lambda data, _: parse_registry(data))
-    camera = camera_from_manifest(manifest)
     flags = {"motion_threshold_m": args.motion_threshold,
              "min_event_s": args.min_event_s,
              "ambiguity_eps_m": args.ambiguity_eps_m,
@@ -117,7 +116,7 @@ def _cmd_probes(args) -> int:
         timeline = story.require("timeline.json", lambda data, _: parse_timeline(data))
         log = story.require("framelog.bin", binio.parse_framelog)
         derived.append((entry, probe_docs(story_id, graph, timeline, log, registry,
-                                          cfg, camera, entry["split"])))
+                                          cfg, entry["split"])))
     # written only once every story is derived, so a refused story leaves
     # every file as it was
     n_clips = 0
@@ -205,7 +204,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StorysimError as exc:
+    except (StorysimError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

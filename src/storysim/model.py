@@ -59,9 +59,6 @@ class EntityId:
             raise ValueError("id 0 is reserved for the camera")
 
 
-CAMERA = EntityId(CAMERA_ID, EntityKind.CAMERA)
-
-
 @dataclass(frozen=True)
 class Actor:
     id: EntityId
@@ -195,12 +192,6 @@ class CapabilityRegistry:
         for ep in self.episodes:
             seen.setdefault(ep.category, None)
         return tuple(seen)
-
-    def episode(self, key: str) -> EpisodeSpec:
-        for ep in self.episodes:
-            if ep.key == key:
-                return ep
-        raise KeyError(key)
 
     def region(self, key: str) -> RegionSpec:
         return self._regions[key]

@@ -30,9 +30,8 @@ from .procgen import GenConfig, generate_story, story_seed
 from .probes import (ClipSpec, ProbeConfig, extract_story_clips, label_clip,
                      split_stories)
 from .probes_oracle import oracle_clip
-from .scheduling import EventTimeline, SchedulePolicy, duration_frames, schedule
-from .simulation import (CameraPolicy, FrameLog, ground, insert_movements,
-                         simulate, validate, visible_mask)
+from .scheduling import EventTimeline, duration_frames, schedule
+from .simulation import FrameLog, ground, insert_movements, simulate, validate, visible_mask
 from .textgen import RefineConfig, proto_text, refine
 
 MANIFEST_VERSION = 1
@@ -42,9 +41,6 @@ MANIFEST_VERSION = 1
 class CorpusConfig:
     gen: GenConfig = field(default_factory=GenConfig)
     fps: int = 25
-    walk_speed: float = 1.4
-    camera: CameraPolicy = field(default_factory=CameraPolicy)
-    policy: SchedulePolicy = field(default_factory=SchedulePolicy)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
 
@@ -86,10 +82,9 @@ def simulate_graph(cfg: CorpusConfig, registry: CapabilityRegistry, graph: GestG
     issues = validate(graph, registry)
     if issues:
         raise ValidationFailure(issues)
-    world = ground(graph, registry, derived_rng(graph.seed, "ground"),
-                   fps=cfg.fps, walk_speed=cfg.walk_speed, camera=cfg.camera)
+    world = ground(graph, registry, derived_rng(graph.seed, "ground"), fps=cfg.fps)
     graph = insert_movements(graph, world, registry)
-    timeline = schedule(graph, cfg.policy, cfg.fps)
+    timeline = schedule(graph, cfg.fps)
     log = simulate(world, graph, timeline)
     return graph, timeline, log
 
@@ -103,7 +98,7 @@ def events_doc(graph: GestGraph, timeline: EventTimeline) -> bytes:
 
 
 def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: FrameLog,
-               registry: CapabilityRegistry, probe: ProbeConfig, camera: CameraPolicy,
+               registry: CapabilityRegistry, probe: ProbeConfig,
                split: str) -> dict[str, bytes]:
     """probes/clips.jsonl and probes/labels.jsonl of one story, by path."""
     movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
@@ -111,8 +106,8 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
     clips_doc = _jsonl(
         {"clip_id": c.clip_id, "story_id": c.story_id, "event_id": c.event_id,
          "frame_indices": list(c.frame_indices), "split": c.split} for c in clips)
-    vis = visible_mask(log, camera)
-    labels_doc = _jsonl(label_clip(c, log, timeline, probe, vis, camera) for c in clips)
+    vis = visible_mask(log)
+    labels_doc = _jsonl(label_clip(c, log, timeline, probe, vis) for c in clips)
     return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
 
 
@@ -180,8 +175,7 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
         files["text.refined.txt"] = (text + "\n").encode("utf-8")
         entry["refine"] = "ok" if refined else "fell_back"
 
-    files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe,
-                            cfg.camera, split))
+    files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe, split))
     write_files(story_dir, files, entry["files"])
     return entry, story_counts(graph, files["events.jsonl"].count(b"\n"), len(records),
                                log.frame_count)
@@ -218,7 +212,7 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
 
     categories = [story_category(cfg.gen, registry, i) for i in range(stories)]
     ids = [f"story_{i:05d}" for i in range(stories)]
-    splits = split_stories(zip(ids, categories), cfg.probe, cfg.gen.master_seed)
+    splits = split_stories(zip(ids, categories), cfg.gen.master_seed)
 
     jobs = [(i, str(out_root / ids[i]), splits[ids[i]]) for i in range(stories)]
     if workers <= 1:
@@ -412,35 +406,20 @@ def corpus_digest(corpus_dir: Path | str) -> str:
     return h.hexdigest()
 
 
-def _config_from_manifest(manifest: dict, key: str, cls, tuple_keys: tuple[str, ...]):
-    """cls rebuilt from manifest["config"][key]; CorruptCorpus names any
-    key that cls does not declare or that the manifest lacks."""
+def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
+    """The ProbeConfig of manifest["config"]["probe"]; CorruptCorpus names
+    any key that ProbeConfig does not declare or that the manifest lacks."""
     try:
-        d = dict(manifest["config"][key])
+        d = dict(manifest["config"]["probe"])
     except (KeyError, TypeError, ValueError):
-        raise CorruptCorpus(f"manifest has no config.{key} section") from None
-    declared = {f.name for f in fields(cls)}
+        raise CorruptCorpus("manifest has no config.probe section") from None
+    declared = {f.name for f in fields(ProbeConfig)}
     for problem, names in (("unknown", d.keys() - declared),
                            ("missing", declared - d.keys())):
         if names:
-            raise CorruptCorpus(f"manifest config.{key}: {problem} key(s) "
+            raise CorruptCorpus(f"manifest config.probe: {problem} key(s) "
                                 f"{', '.join(sorted(names))}")
-    try:
-        for name in tuple_keys:
-            d[name] = tuple(d[name])
-        return cls(**d)
-    except (TypeError, ValueError) as exc:
-        raise CorruptCorpus(f"manifest config.{key}: {exc}") from None
-
-
-def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
-    return _config_from_manifest(manifest, "probe", ProbeConfig,
-                                 ("camera_dist_bounds_m", "pair_dist_bounds_m",
-                                  "split_fracs"))
-
-
-def camera_from_manifest(manifest: dict) -> CameraPolicy:
-    return _config_from_manifest(manifest, "camera", CameraPolicy, ("offset",))
+    return ProbeConfig(**d)
 
 
 def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
@@ -530,7 +509,6 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
                                          "details": str(exc)}]}
     fps = manifest["config"]["fps"]
     cfg_probe = probe_config_from_manifest(manifest)
-    camera = camera_from_manifest(manifest)
     min_frames = round(cfg_probe.min_event_s * fps)
     entries = list(story_entries(manifest))
 
@@ -573,7 +551,7 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
         actions = {e.event_id: e.action for e in graph.events}
         for row in clip_rows:
             idxs = row["frame_indices"]
-            if (len(idxs) != cfg_probe.clip_frames or idxs != sorted(set(idxs))
+            if (len(idxs) != ProbeConfig.CLIP_FRAMES or idxs != sorted(set(idxs))
                     or actions.get(row["event_id"]) in movement_actions):
                 labels.append(f"{row['clip_id']}: malformed clip")
             span = timeline.intervals.get(row["event_id"])
@@ -593,8 +571,7 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
                                 tuple(row["frame_indices"]), row["split"])
             except ValueError:
                 continue  # reported above as a malformed clip
-            want = json.loads(json.dumps(oracle_clip(clip, log, timeline,
-                                                     cfg_probe, camera)))
+            want = json.loads(json.dumps(oracle_clip(clip, log, timeline, cfg_probe)))
             if stored.get(clip.clip_id) != want:
                 labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import EntityUnknown
 from .model import EntityKind, EventKind, GestGraph
 from .scheduling import EventTimeline
-from .simulation import CAMERA_ID, CameraPolicy, FrameLog, visible_mask, wrap_signed
+from .simulation import CAMERA_ID, FrameLog, visible_mask, wrap_signed
 from .collectors import compass_bin, COMPASS_NAMES
 
 SPLITS = ("train", "val", "test")
@@ -28,24 +29,15 @@ SPLITS = ("train", "val", "test")
 @dataclass(frozen=True)
 class ProbeConfig:
     motion_threshold_m: float = 0.2
-    clip_fps: int = 4
-    clip_frames: int = 16
     min_event_s: float = 4.0
-    camera_dist_bounds_m: tuple[float, float] = (3.0, 8.0)
-    pair_dist_bounds_m: tuple[float, float] = (2.0, 6.0)
     ambiguity_eps_m: float = 0.1
     ambiguity_eps_deg: float = 2.0
-    split_fracs: tuple[float, float, float] = (0.70, 0.15, 0.15)
-
-    def __post_init__(self):
-        if not self.camera_dist_bounds_m[0] < self.camera_dist_bounds_m[1]:
-            raise ValueError("camera distance bounds must ascend")
-        if not self.pair_dist_bounds_m[0] < self.pair_dist_bounds_m[1]:
-            raise ValueError("pair distance bounds must ascend")
-        if abs(sum(self.split_fracs) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
-        if self.clip_frames < 1 or self.clip_fps < 1:
-            raise ValueError("clip_frames and clip_fps must be positive")
+    # fixed by the probe task definitions, not settable
+    CLIP_FPS: ClassVar[int] = 4
+    CLIP_FRAMES: ClassVar[int] = 16
+    CAMERA_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (3.0, 8.0)
+    PAIR_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (2.0, 6.0)
+    SPLIT_FRACS: ClassVar[tuple[float, float, float]] = (0.70, 0.15, 0.15)
 
 
 @dataclass(frozen=True)
@@ -73,9 +65,9 @@ class ClipSpec:
             raise ValueError(f"clip {self.clip_id}: frames must strictly increase")
 
 
-def clip_frame_indices(start: int, fps: int, cfg: ProbeConfig) -> tuple[int, ...]:
-    step = fps / cfg.clip_fps
-    return tuple(start + int(round(k * step)) for k in range(cfg.clip_frames))
+def clip_frame_indices(start: int, fps: int) -> tuple[int, ...]:
+    step = fps / ProbeConfig.CLIP_FPS
+    return tuple(start + int(round(k * step)) for k in range(ProbeConfig.CLIP_FRAMES))
 
 
 def extract_story_clips(story_id: str, graph: GestGraph, timeline: EventTimeline,
@@ -94,13 +86,13 @@ def extract_story_clips(story_id: str, graph: GestGraph, timeline: EventTimeline
             clip_id=f"{story_id}-ev{ev.event_id:04d}",
             story_id=story_id,
             event_id=ev.event_id,
-            frame_indices=clip_frame_indices(start, timeline.fps, cfg),
+            frame_indices=clip_frame_indices(start, timeline.fps),
             split=split,
         ))
     return out
 
 
-def split_stories(stories, cfg: ProbeConfig, seed: int) -> dict[str, str]:
+def split_stories(stories, seed: int) -> dict[str, str]:
     """Stratified story-level split: {story_id: train|val|test}.
 
     Within each category the shuffle is seeded independently, so the
@@ -113,7 +105,7 @@ def split_stories(stories, cfg: ProbeConfig, seed: int) -> dict[str, str]:
     for category in sorted(strata):
         ids = sorted(strata[category])
         random.Random(f"{seed}|{category}").shuffle(ids)
-        counts = _largest_remainder(len(ids), cfg.split_fracs)
+        counts = _largest_remainder(len(ids), ProbeConfig.SPLIT_FRACS)
         pos = 0
         for split, count in zip(SPLITS, counts):
             for sid in ids[pos:pos + count]:
@@ -143,10 +135,9 @@ def _dist_class(value: float, bounds, names=("near", "medium", "far")) -> str:
 
 
 def label_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-                cfg: ProbeConfig, vis: np.ndarray | None = None,
-                policy: CameraPolicy | None = None) -> dict:
+                cfg: ProbeConfig, vis: np.ndarray | None = None) -> dict:
     if vis is None:
-        vis = visible_mask(log, policy or CameraPolicy())
+        vis = visible_mask(log)
     frames = np.array(clip.frame_indices)
     actor_cols = [i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR]
     seen = vis[frames][:, actor_cols].sum(axis=0)
@@ -220,7 +211,7 @@ def _entity_labels(geo: _ClipGeometry, vis: np.ndarray, cfg: ProbeConfig) -> lis
             approach_recede = "approach" if d_d < 0 else "recede"
 
         out.append({"entity_id": entity_id, "entity_presence": presence[k],
-                    "camera_distance": _dist_class(means[k], cfg.camera_dist_bounds_m),
+                    "camera_distance": _dist_class(means[k], cfg.CAMERA_DIST_BOUNDS_M),
                     "angle_change": angle_change,
                     "approach_recede": approach_recede})
     return out
@@ -266,7 +257,7 @@ def _pair_labels(geo: _ClipGeometry, ia, ib, cfg: ProbeConfig) -> list[dict]:
             "b": geo.ids[j],
             "depth_order": cam_means[i] < cam_means[j],
             "pair_direction": COMPASS_NAMES[compass_bin(mean_dirs[k])],
-            "pair_distance": _dist_class(pair_means[k], cfg.pair_dist_bounds_m,
+            "pair_distance": _dist_class(pair_means[k], cfg.PAIR_DIST_BOUNDS_M,
                                          ("close", "medium", "far")),
             "relative_motion": relative_motion,
         })
@@ -274,11 +265,10 @@ def _pair_labels(geo: _ClipGeometry, ia, ib, cfg: ProbeConfig) -> list[dict]:
 
 
 def label_entity(clip: ClipSpec, entity_id: int, log: FrameLog, cfg: ProbeConfig,
-                 vis: np.ndarray | None = None,
-                 policy: CameraPolicy | None = None) -> dict:
+                 vis: np.ndarray | None = None) -> dict:
     geo = _clip_geometry(clip, log, [entity_id])
     if vis is None:
-        vis = visible_mask(log, policy or CameraPolicy())
+        vis = visible_mask(log)
     return _entity_labels(geo, vis, cfg)[0]
 
 
@@ -288,12 +278,11 @@ def label_pair(clip: ClipSpec, a: int, b: int, log: FrameLog,
 
 
 def label_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-               cfg: ProbeConfig, vis: np.ndarray | None = None,
-               policy: CameraPolicy | None = None) -> dict:
+               cfg: ProbeConfig, vis: np.ndarray | None = None) -> dict:
     """All labels for one clip: scene, every actor/object entity, and
     every canonical (a < b) entity pair."""
     if vis is None:
-        vis = visible_mask(log, policy or CameraPolicy())
+        vis = visible_mask(log)
     entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
                         if k in (EntityKind.ACTOR, EntityKind.OBJECT))
     geo = _clip_geometry(clip, log, entity_ids)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .simulation import CAMERA_ID, CameraPolicy, FrameLog
+from .simulation import CAMERA_FOV_DEG, CAMERA_ID, CAMERA_MAX_RANGE_M, FrameLog
 from .model import EntityKind
 from .scheduling import EventTimeline
 from .probes import ClipSpec, ProbeConfig
@@ -48,7 +48,7 @@ class _ClipPoses:
         self.mean_cam_dist = {idx: sum(d) / len(d) for idx, d in self.cam_dists.items()}
 
 
-def _visible(poses: _ClipPoses, policy: CameraPolicy, k: int, idx: int) -> bool:
+def _visible(poses: _ClipPoses, k: int, idx: int) -> bool:
     cam = poses.cam
     if idx == cam:
         return False
@@ -56,7 +56,7 @@ def _visible(poses: _ClipPoses, policy: CameraPolicy, k: int, idx: int) -> bool:
     ex, ey, ez = poses.positions[k][idx]
     dx, dy, dz = ex - cx, ey - cy, ez - cz
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist > policy.max_range_m:
+    if dist > CAMERA_MAX_RANGE_M:
         return False
     yaw = poses.cam_yaw_rad[k]
     fx, fy = math.sin(yaw), math.cos(yaw)
@@ -65,7 +65,7 @@ def _visible(poses: _ClipPoses, policy: CameraPolicy, k: int, idx: int) -> bool:
         return True
     cos_angle = (dx * fx + dy * fy) / horiz
     cos_angle = max(-1.0, min(1.0, cos_angle))
-    return math.degrees(math.acos(cos_angle)) <= policy.fov_deg / 2.0
+    return math.degrees(math.acos(cos_angle)) <= CAMERA_FOV_DEG / 2.0
 
 
 def _compass_of(bearing: float) -> str:
@@ -83,11 +83,11 @@ def _bucket(value: float, lo: float, hi: float, names) -> str:
 
 
 def oracle_scene(clip: ClipSpec, poses: _ClipPoses, actor_cols, timeline: EventTimeline,
-                 cfg: ProbeConfig, policy: CameraPolicy) -> dict:
+                 cfg: ProbeConfig) -> dict:
     frames = range(len(clip.frame_indices))
     quorum = 0
     for idx in actor_cols:
-        hits = sum(1 for k in frames if _visible(poses, policy, k, idx))
+        hits = sum(1 for k in frames if _visible(poses, k, idx))
         if hits >= math.ceil(len(clip.frame_indices) / 2):
             quorum += 1
     actor_count = min(5, max(1, quorum))
@@ -126,13 +126,13 @@ def _camera_azimuth(poses: _ClipPoses, k: int, idx: int) -> float:
 
 
 def oracle_entity(clip: ClipSpec, entity_id: int, idx: int, poses: _ClipPoses,
-                  cfg: ProbeConfig, policy: CameraPolicy) -> dict:
-    presence = any(_visible(poses, policy, k, idx)
+                  cfg: ProbeConfig) -> dict:
+    presence = any(_visible(poses, k, idx)
                    for k in range(len(clip.frame_indices)))
 
     dists = poses.cam_dists[idx]
-    camera_distance = _bucket(poses.mean_cam_dist[idx], cfg.camera_dist_bounds_m[0],
-                              cfg.camera_dist_bounds_m[1],
+    camera_distance = _bucket(poses.mean_cam_dist[idx], cfg.CAMERA_DIST_BOUNDS_M[0],
+                              cfg.CAMERA_DIST_BOUNDS_M[1],
                               ("near", "medium", "far"))
 
     az0 = _camera_azimuth(poses, 0, idx)
@@ -182,16 +182,15 @@ def oracle_pair(a: int, b: int, ia: int, ib: int, poses: _ClipPoses,
         "depth_order": poses.mean_cam_dist[ia] < poses.mean_cam_dist[ib],
         "pair_direction": _compass_of(mean_dir),
         "pair_distance": _bucket(sum(dpair) / len(dpair),
-                                 cfg.pair_dist_bounds_m[0],
-                                 cfg.pair_dist_bounds_m[1],
+                                 cfg.PAIR_DIST_BOUNDS_M[0],
+                                 cfg.PAIR_DIST_BOUNDS_M[1],
                                  ("close", "medium", "far")),
         "relative_motion": relative_motion,
     }
 
 
 def oracle_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-                cfg: ProbeConfig, policy: CameraPolicy | None = None) -> dict:
-    policy = policy or CameraPolicy()
+                cfg: ProbeConfig) -> dict:
     entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
                         if k in (EntityKind.ACTOR, EntityKind.OBJECT))
     cols = [log.index_of(e) for e in entity_ids]
@@ -199,8 +198,8 @@ def oracle_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
     poses = _ClipPoses(clip, log, cols)
     return {
         "clip_id": clip.clip_id,
-        "scene": oracle_scene(clip, poses, actor_cols, timeline, cfg, policy),
-        "entities": [oracle_entity(clip, e, idx, poses, cfg, policy)
+        "scene": oracle_scene(clip, poses, actor_cols, timeline, cfg),
+        "entities": [oracle_entity(clip, e, idx, poses, cfg)
                      for e, idx in zip(entity_ids, cols)],
         "pairs": [oracle_pair(a, b, ia, ib, poses, cfg)
                   for i, (a, ia) in enumerate(zip(entity_ids, cols))

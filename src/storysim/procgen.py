@@ -49,6 +49,8 @@ CHAIN_LEN_MAX = 5
 INTERACTION_SLOTS_PER_REGION = 2
 EXCHANGE_SLOTS_PER_REGION = 1
 RELATION_RETRY_BOUND = 8
+# chance that an actor moves on to each region after the first
+MIGRATE_FRACTION = 0.5
 
 _FEMALE_NAMES = (
     "Anna", "Maria", "Sofia", "Emma", "Lena", "Clara", "Nora", "Ines",
@@ -69,14 +71,13 @@ class GenConfig:
     interaction_prob: float = 0.3
     exchange_prob: float = 0.15
     relation_prob: float = 0.5
-    migrate_fraction: float = 0.5
     master_seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.actors_min_max
         if not 1 <= lo <= hi <= 16:
             raise ValueError("actors_min_max must lie within [1, 16]")
-        for name in ("interaction_prob", "exchange_prob", "relation_prob", "migrate_fraction"):
+        for name in ("interaction_prob", "exchange_prob", "relation_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
@@ -341,7 +342,7 @@ def generate_story(cfg: GenConfig, registry: CapabilityRegistry,
     for r_index, region_key in enumerate(region_plan):
         if r_index > 0:
             eligible = roster
-            migrants = [a for a in eligible if rng.random() < cfg.migrate_fraction]
+            migrants = [a for a in eligible if rng.random() < MIGRATE_FRACTION]
             if not migrants:
                 migrants = [rng.choice(eligible)]
             if len(migrants) > cfg.max_actors_per_region:

@@ -32,16 +32,10 @@ CHAIN_SET = RelationSet.of(AllenRelation.BEFORE, AllenRelation.MEETS)
 MEETS_ONLY = RelationSet.of(AllenRelation.MEETS)
 _EQ_MASK = RelationSet.of(AllenRelation.EQUALS).mask
 _BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask
-
-
-@dataclass(frozen=True)
-class SchedulePolicy:
-    origin_frame: int = 0
-    strict_before_gap_frames: int = 25
-
-    def __post_init__(self):
-        if self.strict_before_gap_frames < 1:
-            raise ValueError("strict_before_gap_frames must be >= 1")
+# every schedule starts at frame 0; a base relation `before` chosen for a
+# non-convex edge leaves at least this many frames between the events
+ORIGIN_FRAME = 0
+STRICT_BEFORE_GAP_FRAMES = 25
 
 
 @dataclass(frozen=True)
@@ -219,9 +213,9 @@ def _edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
 _ORIGIN = object()
 
 
-def _solve_stn(node_ids, constraints, origin_frame: int) -> dict[int, int]:
+def _solve_stn(node_ids, constraints) -> dict[int, int]:
     """Earliest-start solution of difference constraints (x, y, c):
-    start_x - start_y <= c, with every start >= origin_frame."""
+    start_x - start_y <= c, with every start >= ORIGIN_FRAME."""
     rev = list(constraints)
     for nid in node_ids:
         rev.append((_ORIGIN, nid, 0))  # origin <= every start
@@ -240,10 +234,10 @@ def _solve_stn(node_ids, constraints, origin_frame: int) -> dict[int, int]:
         for x, y, c in rev:
             if dist[x] + c < dist[y]:
                 raise _StnInfeasible(x, y)
-    return {nid: origin_frame - int(dist[nid]) for nid in node_ids}
+    return {nid: ORIGIN_FRAME - int(dist[nid]) for nid in node_ids}
 
 
-def schedule(graph: GestGraph, policy: SchedulePolicy, fps: int) -> EventTimeline:
+def schedule(graph: GestGraph, fps: int) -> EventTimeline:
     """Concrete earliest-start frame intervals for every graph event."""
     ids = [e.event_id for e in graph.events]
     lengths = {e.event_id: duration_frames(e.duration_s, fps) for e in graph.events}
@@ -265,13 +259,13 @@ def schedule(graph: GestGraph, policy: SchedulePolicy, fps: int) -> EventTimelin
         for a, b, rs in convex_edges:
             cons.extend(_edge_constraints(a, b, rs, lengths))
         for a, b, rs in chosen:
-            gap = policy.strict_before_gap_frames if rs.mask == _BEFORE_MASK else 1
+            gap = STRICT_BEFORE_GAP_FRAMES if rs.mask == _BEFORE_MASK else 1
             cons.extend(_edge_constraints(a, b, rs, lengths, before_gap=gap))
         return cons
 
     if not disjunctions:
         try:
-            starts = _solve_stn(ids, leaf_constraints([]), policy.origin_frame)
+            starts = _solve_stn(ids, leaf_constraints([]))
         except _StnInfeasible as exc:
             u = exc.u if exc.u is not _ORIGIN else exc.v
             v = exc.v if exc.v is not _ORIGIN else exc.u
@@ -279,8 +273,7 @@ def schedule(graph: GestGraph, policy: SchedulePolicy, fps: int) -> EventTimelin
                 u, v, message=f"durations admit no frame assignment near events {u}, {v}"
             ) from None
     else:
-        starts = _backtrack(closed, disjunctions, leaf_constraints, ids,
-                            policy.origin_frame)
+        starts = _backtrack(closed, disjunctions, leaf_constraints, ids)
 
     intervals = {eid: (starts[eid], starts[eid] + lengths[eid]) for eid in ids}
     timeline = EventTimeline(intervals=intervals, fps=fps)
@@ -293,7 +286,7 @@ def schedule(graph: GestGraph, policy: SchedulePolicy, fps: int) -> EventTimelin
 
 
 def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
-               ids, origin_frame: int) -> dict[int, int]:
+               ids) -> dict[int, int]:
     """Chronological search over base relations of the non-convex edges,
     pruning with incremental closure after each commitment."""
     order = sorted(disjunctions, key=lambda ab: (len(closed.edge(*ab)), ab))
@@ -302,7 +295,7 @@ def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
         if level == len(order):
             chosen = [(a, b, work.edge(a, b)) for a, b in order]
             try:
-                return _solve_stn(ids, leaf_constraints(chosen), origin_frame)
+                return _solve_stn(ids, leaf_constraints(chosen))
             except _StnInfeasible:
                 return None
         a, b = order[level]

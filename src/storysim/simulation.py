@@ -39,18 +39,13 @@ CAMERA_SETTLE_FRAMES = 25
 CARRY_OFFSET = (0.3, 0.2, 1.0)
 SLOT_RING_RADIUS = 0.6
 STAND_JITTER_MAX = 0.5
-
-
-@dataclass(frozen=True)
-class CameraPolicy:
-    offset: tuple[float, float, float] = (0.0, -6.0, 3.0)
-    smoothing: float = 0.1
-    fov_deg: float = 90.0
-    max_range_m: float = 50.0
-
-    def __post_init__(self):
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
+WALK_SPEED = 1.4  # m/s
+# the tracking camera: offset from the focus centroid (east, north, up) in
+# meters, per-frame smoothing factor, horizontal field of view and range
+CAMERA_OFFSET = (0.0, -6.0, 3.0)
+CAMERA_SMOOTHING = 0.1
+CAMERA_FOV_DEG = 90.0
+CAMERA_MAX_RANGE_M = 50.0
 
 
 @dataclass
@@ -64,8 +59,6 @@ class EntityState:
 class World:
     entities: dict[int, EntityState]
     fps: int = 25
-    walk_speed: float = 1.4
-    camera_policy: CameraPolicy = field(default_factory=CameraPolicy)
     # deterministic standing spot of each (actor, poi) pair
     stand: dict[tuple[int, str], tuple[float, float, float]] = field(default_factory=dict)
     # slot index of each slot-bound (unowned) object
@@ -239,12 +232,10 @@ def exchange_pairs(graph: GestGraph) -> list[tuple[Event, Event]]:
 # --------------------------------------------------------------- ground
 
 def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
-           fps: int = 25, walk_speed: float = 1.4,
-           camera: CameraPolicy | None = None) -> World:
+           fps: int = 25) -> World:
     """Concrete initial world: jittered actor spots, slot-bound objects,
     camera at its converged tracking pose."""
-    camera = camera or CameraPolicy()
-    world = World(entities={}, fps=fps, walk_speed=walk_speed, camera_policy=camera)
+    world = World(entities={}, fps=fps)
     for region_key in graph.region_plan:
         for poi in registry.region(region_key).pois:
             world.poi_position[poi.key] = poi.position
@@ -257,13 +248,7 @@ def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
         if poi_key not in world.poi_position:
             world.poi_position[poi_key] = poi.position
             world.poi_region[poi_key] = registry.region_of_poi(poi_key)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        radius = STAND_JITTER_MAX * math.sqrt(rng.uniform(0.0, 1.0))
-        world.stand[actor_id, poi_key] = (
-            poi.position[0] + radius * math.sin(angle),
-            poi.position[1] + radius * math.cos(angle),
-            poi.position[2],
-        )
+        world.stand[actor_id, poi_key] = _jittered(poi.position, rng)
 
     first_poi: dict[int, str] = {}
     for ev in graph.events:
@@ -274,14 +259,8 @@ def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
             # actor with no events idles at the plan's first region
             poi_key = registry.region(graph.region_plan[0]).pois[0].key
             if (actor.id.id, poi_key) not in world.stand:
-                poi = registry.poi(poi_key)
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                radius = STAND_JITTER_MAX * math.sqrt(rng.uniform(0.0, 1.0))
-                world.stand[actor.id.id, poi_key] = (
-                    poi.position[0] + radius * math.sin(angle),
-                    poi.position[1] + radius * math.cos(angle),
-                    poi.position[2],
-                )
+                world.stand[actor.id.id, poi_key] = _jittered(
+                    registry.poi(poi_key).position, rng)
             first_poi[actor.id.id] = poi_key
         pos = world.stand[actor.id.id, poi_key]
         poi = registry.poi(poi_key)
@@ -314,11 +293,23 @@ def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
 
     actor_positions = [world.entities[a.id.id].position for a in graph.actors]
     centroid = tuple(sum(c) / len(c) for c in zip(*actor_positions))
-    cam_pos = tuple(c + o for c, o in zip(centroid, camera.offset))
+    cam_pos = tuple(c + o for c, o in zip(centroid, CAMERA_OFFSET))
     cam_yaw = _face(cam_pos, centroid)
     start_region = registry.region_of_poi(first_poi[graph.actors[0].id.id])
     world.entities[CAMERA_ID] = EntityState(cam_pos, cam_yaw, start_region)
     return world
+
+
+def _jittered(poi_position, rng: random.Random):
+    """A standing spot drawn uniformly within STAND_JITTER_MAX of the POI:
+    the angle first, then the radius."""
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    radius = STAND_JITTER_MAX * math.sqrt(rng.uniform(0.0, 1.0))
+    return (
+        poi_position[0] + radius * math.sin(angle),
+        poi_position[1] + radius * math.cos(angle),
+        poi_position[2],
+    )
 
 
 def slot_position(poi_position, slot_index: int, slot_count: int):
@@ -364,7 +355,7 @@ def insert_movements(graph: GestGraph, world: World,
 
     Movement duration is the straight-line distance at walking speed,
     rounded up to a whole frame count so the per-frame step never
-    exceeds walk_speed / fps.
+    exceeds WALK_SPEED / fps.
     """
     action = movement_action_key(registry)
     next_id = max((e.event_id for e in graph.events), default=-1) + 1
@@ -378,7 +369,7 @@ def insert_movements(graph: GestGraph, world: World,
             a = world.stand_position(ev.actor.id, prev)
             b = world.stand_position(ev.actor.id, ev.poi)
             dist = math.dist(a, b)
-            frames = max(1, math.ceil(dist * world.fps / world.walk_speed - 1e-9))
+            frames = max(1, math.ceil(dist * world.fps / WALK_SPEED - 1e-9))
             out.append(Event(next_id, ev.actor, action, None, ev.poi,
                              frames / world.fps, EventKind.MOVEMENT))
             next_id += 1
@@ -466,7 +457,7 @@ def simulate(world: World, graph: GestGraph, timeline: EventTimeline) -> FrameLo
             actor_region[cursor:, a_pos] = cur_region
 
     _lay_objects(world, graph, timeline, pos, yaw, index)
-    _run_camera(world, graph, pos, yaw, index, actor_ids, active, actor_region)
+    _run_camera(graph, pos, yaw, index, actor_ids, active, actor_region)
 
     names = {CAMERA_ID: "camera"}
     kinds = {CAMERA_ID: EntityKind.CAMERA}
@@ -534,7 +525,7 @@ def _lay_objects(world: World, graph: GestGraph, timeline: EventTimeline,
                 yaw[start:end, idx] = yaw[start:end, o_idx]
 
 
-def _run_camera(world: World, graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
+def _run_camera(graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
                 index: dict[int, int], actor_ids: list[int], active: np.ndarray,
                 actor_region: np.ndarray):
     """Camera column of pos and yaw.  Each frame focuses the active actors
@@ -543,7 +534,6 @@ def _run_camera(world: World, graph: GestGraph, pos: np.ndarray, yaw: np.ndarray
     active the focus is every actor.  Frame 0 starts converged; later
     frames smooth toward the focus centroid plus offset, facing the
     centroid."""
-    policy = world.camera_policy
     frames, n_actors = active.shape
     n_regions = max(len(graph.region_plan), 1)
     at = pos[:, [index[a] for a in actor_ids]]
@@ -560,16 +550,16 @@ def _run_camera(world: World, graph: GestGraph, pos: np.ndarray, yaw: np.ndarray
     centroid = acc / sel.sum(axis=1)[:, None]
     # an idle frame holds the centroid of the last busy frame, or of frame 0
     centroid = centroid[np.maximum.accumulate(np.where(busy, np.arange(frames), 0))]
-    s = policy.smoothing
+    s = CAMERA_SMOOTHING
     cam = index[CAMERA_ID]
-    for axis, target in enumerate((centroid + policy.offset).T.tolist()):
+    for axis, target in enumerate((centroid + CAMERA_OFFSET).T.tolist()):
         pos[:, cam, axis] = list(accumulate(target[1:], lambda p, t: p + s * (t - p),
                                             initial=target[0]))
     look = (centroid - pos[:, cam]).T.tolist()
     yaw[:, cam] = list(map(bearing_deg, look[0], look[1]))
 
 
-def visible_mask(log: FrameLog, policy: CameraPolicy) -> np.ndarray:
+def visible_mask(log: FrameLog) -> np.ndarray:
     """(frames, entities) frustum visibility from the camera: within
     range and inside the horizontal field of view; no occlusion."""
     cam = log.index_of(CAMERA_ID)
@@ -577,6 +567,6 @@ def visible_mask(log: FrameLog, policy: CameraPolicy) -> np.ndarray:
     dist = np.sqrt((rel * rel).sum(axis=2))
     bearing = np.degrees(np.arctan2(rel[:, :, 0], rel[:, :, 1]))
     off = (bearing - log.yaws[:, cam:cam + 1] + 180.0) % 360.0 - 180.0
-    mask = (dist <= policy.max_range_m) & (np.abs(off) <= policy.fov_deg / 2.0)
+    mask = (dist <= CAMERA_MAX_RANGE_M) & (np.abs(off) <= CAMERA_FOV_DEG / 2.0)
     mask[:, cam] = False
     return mask

@@ -71,7 +71,7 @@ def plural_verb(phrase: str) -> str:
 def proto_text(graph: GestGraph, timeline: EventTimeline,
                registry: CapabilityRegistry) -> ProtoText:
     actors = graph.actor_index()
-    events = {e.event_id: e for e in graph.events}
+    events = graph.event_index()
     same_time: dict[int, set[int]] = {}
     for rel in graph.relations:
         if rel.coarse is Coarse.SAME_TIME:

@@ -23,7 +23,7 @@ import numpy as np
 from storysim.collectors import (COINCIDENT_EPS, FLAG_COINCIDENT, RELATION_DTYPE,
                                  compute_pair_relation)
 from storysim.model import CAMERA_ID
-from storysim.simulation import bearing_deg
+from storysim.simulation import CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
 
@@ -147,20 +147,19 @@ def collect_frame(log, frame: int) -> list[SpatialRelationRecord]:
     return out
 
 
-def numpy_update_camera(cam_pos, focus_positions, policy):
+def numpy_update_camera(cam_pos, focus_positions):
     centroid = np.asarray(focus_positions, dtype=np.float64).mean(axis=0)
-    target = centroid + np.asarray(policy.offset)
-    new_pos = cam_pos + policy.smoothing * (target - cam_pos)
+    target = centroid + np.asarray(CAMERA_OFFSET)
+    new_pos = cam_pos + CAMERA_SMOOTHING * (target - cam_pos)
     look = centroid - new_pos
     return new_pos, bearing_deg(look[0], look[1])
 
 
-def numpy_run_camera(world, graph, pos, yaw, index, actor_ids, active, actor_region):
+def numpy_run_camera(graph, pos, yaw, index, actor_ids, active, actor_region):
     """The camera column of pos and yaw, one frame at a time on numpy rows."""
-    policy = world.camera_policy
     frames = pos.shape[0]
     n_regions = max(len(graph.region_plan), 1)
-    offset = np.array(policy.offset)
+    offset = np.array(CAMERA_OFFSET)
     actor_idx = np.array([index[a] for a in actor_ids])
     cam = index[CAMERA_ID]
 
@@ -181,7 +180,7 @@ def numpy_run_camera(world, graph, pos, yaw, index, actor_ids, active, actor_reg
             yaw[0, cam] = bearing_deg(look[0], look[1])
         else:
             pos[f, cam], yaw[f, cam] = numpy_update_camera(
-                pos[f - 1, cam], centroid[None, :], policy)
+                pos[f - 1, cam], centroid[None, :])
 
 
 def numpy_collect_story_relations(log, chunk_frames: int = 1024) -> np.ndarray:

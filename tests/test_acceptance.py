@@ -55,7 +55,6 @@ from storysim.probes import SPLITS, ClipSpec, HybridSampleConfig, hybrid_sample
 from storysim.probes_oracle import oracle_clip
 from storysim.procgen import GenConfig, generate_story
 from storysim.scheduling import (
-    SchedulePolicy,
     TemporalNetwork,
     chain_constraints,
     closure,
@@ -138,12 +137,11 @@ def test_ac02_closure_sound_and_idempotent():
 def test_ac03_five_hundred_stories_validate_and_schedule():
     registry = build_default_registry()
     cfg = GenConfig()
-    policy = SchedulePolicy()
     for index in range(500):
         graph = generate_story(cfg, registry, index)
         issues = validate(graph, registry)
         assert not issues, f"story {index}: {issues[:2]}"
-        timeline = schedule(graph, policy, fps=25)
+        timeline = schedule(graph, fps=25)
         assert timeline.intervals.keys() == {e.event_id for e in graph.events}
 
 
@@ -274,7 +272,7 @@ def test_ac07_probe_labels_match_oracle(corpus200):
             clip = ClipSpec(row["clip_id"], row["story_id"], row["event_id"],
                             tuple(row["frame_indices"]), row["split"])
             want = json.loads(json.dumps(
-                oracle_clip(clip, log, timeline, cfg.probe, cfg.camera)))
+                oracle_clip(clip, log, timeline, cfg.probe)))
             assert stored == want, clip.clip_id
             label_checked += 1
     assert label_checked >= 1000
@@ -353,7 +351,6 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
     cfg = GenConfig(actors_min_max=(2, 2), chains_per_actor=4,
                     regions_to_visit=1, interaction_prob=0.0,
                     exchange_prob=0.0, relation_prob=0.0, master_seed=17)
-    policy = SchedulePolicy()
 
     chosen = None
     for index in range(40):
@@ -361,7 +358,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
         assert not validate(graph, registry)
         world = ground(graph, registry, derived_rng(graph.seed, "ground"))
         augmented = insert_movements(graph, world, registry)
-        timeline = schedule(augmented, policy, fps=25)
+        timeline = schedule(augmented, fps=25)
         events = sum(1 for e in augmented.events
                      if e.kind is not EventKind.MOVEMENT)
         entities = 1 + len(graph.actors) + len(graph.objects)
@@ -379,7 +376,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
     assert not validate(graph, registry)
     world = ground(graph, registry, derived_rng(graph.seed, "ground"))
     graph = insert_movements(graph, world, registry)
-    timeline = schedule(graph, policy, fps=25)
+    timeline = schedule(graph, fps=25)
     log = simulate(world, graph, timeline)
     records = collect_story_relations(log)
     (out / "graph.json").write_bytes(serialize_graph(graph))

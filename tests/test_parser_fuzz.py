@@ -33,7 +33,7 @@ def _real_files() -> dict[str, bytes]:
     cfg = CorpusConfig(gen=GenConfig(master_seed=7))
     graph, timeline, log = build_story(cfg, REGISTRY, 0)
     probes = probe_docs("story_00000", graph, timeline, log, REGISTRY, cfg.probe,
-                        cfg.camera, "train")
+                        "train")
     log = replace(log, positions=log.positions[:3], yaws=log.yaws[:3])
     return {
         "clips.jsonl": probes["probes/clips.jsonl"],

@@ -29,7 +29,7 @@ from storysim.probes import (
 from storysim.probes_oracle import oracle_clip
 from storysim.procgen import GenConfig
 from storysim.scheduling import EventTimeline
-from storysim.simulation import CameraPolicy, FrameLog, visible_mask
+from storysim.simulation import FrameLog, visible_mask
 from storysim.textgen import ProtoText  # noqa: F401  (import sanity for __init__)
 
 CFG = ProbeConfig()
@@ -73,12 +73,12 @@ TL_EMPTY = EventTimeline(intervals={0: (0, 400)}, fps=25)
 
 def test_clip_indices_at_25_fps():
     expected = (0, 6, 12, 19, 25, 31, 38, 44, 50, 56, 62, 69, 75, 81, 88, 94)
-    assert clip_frame_indices(0, 25, CFG) == expected
-    assert clip_frame_indices(100, 25, CFG) == tuple(100 + f for f in expected)
+    assert clip_frame_indices(0, 25) == expected
+    assert clip_frame_indices(100, 25) == tuple(100 + f for f in expected)
 
 
 def test_clip_indices_at_native_rate():
-    assert clip_frame_indices(0, 4, CFG) == tuple(range(16))
+    assert clip_frame_indices(0, 4) == tuple(range(16))
 
 
 def test_clip_spec_rejects_unsorted_frames():
@@ -271,7 +271,7 @@ def test_label_clip_structure():
 
 def test_split_counts_single_category():
     stories = [(f"story_{i:05d}", "office") for i in range(20)]
-    assignment = split_stories(stories, CFG, seed=0)
+    assignment = split_stories(stories, seed=0)
     counts = {s: 0 for s in ("train", "val", "test")}
     for split in assignment.values():
         counts[split] += 1
@@ -281,7 +281,7 @@ def test_split_counts_single_category():
 def test_split_stratified_and_stable():
     stories = [(f"story_{i:05d}", ("office", "gym", "park", "cafe")[i % 4])
                for i in range(100)]
-    assignment = split_stories(stories, CFG, seed=7)
+    assignment = split_stories(stories, seed=7)
     assert len(assignment) == 100
     per_cat: dict[str, dict[str, int]] = {}
     for (sid, cat) in stories:
@@ -291,14 +291,8 @@ def test_split_stratified_and_stable():
         assert counts == {"train": 17, "val": 4, "test": 4}, cat
     # insertion order must not matter
     shuffled = list(reversed(stories))
-    assert split_stories(shuffled, CFG, seed=7) == assignment
-    assert split_stories(stories, CFG, seed=8) != assignment
-
-
-def test_split_fracs_validated():
-    with pytest.raises(ValueError):
-        ProbeConfig(split_fracs=(0.5, 0.2, 0.2))
-
+    assert split_stories(shuffled, seed=7) == assignment
+    assert split_stories(stories, seed=8) != assignment
 
 # --------------------------------------------------------- hybrid sampler
 
@@ -369,11 +363,10 @@ def test_labels_match_independent_oracle():
     graph, timeline, log = build_story(cfg, registry, 2)
     movement = {k for k, a in registry.actions.items() if a.is_movement_only}
     clips = extract_story_clips("s2", graph, timeline, movement, CFG, "train")
-    policy = CameraPolicy()
-    vis = visible_mask(log, policy)
+    vis = visible_mask(log)
     for clip in itertools.islice(clips, 4):
-        mine = label_clip(clip, log, timeline, CFG, vis, policy)
-        theirs = oracle_clip(clip, log, timeline, CFG, policy)
+        mine = label_clip(clip, log, timeline, CFG, vis)
+        theirs = oracle_clip(clip, log, timeline, CFG)
         assert mine == theirs, clip.clip_id
 
 
@@ -386,16 +379,15 @@ def test_labels_match_oracle_on_every_clip_of_dense_stories():
                                      relation_prob=1.0, interaction_prob=0.6,
                                      exchange_prob=0.3))
     movement = {k for k, a in registry.actions.items() if a.is_movement_only}
-    policy = CameraPolicy()
     pairs = 0
     for index in range(3):
         graph, timeline, log = build_story(cfg, registry, index)
-        vis = visible_mask(log, policy)
+        vis = visible_mask(log)
         clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
         assert clips
         for clip in clips:
-            mine = json.loads(json.dumps(label_clip(clip, log, timeline, CFG, vis, policy)))
-            theirs = json.loads(json.dumps(oracle_clip(clip, log, timeline, CFG, policy)))
+            mine = json.loads(json.dumps(label_clip(clip, log, timeline, CFG, vis)))
+            theirs = json.loads(json.dumps(oracle_clip(clip, log, timeline, CFG)))
             assert mine == theirs, clip.clip_id
             pairs += len(mine["pairs"])
     assert pairs > 3000

@@ -21,7 +21,7 @@ from storysim.procgen import (
     story_rng,
     story_seed,
 )
-from storysim.scheduling import SchedulePolicy, schedule
+from storysim.scheduling import schedule
 from storysim.simulation import validate
 
 
@@ -109,7 +109,7 @@ def test_every_generated_story_validates_and_schedules(registry, chains, regions
         for index in range(2):
             graph = generate_story(cfg_of(seed), registry, index)
             assert validate(graph, registry) == [], (seed, index)
-            schedule(graph, SchedulePolicy(), fps=25)
+            schedule(graph, fps=25)
 
 
 def _dead_end_registry() -> CapabilityRegistry:
@@ -185,9 +185,8 @@ def test_relations_reference_shared_poi_events(stories):
 
 
 def test_injected_relations_keep_network_schedulable(stories):
-    policy = SchedulePolicy()
     for graph in stories:
-        timeline = schedule(graph, policy, fps=25)
+        timeline = schedule(graph, fps=25)
         assert timeline.intervals.keys() == {e.event_id for e in graph.events}
 
 

@@ -14,7 +14,6 @@ from storysim.scheduling import (
     CHAIN_SET,
     MEETS_ONLY,
     EventTimeline,
-    SchedulePolicy,
     TemporalNetwork,
     chain_constraints,
     closure,
@@ -137,7 +136,7 @@ class TestClosure:
 class TestSchedule:
     def test_chain_earliest_start(self):
         g = _graph([_event(0, 1, 0.4), _event(1, 1, 0.2)])
-        tl = schedule(g, SchedulePolicy(), FPS)
+        tl = schedule(g, FPS)
         assert tl.intervals == {0: (0, 10), 1: (10, 15)}
 
     def test_same_time_co_start(self):
@@ -146,7 +145,7 @@ class TestSchedule:
             [_rel(0, 1, Coarse.SAME_TIME)],
             n_actors=2,
         )
-        tl = schedule(g, SchedulePolicy(), FPS)
+        tl = schedule(g, FPS)
         assert tl.intervals == {0: (0, 10), 1: (0, 10)}
 
     def test_same_time_with_unequal_durations(self):
@@ -155,7 +154,7 @@ class TestSchedule:
             [_rel(0, 1, Coarse.SAME_TIME)],
             n_actors=2,
         )
-        tl = schedule(g, SchedulePolicy(), FPS)
+        tl = schedule(g, FPS)
         assert tl.start(0) == tl.start(1) == 0
         assert tl.end(0) == 10 and tl.end(1) == 25
 
@@ -164,7 +163,7 @@ class TestSchedule:
         monkeypatch.setattr(scheduling, "check_relation", lambda *args: False)
         g = _graph([_event(0, 1, 0.4), _event(1, 1, 0.2)])
         with pytest.raises(InconsistentNetwork, match="events 0, 1"):
-            schedule(g, SchedulePolicy(), FPS)
+            schedule(g, FPS)
 
     def test_cyclic_before_raises(self):
         g = _graph(
@@ -173,7 +172,7 @@ class TestSchedule:
             n_actors=3,
         )
         with pytest.raises(InconsistentNetwork):
-            schedule(g, SchedulePolicy(), FPS)
+            schedule(g, FPS)
 
     def test_movement_meets_follower(self):
         g = _graph(
@@ -181,7 +180,7 @@ class TestSchedule:
         )
         cons = chain_constraints(g)
         assert cons == [(0, 1, CHAIN_SET), (1, 2, MEETS_ONLY)]
-        tl = schedule(g, SchedulePolicy(), FPS)
+        tl = schedule(g, FPS)
         assert tl.end(1) == tl.start(2)
 
     def test_metric_infeasibility_with_fixed_durations(self):
@@ -193,7 +192,7 @@ class TestSchedule:
             n_actors=2,
         )
         with pytest.raises(InconsistentNetwork):
-            schedule(g, SchedulePolicy(), FPS)
+            schedule(g, FPS)
 
     def test_backtracking_applies_strict_before_gap(self):
         from storysim.model import TemporalRelation
@@ -203,7 +202,7 @@ class TestSchedule:
             [TemporalRelation(0, 1, Coarse.BEFORE, RelationSet.from_codes("b bi"))],
             n_actors=2,
         )
-        tl = schedule(g, SchedulePolicy(strict_before_gap_frames=25), FPS)
+        tl = schedule(g, FPS)  # a gap of STRICT_BEFORE_GAP_FRAMES = 25
         assert tl.intervals == {0: (0, 10), 1: (35, 45)}
 
     def test_unschedulable_disjunction(self):
@@ -216,7 +215,7 @@ class TestSchedule:
             n_actors=2,
         )
         with pytest.raises(UnschedulableDisjunction):
-            schedule(g, SchedulePolicy(), FPS)
+            schedule(g, FPS)
 
     def test_schedule_respects_relations_randomly(self):
         rng = random.Random(5)
@@ -238,7 +237,7 @@ class TestSchedule:
                 relations.append(_rel(s, t, rng.choice(list(Coarse))))
             g = _graph(events, relations, n_actors=n_actors)
             try:
-                tl = schedule(g, SchedulePolicy(), FPS)
+                tl = schedule(g, FPS)
             except InconsistentNetwork:
                 continue
             for ev in events:
@@ -256,11 +255,6 @@ class TestSchedule:
 def test_duration_frames_minimum_one():
     assert duration_frames(0.01, 25) == 1
     assert duration_frames(1.0, 25) == 25
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SchedulePolicy(strict_before_gap_frames=0)
 
 
 def test_timeline_accessors():

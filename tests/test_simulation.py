@@ -32,10 +32,11 @@ from storysim.model import (
 )
 from storysim.allen import Coarse, coarse_to_allen
 from storysim.procgen import GenConfig, generate_story
-from storysim.scheduling import SchedulePolicy, duration_frames, schedule
+from storysim.scheduling import duration_frames, schedule
 from storysim.simulation import (
+    CAMERA_OFFSET,
     CAMERA_SETTLE_FRAMES,
-    CameraPolicy,
+    WALK_SPEED,
     FrameLog,
     World,
     ground,
@@ -246,7 +247,7 @@ class TestInsertMovements:
             [actor(1)])
         w = flat_world(reg, g)
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, SchedulePolicy(), fps=25)
+        tl = schedule(g2, fps=25)
         move = next(e for e in g2.events if e.kind is EventKind.MOVEMENT)
         assert tl.end(move.event_id) == tl.start(11)
 
@@ -256,7 +257,7 @@ class TestInsertMovements:
             g = generate_story(GenConfig(master_seed=31), reg, idx)
             w = ground(g, reg, random.Random(7))
             g2 = insert_movements(g, w, reg)
-            tl = schedule(g2, SchedulePolicy(), fps=25)
+            tl = schedule(g2, fps=25)
             for rel in g.relations:
                 a0, a1 = tl.interval(rel.source)
                 b0, b1 = tl.interval(rel.target)
@@ -268,7 +269,7 @@ class TestSimulate:
         reg = mini_registry()
         g = make_graph([ev(10, 1, "sit", "ep.a.p1", 10.0)], [actor(1)])
         w = ground(g, reg, random.Random(2))
-        tl = schedule(g, SchedulePolicy(), fps=25)
+        tl = schedule(g, fps=25)
         assert tl.interval(10) == (0, 250)
         log = simulate(w, g, tl)
         assert log.frame_count == 250 + CAMERA_SETTLE_FRAMES
@@ -283,14 +284,14 @@ class TestSimulate:
             [actor(1)])
         w = flat_world(reg, g)
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, SchedulePolicy(), fps=25)
+        tl = schedule(g2, fps=25)
         move = next(e for e in g2.events if e.kind is EventKind.MOVEMENT)
         s, e = tl.interval(move.event_id)
         log = simulate(w, g2, tl)
         idx = log.index_of(1)
         mid_frame = (s + e) // 2
         midpoint = (np.array((2.0, 2.0, 0.0)) + np.array((9.0, 2.0, 0.0))) / 2
-        step = w.walk_speed / w.fps
+        step = WALK_SPEED / w.fps
         assert np.linalg.norm(log.positions[mid_frame, idx] - midpoint) <= step + 1e-9
 
     def test_no_teleportation(self):
@@ -298,19 +299,19 @@ class TestSimulate:
         g = generate_story(GenConfig(master_seed=13), reg, 1)
         w = ground(g, reg, random.Random(5))
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, SchedulePolicy(), fps=25)
+        tl = schedule(g2, fps=25)
         log = simulate(w, g2, tl)
         for a in g.actors:
             idx = log.index_of(a.id.id)
             steps = np.linalg.norm(np.diff(log.positions[:, idx], axis=0), axis=1)
-            assert steps.max(initial=0.0) <= w.walk_speed / w.fps + 1e-6
+            assert steps.max(initial=0.0) <= WALK_SPEED / w.fps + 1e-6
 
     def test_actor_at_poi_during_events(self):
         reg = build_default_registry()
         g = generate_story(GenConfig(master_seed=13), reg, 3)
         w = ground(g, reg, random.Random(5))
         g2 = insert_movements(g, w, reg)
-        tl = schedule(g2, SchedulePolicy(), fps=25)
+        tl = schedule(g2, fps=25)
         log = simulate(w, g2, tl)
         for event in g2.events:
             if event.kind is EventKind.MOVEMENT:
@@ -328,7 +329,7 @@ class TestSimulate:
         for _ in range(2):
             w = ground(g, reg, random.Random(99))
             g2 = insert_movements(g, w, reg)
-            tl = schedule(g2, SchedulePolicy(), fps=25)
+            tl = schedule(g2, fps=25)
             log = simulate(w, g2, tl)
             logs.append((log.positions.tobytes(), log.yaws.tobytes()))
         assert logs[0] == logs[1]
@@ -347,7 +348,7 @@ class TestSimulate:
         g = make_graph(events, [a, b], objects=[cup], relations=[rel])
         assert validate(g, reg) == []
         w = ground(g, reg, random.Random(3))
-        tl = schedule(g, SchedulePolicy(), fps=25)
+        tl = schedule(g, fps=25)
         flip = tl.end(10)
         log = simulate(w, g, tl)
         carry_reach = math.sqrt(0.3 ** 2 + 0.2 ** 2 + 1.0 ** 2) + 1e-9
@@ -359,8 +360,7 @@ class TestSimulate:
         assert d_after <= carry_reach
 
 
-def camera_column(active, actor_region, actor_pos, regions=1, policy=CameraPolicy(),
-                  run=None):
+def camera_column(active, actor_region, actor_pos, regions=1, run=None):
     """The camera's (positions, yaws) that `run` (by default the package's
     _run_camera) gives for hand-built per-frame actor arrays."""
     frames, n = active.shape
@@ -370,16 +370,15 @@ def camera_column(active, actor_region, actor_pos, regions=1, policy=CameraPolic
     actor_ids = list(range(1, n + 1))
     index = {CAMERA_ID: 0, **{a: a for a in actor_ids}}
     (run or simulation._run_camera)(
-        SimpleNamespace(camera_policy=policy),
         SimpleNamespace(region_plan=[f"r{i}" for i in range(regions)]),
         pos, yaw, index, actor_ids, np.asarray(active, dtype=bool),
         np.asarray(actor_region, dtype=np.int16))
     return pos[:, 0], yaw[:, 0]
 
 
-def _scene(active, actor_region, actor_pos, regions=1, policy=CameraPolicy()):
+def _scene(active, actor_region, actor_pos, regions=1):
     return (np.array(active, dtype=bool), np.array(actor_region, dtype=np.int16),
-            np.array(actor_pos, dtype=np.float64), regions, policy)
+            np.array(actor_pos, dtype=np.float64), regions)
 
 
 _coord = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -2.25)), st.floats(-60.0, 60.0))
@@ -397,23 +396,18 @@ def _camera_scenes(draw):
     actor_region = draw(st.lists(st.integers(0, regions - 1), min_size=cells,
                                  max_size=cells))
     actor_pos = draw(st.lists(_coord, min_size=cells * 3, max_size=cells * 3))
-    policy = CameraPolicy(
-        offset=draw(st.sampled_from(((0.0, -6.0, 3.0), (-0.0, -0.0, -0.0),
-                                     (1.25, 0.0, -2.0)))),
-        smoothing=draw(st.sampled_from((0.1, 0.35, 1.0))))
     return _scene(np.reshape(active, (frames, n)),
                   np.reshape(actor_region, (frames, n)),
-                  np.reshape(actor_pos, (frames, n, 3)), regions, policy)
+                  np.reshape(actor_pos, (frames, n, 3)), regions)
 
 
 class TestCamera:
     def test_converges_within_100_frames(self):
         # the actor jumps about 30 m after frame 0, then holds still
-        policy = CameraPolicy()
         here, there = [34.0, -5.0, 4.0], [4.0, 7.0, 0.0]
         cam, yaw = camera_column(np.ones((101, 1)), np.zeros((101, 1)),
-                                 [[here]] + [[there]] * 100, policy=policy)
-        target = np.array(there) + np.array(policy.offset)
+                                 [[here]] + [[there]] * 100)
+        target = np.array(there) + np.array(CAMERA_OFFSET)
         assert np.linalg.norm(cam[0] - target) > 30.0
         assert np.linalg.norm(cam[-1] - target) < 0.01
         look = np.array(there) - cam[-1]
@@ -421,13 +415,11 @@ class TestCamera:
         assert abs(math.radians(yaw[-1] - want)) < 1e-3
 
     def test_symmetric_actor_target(self):
-        policy = CameraPolicy()
         mirrored = [[[-3.0, 0.0, 0.0], [3.0, 0.0, 0.0]],
                     [[-5.0, 2.0, 0.0], [5.0, 2.0, 0.0]],
                     [[-1.0, 4.0, 1.0], [1.0, 4.0, 1.0]]]
-        cam, _ = camera_column(np.ones((3, 2)), np.zeros((3, 2)), mirrored,
-                               policy=policy)
-        assert cam[:, 0] == pytest.approx([policy.offset[0]] * 3)
+        cam, _ = camera_column(np.ones((3, 2)), np.zeros((3, 2)), mirrored)
+        assert cam[:, 0] == pytest.approx([CAMERA_OFFSET[0]] * 3)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_camera_scenes())
@@ -443,14 +435,13 @@ class TestCamera:
     # one actor and one frame, active or not
     @example(_scene([[1]], [[0]], [[[2.0, -3.0, 0.0]]]))
     @example(_scene([[0]], [[0]], [[[2.0, -3.0, 0.0]]]))
-    # signed zeros in positions and offset
+    # signed zeros in positions
     @example(_scene([[1, 0], [1, 1]], [[0, 0]] * 2,
-                    [[[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]] * 2,
-                    policy=CameraPolicy(offset=(-0.0, -0.0, -0.0))))
+                    [[[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]] * 2))
     def test_camera_matches_numpy_reference_on_edge_cases(self, scene):
-        active, actor_region, actor_pos, regions, policy = scene
-        got = camera_column(active, actor_region, actor_pos, regions, policy)
-        want = camera_column(active, actor_region, actor_pos, regions, policy,
+        active, actor_region, actor_pos, regions = scene
+        got = camera_column(active, actor_region, actor_pos, regions)
+        want = camera_column(active, actor_region, actor_pos, regions,
                              run=numpy_run_camera)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -459,11 +450,11 @@ class TestCamera:
         runs = []
         real = simulation._run_camera
 
-        def checked(world, graph, pos, yaw, index, actor_ids, active, actor_region):
+        def checked(graph, pos, yaw, index, actor_ids, active, actor_region):
             want_pos, want_yaw = pos.copy(), yaw.copy()
-            numpy_run_camera(world, graph, want_pos, want_yaw, index, actor_ids,
+            numpy_run_camera(graph, want_pos, want_yaw, index, actor_ids,
                              active, actor_region)
-            real(world, graph, pos, yaw, index, actor_ids, active, actor_region)
+            real(graph, pos, yaw, index, actor_ids, active, actor_region)
             busy = active.any(axis=1)
             # idle frames after the first active one hold the last centroid
             held = int((~busy & (np.cumsum(busy) > 0)).sum())
@@ -478,19 +469,15 @@ class TestCamera:
         assert all(same_pos and same_yaw for same_pos, same_yaw, _ in runs), runs
         assert all(held > 0 for _, _, held in runs)
 
-    def test_smoothing_validated(self):
-        with pytest.raises(ValueError):
-            CameraPolicy(smoothing=0.0)
-
     def test_camera_tracks_single_actor_scene(self):
         reg = mini_registry()
         g = make_graph([ev(10, 1, "sit", "ep.a.p1", 10.0)], [actor(1)])
         w = ground(g, reg, random.Random(2))
-        tl = schedule(g, SchedulePolicy(), fps=25)
+        tl = schedule(g, fps=25)
         log = simulate(w, g, tl)
         cam = log.index_of(0)
         idx = log.index_of(1)
-        target = log.positions[0, idx] + np.array(w.camera_policy.offset)
+        target = log.positions[0, idx] + np.array(CAMERA_OFFSET)
         # static focus: camera starts converged and stays there
         assert np.linalg.norm(log.positions[-1, cam] - target) < 1e-9
 
@@ -504,23 +491,23 @@ class TestVisibility:
                         ("camera", "Anna"))
 
     def test_in_front_visible(self):
-        mask = visible_mask(self._log((0.0, 10.0, 0.0)), CameraPolicy())
+        mask = visible_mask(self._log((0.0, 10.0, 0.0)))
         assert mask[0, 1]
 
     def test_behind_invisible(self):
-        mask = visible_mask(self._log((0.0, -10.0, 0.0)), CameraPolicy())
+        mask = visible_mask(self._log((0.0, -10.0, 0.0)))
         assert not mask[0, 1]
 
     def test_beyond_range_invisible(self):
-        mask = visible_mask(self._log((0.0, 60.0, 0.0)), CameraPolicy())
+        mask = visible_mask(self._log((0.0, 60.0, 0.0)))
         assert not mask[0, 1]
 
     def test_fov_edges(self):
         near_edge = (math.sin(math.radians(44.0)) * 10, math.cos(math.radians(44.0)) * 10, 0.0)
         past_edge = (math.sin(math.radians(46.0)) * 10, math.cos(math.radians(46.0)) * 10, 0.0)
-        assert visible_mask(self._log(near_edge), CameraPolicy())[0, 1]
-        assert not visible_mask(self._log(past_edge), CameraPolicy())[0, 1]
+        assert visible_mask(self._log(near_edge))[0, 1]
+        assert not visible_mask(self._log(past_edge))[0, 1]
 
     def test_camera_not_self_visible(self):
-        mask = visible_mask(self._log((0.0, 10.0, 0.0)), CameraPolicy())
+        mask = visible_mask(self._log((0.0, 10.0, 0.0)))
         assert not mask[0, 0]
