@@ -2,9 +2,12 @@
 
 Relations are identified by short codes (b, m, o, s, d, f, eq and the
 converses bi, mi, oi, si, di, fi).  Sets of relations are 13-bit masks
-wrapped in RelationSet.  The composition table below was derived once by
-exhaustive enumeration of endpoint orderings and frozen; the test suite
-re-derives it independently from integer endpoint configurations.
+wrapped in RelationSet.  SIGNATURES, the signs of the four endpoint
+differences of each relation, is the only per-relation definition: the
+converse and composition tables are derived from it at import, the
+composition by classifying every triple of intervals on six points.  The
+test suite re-derives the composition by an independent route, a case
+classifier over integer endpoints in [0, 8].
 
 Interval semantics throughout: half-open [start, end) with end > start,
 compared as real numbers on the endpoints.
@@ -45,31 +48,11 @@ class AllenRelation(Enum):
 
 
 RELATIONS: tuple[AllenRelation, ...] = tuple(AllenRelation)
-N_RELATIONS = 13
+N_RELATIONS = len(RELATIONS)
 FULL_MASK = (1 << N_RELATIONS) - 1
 
 _INDEX = {r: i for i, r in enumerate(RELATIONS)}
 _BY_CODE = {r.value: r for r in RELATIONS}
-
-_CONVERSE_PAIRS = [
-    (AllenRelation.BEFORE, AllenRelation.AFTER),
-    (AllenRelation.MEETS, AllenRelation.MET_BY),
-    (AllenRelation.OVERLAPS, AllenRelation.OVERLAPPED_BY),
-    (AllenRelation.STARTS, AllenRelation.STARTED_BY),
-    (AllenRelation.DURING, AllenRelation.CONTAINS),
-    (AllenRelation.FINISHES, AllenRelation.FINISHED_BY),
-    (AllenRelation.EQUALS, AllenRelation.EQUALS),
-]
-_CONVERSE = {}
-for _a, _b in _CONVERSE_PAIRS:
-    _CONVERSE[_a] = _b
-    _CONVERSE[_b] = _a
-
-
-def converse(r: AllenRelation) -> AllenRelation:
-    """Return the Allen converse: A r B iff B converse(r) A."""
-    return _CONVERSE[r]
-
 
 # Endpoint signature of each relation: signs of (As-Bs, As-Be, Ae-Bs, Ae-Be)
 # for intervals A = [As, Ae), B = [Bs, Be).
@@ -88,202 +71,60 @@ SIGNATURES: dict[AllenRelation, tuple[int, int, int, int]] = {
     AllenRelation.CONTAINS: (-1, -1, 1, 1),
     AllenRelation.FINISHED_BY: (-1, -1, 1, 0),
 }
+_SIGNATURE_TO_RELATION = {sig: r for r, sig in SIGNATURES.items()}
 
-# Composition of base relations, frozen from a one-off exhaustive
-# derivation over endpoint orderings.  Keys are (r1, r2) codes, values
-# space-separated codes of compose(r1, r2), "full" = all 13.
-_COMPOSITION_SOURCE = {
-    ("b", "b"): "b",
-    ("b", "m"): "b",
-    ("b", "o"): "b",
-    ("b", "s"): "b",
-    ("b", "d"): "b m o s d",
-    ("b", "f"): "b m o s d",
-    ("b", "eq"): "b",
-    ("b", "bi"): "full",
-    ("b", "mi"): "b m o s d",
-    ("b", "oi"): "b m o s d",
-    ("b", "si"): "b",
-    ("b", "di"): "b",
-    ("b", "fi"): "b",
-    ("m", "b"): "b",
-    ("m", "m"): "b",
-    ("m", "o"): "b",
-    ("m", "s"): "m",
-    ("m", "d"): "o s d",
-    ("m", "f"): "o s d",
-    ("m", "eq"): "m",
-    ("m", "bi"): "bi mi oi si di",
-    ("m", "mi"): "f eq fi",
-    ("m", "oi"): "o s d",
-    ("m", "si"): "m",
-    ("m", "di"): "b",
-    ("m", "fi"): "b",
-    ("o", "b"): "b",
-    ("o", "m"): "b",
-    ("o", "o"): "b m o",
-    ("o", "s"): "o",
-    ("o", "d"): "o s d",
-    ("o", "f"): "o s d",
-    ("o", "eq"): "o",
-    ("o", "bi"): "bi mi oi si di",
-    ("o", "mi"): "oi si di",
-    ("o", "oi"): "o s d f eq oi si di fi",
-    ("o", "si"): "o di fi",
-    ("o", "di"): "b m o di fi",
-    ("o", "fi"): "b m o",
-    ("s", "b"): "b",
-    ("s", "m"): "b",
-    ("s", "o"): "b m o",
-    ("s", "s"): "s",
-    ("s", "d"): "d",
-    ("s", "f"): "d",
-    ("s", "eq"): "s",
-    ("s", "bi"): "bi",
-    ("s", "mi"): "mi",
-    ("s", "oi"): "d f oi",
-    ("s", "si"): "s eq si",
-    ("s", "di"): "b m o di fi",
-    ("s", "fi"): "b m o",
-    ("d", "b"): "b",
-    ("d", "m"): "b",
-    ("d", "o"): "b m o s d",
-    ("d", "s"): "d",
-    ("d", "d"): "d",
-    ("d", "f"): "d",
-    ("d", "eq"): "d",
-    ("d", "bi"): "bi",
-    ("d", "mi"): "bi",
-    ("d", "oi"): "d f bi mi oi",
-    ("d", "si"): "d f bi mi oi",
-    ("d", "di"): "full",
-    ("d", "fi"): "b m o s d",
-    ("f", "b"): "b",
-    ("f", "m"): "m",
-    ("f", "o"): "o s d",
-    ("f", "s"): "d",
-    ("f", "d"): "d",
-    ("f", "f"): "f",
-    ("f", "eq"): "f",
-    ("f", "bi"): "bi",
-    ("f", "mi"): "bi",
-    ("f", "oi"): "bi mi oi",
-    ("f", "si"): "bi mi oi",
-    ("f", "di"): "bi mi oi si di",
-    ("f", "fi"): "f eq fi",
-    ("eq", "b"): "b",
-    ("eq", "m"): "m",
-    ("eq", "o"): "o",
-    ("eq", "s"): "s",
-    ("eq", "d"): "d",
-    ("eq", "f"): "f",
-    ("eq", "eq"): "eq",
-    ("eq", "bi"): "bi",
-    ("eq", "mi"): "mi",
-    ("eq", "oi"): "oi",
-    ("eq", "si"): "si",
-    ("eq", "di"): "di",
-    ("eq", "fi"): "fi",
-    ("bi", "b"): "full",
-    ("bi", "m"): "d f bi mi oi",
-    ("bi", "o"): "d f bi mi oi",
-    ("bi", "s"): "d f bi mi oi",
-    ("bi", "d"): "d f bi mi oi",
-    ("bi", "f"): "bi",
-    ("bi", "eq"): "bi",
-    ("bi", "bi"): "bi",
-    ("bi", "mi"): "bi",
-    ("bi", "oi"): "bi",
-    ("bi", "si"): "bi",
-    ("bi", "di"): "bi",
-    ("bi", "fi"): "bi",
-    ("mi", "b"): "b m o di fi",
-    ("mi", "m"): "s eq si",
-    ("mi", "o"): "d f oi",
-    ("mi", "s"): "d f oi",
-    ("mi", "d"): "d f oi",
-    ("mi", "f"): "mi",
-    ("mi", "eq"): "mi",
-    ("mi", "bi"): "bi",
-    ("mi", "mi"): "bi",
-    ("mi", "oi"): "bi",
-    ("mi", "si"): "bi",
-    ("mi", "di"): "bi",
-    ("mi", "fi"): "mi",
-    ("oi", "b"): "b m o di fi",
-    ("oi", "m"): "o di fi",
-    ("oi", "o"): "o s d f eq oi si di fi",
-    ("oi", "s"): "d f oi",
-    ("oi", "d"): "d f oi",
-    ("oi", "f"): "oi",
-    ("oi", "eq"): "oi",
-    ("oi", "bi"): "bi",
-    ("oi", "mi"): "bi",
-    ("oi", "oi"): "bi mi oi",
-    ("oi", "si"): "bi mi oi",
-    ("oi", "di"): "bi mi oi si di",
-    ("oi", "fi"): "oi si di",
-    ("si", "b"): "b m o di fi",
-    ("si", "m"): "o di fi",
-    ("si", "o"): "o di fi",
-    ("si", "s"): "s eq si",
-    ("si", "d"): "d f oi",
-    ("si", "f"): "oi",
-    ("si", "eq"): "si",
-    ("si", "bi"): "bi",
-    ("si", "mi"): "mi",
-    ("si", "oi"): "oi",
-    ("si", "si"): "si",
-    ("si", "di"): "di",
-    ("si", "fi"): "di",
-    ("di", "b"): "b m o di fi",
-    ("di", "m"): "o di fi",
-    ("di", "o"): "o di fi",
-    ("di", "s"): "o di fi",
-    ("di", "d"): "o s d f eq oi si di fi",
-    ("di", "f"): "oi si di",
-    ("di", "eq"): "di",
-    ("di", "bi"): "bi mi oi si di",
-    ("di", "mi"): "oi si di",
-    ("di", "oi"): "oi si di",
-    ("di", "si"): "di",
-    ("di", "di"): "di",
-    ("di", "fi"): "di",
-    ("fi", "b"): "b",
-    ("fi", "m"): "m",
-    ("fi", "o"): "o",
-    ("fi", "s"): "o",
-    ("fi", "d"): "o s d",
-    ("fi", "f"): "f eq fi",
-    ("fi", "eq"): "fi",
-    ("fi", "bi"): "bi mi oi si di",
-    ("fi", "mi"): "oi si di",
-    ("fi", "oi"): "oi si di",
-    ("fi", "si"): "di",
-    ("fi", "di"): "di",
-    ("fi", "fi"): "fi",
-}
+# B's signature against A swaps the roles of the endpoints: signs of
+# (Bs-As, Bs-Ae, Be-As, Be-Ae) = (-a, -c, -b, -d).
+_CONVERSE = {r: _SIGNATURE_TO_RELATION[(-a, -c, -b, -d)]
+             for r, (a, b, c, d) in SIGNATURES.items()}
+
+
+def converse(r: AllenRelation) -> AllenRelation:
+    """Return the Allen converse: A r B iff B converse(r) A."""
+    return _CONVERSE[r]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def relation_between(a_start, a_end, b_start, b_end) -> AllenRelation:
+    """Classify the base relation between two nonempty half-open intervals."""
+    if a_end <= a_start or b_end <= b_start:
+        raise ValueError("intervals must be nonempty")
+    sig = (
+        _sign(a_start - b_start),
+        _sign(a_start - b_end),
+        _sign(a_end - b_start),
+        _sign(a_end - b_end),
+    )
+    return _SIGNATURE_TO_RELATION[sig]
+
+
+def _derive_composition() -> list[int]:
+    """Mask of compose(r1, r2), indexed [r1.index * 13 + r2.index], over
+    every triple of intervals on six points: three intervals have six
+    endpoints, so six points realise every ordering of them."""
+    spans = [(s, e) for s in range(6) for e in range(s + 1, 6)]
+    index = {(a, b): relation_between(*a, *b).index for a in spans for b in spans}
+    table = [0] * (N_RELATIONS * N_RELATIONS)
+    for a in spans:
+        for b in spans:
+            row = index[a, b] * N_RELATIONS
+            for c in spans:
+                table[row + index[b, c]] |= 1 << index[a, c]
+    return table
+
+
+_COMPOSE_BASE = _derive_composition()
+_CONVERSE_BIT = [1 << _CONVERSE[r].index for r in RELATIONS]
 
 
 def _codes_to_mask(codes: str) -> int:
-    if codes == "full":
-        return FULL_MASK
     mask = 0
     for code in codes.split():
         mask |= 1 << _INDEX[_BY_CODE[code]]
     return mask
-
-
-# mask of compose(r1, r2), indexed [r1.index * 13 + r2.index]
-_COMPOSE_BASE: list[int] = [0] * (N_RELATIONS * N_RELATIONS)
-for (_c1, _c2), _codes in _COMPOSITION_SOURCE.items():
-    _COMPOSE_BASE[_INDEX[_BY_CODE[_c1]] * N_RELATIONS + _INDEX[_BY_CODE[_c2]]] = (
-        _codes_to_mask(_codes)
-    )
-
-_CONVERSE_BIT = [0] * N_RELATIONS
-for _r in RELATIONS:
-    _CONVERSE_BIT[_r.index] = 1 << _CONVERSE[_r].index
 
 
 def _mask_bits(mask: int):
@@ -408,26 +249,6 @@ def coarse_to_allen(c: Coarse) -> RelationSet:
     shared start, with durations free to differ.
     """
     return _COARSE_MAP[c]
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-_SIGNATURE_TO_RELATION = {sig: r for r, sig in SIGNATURES.items()}
-
-
-def relation_between(a_start, a_end, b_start, b_end) -> AllenRelation:
-    """Classify the base relation between two nonempty half-open intervals."""
-    if a_end <= a_start or b_end <= b_start:
-        raise ValueError("intervals must be nonempty")
-    sig = (
-        _sign(a_start - b_start),
-        _sign(a_start - b_end),
-        _sign(a_end - b_start),
-        _sign(a_end - b_end),
-    )
-    return _SIGNATURE_TO_RELATION[sig]
 
 
 def check_relation(a: tuple[int, int], b: tuple[int, int], s: RelationSet) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -255,6 +256,9 @@ def load_manifest(corpus_dir: Path | str) -> dict:
             node = node[key]
     if not isinstance(manifest["stories"], list):
         raise CorruptCorpus(f"{path}: stories is not a list")
+    fps = manifest["config"]["fps"]
+    if type(fps) is not int or fps < 1:  # a bool is not a frame rate
+        raise CorruptCorpus(f"{path}: config.fps {fps!r} is not a positive int")
     for i, entry in enumerate(manifest["stories"]):
         for key, kind in (("story_id", str), ("split", str), ("files", dict)):
             if key == "files" and isinstance(entry, dict) and "error" in entry:
@@ -408,7 +412,8 @@ def corpus_digest(corpus_dir: Path | str) -> str:
 
 def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
     """The ProbeConfig of manifest["config"]["probe"]; CorruptCorpus names
-    any key that ProbeConfig does not declare or that the manifest lacks."""
+    any key that ProbeConfig does not declare, that the manifest lacks or
+    whose value is not a finite number."""
     try:
         d = dict(manifest["config"]["probe"])
     except (KeyError, TypeError, ValueError):
@@ -419,6 +424,10 @@ def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
         if names:
             raise CorruptCorpus(f"manifest config.probe: {problem} key(s) "
                                 f"{', '.join(sorted(names))}")
+    for key, value in d.items():
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise CorruptCorpus(f"manifest config.probe: {key} {value!r} "
+                                f"is not a finite number")
     return ProbeConfig(**d)
 
 

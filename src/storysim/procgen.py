@@ -42,7 +42,7 @@ from .model import (
     PoiSpec,
     TemporalRelation,
 )
-from .scheduling import TemporalNetwork, closure
+from .scheduling import TemporalNetwork, closure, graph_constraints
 
 CHAIN_LEN_MIN = 3
 CHAIN_LEN_MAX = 5
@@ -275,7 +275,9 @@ def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> Non
         if ev.kind is EventKind.ACTION:
             by_poi.setdefault(ev.poi, {}).setdefault(ev.actor.id, []).append(ev)
 
-    work = closure(TemporalNetwork.from_graph(_graph_so_far(draw)))
+    graph = _graph_so_far(draw)
+    work = closure(TemporalNetwork.from_constraints([e.event_id for e in graph.events],
+                                                    graph_constraints(graph)))
 
     for poi_key in sorted(by_poi):
         actors_here = sorted(by_poi[poi_key])

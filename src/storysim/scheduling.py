@@ -112,12 +112,11 @@ class TemporalNetwork:
         return out
 
     @classmethod
-    def from_graph(cls, graph: GestGraph) -> TemporalNetwork:
-        net = cls([e.event_id for e in graph.events])
-        for a, b, rs in chain_constraints(graph):
+    def from_constraints(cls, node_ids: list[int],
+                         constraints: list[tuple[int, int, RelationSet]]) -> TemporalNetwork:
+        net = cls(node_ids)
+        for a, b, rs in constraints:
             net.constrain(a, b, rs)
-        for rel in graph.relations:
-            net.constrain(rel.source, rel.target, rel.allen_set)
         return net
 
 
@@ -133,6 +132,13 @@ def chain_constraints(graph: GestGraph) -> list[tuple[int, int, RelationSet]]:
             rs = MEETS_ONLY if prev.kind is EventKind.MOVEMENT else CHAIN_SET
             out.append((prev.event_id, nxt.event_id, rs))
     return out
+
+
+def graph_constraints(graph: GestGraph) -> list[tuple[int, int, RelationSet]]:
+    """Every constraint of the graph in constrain order: the chain
+    constraints, then the explicit relations."""
+    return chain_constraints(graph) + [(rel.source, rel.target, rel.allen_set)
+                                       for rel in graph.relations]
 
 
 def _propagate(net: TemporalNetwork, queue: deque[tuple[int, int]]) -> None:
@@ -242,9 +248,8 @@ def schedule(graph: GestGraph, fps: int) -> EventTimeline:
     ids = [e.event_id for e in graph.events]
     lengths = {e.event_id: duration_frames(e.duration_s, fps) for e in graph.events}
 
-    base = chain_constraints(graph) + [(rel.source, rel.target, rel.allen_set)
-                                       for rel in graph.relations]
-    closed = closure(TemporalNetwork.from_graph(graph))
+    base = graph_constraints(graph)
+    closed = closure(TemporalNetwork.from_constraints(ids, base))
 
     convex_edges: list[tuple[int, int, RelationSet]] = []
     disjunctions: list[tuple[int, int]] = []

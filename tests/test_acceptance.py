@@ -79,7 +79,8 @@ pytestmark = pytest.mark.acceptance
 def corpus200(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_corpus")
     cfg = CorpusConfig(gen=GenConfig(master_seed=7))
-    manifest = generate_corpus(root, cfg, build_default_registry(), stories=200)
+    # AC9 holds these bytes equal to a 1-worker build
+    manifest = generate_corpus(root, cfg, build_default_registry(), stories=200, workers=2)
     return root, cfg, manifest
 
 

@@ -33,6 +33,12 @@ def test_converse_pairs():
     assert converse(AllenRelation.BEFORE) is AllenRelation.AFTER
     for r in RELATIONS:
         assert converse(converse(r)) is r
+    # every relation: the converse of A's relation to B is B's relation to A
+    intervals = [(s, e) for s in range(6) for e in range(s + 1, 6)]
+    for a, b in itertools.product(intervals, repeat=2):
+        swapped = converse(relation_between(*a, *b))
+        assert swapped is relation_between(*b, *a)
+        assert swapped.value == classify(*b, *a)
 
 
 def test_equals_is_composition_identity():

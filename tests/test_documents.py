@@ -98,12 +98,14 @@ def test_rejects_wrong_field_type(graph):
 
 
 def test_rejects_bad_allen_code(graph):
-    def mutate(d):
-        d["relations"] = [{"source": d["events"][0]["event_id"],
-                           "target": d["events"][1]["event_id"],
-                           "coarse": "before", "allen": ["zz"]}]
-    with pytest.raises(DocumentSyntaxError, match="allen"):
-        parse_graph(_edit(serialize_graph(graph), mutate))
+    # "full" is no relation code: serialize_graph writes all 13 codes instead
+    for codes in (["zz"], ["full"]):
+        def mutate(d):
+            d["relations"] = [{"source": d["events"][0]["event_id"],
+                               "target": d["events"][1]["event_id"],
+                               "coarse": "before", "allen": codes}]
+        with pytest.raises(DocumentSyntaxError, match="allen"):
+            parse_graph(_edit(serialize_graph(graph), mutate))
 
 
 # ----------------------------------------------------- dangling references

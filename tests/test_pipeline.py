@@ -690,17 +690,39 @@ def test_cli_probes_keeps_the_manifest_probe_config(tmp_path, capsys):
         assert path.read_bytes() == (root / path.relative_to(other)).read_bytes(), path
 
 
-def test_cli_verify_rejects_unknown_manifest_config_key(corpus, tmp_path, capsys):
-    # a manifest written by an older config carries keys this one dropped
+@pytest.mark.parametrize("key, value, problem", [
+    ("clip_fps", 4, "unknown key"),  # a key an older config carried and this one dropped
+    ("min_event_s", "4", "not a finite number"),
+    ("motion_threshold_m", None, "not a finite number"),
+    ("ambiguity_eps_m", True, "not a finite number"),
+    ("ambiguity_eps_deg", float("inf"), "not a finite number"),
+], ids=["unknown-key", "str", "null", "bool", "inf"])
+def test_cli_rejects_a_bad_manifest_probe_config(corpus, tmp_path, capsys, key, value,
+                                                 problem):
     root, _, _ = corpus
-    copy = tmp_path / "old"
-    shutil.copytree(root, copy)
-    manifest = load_manifest(copy)
-    manifest["config"]["probe"]["clip_fps"] = 4
-    (copy / "manifest.json").write_text(json.dumps(manifest))
-    assert main(["verify", "--corpus", str(copy)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown key" in err and "clip_fps" in err
+    manifest = load_manifest(root)
+    manifest["config"]["probe"][key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(root / "registry.json", tmp_path)
+    for command in ("verify", "probes"):
+        assert main([command, "--corpus", str(tmp_path)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and problem in err and key in err, command
+
+
+@pytest.mark.parametrize("fps", ["25", 0, -25, 25.0, True, None])
+def test_cli_rejects_a_manifest_fps_that_is_not_a_positive_int(corpus, tmp_path, capsys,
+                                                               fps):
+    root, _, _ = corpus
+    manifest = load_manifest(root)
+    manifest["config"]["fps"] = fps
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--corpus", str(tmp_path)]) == 1
+    assert "FAIL manifest: " in capsys.readouterr().out
+    for command in ("stats", "probes"):
+        assert main([command, "--corpus", str(tmp_path)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config.fps" in err, command
 
 
 def test_cli_rejects_bad_graph(tmp_path, capsys):
