@@ -11,7 +11,7 @@ kinematic 3D execution (simulation), frame-aligned annotation
 from .allen import (AllenRelation, Coarse, RelationSet, coarse_to_allen,
                     compose, converse, relation_between, check_relation)
 from .errors import (CorruptCorpus, DanglingReferenceError,
-                     DocumentSyntaxError, EmptyRegistry, EntityUnknown,
+                     DocumentSyntaxError, EmptyRegistry,
                      InconsistentNetwork, InvariantError, NoFreeSlot,
                      NoValidAction, RelationInjectionExhausted, StorysimError,
                      UnschedulableDisjunction, ValidationFailure)
@@ -30,7 +30,7 @@ from .collectors import (EventFrameMapping, PairRelation,
 from .textgen import ProtoText, RefineConfig, proto_text, refine
 from .probes import (ClipSpec, HybridSampleConfig, ProbeConfig,
                      extract_story_clips, hybrid_sample, label_clip,
-                     label_entity, label_pair, label_scene, split_stories)
+                     label_scene, split_stories)
 from .default_registry import build_default_registry
 from .pipeline import (CorpusConfig, assemble_story, compute_stats,
                        corpus_digest, generate_corpus, verify)
@@ -43,7 +43,7 @@ __all__ = [
     "StorysimError", "DocumentSyntaxError", "DanglingReferenceError",
     "InvariantError", "InconsistentNetwork", "UnschedulableDisjunction",
     "EmptyRegistry", "NoValidAction", "RelationInjectionExhausted",
-    "NoFreeSlot", "ValidationFailure", "EntityUnknown", "CorruptCorpus",
+    "NoFreeSlot", "ValidationFailure", "CorruptCorpus",
     "CAMERA_ID", "ActionCategory", "ActionSpec", "Actor", "CapabilityRegistry",
     "EntityId", "EntityKind", "EpisodeSpec", "Event", "EventKind", "Gender",
     "GestGraph", "ObjectEntity", "PoiSpec", "RegionSpec", "TemporalRelation",
@@ -56,8 +56,7 @@ __all__ = [
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
     "ClipSpec", "HybridSampleConfig", "ProbeConfig", "extract_story_clips",
-    "hybrid_sample", "label_clip", "label_entity", "label_pair", "label_scene",
-    "split_stories",
+    "hybrid_sample", "label_clip", "label_scene", "split_stories",
     "build_default_registry",
     "CorpusConfig", "assemble_story", "compute_stats", "corpus_digest",
     "generate_corpus", "verify",

@@ -94,9 +94,5 @@ class ValidationFailure(StorysimError):
         super().__init__(f"{len(issues)} validation issue(s): {lines}{more}")
 
 
-class EntityUnknown(StorysimError):
-    """A probe label was requested for an entity the story never had."""
-
-
 class CorruptCorpus(StorysimError):
     """A corpus artifact disagrees with its manifest or internal checks."""

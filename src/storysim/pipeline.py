@@ -16,7 +16,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import NamedTuple
 
 from . import binio
@@ -28,10 +28,9 @@ from .documents import (json_document, parse_graph, parse_registry, parse_timeli
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, story_seed
-from .probes import (ClipSpec, ProbeConfig, extract_story_clips, label_clip,
-                     split_stories)
+from .probes import ClipSpec, ProbeConfig, extract_story_clips, label_clip, split_stories
 from .probes_oracle import oracle_clip
-from .scheduling import EventTimeline, duration_frames, schedule
+from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
 from .simulation import FrameLog, ground, insert_movements, simulate, validate, visible_mask
 from .textgen import RefineConfig, proto_text, refine
 
@@ -98,15 +97,23 @@ def events_doc(graph: GestGraph, timeline: EventTimeline) -> bytes:
          "is_movement": m.is_movement} for m in collect_event_mappings(timeline, graph))
 
 
+def _clip_row(clip: ClipSpec) -> dict:
+    """The probes/clips.jsonl row of one clip."""
+    return {"clip_id": clip.clip_id, "story_id": clip.story_id, "event_id": clip.event_id,
+            "frame_indices": list(clip.frame_indices), "split": clip.split}
+
+
+def _movement_actions(registry: CapabilityRegistry) -> set[str]:
+    return {k for k, a in registry.actions.items() if a.is_movement_only}
+
+
 def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: FrameLog,
                registry: CapabilityRegistry, probe: ProbeConfig,
                split: str) -> dict[str, bytes]:
     """probes/clips.jsonl and probes/labels.jsonl of one story, by path."""
-    movement_actions = {k for k, a in registry.actions.items() if a.is_movement_only}
-    clips = extract_story_clips(story_id, graph, timeline, movement_actions, probe, split)
-    clips_doc = _jsonl(
-        {"clip_id": c.clip_id, "story_id": c.story_id, "event_id": c.event_id,
-         "frame_indices": list(c.frame_indices), "split": c.split} for c in clips)
+    clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
+                                probe, split)
+    clips_doc = _jsonl(map(_clip_row, clips))
     vis = visible_mask(log)
     labels_doc = _jsonl(label_clip(c, log, timeline, probe, vis) for c in clips)
     return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
@@ -266,6 +273,16 @@ def load_manifest(corpus_dir: Path | str) -> dict:
             if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
                 raise CorruptCorpus(
                     f"{path}: stories[{i}].{key} is missing or not a {kind.__name__}")
+        # a story's directory and every file it names stay inside the corpus
+        story_id = entry["story_id"]
+        if story_id in ("", ".", "..") or "/" in story_id:
+            raise CorruptCorpus(f"{path}: stories[{i}].story_id {story_id!r} is not "
+                                f"one path component")
+        for rel_path in () if "error" in entry else entry["files"]:
+            rel = PurePosixPath(rel_path)
+            if rel.is_absolute() or ".." in rel.parts:
+                raise CorruptCorpus(f"{path}: stories[{i}].files key {rel_path!r} "
+                                    f"leaves the story directory")
     return manifest
 
 
@@ -320,30 +337,13 @@ class HashedFiles:
         return value
 
 
-def _checked_rows(*keys: tuple[str, type]):
-    """A parser of JSONL rows that raises CorruptCorpus on bytes that are
-    not JSON lines, or on a row lacking one of `keys` (name, type) or
-    holding a value of another type; a list must hold ints."""
-    def parse(data: bytes, _path) -> list[dict]:
-        try:
-            rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-            raise CorruptCorpus(str(exc)) from None
-        for line, row in enumerate(rows, 1):
-            for key, kind in keys:
-                value = row.get(key) if isinstance(row, dict) else None
-                if not isinstance(value, kind) or (
-                        kind is list and not all(isinstance(i, int) for i in value)):
-                    raise CorruptCorpus(f"line {line}: {key} is missing or not "
-                                        f"a {kind.__name__}")
-        return rows
-    return parse
-
-
-# the keys verify reads from each row of probes/clips.jsonl and labels.jsonl
-_clip_rows = _checked_rows(("clip_id", str), ("story_id", str), ("event_id", int),
-                           ("frame_indices", list), ("split", str))
-_label_rows = _checked_rows(("clip_id", str))
+def _jsonl_rows(data: bytes, _path) -> list:
+    """The decoded lines of a JSONL file; CorruptCorpus on bytes that are
+    not JSON lines."""
+    try:
+        return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise CorruptCorpus(str(exc)) from None
 
 
 def corpus_stats(registry: CapabilityRegistry, fps: int,
@@ -432,43 +432,33 @@ def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
 
 
 def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
-                    fps: int, durations: list[str], relations: list[str]):
-    """Failures of the timeline-durations and temporal-relations checks."""
+                    fps: int, durations: list[str], relations: list[str],
+                    labels: list[str]) -> bool:
+    """Failures of the timeline-durations and temporal-relations checks;
+    each graph constraint is tested as schedule tests its own output.
+    True when the timeline passes both.  A graph event the timeline lacks
+    also fails probe-labels, which cannot place that event's clip."""
+    before = len(durations) + len(relations)
     if timeline.fps != fps:
         durations.append(f"{story_id}: fps {timeline.fps} != {fps}")
     missing = [f"{story_id}: event {ev.event_id} not in the timeline"
                for ev in graph.events if ev.event_id not in timeline.intervals]
     if missing:
-        durations.extend(missing)
-        relations.extend(missing)
-        return
+        for found in (durations, relations, labels):
+            found.extend(missing)
+        return False
     for ev in graph.events:
         s, e = timeline.interval(ev.event_id)
         if e - s != duration_frames(ev.duration_s, fps):
             durations.append(
                 f"{story_id} event {ev.event_id}: span {e - s} "
                 f"!= {duration_frames(ev.duration_s, fps)}")
-
-    for rel in graph.relations:
-        a0, a1 = timeline.interval(rel.source)
-        b0, b1 = timeline.interval(rel.target)
-        base = relation_between(a0, a1, b0, b1)
-        if base not in rel.allen_set:
-            relations.append(
-                f"{story_id}: relation {rel.source}->{rel.target} "
-                f"realized {base.value} outside {{{rel.allen_set.codes()}}}")
-    for chain in graph.chains().values():
-        for prev, nxt in zip(chain, chain[1:]):
-            p0, p1 = timeline.interval(prev.event_id)
-            n0, _ = timeline.interval(nxt.event_id)
-            if prev.kind is EventKind.MOVEMENT and p1 != n0:
-                relations.append(
-                    f"{story_id}: movement {prev.event_id} must "
-                    f"meet {nxt.event_id}")
-            elif p1 > n0:
-                relations.append(
-                    f"{story_id}: chain overlap {prev.event_id}"
-                    f"->{nxt.event_id}")
+    for a, b, rs in graph_constraints(graph):
+        base = relation_between(*timeline.interval(a), *timeline.interval(b))
+        if base not in rs:
+            relations.append(f"{story_id}: relation {a}->{b} realized {base.value} "
+                             f"outside {{{rs.codes()}}}")
+    return len(durations) + len(relations) == before
 
 
 def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Random,
@@ -480,6 +470,9 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Rand
     expect = log.frame_count * n_entities * (n_entities - 1)
     if len(records) != expect:
         failures.append(f"{story_id}: {len(records)} records, expected {expect}")
+        return
+    if not expect:
+        failures.append(f"{story_id}: no relation records")
         return
     picks = [rng.randrange(len(records)) for _ in range(samples)]
     for f, a, b, distance, azimuth, elevation, compass, flags in records[picks].tolist():
@@ -506,19 +499,21 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
 
     Each story's files are loaded once.  A file that is missing or does
     not load fails every check that needs it, naming the story and the
-    file; the story's other checks still run.
+    file; the story's other checks still run.  The probe clips must be
+    the ones extract_story_clips derives from the graph and a timeline
+    that passes its checks, and the sampled labels of those clips must
+    match the oracle.
 
     Returns {"ok": bool, "checks": [{"name", "ok", "details"}]}.
     """
     corpus_dir = Path(corpus_dir)
     try:
         manifest = load_manifest(corpus_dir)
+        cfg_probe = probe_config_from_manifest(manifest)
     except CorruptCorpus as exc:
         return {"ok": False, "checks": [{"name": "manifest", "ok": False,
                                          "details": str(exc)}]}
     fps = manifest["config"]["fps"]
-    cfg_probe = probe_config_from_manifest(manifest)
-    min_frames = round(cfg_probe.min_event_s * fps)
     entries = list(story_entries(manifest))
 
     names = ("manifest-hashes", "timeline-durations", "temporal-relations",
@@ -529,8 +524,6 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
     root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
     hashes.extend(root.failures)
     registry = root.load("registry.json", lambda data, _: parse_registry(data), labels)
-    movement_actions = set() if registry is None else {
-        k for k, a in registry.actions.items() if a.is_movement_only}
 
     rng = random.Random(0xC0FFEE)
     spatial_per_story = max(1, spatial_samples // max(len(entries), 1))
@@ -544,44 +537,41 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
                            durations, relations, labels)
         timeline = story.load("timeline.json", lambda data, _: parse_timeline(data),
                               durations, relations, labels)
-        clip_rows = story.load("probes/clips.jsonl", _clip_rows, labels)
-        label_rows = story.load("probes/labels.jsonl", _label_rows, labels)
+        clips_doc = story.load("probes/clips.jsonl", lambda data, _: data, labels)
+        label_rows = story.load("probes/labels.jsonl", _jsonl_rows, labels)
+        clips = None  # derived only from a timeline that passes its checks
+        if graph is not None and timeline is not None:
+            sound = _check_timeline(story_id, graph, timeline, fps, durations, relations,
+                                    labels)
+            if sound and registry is not None:
+                clips = extract_story_clips(story_id, graph, timeline,
+                                            _movement_actions(registry), cfg_probe,
+                                            entry["split"])
         log = story.load("framelog.bin", binio.parse_framelog,
-                         *((spatial, labels) if clip_rows else (spatial,)))
+                         *((spatial, labels) if clips else (spatial,)))
         relation_file = story.load("relations.bin", binio.parse_relations, spatial)
 
-        if graph is not None and timeline is not None:
-            _check_timeline(story_id, graph, timeline, fps, durations, relations)
         if log is not None and relation_file is not None:
             _check_spatial(story_id, log, relation_file, rng, spatial_per_story, spatial)
-        if any(doc is None for doc in (graph, timeline, clip_rows, label_rows)):
+        if clips is None:
             continue
-
-        actions = {e.event_id: e.action for e in graph.events}
-        for row in clip_rows:
-            idxs = row["frame_indices"]
-            if (len(idxs) != ProbeConfig.CLIP_FRAMES or idxs != sorted(set(idxs))
-                    or actions.get(row["event_id"]) in movement_actions):
-                labels.append(f"{row['clip_id']}: malformed clip")
-            span = timeline.intervals.get(row["event_id"])
-            if span is None:
-                labels.append(f"{row['clip_id']}: event {row['event_id']} "
-                              f"not in the timeline")
-            elif span[1] - span[0] < min_frames:
-                labels.append(f"{row['clip_id']}: event shorter than minimum")
-            if row["split"] != entry["split"]:
-                labels.append(f"{row['clip_id']}: split mismatch")
-        if not clip_rows or log is None:
+        if clips_doc is not None and clips_doc != _jsonl(map(_clip_row, clips)):
+            labels.append(f"{story_id}/probes/clips.jsonl differs from the clips of "
+                          f"the graph and timeline")
+        if label_rows is None:
             continue
-        stored = {row["clip_id"]: row for row in label_rows}
-        for row in clip_rows[:label_per_story]:
-            try:
-                clip = ClipSpec(row["clip_id"], row["story_id"], row["event_id"],
-                                tuple(row["frame_indices"]), row["split"])
-            except ValueError:
-                continue  # reported above as a malformed clip
+        if len(label_rows) != len(clips):
+            labels.append(f"{story_id}/probes/labels.jsonl: {len(label_rows)} rows "
+                          f"for {len(clips)} clips")
+        if log is None:
+            continue
+        for clip, row in zip(clips[:label_per_story], label_rows):
+            if clip.frame_indices[-1] >= log.frame_count:
+                labels.append(f"{clip.clip_id}: frame {clip.frame_indices[-1]} is past "
+                              f"the {log.frame_count}-frame log")
+                break
             want = json.loads(json.dumps(oracle_clip(clip, log, timeline, cfg_probe)))
-            if stored.get(clip.clip_id) != want:
+            if row != want:
                 labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1
             if sampled >= label_samples:

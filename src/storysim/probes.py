@@ -17,10 +17,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import EntityUnknown
 from .model import EntityKind, EventKind, GestGraph
 from .scheduling import EventTimeline
-from .simulation import CAMERA_ID, FrameLog, visible_mask, wrap_signed
+from .simulation import CAMERA_ID, FrameLog, wrap_signed
 from .collectors import compass_bin, COMPASS_NAMES
 
 SPLITS = ("train", "val", "test")
@@ -135,9 +134,7 @@ def _dist_class(value: float, bounds, names=("near", "medium", "far")) -> str:
 
 
 def label_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-                cfg: ProbeConfig, vis: np.ndarray | None = None) -> dict:
-    if vis is None:
-        vis = visible_mask(log)
+                cfg: ProbeConfig, vis: np.ndarray) -> dict:
     frames = np.array(clip.frame_indices)
     actor_cols = [i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR]
     seen = vis[frames][:, actor_cols].sum(axis=0)
@@ -172,10 +169,7 @@ class _ClipGeometry:
 
 
 def _clip_geometry(clip: ClipSpec, log: FrameLog, entity_ids) -> _ClipGeometry:
-    try:
-        cols = [log.index_of(e) for e in entity_ids]
-    except KeyError as exc:
-        raise EntityUnknown(f"entity {exc.args[0]} not in frame log") from None
+    cols = [log.index_of(e) for e in entity_ids]
     cam = log.index_of(CAMERA_ID)
     frames = list(clip.frame_indices)
     at = log.positions[frames]
@@ -264,25 +258,10 @@ def _pair_labels(geo: _ClipGeometry, ia, ib, cfg: ProbeConfig) -> list[dict]:
     return out
 
 
-def label_entity(clip: ClipSpec, entity_id: int, log: FrameLog, cfg: ProbeConfig,
-                 vis: np.ndarray | None = None) -> dict:
-    geo = _clip_geometry(clip, log, [entity_id])
-    if vis is None:
-        vis = visible_mask(log)
-    return _entity_labels(geo, vis, cfg)[0]
-
-
-def label_pair(clip: ClipSpec, a: int, b: int, log: FrameLog,
-               cfg: ProbeConfig) -> dict:
-    return _pair_labels(_clip_geometry(clip, log, [a, b]), [0], [1], cfg)[0]
-
-
 def label_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-               cfg: ProbeConfig, vis: np.ndarray | None = None) -> dict:
+               cfg: ProbeConfig, vis: np.ndarray) -> dict:
     """All labels for one clip: scene, every actor/object entity, and
-    every canonical (a < b) entity pair."""
-    if vis is None:
-        vis = visible_mask(log)
+    every canonical (a < b) entity pair; vis is visible_mask(log)."""
     entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
                         if k in (EntityKind.ACTOR, EntityKind.OBJECT))
     geo = _clip_geometry(clip, log, entity_ids)

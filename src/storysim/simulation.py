@@ -61,8 +61,6 @@ class World:
     fps: int = 25
     # deterministic standing spot of each (actor, poi) pair
     stand: dict[tuple[int, str], tuple[float, float, float]] = field(default_factory=dict)
-    # slot index of each slot-bound (unowned) object
-    slot_of_object: dict[int, int] = field(default_factory=dict)
     # geometry snapshot so simulate() does not need the registry
     poi_position: dict[str, tuple[float, float, float]] = field(default_factory=dict)
     poi_region: dict[str, str] = field(default_factory=dict)
@@ -287,7 +285,6 @@ def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
                 f"no free {obj.type_key!r} slot at {obj.home_poi!r} for object {obj.id.id}"
             )
         used.add(slot_index)
-        world.slot_of_object[obj.id.id] = slot_index
         pos = slot_position(poi.position, slot_index, len(poi.object_slots))
         world.entities[obj.id.id] = EntityState(pos, 0.0, registry.region_of_poi(obj.home_poi))
 

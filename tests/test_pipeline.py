@@ -323,8 +323,8 @@ def test_injected_temporal_fault_is_caught(corpus, tmp_path):
     assert not by_name["temporal-relations"]["ok"]
     assert f"{rel.source}->{rel.target}" in by_name["temporal-relations"]["details"]
     assert report["checks"] == expected_checks({"temporal-relations": (
-        "story_00000: relation 10->11 realized b outside {s eq si}; "
-        "story_00000: chain overlap 11->12")})
+        "story_00000: relation 11->12 realized bi outside {b m}; "
+        "story_00000: relation 10->11 realized b outside {s eq si}")})
 
 
 def _truncate(path):
@@ -357,6 +357,18 @@ def _first_row_without(key):
     return damage
 
 
+def _drop_first_clip_with_its_hashes(path):
+    # the first clip row and its label row go, and the manifest keeps up
+    root, story_id = path.parents[2], path.parents[1].name
+    for doc in ("clips", "labels"):
+        rel_path = f"probes/{doc}.jsonl"
+        lines = (root / story_id / rel_path).read_bytes().splitlines(keepends=True)
+        rewrite_with_hash(root, story_id, rel_path, b"".join(lines[1:]))
+
+
+_drop_first_clip_with_its_hashes.rehashes = True
+
+
 def _first_duration_nan(path):
     doc = json.loads(path.read_text())
     doc["events"][0]["duration_s"] = math.nan
@@ -381,6 +393,10 @@ def _frames_past_the_log(path):
     records = records.copy()
     records["frame"] = 1 << 30
     binio.write_relations(path, records, fps, ids, kinds, names)
+
+
+CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the graph "
+                "and timeline")
 
 
 @pytest.mark.parametrize("rel_path, damage, failing, named", [
@@ -410,8 +426,7 @@ def _frames_past_the_log(path):
     pytest.param("registry.json", lambda p: p.unlink(), ("probe-labels",),
                  "registry.json missing", id="registry-missing"),
     pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
-                 ("probe-labels",), "story_00001-ev0000: malformed clip",
-                 id="clip-frames-reversed"),
+                 ("probe-labels",), CLIPS_DIFFER, id="clip-frames-reversed"),
     pytest.param("story_00001/relations.bin", _frames_past_the_log,
                  ("spatial-records",), "story_00001 frame 1073741824 pair",
                  id="record-frames-past-the-log"),
@@ -419,15 +434,15 @@ def _frames_past_the_log(path):
                  ("timeline-durations", "temporal-relations", "probe-labels"),
                  "event 0 not in the timeline", id="timeline-lacks-an-event"),
     pytest.param("story_00001/probes/clips.jsonl", _clip_of_an_unknown_event,
-                 ("probe-labels",), "story_00001-ev0000: event 9999 not in the timeline",
-                 id="clip-of-an-unknown-event"),
-    *(pytest.param(f"story_00001/probes/{doc}.jsonl", _first_row_without(key),
-                   ("probe-labels",),
-                   f"story_00001/probes/{doc}.jsonl cannot be loaded: line 1: {key} "
-                   f"is missing", id=f"{doc[:-1]}-without-{key}")
-      for doc, key in (("clips", "frame_indices"), ("clips", "event_id"),
-                       ("clips", "clip_id"), ("clips", "split"),
-                       ("labels", "clip_id"))),
+                 ("probe-labels",), CLIPS_DIFFER, id="clip-of-an-unknown-event"),
+    *(pytest.param("story_00001/probes/clips.jsonl", _first_row_without(key),
+                   ("probe-labels",), CLIPS_DIFFER, id=f"clip-without-{key}")
+      for key in ("frame_indices", "event_id", "clip_id", "split")),
+    pytest.param("story_00001/probes/labels.jsonl", _first_row_without("clip_id"),
+                 ("probe-labels",), "story_00001-ev0000: label mismatch",
+                 id="label-without-clip_id"),
+    pytest.param("story_00001/probes/clips.jsonl", _drop_first_clip_with_its_hashes,
+                 ("probe-labels",), CLIPS_DIFFER, id="first-clip-dropped"),
 ])
 def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
                                                  rel_path, damage, failing, named):
@@ -452,6 +467,58 @@ def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
     assert "Traceback" not in captured.err
     for name in failing:
         assert f"FAIL {name}: " in captured.out
+
+
+def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path, capsys):
+    # both binaries cut to zero frames and re-hashed, so each parses
+    root = tmp_path / "empty"
+    shutil.copytree(small_corpus, root)
+    story = root / "story_00001"
+    log = binio.parse_framelog((story / "framelog.bin").read_bytes(), "framelog.bin")
+    fps, (ids, kinds, names), records = binio.parse_relations(
+        (story / "relations.bin").read_bytes(), "relations.bin")
+    rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
+        replace(log, positions=log.positions[:0], yaws=log.yaws[:0]))))
+    rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
+        records[:0], fps, ids, kinds, names)))
+    report = verify(root)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert [n for n in CHECKS if not by_name[n]["ok"]] == ["spatial-records",
+                                                           "probe-labels"]
+    assert by_name["spatial-records"]["details"] == "story_00001: no relation records"
+    assert "past the 0-frame log" in by_name["probe-labels"]["details"]
+    assert main(["verify", "--corpus", str(root)]) == 1
+    assert "FAIL spatial-records: story_00001: no relation records" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value", [
+    ("story_id", "{outside}"), ("story_id", "../outside"),
+    ("files", "{outside}/graph.json"), ("files", "../../outside/graph.json"),
+], ids=["absolute-story-id", "parent-story-id", "absolute-file", "parent-file"])
+def test_manifest_paths_stay_inside_the_corpus(small_corpus, tmp_path, capsys, key,
+                                               value):
+    root, outside = tmp_path / "corpus", tmp_path / "outside"
+    shutil.copytree(small_corpus, root)
+    shutil.copytree(small_corpus / "story_00001", outside)
+    value = value.format(outside=outside)
+    manifest = load_manifest(root)
+    entry = manifest["stories"][1]
+    if key == "story_id":
+        entry["story_id"] = value
+    else:
+        entry["files"][value] = entry["files"].pop("graph.json")
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    before = corpus_digest(outside)
+
+    with pytest.raises(CorruptCorpus, match=r"stories\[1\]\." + key):
+        load_manifest(root)
+    assert main(["verify", "--corpus", str(root)]) == 1
+    assert "FAIL manifest: " in capsys.readouterr().out
+    for argv in (["stats"], ["probes", "--motion-threshold", "0.5"]):
+        assert main([*argv, "--corpus", str(root)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    assert corpus_digest(outside) == before
 
 
 @pytest.mark.parametrize("rel_path", ["registry.json", "story_00001/framelog.bin",
@@ -704,10 +771,12 @@ def test_cli_rejects_a_bad_manifest_probe_config(corpus, tmp_path, capsys, key, 
     manifest["config"]["probe"][key] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     shutil.copy(root / "registry.json", tmp_path)
-    for command in ("verify", "probes"):
-        assert main([command, "--corpus", str(tmp_path)]) == 1, command
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and problem in err and key in err, command
+    assert main(["verify", "--corpus", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL manifest: " in out and problem in out and key in out
+    assert main(["probes", "--corpus", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err and key in err
 
 
 @pytest.mark.parametrize("fps", ["25", 0, -25, 25.0, True, None])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from storysim.default_registry import build_default_registry
-from storysim.errors import EntityUnknown
 from storysim.model import EntityKind, EventKind
 from storysim.pipeline import CorpusConfig, build_story
 from storysim.probes import (
@@ -21,8 +20,6 @@ from storysim.probes import (
     extract_story_clips,
     hybrid_sample,
     label_clip,
-    label_entity,
-    label_pair,
     label_scene,
     split_stories,
 )
@@ -67,6 +64,20 @@ def lerp_track(frames, p0, p1):
 
 
 TL_EMPTY = EventTimeline(intervals={0: (0, 400)}, fps=25)
+
+
+def scene_labels(log: FrameLog, timeline: EventTimeline = TL_EMPTY) -> dict:
+    return label_scene(clip16(), log, timeline, CFG, visible_mask(log))
+
+
+def entity_labels(log: FrameLog, entity_id: int = 2) -> dict:
+    doc = label_clip(clip16(), log, TL_EMPTY, CFG, visible_mask(log))
+    return next(e for e in doc["entities"] if e["entity_id"] == entity_id)
+
+
+def pair_labels(log: FrameLog, a: int = 2, b: int = 3) -> dict:
+    doc = label_clip(clip16(), log, TL_EMPTY, CFG, visible_mask(log))
+    return next(p for p in doc["pairs"] if (p["a"], p["b"]) == (a, b))
 
 
 # ------------------------------------------------------- clip extraction
@@ -134,15 +145,15 @@ def test_actor_count_quorum_and_clamp():
     a5[:7] = (0, 5, 0)
     log = synth_log({0: static(frames, 0, 0), 2: static(frames, 0, 5),
                      3: static(frames, 0, -5), 4: a4, 5: a5})
-    labels = label_scene(clip16(), log, TL_EMPTY, CFG)
+    labels = scene_labels(log)
     assert labels["actor_count"] == 2  # a2 always, a4 at exactly half
 
     none_visible = synth_log({0: static(frames, 0, 0), 2: static(frames, 0, -5)})
-    assert label_scene(clip16(), none_visible, TL_EMPTY, CFG)["actor_count"] == 1
+    assert scene_labels(none_visible)["actor_count"] == 1
 
     crowd = {0: static(frames, 0, 0)}
     crowd.update({e: static(frames, e - 5.0, 5) for e in range(2, 9)})
-    assert label_scene(clip16(), synth_log(crowd), TL_EMPTY, CFG)["actor_count"] == 5
+    assert scene_labels(synth_log(crowd))["actor_count"] == 5
 
 
 def test_event_boundary_is_strictly_inside():
@@ -150,26 +161,26 @@ def test_event_boundary_is_strictly_inside():
     clip = clip16()
     first, last = clip.frame_indices[0], clip.frame_indices[-1]
     inside = EventTimeline(intervals={0: (0, 400), 7: (5, 400)}, fps=25)
-    assert label_scene(clip, log, inside, CFG)["event_boundary"] is True
+    assert scene_labels(log, inside)["event_boundary"] is True
     at_edges = EventTimeline(intervals={0: (0, 400), 7: (first, 400),
                                         8: (last, 600)}, fps=25)
-    assert label_scene(clip, log, at_edges, CFG)["event_boundary"] is False
+    assert scene_labels(log, at_edges)["event_boundary"] is False
     own_only = EventTimeline(intervals={0: (3, 9)}, fps=25)
-    assert label_scene(clip, log, own_only, CFG)["event_boundary"] is False
+    assert scene_labels(log, own_only)["event_boundary"] is False
 
 
 def test_motion_presence_threshold():
     moving = synth_log({0: static(16, 0, 0),
                         2: lerp_track(16, (0, 5, 0), (0.3, 5, 0))})
-    assert label_scene(clip16(), moving, TL_EMPTY, CFG)["motion_presence"] is True
+    assert scene_labels(moving)["motion_presence"] is True
     barely = synth_log({0: static(16, 0, 0),
                         2: lerp_track(16, (0, 5, 0), (0.1, 5, 0))})
-    assert label_scene(clip16(), barely, TL_EMPTY, CFG)["motion_presence"] is False
+    assert scene_labels(barely)["motion_presence"] is False
     # an object sliding does not count, only actors do
     obj = synth_log({0: static(16, 0, 0), 2: static(16, 0, 5),
                      3: lerp_track(16, (1, 5, 0), (4, 5, 0))},
                     kinds={3: EntityKind.OBJECT})
-    assert label_scene(clip16(), obj, TL_EMPTY, CFG)["motion_presence"] is False
+    assert scene_labels(obj)["motion_presence"] is False
 
 
 # ---------------------------------------------------------- entity labels
@@ -178,27 +189,25 @@ def test_camera_distance_classes_half_open():
     for dist, expect in ((2.999, "near"), (3.0, "medium"), (7.999, "medium"),
                          (8.0, "far")):
         log = synth_log({0: static(16, 0, 0), 2: static(16, 0, dist)})
-        got = label_entity(clip16(), 2, log, CFG)["camera_distance"]
-        assert got == expect, f"d={dist}"
+        assert entity_labels(log)["camera_distance"] == expect, f"d={dist}"
 
 
 def test_entity_presence():
     log = synth_log({0: static(16, 0, 0), 2: static(16, 0, -5)})
-    labels = label_entity(clip16(), 2, log, CFG)
-    assert labels["entity_presence"] is False
+    assert entity_labels(log)["entity_presence"] is False
     one_frame = static(16, 0, -5)
     one_frame[3] = (0, 5, 0)
     log2 = synth_log({0: static(16, 0, 0), 2: one_frame})
-    assert label_entity(clip16(), 2, log2, CFG)["entity_presence"] is True
+    assert entity_labels(log2)["entity_presence"] is True
 
 
 def test_approach_recede():
     closer = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, 5, 0), (0, 3, 0))})
-    assert label_entity(clip16(), 2, closer, CFG)["approach_recede"] == "approach"
+    assert entity_labels(closer)["approach_recede"] == "approach"
     away = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, 3, 0), (0, 5, 0))})
-    assert label_entity(clip16(), 2, away, CFG)["approach_recede"] == "recede"
+    assert entity_labels(away)["approach_recede"] == "recede"
     tiny = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, 5, 0), (0, 5.05, 0))})
-    assert label_entity(clip16(), 2, tiny, CFG)["approach_recede"] is None
+    assert entity_labels(tiny)["approach_recede"] is None
 
 
 def test_angle_change_sign():
@@ -206,61 +215,53 @@ def test_angle_change_sign():
     # drift from due north to bearing -30: azimuth rises to +30 -> "left"
     end = (d * np.sin(np.radians(-30)), d * np.cos(np.radians(-30)), 0)
     left = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, d, 0), end)})
-    assert label_entity(clip16(), 2, left, CFG)["angle_change"] == "left"
+    assert entity_labels(left)["angle_change"] == "left"
     right = synth_log({0: static(16, 0, 0), 2: lerp_track(16, end, (0, d, 0))})
-    assert label_entity(clip16(), 2, right, CFG)["angle_change"] == "right"
+    assert entity_labels(right)["angle_change"] == "right"
     end1 = (d * np.sin(np.radians(1.0)), d * np.cos(np.radians(1.0)), 0)
     slight = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, d, 0), end1)})
-    assert label_entity(clip16(), 2, slight, CFG)["angle_change"] is None
-
-
-def test_unknown_entity_raises():
-    log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 5)})
-    with pytest.raises(EntityUnknown):
-        label_entity(clip16(), 99, log, CFG)
+    assert entity_labels(slight)["angle_change"] is None
 
 
 # ------------------------------------------------------------ pair labels
 
 def test_depth_order():
     log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 2), 3: static(16, 0, 6)})
-    assert label_pair(clip16(), 2, 3, log, CFG)["depth_order"] is True
-    assert label_pair(clip16(), 3, 2, log, CFG)["depth_order"] is False
+    assert pair_labels(log)["depth_order"] is True
+    log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 6), 3: static(16, 0, 2)})
+    assert pair_labels(log)["depth_order"] is False
 
 
 def test_pair_direction_is_camera_frame():
     tracks = {0: static(16, 0, 0), 2: static(16, 0, 2), 3: static(16, 0, 6)}
-    assert label_pair(clip16(), 2, 3, synth_log(tracks), CFG)["pair_direction"] == "N"
+    assert pair_labels(synth_log(tracks))["pair_direction"] == "N"
     east_cam = synth_log(tracks, yaws={0: np.full(16, 90.0)})
-    assert label_pair(clip16(), 2, 3, east_cam, CFG)["pair_direction"] == "W"
+    assert pair_labels(east_cam)["pair_direction"] == "W"
 
 
 def test_pair_distance_classes():
     for gap, expect in ((1.9, "close"), (2.0, "medium"), (6.0, "far")):
         log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 1),
                          3: static(16, 0, 1 + gap)})
-        assert label_pair(clip16(), 2, 3, log, CFG)["pair_distance"] == expect
+        assert pair_labels(log)["pair_distance"] == expect
 
 
 def test_relative_motion_with_epsilon_exclusion():
     def gap_log(d0, d1):
         return synth_log({0: static(16, 0, 0), 2: static(16, 0, 1),
                           3: lerp_track(16, (0, 1 + d0, 0), (0, 1 + d1, 0))})
-    assert label_pair(clip16(), 2, 3, gap_log(3, 2), CFG)["relative_motion"] \
-        == "converging"
-    assert label_pair(clip16(), 2, 3, gap_log(2, 3), CFG)["relative_motion"] \
-        == "diverging"
-    assert label_pair(clip16(), 2, 3, gap_log(3, 3.09), CFG)["relative_motion"] is None
-    assert label_pair(clip16(), 2, 3, gap_log(3, 2.91), CFG)["relative_motion"] is None
-    assert label_pair(clip16(), 2, 3, gap_log(3, 3.11), CFG)["relative_motion"] \
-        == "diverging"
+    assert pair_labels(gap_log(3, 2))["relative_motion"] == "converging"
+    assert pair_labels(gap_log(2, 3))["relative_motion"] == "diverging"
+    assert pair_labels(gap_log(3, 3.09))["relative_motion"] is None
+    assert pair_labels(gap_log(3, 2.91))["relative_motion"] is None
+    assert pair_labels(gap_log(3, 3.11))["relative_motion"] == "diverging"
 
 
 def test_label_clip_structure():
     log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 2),
                      3: static(16, 1, 4), 4: static(16, 2, 6)},
                     kinds={4: EntityKind.OBJECT})
-    doc = label_clip(clip16(), log, TL_EMPTY, CFG)
+    doc = label_clip(clip16(), log, TL_EMPTY, CFG, visible_mask(log))
     assert doc["clip_id"] == "s-ev0000"
     assert [e["entity_id"] for e in doc["entities"]] == [2, 3, 4]
     assert [(p["a"], p["b"]) for p in doc["pairs"]] == [(2, 3), (2, 4), (3, 4)]

@@ -42,6 +42,7 @@ from storysim.simulation import (
     ground,
     insert_movements,
     simulate,
+    slot_position,
     validate,
     visible_mask,
 )
@@ -184,7 +185,9 @@ class TestGround:
         g = make_graph([ev(10, 1, "sip", "ep.a.p1", 5.0, patient=cup.id)],
                        [actor(1)], objects=[cup])
         w = ground(g, reg, random.Random(4))
-        assert w.slot_of_object[3] == 0
+        p1 = reg.poi("ep.a.p1")
+        assert w.entities[3].position == slot_position(p1.position, 0,
+                                                       len(p1.object_slots))
         assert math.dist(w.entities[3].position, (2.0, 2.0, 0.0)) == pytest.approx(0.6)
 
     def test_no_free_slot(self):
