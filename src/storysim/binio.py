@@ -7,8 +7,8 @@ sorted by (frame, a, b).
 
 framelog file ("GTFL"): same header shape plus frame_count u32, the
 same entity table, then float64 poses (x, y, z, yaw_deg) frame-major in
-entity-table order.  Poses stay f64 so spatial records recompute
-bit-identically from a reloaded log.
+entity-table order; the table holds the camera.  Poses stay f64 so
+spatial records recompute bit-identically from a reloaded log.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .collectors import RELATION_DTYPE
 from .errors import CorruptCorpus
-from .model import EntityKind
+from .model import CAMERA_ID, EntityKind
 from .simulation import FrameLog
 
 RELATIONS_MAGIC = b"GTSR"
@@ -109,6 +109,9 @@ def parse_relations(buf: bytes, source):
 
 def framelog_bytes(log: FrameLog) -> memoryview:
     """The bytes of a framelog file; the poses are copied once."""
+    if CAMERA_ID not in log.entity_ids:
+        raise ValueError(f"entity ids {tuple(log.entity_ids)} lack the camera's "
+                         f"id {CAMERA_ID}")
     prefix = (FRAMELOG_MAGIC + struct.pack("<HHHHI", FORMAT_VERSION, log.fps,
                                            log.entity_count, 0, log.frame_count)
               + _pack_entity_table(log.entity_ids, log.entity_kinds, log.entity_names))
@@ -124,6 +127,8 @@ def parse_framelog(buf: bytes, source) -> FrameLog:
     """The FrameLog of a framelog file's bytes; errors name `source`."""
     (fps, entity_count, _, frame_count), (ids, kinds, names), offset = _parse_prefix(
         buf, FRAMELOG_MAGIC, "<HHHHI", "framelog", source)
+    if CAMERA_ID not in ids:
+        raise CorruptCorpus(f"{source}: entity table lacks the camera's id {CAMERA_ID}")
     expect = frame_count * entity_count * 4 * 8
     if len(buf) - offset != expect:
         raise CorruptCorpus(f"{source}: pose payload is {len(buf) - offset} bytes, "

@@ -17,15 +17,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import binio
-from .collectors import collect_story_relations
 from .default_registry import build_default_registry
-from .documents import (json_document, parse_graph, parse_registry, parse_timeline,
-                        serialize_timeline)
+from .documents import json_document, parse_graph, parse_registry, parse_timeline
 from .errors import StorysimError, ValidationFailure
-from .pipeline import (CorpusConfig, HashedFiles, compute_stats, events_doc,
-                       generate_corpus, load_manifest, probe_docs,
-                       probe_config_from_manifest, simulate_graph, story_entries,
-                       verify, write_files)
+from .pipeline import (CorpusConfig, HashedFiles, compute_stats, generate_corpus,
+                       load_manifest, probe_docs, probe_config_from_manifest,
+                       simulate_graph, simulated_files, story_entries, verify,
+                       write_files)
 from .procgen import GenConfig
 from .textgen import RefineConfig, proto_text
 
@@ -71,15 +69,9 @@ def _cmd_simulate(args) -> int:
                   f"{issue['message']}", file=sys.stderr)
         return 2
 
-    records = collect_story_relations(log)
-    write_files(Path(args.out), {
-        "timeline.json": serialize_timeline(timeline),
-        "framelog.bin": binio.framelog_bytes(log),
-        "relations.bin": binio.relations_bytes(records, log.fps, log.entity_ids,
-                                               log.entity_kinds, log.entity_names),
-        "events.jsonl": events_doc(graph, timeline),
-    }, {})
-    print(f"simulated {log.frame_count} frames, {len(records)} relation records "
+    files, records = simulated_files(graph, timeline, log)
+    write_files(Path(args.out), files, {})
+    print(f"simulated {log.frame_count} frames, {records} relation records "
           f"-> {args.out}")
     return 0
 

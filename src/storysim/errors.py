@@ -61,7 +61,8 @@ class InconsistentNetwork(StorysimError):
 
 
 class UnschedulableDisjunction(StorysimError):
-    """Backtracking exhausted every base-relation choice without a schedule."""
+    """The search exhausted every base-relation choice of the non-convex
+    constraints without a schedule."""
 
 
 class EmptyRegistry(StorysimError):

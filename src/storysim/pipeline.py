@@ -89,12 +89,23 @@ def simulate_graph(cfg: CorpusConfig, registry: CapabilityRegistry, graph: GestG
     return graph, timeline, log
 
 
-def events_doc(graph: GestGraph, timeline: EventTimeline) -> bytes:
-    """events.jsonl: one event-to-frame mapping per graph event."""
-    return _jsonl(
-        {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
-         "start_frame": m.start_frame, "end_frame": m.end_frame,
-         "is_movement": m.is_movement} for m in collect_event_mappings(timeline, graph))
+def simulated_files(graph: GestGraph, timeline: EventTimeline,
+                    log: FrameLog) -> tuple[dict[str, bytes | memoryview], int]:
+    """timeline.json, framelog.bin, relations.bin and events.jsonl of one
+    simulated story, by path, and its number of spatial records.
+    events.jsonl holds one event-to-frame mapping per graph event."""
+    records = collect_story_relations(log)
+    return {
+        "timeline.json": serialize_timeline(timeline),
+        "framelog.bin": binio.framelog_bytes(log),
+        "relations.bin": binio.relations_bytes(records, log.fps, log.entity_ids,
+                                               log.entity_kinds, log.entity_names),
+        "events.jsonl": _jsonl(
+            {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
+             "start_frame": m.start_frame, "end_frame": m.end_frame,
+             "is_movement": m.is_movement}
+            for m in collect_event_mappings(timeline, graph)),
+    }, len(records)
 
 
 def _clip_row(clip: ClipSpec) -> dict:
@@ -166,16 +177,8 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry, None
 
-    files: dict[str, bytes | memoryview] = {}
-
+    files, records = simulated_files(graph, timeline, log)
     files["graph.json"] = serialize_graph(graph)
-    files["timeline.json"] = serialize_timeline(timeline)
-    records = collect_story_relations(log)
-    files["relations.bin"] = binio.relations_bytes(
-        records, log.fps, log.entity_ids, log.entity_kinds, log.entity_names)
-    files["framelog.bin"] = binio.framelog_bytes(log)
-    files["events.jsonl"] = events_doc(graph, timeline)
-
     proto = proto_text(graph, timeline, registry)
     files["text.txt"] = (proto.full_text + "\n").encode("utf-8")
     if cfg.refine.endpoint_url:
@@ -185,7 +188,7 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
 
     files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe, split))
     write_files(story_dir, files, entry["files"])
-    return entry, story_counts(graph, files["events.jsonl"].count(b"\n"), len(records),
+    return entry, story_counts(graph, files["events.jsonl"].count(b"\n"), records,
                                log.frame_count)
 
 
@@ -337,13 +340,16 @@ class HashedFiles:
         return value
 
 
-def _jsonl_rows(data: bytes, _path) -> list:
-    """The decoded lines of a JSONL file; CorruptCorpus on bytes that are
-    not JSON lines."""
+def _jsonl_lines(data: bytes, _path) -> list[bytes]:
+    """The lines of a JSONL file, each with its line end; CorruptCorpus on
+    bytes that are not JSON lines."""
+    lines = data.splitlines(keepends=True)
     try:
-        return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        for line in lines:
+            json.loads(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise CorruptCorpus(str(exc)) from None
+    return lines
 
 
 def corpus_stats(registry: CapabilityRegistry, fps: int,
@@ -538,7 +544,7 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
         timeline = story.load("timeline.json", lambda data, _: parse_timeline(data),
                               durations, relations, labels)
         clips_doc = story.load("probes/clips.jsonl", lambda data, _: data, labels)
-        label_rows = story.load("probes/labels.jsonl", _jsonl_rows, labels)
+        label_lines = story.load("probes/labels.jsonl", _jsonl_lines, labels)
         clips = None  # derived only from a timeline that passes its checks
         if graph is not None and timeline is not None:
             sound = _check_timeline(story_id, graph, timeline, fps, durations, relations,
@@ -558,20 +564,20 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
         if clips_doc is not None and clips_doc != _jsonl(map(_clip_row, clips)):
             labels.append(f"{story_id}/probes/clips.jsonl differs from the clips of "
                           f"the graph and timeline")
-        if label_rows is None:
+        if label_lines is None:
             continue
-        if len(label_rows) != len(clips):
-            labels.append(f"{story_id}/probes/labels.jsonl: {len(label_rows)} rows "
+        if len(label_lines) != len(clips):
+            labels.append(f"{story_id}/probes/labels.jsonl: {len(label_lines)} rows "
                           f"for {len(clips)} clips")
         if log is None:
             continue
-        for clip, row in zip(clips[:label_per_story], label_rows):
+        for clip, line in zip(clips[:label_per_story], label_lines):
             if clip.frame_indices[-1] >= log.frame_count:
                 labels.append(f"{clip.clip_id}: frame {clip.frame_indices[-1]} is past "
                               f"the {log.frame_count}-frame log")
                 break
-            want = json.loads(json.dumps(oracle_clip(clip, log, timeline, cfg_probe)))
-            if row != want:
+            # byte for byte: a decoded 0 would equal false
+            if line != _jsonl([oracle_clip(clip, log, timeline, cfg_probe)]):
                 labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1
             if sampled >= label_samples:

@@ -2,12 +2,14 @@
 
 A TemporalNetwork holds one RelationSet per ordered event pair (stored
 converse-consistently, missing edges are the full 13-set).  closure()
-runs queue-based path consistency to a fixpoint.  schedule() turns a
-story graph into concrete half-open frame intervals: convex relation
-sets become difference constraints on event start points (a simple
-temporal network, durations substituted out), solved by Bellman-Ford
-with earliest-start extraction; non-convex sets trigger chronological
-backtracking over base relations with closure pruning.
+runs queue-based path consistency to a fixpoint; procgen uses it to
+accept injected relations.  schedule() turns a story graph into concrete
+half-open frame intervals without it: convex relation sets become
+difference constraints on event start points (a simple temporal network,
+durations substituted out), exact for convex sets and solved by
+Bellman-Ford with earliest-start extraction.  Each non-convex set is a
+choice of base relation, searched depth first with the STN of every
+partial choice as the pruning test.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .model import EventKind, GestGraph
 CHAIN_SET = RelationSet.of(AllenRelation.BEFORE, AllenRelation.MEETS)
 MEETS_ONLY = RelationSet.of(AllenRelation.MEETS)
 _EQ_MASK = RelationSet.of(AllenRelation.EQUALS).mask
-_BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask
 # every schedule starts at frame 0; a base relation `before` chosen for a
 # non-convex edge leaves at least this many frames between the events
 ORIGIN_FRAME = 0
@@ -244,41 +245,52 @@ def _solve_stn(node_ids, constraints) -> dict[int, int]:
 
 
 def schedule(graph: GestGraph, fps: int) -> EventTimeline:
-    """Concrete earliest-start frame intervals for every graph event."""
+    """Concrete earliest-start frame intervals for every graph event.
+
+    One depth-first search picks a base relation for each non-convex
+    constraint, in (size, source, target) order; a node whose STN is
+    infeasible is pruned.  A story without a non-convex constraint is
+    solved at the root."""
     ids = [e.event_id for e in graph.events]
     lengths = {e.event_id: duration_frames(e.duration_s, fps) for e in graph.events}
 
     base = graph_constraints(graph)
-    closed = closure(TemporalNetwork.from_constraints(ids, base))
+    convex = [c for a, b, rs in base if is_convex(rs)
+              for c in _edge_constraints(a, b, rs, lengths)]
+    disjunctions = sorted(((a, b, rs) for a, b, rs in base if not is_convex(rs)),
+                          key=lambda abr: (len(abr[2]), abr[0], abr[1]))
 
-    convex_edges: list[tuple[int, int, RelationSet]] = []
-    disjunctions: list[tuple[int, int]] = []
-    for a, b, rs in base:
-        if is_convex(rs):
-            convex_edges.append((a, b, rs))
-        else:
-            disjunctions.append((a, b))
+    def search(level: int, cons: list) -> dict[int, int] | None:
+        """Starts of the first feasible choice below this node, or None;
+        _StnInfeasible when the node's own STN is."""
+        starts = _solve_stn(ids, cons)
+        if level == len(disjunctions):
+            return starts
+        a, b, rs = disjunctions[level]
+        for r in rs:
+            gap = STRICT_BEFORE_GAP_FRAMES if r is AllenRelation.BEFORE else 1
+            try:
+                found = search(level + 1, cons + list(_edge_constraints(
+                    a, b, RelationSet.of(r), lengths, before_gap=gap)))
+            except _StnInfeasible:
+                continue
+            if found is not None:
+                return found
+        return None
 
-    def leaf_constraints(chosen: list[tuple[int, int, RelationSet]]):
-        cons = []
-        for a, b, rs in convex_edges:
-            cons.extend(_edge_constraints(a, b, rs, lengths))
-        for a, b, rs in chosen:
-            gap = STRICT_BEFORE_GAP_FRAMES if rs.mask == _BEFORE_MASK else 1
-            cons.extend(_edge_constraints(a, b, rs, lengths, before_gap=gap))
-        return cons
-
-    if not disjunctions:
-        try:
-            starts = _solve_stn(ids, leaf_constraints([]))
-        except _StnInfeasible as exc:
-            u = exc.u if exc.u is not _ORIGIN else exc.v
-            v = exc.v if exc.v is not _ORIGIN else exc.u
-            raise InconsistentNetwork(
-                u, v, message=f"durations admit no frame assignment near events {u}, {v}"
-            ) from None
-    else:
-        starts = _backtrack(closed, disjunctions, leaf_constraints, ids)
+    try:
+        starts = search(0, convex)
+    except _StnInfeasible as exc:
+        u = exc.u if exc.u is not _ORIGIN else exc.v
+        v = exc.v if exc.v is not _ORIGIN else exc.u
+        raise InconsistentNetwork(
+            u, v, message=f"durations admit no frame assignment near events {u}, {v}"
+        ) from None
+    if starts is None:
+        raise UnschedulableDisjunction(
+            f"no base-relation choice over {len(disjunctions)} non-convex edge(s) "
+            "yields a feasible schedule"
+        )
 
     intervals = {eid: (starts[eid], starts[eid] + lengths[eid]) for eid in ids}
     timeline = EventTimeline(intervals=intervals, fps=fps)
@@ -288,34 +300,3 @@ def schedule(graph: GestGraph, fps: int) -> EventTimeline:
                 a, b, message=f"schedule places events {a}, {b} outside "
                               f"{{{rs.codes()}}}")
     return timeline
-
-
-def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
-               ids) -> dict[int, int]:
-    """Chronological search over base relations of the non-convex edges,
-    pruning with incremental closure after each commitment."""
-    order = sorted(disjunctions, key=lambda ab: (len(closed.edge(*ab)), ab))
-
-    def dfs(level: int, work: TemporalNetwork) -> dict[int, int] | None:
-        if level == len(order):
-            chosen = [(a, b, work.edge(a, b)) for a, b in order]
-            try:
-                return _solve_stn(ids, leaf_constraints(chosen))
-            except _StnInfeasible:
-                return None
-        a, b = order[level]
-        for r in work.edge(a, b):
-            narrowed = work.narrowed(a, b, RelationSet.of(r))
-            if narrowed is not None:
-                found = dfs(level + 1, narrowed)
-                if found is not None:
-                    return found
-        return None
-
-    found = dfs(0, closed)
-    if found is None:
-        raise UnschedulableDisjunction(
-            f"no base-relation choice over {len(order)} non-convex edge(s) "
-            "yields a feasible schedule"
-        )
-    return found

@@ -10,7 +10,10 @@ collector, shares compute_pair_relation with the package on purpose;
 numpy_run_camera, the numpy per-frame camera loop that the whole-story
 one replaced, shares bearing_deg; and numpy_collect_story_relations, the
 remainder-and-floor-divide collector that the compare-and-add one
-replaced, shares the record layout.
+replaced, shares the record layout; and closure_schedule, the schedule
+that pruned its backtracking over non-convex edges with path
+consistency, shares the STN and the closure that the STN search
+replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ import numpy as np
 
 from storysim.collectors import (COINCIDENT_EPS, FLAG_COINCIDENT, RELATION_DTYPE,
                                  compute_pair_relation)
+from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
+from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import CAMERA_ID
+from storysim.scheduling import (_ORIGIN, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
+                                 TemporalNetwork, _edge_constraints, _solve_stn,
+                                 _StnInfeasible, closure, duration_frames,
+                                 graph_constraints)
 from storysim.simulation import CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
@@ -226,3 +235,84 @@ def numpy_collect_story_relations(log, chunk_frames: int = 1024) -> np.ndarray:
         rows["compass"] = np.where(coincident, 0, compass).ravel()
         rows["flags"] = np.where(coincident, FLAG_COINCIDENT, 0).astype(np.uint8).ravel()
     return out
+
+
+_BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask
+
+
+def closure_schedule(graph, fps: int) -> EventTimeline:
+    """Concrete earliest-start frame intervals for every graph event."""
+    ids = [e.event_id for e in graph.events]
+    lengths = {e.event_id: duration_frames(e.duration_s, fps) for e in graph.events}
+
+    base = graph_constraints(graph)
+    closed = closure(TemporalNetwork.from_constraints(ids, base))
+
+    convex_edges: list[tuple[int, int, RelationSet]] = []
+    disjunctions: list[tuple[int, int]] = []
+    for a, b, rs in base:
+        if is_convex(rs):
+            convex_edges.append((a, b, rs))
+        else:
+            disjunctions.append((a, b))
+
+    def leaf_constraints(chosen: list[tuple[int, int, RelationSet]]):
+        cons = []
+        for a, b, rs in convex_edges:
+            cons.extend(_edge_constraints(a, b, rs, lengths))
+        for a, b, rs in chosen:
+            gap = STRICT_BEFORE_GAP_FRAMES if rs.mask == _BEFORE_MASK else 1
+            cons.extend(_edge_constraints(a, b, rs, lengths, before_gap=gap))
+        return cons
+
+    if not disjunctions:
+        try:
+            starts = _solve_stn(ids, leaf_constraints([]))
+        except _StnInfeasible as exc:
+            u = exc.u if exc.u is not _ORIGIN else exc.v
+            v = exc.v if exc.v is not _ORIGIN else exc.u
+            raise InconsistentNetwork(
+                u, v, message=f"durations admit no frame assignment near events {u}, {v}"
+            ) from None
+    else:
+        starts = _backtrack(closed, disjunctions, leaf_constraints, ids)
+
+    intervals = {eid: (starts[eid], starts[eid] + lengths[eid]) for eid in ids}
+    timeline = EventTimeline(intervals=intervals, fps=fps)
+    for a, b, rs in base:
+        if not check_relation(intervals[a], intervals[b], rs):
+            raise InconsistentNetwork(
+                a, b, message=f"schedule places events {a}, {b} outside "
+                              f"{{{rs.codes()}}}")
+    return timeline
+
+
+def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
+               ids) -> dict[int, int]:
+    """Chronological search over base relations of the non-convex edges,
+    pruning with incremental closure after each commitment."""
+    order = sorted(disjunctions, key=lambda ab: (len(closed.edge(*ab)), ab))
+
+    def dfs(level: int, work: TemporalNetwork) -> dict[int, int] | None:
+        if level == len(order):
+            chosen = [(a, b, work.edge(a, b)) for a, b in order]
+            try:
+                return _solve_stn(ids, leaf_constraints(chosen))
+            except _StnInfeasible:
+                return None
+        a, b = order[level]
+        for r in work.edge(a, b):
+            narrowed = work.narrowed(a, b, RelationSet.of(r))
+            if narrowed is not None:
+                found = dfs(level + 1, narrowed)
+                if found is not None:
+                    return found
+        return None
+
+    found = dfs(0, closed)
+    if found is None:
+        raise UnschedulableDisjunction(
+            f"no base-relation choice over {len(order)} non-convex edge(s) "
+            "yields a feasible schedule"
+        )
+    return found

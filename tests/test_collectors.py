@@ -389,14 +389,26 @@ def _relations_file(log):
 ])
 def test_repeated_entity_id_is_refused_by_writer_and_reader(encode, parse):
     with pytest.raises(ValueError, match="repeat"):
-        encode(_named_log((5, 5), ("camera", "cup")))
-    raw = bytearray(encode(_named_log((5, 6), ("camera", "cup"))))
+        encode(_named_log((0, 0), ("camera", "cup")))
+    raw = bytearray(encode(_named_log((0, 6), ("camera", "cup"))))
     # the second table row follows the first's 4-byte head and 6-byte name
     second = raw.index(b"camera") + len(b"camera")
     assert raw[second:second + 2] == (6).to_bytes(2, "little")
-    raw[second:second + 2] = (5).to_bytes(2, "little")
-    with pytest.raises(CorruptCorpus, match="entity id 5 appears twice"):
+    raw[second:second + 2] = (0).to_bytes(2, "little")
+    with pytest.raises(CorruptCorpus, match="entity id 0 appears twice"):
         parse(bytes(raw), "story_00000/file.bin")
+
+
+def test_framelog_without_the_camera_is_refused_by_writer_and_reader():
+    with pytest.raises(ValueError, match="camera"):
+        framelog_bytes(_named_log((5, 6), ("camera", "cup")))
+    raw = bytearray(framelog_bytes(_named_log((0, 6), ("camera", "cup"))))
+    first = raw.index(b"camera") - 4
+    assert raw[first:first + 2] == (0).to_bytes(2, "little")
+    raw[first:first + 2] = (5).to_bytes(2, "little")
+    with pytest.raises(CorruptCorpus, match="story_00000/framelog.bin: entity table "
+                                            "lacks the camera"):
+        parse_framelog(bytes(raw), "story_00000/framelog.bin")
 
 
 def test_broken_name_byte_reads_as_corrupt(tmp_path):

@@ -17,7 +17,7 @@ from storysim.default_registry import build_default_registry
 from storysim.documents import (parse_graph, parse_registry, parse_timeline,
                                 serialize_graph, serialize_registry, serialize_timeline)
 from storysim.errors import StorysimError
-from storysim.pipeline import CorpusConfig, _jsonl_rows, build_story, probe_docs
+from storysim.pipeline import CorpusConfig, _jsonl_lines, build_story, probe_docs
 from storysim.procgen import GenConfig, generate_story
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -49,7 +49,7 @@ def _real_files() -> dict[str, bytes]:
 
 REAL = _real_files()
 PARSERS = {
-    "clips.jsonl": lambda data: _jsonl_rows(data, "clips.jsonl"),
+    "clips.jsonl": lambda data: _jsonl_lines(data, "clips.jsonl"),
     "graph.json": parse_graph,
     "timeline.json": parse_timeline,
     "registry.json": parse_registry,

@@ -388,6 +388,32 @@ def _repeat_an_id_with_its_hash(path):
 _repeat_an_id_with_its_hash.rehashes = True
 
 
+def _drop_the_camera_with_its_hash(path):
+    # the camera's id 0, first in the entity table, becomes an id no entity
+    # has, and the manifest keeps up
+    data = bytearray(path.read_bytes())
+    first = 4 + struct.calcsize("<HHHHI")
+    assert data[first:first + 2] == (0).to_bytes(2, "little")
+    data[first:first + 2] = (0xFFFF).to_bytes(2, "little")
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name, bytes(data))
+
+
+_drop_the_camera_with_its_hash.rehashes = True
+
+
+def _zero_for_false_with_its_hash(path):
+    # the first label row says 0 for false, still canonical JSON, and the
+    # manifest keeps up; decoded, 0 == False
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert b'"motion_presence":false' in lines[0]
+    lines[0] = lines[0].replace(b'"motion_presence":false', b'"motion_presence":0', 1)
+    rewrite_with_hash(path.parents[2], path.parents[1].name, "probes/labels.jsonl",
+                      b"".join(lines))
+
+
+_zero_for_false_with_its_hash.rehashes = True
+
+
 def _frames_past_the_log(path):
     fps, (ids, kinds, names), records = binio.read_relations(path)
     records = records.copy()
@@ -423,6 +449,10 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
                  ("spatial-records", "probe-labels"),
                  "story_00001/framelog.bin cannot be loaded: entity id 0 appears twice",
                  id="framelog-repeats-an-id"),
+    pytest.param("story_00001/framelog.bin", _drop_the_camera_with_its_hash,
+                 ("spatial-records", "probe-labels"),
+                 "story_00001/framelog.bin: entity table lacks the camera's id 0",
+                 id="framelog-without-camera"),
     pytest.param("registry.json", lambda p: p.unlink(), ("probe-labels",),
                  "registry.json missing", id="registry-missing"),
     pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
@@ -441,6 +471,9 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
     pytest.param("story_00001/probes/labels.jsonl", _first_row_without("clip_id"),
                  ("probe-labels",), "story_00001-ev0000: label mismatch",
                  id="label-without-clip_id"),
+    pytest.param("story_00001/probes/labels.jsonl", _zero_for_false_with_its_hash,
+                 ("probe-labels",), "story_00001-ev0000: label mismatch",
+                 id="label-zero-for-false"),
     pytest.param("story_00001/probes/clips.jsonl", _drop_first_clip_with_its_hashes,
                  ("probe-labels",), CLIPS_DIFFER, id="first-clip-dropped"),
 ])
@@ -542,6 +575,18 @@ def test_cli_probes_fails_closed_on_a_missing_file(small_corpus, tmp_path, capsy
     assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: story_00001/framelog.bin missing\n"
+    assert not captured.out
+
+
+def test_cli_probes_refuses_a_framelog_without_the_camera(small_corpus, tmp_path,
+                                                         capsys):
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    _drop_the_camera_with_its_hash(root / "story_00001/framelog.bin")
+    assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: story_00001/framelog.bin cannot be loaded: ")
+    assert "lacks the camera" in captured.err
     assert not captured.out
 
 

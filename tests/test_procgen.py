@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from storysim.allen import Coarse
+from storysim.allen import Coarse, is_convex
 from storysim.default_registry import build_default_registry
 from storysim.documents import serialize_graph
 from storysim.model import (ActionCategory, ActionSpec, CapabilityRegistry, EntityKind,
@@ -21,7 +21,7 @@ from storysim.procgen import (
     story_rng,
     story_seed,
 )
-from storysim.scheduling import schedule
+from storysim.scheduling import graph_constraints, schedule
 from storysim.simulation import validate
 
 
@@ -109,6 +109,8 @@ def test_every_generated_story_validates_and_schedules(registry, chains, regions
         for index in range(2):
             graph = generate_story(cfg_of(seed), registry, index)
             assert validate(graph, registry) == [], (seed, index)
+            # so schedule solves every generated story at the root of its search
+            assert all(is_convex(rs) for _, _, rs in graph_constraints(graph)), (seed, index)
             schedule(graph, fps=25)
 
 

@@ -1,4 +1,5 @@
-"""Solver tests: closure behavior, STN scheduling, backtracking."""
+"""Solver tests: closure behavior, STN scheduling, the search over
+non-convex edges."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ import random
 import pytest
 
 from storysim import scheduling
-from storysim.allen import AllenRelation, Coarse, RelationSet, coarse_to_allen
+from storysim.allen import AllenRelation, Coarse, RelationSet, coarse_to_allen, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
-from storysim.model import Actor, EntityId, EntityKind, Event, EventKind, Gender, GestGraph
+from storysim.model import (Actor, EntityId, EntityKind, Event, EventKind, Gender,
+                            GestGraph, TemporalRelation)
 from storysim.scheduling import (
     CHAIN_SET,
     MEETS_ONLY,
@@ -18,11 +20,13 @@ from storysim.scheduling import (
     chain_constraints,
     closure,
     duration_frames,
+    graph_constraints,
     schedule,
 )
 
 from _netutil import random_spec, to_network
-from _oracles import classify, find_concrete_schedule, satisfies_all
+from _oracles import (ALL_CODES, classify, closure_schedule, find_concrete_schedule,
+                      satisfies_all)
 
 FPS = 25
 
@@ -48,8 +52,6 @@ def _graph(events, relations=(), n_actors=1) -> GestGraph:
 
 
 def _rel(src, dst, coarse: Coarse):
-    from storysim.model import TemporalRelation
-
     return TemporalRelation(src, dst, coarse, coarse_to_allen(coarse))
 
 
@@ -184,8 +186,6 @@ class TestSchedule:
         assert tl.end(1) == tl.start(2)
 
     def test_metric_infeasibility_with_fixed_durations(self):
-        from storysim.model import TemporalRelation
-
         g = _graph(
             [_event(0, 1, 0.4), _event(1, 2, 1.0)],
             [TemporalRelation(0, 1, Coarse.SAME_TIME, RelationSet.from_codes("eq"))],
@@ -195,8 +195,6 @@ class TestSchedule:
             schedule(g, FPS)
 
     def test_backtracking_applies_strict_before_gap(self):
-        from storysim.model import TemporalRelation
-
         g = _graph(
             [_event(0, 1, 0.4), _event(1, 2, 0.4)],
             [TemporalRelation(0, 1, Coarse.BEFORE, RelationSet.from_codes("b bi"))],
@@ -206,8 +204,6 @@ class TestSchedule:
         assert tl.intervals == {0: (0, 10), 1: (35, 45)}
 
     def test_unschedulable_disjunction(self):
-        from storysim.model import TemporalRelation
-
         # {starts, finishes} both force event 0 shorter than event 1
         g = _graph(
             [_event(0, 1, 0.4), _event(1, 2, 0.4)],
@@ -250,6 +246,76 @@ class TestSchedule:
             for a, b, rs in chain_constraints(g):
                 code = classify(*tl.interval(a), *tl.interval(b))
                 assert code in {r.value for r in rs}
+
+
+def _random_disjunctive_graph(rng: random.Random) -> GestGraph:
+    """Actor chains plus one to four relations between events of
+    different actors, each a random set of one to four base relations."""
+    n_actors = rng.randint(2, 4)
+    events = []
+    for a in range(1, n_actors + 1):
+        for _ in range(rng.randint(1, 3)):
+            events.append(_event(len(events), a, rng.choice((0.2, 0.4, 0.8, 1.2))))
+    actor = {e.event_id: e.actor for e in events}
+    pairs = [(s, t) for s in actor for t in actor if s < t and actor[s] != actor[t]]
+    relations = [
+        TemporalRelation(s, t, Coarse.SAME_TIME, RelationSet.from_codes(
+            " ".join(rng.sample(ALL_CODES, rng.choice((1, 2, 2, 3, 4))))))
+        for s, t in rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))]
+    return _graph(events, relations, n_actors=n_actors)
+
+
+def _timeline_or_error(solve, graph):
+    try:
+        return solve(graph, FPS)
+    except (InconsistentNetwork, UnschedulableDisjunction) as exc:
+        return exc
+
+
+def test_search_agrees_with_the_closure_schedule():
+    # the search and the closure-pruned backtracking both return the first
+    # feasible choice in their edge order, so the timelines are identical
+    # where the orders coincide: by set size here, by closed-edge size there
+    rng = random.Random(1)
+    schedulable = disjunctive = same_order = 0
+    for _ in range(400):
+        graph = _random_disjunctive_graph(rng)
+        got = _timeline_or_error(schedule, graph)
+        want = _timeline_or_error(closure_schedule, graph)
+        assert isinstance(got, EventTimeline) == isinstance(want, EventTimeline), graph
+        if not isinstance(got, EventTimeline):
+            continue
+        schedulable += 1
+        for ev in graph.events:
+            s, e = got.interval(ev.event_id)
+            assert s >= 0 and e - s == duration_frames(ev.duration_s, FPS)
+        constraints = graph_constraints(graph)
+        for a, b, rs in constraints:
+            assert classify(*got.interval(a), *got.interval(b)) in rs.codes().split()
+        open_edges = [(a, b, rs) for a, b, rs in constraints if not is_convex(rs)]
+        disjunctive += bool(open_edges)
+        closed = closure(TemporalNetwork.from_constraints(
+            [e.event_id for e in graph.events], constraints))
+        if (sorted(open_edges, key=lambda e: (len(e[2]), e[0], e[1]))
+                == sorted(open_edges, key=lambda e: (len(closed.edge(e[0], e[1])),
+                                                     e[0], e[1]))):
+            assert got == want, graph
+            same_order += 1
+    assert schedulable >= 100 and disjunctive >= 50 and same_order >= 50, (
+        schedulable, disjunctive, same_order)
+
+
+def test_inconsistent_convex_constraints_fail_before_the_search():
+    # {eq} cannot hold between events of unequal length, whatever {b bi} picks
+    g = _graph(
+        [_event(0, 1, 0.4), _event(1, 2, 1.0), _event(2, 3, 0.4)],
+        [TemporalRelation(0, 1, Coarse.SAME_TIME, RelationSet.from_codes("eq")),
+         TemporalRelation(1, 2, Coarse.BEFORE, RelationSet.from_codes("b bi"))],
+        n_actors=3,
+    )
+    with pytest.raises(InconsistentNetwork,
+                       match="durations admit no frame assignment near events"):
+        schedule(g, FPS)
 
 
 def test_duration_frames_minimum_one():
