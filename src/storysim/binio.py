@@ -9,6 +9,9 @@ framelog file ("GTFL"): same header shape plus frame_count u32, the
 same entity table, then float64 poses (x, y, z, yaw_deg) frame-major in
 entity-table order; the table holds the camera.  Poses stay f64 so
 spatial records recompute bit-identically from a reloaded log.
+
+A parser takes a file's bytes and raises CorruptCorpus saying what is
+wrong with them; the caller names the file.
 """
 
 from __future__ import annotations
@@ -75,15 +78,15 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
     return tuple(ids), tuple(kinds), tuple(names), offset
 
 
-def _parse_prefix(buf: bytes, magic: bytes, header_fmt: str, what: str, source):
+def _parse_prefix(buf: bytes, magic: bytes, header_fmt: str, what: str):
     """-> (header fields after the version, (ids, kinds, names), payload
-    offset) of a file's bytes; errors name `source`."""
+    offset) of a file's bytes."""
     size = 4 + struct.calcsize(header_fmt)
     if len(buf) < size or buf[:4] != magic:
-        raise CorruptCorpus(f"{source}: not a {what} file")
+        raise CorruptCorpus(f"not a {what} file")
     version, *header = struct.unpack_from(header_fmt, buf, 4)
     if version != FORMAT_VERSION:
-        raise CorruptCorpus(f"{source}: unsupported version {version}")
+        raise CorruptCorpus(f"unsupported version {version}")
     ids, kinds, names, offset = _unpack_entity_table(buf, size, header[1])
     return header, (ids, kinds, names), offset
 
@@ -96,14 +99,14 @@ def relations_bytes(records: np.ndarray, fps: int, ids, kinds, names) -> memoryv
     return np.concatenate((np.frombuffer(prefix, np.uint8), body.view(np.uint8))).data
 
 
-def parse_relations(buf: bytes, source):
+def parse_relations(buf: bytes):
     """-> (fps, (ids, kinds, names), records array) of a relations file's
-    bytes; errors name `source`."""
+    bytes."""
     (fps, _, _), table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "<HHHH",
-                                               "relations", source)
+                                               "relations")
     if (len(buf) - offset) % RELATION_DTYPE.itemsize:
-        raise CorruptCorpus(f"{source}: record payload not a multiple of "
-                            f"{RELATION_DTYPE.itemsize} bytes")
+        raise CorruptCorpus(
+            f"record payload not a multiple of {RELATION_DTYPE.itemsize} bytes")
     return fps, table, np.frombuffer(buf, dtype=RELATION_DTYPE, offset=offset)
 
 
@@ -123,16 +126,16 @@ def framelog_bytes(log: FrameLog) -> memoryview:
     return buf.data
 
 
-def parse_framelog(buf: bytes, source) -> FrameLog:
-    """The FrameLog of a framelog file's bytes; errors name `source`."""
+def parse_framelog(buf: bytes) -> FrameLog:
+    """The FrameLog of a framelog file's bytes."""
     (fps, entity_count, _, frame_count), (ids, kinds, names), offset = _parse_prefix(
-        buf, FRAMELOG_MAGIC, "<HHHHI", "framelog", source)
+        buf, FRAMELOG_MAGIC, "<HHHHI", "framelog")
     if CAMERA_ID not in ids:
-        raise CorruptCorpus(f"{source}: entity table lacks the camera's id {CAMERA_ID}")
+        raise CorruptCorpus(f"entity table lacks the camera's id {CAMERA_ID}")
     expect = frame_count * entity_count * 4 * 8
     if len(buf) - offset != expect:
-        raise CorruptCorpus(f"{source}: pose payload is {len(buf) - offset} bytes, "
-                            f"expected {expect}")
+        raise CorruptCorpus(
+            f"pose payload is {len(buf) - offset} bytes, expected {expect}")
     poses = np.frombuffer(buf, dtype="<f8", offset=offset).reshape(
         frame_count, entity_count, 4).copy()
     return FrameLog(
@@ -151,7 +154,7 @@ def write_relations(path, records: np.ndarray, fps: int, ids, kinds, names):
 
 def read_relations(path):
     """-> (fps, (ids, kinds, names), records array)."""
-    return parse_relations(Path(path).read_bytes(), path)
+    return parse_relations(Path(path).read_bytes())
 
 
 def write_framelog(path, log: FrameLog):
@@ -159,4 +162,4 @@ def write_framelog(path, log: FrameLog):
 
 
 def read_framelog(path) -> FrameLog:
-    return parse_framelog(Path(path).read_bytes(), path)
+    return parse_framelog(Path(path).read_bytes())

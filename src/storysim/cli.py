@@ -88,7 +88,7 @@ def _cmd_probes(args) -> int:
     corpus = Path(args.corpus)
     manifest = load_manifest(corpus)
     root = HashedFiles(corpus, "", {"registry.json": manifest["registry_hash"]})
-    registry = root.require("registry.json", lambda data, _: parse_registry(data))
+    registry = root.require("registry.json", parse_registry)
     flags = {"motion_threshold_m": args.motion_threshold,
              "min_event_s": args.min_event_s,
              "ambiguity_eps_m": args.ambiguity_eps_m,
@@ -104,8 +104,8 @@ def _cmd_probes(args) -> int:
         story = HashedFiles(corpus / story_id, f"{story_id}/",
                             {name: entry["files"].get(name) for name in
                              ("graph.json", "timeline.json", "framelog.bin")})
-        graph = story.require("graph.json", lambda data, _: parse_graph(data))
-        timeline = story.require("timeline.json", lambda data, _: parse_timeline(data))
+        graph = story.require("graph.json", parse_graph)
+        timeline = story.require("timeline.json", parse_timeline)
         log = story.require("framelog.bin", binio.parse_framelog)
         derived.append((entry, probe_docs(story_id, graph, timeline, log, registry,
                                           cfg, entry["split"])))

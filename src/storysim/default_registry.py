@@ -17,7 +17,6 @@ from __future__ import annotations
 from .model import ActionCategory, ActionSpec, CapabilityRegistry, EpisodeSpec, PoiSpec, RegionSpec
 
 EXCHANGE_ACTION_KEY = "hand_over_item"
-DEFAULT_MOVEMENT_ACTION = "walk_to"
 
 # key: (category, min_s, max_s, requires_object, is_movement_only, verb phrase)
 _ACTIONS: dict[str, tuple[str, float, float, bool, bool, str]] = {

@@ -27,7 +27,7 @@ from .documents import (json_document, parse_graph, parse_registry, parse_timeli
                         serialize_graph, serialize_registry, serialize_timeline)
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
-from .procgen import GenConfig, generate_story, story_seed
+from .procgen import GenConfig, generate_story, select_episode, story_rng, story_seed
 from .probes import ClipSpec, ProbeConfig, extract_story_clips, label_clip, split_stories
 from .probes_oracle import oracle_clip
 from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
@@ -35,6 +35,10 @@ from .simulation import FrameLog, ground, insert_movements, simulate, validate, 
 from .textgen import RefineConfig, proto_text, refine
 
 MANIFEST_VERSION = 1
+# verify's sample sizes: spatial records recomputed (AC6) and clip label
+# rows replayed by the oracle (AC7), each spread over the stories
+SPATIAL_SAMPLES = 10_000
+LABEL_SAMPLES = 1_000
 
 
 @dataclass(frozen=True)
@@ -55,16 +59,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def derived_rng(seed: int, tag: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 def story_category(cfg: GenConfig, registry: CapabilityRegistry,
                    story_index: int) -> str:
     """Episode category of a story, replaying only the first draw."""
-    from .procgen import select_episode, story_rng
-
     return select_episode(registry, story_rng(cfg.master_seed, story_index)).category
 
 
@@ -82,7 +79,7 @@ def simulate_graph(cfg: CorpusConfig, registry: CapabilityRegistry, graph: GestG
     issues = validate(graph, registry)
     if issues:
         raise ValidationFailure(issues)
-    world = ground(graph, registry, derived_rng(graph.seed, "ground"), fps=cfg.fps)
+    world = ground(graph, registry, story_rng(graph.seed, "ground"), fps=cfg.fps)
     graph = insert_movements(graph, world, registry)
     timeline = schedule(graph, cfg.fps)
     log = simulate(world, graph, timeline)
@@ -299,48 +296,53 @@ def story_entries(manifest: dict):
 class HashedFiles:
     """Files under `root`, each read at most once: to check it against
     `hashes` (rel path -> sha256 in the manifest) or to parse it.
-    `failures` names, after `prefix`, each hashed file that is missing,
-    unreadable or mismatched."""
+
+    A failure names its file once, by `prefix` and the rel path: its path
+    inside the corpus, so a report does not depend on where the corpus
+    lies.  `failures` lists each hashed file that is missing, unreadable
+    or mismatched."""
 
     def __init__(self, root: Path, prefix: str, hashes: dict[str, str]):
         self.root, self.prefix = root, prefix
         self._data: dict[str, bytes | OSError] = {}
         self.failures: list[str] = []
         for rel_path, want in hashes.items():
-            data = self.load(rel_path, lambda data, _: data, self.failures)
+            data = self.load(rel_path, bytes, self.failures)
             if data is not None and _sha256(data) != want:
                 self.failures.append(f"{prefix}{rel_path} hash mismatch")
 
     def load(self, rel_path: str, parse, *needed_by: list[str]):
-        """parse(bytes, path) of one file, or None once each list in
-        `needed_by` is told that the file is missing or does not parse."""
+        """parse(bytes) of one file, or None once each list in `needed_by`
+        is told that the file is missing, unreadable or does not parse."""
         if rel_path not in self._data:
             try:
                 self._data[rel_path] = (self.root / rel_path).read_bytes()
             except OSError as exc:
                 self._data[rel_path] = exc
-        try:
-            data = self._data[rel_path]
-            if isinstance(data, OSError):
-                raise data
-            return parse(data, self.root / rel_path)
-        except (OSError, ValueError, StorysimError) as exc:
-            name = self.prefix + rel_path
-            for found in needed_by:
-                found.append(f"{name} missing" if isinstance(exc, FileNotFoundError)
-                             else f"{name} cannot be loaded: {exc}")
-            return None
+        data = self._data[rel_path]
+        if isinstance(data, FileNotFoundError):
+            problem = "missing"
+        elif isinstance(data, OSError):  # its str() would name the absolute path
+            problem = f"cannot be loaded: {data.strerror}"
+        else:
+            try:
+                return parse(data)
+            except (ValueError, StorysimError) as exc:
+                problem = f"cannot be loaded: {exc}"
+        for found in needed_by:
+            found.append(f"{self.prefix}{rel_path} {problem}")
+        return None
 
     def require(self, rel_path: str, parse):
-        """parse(bytes, path) of one file; raises CorruptCorpus naming the
-        first failure so far, this file's included."""
+        """parse(bytes) of one file; raises CorruptCorpus naming the first
+        failure so far, this file's included."""
         value = self.load(rel_path, parse, self.failures)
         if self.failures:
             raise CorruptCorpus(self.failures[0])
         return value
 
 
-def _jsonl_lines(data: bytes, _path) -> list[bytes]:
+def _jsonl_lines(data: bytes) -> list[bytes]:
     """The lines of a JSONL file, each with its line end; CorruptCorpus on
     bytes that are not JSON lines."""
     lines = data.splitlines(keepends=True)
@@ -390,14 +392,14 @@ def compute_stats(corpus_dir: Path | str) -> dict:
     corpus_dir = Path(corpus_dir)
     manifest = load_manifest(corpus_dir)
     root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
-    registry = root.require("registry.json", lambda data, _: parse_registry(data))
+    registry = root.require("registry.json", parse_registry)
 
     counts: list[StoryCounts] = []
     for entry in story_entries(manifest):
         story_id = entry["story_id"]
         story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
-        graph = story.require("graph.json", lambda data, _: parse_graph(data))
-        mappings = story.require("events.jsonl", lambda data, _: data.count(b"\n"))
+        graph = story.require("graph.json", parse_graph)
+        mappings = story.require("events.jsonl", lambda data: data.count(b"\n"))
         relation_file = story.require("relations.bin", binio.parse_relations)
         log = story.require("framelog.bin", binio.parse_framelog)
         counts.append(story_counts(graph, mappings, len(relation_file[2]),
@@ -499,16 +501,15 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Rand
             failures.append(mismatch)
 
 
-def verify(corpus_dir: Path | str, label_samples: int = 1000,
-           spatial_samples: int = 10000) -> dict:
+def verify(corpus_dir: Path | str) -> dict:
     """Replay every oracle against the stored artifacts.
 
     Each story's files are loaded once.  A file that is missing or does
-    not load fails every check that needs it, naming the story and the
-    file; the story's other checks still run.  The probe clips must be
-    the ones extract_story_clips derives from the graph and a timeline
-    that passes its checks, and the sampled labels of those clips must
-    match the oracle.
+    not load fails every check that needs it, naming the file once by its
+    path inside the corpus; the story's other checks still run.  The
+    probe clips must be the ones extract_story_clips derives from the
+    graph and a timeline that passes its checks, and the sampled labels
+    of those clips must match the oracle.
 
     Returns {"ok": bool, "checks": [{"name", "ok", "details"}]}.
     """
@@ -529,21 +530,20 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
 
     root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
     hashes.extend(root.failures)
-    registry = root.load("registry.json", lambda data, _: parse_registry(data), labels)
+    registry = root.load("registry.json", parse_registry, labels)
 
     rng = random.Random(0xC0FFEE)
-    spatial_per_story = max(1, spatial_samples // max(len(entries), 1))
-    label_per_story = max(1, -(-label_samples // max(len(entries), 1)))
+    spatial_per_story = max(1, SPATIAL_SAMPLES // max(len(entries), 1))
+    label_per_story = max(1, -(-LABEL_SAMPLES // max(len(entries), 1)))
     sampled = 0
     for entry in entries:
         story_id = entry["story_id"]
         story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
         hashes.extend(story.failures)
-        graph = story.load("graph.json", lambda data, _: parse_graph(data),
-                           durations, relations, labels)
-        timeline = story.load("timeline.json", lambda data, _: parse_timeline(data),
-                              durations, relations, labels)
-        clips_doc = story.load("probes/clips.jsonl", lambda data, _: data, labels)
+        graph = story.load("graph.json", parse_graph, durations, relations, labels)
+        timeline = story.load("timeline.json", parse_timeline, durations, relations,
+                              labels)
+        clips_doc = story.load("probes/clips.jsonl", bytes, labels)
         label_lines = story.load("probes/labels.jsonl", _jsonl_lines, labels)
         clips = None  # derived only from a timeline that passes its checks
         if graph is not None and timeline is not None:
@@ -580,7 +580,7 @@ def verify(corpus_dir: Path | str, label_samples: int = 1000,
             if line != _jsonl([oracle_clip(clip, log, timeline, cfg_probe)]):
                 labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1
-            if sampled >= label_samples:
+            if sampled >= LABEL_SAMPLES:
                 break
 
     checks = [{"name": name, "ok": not found,

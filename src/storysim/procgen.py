@@ -127,13 +127,15 @@ class StoryDraw:
         return obj
 
 
-def story_seed(master_seed: int, story_index: int) -> int:
-    digest = hashlib.sha256(f"{master_seed}:{story_index}".encode()).digest()
+def story_seed(seed: int, tag: int | str) -> int:
+    """The seed derived from `seed` and a tag: a story's from the master
+    seed and its index, a stage's from the story seed and its name."""
+    digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def story_rng(master_seed: int, story_index: int) -> random.Random:
-    return random.Random(story_seed(master_seed, story_index))
+def story_rng(seed: int, tag: int | str) -> random.Random:
+    return random.Random(story_seed(seed, tag))
 
 
 def select_episode(registry: CapabilityRegistry, rng: random.Random) -> EpisodeSpec:

@@ -1,13 +1,12 @@
 """Kinematic execution of a scheduled story in a concrete 3D world.
 
 validate() checks a graph against the registry and returns issue
-records.  ground() places actors (jittered around their first POI),
-binds unowned objects to POI slots and initializes the camera.
-insert_movements() splices walk events wherever an actor's next event
-happens at a different POI.  simulate() plays the timeline out frame by
-frame: linear interpolation for movements, held poses for stationary
-actions, objects following their owner when carried, and an
-exponentially smoothed tracking camera.
+records.  ground() places actors (jittered around their first POI) and
+binds unowned objects to POI slots.  insert_movements() splices walk
+events wherever an actor's next event happens at a different POI.
+simulate() plays the timeline out frame by frame: linear interpolation
+for movements, held poses for stationary actions, objects following
+their owner when carried, and an exponentially smoothed tracking camera.
 
 Coordinate conventions: +Y is North, +X is East, z is up; yaw is a
 compass heading in degrees (0 = North, 90 = East).  All motion is
@@ -113,6 +112,12 @@ def validate(graph: GestGraph, registry: CapabilityRegistry) -> list[dict]:
     def flag(code: str, event_id, message: str):
         issues.append({"code": code, "event_id": event_id, "message": message})
 
+    # the camera follows the actors, and an idle actor waits in the plan's
+    # first region
+    if not graph.actors:
+        flag("NoActors", None, "graph declares no actors")
+    if not graph.region_plan:
+        flag("UnknownRegion", None, "region_plan names no region")
     plan_ok = True
     episodes_seen = set()
     for key in graph.region_plan:
@@ -231,8 +236,8 @@ def exchange_pairs(graph: GestGraph) -> list[tuple[Event, Event]]:
 
 def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
            fps: int = 25) -> World:
-    """Concrete initial world: jittered actor spots, slot-bound objects,
-    camera at its converged tracking pose."""
+    """Concrete initial world: jittered actor spots and slot-bound
+    objects.  simulate places the camera and the carried objects."""
     world = World(entities={}, fps=fps)
     for region_key in graph.region_plan:
         for poi in registry.region(region_key).pois:
@@ -256,24 +261,17 @@ def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
         if poi_key is None:
             # actor with no events idles at the plan's first region
             poi_key = registry.region(graph.region_plan[0]).pois[0].key
-            if (actor.id.id, poi_key) not in world.stand:
-                world.stand[actor.id.id, poi_key] = _jittered(
-                    registry.poi(poi_key).position, rng)
-            first_poi[actor.id.id] = poi_key
+            world.stand[actor.id.id, poi_key] = _jittered(registry.poi(poi_key).position,
+                                                          rng)
         pos = world.stand[actor.id.id, poi_key]
         poi = registry.poi(poi_key)
         yaw = _face(pos, poi.position)
         world.entities[actor.id.id] = EntityState(pos, yaw, registry.region_of_poi(poi_key))
 
     taken: dict[str, set[int]] = {}
-    for obj in graph.objects:
+    # an owned object rides with its owner, placed by simulate
+    for obj in (o for o in graph.objects if o.owner is None):
         poi = registry.poi(obj.home_poi)
-        if obj.owner is not None:
-            owner_state = world.entities[obj.owner.id]
-            pos = _carry_position(owner_state.position, owner_state.yaw)
-            world.entities[obj.id.id] = EntityState(pos, owner_state.yaw,
-                                                    owner_state.region)
-            continue
         used = taken.setdefault(obj.home_poi, set())
         slot_index = next(
             (i for i, t in enumerate(poi.object_slots)
@@ -287,13 +285,6 @@ def ground(graph: GestGraph, registry: CapabilityRegistry, rng: random.Random,
         used.add(slot_index)
         pos = slot_position(poi.position, slot_index, len(poi.object_slots))
         world.entities[obj.id.id] = EntityState(pos, 0.0, registry.region_of_poi(obj.home_poi))
-
-    actor_positions = [world.entities[a.id.id].position for a in graph.actors]
-    centroid = tuple(sum(c) / len(c) for c in zip(*actor_positions))
-    cam_pos = tuple(c + o for c, o in zip(centroid, CAMERA_OFFSET))
-    cam_yaw = _face(cam_pos, centroid)
-    start_region = registry.region_of_poi(first_poi[graph.actors[0].id.id])
-    world.entities[CAMERA_ID] = EntityState(cam_pos, cam_yaw, start_region)
     return world
 
 
@@ -324,17 +315,6 @@ def _face(frm, to) -> float:
     if dx * dx + dy * dy < 1e-18:
         return 0.0
     return bearing_deg(dx, dy)
-
-
-def _carry_position(owner_pos, owner_yaw_deg: float):
-    th = math.radians(owner_yaw_deg)
-    fwd = (math.sin(th), math.cos(th))
-    right = (math.cos(th), -math.sin(th))
-    return (
-        owner_pos[0] + right[0] * CARRY_OFFSET[0] + fwd[0] * CARRY_OFFSET[1],
-        owner_pos[1] + right[1] * CARRY_OFFSET[0] + fwd[1] * CARRY_OFFSET[1],
-        owner_pos[2] + CARRY_OFFSET[2],
-    )
 
 
 # ------------------------------------------------------ insert movements

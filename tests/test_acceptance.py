@@ -47,13 +47,12 @@ from storysim.pipeline import (
     _jsonl,
     compute_stats,
     corpus_digest,
-    derived_rng,
     generate_corpus,
     load_manifest,
 )
 from storysim.probes import SPLITS, ClipSpec, HybridSampleConfig, hybrid_sample
 from storysim.probes_oracle import oracle_clip
-from storysim.procgen import GenConfig, generate_story
+from storysim.procgen import GenConfig, generate_story, story_rng
 from storysim.scheduling import (
     TemporalNetwork,
     chain_constraints,
@@ -357,7 +356,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
     for index in range(40):
         graph = generate_story(cfg, registry, index)
         assert not validate(graph, registry)
-        world = ground(graph, registry, derived_rng(graph.seed, "ground"))
+        world = ground(graph, registry, story_rng(graph.seed, "ground"))
         augmented = insert_movements(graph, world, registry)
         timeline = schedule(augmented, fps=25)
         events = sum(1 for e in augmented.events
@@ -375,7 +374,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
     t0 = time.perf_counter()
     graph = generate_story(cfg, registry, chosen)
     assert not validate(graph, registry)
-    world = ground(graph, registry, derived_rng(graph.seed, "ground"))
+    world = ground(graph, registry, story_rng(graph.seed, "ground"))
     graph = insert_movements(graph, world, registry)
     timeline = schedule(graph, fps=25)
     log = simulate(world, graph, timeline)

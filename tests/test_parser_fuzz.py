@@ -49,12 +49,12 @@ def _real_files() -> dict[str, bytes]:
 
 REAL = _real_files()
 PARSERS = {
-    "clips.jsonl": lambda data: _jsonl_lines(data, "clips.jsonl"),
+    "clips.jsonl": _jsonl_lines,
     "graph.json": parse_graph,
     "timeline.json": parse_timeline,
     "registry.json": parse_registry,
-    "framelog.bin": lambda data: binio.parse_framelog(data, "framelog.bin"),
-    "relations.bin": lambda data: binio.parse_relations(data, "relations.bin"),
+    "framelog.bin": binio.parse_framelog,
+    "relations.bin": binio.parse_relations,
 }
 DOCUMENTS = ("graph.json", "timeline.json", "registry.json")
 

@@ -21,7 +21,7 @@ from storysim import binio, pipeline
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
 from storysim.documents import (json_document, parse_graph, parse_timeline,
-                                serialize_timeline)
+                                serialize_graph, serialize_timeline)
 from storysim.errors import CorruptCorpus
 from storysim.pipeline import (
     CorpusConfig,
@@ -432,6 +432,10 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
     pytest.param("story_00001/framelog.bin", lambda p: p.unlink(),
                  ("spatial-records", "probe-labels"), "story_00001/framelog.bin missing",
                  id="framelog-missing"),
+    pytest.param("story_00001/graph.json", lambda p: (p.unlink(), p.mkdir()),
+                 ("timeline-durations", "temporal-relations", "probe-labels"),
+                 "story_00001/graph.json cannot be loaded: Is a directory",
+                 id="graph-is-a-directory"),
     pytest.param("story_00001/probes/labels.jsonl", lambda p: p.write_text("{nope\n"),
                  ("probe-labels",), "story_00001/probes/labels.jsonl cannot be loaded",
                  id="labels-not-json"),
@@ -451,7 +455,8 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
                  id="framelog-repeats-an-id"),
     pytest.param("story_00001/framelog.bin", _drop_the_camera_with_its_hash,
                  ("spatial-records", "probe-labels"),
-                 "story_00001/framelog.bin: entity table lacks the camera's id 0",
+                 "story_00001/framelog.bin cannot be loaded: entity table lacks the "
+                 "camera's id 0",
                  id="framelog-without-camera"),
     pytest.param("registry.json", lambda p: p.unlink(), ("probe-labels",),
                  "registry.json missing", id="registry-missing"),
@@ -502,14 +507,28 @@ def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
         assert f"FAIL {name}: " in captured.out
 
 
+def test_a_damaged_corpus_reads_the_same_wherever_it_lies(small_corpus, tmp_path):
+    # a failure names its file once, by its path inside the corpus
+    reports = []
+    for root in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        shutil.copytree(small_corpus, root)
+        _drop_the_camera_with_its_hash(root / "story_00001/framelog.bin")
+        reports.append(verify(root))
+    assert reports[0] == reports[1]
+    assert str(tmp_path) not in json.dumps(reports[0])
+    named = "story_00001/framelog.bin cannot be loaded: entity table lacks the camera's id 0"
+    assert reports[0]["checks"] == expected_checks(
+        {"spatial-records": named, "probe-labels": named})
+
+
 def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path, capsys):
     # both binaries cut to zero frames and re-hashed, so each parses
     root = tmp_path / "empty"
     shutil.copytree(small_corpus, root)
     story = root / "story_00001"
-    log = binio.parse_framelog((story / "framelog.bin").read_bytes(), "framelog.bin")
+    log = binio.parse_framelog((story / "framelog.bin").read_bytes())
     fps, (ids, kinds, names), records = binio.parse_relations(
-        (story / "relations.bin").read_bytes(), "relations.bin")
+        (story / "relations.bin").read_bytes())
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
         replace(log, positions=log.positions[:0], yaws=log.yaws[:0]))))
     rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
@@ -837,6 +856,23 @@ def test_cli_rejects_a_manifest_fps_that_is_not_a_positive_int(corpus, tmp_path,
         assert main([command, "--corpus", str(tmp_path)]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith("error:") and "config.fps" in err, command
+
+
+@pytest.mark.parametrize("change, issue", [
+    (dict(actors=[], objects=[], events=[], relations=[]),
+     "NoActors (event None): graph declares no actors"),
+    (dict(region_plan=[], objects=[], events=[], relations=[]),
+     "UnknownRegion (event None): region_plan names no region"),
+], ids=["no-actors", "actor-without-events-and-no-region-plan"])
+def test_cli_simulate_refuses_a_graph_it_cannot_ground(tmp_path, capsys, change, issue):
+    # the camera follows the actors, and an idle actor waits in the plan's
+    # first region
+    graph = generate_story(GenConfig(master_seed=7), build_default_registry(), 1)
+    path, out = tmp_path / "graph.json", tmp_path / "o"
+    path.write_text(json.dumps({**json.loads(serialize_graph(graph)), **change}))
+    assert main(["simulate", "--graph", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == issue + "\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_graph(tmp_path, capsys):

@@ -126,6 +126,12 @@ class TestValidate:
         issues = validate(g, reg)
         assert any(i["code"] == "UnknownAction" for i in issues)
 
+    def test_graph_without_actors_or_region_plan(self):
+        reg = mini_registry()
+        assert [i["code"] for i in validate(make_graph([], []), reg)] == ["NoActors"]
+        assert [i["code"] for i in validate(make_graph([], [actor(1)], plan=()), reg)] \
+            == ["UnknownRegion"]
+
     def test_unknown_region_in_plan(self):
         reg = mini_registry()
         g = make_graph([ev(10, 1, "sit", "ep.a.p1", 5.0)], [actor(1)],
@@ -202,9 +208,8 @@ class TestGround:
         reg = build_default_registry()
         g = generate_story(GenConfig(master_seed=21), reg, 2)
         w = ground(g, reg, random.Random(1))
-        for eid, state in w.entities.items():
-            if eid == 0:
-                continue
+        assert CAMERA_ID not in w.entities  # simulate places the camera
+        for state in w.entities.values():
             lo, hi = reg.region(state.region).bounds
             x, y, _ = state.position
             assert lo[0] - 1.5 <= x <= hi[0] + 1.5
