@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -21,9 +20,9 @@ from .default_registry import build_default_registry
 from .documents import json_document, parse_graph, parse_registry, parse_timeline
 from .errors import StorysimError, ValidationFailure
 from .pipeline import (CorpusConfig, HashedFiles, compute_stats, generate_corpus,
-                       load_manifest, probe_docs, probe_config_from_manifest,
-                       simulate_graph, simulated_files, story_entries, verify,
-                       write_files)
+                       load_manifest, probe_docs, simulate_graph, simulated_files,
+                       story_entries, verify, write_files)
+from .probes import ProbeConfig
 from .procgen import GenConfig
 from .textgen import RefineConfig, proto_text
 
@@ -34,20 +33,24 @@ def _load_registry(path: str | None):
     return parse_registry(Path(path).read_bytes())
 
 
+def _config(args, make):
+    """make(), where a ValueError is a bad command-line value: exit 2."""
+    try:
+        return make()
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _cmd_generate(args) -> int:
-    registry = _load_registry(args.registry)
-    gen = GenConfig(
-        master_seed=args.seed,
-        chains_per_actor=args.chains_per_actor,
-        max_actors_per_region=args.max_actors_per_region,
-        regions_to_visit=args.regions,
-    )
-    cfg = CorpusConfig(
-        gen=gen,
+    if args.stories < 0:
+        args.parser.error("--stories must not be negative")
+    cfg = _config(args, lambda: CorpusConfig(
+        gen=GenConfig(master_seed=args.seed, chains_per_actor=args.chains_per_actor,
+                      max_actors_per_region=args.max_actors_per_region,
+                      regions_to_visit=args.regions),
         fps=args.fps,
-        refine=RefineConfig(endpoint_url=args.refine_endpoint,
-                            model=args.refine_model),
-    )
+        refine=RefineConfig(endpoint_url=args.refine_endpoint, model=args.refine_model)))
+    registry = _load_registry(args.registry)
     manifest = generate_corpus(args.out, cfg, registry, args.stories,
                                workers=args.workers)
     errors = [e for e in manifest["stories"] if "error" in e]
@@ -59,10 +62,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    cfg = _config(args, lambda: CorpusConfig(fps=args.fps))
     registry = _load_registry(args.registry)
     graph = parse_graph(Path(args.graph).read_bytes())
     try:
-        graph, timeline, log = simulate_graph(CorpusConfig(fps=args.fps), registry, graph)
+        graph, timeline, log = simulate_graph(cfg, registry, graph)
     except ValidationFailure as exc:
         for issue in exc.issues:
             print(f"{issue['code']} (event {issue['event_id']}): "
@@ -93,7 +97,7 @@ def _cmd_probes(args) -> int:
              "min_event_s": args.min_event_s,
              "ambiguity_eps_m": args.ambiguity_eps_m,
              "ambiguity_eps_deg": args.ambiguity_eps_deg}
-    cfg = replace(probe_config_from_manifest(manifest),
+    cfg = replace(ProbeConfig(**manifest["config"]["probe"]),
                   **{k: v for k, v in flags.items() if v is not None})
     out_root = Path(args.out) if args.out else corpus
     in_place = out_root.resolve() == corpus.resolve()
@@ -102,7 +106,7 @@ def _cmd_probes(args) -> int:
         story_id = entry["story_id"]
         # a story whose inputs fail their manifest hashes is refused
         story = HashedFiles(corpus / story_id, f"{story_id}/",
-                            {name: entry["files"].get(name) for name in
+                            {name: entry["files"][name] for name in
                              ("graph.json", "timeline.json", "framelog.bin")})
         graph = story.require("graph.json", parse_graph)
         timeline = story.require("timeline.json", parse_timeline)
@@ -124,8 +128,7 @@ def _cmd_probes(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stats = compute_stats(args.corpus)
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    sys.stdout.write(json_document(compute_stats(args.corpus)).decode("utf-8"))
     return 0
 
 
@@ -158,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine-endpoint", default=None)
     p.add_argument("--refine-model", default="")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, parser=p)
 
     p = sub.add_parser("simulate", help="simulate one graph document")
     p.add_argument("--graph", required=True)
     p.add_argument("--registry", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--fps", type=int, default=25)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("text", help="print proto text for a scheduled graph")
     p.add_argument("--graph", required=True)

@@ -1,4 +1,5 @@
-"""Parsing and serialization of graph, registry and timeline documents.
+"""Parsing and serialization of the corpus's JSON documents: graph,
+registry, timeline and manifest, and the JSONL row files.
 
 All documents are UTF-8 JSON with a format_version field.  Parsers
 resolve every id reference and re-check structural invariants so a
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
+from pathlib import PurePosixPath
 from typing import Any
 
 from .allen import Coarse, RelationSet
@@ -32,6 +35,7 @@ from .model import (
     RegionSpec,
     TemporalRelation,
 )
+from .probes import ProbeConfig
 from .scheduling import EventTimeline
 
 FORMAT_VERSION = 1
@@ -42,13 +46,32 @@ def json_document(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _decode(data: bytes, what: str) -> Any:
+def jsonl_document(rows) -> bytes:
+    """The deterministic encoding of every JSONL file the corpus holds."""
+    return "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows
+    ).encode("utf-8")
+
+
+def _loads(data: bytes, what: str) -> Any:
     try:
-        doc = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError: bad UTF-8, bad JSON or an integer too long for int();
         # RecursionError: arrays or objects nested too deep to decode
-        raise DocumentSyntaxError(f"not valid JSON for a {what} document: {exc}") from None
+        raise DocumentSyntaxError(f"not valid JSON for {what}: {exc}") from None
+
+
+def jsonl_lines(data: bytes) -> list[bytes]:
+    """The lines of a JSONL file, each with its line end, once each is JSON."""
+    lines = data.splitlines(keepends=True)
+    for n, line in enumerate(lines, 1):
+        _loads(line, f"line {n}")
+    return lines
+
+
+def _decode(data: bytes, what: str) -> Any:
+    doc = _loads(data, f"a {what} document")
     version = _get(doc, "format_version", int, what)
     if version != FORMAT_VERSION:
         raise DocumentSyntaxError(f"unsupported format_version {version}", what)
@@ -71,15 +94,12 @@ def _get(obj: dict, key: str, kind: type | tuple, loc: str):
 def _float(val, what: str, loc: str) -> float:
     """A finite float; json decodes NaN, Infinity and integers past the
     float range too."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise DocumentSyntaxError(f"{what} is not a number", loc)
     try:
-        val = float(val)
-    except OverflowError:
-        val = math.inf
-    if not math.isfinite(val):
-        raise DocumentSyntaxError(f"{what} is not finite", loc)
-    return val
+        if not isinstance(val, bool) and math.isfinite(val):
+            return float(val)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        pass
+    raise DocumentSyntaxError(f"{what} is not a finite number", loc)
 
 
 def _strings(obj: dict, key: str, loc: str) -> tuple[str, ...]:
@@ -454,3 +474,49 @@ def parse_timeline(data: bytes) -> EventTimeline:
             raise InvariantError("need 0 <= start < end", loc)
         intervals[eid] = (start, end)
     return EventTimeline(intervals=intervals, fps=fps)
+
+
+# -------------------------------------------------------------- manifest
+
+# the files of every built story; text.refined.txt only when refining
+STORY_FILES = ("graph.json", "timeline.json", "framelog.bin", "relations.bin",
+               "events.jsonl", "text.txt", "probes/clips.jsonl", "probes/labels.jsonl")
+_PROBE_KEYS = frozenset(f.name for f in fields(ProbeConfig))
+
+
+def parse_manifest(data: bytes) -> dict:
+    """The manifest document, checked for all its readers use; a built
+    story's files must hash every STORY_FILES entry and stay inside its
+    directory."""
+    doc = _decode(data, "manifest")
+    _get(doc, "registry_hash", str, "registry_hash")
+    config = _get(doc, "config", dict, "config")
+    if _get(config, "fps", int, "config.fps") < 1:
+        raise InvariantError("fps must be positive", "config.fps")
+    probe = _get(config, "probe", dict, "config.probe")
+    for problem, keys in (("unknown", probe.keys() - _PROBE_KEYS),
+                          ("missing", _PROBE_KEYS - probe.keys())):
+        if keys:
+            raise DocumentSyntaxError(f"{problem} key(s) {', '.join(sorted(keys))}",
+                                      "config.probe")
+    for key, value in probe.items():
+        _float(value, key, "config.probe")
+    for i, entry in enumerate(_get(doc, "stories", list, "stories")):
+        loc = f"stories[{i}]"
+        story_id = _get(entry, "story_id", str, f"{loc}.story_id")
+        if story_id in ("", ".", "..") or "/" in story_id:
+            raise InvariantError(f"{story_id!r} is not one path component",
+                                 f"{loc}.story_id")
+        _get(entry, "split", str, f"{loc}.split")
+        if "error" in entry:
+            continue  # a story that failed has no files
+        files = _get(entry, "files", dict, f"{loc}.files")
+        for rel_path in files:
+            rel = PurePosixPath(rel_path)
+            if rel.is_absolute() or ".." in rel.parts:
+                raise InvariantError(f"key {rel_path!r} leaves the story directory",
+                                     f"{loc}.files")
+        missing = [name for name in STORY_FILES if name not in files]
+        if missing:
+            raise DocumentSyntaxError(f"no hash of {', '.join(missing)}", f"{loc}.files")
+    return doc

@@ -11,19 +11,18 @@ can fan out to worker processes without changing any output.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path, PurePosixPath
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 from . import binio
 from .allen import relation_between
 from .collectors import (collect_event_mappings, collect_story_relations,
                          compute_pair_relation, COMPASS_NAMES)
-from .documents import (json_document, parse_graph, parse_registry, parse_timeline,
+from .documents import (FORMAT_VERSION, json_document, jsonl_document, jsonl_lines,
+                        parse_graph, parse_manifest, parse_registry, parse_timeline,
                         serialize_graph, serialize_registry, serialize_timeline)
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
@@ -34,7 +33,6 @@ from .scheduling import EventTimeline, duration_frames, graph_constraints, sched
 from .simulation import FrameLog, ground, insert_movements, simulate, validate, visible_mask
 from .textgen import RefineConfig, proto_text, refine
 
-MANIFEST_VERSION = 1
 # verify's sample sizes: spatial records recomputed (AC6) and clip label
 # rows replayed by the oracle (AC7), each spread over the stories
 SPATIAL_SAMPLES = 10_000
@@ -48,11 +46,9 @@ class CorpusConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
 
-
-def _jsonl(rows) -> bytes:
-    return "".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows
-    ).encode("utf-8")
+    def __post_init__(self):
+        if self.fps < 1:
+            raise ValueError("fps must be positive")
 
 
 def _sha256(data: bytes) -> str:
@@ -97,7 +93,7 @@ def simulated_files(graph: GestGraph, timeline: EventTimeline,
         "framelog.bin": binio.framelog_bytes(log),
         "relations.bin": binio.relations_bytes(records, log.fps, log.entity_ids,
                                                log.entity_kinds, log.entity_names),
-        "events.jsonl": _jsonl(
+        "events.jsonl": jsonl_document(
             {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
              "start_frame": m.start_frame, "end_frame": m.end_frame,
              "is_movement": m.is_movement}
@@ -121,9 +117,9 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
     """probes/clips.jsonl and probes/labels.jsonl of one story, by path."""
     clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
                                 probe, split)
-    clips_doc = _jsonl(map(_clip_row, clips))
+    clips_doc = jsonl_document(map(_clip_row, clips))
     vis = visible_mask(log)
-    labels_doc = _jsonl(label_clip(c, log, timeline, probe, vis) for c in clips)
+    labels_doc = jsonl_document(label_clip(c, log, timeline, probe, vis) for c in clips)
     return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
 
 
@@ -233,7 +229,7 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     entries = [entry for entry, _ in built]
 
     manifest = {
-        "format_version": MANIFEST_VERSION,
+        "format_version": FORMAT_VERSION,
         "kind": "corpus-manifest",
         "master_seed": cfg.gen.master_seed,
         "story_count": stories,
@@ -244,45 +240,6 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     (out_root / "manifest.json").write_bytes(json_document(manifest))
     stats = corpus_stats(registry, cfg.fps, [c for _, c in built if c is not None])
     (out_root / "stats.json").write_bytes(json_document(stats))
-    return manifest
-
-
-def load_manifest(corpus_dir: Path | str) -> dict:
-    path = Path(corpus_dir) / "manifest.json"
-    if not path.is_file():
-        raise CorruptCorpus(f"{path} is missing")
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except ValueError as exc:
-        raise CorruptCorpus(f"{path}: {exc}") from None
-    for key_path in (("registry_hash",), ("stories",), ("config", "fps")):
-        node = manifest
-        for key in key_path:
-            if not isinstance(node, dict) or key not in node:
-                raise CorruptCorpus(f"{path}: no key {'.'.join(key_path)}")
-            node = node[key]
-    if not isinstance(manifest["stories"], list):
-        raise CorruptCorpus(f"{path}: stories is not a list")
-    fps = manifest["config"]["fps"]
-    if type(fps) is not int or fps < 1:  # a bool is not a frame rate
-        raise CorruptCorpus(f"{path}: config.fps {fps!r} is not a positive int")
-    for i, entry in enumerate(manifest["stories"]):
-        for key, kind in (("story_id", str), ("split", str), ("files", dict)):
-            if key == "files" and isinstance(entry, dict) and "error" in entry:
-                continue
-            if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
-                raise CorruptCorpus(
-                    f"{path}: stories[{i}].{key} is missing or not a {kind.__name__}")
-        # a story's directory and every file it names stay inside the corpus
-        story_id = entry["story_id"]
-        if story_id in ("", ".", "..") or "/" in story_id:
-            raise CorruptCorpus(f"{path}: stories[{i}].story_id {story_id!r} is not "
-                                f"one path component")
-        for rel_path in () if "error" in entry else entry["files"]:
-            rel = PurePosixPath(rel_path)
-            if rel.is_absolute() or ".." in rel.parts:
-                raise CorruptCorpus(f"{path}: stories[{i}].files key {rel_path!r} "
-                                    f"leaves the story directory")
     return manifest
 
 
@@ -342,16 +299,9 @@ class HashedFiles:
         return value
 
 
-def _jsonl_lines(data: bytes) -> list[bytes]:
-    """The lines of a JSONL file, each with its line end; CorruptCorpus on
-    bytes that are not JSON lines."""
-    lines = data.splitlines(keepends=True)
-    try:
-        for line in lines:
-            json.loads(line)
-    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise CorruptCorpus(str(exc)) from None
-    return lines
+def load_manifest(corpus_dir: Path | str) -> dict:
+    """The parsed manifest.json; CorruptCorpus names it by its corpus path."""
+    return HashedFiles(Path(corpus_dir), "", {}).require("manifest.json", parse_manifest)
 
 
 def corpus_stats(registry: CapabilityRegistry, fps: int,
@@ -416,27 +366,6 @@ def corpus_digest(corpus_dir: Path | str) -> str:
         h.update(b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
-
-
-def probe_config_from_manifest(manifest: dict) -> ProbeConfig:
-    """The ProbeConfig of manifest["config"]["probe"]; CorruptCorpus names
-    any key that ProbeConfig does not declare, that the manifest lacks or
-    whose value is not a finite number."""
-    try:
-        d = dict(manifest["config"]["probe"])
-    except (KeyError, TypeError, ValueError):
-        raise CorruptCorpus("manifest has no config.probe section") from None
-    declared = {f.name for f in fields(ProbeConfig)}
-    for problem, names in (("unknown", d.keys() - declared),
-                           ("missing", declared - d.keys())):
-        if names:
-            raise CorruptCorpus(f"manifest config.probe: {problem} key(s) "
-                                f"{', '.join(sorted(names))}")
-    for key, value in d.items():
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise CorruptCorpus(f"manifest config.probe: {key} {value!r} "
-                                f"is not a finite number")
-    return ProbeConfig(**d)
 
 
 def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
@@ -516,11 +445,11 @@ def verify(corpus_dir: Path | str) -> dict:
     corpus_dir = Path(corpus_dir)
     try:
         manifest = load_manifest(corpus_dir)
-        cfg_probe = probe_config_from_manifest(manifest)
     except CorruptCorpus as exc:
         return {"ok": False, "checks": [{"name": "manifest", "ok": False,
                                          "details": str(exc)}]}
     fps = manifest["config"]["fps"]
+    cfg_probe = ProbeConfig(**manifest["config"]["probe"])
     entries = list(story_entries(manifest))
 
     names = ("manifest-hashes", "timeline-durations", "temporal-relations",
@@ -544,7 +473,7 @@ def verify(corpus_dir: Path | str) -> dict:
         timeline = story.load("timeline.json", parse_timeline, durations, relations,
                               labels)
         clips_doc = story.load("probes/clips.jsonl", bytes, labels)
-        label_lines = story.load("probes/labels.jsonl", _jsonl_lines, labels)
+        label_lines = story.load("probes/labels.jsonl", jsonl_lines, labels)
         clips = None  # derived only from a timeline that passes its checks
         if graph is not None and timeline is not None:
             sound = _check_timeline(story_id, graph, timeline, fps, durations, relations,
@@ -561,7 +490,7 @@ def verify(corpus_dir: Path | str) -> dict:
             _check_spatial(story_id, log, relation_file, rng, spatial_per_story, spatial)
         if clips is None:
             continue
-        if clips_doc is not None and clips_doc != _jsonl(map(_clip_row, clips)):
+        if clips_doc is not None and clips_doc != jsonl_document(map(_clip_row, clips)):
             labels.append(f"{story_id}/probes/clips.jsonl differs from the clips of "
                           f"the graph and timeline")
         if label_lines is None:
@@ -577,7 +506,7 @@ def verify(corpus_dir: Path | str) -> dict:
                               f"the {log.frame_count}-frame log")
                 break
             # byte for byte: a decoded 0 would equal false
-            if line != _jsonl([oracle_clip(clip, log, timeline, cfg_probe)]):
+            if line != jsonl_document([oracle_clip(clip, log, timeline, cfg_probe)]):
                 labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1
             if sampled >= LABEL_SAMPLES:

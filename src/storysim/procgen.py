@@ -114,6 +114,18 @@ class StoryDraw:
         self.events.append(ev)
         return ev
 
+    def new_pair(self, first: int, second: int, action: str, poi: str,
+                 duration_s: float, kind: EventKind) -> None:
+        """Two events, each with the other actor as patient, linked same_time."""
+        ev_a = self.new_event(first, action, EntityId(second, EntityKind.ACTOR),
+                              poi, duration_s, kind)
+        ev_b = self.new_event(second, action, EntityId(first, EntityKind.ACTOR),
+                              poi, duration_s, kind)
+        self.relations.append(
+            TemporalRelation(ev_a.event_id, ev_b.event_id, Coarse.SAME_TIME,
+                             coarse_to_allen(Coarse.SAME_TIME))
+        )
+
     def new_object(self, type_key: str, owner_id: int | None, home_poi: str) -> ObjectEntity:
         eid = EntityId(self.next_entity_id, EntityKind.OBJECT)
         self.next_entity_id += 1
@@ -215,14 +227,7 @@ def plan_interactions(draw: StoryDraw, groups: dict[str, list[int]],
         first, second = rng.sample(groups[poi_key], 2)
         action = rng.choice(candidates)
         duration = rng.uniform(*registry.actions[action].duration_range_s)
-        ev_a = draw.new_event(first, action, EntityId(second, EntityKind.ACTOR),
-                              poi_key, duration, EventKind.INTERACTION)
-        ev_b = draw.new_event(second, action, EntityId(first, EntityKind.ACTOR),
-                              poi_key, duration, EventKind.INTERACTION)
-        draw.relations.append(
-            TemporalRelation(ev_a.event_id, ev_b.event_id, Coarse.SAME_TIME,
-                             coarse_to_allen(Coarse.SAME_TIME))
-        )
+        draw.new_pair(first, second, action, poi_key, duration, EventKind.INTERACTION)
     for _ in range(EXCHANGE_SLOTS_PER_REGION):
         if rng.random() >= cfg.exchange_prob:
             continue
@@ -239,16 +244,8 @@ def plan_interactions(draw: StoryDraw, groups: dict[str, list[int]],
             draw.new_object(type_key, giver, poi_key)
         duration = rng.uniform(*registry.actions[EXCHANGE_ACTION_KEY].duration_range_s)
         # the giver's event is created first: lower event_id marks the giver
-        ev_g = draw.new_event(giver, EXCHANGE_ACTION_KEY,
-                              EntityId(receiver, EntityKind.ACTOR),
-                              poi_key, duration, EventKind.EXCHANGE)
-        ev_r = draw.new_event(receiver, EXCHANGE_ACTION_KEY,
-                              EntityId(giver, EntityKind.ACTOR),
-                              poi_key, duration, EventKind.EXCHANGE)
-        draw.relations.append(
-            TemporalRelation(ev_g.event_id, ev_r.event_id, Coarse.SAME_TIME,
-                             coarse_to_allen(Coarse.SAME_TIME))
-        )
+        draw.new_pair(giver, receiver, EXCHANGE_ACTION_KEY, poi_key, duration,
+                      EventKind.EXCHANGE)
         moved = draw.owned[giver].pop(0)
         draw.owned.setdefault(receiver, []).append(moved)
 

@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 
 from .allen import Coarse
+from .errors import InvariantError
 from .model import CapabilityRegistry, EventKind, Gender, GestGraph
 from .scheduling import EventTimeline
 from .simulation import paired_events
@@ -70,6 +71,7 @@ def plural_verb(phrase: str) -> str:
 
 def proto_text(graph: GestGraph, timeline: EventTimeline,
                registry: CapabilityRegistry) -> ProtoText:
+    """The template text of a scheduled story; InvariantError if it lacks an event."""
     actors = graph.actor_index()
     events = graph.event_index()
     same_time: dict[int, set[int]] = {}
@@ -85,9 +87,11 @@ def proto_text(graph: GestGraph, timeline: EventTimeline,
             partner_of[ev.event_id] = partner.event_id
             partner_of[partner.event_id] = ev.event_id
 
-    ordered = sorted(
-        (e for e in graph.events if e.kind is not EventKind.MOVEMENT),
-        key=lambda e: (timeline.start(e.event_id), e.event_id))
+    told = [e for e in graph.events if e.kind is not EventKind.MOVEMENT]
+    for ev in told:
+        if ev.event_id not in timeline.intervals:
+            raise InvariantError(f"event {ev.event_id} is not in the timeline")
+    ordered = sorted(told, key=lambda e: (timeline.start(e.event_id), e.event_id))
 
     sentences: list[Sentence] = []
     emitted: set[int] = set()

@@ -27,6 +27,7 @@ from storysim.collectors import (
 from storysim.default_registry import build_default_registry
 from storysim.documents import (
     json_document,
+    jsonl_document,
     parse_graph,
     parse_timeline,
     serialize_graph,
@@ -44,7 +45,6 @@ from storysim.model import (
 )
 from storysim.pipeline import (
     CorpusConfig,
-    _jsonl,
     compute_stats,
     corpus_digest,
     generate_corpus,
@@ -385,7 +385,7 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
                           log.entity_ids, log.entity_kinds, log.entity_names)
     binio.write_framelog(out / "framelog.bin", log)
     mappings = collect_event_mappings(timeline, graph)
-    (out / "events.jsonl").write_bytes(_jsonl(
+    (out / "events.jsonl").write_bytes(jsonl_document(
         {"event_id": m.event_id, "start_frame": m.start_frame,
          "end_frame": m.end_frame} for m in mappings))
     (out / "text.txt").write_bytes(

@@ -236,9 +236,9 @@ def test_rejects_numbers_that_are_not_finite_floats(graph, registry, literal):
     def region_corner(d):
         d["episodes"][0]["regions"][0]["bounds"][1][0] = "NUMBER"
 
-    with pytest.raises(DocumentSyntaxError, match="duration_s.*not finite"):
+    with pytest.raises(DocumentSyntaxError, match="duration_s.*not a finite number"):
         parse_graph(with_number(serialize_graph(graph), event_duration))
-    with pytest.raises(DocumentSyntaxError, match="coordinate is not finite"):
+    with pytest.raises(DocumentSyntaxError, match="coordinate is not a finite number"):
         parse_registry(with_number(serialize_registry(registry), region_corner))
 
 

@@ -6,7 +6,9 @@ dropped."""
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 from storysim import binio
 from storysim.collectors import collect_story_relations
 from storysim.default_registry import build_default_registry
-from storysim.documents import (parse_graph, parse_registry, parse_timeline,
-                                serialize_graph, serialize_registry, serialize_timeline)
+from storysim.documents import (jsonl_lines, parse_graph, parse_manifest, parse_registry,
+                                parse_timeline, serialize_graph, serialize_registry,
+                                serialize_timeline)
 from storysim.errors import StorysimError
-from storysim.pipeline import CorpusConfig, _jsonl_lines, build_story, probe_docs
+from storysim.pipeline import CorpusConfig, build_story, generate_corpus, probe_docs
 from storysim.procgen import GenConfig, generate_story
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -29,8 +32,11 @@ REGISTRY = build_default_registry()
 def _real_files() -> dict[str, bytes]:
     """The documents and binaries of one seed-7 story; the frame log is
     cut to its first frames so mutations land in headers and entity
-    tables as often as in payloads."""
+    tables as often as in payloads.  The manifest is a 2-story corpus's."""
     cfg = CorpusConfig(gen=GenConfig(master_seed=7))
+    with tempfile.TemporaryDirectory() as corpus:
+        generate_corpus(corpus, cfg, REGISTRY, stories=2)
+        manifest = (Path(corpus) / "manifest.json").read_bytes()
     graph, timeline, log = build_story(cfg, REGISTRY, 0)
     probes = probe_docs("story_00000", graph, timeline, log, REGISTRY, cfg.probe,
                         "train")
@@ -38,6 +44,7 @@ def _real_files() -> dict[str, bytes]:
     return {
         "clips.jsonl": probes["probes/clips.jsonl"],
         "graph.json": serialize_graph(graph),
+        "manifest.json": manifest,
         "timeline.json": serialize_timeline(timeline),
         "registry.json": serialize_registry(REGISTRY),
         "framelog.bin": bytes(binio.framelog_bytes(log)),
@@ -49,14 +56,15 @@ def _real_files() -> dict[str, bytes]:
 
 REAL = _real_files()
 PARSERS = {
-    "clips.jsonl": _jsonl_lines,
+    "clips.jsonl": jsonl_lines,
     "graph.json": parse_graph,
+    "manifest.json": parse_manifest,
     "timeline.json": parse_timeline,
     "registry.json": parse_registry,
     "framelog.bin": binio.parse_framelog,
     "relations.bin": binio.parse_relations,
 }
-DOCUMENTS = ("graph.json", "timeline.json", "registry.json")
+DOCUMENTS = ("graph.json", "timeline.json", "registry.json", "manifest.json")
 
 
 def parses_or_fails_closed(name: str, data: bytes):

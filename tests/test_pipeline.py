@@ -20,9 +20,9 @@ import pytest
 from storysim import binio, pipeline
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
-from storysim.documents import (json_document, parse_graph, parse_timeline,
-                                serialize_graph, serialize_timeline)
-from storysim.errors import CorruptCorpus
+from storysim.documents import (json_document, parse_graph, parse_manifest,
+                                parse_timeline, serialize_graph, serialize_timeline)
+from storysim.errors import CorruptCorpus, DocumentSyntaxError
 from storysim.pipeline import (
     CorpusConfig,
     assemble_story,
@@ -30,10 +30,10 @@ from storysim.pipeline import (
     corpus_digest,
     generate_corpus,
     load_manifest,
-    probe_config_from_manifest,
     verify,
 )
 from storysim.probes import ProbeConfig
+from storysim.model import EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 
@@ -645,11 +645,12 @@ def test_verify_judges_a_rewritten_label(small_corpus, tmp_path):
 
 def test_config_round_trips_through_manifest(corpus):
     _, cfg, manifest = corpus
-    assert probe_config_from_manifest(manifest) == cfg.probe
+    assert ProbeConfig(**parse_manifest(json_document(manifest))["config"]["probe"]) \
+        == cfg.probe
     broken = json.loads(json.dumps(manifest))
     del broken["config"]["probe"]["min_event_s"]
-    with pytest.raises(CorruptCorpus, match="missing key.*min_event_s"):
-        probe_config_from_manifest(broken)
+    with pytest.raises(DocumentSyntaxError, match="missing key.*min_event_s"):
+        parse_manifest(json_document(broken))
 
 
 def _refined_story(tmp_path):
@@ -694,7 +695,9 @@ def test_verify_fails_closed_on_a_missing_manifest_key(corpus, tmp_path, capsys,
     del node[key_path[-1]]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     name = ".".join(key_path)
-    with pytest.raises(CorruptCorpus, match=f"no key {name}"):
+    with pytest.raises(CorruptCorpus,
+                       match=rf"^manifest.json cannot be loaded: missing field "
+                             rf"'{key_path[-1]}' \(at {name}\)$"):
         load_manifest(tmp_path)
     report = verify(tmp_path)
     assert not report["ok"]
@@ -714,7 +717,7 @@ def test_verify_fails_closed_on_a_bad_story_entry(corpus, tmp_path, capsys, key,
     else:
         manifest["stories"][1][key] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CorruptCorpus, match=rf"stories\[1\]\.{key} is missing"):
+    with pytest.raises(CorruptCorpus, match=rf"field '{key}' .*\(at stories\[1\]\.{key}\)$"):
         load_manifest(tmp_path)
     report = verify(tmp_path)
     assert not report["ok"]
@@ -740,6 +743,60 @@ def test_load_manifest_rejects_garbage(tmp_path):
     (tmp_path / "manifest.json").write_text("{nope")
     with pytest.raises(CorruptCorpus):
         load_manifest(tmp_path)
+
+
+def _probe_value_of_401_digits(manifest):
+    manifest["config"]["probe"]["min_event_s"] = 10**400
+
+
+def _format_version_2(manifest):
+    manifest["format_version"] = 2
+
+
+def _no_graph_hash(manifest):
+    del manifest["stories"][1]["files"]["graph.json"]
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (b"[" * 200_000, "not valid JSON"),
+    (_probe_value_of_401_digits, "min_event_s is not a finite number"),
+    (_format_version_2, "unsupported format_version 2"),
+    (_no_graph_hash, "no hash of graph.json (at stories[1].files)"),
+], ids=["deeply-nested", "huge-int", "format-version-2", "story-without-graph-hash"])
+def test_every_manifest_reader_refuses_a_damaged_manifest(small_corpus, tmp_path, capsys,
+                                                         damage, problem):
+    # bytes, or an edit of the decoded manifest
+    root = tmp_path / "c"
+    shutil.copytree(small_corpus, root)
+    if isinstance(damage, bytes):
+        (root / "manifest.json").write_bytes(damage)
+    else:
+        manifest = load_manifest(root)
+        damage(manifest)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    report = verify(root)
+    assert report["checks"][0]["name"] == "manifest" and not report["ok"]
+    details = report["checks"][0]["details"]
+    assert details.startswith("manifest.json cannot be loaded: ") and problem in details
+    assert main(["verify", "--corpus", str(root)]) == 1
+    assert "FAIL manifest: manifest.json cannot be loaded: " in capsys.readouterr().out
+    for argv in (["stats"], ["probes", "--motion-threshold", "0.5"]):
+        assert main([*argv, "--corpus", str(root)]) == 1, argv
+        assert capsys.readouterr().err == f"error: {details}\n", argv
+
+
+def test_a_damaged_manifest_reads_the_same_wherever_it_lies(small_corpus, tmp_path,
+                                                            capsys):
+    reports, errors = [], []
+    for root in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        shutil.copytree(small_corpus, root)
+        (root / "manifest.json").write_text("{}")
+        reports.append(verify(root))
+        assert main(["stats", "--corpus", str(root)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert reports[0] == reports[1] and errors[0] == errors[1]
+    assert str(tmp_path) not in json.dumps(reports) + errors[0]
+    assert reports[0]["checks"][0]["details"].startswith("manifest.json cannot be loaded")
 
 
 # ------------------------------------------------------------------- CLI
@@ -803,7 +860,7 @@ def test_cli_probes_regenerates_in_place(tmp_path, capsys):
                  "--motion-threshold", "0.5"]) == 0
     capsys.readouterr()
     assert (next(out.glob("story_*/probes/labels.jsonl"))).read_bytes() != before
-    assert probe_config_from_manifest(load_manifest(out)).motion_threshold_m == 0.5
+    assert load_manifest(out)["config"]["probe"]["motion_threshold_m"] == 0.5
     assert main(["verify", "--corpus", str(out)]) == 0
     assert verify(out)["checks"] == expected_checks({})
 
@@ -838,9 +895,10 @@ def test_cli_rejects_a_bad_manifest_probe_config(corpus, tmp_path, capsys, key, 
     assert main(["verify", "--corpus", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL manifest: " in out and problem in out and key in out
-    assert main(["probes", "--corpus", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and problem in err and key in err
+    for command in ("stats", "probes"):
+        assert main([command, "--corpus", str(tmp_path)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and problem in err and key in err, command
 
 
 @pytest.mark.parametrize("fps", ["25", 0, -25, 25.0, True, None])
@@ -893,3 +951,43 @@ def test_cli_reports_a_missing_input_path(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(missing) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--stories", "1", "--fps", "0"],
+    ["generate", "--stories", "-1"],
+    ["generate", "--stories", "1", "--regions", "0"],
+    ["generate", "--stories", "1", "--chains-per-actor", "0"],
+    ["simulate", "--graph", "{graph}", "--fps", "0"],
+], ids=["generate-fps", "generate-stories", "generate-regions", "generate-chains",
+        "simulate-fps"])
+def test_cli_refuses_a_bad_value_as_a_usage_error(tmp_path, capsys, argv):
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(serialize_graph(
+        generate_story(GenConfig(master_seed=7), build_default_registry(), 0)))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(graph=graph) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corpus_config_refuses_a_frame_rate_below_one():
+    with pytest.raises(ValueError, match="fps"):
+        CorpusConfig(fps=0)
+
+
+def test_cli_text_names_an_event_the_timeline_lacks(small_corpus, tmp_path, capsys):
+    story = small_corpus / "story_00000"
+    graph = parse_graph((story / "graph.json").read_bytes())
+    timeline = parse_timeline((story / "timeline.json").read_bytes())
+    told = next(e.event_id for e in graph.events if e.kind is not EventKind.MOVEMENT)
+    del timeline.intervals[told]
+    path = tmp_path / "timeline.json"
+    path.write_bytes(serialize_timeline(timeline))
+    assert main(["text", "--graph", str(story / "graph.json"),
+                 "--timeline", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: event {told} is not in the timeline\n"
+    assert not captured.out
