@@ -13,7 +13,7 @@ from .allen import (AllenRelation, Coarse, RelationSet, coarse_to_allen,
 from .errors import (CorruptCorpus, DanglingReferenceError,
                      DocumentSyntaxError, EmptyRegistry,
                      InconsistentNetwork, InvariantError, NoFreeSlot,
-                     NoValidAction, RelationInjectionExhausted, StorysimError,
+                     NoValidAction, StorysimError,
                      UnschedulableDisjunction, ValidationFailure)
 from .model import (CAMERA_ID, ActionCategory, ActionSpec, Actor,
                     CapabilityRegistry, EntityId, EntityKind, EpisodeSpec,
@@ -24,13 +24,11 @@ from .scheduling import (EventTimeline, TemporalNetwork, closure, duration_frame
 from .procgen import GenConfig, generate_story, story_seed
 from .simulation import (FrameLog, World, ground, insert_movements, simulate,
                          validate, visible_mask)
-from .collectors import (EventFrameMapping, PairRelation,
-                         collect_event_mappings, collect_story_relations,
-                         compute_pair_relation)
+from .collectors import (PairRelation, collect_event_mappings,
+                         collect_story_relations, compute_pair_relation)
 from .textgen import ProtoText, RefineConfig, proto_text, refine
-from .probes import (ClipSpec, HybridSampleConfig, ProbeConfig,
-                     extract_story_clips, hybrid_sample, label_clip,
-                     label_scene, split_stories)
+from .probes import (ClipSpec, ProbeConfig, extract_story_clips, hybrid_sample,
+                     label_clip, label_scene, split_stories)
 from .default_registry import build_default_registry
 from .pipeline import (CorpusConfig, assemble_story, compute_stats,
                        corpus_digest, generate_corpus, verify)
@@ -42,8 +40,7 @@ __all__ = [
     "converse", "relation_between", "check_relation",
     "StorysimError", "DocumentSyntaxError", "DanglingReferenceError",
     "InvariantError", "InconsistentNetwork", "UnschedulableDisjunction",
-    "EmptyRegistry", "NoValidAction", "RelationInjectionExhausted",
-    "NoFreeSlot", "ValidationFailure", "CorruptCorpus",
+    "EmptyRegistry", "NoValidAction", "NoFreeSlot", "ValidationFailure", "CorruptCorpus",
     "CAMERA_ID", "ActionCategory", "ActionSpec", "Actor", "CapabilityRegistry",
     "EntityId", "EntityKind", "EpisodeSpec", "Event", "EventKind", "Gender",
     "GestGraph", "ObjectEntity", "PoiSpec", "RegionSpec", "TemporalRelation",
@@ -52,10 +49,10 @@ __all__ = [
     "GenConfig", "generate_story", "story_seed",
     "FrameLog", "World", "ground", "insert_movements",
     "simulate", "validate", "visible_mask",
-    "EventFrameMapping", "PairRelation", "collect_event_mappings",
+    "PairRelation", "collect_event_mappings",
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
-    "ClipSpec", "HybridSampleConfig", "ProbeConfig", "extract_story_clips",
+    "ClipSpec", "ProbeConfig", "extract_story_clips",
     "hybrid_sample", "label_clip", "label_scene", "split_stories",
     "build_default_registry",
     "CorpusConfig", "assemble_story", "compute_stats", "corpus_digest",

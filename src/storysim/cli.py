@@ -24,6 +24,7 @@ from .pipeline import (CorpusConfig, HashedFiles, compute_stats, generate_corpus
                        story_entries, verify, write_files)
 from .probes import ProbeConfig
 from .procgen import GenConfig
+from .simulation import validate
 from .textgen import RefineConfig, proto_text
 
 
@@ -65,14 +66,7 @@ def _cmd_simulate(args) -> int:
     cfg = _config(args, lambda: CorpusConfig(fps=args.fps))
     registry = _load_registry(args.registry)
     graph = parse_graph(Path(args.graph).read_bytes())
-    try:
-        graph, timeline, log = simulate_graph(cfg, registry, graph)
-    except ValidationFailure as exc:
-        for issue in exc.issues:
-            print(f"{issue['code']} (event {issue['event_id']}): "
-                  f"{issue['message']}", file=sys.stderr)
-        return 2
-
+    graph, timeline, log = simulate_graph(cfg, registry, graph)
     files, records = simulated_files(graph, timeline, log)
     write_files(Path(args.out), files, {})
     print(f"simulated {log.frame_count} frames, {records} relation records "
@@ -83,6 +77,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_text(args) -> int:
     registry = _load_registry(args.registry)
     graph = parse_graph(Path(args.graph).read_bytes())
+    issues = validate(graph, registry)
+    if issues:
+        raise ValidationFailure(issues)
     timeline = parse_timeline(Path(args.timeline).read_bytes())
     print(proto_text(graph, timeline, registry).full_text)
     return 0
@@ -97,8 +94,9 @@ def _cmd_probes(args) -> int:
              "min_event_s": args.min_event_s,
              "ambiguity_eps_m": args.ambiguity_eps_m,
              "ambiguity_eps_deg": args.ambiguity_eps_deg}
-    cfg = replace(ProbeConfig(**manifest["config"]["probe"]),
-                  **{k: v for k, v in flags.items() if v is not None})
+    cfg = _config(args, lambda: replace(ProbeConfig(**manifest["config"]["probe"]),
+                                        **{k: v for k, v in flags.items()
+                                           if v is not None}))
     out_root = Path(args.out) if args.out else corpus
     in_place = out_root.resolve() == corpus.resolve()
     derived = []
@@ -183,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "--ambiguity-eps-deg"):
         p.add_argument(flag, type=float, default=None,
                        help="default: the value in the corpus manifest")
-    p.set_defaults(func=_cmd_probes)
+    p.set_defaults(func=_cmd_probes, parser=p)
 
     p = sub.add_parser("stats", help="recompute corpus statistics")
     p.add_argument("--corpus", required=True)
@@ -199,6 +197,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValidationFailure as exc:  # a graph simulate or text cannot take: exit 2
+        for issue in exc.issues:
+            print(f"{issue['code']} (event {issue['event_id']}): "
+                  f"{issue['message']}", file=sys.stderr)
+        return 2
     except (StorysimError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 1

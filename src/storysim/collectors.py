@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GestGraph
+from .model import EventKind, GestGraph
 from .scheduling import EventTimeline
 from .simulation import FrameLog, wrap_signed
 
@@ -49,16 +49,6 @@ class PairRelation:
     azimuth_deg: float
     elevation_deg: float
     coincident: bool
-
-
-@dataclass(frozen=True)
-class EventFrameMapping:
-    event_id: int
-    actor_id: int
-    action: str
-    start_frame: int
-    end_frame: int
-    is_movement: bool
 
 
 def compass_bin(bearing_deg: float) -> int:
@@ -162,12 +152,13 @@ def collect_story_relations(log: FrameLog) -> np.ndarray:
     return out
 
 
-def collect_event_mappings(timeline: EventTimeline,
-                           graph: GestGraph) -> list[EventFrameMapping]:
-    """One mapping per event, in graph event order."""
+def collect_event_mappings(timeline: EventTimeline, graph: GestGraph) -> list[dict]:
+    """The events.jsonl rows: one event-to-frame mapping per event, in
+    graph event order."""
     out = []
     for ev in graph.events:
         start, end = timeline.interval(ev.event_id)
-        out.append(EventFrameMapping(ev.event_id, ev.actor.id, ev.action,
-                                     start, end, ev.kind.value == "movement"))
+        out.append({"event_id": ev.event_id, "actor_id": ev.actor.id, "action": ev.action,
+                    "start_frame": start, "end_frame": end,
+                    "is_movement": ev.kind is EventKind.MOVEMENT})
     return out

@@ -11,7 +11,6 @@ float formatting via json's repr, no timestamps.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields
 from pathlib import PurePosixPath
 from typing import Any
@@ -34,6 +33,7 @@ from .model import (
     PoiSpec,
     RegionSpec,
     TemporalRelation,
+    is_finite_number,
 )
 from .probes import ProbeConfig
 from .scheduling import EventTimeline
@@ -92,14 +92,9 @@ def _get(obj: dict, key: str, kind: type | tuple, loc: str):
 
 
 def _float(val, what: str, loc: str) -> float:
-    """A finite float; json decodes NaN, Infinity and integers past the
-    float range too."""
-    try:
-        if not isinstance(val, bool) and math.isfinite(val):
-            return float(val)
-    except (TypeError, OverflowError):  # not a number, or an int past the float range
-        pass
-    raise DocumentSyntaxError(f"{what} is not a finite number", loc)
+    if not is_finite_number(val):
+        raise DocumentSyntaxError(f"{what} is not a finite number", loc)
+    return float(val)
 
 
 def _strings(obj: dict, key: str, loc: str) -> tuple[str, ...]:
@@ -499,8 +494,10 @@ def parse_manifest(data: bytes) -> dict:
         if keys:
             raise DocumentSyntaxError(f"{problem} key(s) {', '.join(sorted(keys))}",
                                       "config.probe")
-    for key, value in probe.items():
-        _float(value, key, "config.probe")
+    try:
+        ProbeConfig(**probe)
+    except ValueError as exc:
+        raise DocumentSyntaxError(str(exc), "config.probe") from None
     for i, entry in enumerate(_get(doc, "stories", list, "stories")):
         loc = f"stories[{i}]"
         story_id = _get(entry, "story_id", str, f"{loc}.story_id")

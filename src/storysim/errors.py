@@ -73,10 +73,6 @@ class NoValidAction(StorysimError):
     """A POI offers no valid action to start or continue a chain."""
 
 
-class RelationInjectionExhausted(StorysimError):
-    """Resampling an injected relation hit the retry bound."""
-
-
 class NoFreeSlot(StorysimError):
     """An object type has no unoccupied slot at its home POI."""
 

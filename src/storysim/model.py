@@ -13,12 +13,22 @@ from that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .allen import Coarse, RelationSet
 
 CAMERA_ID = 0
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; json decodes NaN, Infinity and
+    integers past the float range too, and a bool is not a number."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        return False
 
 
 class EntityKind(Enum):

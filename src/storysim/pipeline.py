@@ -93,11 +93,7 @@ def simulated_files(graph: GestGraph, timeline: EventTimeline,
         "framelog.bin": binio.framelog_bytes(log),
         "relations.bin": binio.relations_bytes(records, log.fps, log.entity_ids,
                                                log.entity_kinds, log.entity_names),
-        "events.jsonl": jsonl_document(
-            {"event_id": m.event_id, "actor_id": m.actor_id, "action": m.action,
-             "start_frame": m.start_frame, "end_frame": m.end_frame,
-             "is_movement": m.is_movement}
-            for m in collect_event_mappings(timeline, graph)),
+        "events.jsonl": jsonl_document(collect_event_mappings(timeline, graph)),
     }, len(records)
 
 

@@ -12,12 +12,12 @@ coin-flipped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .model import EntityKind, EventKind, GestGraph
+from .model import EntityKind, EventKind, GestGraph, is_finite_number
 from .scheduling import EventTimeline
 from .simulation import CAMERA_ID, FrameLog, wrap_signed
 from .collectors import compass_bin, COMPASS_NAMES
@@ -38,17 +38,15 @@ class ProbeConfig:
     PAIR_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (2.0, 6.0)
     SPLIT_FRACS: ClassVar[tuple[float, float, float]] = (0.70, 0.15, 0.15)
 
-
-@dataclass(frozen=True)
-class HybridSampleConfig:
-    max_frames: int = 64
-    fill_fps: int = 1
-
     def __post_init__(self):
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be >= 1")
-        if self.fill_fps < 1:
-            raise ValueError("fill_fps must be >= 1")
+        for f in fields(self):
+            if not is_finite_number(getattr(self, f.name)):
+                raise ValueError(f"{f.name} is not a finite number")
+
+
+# the hybrid sampler's frame budget and its top-up rate
+HYBRID_MAX_FRAMES = 64
+HYBRID_FILL_FPS = 1
 
 
 @dataclass(frozen=True)
@@ -274,21 +272,21 @@ def label_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
     }
 
 
-def hybrid_sample(graph: GestGraph, timeline: EventTimeline, frame_count: int,
-                  cfg: HybridSampleConfig) -> list[int]:
+def hybrid_sample(graph: GestGraph, timeline: EventTimeline,
+                  frame_count: int) -> list[int]:
     """Event-aware frame subset: every non-movement event's mid frame,
-    topped up with evenly spaced 1 fps frames, capped at max_frames."""
+    topped up with evenly spaced 1 fps frames, capped at 64 frames."""
     mids = sorted({(s + e) // 2
                    for ev in graph.events
                    if ev.kind is not EventKind.MOVEMENT
                    for s, e in [timeline.interval(ev.event_id)]})
-    if len(mids) > cfg.max_frames:
+    if len(mids) > HYBRID_MAX_FRAMES:
         n = len(mids)
-        return [mids[(i * n) // cfg.max_frames] for i in range(cfg.max_frames)]
+        return [mids[(i * n) // HYBRID_MAX_FRAMES] for i in range(HYBRID_MAX_FRAMES)]
     chosen = set(mids)
-    stride = max(1, round(timeline.fps / cfg.fill_fps))
+    stride = max(1, round(timeline.fps / HYBRID_FILL_FPS))
     candidates = [t for t in range(0, frame_count, stride) if t not in chosen]
-    slots = cfg.max_frames - len(chosen)
+    slots = HYBRID_MAX_FRAMES - len(chosen)
     if len(candidates) > slots:
         n = len(candidates)
         candidates = [candidates[(i * n) // slots] for i in range(slots)] if slots else []

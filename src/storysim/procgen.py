@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 from .allen import Coarse, coarse_to_allen
 from .default_registry import EXCHANGE_ACTION_KEY
-from .errors import (
-    EmptyRegistry,
-    NoFreeSlot,
-    NoValidAction,
-    RelationInjectionExhausted,
-)
+from .errors import EmptyRegistry, NoFreeSlot, NoValidAction
 from .model import (
     ActionCategory,
     Actor,
@@ -284,16 +279,17 @@ def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> Non
             for a2 in actors_here[i + 1:]:
                 if rng.random() >= cfg.relation_prob:
                     continue
-                try:
-                    accepted, work = _try_inject(work, by_poi[poi_key][a1],
-                                                 by_poi[poi_key][a2], rng)
-                except RelationInjectionExhausted:
-                    continue
-                draw.relations.append(accepted)
+                injected = _try_inject(work, by_poi[poi_key][a1],
+                                       by_poi[poi_key][a2], rng)
+                if injected is not None:
+                    accepted, work = injected
+                    draw.relations.append(accepted)
 
 
 def _try_inject(work: TemporalNetwork, events_a: list[Event], events_b: list[Event],
-                rng: random.Random) -> tuple[TemporalRelation, TemporalNetwork]:
+                rng: random.Random) -> tuple[TemporalRelation, TemporalNetwork] | None:
+    """The first drawn relation the network accepts and the narrowed
+    network, or None when the retry bound is hit."""
     for _ in range(RELATION_RETRY_BOUND):
         source = rng.choice(events_a).event_id
         target = rng.choice(events_b).event_id
@@ -302,7 +298,7 @@ def _try_inject(work: TemporalNetwork, events_a: list[Event], events_b: list[Eve
         narrowed = work.narrowed(source, target, allen_set)
         if narrowed is not None:
             return TemporalRelation(source, target, coarse, allen_set), narrowed
-    raise RelationInjectionExhausted("retry bound hit")
+    return None
 
 
 def _actor_roster(registry: CapabilityRegistry, rng: random.Random,

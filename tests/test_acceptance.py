@@ -50,7 +50,7 @@ from storysim.pipeline import (
     generate_corpus,
     load_manifest,
 )
-from storysim.probes import SPLITS, ClipSpec, HybridSampleConfig, hybrid_sample
+from storysim.probes import SPLITS, ClipSpec, hybrid_sample
 from storysim.probes_oracle import oracle_clip
 from storysim.procgen import GenConfig, generate_story, story_rng
 from storysim.scheduling import (
@@ -291,15 +291,14 @@ def test_ac07_probe_labels_match_oracle(corpus200):
 
 def test_ac08_hybrid_sampler_sweep(corpus200):
     root, _, manifest = corpus200
-    cfg = HybridSampleConfig()
     for entry, _, graph, timeline in _stories(root, manifest):
         frames = timeline.makespan() + CAMERA_SETTLE_FRAMES
-        sample = hybrid_sample(graph, timeline, frames, cfg)
+        sample = hybrid_sample(graph, timeline, frames)
         assert sample == sorted(set(sample)), entry["story_id"]
-        assert len(sample) <= cfg.max_frames
+        assert len(sample) <= 64
         non_movement = [e for e in graph.events
                         if e.kind is not EventKind.MOVEMENT]
-        if len(non_movement) <= cfg.max_frames:
+        if len(non_movement) <= 64:
             mids = {sum(timeline.interval(e.event_id)) // 2
                     for e in non_movement}
             assert mids <= set(sample), entry["story_id"]
@@ -386,8 +385,8 @@ def test_ac10_throughput_of_one_large_story(tmp_path):
     binio.write_framelog(out / "framelog.bin", log)
     mappings = collect_event_mappings(timeline, graph)
     (out / "events.jsonl").write_bytes(jsonl_document(
-        {"event_id": m.event_id, "start_frame": m.start_frame,
-         "end_frame": m.end_frame} for m in mappings))
+        {"event_id": m["event_id"], "start_frame": m["start_frame"],
+         "end_frame": m["end_frame"]} for m in mappings))
     (out / "text.txt").write_bytes(
         (proto_text(graph, timeline, registry).full_text + "\n").encode())
     elapsed = time.perf_counter() - t0

@@ -265,15 +265,17 @@ def test_collector_rejects_yaws_outside_its_exact_range():
 def test_event_mappings_follow_graph_order(story):
     graph, timeline, _ = story
     maps = collect_event_mappings(timeline, graph)
-    assert [m.event_id for m in maps] == [e.event_id for e in graph.events]
+    assert [m["event_id"] for m in maps] == [e.event_id for e in graph.events]
     index = graph.event_index()
     for m in maps:
-        ev = index[m.event_id]
-        assert m.actor_id == ev.actor.id
-        assert m.action == ev.action
-        assert m.is_movement == (ev.kind is EventKind.MOVEMENT)
-        assert (m.start_frame, m.end_frame) == timeline.interval(m.event_id)
-        assert m.start_frame < m.end_frame
+        assert set(m) == {"event_id", "actor_id", "action", "start_frame", "end_frame",
+                          "is_movement"}
+        ev = index[m["event_id"]]
+        assert m["actor_id"] == ev.actor.id
+        assert m["action"] == ev.action
+        assert m["is_movement"] is (ev.kind is EventKind.MOVEMENT)
+        assert (m["start_frame"], m["end_frame"]) == timeline.interval(m["event_id"])
+        assert m["start_frame"] < m["end_frame"]
 
 
 # -------------------------------------------------------------- file I/O

@@ -973,6 +973,21 @@ def test_cli_refuses_a_bad_value_as_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_cli_probes_refuses_a_flag_that_is_not_finite(small_corpus, tmp_path, capsys):
+    # the manifest reader refuses a non-finite config, so none is written
+    root = tmp_path / "c"
+    shutil.copytree(small_corpus, root)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    for flag, value in (("--motion-threshold", "nan"), ("--min-event-s", "inf"),
+                        ("--ambiguity-eps-m", "-inf"), ("--ambiguity-eps-deg", "nan")):
+        with pytest.raises(SystemExit) as exc:
+            main(["probes", "--corpus", str(root), f"{flag}={value}"])
+        assert exc.value.code == 2, flag
+        assert "is not a finite number" in capsys.readouterr().err, flag
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before, flag
+    assert main(["verify", "--corpus", str(root)]) == 0
+
+
 def test_corpus_config_refuses_a_frame_rate_below_one():
     with pytest.raises(ValueError, match="fps"):
         CorpusConfig(fps=0)
@@ -991,3 +1006,20 @@ def test_cli_text_names_an_event_the_timeline_lacks(small_corpus, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == f"error: event {told} is not in the timeline\n"
     assert not captured.out
+
+
+def test_cli_text_lists_the_issues_of_a_graph_validate_refuses(small_corpus, tmp_path,
+                                                                capsys):
+    story = small_corpus / "story_00000"
+    doc = json.loads((story / "graph.json").read_bytes())
+    doc["events"][0]["action"] = "no_such_action"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["text", "--graph", str(path),
+                 "--timeline", str(story / "timeline.json")]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "'no_such_action'" in captured.err
+    # the same issue lines simulate prints for the same graph
+    assert main(["simulate", "--graph", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == captured.err

@@ -14,7 +14,6 @@ from storysim.model import EntityKind, EventKind
 from storysim.pipeline import CorpusConfig, build_story
 from storysim.probes import (
     ClipSpec,
-    HybridSampleConfig,
     ProbeConfig,
     clip_frame_indices,
     extract_story_clips,
@@ -295,6 +294,16 @@ def test_split_stratified_and_stable():
     assert split_stories(shuffled, seed=7) == assignment
     assert split_stories(stories, seed=8) != assignment
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "0.2",
+                                   None, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "bool", "str", "null", "huge-int"])
+def test_probe_config_refuses_a_value_that_is_not_a_finite_number(value):
+    for name in ("motion_threshold_m", "min_event_s", "ambiguity_eps_m",
+                 "ambiguity_eps_deg"):
+        with pytest.raises(ValueError, match=f"^{name} is not a finite number$"):
+            ProbeConfig(**{name: value})
+
+
 # --------------------------------------------------------- hybrid sampler
 
 def _toy_story(n_events: int, gap: int, dur: int, fps: int = 25):
@@ -311,7 +320,7 @@ def _toy_story(n_events: int, gap: int, dur: int, fps: int = 25):
 
 def test_hybrid_includes_mids_and_fills():
     graph, tl = _toy_story(3, gap=100, dur=50)
-    frames = hybrid_sample(graph, tl, 1000, HybridSampleConfig())
+    frames = hybrid_sample(graph, tl, 1000)
     mids = {25, 125, 225}
     assert mids <= set(frames)
     assert frames == sorted(set(frames))
@@ -323,7 +332,7 @@ def test_hybrid_includes_mids_and_fills():
 
 def test_hybrid_caps_at_max_frames():
     graph, tl = _toy_story(80, gap=60, dur=40)
-    frames = hybrid_sample(graph, tl, 80 * 60 + 100, HybridSampleConfig())
+    frames = hybrid_sample(graph, tl, 80 * 60 + 100)
     assert len(frames) == 64
     mids = sorted({(s + e) // 2 for s, e in tl.intervals.values()})
     assert set(frames) <= set(mids)
@@ -333,27 +342,31 @@ def test_hybrid_caps_at_max_frames():
 
 def test_hybrid_dedups_shared_mids():
     graph, tl = _toy_story(2, gap=0, dur=50)  # both events span (0, 50)
-    frames = hybrid_sample(graph, tl, 60, HybridSampleConfig(max_frames=4))
+    # 100 s offer 100 fill ticks; the shared mid takes one slot of the 64
+    frames = hybrid_sample(graph, tl, 100 * 25)
     assert frames.count(25) == 1
-    assert len(frames) <= 4
+    assert len(frames) == 64
+    assert frames == sorted(set(frames))
 
 
 def test_hybrid_short_story_takes_every_tick():
     graph, tl = _toy_story(1, gap=0, dur=50)
-    frames = hybrid_sample(graph, tl, 100, HybridSampleConfig())
+    frames = hybrid_sample(graph, tl, 100)
     assert frames == [0, 25, 50, 75]
 
 
 def test_hybrid_movement_events_excluded():
     from storysim.model import Actor, EntityId, Event, GestGraph, Gender
     actor = Actor(EntityId(1, EntityKind.ACTOR), "Anna", Gender.FEMALE, "f")
-    events = (Event(0, actor.id, "chat", None, "p", 2.0, EventKind.ACTION),
+    events = (Event(0, actor.id, "chat", None, "p", 2.4, EventKind.ACTION),
               Event(1, actor.id, "walk_to", None, "q", 2.0, EventKind.MOVEMENT))
     graph = GestGraph(actors=(actor,), objects=(), events=events, relations=(),
                       region_plan=("r",), seed=0)
-    tl = EventTimeline(intervals={0: (0, 50), 1: (50, 100)}, fps=25)
-    frames = hybrid_sample(graph, tl, 100, HybridSampleConfig(max_frames=2))
-    assert 25 in frames and 75 not in frames
+    # both mids lie off the 1 fps grid, so no fill tick can stand in for one
+    tl = EventTimeline(intervals={0: (0, 60), 1: (60, 110)}, fps=25)
+    frames = hybrid_sample(graph, tl, 110)
+    assert 30 in frames and 85 not in frames
+    assert frames == [0, 25, 30, 50, 75, 100]
 
 
 # ------------------------------------------------------- oracle agreement

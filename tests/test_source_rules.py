@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import storysim
@@ -59,3 +63,27 @@ def test_every_export_resolves_once():
     assert not missing, f"__all__ names no package attribute: {missing}"
     repeated = sorted({n for n in storysim.__all__ if storysim.__all__.count(n) > 1})
     assert not repeated, f"__all__ repeats {repeated}"
+
+
+def test_every_bench_hook_names_a_package_function(monkeypatch):
+    # perfbench/tracing.py wraps the functions its SPANNED and COUNTED
+    # entries name; a removal that deletes one breaks the bench's install
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+
+    def resolve(module, attr):
+        return functools.reduce(getattr, attr.split("."), importlib.import_module(module))
+
+    hooks = [(module, attr) for module, attr, *_ in tracing.SPANNED + tracing.COUNTED]
+    tracer = tracing.Tracer()
+    try:  # a failed install still undoes the patches it made
+        tracer.install()
+        wrapped = {hook: resolve(*hook) for hook in hooks}
+    finally:
+        tracer.uninstall()
+    originals = {hook: resolve(*hook) for hook in hooks}
+    unwrapped = [".".join(h) for h in hooks if wrapped[h] is originals[h]]
+    assert not unwrapped, f"bench hooks install left unwrapped: {unwrapped}"
