@@ -45,6 +45,8 @@ def _config(args, make):
 def _cmd_generate(args) -> int:
     if args.stories < 0:
         args.parser.error("--stories must not be negative")
+    if args.workers < 1:
+        args.parser.error("--workers must be at least 1")
     cfg = _config(args, lambda: CorpusConfig(
         gen=GenConfig(master_seed=args.seed, chains_per_actor=args.chains_per_actor,
                       max_actors_per_region=args.max_actors_per_region,

@@ -119,6 +119,10 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
     return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
 
 
+def _text_file(text: str) -> bytes:
+    return (text + "\n").encode("utf-8")
+
+
 def write_files(root: Path, files: dict, hashes: dict[str, str]):
     """Write each of `files` (rel path -> bytes) under root and record its
     sha256 in `hashes`."""
@@ -169,10 +173,10 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
     files, records = simulated_files(graph, timeline, log)
     files["graph.json"] = serialize_graph(graph)
     proto = proto_text(graph, timeline, registry)
-    files["text.txt"] = (proto.full_text + "\n").encode("utf-8")
+    files["text.txt"] = _text_file(proto.full_text)
     if cfg.refine.endpoint_url:
         text, refined = refine(proto, cfg.refine)
-        files["text.refined.txt"] = (text + "\n").encode("utf-8")
+        files["text.refined.txt"] = _text_file(text)
         entry["refine"] = "ok" if refined else "fell_back"
 
     files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe, split))
@@ -199,7 +203,9 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
                     registry: CapabilityRegistry, stories: int,
                     workers: int = 1) -> dict:
     """Build a corpus of `stories` stories under out_root; returns the
-    manifest.  Output bytes do not depend on `workers`.
+    manifest.  Output bytes do not depend on `workers`.  out_root must be
+    absent or empty: FileExistsError otherwise, before anything is
+    written, so no file of an earlier build outlives it.
 
     Nothing is read back: manifest.json holds the hashes of the bytes the
     story jobs wrote, and stats.json sums the counts they returned with
@@ -207,6 +213,8 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     for byte."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
+    if any(out_root.iterdir()):
+        raise FileExistsError(f"{out_root} is not empty")
     registry_json = serialize_registry(registry)
     (out_root / "registry.json").write_bytes(registry_json)
 
@@ -366,20 +374,24 @@ def corpus_digest(corpus_dir: Path | str) -> str:
 
 def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
                     fps: int, durations: list[str], relations: list[str],
-                    labels: list[str]) -> bool:
+                    *derived: list[str]) -> bool:
     """Failures of the timeline-durations and temporal-relations checks;
     each graph constraint is tested as schedule tests its own output.
     True when the timeline passes both.  A graph event the timeline lacks
-    also fails probe-labels, which cannot place that event's clip."""
+    also fails each check in `derived`, which cannot place that event; a
+    timeline event the graph lacks fails timeline-durations."""
     before = len(durations) + len(relations)
     if timeline.fps != fps:
         durations.append(f"{story_id}: fps {timeline.fps} != {fps}")
     missing = [f"{story_id}: event {ev.event_id} not in the timeline"
                for ev in graph.events if ev.event_id not in timeline.intervals]
     if missing:
-        for found in (durations, relations, labels):
+        for found in (durations, relations, *derived):
             found.extend(missing)
         return False
+    known = graph.event_index()
+    durations.extend(f"{story_id}: timeline event {eid} not in the graph"
+                     for eid in timeline.intervals if eid not in known)
     for ev in graph.events:
         s, e = timeline.interval(ev.event_id)
         if e - s != duration_frames(ev.duration_s, fps):
@@ -392,6 +404,18 @@ def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
             relations.append(f"{story_id}: relation {a}->{b} realized {base.value} "
                              f"outside {{{rs.codes()}}}")
     return len(durations) + len(relations) == before
+
+
+def _check_text(story_id: str, graph: GestGraph, timeline: EventTimeline,
+                registry: CapabilityRegistry, text_doc: bytes, failures: list[str]):
+    """text.txt must be the proto text of a graph the registry validates."""
+    issues = validate(graph, registry)
+    if issues:
+        failures.append(f"{story_id}/graph.json does not validate against the "
+                        f"registry: {issues[0]['message']}")
+    elif text_doc != _text_file(proto_text(graph, timeline, registry).full_text):
+        failures.append(f"{story_id}/text.txt differs from the proto text of the graph "
+                        f"and timeline")
 
 
 def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Random,
@@ -431,10 +455,12 @@ def verify(corpus_dir: Path | str) -> dict:
 
     Each story's files are loaded once.  A file that is missing or does
     not load fails every check that needs it, naming the file once by its
-    path inside the corpus; the story's other checks still run.  The
-    probe clips must be the ones extract_story_clips derives from the
-    graph and a timeline that passes its checks, and the sampled labels
-    of those clips must match the oracle.
+    path inside the corpus; the story's other checks still run.  From the
+    graph and a timeline that passes its checks, the probe clips,
+    events.jsonl and text.txt must be the ones the generator derives, and
+    the sampled labels of those clips must match the oracle.  stats.json
+    must be the stats of every built story's files; a story that cannot
+    be counted fails that check.
 
     Returns {"ok": bool, "checks": [{"name", "ok", "details"}]}.
     """
@@ -449,13 +475,18 @@ def verify(corpus_dir: Path | str) -> dict:
     entries = list(story_entries(manifest))
 
     names = ("manifest-hashes", "timeline-durations", "temporal-relations",
-             "spatial-records", "probe-labels")
+             "spatial-records", "probe-labels", "event-mappings", "proto-text",
+             "corpus-stats")
     failures: dict[str, list[str]] = {name: [] for name in names}
-    hashes, durations, relations, spatial, labels = failures.values()
+    hashes, durations, relations, spatial, labels, mappings, texts, stats = (
+        failures.values())
 
     root = HashedFiles(corpus_dir, "", {"registry.json": manifest["registry_hash"]})
     hashes.extend(root.failures)
-    registry = root.load("registry.json", parse_registry, labels)
+    registry = root.load("registry.json", parse_registry, labels, texts, stats)
+    stats_doc = root.load("stats.json", bytes, stats)  # no manifest hash covers it
+    counts: list[StoryCounts] = []
+    derived = (labels, mappings, texts)  # the checks that derive from the timeline
 
     rng = random.Random(0xC0FFEE)
     spatial_per_story = max(1, SPATIAL_SAMPLES // max(len(entries), 1))
@@ -465,25 +496,37 @@ def verify(corpus_dir: Path | str) -> dict:
         story_id = entry["story_id"]
         story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
         hashes.extend(story.failures)
-        graph = story.load("graph.json", parse_graph, durations, relations, labels)
+        graph = story.load("graph.json", parse_graph, durations, relations, *derived,
+                           stats)
         timeline = story.load("timeline.json", parse_timeline, durations, relations,
-                              labels)
+                              *derived)
+        events_doc = story.load("events.jsonl", bytes, mappings, stats)
+        text_doc = story.load("text.txt", bytes, texts)
         clips_doc = story.load("probes/clips.jsonl", bytes, labels)
         label_lines = story.load("probes/labels.jsonl", jsonl_lines, labels)
         clips = None  # derived only from a timeline that passes its checks
-        if graph is not None and timeline is not None:
-            sound = _check_timeline(story_id, graph, timeline, fps, durations, relations,
-                                    labels)
-            if sound and registry is not None:
+        if graph is not None and timeline is not None and _check_timeline(
+                story_id, graph, timeline, fps, durations, relations, *derived):
+            if events_doc is not None and events_doc != jsonl_document(
+                    collect_event_mappings(timeline, graph)):
+                mappings.append(f"{story_id}/events.jsonl differs from the mappings of "
+                                f"the graph and timeline")
+            if registry is not None:
+                if text_doc is not None:
+                    _check_text(story_id, graph, timeline, registry, text_doc, texts)
                 clips = extract_story_clips(story_id, graph, timeline,
                                             _movement_actions(registry), cfg_probe,
                                             entry["split"])
         log = story.load("framelog.bin", binio.parse_framelog,
-                         *((spatial, labels) if clips else (spatial,)))
-        relation_file = story.load("relations.bin", binio.parse_relations, spatial)
+                         *((spatial, stats, labels) if clips else (spatial, stats)))
+        relation_file = story.load("relations.bin", binio.parse_relations, spatial,
+                                   stats)
 
         if log is not None and relation_file is not None:
             _check_spatial(story_id, log, relation_file, rng, spatial_per_story, spatial)
+            if graph is not None and events_doc is not None:
+                counts.append(story_counts(graph, events_doc.count(b"\n"),
+                                           len(relation_file[2]), log.frame_count))
         if clips is None:
             continue
         if clips_doc is not None and clips_doc != jsonl_document(map(_clip_row, clips)):
@@ -507,6 +550,11 @@ def verify(corpus_dir: Path | str) -> dict:
             sampled += 1
             if sampled >= LABEL_SAMPLES:
                 break
+
+    # each story that cannot be counted has already failed corpus-stats
+    if (registry is not None and stats_doc is not None and len(counts) == len(entries)
+            and stats_doc != json_document(corpus_stats(registry, fps, counts))):
+        stats.append("stats.json differs from the stats of the stories' files")
 
     checks = [{"name": name, "ok": not found,
                "details": "ok" if not found else "; ".join(found[:5])}

@@ -37,7 +37,7 @@ from .model import (
     PoiSpec,
     TemporalRelation,
 )
-from .scheduling import TemporalNetwork, closure, graph_constraints
+from .scheduling import StnInfeasible, edge_constraints, graph_constraints, solve_stn
 
 CHAIN_LEN_MIN = 3
 CHAIN_LEN_MAX = 5
@@ -260,18 +260,21 @@ def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> Non
     """Coarse relations between plain events of different actors at a
     shared POI, resampled on conflict up to the retry bound.
 
-    Consistency is maintained incrementally: each accepted relation
-    narrows a working path-consistent network, and conflicting
-    candidates are dropped and resampled.
+    A candidate is accepted when the story's STN stays feasible.  Every
+    set here is CHAIN_SET {b m} or a coarse_to_allen set ({b m}, {bi mi},
+    {s eq si}): start equalities and start_b >= start_a + len_a, which for
+    any positive lengths are infeasible exactly when a cycle passes a
+    >= len edge, i.e. when the Allen network is inconsistent.  So unit
+    lengths decide it, with no frame rate.
     """
     by_poi: dict[str, dict[int, list[Event]]] = {}
     for ev in draw.events:
         if ev.kind is EventKind.ACTION:
             by_poi.setdefault(ev.poi, {}).setdefault(ev.actor.id, []).append(ev)
 
-    graph = _graph_so_far(draw)
-    work = closure(TemporalNetwork.from_constraints([e.event_id for e in graph.events],
-                                                    graph_constraints(graph)))
+    unit = {ev.event_id: 1 for ev in draw.events}
+    rows = [row for a, b, rs in graph_constraints(_graph_so_far(draw))
+            for row in edge_constraints(a, b, rs, unit)]
 
     for poi_key in sorted(by_poi):
         actors_here = sorted(by_poi[poi_key])
@@ -279,25 +282,28 @@ def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> Non
             for a2 in actors_here[i + 1:]:
                 if rng.random() >= cfg.relation_prob:
                     continue
-                injected = _try_inject(work, by_poi[poi_key][a1],
+                accepted = _try_inject(rows, unit, by_poi[poi_key][a1],
                                        by_poi[poi_key][a2], rng)
-                if injected is not None:
-                    accepted, work = injected
+                if accepted is not None:
                     draw.relations.append(accepted)
 
 
-def _try_inject(work: TemporalNetwork, events_a: list[Event], events_b: list[Event],
-                rng: random.Random) -> tuple[TemporalRelation, TemporalNetwork] | None:
-    """The first drawn relation the network accepts and the narrowed
-    network, or None when the retry bound is hit."""
+def _try_inject(rows: list, unit: dict[int, int], events_a: list[Event],
+                events_b: list[Event], rng: random.Random) -> TemporalRelation | None:
+    """The first drawn relation the STN `rows` stays feasible with, its
+    rows added to `rows`, or None when the retry bound is hit."""
     for _ in range(RELATION_RETRY_BOUND):
         source = rng.choice(events_a).event_id
         target = rng.choice(events_b).event_id
         coarse = rng.choice((Coarse.BEFORE, Coarse.AFTER, Coarse.SAME_TIME))
         allen_set = coarse_to_allen(coarse)
-        narrowed = work.narrowed(source, target, allen_set)
-        if narrowed is not None:
-            return TemporalRelation(source, target, coarse, allen_set), narrowed
+        candidate = list(edge_constraints(source, target, allen_set, unit))
+        try:
+            solve_stn(unit, rows + candidate)
+        except StnInfeasible:
+            continue
+        rows.extend(candidate)
+        return TemporalRelation(source, target, coarse, allen_set)
     return None
 
 

@@ -1,15 +1,18 @@
 """Temporal constraint propagation and frame scheduling.
 
+Convex relation sets become difference constraints on event start
+points (edge_constraints: a simple temporal network, durations
+substituted out), exact for convex sets and solved by Bellman-Ford with
+earliest-start extraction (solve_stn).  schedule() turns a story graph
+into concrete half-open frame intervals with it: each non-convex set is
+a choice of base relation, searched depth first with the STN of every
+partial choice as the pruning test.  procgen accepts an injected
+relation when the same STN stays feasible.
+
 A TemporalNetwork holds one RelationSet per ordered event pair (stored
-converse-consistently, missing edges are the full 13-set).  closure()
-runs queue-based path consistency to a fixpoint; procgen uses it to
-accept injected relations.  schedule() turns a story graph into concrete
-half-open frame intervals without it: convex relation sets become
-difference constraints on event start points (a simple temporal network,
-durations substituted out), exact for convex sets and solved by
-Bellman-Ford with earliest-start extraction.  Each non-convex set is a
-choice of base relation, searched depth first with the STN of every
-partial choice as the pruning test.
+converse-consistently, missing edges are the full 13-set), and closure()
+runs queue-based path consistency on it to a fixpoint; no build stage
+calls them.
 """
 
 from __future__ import annotations
@@ -100,18 +103,6 @@ class TemporalNetwork:
         self._m[pi][pj] = new
         self._m[pj][pi] = converse_mask(new)
 
-    def narrowed(self, i: int, j: int, rs: RelationSet) -> TemporalNetwork | None:
-        """Copy with edge (i, j) intersected with rs and propagated from
-        that edge (enough when self is path-consistent), or None when an
-        edge empties."""
-        out = self.copy()
-        try:
-            out.constrain(i, j, rs)
-            _propagate(out, deque([(out._pos[i], out._pos[j])]))
-        except InconsistentNetwork:
-            return None
-        return out
-
     @classmethod
     def from_constraints(cls, node_ids: list[int],
                          constraints: list[tuple[int, int, RelationSet]]) -> TemporalNetwork:
@@ -190,14 +181,14 @@ def closure(net: TemporalNetwork) -> TemporalNetwork:
     return out
 
 
-class _StnInfeasible(Exception):
+class StnInfeasible(Exception):
     def __init__(self, u, v):
         self.u = u
         self.v = v
 
 
-def _edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
-                      before_gap: int = 1):
+def edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
+                     before_gap: int = 1):
     """Difference constraints (x, y, c) meaning start_x - start_y <= c
     for one convex edge a rs b; interval ends eliminated via fixed
     lengths."""
@@ -220,7 +211,7 @@ def _edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
 _ORIGIN = object()
 
 
-def _solve_stn(node_ids, constraints) -> dict[int, int]:
+def solve_stn(node_ids, constraints) -> dict[int, int]:
     """Earliest-start solution of difference constraints (x, y, c):
     start_x - start_y <= c, with every start >= ORIGIN_FRAME."""
     rev = list(constraints)
@@ -240,7 +231,7 @@ def _solve_stn(node_ids, constraints) -> dict[int, int]:
     else:
         for x, y, c in rev:
             if dist[x] + c < dist[y]:
-                raise _StnInfeasible(x, y)
+                raise StnInfeasible(x, y)
     return {nid: ORIGIN_FRAME - int(dist[nid]) for nid in node_ids}
 
 
@@ -256,23 +247,23 @@ def schedule(graph: GestGraph, fps: int) -> EventTimeline:
 
     base = graph_constraints(graph)
     convex = [c for a, b, rs in base if is_convex(rs)
-              for c in _edge_constraints(a, b, rs, lengths)]
+              for c in edge_constraints(a, b, rs, lengths)]
     disjunctions = sorted(((a, b, rs) for a, b, rs in base if not is_convex(rs)),
                           key=lambda abr: (len(abr[2]), abr[0], abr[1]))
 
     def search(level: int, cons: list) -> dict[int, int] | None:
         """Starts of the first feasible choice below this node, or None;
-        _StnInfeasible when the node's own STN is."""
-        starts = _solve_stn(ids, cons)
+        StnInfeasible when the node's own STN is."""
+        starts = solve_stn(ids, cons)
         if level == len(disjunctions):
             return starts
         a, b, rs = disjunctions[level]
         for r in rs:
             gap = STRICT_BEFORE_GAP_FRAMES if r is AllenRelation.BEFORE else 1
             try:
-                found = search(level + 1, cons + list(_edge_constraints(
+                found = search(level + 1, cons + list(edge_constraints(
                     a, b, RelationSet.of(r), lengths, before_gap=gap)))
-            except _StnInfeasible:
+            except StnInfeasible:
                 continue
             if found is not None:
                 return found
@@ -280,7 +271,7 @@ def schedule(graph: GestGraph, fps: int) -> EventTimeline:
 
     try:
         starts = search(0, convex)
-    except _StnInfeasible as exc:
+    except StnInfeasible as exc:
         u = exc.u if exc.u is not _ORIGIN else exc.v
         v = exc.v if exc.v is not _ORIGIN else exc.u
         raise InconsistentNetwork(

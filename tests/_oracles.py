@@ -29,9 +29,9 @@ from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import CAMERA_ID
 from storysim.scheduling import (_ORIGIN, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
-                                 TemporalNetwork, _edge_constraints, _solve_stn,
-                                 _StnInfeasible, closure, duration_frames,
-                                 graph_constraints)
+                                 StnInfeasible, TemporalNetwork, closure,
+                                 duration_frames, edge_constraints, graph_constraints,
+                                 solve_stn)
 from storysim.simulation import CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
@@ -259,16 +259,16 @@ def closure_schedule(graph, fps: int) -> EventTimeline:
     def leaf_constraints(chosen: list[tuple[int, int, RelationSet]]):
         cons = []
         for a, b, rs in convex_edges:
-            cons.extend(_edge_constraints(a, b, rs, lengths))
+            cons.extend(edge_constraints(a, b, rs, lengths))
         for a, b, rs in chosen:
             gap = STRICT_BEFORE_GAP_FRAMES if rs.mask == _BEFORE_MASK else 1
-            cons.extend(_edge_constraints(a, b, rs, lengths, before_gap=gap))
+            cons.extend(edge_constraints(a, b, rs, lengths, before_gap=gap))
         return cons
 
     if not disjunctions:
         try:
-            starts = _solve_stn(ids, leaf_constraints([]))
-        except _StnInfeasible as exc:
+            starts = solve_stn(ids, leaf_constraints([]))
+        except StnInfeasible as exc:
             u = exc.u if exc.u is not _ORIGIN else exc.v
             v = exc.v if exc.v is not _ORIGIN else exc.u
             raise InconsistentNetwork(
@@ -290,21 +290,30 @@ def closure_schedule(graph, fps: int) -> EventTimeline:
 def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
                ids) -> dict[int, int]:
     """Chronological search over base relations of the non-convex edges,
-    pruning with incremental closure after each commitment."""
+    pruning with closure after each commitment."""
     order = sorted(disjunctions, key=lambda ab: (len(closed.edge(*ab)), ab))
+
+    def narrowed(work: TemporalNetwork, a: int, b: int,
+                 rs: RelationSet) -> TemporalNetwork | None:
+        out = work.copy()
+        try:
+            out.constrain(a, b, rs)
+            return closure(out)
+        except InconsistentNetwork:
+            return None
 
     def dfs(level: int, work: TemporalNetwork) -> dict[int, int] | None:
         if level == len(order):
             chosen = [(a, b, work.edge(a, b)) for a, b in order]
             try:
-                return _solve_stn(ids, leaf_constraints(chosen))
-            except _StnInfeasible:
+                return solve_stn(ids, leaf_constraints(chosen))
+            except StnInfeasible:
                 return None
         a, b = order[level]
         for r in work.edge(a, b):
-            narrowed = work.narrowed(a, b, RelationSet.of(r))
-            if narrowed is not None:
-                found = dfs(level + 1, narrowed)
+            child = narrowed(work, a, b, RelationSet.of(r))
+            if child is not None:
+                found = dfs(level + 1, child)
                 if found is not None:
                     return found
         return None

@@ -20,8 +20,9 @@ import pytest
 from storysim import binio, pipeline
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
-from storysim.documents import (json_document, parse_graph, parse_manifest,
-                                parse_timeline, serialize_graph, serialize_timeline)
+from storysim.documents import (json_document, jsonl_document, parse_graph,
+                                parse_manifest, parse_timeline, serialize_graph,
+                                serialize_timeline)
 from storysim.errors import CorruptCorpus, DocumentSyntaxError
 from storysim.pipeline import (
     CorpusConfig,
@@ -44,7 +45,12 @@ GOLDEN_DIGEST = "07dfb05207f8db5f2746205fedd812f893b0d836d5d2965026ca266f5183aae
 STORIES = 8
 
 CHECKS = ("manifest-hashes", "timeline-durations", "temporal-relations",
-          "spatial-records", "probe-labels")
+          "spatial-records", "probe-labels", "event-mappings", "proto-text",
+          "corpus-stats")
+
+# the checks that need a story's graph.json
+GRAPH_CHECKS = ("timeline-durations", "temporal-relations", "probe-labels",
+                "event-mappings", "proto-text", "corpus-stats")
 
 STORY_FILES = ("graph.json", "timeline.json", "relations.bin", "framelog.bin",
                "events.jsonl", "text.txt", "probes/clips.jsonl",
@@ -182,7 +188,8 @@ def test_verify_clean_corpus(corpus):
     assert report["ok"], report
     assert [c["name"] for c in report["checks"]] == [
         "manifest-hashes", "timeline-durations", "temporal-relations",
-        "spatial-records", "probe-labels"]
+        "spatial-records", "probe-labels", "event-mappings", "proto-text",
+        "corpus-stats"]
     assert report["checks"] == expected_checks({})
 
 
@@ -343,6 +350,17 @@ def _drop_first_interval(path):
     path.write_text(json.dumps(doc))
 
 
+def _an_interval_of_an_unknown_event(path):
+    # the manifest keeps up, so only the timeline check can catch it
+    doc = json.loads(path.read_text())
+    doc["intervals"].append([9999, 200000, 200001])
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name,
+                      json.dumps(doc).encode())
+
+
+_an_interval_of_an_unknown_event.rehashes = True
+
+
 def _clip_of_an_unknown_event(path):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     rows[0]["event_id"] = 9999
@@ -427,13 +445,17 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
 
 @pytest.mark.parametrize("rel_path, damage, failing, named", [
     pytest.param("story_00001/graph.json", lambda p: p.unlink(),
-                 ("timeline-durations", "temporal-relations", "probe-labels"),
-                 "story_00001/graph.json missing", id="graph-missing"),
+                 GRAPH_CHECKS, "story_00001/graph.json missing", id="graph-missing"),
+    # a story stats.json cannot count fails corpus-stats; the other
+    # stories are not totalled instead
+    pytest.param("story_00001/events.jsonl", lambda p: p.unlink(),
+                 ("event-mappings", "corpus-stats"), "story_00001/events.jsonl missing",
+                 id="events-missing"),
     pytest.param("story_00001/framelog.bin", lambda p: p.unlink(),
-                 ("spatial-records", "probe-labels"), "story_00001/framelog.bin missing",
-                 id="framelog-missing"),
+                 ("spatial-records", "probe-labels", "corpus-stats"),
+                 "story_00001/framelog.bin missing", id="framelog-missing"),
     pytest.param("story_00001/graph.json", lambda p: (p.unlink(), p.mkdir()),
-                 ("timeline-durations", "temporal-relations", "probe-labels"),
+                 GRAPH_CHECKS,
                  "story_00001/graph.json cannot be loaded: Is a directory",
                  id="graph-is-a-directory"),
     pytest.param("story_00001/probes/labels.jsonl", lambda p: p.write_text("{nope\n"),
@@ -443,22 +465,22 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
                  lambda p: p.write_text("[" * 100_000 + "\n"), ("probe-labels",),
                  "story_00001/probes/labels.jsonl cannot be loaded",
                  id="labels-nested-too-deep"),
-    pytest.param("story_00001/graph.json", _first_duration_nan,
-                 ("timeline-durations", "temporal-relations", "probe-labels"),
+    pytest.param("story_00001/graph.json", _first_duration_nan, GRAPH_CHECKS,
                  "story_00001/graph.json cannot be loaded", id="graph-duration-nan"),
     pytest.param("story_00001/framelog.bin", _truncate,
-                 ("spatial-records", "probe-labels"),
+                 ("spatial-records", "probe-labels", "corpus-stats"),
                  "story_00001/framelog.bin cannot be loaded", id="framelog-truncated"),
     pytest.param("story_00001/framelog.bin", _repeat_an_id_with_its_hash,
-                 ("spatial-records", "probe-labels"),
+                 ("spatial-records", "probe-labels", "corpus-stats"),
                  "story_00001/framelog.bin cannot be loaded: entity id 0 appears twice",
                  id="framelog-repeats-an-id"),
     pytest.param("story_00001/framelog.bin", _drop_the_camera_with_its_hash,
-                 ("spatial-records", "probe-labels"),
+                 ("spatial-records", "probe-labels", "corpus-stats"),
                  "story_00001/framelog.bin cannot be loaded: entity table lacks the "
                  "camera's id 0",
                  id="framelog-without-camera"),
-    pytest.param("registry.json", lambda p: p.unlink(), ("probe-labels",),
+    pytest.param("registry.json", lambda p: p.unlink(),
+                 ("probe-labels", "proto-text", "corpus-stats"),
                  "registry.json missing", id="registry-missing"),
     pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
                  ("probe-labels",), CLIPS_DIFFER, id="clip-frames-reversed"),
@@ -466,8 +488,12 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
                  ("spatial-records",), "story_00001 frame 1073741824 pair",
                  id="record-frames-past-the-log"),
     pytest.param("story_00001/timeline.json", _drop_first_interval,
-                 ("timeline-durations", "temporal-relations", "probe-labels"),
+                 ("timeline-durations", "temporal-relations", "probe-labels",
+                  "event-mappings", "proto-text"),
                  "event 0 not in the timeline", id="timeline-lacks-an-event"),
+    pytest.param("story_00001/timeline.json", _an_interval_of_an_unknown_event,
+                 ("timeline-durations",), "story_00001: timeline event 9999 not in the graph",
+                 id="timeline-event-not-in-the-graph"),
     pytest.param("story_00001/probes/clips.jsonl", _clip_of_an_unknown_event,
                  ("probe-labels",), CLIPS_DIFFER, id="clip-of-an-unknown-event"),
     *(pytest.param("story_00001/probes/clips.jsonl", _first_row_without(key),
@@ -518,7 +544,7 @@ def test_a_damaged_corpus_reads_the_same_wherever_it_lies(small_corpus, tmp_path
     assert str(tmp_path) not in json.dumps(reports[0])
     named = "story_00001/framelog.bin cannot be loaded: entity table lacks the camera's id 0"
     assert reports[0]["checks"] == expected_checks(
-        {"spatial-records": named, "probe-labels": named})
+        {"spatial-records": named, "probe-labels": named, "corpus-stats": named})
 
 
 def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path, capsys):
@@ -536,12 +562,73 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     report = verify(root)
     by_name = {c["name"]: c for c in report["checks"]}
     assert [n for n in CHECKS if not by_name[n]["ok"]] == ["spatial-records",
-                                                           "probe-labels"]
+                                                           "probe-labels", "corpus-stats"]
     assert by_name["spatial-records"]["details"] == "story_00001: no relation records"
     assert "past the 0-frame log" in by_name["probe-labels"]["details"]
+    assert by_name["corpus-stats"]["details"] == STATS_DIFFER
     assert main(["verify", "--corpus", str(root)]) == 1
     assert "FAIL spatial-records: story_00001: no relation records" in \
         capsys.readouterr().out
+
+
+def _first_mapping_moved(data: bytes) -> bytes:
+    rows = [json.loads(line) for line in data.splitlines()]
+    rows[0]["start_frame"] += 5
+    return jsonl_document(rows)
+
+
+def _first_mapping_dropped(data: bytes) -> bytes:
+    return b"".join(data.splitlines(keepends=True)[1:])
+
+
+def _more_events(data: bytes) -> bytes:
+    stats = json.loads(data)
+    stats["total_events"] += 1000
+    return json_document(stats)
+
+
+EVENTS_DIFFER = ("story_00001/events.jsonl differs from the mappings of the graph and "
+                 "timeline")
+STATS_DIFFER = "stats.json differs from the stats of the stories' files"
+
+
+@pytest.mark.parametrize("rel_path, damage, failed", [
+    ("story_00001/events.jsonl", _first_mapping_moved,
+     {"event-mappings": EVENTS_DIFFER}),
+    ("story_00001/events.jsonl", _first_mapping_dropped,
+     {"event-mappings": EVENTS_DIFFER, "corpus-stats": STATS_DIFFER}),
+    ("story_00001/text.txt", lambda data: b"Nothing happens.\n",
+     {"proto-text": "story_00001/text.txt differs from the proto text of the graph "
+                    "and timeline"}),
+    ("stats.json", _more_events, {"corpus-stats": STATS_DIFFER}),
+], ids=["mapping-moved", "mapping-dropped", "text-replaced", "stats-more-events"])
+def test_verify_rederives_events_text_and_stats(small_corpus, tmp_path, rel_path, damage,
+                                                failed):
+    # the manifest keeps up with a story file; no hash covers stats.json
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    data = damage((root / rel_path).read_bytes())
+    if rel_path == "stats.json":
+        (root / rel_path).write_bytes(data)
+    else:
+        story_id, name = rel_path.split("/", 1)
+        rewrite_with_hash(root, story_id, name, data)
+    assert verify(root)["checks"] == expected_checks(failed)
+
+
+def test_verify_fails_text_of_a_graph_the_registry_refuses(small_corpus, tmp_path):
+    # an unknown action with its hash rewritten: no proto text derives, and
+    # events.jsonl names the action the graph no longer has
+    root = tmp_path / "unknown-action"
+    shutil.copytree(small_corpus, root)
+    doc = json.loads((root / "story_00001/graph.json").read_bytes())
+    doc["events"][0]["action"] = "no_such_action"
+    rewrite_with_hash(root, "story_00001", "graph.json", json.dumps(doc).encode())
+    report = verify(root)
+    assert report["checks"] == expected_checks({"event-mappings": EVENTS_DIFFER,
+                                                "proto-text": (
+        "story_00001/graph.json does not validate against the registry: "
+        "unknown action 'no_such_action'")})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -823,6 +910,19 @@ def test_cli_generate_stats_verify(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_generate_refuses_an_out_that_is_not_empty(small_corpus, tmp_path, capsys):
+    # a 2-story build over a 3-story corpus would keep story_00002
+    root = tmp_path / "c"
+    shutil.copytree(small_corpus, root)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    with pytest.raises(FileExistsError, match="is not empty"):
+        generate_corpus(root, CorpusConfig(gen=GenConfig(master_seed=7)),
+                        build_default_registry(), stories=2)
+    assert main(["generate", "--stories", "2", "--seed", "7", "--out", str(root)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+
 def test_cli_simulate_and_text(tmp_path, capsys):
     corpus_dir = tmp_path / "c"
     assert main(["generate", "--stories", "1", "--seed", "3",
@@ -958,9 +1058,11 @@ def test_cli_reports_a_missing_input_path(tmp_path, capsys, argv):
     ["generate", "--stories", "-1"],
     ["generate", "--stories", "1", "--regions", "0"],
     ["generate", "--stories", "1", "--chains-per-actor", "0"],
+    ["generate", "--stories", "1", "--workers", "-3"],
+    ["generate", "--stories", "1", "--workers", "0"],
     ["simulate", "--graph", "{graph}", "--fps", "0"],
 ], ids=["generate-fps", "generate-stories", "generate-regions", "generate-chains",
-        "simulate-fps"])
+        "generate-negative-workers", "generate-no-workers", "simulate-fps"])
 def test_cli_refuses_a_bad_value_as_a_usage_error(tmp_path, capsys, argv):
     graph = tmp_path / "graph.json"
     graph.write_bytes(serialize_graph(

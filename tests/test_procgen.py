@@ -8,9 +8,10 @@ from collections import Counter
 
 import pytest
 
-from storysim.allen import Coarse, is_convex
+from storysim.allen import Coarse, coarse_to_allen, is_convex
 from storysim.default_registry import build_default_registry
 from storysim.documents import serialize_graph
+from storysim.errors import InconsistentNetwork
 from storysim.model import (ActionCategory, ActionSpec, CapabilityRegistry, EntityKind,
                             EpisodeSpec, EventKind, PoiSpec, RegionSpec)
 from storysim.procgen import (
@@ -21,7 +22,8 @@ from storysim.procgen import (
     story_rng,
     story_seed,
 )
-from storysim.scheduling import graph_constraints, schedule
+from storysim.scheduling import (CHAIN_SET, StnInfeasible, TemporalNetwork, closure,
+                                 edge_constraints, graph_constraints, schedule, solve_stn)
 from storysim.simulation import validate
 
 
@@ -190,6 +192,36 @@ def test_injected_relations_keep_network_schedulable(stories):
     for graph in stories:
         timeline = schedule(graph, fps=25)
         assert timeline.intervals.keys() == {e.event_id for e in graph.events}
+
+
+def test_unit_length_stn_decides_what_closure_decides():
+    # inject_relations asks the unit-length STN, not path consistency; on
+    # every set procgen constrains with, the verdicts agree on every
+    # prefix of random networks, consistent or not
+    sets = [CHAIN_SET] + [coarse_to_allen(c) for c in Coarse]
+    rng = random.Random(16)
+    verdicts = Counter()
+    for _ in range(300):
+        ids = list(range(rng.randint(2, 6)))
+        unit = dict.fromkeys(ids, 1)
+        constraints = [(*rng.sample(ids, 2), rng.choice(sets))
+                       for _ in range(rng.randint(1, 2 * len(ids)))]
+        for k in range(1, len(constraints) + 1):
+            prefix = constraints[:k]
+            try:
+                closure(TemporalNetwork.from_constraints(ids, prefix))
+                consistent = True
+            except InconsistentNetwork:
+                consistent = False
+            try:
+                solve_stn(ids, [row for a, b, rs in prefix
+                                for row in edge_constraints(a, b, rs, unit)])
+                feasible = True
+            except StnInfeasible:
+                feasible = False
+            assert feasible == consistent, prefix
+            verdicts[consistent] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
 def test_all_categories_reachable(registry):

@@ -74,16 +74,6 @@ class TestNetwork:
         with pytest.raises(InconsistentNetwork):
             net.constrain(0, 1, RelationSet.from_codes("bi"))
 
-    def test_narrowed_propagates_into_a_copy(self):
-        net = TemporalNetwork([0, 1, 2])
-        net.constrain(0, 1, RelationSet.from_codes("b"))
-        closed = closure(net)
-        narrowed = closed.narrowed(1, 2, RelationSet.from_codes("b"))
-        assert narrowed.edge(0, 2) == RelationSet.from_codes("b")
-        assert closed.edge(0, 2) == RelationSet.full()
-        assert narrowed == closure(narrowed)
-        assert narrowed.narrowed(2, 0, RelationSet.from_codes("b")) is None
-
 
 class TestClosure:
     def test_before_chain_derives_before(self):
