@@ -24,7 +24,7 @@ from .scheduling import (EventTimeline, TemporalNetwork, closure, duration_frame
 from .procgen import GenConfig, generate_story, story_seed
 from .simulation import (FrameLog, World, ground, insert_movements, simulate,
                          validate, visible_mask)
-from .collectors import (PairRelation, collect_event_mappings,
+from .collectors import (PairRelation, RelationPlanes, collect_event_mappings,
                          collect_story_relations, compute_pair_relation)
 from .textgen import ProtoText, RefineConfig, proto_text, refine
 from .probes import (ClipSpec, ProbeConfig, extract_story_clips, hybrid_sample,
@@ -49,7 +49,7 @@ __all__ = [
     "GenConfig", "generate_story", "story_seed",
     "FrameLog", "World", "ground", "insert_movements",
     "simulate", "validate", "visible_mask",
-    "PairRelation", "collect_event_mappings",
+    "PairRelation", "RelationPlanes", "collect_event_mappings",
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
     "ClipSpec", "ProbeConfig", "extract_story_clips",

@@ -2,8 +2,12 @@
 
 relations file ("GTSR"): little-endian header of magic, version u16,
 fps u16, entity_count u16, reserved u16, followed by an entity table of
-{id u16, kind u8, name_len u8, name utf-8}, then packed 22-byte records
-sorted by (frame, a, b).
+{id u16, kind u8, name_len u8, name utf-8}, then 13 bytes per record in
+four planes over the frames x E(E-1) records: every distance_m f4, then
+every azimuth_deg f4, every elevation_deg f4 and every compass u8.  The
+key is implied by position: record p is frame p // E(E-1) and the
+(p % E(E-1))-th ordered pair (a, b), a != b, in (a, b) order over the
+table's sorted ids.  A coincident pair is the one whose distance is 0.
 
 framelog file ("GTFL"): same header shape plus frame_count u32, the
 same entity table, then float64 poses (x, y, z, yaw_deg) frame-major in
@@ -21,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectors import RELATION_DTYPE
+from .collectors import RelationPlanes
 from .errors import CorruptCorpus
 from .model import CAMERA_ID, EntityKind
 from .simulation import FrameLog
 
 RELATIONS_MAGIC = b"GTSR"
 FRAMELOG_MAGIC = b"GTFL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _KIND_CODE = {
     EntityKind.CAMERA: 0,
@@ -91,23 +95,45 @@ def _parse_prefix(buf: bytes, magic: bytes, header_fmt: str, what: str):
     return header, (ids, kinds, names), offset
 
 
-def relations_bytes(records: np.ndarray, fps: int, ids, kinds, names) -> memoryview:
-    """The bytes of a relations file; the records are copied once."""
+_RECORD_BYTES = sum(t.itemsize for t in RelationPlanes.DTYPES)
+
+
+def relations_bytes(records: RelationPlanes, fps: int, ids, kinds,
+                    names) -> memoryview:
+    """The bytes of a relations file; the records are copied once.
+    ValueError when the planes do not have E(E-1) columns for the E
+    entities of the table."""
+    pairs = len(ids) * (len(ids) - 1)
+    if records.distance_m.shape[1] != pairs:
+        raise ValueError(f"relation planes of shape {records.distance_m.shape} do not "
+                         f"hold {pairs} pairs per frame for {len(ids)} entities")
     prefix = (RELATIONS_MAGIC + struct.pack("<HHHH", FORMAT_VERSION, fps, len(ids), 0)
               + _pack_entity_table(ids, kinds, names))
-    body = np.ascontiguousarray(records.astype(RELATION_DTYPE, copy=False))
-    return np.concatenate((np.frombuffer(prefix, np.uint8), body.view(np.uint8))).data
+    planes = (np.ascontiguousarray(plane, dtype).view(np.uint8).ravel()
+              for plane, dtype in zip(records.planes(), RelationPlanes.DTYPES))
+    return np.concatenate((np.frombuffer(prefix, np.uint8), *planes)).data
 
 
 def parse_relations(buf: bytes):
-    """-> (fps, (ids, kinds, names), records array) of a relations file's
-    bytes."""
+    """-> (fps, (ids, kinds, names), RelationPlanes) of a relations file's
+    bytes; the planes are views of `buf`, not copies."""
     (fps, _, _), table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "<HHHH",
                                                "relations")
-    if (len(buf) - offset) % RELATION_DTYPE.itemsize:
-        raise CorruptCorpus(
-            f"record payload not a multiple of {RELATION_DTYPE.itemsize} bytes")
-    return fps, table, np.frombuffer(buf, dtype=RELATION_DTYPE, offset=offset)
+    entities = len(table[0])
+    pairs, payload = entities * (entities - 1), len(buf) - offset
+    if not pairs and payload:
+        raise CorruptCorpus(f"record payload of {payload} bytes for {entities} "
+                            f"entities, which make no pair")
+    if pairs and payload % (_RECORD_BYTES * pairs):
+        raise CorruptCorpus(f"record payload of {payload} bytes is not a whole number "
+                            f"of {_RECORD_BYTES * pairs}-byte frames")
+    frames = payload // (_RECORD_BYTES * pairs) if pairs else 0
+    planes = []
+    for dtype in RelationPlanes.DTYPES:
+        planes.append(np.frombuffer(buf, dtype, frames * pairs, offset).reshape(
+            frames, pairs))
+        offset += frames * pairs * dtype.itemsize
+    return fps, table, RelationPlanes(*planes)
 
 
 def framelog_bytes(log: FrameLog) -> memoryview:

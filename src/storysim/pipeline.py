@@ -418,36 +418,52 @@ def _check_text(story_id: str, graph: GestGraph, timeline: EventTimeline,
                         f"and timeline")
 
 
-def _check_spatial(story_id: str, log: FrameLog, relation_file, rng: random.Random,
-                   samples: int, failures: list[str]):
+def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
+                   rng: random.Random, samples: int, failures: list[str],
+                   stats: list[str]) -> bool:
     """Recompute `samples` records of parse_relations' `relation_file`,
-    drawn by `rng`, with the scalar route."""
-    _, (ids, _, _), records = relation_file
-    n_entities = len(ids)
-    expect = log.frame_count * n_entities * (n_entities - 1)
+    drawn by `rng`, with the scalar route.  Both binaries must hold the
+    manifest's `fps` and the same entity table, which fixes each record's
+    key: record p is frame p // E(E-1) and ordered pair p % E(E-1).
+    False when the file does not hold E(E-1) records for each of the
+    log's frames, which also fails `stats`: the story cannot be
+    counted."""
+    relations_fps, table, records = relation_file
+    for name, found in (("relations.bin", relations_fps), ("framelog.bin", log.fps)):
+        if found != fps:
+            failures.append(f"{story_id}/{name} fps {found} != {fps}")
+    ids = sorted(table[0])
+    pairs = len(ids) * (len(ids) - 1)
+    expect = log.frame_count * pairs
     if len(records) != expect:
-        failures.append(f"{story_id}: {len(records)} records, expected {expect}")
-        return
+        for found in (failures, stats):
+            found.append(f"{story_id}/relations.bin has {len(records)} records, "
+                         f"expected {expect}")
+        return False
+    if table != (log.entity_ids, log.entity_kinds, log.entity_names):
+        failures.append(f"{story_id}/relations.bin entity table differs from "
+                        f"framelog.bin's")
+        return True
     if not expect:
         failures.append(f"{story_id}: no relation records")
-        return
+        return True
     picks = [rng.randrange(len(records)) for _ in range(samples)]
-    for f, a, b, distance, azimuth, elevation, compass, flags in records[picks].tolist():
-        mismatch = f"{story_id} frame {f} pair ({a},{b}) record mismatch"
-        try:
-            ia, ib = log.index_of(a), log.index_of(b)
-            pose_a = log.positions[f, ia].tolist(), log.yaws[f, ia].item()
-            pose_b = log.positions[f, ib].tolist(), log.yaws[f, ib].item()
-        except (KeyError, IndexError):  # an id or frame the log does not have
-            failures.append(mismatch)
-            continue
+    values = (plane.reshape(-1)[picks].tolist() for plane in records.planes())
+    for p, distance, azimuth, elevation, compass in zip(picks, *values):
+        f, pair = divmod(p, pairs)
+        i, j = divmod(pair, len(ids) - 1)
+        a, b = ids[i], ids[j + (j >= i)]
+        ia, ib = log.index_of(a), log.index_of(b)
+        pose_a = log.positions[f, ia].tolist(), log.yaws[f, ia].item()
+        pose_b = log.positions[f, ib].tolist(), log.yaws[f, ib].item()
         pr = compute_pair_relation(pose_a, pose_b)
         if (abs(pr.distance_m - distance) > 1e-5
                 or abs(pr.azimuth_deg - azimuth) > 1e-5
                 or abs(pr.elevation_deg - elevation) > 1e-5
                 or COMPASS_NAMES.index(pr.compass) != compass
-                or bool(flags & 1) != pr.coincident):
-            failures.append(mismatch)
+                or (distance == 0.0) != pr.coincident):
+            failures.append(f"{story_id} frame {f} pair ({a},{b}) record mismatch")
+    return True
 
 
 def verify(corpus_dir: Path | str) -> dict:
@@ -522,11 +538,11 @@ def verify(corpus_dir: Path | str) -> dict:
         relation_file = story.load("relations.bin", binio.parse_relations, spatial,
                                    stats)
 
-        if log is not None and relation_file is not None:
-            _check_spatial(story_id, log, relation_file, rng, spatial_per_story, spatial)
-            if graph is not None and events_doc is not None:
-                counts.append(story_counts(graph, events_doc.count(b"\n"),
-                                           len(relation_file[2]), log.frame_count))
+        countable = log is not None and relation_file is not None and _check_spatial(
+            story_id, log, relation_file, fps, rng, spatial_per_story, spatial, stats)
+        if countable and graph is not None and events_doc is not None:
+            counts.append(story_counts(graph, events_doc.count(b"\n"),
+                                       len(relation_file[2]), log.frame_count))
         if clips is None:
             continue
         if clips_doc is not None and clips_doc != jsonl_document(map(_clip_row, clips)):

@@ -10,10 +10,10 @@ collector, shares compute_pair_relation with the package on purpose;
 numpy_run_camera, the numpy per-frame camera loop that the whole-story
 one replaced, shares bearing_deg; and numpy_collect_story_relations, the
 remainder-and-floor-divide collector that the compare-and-add one
-replaced, shares the record layout; and closure_schedule, the schedule
-that pruned its backtracking over non-convex edges with path
-consistency, shares the STN and the closure that the STN search
-replaced.
+replaced, keeps the keyed 22-byte rows that the planes replaced; and
+closure_schedule, the schedule that pruned its backtracking over
+non-convex edges with path consistency, shares the STN and the closure
+that the STN search replaced.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from storysim.collectors import (COINCIDENT_EPS, FLAG_COINCIDENT, RELATION_DTYPE,
-                                 compute_pair_relation)
+from storysim.collectors import COINCIDENT_EPS, compute_pair_relation
 from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import CAMERA_ID
@@ -190,6 +189,21 @@ def numpy_run_camera(graph, pos, yaw, index, actor_ids, active, actor_region):
         else:
             pos[f, cam], yaw[f, cam] = numpy_update_camera(
                 pos[f - 1, cam], centroid[None, :])
+
+
+FLAG_COINCIDENT = 0x01
+
+# the keyed 22-byte row the records had before the planes
+RELATION_DTYPE = np.dtype([
+    ("frame", "<u4"),
+    ("a", "<u2"),
+    ("b", "<u2"),
+    ("distance_m", "<f4"),
+    ("azimuth_deg", "<f4"),
+    ("elevation_deg", "<f4"),
+    ("compass", "u1"),
+    ("flags", "u1"),
+])
 
 
 def numpy_collect_story_relations(log, chunk_frames: int = 1024) -> np.ndarray:

@@ -206,23 +206,26 @@ def test_ac06_spatial_records_recompute(corpus200):
         sorted_ids = sorted(ids)
         col = {e: i for i, e in enumerate(sorted_ids)}
 
-        def row_of(frame: int, a: int, b: int) -> int:
+        def pair_of(a: int, b: int) -> int:
             i, j = col[a], col[b]
-            pair_idx = i * (n - 1) + (j if j < i else j - 1)
-            return frame * pair_count + pair_idx
+            return i * (n - 1) + (j if j < i else j - 1)
 
         for _ in range(per_story):
-            rec = records[rng.randrange(len(records))]
-            f, a, b = int(rec["frame"]), int(rec["a"]), int(rec["b"])
+            # the record's key is implied by its position
+            f, pair = divmod(rng.randrange(len(records)), pair_count)
+            i, j = divmod(pair, n - 1)
+            a, b = sorted_ids[i], sorted_ids[j + (j >= i)]
+            assert pair_of(a, b) == pair
             ia, ib = log.index_of(a), log.index_of(b)
             pr = compute_pair_relation(
                 (tuple(log.positions[f, ia]), float(log.yaws[f, ia])),
                 (tuple(log.positions[f, ib]), float(log.yaws[f, ib])))
-            assert abs(pr.distance_m - float(rec["distance_m"])) <= 1e-5
-            assert abs(pr.azimuth_deg - float(rec["azimuth_deg"])) <= 1e-5
-            assert abs(pr.elevation_deg - float(rec["elevation_deg"])) <= 1e-5
-            assert COMPASS_NAMES[rec["compass"]] == pr.compass
-            assert bool(rec["flags"] & 1) == pr.coincident
+            distance = float(records.distance_m[f, pair])
+            assert abs(pr.distance_m - distance) <= 1e-5
+            assert abs(pr.azimuth_deg - float(records.azimuth_deg[f, pair])) <= 1e-5
+            assert abs(pr.elevation_deg - float(records.elevation_deg[f, pair])) <= 1e-5
+            assert COMPASS_NAMES[records.compass[f, pair]] == pr.compass
+            assert (distance == 0.0) == pr.coincident
             sampled += 1
 
             if pr.coincident:
@@ -232,9 +235,8 @@ def test_ac06_spatial_records_recompute(corpus200):
             edge = (bearing - 22.5) % 45.0
             if min(edge, 45.0 - edge) < 0.5:
                 continue
-            rev = records[row_of(f, b, a)]
-            assert (int(rev["a"]), int(rev["b"]), int(rev["frame"])) == (b, a, f)
-            assert (int(rec["compass"]) - int(rev["compass"])) % 8 == 4
+            rev = pair_of(b, a)
+            assert (int(records.compass[f, pair]) - int(records.compass[f, rev])) % 8 == 4
             opposition_checked += 1
     assert sampled >= 10000
     assert opposition_checked > 1000

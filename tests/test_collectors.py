@@ -23,7 +23,7 @@ from storysim.binio import (
 )
 from storysim.collectors import (
     COMPASS_NAMES,
-    RELATION_DTYPE,
+    RelationPlanes,
     collect_event_mappings,
     collect_story_relations,
     compass_bin,
@@ -36,7 +36,7 @@ from storysim.pipeline import build_story, CorpusConfig
 from storysim.procgen import GenConfig
 from storysim.simulation import FrameLog
 
-from _oracles import collect_frame, numpy_collect_story_relations
+from _oracles import FLAG_COINCIDENT, collect_frame, numpy_collect_story_relations
 
 
 def pose(x, y, z=0.0, yaw=0.0):
@@ -99,7 +99,7 @@ def test_bearing_ulps_below_the_nw_edge_is_nw_in_both_routes():
     log = FrameLog(positions=positions, yaws=np.zeros((1, 2)), fps=25,
                    entity_ids=(0, 1), entity_kinds=(EntityKind.CAMERA, EntityKind.ACTOR),
                    entity_names=("camera", "Anna"))
-    assert collect_story_relations(log)["compass"][0] == COMPASS_NAMES.index("NW")
+    assert collect_story_relations(log).compass[0, 0] == COMPASS_NAMES.index("NW")
 
 
 def test_azimuth_sign_is_positive_left():
@@ -144,41 +144,63 @@ def test_compass_opposition_off_bin_edges():
 
 # ------------------------------------------------------ story collection
 
-def test_record_dtype_is_packed_22_bytes():
-    assert RELATION_DTYPE.itemsize == 22
-    assert RELATION_DTYPE.names == ("frame", "a", "b", "distance_m",
-                                    "azimuth_deg", "elevation_deg",
-                                    "compass", "flags")
+PLANES = ("distance_m", "azimuth_deg", "elevation_deg", "compass")
+
+
+def _first_frames(records: RelationPlanes, frames: int) -> RelationPlanes:
+    return RelationPlanes(*(plane[:frames] for plane in records.planes()))
+
+
+def test_records_are_13_bytes_in_four_planes(log):
+    records = collect_story_relations(log)
+    e = log.entity_count
+    assert [p.dtype for p in records.planes()] == [np.dtype(t) for t in
+                                                    ("<f4", "<f4", "<f4", "u1")]
+    assert RelationPlanes.DTYPES == tuple(p.dtype for p in records.planes())
+    assert sum(p.itemsize for p in records.planes()) == 13
+    assert {p.shape for p in records.planes()} == {(log.frame_count, e * (e - 1))}
+    assert all(getattr(records, name) is plane
+               for name, plane in zip(PLANES, records.planes()))
 
 
 def test_record_count_and_ordering(log):
     records = collect_story_relations(log)
     e = log.entity_count
     assert len(records) == log.frame_count * e * (e - 1)
-    keys = np.stack([records["frame"].astype(np.int64),
-                     records["a"].astype(np.int64),
-                     records["b"].astype(np.int64)])
-    flat = (keys[0] * (1 << 32)) + (keys[1] << 16) + keys[2]
-    assert np.all(np.diff(flat) > 0)
+    # column k of a frame's row is the k-th ordered pair over sorted ids
+    ids = sorted(log.entity_ids)
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    frame = log.frame_count // 2
+    for k, (a, b) in enumerate(pairs):
+        ia, ib = log.index_of(a), log.index_of(b)
+        r = compute_pair_relation((log.positions[frame, ia], log.yaws[frame, ia]),
+                                  (log.positions[frame, ib], log.yaws[frame, ib]))
+        assert records.distance_m[frame, k] == np.float32(r.distance_m)
 
 
 def test_vectorized_matches_scalar_route(log):
     records = collect_story_relations(log)
-    e = log.entity_count
-    n_pairs = e * (e - 1)
     rng = random.Random(13)
     for frame in rng.sample(range(log.frame_count), 5):
         scalar = collect_frame(log, frame)
-        block = records[frame * n_pairs:(frame + 1) * n_pairs]
-        for rec, row in zip(scalar, block):
-            assert (rec.a, rec.b) == (row["a"], row["b"])
-            assert row["frame"] == frame
+        block = zip(*(plane[frame].tolist() for plane in records.planes()))
+        for rec, (distance, azimuth, elevation, compass) in zip(scalar, block):
             # identical fp operation order: f32 casts must agree bitwise
-            assert np.float32(rec.distance_m) == row["distance_m"]
-            assert np.float32(rec.azimuth_deg) == row["azimuth_deg"]
-            assert np.float32(rec.elevation_deg) == row["elevation_deg"]
-            assert COMPASS_NAMES.index(rec.compass) == row["compass"]
-            assert int(rec.coincident) == row["flags"]
+            assert np.float32(rec.distance_m) == distance
+            assert np.float32(rec.azimuth_deg) == azimuth
+            assert np.float32(rec.elevation_deg) == elevation
+            assert COMPASS_NAMES.index(rec.compass) == compass
+            assert rec.coincident == (distance == 0.0)
+
+
+def _assert_equals_the_numpy_route(log):
+    """Each plane equals the reference's field bitwise, and distance 0
+    marks exactly the records the reference flags coincident."""
+    records, rows = collect_story_relations(log), numpy_collect_story_relations(log)
+    for name in PLANES:
+        assert getattr(records, name).tobytes() == rows[name].tobytes(), name
+    assert np.array_equal(records.distance_m.ravel() == 0.0,
+                          rows["flags"] == FLAG_COINCIDENT)
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +216,7 @@ def dense_logs():
 def test_collector_matches_the_numpy_remainder_route_on_dense_stories(dense_logs):
     for log in dense_logs:
         assert log.entity_count >= 7  # six actors and the camera, plus objects
-        assert collect_story_relations(log).tobytes() \
-            == numpy_collect_story_relations(log).tobytes()
+        _assert_equals_the_numpy_route(log)
 
 
 # bearings of the compass bin centres (0 and the +-180 wrap among them) and edges
@@ -249,8 +270,7 @@ def _frame_logs(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_frame_logs())
 def test_collector_matches_the_numpy_remainder_route_on_edge_cases(log):
-    assert collect_story_relations(log).tobytes() \
-        == numpy_collect_story_relations(log).tobytes()
+    _assert_equals_the_numpy_route(log)
 
 
 def test_collector_rejects_yaws_outside_its_exact_range():
@@ -290,7 +310,22 @@ def test_relations_file_round_trip(tmp_path, log):
     assert ids == log.entity_ids
     assert kinds == log.entity_kinds
     assert names == log.entity_names
-    assert loaded.tobytes() == records.tobytes()
+    for name in PLANES:
+        assert getattr(loaded, name).tobytes() == getattr(records, name).tobytes()
+
+
+def test_relations_file_is_header_table_and_13_bytes_per_record(log):
+    records = collect_story_relations(log)
+    table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
+    assert len(_relations_file(log)) == 12 + table + 13 * len(records)
+
+
+def test_parse_relations_views_the_bytes_it_is_given(log):
+    buf = bytes(_relations_file(log))
+    _, _, records = parse_relations(buf)
+    for plane in records.planes():
+        assert np.shares_memory(plane, np.frombuffer(buf, np.uint8))
+        assert plane.flags.c_contiguous and not plane.flags.writeable
 
 
 def test_framelog_file_round_trip(tmp_path, log):
@@ -302,13 +337,14 @@ def test_framelog_file_round_trip(tmp_path, log):
     assert np.array_equal(loaded.positions, log.positions)
     assert np.array_equal(loaded.yaws, log.yaws)
     # relations recompute bit-identically from the reloaded log
-    assert collect_story_relations(loaded).tobytes() \
-        == collect_story_relations(log).tobytes()
+    for again, first in zip(collect_story_relations(loaded).planes(),
+                            collect_story_relations(log).planes()):
+        assert again.tobytes() == first.tobytes()
 
 
 def test_read_rejects_bad_magic(tmp_path, log):
     path = tmp_path / "relations.bin"
-    write_relations(path, collect_story_relations(log)[:10], log.fps,
+    write_relations(path, _first_frames(collect_story_relations(log), 1), log.fps,
                     log.entity_ids, log.entity_kinds, log.entity_names)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
@@ -319,7 +355,7 @@ def test_read_rejects_bad_magic(tmp_path, log):
 
 def test_read_rejects_bad_version(tmp_path, log):
     path = tmp_path / "relations.bin"
-    write_relations(path, collect_story_relations(log)[:10], log.fps,
+    write_relations(path, _first_frames(collect_story_relations(log), 1), log.fps,
                     log.entity_ids, log.entity_kinds, log.entity_names)
     raw = bytearray(path.read_bytes())
     assert raw[:4] == RELATIONS_MAGIC
@@ -331,7 +367,7 @@ def test_read_rejects_bad_version(tmp_path, log):
 
 def test_read_rejects_truncated_payload(tmp_path, log):
     rel_path = tmp_path / "relations.bin"
-    write_relations(rel_path, collect_story_relations(log)[:10], log.fps,
+    write_relations(rel_path, _first_frames(collect_story_relations(log), 1), log.fps,
                     log.entity_ids, log.entity_kinds, log.entity_names)
     rel_path.write_bytes(rel_path.read_bytes()[:-3])
     with pytest.raises(CorruptCorpus):
@@ -342,6 +378,40 @@ def test_read_rejects_truncated_payload(tmp_path, log):
     fl_path.write_bytes(fl_path.read_bytes()[:-3])
     with pytest.raises(CorruptCorpus):
         read_framelog(fl_path)
+
+
+def test_a_payload_of_part_frames_is_refused(log):
+    # one whole record more than a frame, and a frame less three bytes
+    one_frame = bytes(relations_bytes(_first_frames(collect_story_relations(log), 1),
+                                      log.fps, log.entity_ids, log.entity_kinds,
+                                      log.entity_names))
+    for raw in (one_frame + one_frame[-13:], one_frame[:-3]):
+        with pytest.raises(CorruptCorpus, match="whole number of"):
+            parse_relations(raw)
+
+
+@pytest.mark.parametrize("ids", [(), (0,)])
+def test_relations_of_fewer_than_two_entities_have_an_empty_payload(ids):
+    log = FrameLog(positions=np.zeros((3, len(ids), 3)), yaws=np.zeros((3, len(ids))),
+                   fps=25, entity_ids=ids, entity_kinds=(EntityKind.CAMERA,) * len(ids),
+                   entity_names=("camera",) * len(ids))
+    raw = bytes(_relations_file(log))
+    _, _, records = parse_relations(raw)
+    assert len(records) == 0
+    with pytest.raises(CorruptCorpus, match="make no pair"):
+        parse_relations(raw + b"\0")
+
+
+def test_relation_planes_that_the_table_does_not_fit_are_refused(log):
+    records = collect_story_relations(log)
+    with pytest.raises(ValueError, match="pairs per frame"):
+        relations_bytes(records, log.fps, log.entity_ids[:-1], log.entity_kinds[:-1],
+                        log.entity_names[:-1])
+    with pytest.raises(ValueError, match="one 2-D shape"):
+        RelationPlanes(records.distance_m, records.azimuth_deg, records.elevation_deg,
+                       records.compass[:1])
+    with pytest.raises(ValueError, match="one 2-D shape"):
+        RelationPlanes(*(plane.ravel() for plane in records.planes()))
 
 
 def test_synthetic_log_small_counts():
@@ -355,10 +425,9 @@ def test_synthetic_log_small_counts():
                    entity_names=("camera", "Anna", "cup"))
     records = collect_story_relations(log)
     assert len(records) == 2 * 3 * 2
-    first = records[0]
-    assert (first["a"], first["b"]) == (0, 1)
-    assert first["distance_m"] == np.float32(5.0)
-    assert COMPASS_NAMES[first["compass"]] == "N"
+    # the first record is frame 0, pair (0, 1)
+    assert records.distance_m[0, 0] == np.float32(5.0)
+    assert COMPASS_NAMES[records.compass[0, 0]] == "N"
 
 
 def _named_log(ids, names):
@@ -398,6 +467,17 @@ def test_repeated_entity_id_is_refused_by_writer_and_reader(encode, parse):
     assert raw[second:second + 2] == (6).to_bytes(2, "little")
     raw[second:second + 2] = (0).to_bytes(2, "little")
     with pytest.raises(CorruptCorpus, match="entity id 0 appears twice"):
+        parse(bytes(raw))
+
+
+@pytest.mark.parametrize("encode, parse", [
+    pytest.param(framelog_bytes, parse_framelog, id="framelog"),
+    pytest.param(_relations_file, parse_relations, id="relations"),
+])
+def test_a_version_1_file_is_refused(log, encode, parse):
+    raw = bytearray(encode(log))
+    raw[4:6] = (1).to_bytes(2, "little")
+    with pytest.raises(CorruptCorpus, match="^unsupported version 1$"):
         parse(bytes(raw))
 
 

@@ -87,6 +87,9 @@ def test_real_files_parse(name):
 @example(data=b'{"format_version": ' + b"1" * 5000 + b"}")
 @example(data=b"GTFL")
 @example(data=b"GTSR\x01\x00\x19\x00\x00\x00\x00\x00")
+# version 2 relations of no entity, then of one, each with a stray payload byte
+@example(data=b"GTSR\x02\x00\x19\x00\x00\x00\x00\x00\x00")
+@example(data=b"GTSR\x02\x00\x19\x00\x01\x00\x00\x00\x00\x00\x00\x06camera\x00")
 def test_arbitrary_bytes(name, data):
     parses_or_fails_closed(name, data)
 

@@ -15,10 +15,12 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from storysim import binio, pipeline
 from storysim.cli import main
+from storysim.collectors import RelationPlanes
 from storysim.default_registry import build_default_registry
 from storysim.documents import (json_document, jsonl_document, parse_graph,
                                 parse_manifest, parse_timeline, serialize_graph,
@@ -34,14 +36,14 @@ from storysim.pipeline import (
     verify,
 )
 from storysim.probes import ProbeConfig
-from storysim.model import EventKind
+from storysim.model import EntityKind, EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 
 # corpus_digest of the seed-7, 8-story corpus of the default config and
 # bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
 # only in a change whose CHANGES.md says why the corpus bytes changed.
-GOLDEN_DIGEST = "07dfb05207f8db5f2746205fedd812f893b0d836d5d2965026ca266f5183aae8"
+GOLDEN_DIGEST = "436026be868bf78e777913f452a819db760408f64eca93c760493bc83d6268d9"
 STORIES = 8
 
 CHECKS = ("manifest-hashes", "timeline-durations", "temporal-relations",
@@ -432,11 +434,12 @@ def _zero_for_false_with_its_hash(path):
 _zero_for_false_with_its_hash.rehashes = True
 
 
-def _frames_past_the_log(path):
+def _frame_past_the_log(path):
+    # the last frame's records written twice: a whole frame the log lacks
     fps, (ids, kinds, names), records = binio.read_relations(path)
-    records = records.copy()
-    records["frame"] = 1 << 30
-    binio.write_relations(path, records, fps, ids, kinds, names)
+    binio.write_relations(path, RelationPlanes(*(
+        np.concatenate((plane, plane[-1:])) for plane in records.planes())),
+        fps, ids, kinds, names)
 
 
 CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the graph "
@@ -484,8 +487,9 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
                  "registry.json missing", id="registry-missing"),
     pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
                  ("probe-labels",), CLIPS_DIFFER, id="clip-frames-reversed"),
-    pytest.param("story_00001/relations.bin", _frames_past_the_log,
-                 ("spatial-records",), "story_00001 frame 1073741824 pair",
+    # a story whose records do not fit its log cannot be counted
+    pytest.param("story_00001/relations.bin", _frame_past_the_log,
+                 ("spatial-records", "corpus-stats"), "story_00001/relations.bin has ",
                  id="record-frames-past-the-log"),
     pytest.param("story_00001/timeline.json", _drop_first_interval,
                  ("timeline-durations", "temporal-relations", "probe-labels",
@@ -558,7 +562,8 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
         replace(log, positions=log.positions[:0], yaws=log.yaws[:0]))))
     rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-        records[:0], fps, ids, kinds, names)))
+        RelationPlanes(*(plane[:0] for plane in records.planes())), fps, ids, kinds,
+        names)))
     report = verify(root)
     by_name = {c["name"]: c for c in report["checks"]}
     assert [n for n in CHECKS if not by_name[n]["ok"]] == ["spatial-records",
@@ -569,6 +574,57 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     assert main(["verify", "--corpus", str(root)]) == 1
     assert "FAIL spatial-records: story_00001: no relation records" in \
         capsys.readouterr().out
+
+
+def _relations_renamed_and_rekinded(data: bytes) -> bytes:
+    fps, (ids, kinds, names), records = binio.parse_relations(data)
+    names = (names[0], "zzz") + names[2:]
+    kinds = kinds[:2] + (EntityKind.POI,) + kinds[3:]
+    return bytes(binio.relations_bytes(records, fps, ids, kinds, names))
+
+
+def _fps_30(data: bytes) -> bytes:
+    # fps is the u16 after the magic and the version in both binaries
+    return data[:6] + (30).to_bytes(2, "little") + data[8:]
+
+
+@pytest.mark.parametrize("rel_path, damage, named", [
+    ("relations.bin", _relations_renamed_and_rekinded,
+     "story_00001/relations.bin entity table differs from framelog.bin's"),
+    ("relations.bin", _fps_30, "story_00001/relations.bin fps 30 != 25"),
+    ("framelog.bin", _fps_30, "story_00001/framelog.bin fps 30 != 25"),
+], ids=["relations-entities-renamed", "relations-fps", "framelog-fps"])
+def test_verify_checks_the_binary_headers_against_each_other(small_corpus, tmp_path,
+                                                             rel_path, damage, named):
+    # each file rewritten with its hash, so only the header check can catch it
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    rewrite_with_hash(root, "story_00001", rel_path,
+                      damage((root / "story_00001" / rel_path).read_bytes()))
+    report = verify(root)
+    assert report["checks"] == expected_checks({"spatial-records": named})
+
+
+def _version_1(path):
+    data = bytearray(path.read_bytes())
+    data[4:6] = (1).to_bytes(2, "little")
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name, bytes(data))
+
+
+def test_a_version_1_binary_is_refused_by_every_reader(small_corpus, tmp_path, capsys):
+    root = tmp_path / "v1"
+    shutil.copytree(small_corpus, root)
+    _version_1(root / "story_00001/relations.bin")
+    named = "story_00001/relations.bin cannot be loaded: unsupported version 1"
+    assert verify(root)["checks"] == expected_checks(
+        {"spatial-records": named, "corpus-stats": named})
+    with pytest.raises(CorruptCorpus, match=f"^{named}$"):
+        compute_stats(root)
+    # probes reads no relations.bin; the framelog of the same version is refused
+    _version_1(root / "story_00001/framelog.bin")
+    assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: story_00001/framelog.bin cannot be "
+                                       "loaded: unsupported version 1\n")
 
 
 def _first_mapping_moved(data: bytes) -> bytes:
