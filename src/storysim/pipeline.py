@@ -27,10 +27,10 @@ from .documents import (FORMAT_VERSION, json_document, jsonl_document, jsonl_lin
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, select_episode, story_rng, story_seed
-from .probes import ClipSpec, ProbeConfig, extract_story_clips, label_clip, split_stories
+from .probes import ClipSpec, ProbeConfig, extract_story_clips, label_clips, split_stories
 from .probes_oracle import oracle_clip
 from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
-from .simulation import FrameLog, ground, insert_movements, simulate, validate, visible_mask
+from .simulation import FrameLog, ground, insert_movements, simulate, validate
 from .textgen import RefineConfig, proto_text, refine
 
 # verify's sample sizes: spatial records recomputed (AC6) and clip label
@@ -110,12 +110,20 @@ def _movement_actions(registry: CapabilityRegistry) -> set[str]:
 def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: FrameLog,
                registry: CapabilityRegistry, probe: ProbeConfig,
                split: str) -> dict[str, bytes]:
-    """probes/clips.jsonl and probes/labels.jsonl of one story, by path."""
+    """probes/clips.jsonl and probes/labels.jsonl of one story, by path.
+    A timeline that lacks a graph event, or has one end past the frame
+    log, raises CorruptCorpus naming the story's timeline.json."""
+    for ev in graph.events:
+        if ev.event_id not in timeline.intervals:
+            raise CorruptCorpus(f"{story_id}/timeline.json lacks event {ev.event_id}")
+    for event_id, (_, end) in timeline.intervals.items():
+        if end > log.frame_count:
+            raise CorruptCorpus(f"{story_id}/timeline.json: event {event_id} ends at "
+                                f"frame {end}, past the {log.frame_count}-frame log")
     clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
                                 probe, split)
     clips_doc = jsonl_document(map(_clip_row, clips))
-    vis = visible_mask(log)
-    labels_doc = jsonl_document(label_clip(c, log, timeline, probe, vis) for c in clips)
+    labels_doc = jsonl_document(label_clips(clips, log, timeline, probe))
     return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
 
 

@@ -7,20 +7,35 @@ and timeline.  Class bounds are half-open [low, high): a value exactly
 at a bound belongs to the upper class.  Dynamic labels whose delta
 falls inside the ambiguity epsilon are excluded (None) rather than
 coin-flipped.
+
+Labels are computed per story: label_clips gathers every clip frame of
+the frame log once, as (clips, 16) frames, and runs visible_mask once on
+a frame log of those frames only.  The entity and pair arrays of all the
+story's clips are then computed together, each in the order labelling
+its clip alone would use, so a row's bytes do not depend on the clips
+labelled with it:
+
+- direction sines and cosines add up frame by frame from 0;
+- means run over C-contiguous rows of clip frames;
+- pair distances, and the camera distances depth order compares, use
+  the dot kernel of _norms; entity camera distances sum their squares;
+- wraps and compass bins use numpy's float % and //, which are Python's.
+
+label_clip then builds each clip's row from the story arrays as lists.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .model import EntityKind, EventKind, GestGraph, is_finite_number
 from .scheduling import EventTimeline
-from .simulation import CAMERA_ID, FrameLog, wrap_signed
-from .collectors import compass_bin, COMPASS_NAMES
+from .simulation import CAMERA_ID, FrameLog, visible_mask
+from .collectors import COMPASS_NAMES
 
 SPLITS = ("train", "val", "test")
 
@@ -122,154 +137,182 @@ def _largest_remainder(n: int, fracs) -> list[int]:
     return base
 
 
-def _dist_class(value: float, bounds, names=("near", "medium", "far")) -> str:
+def _pick(names, index: np.ndarray) -> np.ndarray:
+    """names[i] for each i in index, as an object array."""
+    return np.array(names, dtype=object)[index]
+
+
+def _classes(values: np.ndarray, bounds, names) -> np.ndarray:
+    """The names of the half-open classes below, between and from the two
+    bounds that values fall in."""
     lo, hi = bounds
-    if value < lo:
-        return names[0]
-    if value < hi:
-        return names[1]
-    return names[2]
+    return _pick(names, np.where(values < lo, 0, np.where(values < hi, 1, 2)))
 
 
-def label_scene(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-                cfg: ProbeConfig, vis: np.ndarray) -> dict:
-    frames = np.array(clip.frame_indices)
-    actor_cols = [i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR]
-    seen = vis[frames][:, actor_cols].sum(axis=0)
-    count = int((seen * 2 >= len(frames)).sum())
-    actor_count = min(max(count, 1), 5)
-
-    first, last = clip.frame_indices[0], clip.frame_indices[-1]
-    boundary = False
-    for event_id, (s, e) in timeline.intervals.items():
-        if event_id == clip.event_id:
-            continue
-        if first < s < last or first < e < last:
-            boundary = True
-            break
-
-    moved = log.positions[last, actor_cols] - log.positions[first, actor_cols]
-    motion = bool((np.linalg.norm(moved, axis=1) > cfg.motion_threshold_m).any())
-    return {"actor_count": actor_count, "event_boundary": boundary,
-            "motion_presence": motion}
-
-
-@dataclass(frozen=True)
-class _ClipGeometry:
-    """Clip-frame geometry of some entity columns, from one gather of the
-    frame log."""
-    ids: tuple[int, ...]
-    cols: list[int]  # frame-log columns of ids
-    frames: list[int]
-    pos: np.ndarray  # (clip frames, entities, 3)
-    rel: np.ndarray  # pos minus the camera position
-    cam_yaw: np.ndarray  # (clip frames,)
-
-
-def _clip_geometry(clip: ClipSpec, log: FrameLog, entity_ids) -> _ClipGeometry:
-    cols = [log.index_of(e) for e in entity_ids]
-    cam = log.index_of(CAMERA_ID)
-    frames = list(clip.frame_indices)
-    at = log.positions[frames]
-    pos = at[:, cols]
-    return _ClipGeometry(tuple(entity_ids), cols, frames, pos,
-                         pos - at[:, cam:cam + 1], log.yaws[frames, cam])
-
-
-def _entity_labels(geo: _ClipGeometry, vis: np.ndarray, cfg: ProbeConfig) -> list[dict]:
-    """Entity labels of every column of geo.
-
-    Each distance sums its squares in x, y, z order, as numpy sums one
-    3-vector; means run over C-contiguous rows of clip frames, as
-    np.mean of one entity's frame series does.
-    """
-    dists = np.ascontiguousarray(np.sqrt((geo.rel * geo.rel).sum(axis=2)).T)
-    means = dists.mean(axis=1).tolist()
-    ends = geo.rel[[0, -1]]
-    bearings = np.degrees(np.arctan2(ends[..., 0], ends[..., 1])).tolist()
-    yaw0, yaw1 = float(geo.cam_yaw[0]), float(geo.cam_yaw[-1])
-    presence = vis[geo.frames][:, geo.cols].any(axis=0).tolist()
-    out = []
-    for k, entity_id in enumerate(geo.ids):
-        d_az = wrap_signed(wrap_signed(yaw1 - bearings[1][k])
-                           - wrap_signed(yaw0 - bearings[0][k]))
-        angle_change = None
-        if abs(d_az) >= cfg.ambiguity_eps_deg:
-            angle_change = "left" if d_az > 0 else "right"
-
-        d_d = float(dists[k, -1]) - float(dists[k, 0])
-        approach_recede = None
-        if abs(d_d) >= cfg.ambiguity_eps_m:
-            approach_recede = "approach" if d_d < 0 else "recede"
-
-        out.append({"entity_id": entity_id, "entity_presence": presence[k],
-                    "camera_distance": _dist_class(means[k], cfg.CAMERA_DIST_BOUNDS_M),
-                    "angle_change": angle_change,
-                    "approach_recede": approach_recede})
-    return out
+def _wrap_signed(deg: np.ndarray) -> np.ndarray:
+    """wrap_signed of each angle: numpy's % on floats is Python's."""
+    w = deg % 360.0
+    return np.where(w > 180.0, w - 360.0, w)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Lengths of the (frames, columns, 3) vectors v as (columns, frames)
-    C-contiguous rows.  A stacked (1, 3) @ (3, 1) product runs the dot
-    kernel that np.linalg.norm uses for one vector; its rounding can
-    differ from a sum of squares."""
-    return np.ascontiguousarray(np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0]).T)
+    """Lengths of the (..., frames, columns, 3) vectors v as
+    (..., columns, frames) C-contiguous rows.  A stacked (1, 3) @ (3, 1)
+    product runs the dot kernel that np.linalg.norm uses for one vector;
+    its rounding can differ from a sum of squares."""
+    lengths = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    return np.ascontiguousarray(np.swapaxes(lengths, -1, -2))
 
 
-def _pair_labels(geo: _ClipGeometry, ia, ib, cfg: ProbeConfig) -> list[dict]:
-    """Pair labels of the columns (ia[k], ib[k]) of geo.
-
-    Direction sines and cosines add up frame by frame from 0, vectorised
-    across pairs.
-    """
-    cam_dists = _norms(geo.rel)
-    cam_means = cam_dists.mean(axis=1).tolist()
-    gap = geo.pos[:, ib] - geo.pos[:, ia]
-    dpair = _norms(gap)
-    pair_means = dpair.mean(axis=1).tolist()
-    deltas = (dpair[:, -1] - dpair[:, 0]).tolist()
-    theta = np.arctan2(gap[..., 0], gap[..., 1]) - np.radians(geo.cam_yaw)[:, None]
-    sin_sum = np.zeros(len(ia))
-    cos_sum = np.zeros(len(ia))
-    for row in theta:
-        sin_sum += np.sin(row)
-        cos_sum += np.cos(row)
-    mean_dirs = np.degrees(np.arctan2(sin_sum, cos_sum)).tolist()
-
-    out = []
-    for k, (i, j) in enumerate(zip(ia, ib)):
-        relative_motion = None
-        if deltas[k] < -cfg.ambiguity_eps_m:
-            relative_motion = "converging"
-        elif deltas[k] > cfg.ambiguity_eps_m:
-            relative_motion = "diverging"
-        out.append({
-            "a": geo.ids[i],
-            "b": geo.ids[j],
-            "depth_order": cam_means[i] < cam_means[j],
-            "pair_direction": COMPASS_NAMES[compass_bin(mean_dirs[k])],
-            "pair_distance": _dist_class(pair_means[k], cfg.PAIR_DIST_BOUNDS_M,
-                                         ("close", "medium", "far")),
-            "relative_motion": relative_motion,
-        })
-    return out
+class _StoryRows(NamedTuple):
+    """A story's label values as nested lists, indexed [clip][entity] or
+    [clip][pair]; entities run in entity id order, pairs in row-major
+    (a < b) order."""
+    entity_ids: list[int]
+    pairs: list[tuple[int, int]]  # (a, b) entity ids
+    actor_count: list[int]
+    event_boundary: list[bool]
+    motion_presence: list[bool]
+    entity_presence: list[list[bool]]
+    camera_distance: list[list[str]]
+    angle_change: list[list[str | None]]
+    approach_recede: list[list[str | None]]
+    depth_order: list[list[bool]]
+    pair_direction: list[list[str]]
+    pair_distance: list[list[str]]
+    relative_motion: list[list[str | None]]
 
 
-def label_clip(clip: ClipSpec, log: FrameLog, timeline: EventTimeline,
-               cfg: ProbeConfig, vis: np.ndarray) -> dict:
-    """All labels for one clip: scene, every actor/object entity, and
-    every canonical (a < b) entity pair; vis is visible_mask(log)."""
+def _story_rows(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
+                cfg: ProbeConfig) -> _StoryRows:
+    """Every label value of a story's clips, from one gather of the clip
+    frames; each value is computed as labelling its clip alone would."""
     entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
                         if k in (EntityKind.ACTOR, EntityKind.OBJECT))
-    geo = _clip_geometry(clip, log, entity_ids)
-    ia, ib = np.triu_indices(len(entity_ids), 1)
+    cols = [log.index_of(e) for e in entity_ids]
+    cam = log.index_of(CAMERA_ID)
+    actor_cols = [i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR]
+    frames = np.array([c.frame_indices for c in clips])  # (clips, clip frames)
+    at = log.positions[frames]  # (clips, clip frames, log entities, 3)
+    yaws = log.yaws[frames]
+    vis = visible_mask(FrameLog(
+        at.reshape(-1, *at.shape[2:]), yaws.reshape(-1, yaws.shape[2]), log.fps,
+        log.entity_ids, log.entity_kinds, log.entity_names)).reshape(yaws.shape)
+
+    # scene: an actor counts when seen on at least half the clip frames;
+    # a boundary is a start or end of another event strictly inside the
+    # clip, so the clip's own event is taken out of the count
+    seen = vis[:, :, actor_cols].sum(axis=1)
+    actor_count = np.clip((seen * 2 >= frames.shape[1]).sum(axis=1), 1, 5)
+    firsts, lasts = frames[:, 0], frames[:, -1]
+    bounds = np.sort(np.array(list(timeline.intervals.values())).ravel())
+    lo, hi = np.searchsorted(bounds, [firsts + 1, lasts])
+    own = np.array([timeline.intervals.get(c.event_id, (c.frame_indices[0],) * 2)
+                    for c in clips])
+    own_inside = ((firsts[:, None] < own) & (own < lasts[:, None])).sum(axis=1)
+    moved = at[:, -1, actor_cols] - at[:, 0, actor_cols]
+    motion = (np.linalg.norm(moved, axis=-1) > cfg.motion_threshold_m).any(axis=1)
+
+    pos = at[:, :, cols]
+    rel = pos - at[:, :, cam:cam + 1]
+    cam_yaw = yaws[:, :, cam]
+    # entities: camera distances sum their squares in x, y, z order, as
+    # numpy sums one 3-vector; means run over C-contiguous rows of clip
+    # frames, as np.mean of one entity's frame series does
+    dists = np.sqrt((rel * rel).sum(axis=-1))  # (clips, clip frames, entities)
+    cam_dist_means = np.ascontiguousarray(np.swapaxes(dists, 1, 2)).mean(axis=-1)
+    d_d = dists[:, -1] - dists[:, 0]
+    ends = rel[:, [0, -1]]
+    bearings = np.degrees(np.arctan2(ends[..., 0], ends[..., 1]))
+    azimuths = _wrap_signed(cam_yaw[:, [0, -1], None] - bearings)
+    d_az = _wrap_signed(azimuths[:, 1] - azimuths[:, 0])
+
+    # pairs: distances, and the camera distances depth order compares, run
+    # the dot kernel; direction sines and cosines add up frame by frame
+    # from 0, vectorised across clips and pairs
+    ia, ib = np.triu_indices(len(cols), 1)
+    depth_means = _norms(rel).mean(axis=-1)
+    gap = pos[:, :, ib] - pos[:, :, ia]
+    dpair = _norms(gap)  # (clips, pairs, clip frames)
+    theta = np.arctan2(gap[..., 0], gap[..., 1]) - np.radians(cam_yaw)[..., None]
+    sines, cosines = np.sin(theta), np.cos(theta)
+    sin_sum = np.zeros((len(clips), len(ia)))
+    cos_sum = np.zeros((len(clips), len(ia)))
+    for f in range(frames.shape[1]):
+        sin_sum += sines[:, f]
+        cos_sum += cosines[:, f]
+    mean_dirs = np.degrees(np.arctan2(sin_sum, cos_sum))
+    # compass_bin's arithmetic: numpy's // on floats is Python's
+    compass = np.minimum(((mean_dirs + 22.5) % 360.0) // 45.0, 7).astype(int)
+    deltas = dpair[..., -1] - dpair[..., 0]
+
+    ids = np.array(entity_ids, dtype=int)
+    return _StoryRows(
+        entity_ids=entity_ids,
+        pairs=list(zip(ids[ia].tolist(), ids[ib].tolist())),
+        actor_count=actor_count.tolist(),
+        event_boundary=(hi - lo > own_inside).tolist(),
+        motion_presence=motion.tolist(),
+        entity_presence=vis[:, :, cols].any(axis=1).tolist(),
+        camera_distance=_classes(cam_dist_means, cfg.CAMERA_DIST_BOUNDS_M,
+                                 ("near", "medium", "far")).tolist(),
+        angle_change=_pick((None, "left", "right"), np.where(
+            abs(d_az) >= cfg.ambiguity_eps_deg, np.where(d_az > 0, 1, 2), 0)).tolist(),
+        approach_recede=_pick((None, "approach", "recede"), np.where(
+            abs(d_d) >= cfg.ambiguity_eps_m, np.where(d_d < 0, 1, 2), 0)).tolist(),
+        depth_order=(depth_means[:, ia] < depth_means[:, ib]).tolist(),
+        pair_direction=_pick(COMPASS_NAMES, compass).tolist(),
+        pair_distance=_classes(dpair.mean(axis=-1), cfg.PAIR_DIST_BOUNDS_M,
+                               ("close", "medium", "far")).tolist(),
+        relative_motion=_pick((None, "converging", "diverging"), np.where(
+            deltas < -cfg.ambiguity_eps_m, 1,
+            np.where(deltas > cfg.ambiguity_eps_m, 2, 0))).tolist(),
+    )
+
+
+def label_clip(clip: ClipSpec, n: int, rows: _StoryRows) -> dict:
+    """The labels row of clip, the n-th clip of the story pass `rows`:
+    scene, every actor/object entity, and every canonical (a < b) entity
+    pair."""
     return {
         "clip_id": clip.clip_id,
-        "scene": label_scene(clip, log, timeline, cfg, vis),
-        "entities": _entity_labels(geo, vis, cfg),
-        "pairs": _pair_labels(geo, ia.tolist(), ib.tolist(), cfg),
+        "scene": {"actor_count": rows.actor_count[n],
+                  "event_boundary": rows.event_boundary[n],
+                  "motion_presence": rows.motion_presence[n]},
+        "entities": [
+            {"entity_id": e, "entity_presence": seen, "camera_distance": dist,
+             "angle_change": angle, "approach_recede": approach}
+            for e, seen, dist, angle, approach in zip(
+                rows.entity_ids, rows.entity_presence[n], rows.camera_distance[n],
+                rows.angle_change[n], rows.approach_recede[n])],
+        "pairs": [
+            {"a": a, "b": b, "depth_order": depth, "pair_direction": direction,
+             "pair_distance": dist, "relative_motion": motion}
+            for (a, b), depth, direction, dist, motion in zip(
+                rows.pairs, rows.depth_order[n], rows.pair_direction[n],
+                rows.pair_distance[n], rows.relative_motion[n])],
     }
+
+
+def label_clips(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
+                cfg: ProbeConfig) -> list[dict]:
+    """The labels rows of a story's clips, in one pass over the story.
+
+    One gather reads every clip frame of the frame log, and visible_mask
+    runs once, on a frame log of those frames only.  The entity and pair
+    arrays of all clips are computed at once, in the order that labelling
+    each clip alone would use, so the rows are the same to the bit:
+    direction sines and cosines add up frame by frame from 0, means run
+    over C-contiguous rows of clip frames, pair and depth-order distances
+    use the dot kernel and entity camera distances a sum of squares.  A
+    clip's own event never marks its boundary, even when its end falls
+    inside the clip.  Each row is then built by label_clip from the story
+    arrays as lists.
+    """
+    if not clips:
+        return []
+    rows = _story_rows(clips, log, timeline, cfg)
+    return [label_clip(clip, n, rows) for n, clip in enumerate(clips)]
 
 
 def hybrid_sample(graph: GestGraph, timeline: EventTimeline,

@@ -13,7 +13,9 @@ remainder-and-floor-divide collector that the compare-and-add one
 replaced, keeps the keyed 22-byte rows that the planes replaced; and
 closure_schedule, the schedule that pruned its backtracking over
 non-convex edges with path consistency, shares the STN and the closure
-that the STN search replaced.
+that the STN search replaced; and per_clip_labels, the labeller that
+gathered and labelled one clip at a time before the story pass replaced
+it, shares compass_bin and wrap_signed.
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from storysim.collectors import COINCIDENT_EPS, compute_pair_relation
+from storysim.collectors import (COINCIDENT_EPS, COMPASS_NAMES, compass_bin,
+                                 compute_pair_relation)
 from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
-from storysim.model import CAMERA_ID
+from storysim.model import CAMERA_ID, EntityKind
 from storysim.scheduling import (_ORIGIN, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
                                  StnInfeasible, TemporalNetwork, closure,
                                  duration_frames, edge_constraints, graph_constraints,
                                  solve_stn)
-from storysim.simulation import CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg
+from storysim.simulation import (CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg,
+                                 wrap_signed)
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
 
@@ -339,3 +343,151 @@ def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
             "yields a feasible schedule"
         )
     return found
+
+
+def _dist_class(value: float, bounds, names=("near", "medium", "far")) -> str:
+    lo, hi = bounds
+    if value < lo:
+        return names[0]
+    if value < hi:
+        return names[1]
+    return names[2]
+
+
+def label_scene(clip, log, timeline, cfg, vis: np.ndarray) -> dict:
+    frames = np.array(clip.frame_indices)
+    actor_cols = [i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR]
+    seen = vis[frames][:, actor_cols].sum(axis=0)
+    count = int((seen * 2 >= len(frames)).sum())
+    actor_count = min(max(count, 1), 5)
+
+    first, last = clip.frame_indices[0], clip.frame_indices[-1]
+    boundary = False
+    for event_id, (s, e) in timeline.intervals.items():
+        if event_id == clip.event_id:
+            continue
+        if first < s < last or first < e < last:
+            boundary = True
+            break
+
+    moved = log.positions[last, actor_cols] - log.positions[first, actor_cols]
+    motion = bool((np.linalg.norm(moved, axis=1) > cfg.motion_threshold_m).any())
+    return {"actor_count": actor_count, "event_boundary": boundary,
+            "motion_presence": motion}
+
+
+@dataclass(frozen=True)
+class _ClipGeometry:
+    """Clip-frame geometry of some entity columns, from one gather of the
+    frame log."""
+    ids: tuple[int, ...]
+    cols: list[int]  # frame-log columns of ids
+    frames: list[int]
+    pos: np.ndarray  # (clip frames, entities, 3)
+    rel: np.ndarray  # pos minus the camera position
+    cam_yaw: np.ndarray  # (clip frames,)
+
+
+def _clip_geometry(clip, log, entity_ids) -> _ClipGeometry:
+    cols = [log.index_of(e) for e in entity_ids]
+    cam = log.index_of(CAMERA_ID)
+    frames = list(clip.frame_indices)
+    at = log.positions[frames]
+    pos = at[:, cols]
+    return _ClipGeometry(tuple(entity_ids), cols, frames, pos,
+                         pos - at[:, cam:cam + 1], log.yaws[frames, cam])
+
+
+def _entity_labels(geo: _ClipGeometry, vis: np.ndarray, cfg) -> list[dict]:
+    """Entity labels of every column of geo.
+
+    Each distance sums its squares in x, y, z order, as numpy sums one
+    3-vector; means run over C-contiguous rows of clip frames, as
+    np.mean of one entity's frame series does.
+    """
+    dists = np.ascontiguousarray(np.sqrt((geo.rel * geo.rel).sum(axis=2)).T)
+    means = dists.mean(axis=1).tolist()
+    ends = geo.rel[[0, -1]]
+    bearings = np.degrees(np.arctan2(ends[..., 0], ends[..., 1])).tolist()
+    yaw0, yaw1 = float(geo.cam_yaw[0]), float(geo.cam_yaw[-1])
+    presence = vis[geo.frames][:, geo.cols].any(axis=0).tolist()
+    out = []
+    for k, entity_id in enumerate(geo.ids):
+        d_az = wrap_signed(wrap_signed(yaw1 - bearings[1][k])
+                           - wrap_signed(yaw0 - bearings[0][k]))
+        angle_change = None
+        if abs(d_az) >= cfg.ambiguity_eps_deg:
+            angle_change = "left" if d_az > 0 else "right"
+
+        d_d = float(dists[k, -1]) - float(dists[k, 0])
+        approach_recede = None
+        if abs(d_d) >= cfg.ambiguity_eps_m:
+            approach_recede = "approach" if d_d < 0 else "recede"
+
+        out.append({"entity_id": entity_id, "entity_presence": presence[k],
+                    "camera_distance": _dist_class(means[k], cfg.CAMERA_DIST_BOUNDS_M),
+                    "angle_change": angle_change,
+                    "approach_recede": approach_recede})
+    return out
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Lengths of the (frames, columns, 3) vectors v as (columns, frames)
+    C-contiguous rows.  A stacked (1, 3) @ (3, 1) product runs the dot
+    kernel that np.linalg.norm uses for one vector; its rounding can
+    differ from a sum of squares."""
+    return np.ascontiguousarray(np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0]).T)
+
+
+def _pair_labels(geo: _ClipGeometry, ia, ib, cfg) -> list[dict]:
+    """Pair labels of the columns (ia[k], ib[k]) of geo.
+
+    Direction sines and cosines add up frame by frame from 0, vectorised
+    across pairs.
+    """
+    cam_dists = _norms(geo.rel)
+    cam_means = cam_dists.mean(axis=1).tolist()
+    gap = geo.pos[:, ib] - geo.pos[:, ia]
+    dpair = _norms(gap)
+    pair_means = dpair.mean(axis=1).tolist()
+    deltas = (dpair[:, -1] - dpair[:, 0]).tolist()
+    theta = np.arctan2(gap[..., 0], gap[..., 1]) - np.radians(geo.cam_yaw)[:, None]
+    sin_sum = np.zeros(len(ia))
+    cos_sum = np.zeros(len(ia))
+    for row in theta:
+        sin_sum += np.sin(row)
+        cos_sum += np.cos(row)
+    mean_dirs = np.degrees(np.arctan2(sin_sum, cos_sum)).tolist()
+
+    out = []
+    for k, (i, j) in enumerate(zip(ia, ib)):
+        relative_motion = None
+        if deltas[k] < -cfg.ambiguity_eps_m:
+            relative_motion = "converging"
+        elif deltas[k] > cfg.ambiguity_eps_m:
+            relative_motion = "diverging"
+        out.append({
+            "a": geo.ids[i],
+            "b": geo.ids[j],
+            "depth_order": cam_means[i] < cam_means[j],
+            "pair_direction": COMPASS_NAMES[compass_bin(mean_dirs[k])],
+            "pair_distance": _dist_class(pair_means[k], cfg.PAIR_DIST_BOUNDS_M,
+                                         ("close", "medium", "far")),
+            "relative_motion": relative_motion,
+        })
+    return out
+
+
+def per_clip_labels(clip, log, timeline, cfg, vis: np.ndarray) -> dict:
+    """All labels for one clip: scene, every actor/object entity, and
+    every canonical (a < b) entity pair; vis is visible_mask(log)."""
+    entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
+                        if k in (EntityKind.ACTOR, EntityKind.OBJECT))
+    geo = _clip_geometry(clip, log, entity_ids)
+    ia, ib = np.triu_indices(len(entity_ids), 1)
+    return {
+        "clip_id": clip.clip_id,
+        "scene": label_scene(clip, log, timeline, cfg, vis),
+        "entities": _entity_labels(geo, vis, cfg),
+        "pairs": _pair_labels(geo, ia.tolist(), ib.tolist(), cfg),
+    }

@@ -752,6 +752,41 @@ def test_cli_probes_refuses_a_framelog_without_the_camera(small_corpus, tmp_path
     assert not captured.out
 
 
+def _first_interval_dropped(doc):
+    del doc["intervals"][0]
+
+
+def _intervals_shifted(doc):
+    for row in doc["intervals"]:
+        row[1] += 100_000
+        row[2] += 100_000
+
+
+@pytest.mark.parametrize("damage, named", [
+    (_first_interval_dropped, "story_00001/timeline.json lacks event 0"),
+    (_intervals_shifted, "story_00001/timeline.json: event 0 ends at frame 100144, past "
+                         "the 2472-frame log"),
+], ids=["event-dropped", "frames-shifted"])
+@pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out"])
+def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_path,
+                                                               capsys, damage, named,
+                                                               in_place):
+    # the manifest keeps up with the timeline, so only its content is wrong
+    root, out = tmp_path / "damaged", tmp_path / "out"
+    shutil.copytree(small_corpus, root)
+    doc = json.loads((root / "story_00001/timeline.json").read_bytes())
+    damage(doc)
+    rewrite_with_hash(root, "story_00001", "timeline.json", json_document(doc))
+    before = corpus_digest(root)
+    where = ["--motion-threshold", "0.5"] if in_place else ["--out", str(out)]
+    assert main(["probes", "--corpus", str(root), *where]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}\n"
+    assert not captured.out
+    assert corpus_digest(root) == before
+    assert not out.exists()
+
+
 def test_failed_in_place_probes_run_changes_nothing(tmp_path, capsys):
     root = tmp_path / "c"
     generate_corpus(root, CorpusConfig(gen=GenConfig(master_seed=3)),

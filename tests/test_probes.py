@@ -8,8 +8,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storysim.default_registry import build_default_registry
+from storysim.documents import jsonl_document
 from storysim.model import EntityKind, EventKind
 from storysim.pipeline import CorpusConfig, build_story
 from storysim.probes import (
@@ -18,8 +20,7 @@ from storysim.probes import (
     clip_frame_indices,
     extract_story_clips,
     hybrid_sample,
-    label_clip,
-    label_scene,
+    label_clips,
     split_stories,
 )
 from storysim.probes_oracle import oracle_clip
@@ -27,6 +28,8 @@ from storysim.procgen import GenConfig
 from storysim.scheduling import EventTimeline
 from storysim.simulation import FrameLog, visible_mask
 from storysim.textgen import ProtoText  # noqa: F401  (import sanity for __init__)
+
+from _oracles import per_clip_labels
 
 CFG = ProbeConfig()
 
@@ -66,16 +69,17 @@ TL_EMPTY = EventTimeline(intervals={0: (0, 400)}, fps=25)
 
 
 def scene_labels(log: FrameLog, timeline: EventTimeline = TL_EMPTY) -> dict:
-    return label_scene(clip16(), log, timeline, CFG, visible_mask(log))
+    [doc] = label_clips([clip16()], log, timeline, CFG)
+    return doc["scene"]
 
 
 def entity_labels(log: FrameLog, entity_id: int = 2) -> dict:
-    doc = label_clip(clip16(), log, TL_EMPTY, CFG, visible_mask(log))
+    [doc] = label_clips([clip16()], log, TL_EMPTY, CFG)
     return next(e for e in doc["entities"] if e["entity_id"] == entity_id)
 
 
 def pair_labels(log: FrameLog, a: int = 2, b: int = 3) -> dict:
-    doc = label_clip(clip16(), log, TL_EMPTY, CFG, visible_mask(log))
+    [doc] = label_clips([clip16()], log, TL_EMPTY, CFG)
     return next(p for p in doc["pairs"] if (p["a"], p["b"]) == (a, b))
 
 
@@ -260,7 +264,7 @@ def test_label_clip_structure():
     log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 2),
                      3: static(16, 1, 4), 4: static(16, 2, 6)},
                     kinds={4: EntityKind.OBJECT})
-    doc = label_clip(clip16(), log, TL_EMPTY, CFG, visible_mask(log))
+    [doc] = label_clips([clip16()], log, TL_EMPTY, CFG)
     assert doc["clip_id"] == "s-ev0000"
     assert [e["entity_id"] for e in doc["entities"]] == [2, 3, 4]
     assert [(p["a"], p["b"]) for p in doc["pairs"]] == [(2, 3), (2, 4), (3, 4)]
@@ -377,9 +381,8 @@ def test_labels_match_independent_oracle():
     graph, timeline, log = build_story(cfg, registry, 2)
     movement = {k for k, a in registry.actions.items() if a.is_movement_only}
     clips = extract_story_clips("s2", graph, timeline, movement, CFG, "train")
-    vis = visible_mask(log)
     for clip in itertools.islice(clips, 4):
-        mine = label_clip(clip, log, timeline, CFG, vis)
+        [mine] = label_clips([clip], log, timeline, CFG)
         theirs = oracle_clip(clip, log, timeline, CFG)
         assert mine == theirs, clip.clip_id
 
@@ -396,12 +399,144 @@ def test_labels_match_oracle_on_every_clip_of_dense_stories():
     pairs = 0
     for index in range(3):
         graph, timeline, log = build_story(cfg, registry, index)
-        vis = visible_mask(log)
         clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
         assert clips
         for clip in clips:
-            mine = json.loads(json.dumps(label_clip(clip, log, timeline, CFG, vis)))
+            mine = json.loads(json.dumps(label_clips([clip], log, timeline, CFG)[0]))
             theirs = json.loads(json.dumps(oracle_clip(clip, log, timeline, CFG)))
             assert mine == theirs, clip.clip_id
             pairs += len(mine["pairs"])
     assert pairs > 3000
+
+
+# ------------------------------------------- story pass vs per-clip labeller
+
+def assert_story_pass_matches_per_clip(clips, log, timeline, cfg):
+    vis = visible_mask(log)
+    assert jsonl_document(label_clips(clips, log, timeline, cfg)) == jsonl_document(
+        [per_clip_labels(clip, log, timeline, cfg, vis) for clip in clips])
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_story_pass_matches_per_clip_labels_on_dense_stories(seed):
+    registry = build_default_registry()
+    cfg = CorpusConfig(gen=GenConfig(master_seed=seed, actors_min_max=(6, 6),
+                                     max_actors_per_region=6, regions_to_visit=3,
+                                     relation_prob=1.0, interaction_prob=0.6,
+                                     exchange_prob=0.3))
+    movement = {k for k, a in registry.actions.items() if a.is_movement_only}
+    for index in range(3):
+        graph, timeline, log = build_story(cfg, registry, index)
+        clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
+        assert len(clips) > 1
+        assert_story_pass_matches_per_clip(clips, log, timeline, CFG)
+
+
+# the class bounds of both distance labels, and directions whose squares
+# add up to 1 in exact arithmetic, so rounding decides a distance's class
+_BOUNDS_M = (2.0, 3.0, 6.0, 8.0)
+_UNITS = ((2 / 7, 3 / 7, 6 / 7), (1 / 3, 2 / 3, 2 / 3), (2 / 11, 6 / 11, 9 / 11),
+          (0.6, 0.8, 0.0))
+_COORDS = (0.0, -0.0, 1.0, -2.5, 3.0, 6.0)
+_YAWS = (-180.0, 180.0, 0.0, -0.0, 90.0, -22.5)
+_TRACKS = ("grid", "random", "origin", "camera", "copy", "bound", "compass-edge")
+
+
+def _track(kind, rng, frames, cam, cam_yaw, tracks):
+    """(frames, 3) positions of one entity; tracks holds those drawn before.
+    A bound or compass-edge track lies off another entity, or off the
+    camera when it is the first."""
+    anchor = tracks[int(rng.integers(len(tracks)))] if tracks else cam
+    if kind == "grid":
+        return rng.choice(_COORDS, (frames, 3))
+    if kind == "origin":
+        return np.tile(rng.choice((0.0, -0.0), 3), (frames, 1))
+    if kind == "camera":
+        return cam.copy()
+    if kind == "copy":
+        return anchor.copy()
+    if kind == "bound":
+        unit = rng.permutation(_UNITS[int(rng.integers(len(_UNITS)))])
+        return anchor + rng.choice(_BOUNDS_M) * rng.choice((-1.0, 1.0), 3) * unit
+    if kind == "compass-edge":
+        # directions alternate frame by frame about a compass bin edge in
+        # the camera's frame, so over 16 consecutive frames their mean
+        # lies on the edge
+        edge = np.radians(cam_yaw + 22.5 + 45.0 * int(rng.integers(8)))
+        theta = edge + (-1.0) ** np.arange(frames) * rng.uniform(0.01, 0.5)
+        ring = np.stack([np.sin(theta), np.cos(theta), np.zeros(frames)], axis=1)
+        return anchor + rng.uniform(1.0, 9.0) * ring
+    return rng.normal(0.0, 4.0, (frames, 3))
+
+
+def test_story_pass_matches_per_clip_labels_about_compass_edges():
+    # seven entities about a hub at the origin, each in directions whose
+    # mean over any clip lies on a compass bin edge, labelled in 65
+    # overlapping clips: the order of the sine and cosine sums picks the bin
+    rng = np.random.default_rng(5)
+    frames, fps = 80, 4
+    cam_yaw = rng.uniform(-180.0, 180.0, frames)
+    hub = static(frames, 0.0, 0.0)
+    tracks = {0: static(frames, 0.0, -1.0), 1: hub}
+    for e in range(2, 9):
+        tracks[e] = _track("compass-edge", rng, frames, tracks[0], cam_yaw, [hub])
+    log = synth_log(tracks, yaws={0: cam_yaw}, fps=fps)
+    starts = range(frames - 15)
+    timeline = EventTimeline(intervals={i: (i, min(i + 20, frames)) for i in starts},
+                             fps=fps)
+    clips = [ClipSpec(f"s-ev{i:04d}", "s", i, clip_frame_indices(i, fps), "train")
+             for i in starts]
+    assert_story_pass_matches_per_clip(clips, log, timeline, CFG)
+
+
+@st.composite
+def probe_stories(draw):
+    """Clips, frame log and timeline of a story of one actor's events; with
+    min_event_s 1 a short event's own end falls inside its clip."""
+    fps = draw(st.sampled_from((4, 25)))
+    span = clip_frame_indices(0, fps)[-1] + 1
+    events = draw(st.lists(st.tuples(st.integers(0, 2 * span), st.integers(1, 2 * span)),
+                           max_size=4))
+    kinds = draw(st.lists(st.sampled_from(_TRACKS), min_size=1, max_size=5))
+    objects = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    from storysim.model import Actor, EntityId, Event, GestGraph, Gender
+    actor = Actor(EntityId(1, EntityKind.ACTOR), "Anna", Gender.FEMALE, "f")
+    graph = GestGraph(actors=(actor,), objects=(), region_plan=("r",), seed=0,
+                      relations=(),
+                      events=tuple(Event(i, actor.id, "chat", None, "p", d / fps,
+                                         EventKind.ACTION)
+                                   for i, (_, d) in enumerate(events)))
+    timeline = EventTimeline(intervals={i: (s, s + d) for i, (s, d) in enumerate(events)},
+                             fps=fps)
+    cfg = ProbeConfig(min_event_s=1.0)
+    clips = extract_story_clips("s", graph, timeline, set(), cfg, "train")
+
+    frames = max([s + max(d, span) for s, d in events], default=span)
+    cam = (np.tile(rng.choice(_COORDS, 3), (frames, 1)) if rng.integers(2)
+           else rng.normal(0.0, 4.0, (frames, 3)))
+    cam_yaw = (rng.choice(_YAWS, frames) if rng.integers(2)
+               else rng.uniform(-180.0, 180.0, frames))
+    tracks = []
+    for kind in kinds:
+        tracks.append(_track(kind, rng, frames, cam, cam_yaw, tracks))
+    # frame-log columns in an order other than entity id order
+    ids = [0] + [int(e) for e in rng.permutation(np.arange(2, len(kinds) + 2))]
+    by_id = {0: cam, **{2 + k: t for k, t in enumerate(tracks)}}
+    yaws = np.zeros((frames, len(ids)))
+    yaws[:, 0] = cam_yaw
+    log = FrameLog(
+        positions=np.stack([by_id[e] for e in ids], axis=1), yaws=yaws, fps=fps,
+        entity_ids=tuple(ids),
+        entity_kinds=tuple(EntityKind.CAMERA if e == 0 else
+                           EntityKind.OBJECT if objects[e - 2] else EntityKind.ACTOR
+                           for e in ids),
+        entity_names=tuple(f"e{e}" for e in ids))
+    return clips, log, timeline, cfg
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(probe_stories())
+def test_story_pass_matches_per_clip_labels_on_edge_cases(story):
+    assert_story_pass_matches_per_clip(*story)

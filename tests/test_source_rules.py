@@ -6,10 +6,14 @@ import ast
 import functools
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import storysim
+from storysim import pipeline
+from storysim.default_registry import build_default_registry
+from storysim.procgen import GenConfig
 
 SOURCES = sorted(Path(storysim.__file__).parent.glob("*.py"))
 
@@ -65,14 +69,20 @@ def test_every_export_resolves_once():
     assert not repeated, f"__all__ repeats {repeated}"
 
 
-def test_every_bench_hook_names_a_package_function(monkeypatch):
-    # perfbench/tracing.py wraps the functions its SPANNED and COUNTED
-    # entries name; a removal that deletes one breaks the bench's install
+def _bench_tracing(monkeypatch):
+    """perfbench/tracing.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_bench_hook_names_a_package_function(monkeypatch):
+    # perfbench/tracing.py wraps the functions its SPANNED and COUNTED
+    # entries name; a removal that deletes one breaks the bench's install
+    tracing = _bench_tracing(monkeypatch)
 
     def resolve(module, attr):
         return functools.reduce(getattr, attr.split("."), importlib.import_module(module))
@@ -87,3 +97,30 @@ def test_every_bench_hook_names_a_package_function(monkeypatch):
     originals = {hook: resolve(*hook) for hook in hooks}
     unwrapped = [".".join(h) for h in hooks if wrapped[h] is originals[h]]
     assert not unwrapped, f"bench hooks install left unwrapped: {unwrapped}"
+
+
+def test_bench_hooks_count_what_they_name(monkeypatch, tmp_path):
+    # the probes counters read each label_clip row, and visible_mask runs
+    # once per story; a labeller that bypasses either misreports the bench
+    tracing = _bench_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        manifest = pipeline.generate_corpus(
+            tmp_path, pipeline.CorpusConfig(gen=GenConfig(master_seed=7)),
+            build_default_registry(), stories=2, workers=1)
+    finally:
+        tracer.uninstall()
+    stories = [entry["story_id"] for entry in manifest["stories"]]
+    assert stories == ["story_00000", "story_00001"]
+    assert all("error" not in entry for entry in manifest["stories"])
+    clips = sum(len((tmp_path / s / "probes/clips.jsonl").read_bytes().splitlines())
+                for s in stories)
+    pairs = sum(len(json.loads(line)["pairs"])
+                for s in stories
+                for line in (tmp_path / s / "probes/labels.jsonl").read_bytes().splitlines())
+    assert clips and pairs
+    assert tracer.counts["probes.clips"] == clips
+    assert tracer.counts["probes.pairs"] == pairs
+    assert [span.story for span in tracer.spans
+            if span.name == "simulation.visible_mask"] == stories
