@@ -174,12 +174,12 @@ def parse_framelog(buf: bytes) -> FrameLog:
     )
 
 
-def write_relations(path, records: np.ndarray, fps: int, ids, kinds, names):
+def write_relations(path, records: RelationPlanes, fps: int, ids, kinds, names):
     Path(path).write_bytes(relations_bytes(records, fps, ids, kinds, names))
 
 
 def read_relations(path):
-    """-> (fps, (ids, kinds, names), records array)."""
+    """-> (fps, (ids, kinds, names), RelationPlanes) of a relations file."""
     return parse_relations(Path(path).read_bytes())
 
 

@@ -164,91 +164,81 @@ def serialize_graph(graph: GestGraph) -> bytes:
     return json_document(doc)
 
 
+def _items(obj: dict, key: str, at: str = ""):
+    """(location, element) of each element of the list field `key` of the
+    object at location `at`, the document's own when empty."""
+    where = f"{at}.{key}" if at else key
+    for i, item in enumerate(_get(obj, key, list, at or key)):
+        yield f"{where}[{i}]", item
+
+
+def _new_entity(obj: dict, kind: EntityKind, entities: dict[int, EntityId],
+                loc: str) -> EntityId:
+    """The id of a declared actor or object, entered in `entities`: an int
+    above 0 (0 is the camera) that no other entity of the graph has."""
+    eid = _get(obj, "id", int, loc)
+    if eid <= 0:
+        raise InvariantError(f"{kind.value} ids must be positive (0 is the camera)", loc)
+    if eid in entities:
+        raise InvariantError(f"duplicate entity id {eid}", loc)
+    entities[eid] = EntityId(eid, kind)
+    return entities[eid]
+
+
+def _entity_ref(obj: dict, key: str, entities: dict[int, EntityId], kinds: tuple,
+                loc: str, optional: bool = True) -> EntityId | None:
+    """The declared entity, of one of `kinds`, that field `key` names; None
+    when an optional field is null or absent."""
+    if optional and obj.get(key) is None:
+        return None
+    ref = _get(obj, key, int, loc)
+    if ref not in entities or entities[ref].kind not in kinds:
+        what = " or ".join(k.value for k in kinds)
+        raise DanglingReferenceError(f"{key} {ref} is not a declared {what}", loc)
+    return entities[ref]
+
+
 def parse_graph(data: bytes) -> GestGraph:
     doc = _decode(data, "graph")
 
     seed = _get(doc, "seed", int, "seed")
     region_plan = _strings(doc, "region_plan", "region_plan")
 
-    actors = []
-    actor_ids: dict[int, EntityId] = {}
-    for i, obj in enumerate(_get(doc, "actors", list, "actors")):
-        loc = f"actors[{i}]"
-        aid = _get(obj, "id", int, loc)
-        if aid <= 0:
-            raise InvariantError("actor ids must be positive (0 is the camera)", loc)
-        if aid in actor_ids:
-            raise InvariantError(f"duplicate entity id {aid}", loc)
-        eid = EntityId(aid, EntityKind.ACTOR)
-        actor_ids[aid] = eid
-        actors.append(
-            Actor(
-                eid,
-                _get(obj, "name", str, loc),
-                _enum(Gender, _get(obj, "gender", str, loc), loc),
-                _get(obj, "model", str, loc),
-            )
-        )
-
-    objects = []
-    object_ids: dict[int, EntityId] = {}
-    for i, obj in enumerate(_get(doc, "objects", list, "objects")):
-        loc = f"objects[{i}]"
-        oid = _get(obj, "id", int, loc)
-        if oid <= 0:
-            raise InvariantError("object ids must be positive (0 is the camera)", loc)
-        if oid in actor_ids or oid in object_ids:
-            raise InvariantError(f"duplicate entity id {oid}", loc)
-        eid = EntityId(oid, EntityKind.OBJECT)
-        object_ids[oid] = eid
-        owner = obj.get("owner")
-        if owner is not None:
-            if not isinstance(owner, int) or isinstance(owner, bool):
-                raise DocumentSyntaxError("field 'owner' has wrong type", loc)
-            if owner not in actor_ids:
-                raise DanglingReferenceError(f"owner {owner} is not a declared actor", loc)
-            owner = actor_ids[owner]
-        objects.append(
-            ObjectEntity(eid, _get(obj, "type_key", str, loc), owner,
-                         _get(obj, "home_poi", str, loc))
-        )
+    only_actors = (EntityKind.ACTOR,)
+    actor_or_object = (EntityKind.ACTOR, EntityKind.OBJECT)
+    entities: dict[int, EntityId] = {}
+    actors = [Actor(_new_entity(obj, EntityKind.ACTOR, entities, loc),
+                    _get(obj, "name", str, loc),
+                    _enum(Gender, _get(obj, "gender", str, loc), loc),
+                    _get(obj, "model", str, loc))
+              for loc, obj in _items(doc, "actors")]
+    objects = [ObjectEntity(id=_new_entity(obj, EntityKind.OBJECT, entities, loc),
+                            owner=_entity_ref(obj, "owner", entities, only_actors, loc),
+                            type_key=_get(obj, "type_key", str, loc),
+                            home_poi=_get(obj, "home_poi", str, loc))
+               for loc, obj in _items(doc, "objects")]
 
     events = []
     event_ids: set[int] = set()
-    for i, obj in enumerate(_get(doc, "events", list, "events")):
-        loc = f"events[{i}]"
+    for loc, obj in _items(doc, "events"):
         ev_id = _get(obj, "event_id", int, loc)
         if ev_id in event_ids:
             raise InvariantError(f"duplicate event_id {ev_id}", loc)
         event_ids.add(ev_id)
-        actor_ref = _get(obj, "actor", int, loc)
-        if actor_ref not in actor_ids:
-            raise DanglingReferenceError(f"actor {actor_ref} is not declared", loc)
-        patient = obj.get("patient")
-        if patient is not None:
-            if not isinstance(patient, int) or isinstance(patient, bool):
-                raise DocumentSyntaxError("field 'patient' has wrong type", loc)
-            if patient in actor_ids:
-                patient = actor_ids[patient]
-            elif patient in object_ids:
-                patient = object_ids[patient]
-            else:
-                raise DanglingReferenceError(f"patient {patient} is not declared", loc)
+        agent = _entity_ref(obj, "actor", entities, only_actors, loc, optional=False)
+        patient = _entity_ref(obj, "patient", entities, actor_or_object, loc)
         duration = _get(obj, "duration_s", float, loc)
         if duration <= 0:
             raise InvariantError("duration_s must be positive", loc)
         kind = _enum(EventKind, _get(obj, "kind", str, loc), loc)
-        if kind in (EventKind.INTERACTION, EventKind.EXCHANGE):
-            if patient is None or patient.kind is not EntityKind.ACTOR:
-                raise InvariantError(f"{kind.value} events need a second-actor patient", loc)
-        events.append(
-            Event(ev_id, actor_ids[actor_ref], _get(obj, "action", str, loc),
-                  patient, _get(obj, "poi", str, loc), duration, kind)
-        )
+        if kind in (EventKind.INTERACTION, EventKind.EXCHANGE) and (
+                patient is None or patient.kind is not EntityKind.ACTOR):
+            raise InvariantError(f"{kind.value} events need a second-actor patient", loc)
+        events.append(Event(ev_id, agent, _get(obj, "action", str, loc), patient,
+                            _get(obj, "poi", str, loc), duration, kind))
 
     relations = []
-    for i, obj in enumerate(_get(doc, "relations", list, "relations")):
-        loc = f"relations[{i}]"
+    for loc, obj in _items(doc, "relations"):
         source = _get(obj, "source", int, loc)
         target = _get(obj, "target", int, loc)
         for ref in (source, target):
@@ -263,11 +253,8 @@ def parse_graph(data: bytes) -> GestGraph:
             raise DocumentSyntaxError("bad allen relation code list", loc) from None
         if not allen_set:
             raise InvariantError("allen relation set must be nonempty", loc)
-        relations.append(
-            TemporalRelation(
-                source, target, _enum(Coarse, _get(obj, "coarse", str, loc), loc), allen_set
-            )
-        )
+        relations.append(TemporalRelation(
+            source, target, _enum(Coarse, _get(obj, "coarse", str, loc), loc), allen_set))
 
     return GestGraph(
         actors=tuple(actors),
@@ -327,6 +314,16 @@ def serialize_registry(reg: CapabilityRegistry) -> bytes:
     return json_document(doc)
 
 
+def _declared(names: list[str], actions: dict, what: str, poi: dict) -> tuple[str, ...]:
+    """names, once each is a declared action; `what` says how the POI
+    uses them."""
+    for name in names:
+        if name not in actions:
+            raise UnknownActionInTransition(
+                f"{what} {name!r} at POI {poi.get('key')!r} is not a declared action")
+    return tuple(names)
+
+
 def parse_registry(data: bytes) -> CapabilityRegistry:
     doc = _decode(data, "registry")
 
@@ -358,14 +355,9 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
     episodes = []
     region_keys: set[str] = set()
     poi_keys: set[str] = set()
-    for i, ep_obj in enumerate(_get(doc, "episodes", list, "episodes")):
-        ep_loc = f"episodes[{i}]"
+    for ep_loc, ep_obj in _items(doc, "episodes"):
         regions = []
-        region_list = _get(ep_obj, "regions", list, ep_loc)
-        if not region_list:
-            raise InvariantError("episode has no regions", ep_loc)
-        for j, r_obj in enumerate(region_list):
-            r_loc = f"{ep_loc}.regions[{j}]"
+        for r_loc, r_obj in _items(ep_obj, "regions", ep_loc):
             bounds_raw = _get(r_obj, "bounds", list, r_loc)
             if len(bounds_raw) != 2:
                 raise DocumentSyntaxError("bounds must be [min_corner, max_corner]", r_loc)
@@ -374,59 +366,40 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
             if any(a > b for a, b in zip(lo, hi)):
                 raise InvariantError("bounds corners are inverted", r_loc)
             pois = []
-            poi_list = _get(r_obj, "pois", list, r_loc)
-            if not poi_list:
-                raise InvariantError("region has no POIs", r_loc)
-            for k, p_obj in enumerate(poi_list):
-                p_loc = f"{r_loc}.pois[{k}]"
+            for p_loc, p_obj in _items(r_obj, "pois", r_loc):
                 position = _vec3(_get(p_obj, "position", list, p_loc), p_loc)
                 if not all(lo[c] <= position[c] <= hi[c] for c in range(3)):
                     raise InvariantError("POI position outside region bounds", p_loc)
                 valid_actions = _strings(p_obj, "valid_actions", p_loc)
                 transitions_raw = _get(p_obj, "transitions", dict, p_loc)
-                for act in valid_actions:
-                    if act not in actions:
-                        raise UnknownActionInTransition(
-                            f"POI {p_obj.get('key')!r} lists unknown action {act!r}"
-                        )
+                _declared(valid_actions, actions, "valid action", p_obj)
                 transitions = {}
                 for act, nexts in transitions_raw.items():
-                    if act not in actions:
-                        raise UnknownActionInTransition(
-                            f"transition source {act!r} at POI {p_obj.get('key')!r} "
-                            "is not a declared action"
-                        )
+                    _declared([act], actions, "transition source", p_obj)
                     if not (isinstance(nexts, list)
                             and all(isinstance(nxt, str) for nxt in nexts)):
                         raise DocumentSyntaxError(
                             f"transitions[{act!r}] must be a list of strings", p_loc)
-                    for nxt in nexts:
-                        if nxt not in actions:
-                            raise UnknownActionInTransition(
-                                f"transition {act!r} -> {nxt!r} at POI "
-                                f"{p_obj.get('key')!r} names an undeclared action"
-                            )
-                    transitions[act] = tuple(nexts)
+                    transitions[act] = _declared(nexts, actions,
+                                                 f"transition {act!r} ->", p_obj)
                 poi_key = _get(p_obj, "key", str, p_loc)
                 if poi_key in poi_keys:
                     raise InvariantError(f"duplicate POI key {poi_key!r}", p_loc)
                 poi_keys.add(poi_key)
-                pois.append(
-                    PoiSpec(poi_key, position, valid_actions, transitions,
-                            _strings(p_obj, "object_slots", p_loc))
-                )
+                pois.append(PoiSpec(poi_key, position, valid_actions, transitions,
+                                    _strings(p_obj, "object_slots", p_loc)))
+            if not pois:
+                raise InvariantError("region has no POIs", r_loc)
             region_key = _get(r_obj, "key", str, r_loc)
             if region_key in region_keys:
                 raise InvariantError(f"duplicate region key {region_key!r}", r_loc)
             region_keys.add(region_key)
-            regions.append(
-                RegionSpec(region_key, _get(r_obj, "name", str, r_loc), (lo, hi),
-                           tuple(pois))
-            )
-        episodes.append(
-            EpisodeSpec(_get(ep_obj, "key", str, ep_loc),
-                        _get(ep_obj, "category", str, ep_loc), tuple(regions))
-        )
+            regions.append(RegionSpec(region_key, _get(r_obj, "name", str, r_loc), (lo, hi),
+                                      tuple(pois)))
+        if not regions:
+            raise InvariantError("episode has no regions", ep_loc)
+        episodes.append(EpisodeSpec(_get(ep_obj, "key", str, ep_loc),
+                                    _get(ep_obj, "category", str, ep_loc), tuple(regions)))
     if not episodes:
         raise InvariantError("registry declares no episodes", "episodes")
 
@@ -457,8 +430,7 @@ def parse_timeline(data: bytes) -> EventTimeline:
     if fps <= 0:
         raise InvariantError("fps must be positive", "fps")
     intervals: dict[int, tuple[int, int]] = {}
-    for i, row in enumerate(_get(doc, "intervals", list, "intervals")):
-        loc = f"intervals[{i}]"
+    for loc, row in _items(doc, "intervals"):
         if not (isinstance(row, list) and len(row) == 3
                 and all(isinstance(v, int) and not isinstance(v, bool) for v in row)):
             raise DocumentSyntaxError("expected [event_id, start, end]", loc)
@@ -498,8 +470,7 @@ def parse_manifest(data: bytes) -> dict:
         ProbeConfig(**probe)
     except ValueError as exc:
         raise DocumentSyntaxError(str(exc), "config.probe") from None
-    for i, entry in enumerate(_get(doc, "stories", list, "stories")):
-        loc = f"stories[{i}]"
+    for loc, entry in _items(doc, "stories"):
         story_id = _get(entry, "story_id", str, f"{loc}.story_id")
         if story_id in ("", ".", "..") or "/" in story_id:
             raise InvariantError(f"{story_id!r} is not one path component",

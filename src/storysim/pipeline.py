@@ -30,7 +30,8 @@ from .procgen import GenConfig, generate_story, select_episode, story_rng, story
 from .probes import ClipSpec, ProbeConfig, extract_story_clips, label_clips, split_stories
 from .probes_oracle import oracle_clip
 from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
-from .simulation import FrameLog, ground, insert_movements, simulate, validate
+from .simulation import (CAMERA_SETTLE_FRAMES, FrameLog, ground, insert_movements,
+                         simulate, validate)
 from .textgen import RefineConfig, proto_text, refine
 
 # verify's sample sizes: spatial records recomputed (AC6) and clip label
@@ -111,8 +112,9 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
                registry: CapabilityRegistry, probe: ProbeConfig,
                split: str) -> dict[str, bytes]:
     """probes/clips.jsonl and probes/labels.jsonl of one story, by path.
-    A timeline that lacks a graph event, or has one end past the frame
-    log, raises CorruptCorpus naming the story's timeline.json."""
+    A timeline that lacks a graph event, or spans more frames than the
+    frame log holds, raises CorruptCorpus naming the story's
+    timeline.json."""
     for ev in graph.events:
         if ev.event_id not in timeline.intervals:
             raise CorruptCorpus(f"{story_id}/timeline.json lacks event {ev.event_id}")
@@ -120,6 +122,10 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
         if end > log.frame_count:
             raise CorruptCorpus(f"{story_id}/timeline.json: event {event_id} ends at "
                                 f"frame {end}, past the {log.frame_count}-frame log")
+    spanned = timeline.makespan() + CAMERA_SETTLE_FRAMES  # the frames simulate writes
+    if spanned > log.frame_count:
+        raise CorruptCorpus(f"{story_id}/timeline.json spans {spanned} frames, past the "
+                            f"{log.frame_count}-frame log")
     clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
                                 probe, split)
     clips_doc = jsonl_document(map(_clip_row, clips))
@@ -364,6 +370,9 @@ def compute_stats(corpus_dir: Path | str) -> dict:
         mappings = story.require("events.jsonl", lambda data: data.count(b"\n"))
         relation_file = story.require("relations.bin", binio.parse_relations)
         log = story.require("framelog.bin", binio.parse_framelog)
+        misfit = _misfit_records(story_id, log, relation_file)
+        if misfit:
+            raise CorruptCorpus(misfit)
         counts.append(story_counts(graph, mappings, len(relation_file[2]),
                                    log.frame_count))
     return corpus_stats(registry, manifest["config"]["fps"], counts)
@@ -426,6 +435,18 @@ def _check_text(story_id: str, graph: GestGraph, timeline: EventTimeline,
                         f"and timeline")
 
 
+def _misfit_records(story_id: str, log: FrameLog, relation_file) -> str | None:
+    """Why parse_relations' `relation_file` does not hold E(E-1) records
+    for each frame of the story's log, or None when it does.  A story
+    whose records do not fit cannot be counted, by verify or by
+    compute_stats."""
+    entities = len(relation_file[1][0])
+    records, expect = len(relation_file[2]), log.frame_count * entities * (entities - 1)
+    if records != expect:
+        return f"{story_id}/relations.bin has {records} records, expected {expect}"
+    return None
+
+
 def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
                    rng: random.Random, samples: int, failures: list[str],
                    stats: list[str]) -> bool:
@@ -433,26 +454,24 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
     drawn by `rng`, with the scalar route.  Both binaries must hold the
     manifest's `fps` and the same entity table, which fixes each record's
     key: record p is frame p // E(E-1) and ordered pair p % E(E-1).
-    False when the file does not hold E(E-1) records for each of the
-    log's frames, which also fails `stats`: the story cannot be
-    counted."""
+    False when the records do not fit the log (_misfit_records), which
+    also fails `stats`: the story cannot be counted."""
     relations_fps, table, records = relation_file
     for name, found in (("relations.bin", relations_fps), ("framelog.bin", log.fps)):
         if found != fps:
             failures.append(f"{story_id}/{name} fps {found} != {fps}")
-    ids = sorted(table[0])
-    pairs = len(ids) * (len(ids) - 1)
-    expect = log.frame_count * pairs
-    if len(records) != expect:
-        for found in (failures, stats):
-            found.append(f"{story_id}/relations.bin has {len(records)} records, "
-                         f"expected {expect}")
+    misfit = _misfit_records(story_id, log, relation_file)
+    if misfit:
+        failures.append(misfit)
+        stats.append(misfit)
         return False
     if table != (log.entity_ids, log.entity_kinds, log.entity_names):
         failures.append(f"{story_id}/relations.bin entity table differs from "
                         f"framelog.bin's")
         return True
-    if not expect:
+    ids = sorted(table[0])
+    pairs = len(ids) * (len(ids) - 1)
+    if not records:
         failures.append(f"{story_id}: no relation records")
         return True
     picks = [rng.randrange(len(records)) for _ in range(samples)]
@@ -563,7 +582,9 @@ def verify(corpus_dir: Path | str) -> dict:
                           f"for {len(clips)} clips")
         if log is None:
             continue
-        for clip, line in zip(clips[:label_per_story], label_lines):
+        # the cap is checked before a row is replayed
+        budget = min(label_per_story, LABEL_SAMPLES - sampled)
+        for clip, line in zip(clips[:budget], label_lines):
             if clip.frame_indices[-1] >= log.frame_count:
                 labels.append(f"{clip.clip_id}: frame {clip.frame_indices[-1]} is past "
                               f"the {log.frame_count}-frame log")
@@ -572,8 +593,6 @@ def verify(corpus_dir: Path | str) -> dict:
             if line != jsonl_document([oracle_clip(clip, log, timeline, cfg_probe)]):
                 labels.append(f"{clip.clip_id}: label mismatch")
             sampled += 1
-            if sampled >= LABEL_SAMPLES:
-                break
 
     # each story that cannot be counted has already failed corpus-stats
     if (registry is not None and stats_doc is not None and len(counts) == len(entries)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import EntityKind, EventKind, GestGraph, is_finite_number
 from .scheduling import EventTimeline
-from .simulation import CAMERA_ID, FrameLog, visible_mask
+from .simulation import CAMERA_ID, CAMERA_SETTLE_FRAMES, FrameLog, visible_mask
 from .collectors import COMPASS_NAMES
 
 SPLITS = ("train", "val", "test")
@@ -85,20 +85,25 @@ def clip_frame_indices(start: int, fps: int) -> tuple[int, ...]:
 def extract_story_clips(story_id: str, graph: GestGraph, timeline: EventTimeline,
                         movement_actions: set[str], cfg: ProbeConfig,
                         split: str) -> list[ClipSpec]:
-    """Clips for one story; eligibility: non-movement action, >= 4 s."""
+    """Clips for one story; eligibility: non-movement action lasting at
+    least min_event_s, whose clip frames all lie inside the story's
+    frames: the timeline's makespan and the camera's settling frames, as
+    simulate writes them."""
     min_frames = round(cfg.min_event_s * timeline.fps)
+    frame_count = timeline.makespan() + CAMERA_SETTLE_FRAMES
     out = []
     for ev in graph.events:
         if ev.kind is EventKind.MOVEMENT or ev.action in movement_actions:
             continue
         start, end = timeline.interval(ev.event_id)
-        if end - start < min_frames:
+        frames = clip_frame_indices(start, timeline.fps)
+        if end - start < min_frames or frames[-1] >= frame_count:
             continue
         out.append(ClipSpec(
             clip_id=f"{story_id}-ev{ev.event_id:04d}",
             story_id=story_id,
             event_id=ev.event_id,
-            frame_indices=clip_frame_indices(start, timeline.fps),
+            frame_indices=frames,
             split=split,
         ))
     return out

@@ -86,7 +86,6 @@ class GenConfig:
 class StoryDraw:
     """Mutable intermediate generator state for one story."""
 
-    episode: EpisodeSpec
     region_plan: list[str]
     actors: list[Actor]
     seed: int
@@ -189,8 +188,6 @@ def _pick_patient(draw: StoryDraw, poi: PoiSpec, rng: random.Random) -> EntityId
     if free:
         type_key = free.pop(rng.randrange(len(free)))
         return draw.new_object(type_key, None, poi.key).id
-    if here:
-        return EntityId(rng.choice(here), EntityKind.OBJECT)
     raise NoFreeSlot(f"POI {poi.key!r} has no objects and no free slots")
 
 
@@ -334,7 +331,6 @@ def generate_story(cfg: GenConfig, registry: CapabilityRegistry,
 
     actors = _actor_roster(registry, rng, cfg)
     draw = StoryDraw(
-        episode=episode,
         region_plan=region_plan,
         actors=actors,
         seed=story_seed(cfg.master_seed, story_index),

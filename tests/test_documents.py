@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -247,3 +248,99 @@ def test_timeline_rejects_bad_interval():
     data = _edit(serialize_timeline(tl), lambda d: d["intervals"].append([1, 5, 5]))
     with pytest.raises(InvariantError, match="start"):
         parse_timeline(data)
+
+
+# ------------------------------------- one defect at each id and reference rule
+
+def _set(section, index, **fields):
+    def mutate(d):
+        d[section][index].update(fields)
+    return mutate
+
+
+def _set_to_id(section, index, field, source, source_index):
+    """Sets a field to the id of another entity of the document."""
+    def mutate(d):
+        d[section][index][field] = d[source][source_index]["id"]
+    return mutate
+
+
+def _drop(section, index, field):
+    return lambda d: d[section][index].pop(field)
+
+
+# the fixture graph: actors 1-6, objects 7-11; a patient may be an actor or
+# an object, so it has no wrong kind, and the camera's id 0 is never declared
+GRAPH_DEFECTS = [
+    pytest.param(_set("objects", 0, owner="1"), DocumentSyntaxError, "field 'owner'",
+                 "objects[0]", id="owner-wrong-type"),
+    pytest.param(_set("objects", 0, owner=True), DocumentSyntaxError, "field 'owner'",
+                 "objects[0]", id="owner-a-bool"),
+    pytest.param(_set("objects", 0, owner=901), DanglingReferenceError, "owner 901",
+                 "objects[0]", id="owner-dangling"),
+    pytest.param(_set_to_id("objects", 0, "owner", "objects", 1), DanglingReferenceError,
+                 "owner 8", "objects[0]", id="owner-an-object"),
+    pytest.param(_set("events", 0, patient="7"), DocumentSyntaxError, "field 'patient'",
+                 "events[0]", id="patient-wrong-type"),
+    pytest.param(_set("events", 0, patient=777), DanglingReferenceError, "patient 777",
+                 "events[0]", id="patient-dangling"),
+    pytest.param(_set("events", 0, patient=0), DanglingReferenceError, "patient 0",
+                 "events[0]", id="patient-the-camera"),
+    pytest.param(_set("events", 0, actor=1.0), DocumentSyntaxError, "field 'actor'",
+                 "events[0]", id="actor-wrong-type"),
+    pytest.param(_set("events", 0, actor=None), DocumentSyntaxError, "field 'actor'",
+                 "events[0]", id="actor-null"),
+    pytest.param(_drop("events", 0, "actor"), DocumentSyntaxError, "field 'actor'",
+                 "events[0]", id="actor-missing"),
+    pytest.param(_set("events", 0, actor=555), DanglingReferenceError, "actor 555",
+                 "events[0]", id="actor-dangling"),
+    pytest.param(_set_to_id("events", 0, "actor", "objects", 0), DanglingReferenceError,
+                 "actor 7", "events[0]", id="actor-an-object"),
+    pytest.param(_set_to_id("objects", 0, "id", "actors", 0), InvariantError,
+                 "duplicate entity id 1", "objects[0]", id="object-shares-an-actor-id"),
+    pytest.param(_set_to_id("objects", 1, "id", "objects", 0), InvariantError,
+                 "duplicate entity id 7", "objects[1]", id="object-shares-an-object-id"),
+    pytest.param(_set_to_id("actors", 1, "id", "actors", 0), InvariantError,
+                 "duplicate entity id 1", "actors[1]", id="actor-shares-an-actor-id"),
+    pytest.param(_set("actors", 0, id=-1), InvariantError, "0 is the camera", "actors[0]",
+                 id="actor-id-negative"),
+    pytest.param(_set("objects", 0, id=0), InvariantError, "0 is the camera",
+                 "objects[0]", id="object-id-of-the-camera"),
+    pytest.param(_set("objects", 0, id="7"), DocumentSyntaxError, "field 'id'",
+                 "objects[0]", id="object-id-wrong-type"),
+]
+
+
+@pytest.mark.parametrize("mutate, error, named, location", GRAPH_DEFECTS)
+def test_graph_id_and_reference_rules(graph, mutate, error, named, location):
+    assert [a.id.id for a in graph.actors] == [1, 2, 3, 4, 5, 6]
+    assert [o.id.id for o in graph.objects] == [7, 8, 9, 10, 11]
+    with pytest.raises(error, match=rf"{named}.* \(at {re.escape(location)}\)$") as info:
+        parse_graph(_edit(serialize_graph(graph), mutate))
+    assert info.value.location == location
+
+
+def _first_poi(mutate):
+    def edit(d):
+        mutate(d["episodes"][0]["regions"][0]["pois"][0])
+    return edit
+
+
+def _first_transition_to(target):
+    def mutate(poi):
+        poi["transitions"][next(iter(poi["transitions"]))] = [target]
+    return mutate
+
+
+# an undeclared action is refused with no location: the message names the POI
+@pytest.mark.parametrize("mutate", [
+    _first_poi(lambda poi: poi["valid_actions"].append("made_up")),
+    _first_poi(lambda poi: poi["transitions"].update(made_up=[])),
+    _first_poi(_first_transition_to("made_up")),
+], ids=["valid-action", "transition-source", "transition-target"])
+def test_registry_undeclared_action_rule(registry, mutate):
+    data = _edit(serialize_registry(registry), mutate)
+    with pytest.raises(UnknownActionInTransition, match="'made_up'") as info:
+        parse_registry(data)
+    assert "(at " not in str(info.value)
+    assert getattr(info.value, "location", None) is None

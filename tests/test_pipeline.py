@@ -24,7 +24,7 @@ from storysim.collectors import RelationPlanes
 from storysim.default_registry import build_default_registry
 from storysim.documents import (json_document, jsonl_document, parse_graph,
                                 parse_manifest, parse_timeline, serialize_graph,
-                                serialize_timeline)
+                                serialize_registry, serialize_timeline)
 from storysim.errors import CorruptCorpus, DocumentSyntaxError
 from storysim.pipeline import (
     CorpusConfig,
@@ -35,7 +35,8 @@ from storysim.pipeline import (
     load_manifest,
     verify,
 )
-from storysim.probes import ProbeConfig
+from storysim.probes import ProbeConfig, clip_frame_indices
+from storysim.probes_oracle import oracle_clip
 from storysim.model import EntityKind, EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
@@ -442,11 +443,19 @@ def _frame_past_the_log(path):
         fps, ids, kinds, names)
 
 
+def _frame_past_the_log_with_its_hash(path):
+    _frame_past_the_log(path)
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name, path.read_bytes())
+
+
+_frame_past_the_log_with_its_hash.rehashes = True
+
+
 CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the graph "
                 "and timeline")
 
 
-@pytest.mark.parametrize("rel_path, damage, failing, named", [
+DAMAGES = [
     pytest.param("story_00001/graph.json", lambda p: p.unlink(),
                  GRAPH_CHECKS, "story_00001/graph.json missing", id="graph-missing"),
     # a story stats.json cannot count fails corpus-stats; the other
@@ -511,7 +520,14 @@ CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the gr
                  id="label-zero-for-false"),
     pytest.param("story_00001/probes/clips.jsonl", _drop_first_clip_with_its_hashes,
                  ("probe-labels",), CLIPS_DIFFER, id="first-clip-dropped"),
-])
+    pytest.param("story_00001/relations.bin", _frame_past_the_log_with_its_hash,
+                 ("spatial-records", "corpus-stats"),
+                 "story_00001/relations.bin has 272030 records, expected 271920",
+                 id="record-frames-past-the-log-rehashed"),
+]
+
+
+@pytest.mark.parametrize("rel_path, damage, failing, named", DAMAGES)
 def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
                                                  rel_path, damage, failing, named):
     # every damaged file also fails manifest-hashes unless the damage
@@ -535,6 +551,46 @@ def test_verify_fails_closed_on_a_damaged_story(small_corpus, tmp_path, capsys,
     assert "Traceback" not in captured.err
     for name in failing:
         assert f"FAIL {name}: " in captured.out
+
+
+# each damage whose manifest keeps up, so compute_stats can get past the hashes
+REHASHED = [pytest.param(d.values[0], d.values[1], id=d.id) for d in DAMAGES
+            if getattr(d.values[1], "rehashes", False)]
+
+
+@pytest.mark.parametrize("rel_path, damage", REHASHED)
+def test_stats_and_verify_agree_on_which_stories_count(small_corpus, tmp_path, capsys,
+                                                       rel_path, damage):
+    root = tmp_path / "damaged"
+    shutil.copytree(small_corpus, root)
+    damage(root / rel_path)
+    stats_check = next(c for c in verify(root)["checks"] if c["name"] == "corpus-stats")
+    if stats_check["ok"]:
+        compute_stats(root)
+        assert main(["stats", "--corpus", str(root)]) == 0
+        return
+    with pytest.raises(CorruptCorpus) as info:
+        compute_stats(root)
+    assert str(info.value) in stats_check["details"]
+    assert main(["stats", "--corpus", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {info.value}\n"
+    assert not captured.out
+
+
+def test_label_samples_cap_every_replay(small_corpus, monkeypatch):
+    # 4 rows over 3 stories: 2 per story, so the third story replays none
+    replayed = []
+
+    def counting_oracle(*args):
+        replayed.append(args[0].clip_id)
+        return oracle_clip(*args)
+    monkeypatch.setattr(pipeline, "LABEL_SAMPLES", 4)
+    monkeypatch.setattr(pipeline, "oracle_clip", counting_oracle)
+    assert verify(small_corpus)["ok"]
+    assert len(replayed) == 4
+    assert {clip_id.split("-")[0] for clip_id in replayed} == {"story_00000",
+                                                                "story_00001"}
 
 
 def test_a_damaged_corpus_reads_the_same_wherever_it_lies(small_corpus, tmp_path):
@@ -756,17 +812,23 @@ def _first_interval_dropped(doc):
     del doc["intervals"][0]
 
 
-def _intervals_shifted(doc):
-    for row in doc["intervals"]:
-        row[1] += 100_000
-        row[2] += 100_000
+def _intervals_shifted(frames):
+    def damage(doc):
+        for row in doc["intervals"]:
+            row[1] += frames
+            row[2] += frames
+    return damage
 
 
+# shifted by one frame, no event ends past the log, but the timeline with
+# the camera's settling frames spans one frame more than the log holds
 @pytest.mark.parametrize("damage, named", [
     (_first_interval_dropped, "story_00001/timeline.json lacks event 0"),
-    (_intervals_shifted, "story_00001/timeline.json: event 0 ends at frame 100144, past "
-                         "the 2472-frame log"),
-], ids=["event-dropped", "frames-shifted"])
+    (_intervals_shifted(100_000), "story_00001/timeline.json: event 0 ends at frame "
+                                  "100144, past the 2472-frame log"),
+    (_intervals_shifted(1), "story_00001/timeline.json spans 2473 frames, past the "
+                            "2472-frame log"),
+], ids=["event-dropped", "frames-shifted", "frames-shifted-by-one"])
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out"])
 def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_path,
                                                                capsys, damage, named,
@@ -785,6 +847,53 @@ def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_
     assert not captured.out
     assert corpus_digest(root) == before
     assert not out.exists()
+
+
+def _short_registry():
+    """The bundled registry with each non-movement action lasting 1-2 s,
+    shorter than the 3.75 s span of a clip."""
+    registry = build_default_registry()
+    return replace(registry, actions={
+        key: spec if spec.is_movement_only else replace(spec, duration_range_s=(1.0, 2.0))
+        for key, spec in registry.actions.items()})
+
+
+def _clips_past_the_story(root: Path, registry) -> int:
+    """The eligible events of a corpus at min_event_s 0.5 whose clip would
+    run past the story's frames; asserts that no stored clip does."""
+    past = 0
+    for story in sorted(root.glob("story_*")):
+        graph = parse_graph((story / "graph.json").read_bytes())
+        timeline = parse_timeline((story / "timeline.json").read_bytes())
+        frames = binio.parse_framelog((story / "framelog.bin").read_bytes()).frame_count
+        past += sum(clip_frame_indices(s, timeline.fps)[-1] >= frames
+                    for ev in graph.events for s, e in [timeline.interval(ev.event_id)]
+                    if not registry.actions[ev.action].is_movement_only
+                    and e - s >= round(0.5 * timeline.fps))
+        for line in (story / "probes/clips.jsonl").read_text().splitlines():
+            assert json.loads(line)["frame_indices"][-1] < frames
+    return past
+
+
+def test_generate_emits_only_clips_inside_the_story_frames(tmp_path):
+    root, registry = tmp_path / "c", _short_registry()
+    cfg = CorpusConfig(gen=GenConfig(master_seed=7), probe=ProbeConfig(min_event_s=0.5))
+    manifest = generate_corpus(root, cfg, registry, stories=8)
+    assert not [entry for entry in manifest["stories"] if "error" in entry]
+    assert _clips_past_the_story(root, registry)
+    assert verify(root)["checks"] == expected_checks({})
+
+
+def test_cli_probes_emits_only_clips_inside_the_story_frames(tmp_path, capsys):
+    registry = _short_registry()
+    (tmp_path / "short.json").write_bytes(serialize_registry(registry))
+    root = tmp_path / "c"
+    assert main(["generate", "--stories", "4", "--seed", "7", "--registry",
+                 str(tmp_path / "short.json"), "--out", str(root)]) == 0
+    assert main(["probes", "--corpus", str(root), "--min-event-s", "0.5"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert _clips_past_the_story(root, registry)
+    assert verify(root)["checks"] == expected_checks({})
 
 
 def test_failed_in_place_probes_run_changes_nothing(tmp_path, capsys):
