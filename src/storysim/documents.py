@@ -314,13 +314,13 @@ def serialize_registry(reg: CapabilityRegistry) -> bytes:
     return json_document(doc)
 
 
-def _declared(names: list[str], actions: dict, what: str, poi: dict) -> tuple[str, ...]:
-    """names, once each is a declared action; `what` says how the POI
-    uses them."""
+def _declared(names: list[str], actions: dict, what: str, loc: str) -> tuple[str, ...]:
+    """names, once each is a declared action; `what` says how the POI at
+    `loc` uses them."""
     for name in names:
         if name not in actions:
-            raise UnknownActionInTransition(
-                f"{what} {name!r} at POI {poi.get('key')!r} is not a declared action")
+            raise UnknownActionInTransition(f"{what} {name!r} is not a declared action",
+                                            loc)
     return tuple(names)
 
 
@@ -372,16 +372,16 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
                     raise InvariantError("POI position outside region bounds", p_loc)
                 valid_actions = _strings(p_obj, "valid_actions", p_loc)
                 transitions_raw = _get(p_obj, "transitions", dict, p_loc)
-                _declared(valid_actions, actions, "valid action", p_obj)
+                _declared(valid_actions, actions, "valid action", p_loc)
                 transitions = {}
                 for act, nexts in transitions_raw.items():
-                    _declared([act], actions, "transition source", p_obj)
+                    _declared([act], actions, "transition source", p_loc)
                     if not (isinstance(nexts, list)
                             and all(isinstance(nxt, str) for nxt in nexts)):
                         raise DocumentSyntaxError(
                             f"transitions[{act!r}] must be a list of strings", p_loc)
                     transitions[act] = _declared(nexts, actions,
-                                                 f"transition {act!r} ->", p_obj)
+                                                 f"transition {act!r} ->", p_loc)
                 poi_key = _get(p_obj, "key", str, p_loc)
                 if poi_key in poi_keys:
                     raise InvariantError(f"duplicate POI key {poi_key!r}", p_loc)

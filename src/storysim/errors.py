@@ -38,8 +38,8 @@ class InvariantError(DocumentError):
     """A structural invariant of a parsed document is violated."""
 
 
-class UnknownActionInTransition(StorysimError):
-    """A POI transition map names an action the registry never declares."""
+class UnknownActionInTransition(DocumentError):
+    """A POI names an action the registry never declares."""
 
 
 class InconsistentNetwork(StorysimError):

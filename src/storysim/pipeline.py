@@ -27,11 +27,11 @@ from .documents import (FORMAT_VERSION, json_document, jsonl_document, jsonl_lin
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, select_episode, story_rng, story_seed
-from .probes import ClipSpec, ProbeConfig, extract_story_clips, label_clips, split_stories
+from .probes import ProbeConfig, extract_story_clips, label_clips, split_stories
 from .probes_oracle import oracle_clip
 from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
-from .simulation import (CAMERA_SETTLE_FRAMES, FrameLog, ground, insert_movements,
-                         simulate, validate)
+from .simulation import (FrameLog, entity_table, ground, insert_movements, simulate,
+                         story_frames, validate)
 from .textgen import RefineConfig, proto_text, refine
 
 # verify's sample sizes: spatial records recomputed (AC6) and clip label
@@ -48,8 +48,8 @@ class CorpusConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def __post_init__(self):
-        if self.fps < 1:
-            raise ValueError("fps must be positive")
+        if self.fps < ProbeConfig.CLIP_FPS:  # clip frames would collide
+            raise ValueError(f"fps must be at least {ProbeConfig.CLIP_FPS}, the clip rate")
 
 
 def _sha256(data: bytes) -> str:
@@ -98,37 +98,39 @@ def simulated_files(graph: GestGraph, timeline: EventTimeline,
     }, len(records)
 
 
-def _clip_row(clip: ClipSpec) -> dict:
-    """The probes/clips.jsonl row of one clip."""
-    return {"clip_id": clip.clip_id, "story_id": clip.story_id, "event_id": clip.event_id,
-            "frame_indices": list(clip.frame_indices), "split": clip.split}
-
-
 def _movement_actions(registry: CapabilityRegistry) -> set[str]:
     return {k for k, a in registry.actions.items() if a.is_movement_only}
+
+
+def _misfit_log(story_id: str, graph: GestGraph, timeline: EventTimeline,
+                log: FrameLog) -> str | None:
+    """Why `log` does not hold the entity_table of the story's graph and
+    the story_frames of its timeline, which simulate writes, or None when
+    it does.  Its probe clips cannot be labelled otherwise."""
+    if (log.entity_ids, log.entity_kinds, log.entity_names) != entity_table(graph):
+        return f"{story_id}/framelog.bin entity table differs from graph.json's"
+    if log.frame_count != story_frames(timeline):
+        return (f"{story_id}/timeline.json spans {story_frames(timeline)} frames, "
+                f"framelog.bin holds {log.frame_count}")
+    return None
 
 
 def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: FrameLog,
                registry: CapabilityRegistry, probe: ProbeConfig,
                split: str) -> dict[str, bytes]:
     """probes/clips.jsonl and probes/labels.jsonl of one story, by path.
-    A timeline that lacks a graph event, or spans more frames than the
-    frame log holds, raises CorruptCorpus naming the story's
-    timeline.json."""
+    A timeline that lacks a graph event, or a frame log that is not the
+    one simulate writes for the graph and timeline (_misfit_log), raises
+    CorruptCorpus."""
     for ev in graph.events:
         if ev.event_id not in timeline.intervals:
             raise CorruptCorpus(f"{story_id}/timeline.json lacks event {ev.event_id}")
-    for event_id, (_, end) in timeline.intervals.items():
-        if end > log.frame_count:
-            raise CorruptCorpus(f"{story_id}/timeline.json: event {event_id} ends at "
-                                f"frame {end}, past the {log.frame_count}-frame log")
-    spanned = timeline.makespan() + CAMERA_SETTLE_FRAMES  # the frames simulate writes
-    if spanned > log.frame_count:
-        raise CorruptCorpus(f"{story_id}/timeline.json spans {spanned} frames, past the "
-                            f"{log.frame_count}-frame log")
+    misfit = _misfit_log(story_id, graph, timeline, log)
+    if misfit:
+        raise CorruptCorpus(misfit)
     clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
                                 probe, split)
-    clips_doc = jsonl_document(map(_clip_row, clips))
+    clips_doc = jsonl_document(map(asdict, clips))
     labels_doc = jsonl_document(label_clips(clips, log, timeline, probe))
     return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
 
@@ -500,10 +502,10 @@ def verify(corpus_dir: Path | str) -> dict:
     not load fails every check that needs it, naming the file once by its
     path inside the corpus; the story's other checks still run.  From the
     graph and a timeline that passes its checks, the probe clips,
-    events.jsonl and text.txt must be the ones the generator derives, and
-    the sampled labels of those clips must match the oracle.  stats.json
-    must be the stats of every built story's files; a story that cannot
-    be counted fails that check.
+    events.jsonl, text.txt and the frame log's shape (_misfit_log) must be
+    the ones the generator derives, and the sampled labels must match the
+    oracle.  stats.json must be the stats of every built story's files; a
+    story that cannot be counted fails that check.
 
     Returns {"ok": bool, "checks": [{"name", "ok", "details"}]}.
     """
@@ -548,8 +550,9 @@ def verify(corpus_dir: Path | str) -> dict:
         clips_doc = story.load("probes/clips.jsonl", bytes, labels)
         label_lines = story.load("probes/labels.jsonl", jsonl_lines, labels)
         clips = None  # derived only from a timeline that passes its checks
-        if graph is not None and timeline is not None and _check_timeline(
-                story_id, graph, timeline, fps, durations, relations, *derived):
+        timed = graph is not None and timeline is not None and _check_timeline(
+            story_id, graph, timeline, fps, durations, relations, *derived)
+        if timed:
             if events_doc is not None and events_doc != jsonl_document(
                     collect_event_mappings(timeline, graph)):
                 mappings.append(f"{story_id}/events.jsonl differs from the mappings of "
@@ -560,8 +563,8 @@ def verify(corpus_dir: Path | str) -> dict:
                 clips = extract_story_clips(story_id, graph, timeline,
                                             _movement_actions(registry), cfg_probe,
                                             entry["split"])
-        log = story.load("framelog.bin", binio.parse_framelog,
-                         *((spatial, stats, labels) if clips else (spatial, stats)))
+        log = story.load("framelog.bin", binio.parse_framelog, spatial, stats,
+                         *((labels,) if timed else ()))
         relation_file = story.load("relations.bin", binio.parse_relations, spatial,
                                    stats)
 
@@ -570,9 +573,13 @@ def verify(corpus_dir: Path | str) -> dict:
         if countable and graph is not None and events_doc is not None:
             counts.append(story_counts(graph, events_doc.count(b"\n"),
                                        len(relation_file[2]), log.frame_count))
+        # the story probes refuses: its labels cannot be replayed
+        misfit = timed and log is not None and _misfit_log(story_id, graph, timeline, log)
+        if misfit:
+            labels.append(misfit)
         if clips is None:
             continue
-        if clips_doc is not None and clips_doc != jsonl_document(map(_clip_row, clips)):
+        if clips_doc is not None and clips_doc != jsonl_document(map(asdict, clips)):
             labels.append(f"{story_id}/probes/clips.jsonl differs from the clips of "
                           f"the graph and timeline")
         if label_lines is None:
@@ -580,15 +587,11 @@ def verify(corpus_dir: Path | str) -> dict:
         if len(label_lines) != len(clips):
             labels.append(f"{story_id}/probes/labels.jsonl: {len(label_lines)} rows "
                           f"for {len(clips)} clips")
-        if log is None:
+        if log is None or misfit:
             continue
         # the cap is checked before a row is replayed
         budget = min(label_per_story, LABEL_SAMPLES - sampled)
         for clip, line in zip(clips[:budget], label_lines):
-            if clip.frame_indices[-1] >= log.frame_count:
-                labels.append(f"{clip.clip_id}: frame {clip.frame_indices[-1]} is past "
-                              f"the {log.frame_count}-frame log")
-                break
             # byte for byte: a decoded 0 would equal false
             if line != jsonl_document([oracle_clip(clip, log, timeline, cfg_probe)]):
                 labels.append(f"{clip.clip_id}: label mismatch")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import EntityKind, EventKind, GestGraph, is_finite_number
 from .scheduling import EventTimeline
-from .simulation import CAMERA_ID, CAMERA_SETTLE_FRAMES, FrameLog, visible_mask
+from .simulation import CAMERA_ID, FrameLog, story_frames, visible_mask
 from .collectors import COMPASS_NAMES
 
 SPLITS = ("train", "val", "test")
@@ -86,11 +86,10 @@ def extract_story_clips(story_id: str, graph: GestGraph, timeline: EventTimeline
                         movement_actions: set[str], cfg: ProbeConfig,
                         split: str) -> list[ClipSpec]:
     """Clips for one story; eligibility: non-movement action lasting at
-    least min_event_s, whose clip frames all lie inside the story's
-    frames: the timeline's makespan and the camera's settling frames, as
-    simulate writes them."""
+    least min_event_s, whose clip frames all lie inside the story_frames
+    that simulate writes."""
     min_frames = round(cfg.min_event_s * timeline.fps)
-    frame_count = timeline.makespan() + CAMERA_SETTLE_FRAMES
+    frame_count = story_frames(timeline)
     out = []
     for ev in graph.events:
         if ev.kind is EventKind.MOVEMENT or ev.action in movement_actions:

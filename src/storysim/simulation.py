@@ -364,12 +364,25 @@ def insert_movements(graph: GestGraph, world: World,
 
 # -------------------------------------------------------------- simulate
 
+def story_frames(timeline: EventTimeline) -> int:
+    """The number of frames simulate writes for a story: the timeline's
+    makespan and the camera's settling frames."""
+    return timeline.makespan() + CAMERA_SETTLE_FRAMES
+
+
+def entity_table(graph: GestGraph) -> tuple[tuple, tuple, tuple]:
+    """The (ids, kinds, names) columns simulate writes for a story's graph:
+    the camera, then the actors by name and the objects by type."""
+    return tuple(zip((CAMERA_ID, EntityKind.CAMERA, "camera"),
+                     *((a.id.id, EntityKind.ACTOR, a.name) for a in graph.actors),
+                     *((o.id.id, EntityKind.OBJECT, o.type_key) for o in graph.objects)))
+
+
 def simulate(world: World, graph: GestGraph, timeline: EventTimeline) -> FrameLog:
     """Frame-by-frame poses for camera, actors and objects."""
-    frames = timeline.makespan() + CAMERA_SETTLE_FRAMES
+    frames = story_frames(timeline)
+    entity_ids, entity_kinds, entity_names = entity_table(graph)
     actor_ids = [a.id.id for a in graph.actors]
-    object_ids = [o.id.id for o in graph.objects]
-    entity_ids = [CAMERA_ID] + actor_ids + object_ids
     index = {eid: i for i, eid in enumerate(entity_ids)}
     n = len(entity_ids)
 
@@ -436,23 +449,7 @@ def simulate(world: World, graph: GestGraph, timeline: EventTimeline) -> FrameLo
     _lay_objects(world, graph, timeline, pos, yaw, index)
     _run_camera(graph, pos, yaw, index, actor_ids, active, actor_region)
 
-    names = {CAMERA_ID: "camera"}
-    kinds = {CAMERA_ID: EntityKind.CAMERA}
-    for a in graph.actors:
-        names[a.id.id] = a.name
-        kinds[a.id.id] = EntityKind.ACTOR
-    for o in graph.objects:
-        names[o.id.id] = o.type_key
-        kinds[o.id.id] = EntityKind.OBJECT
-
-    return FrameLog(
-        positions=pos,
-        yaws=yaw,
-        fps=world.fps,
-        entity_ids=tuple(entity_ids),
-        entity_kinds=tuple(kinds[e] for e in entity_ids),
-        entity_names=tuple(names[e] for e in entity_ids),
-    )
+    return FrameLog(pos, yaw, world.fps, entity_ids, entity_kinds, entity_names)
 
 
 def _lay_objects(world: World, graph: GestGraph, timeline: EventTimeline,

@@ -18,6 +18,7 @@ from storysim.documents import (
 )
 from storysim.errors import (
     DanglingReferenceError,
+    DocumentError,
     DocumentSyntaxError,
     InvariantError,
     UnknownActionInTransition,
@@ -332,7 +333,8 @@ def _first_transition_to(target):
     return mutate
 
 
-# an undeclared action is refused with no location: the message names the POI
+# an undeclared action is refused at the location of the POI that names it,
+# as every other registry defect is
 @pytest.mark.parametrize("mutate", [
     _first_poi(lambda poi: poi["valid_actions"].append("made_up")),
     _first_poi(lambda poi: poi["transitions"].update(made_up=[])),
@@ -342,5 +344,6 @@ def test_registry_undeclared_action_rule(registry, mutate):
     data = _edit(serialize_registry(registry), mutate)
     with pytest.raises(UnknownActionInTransition, match="'made_up'") as info:
         parse_registry(data)
-    assert "(at " not in str(info.value)
-    assert getattr(info.value, "location", None) is None
+    assert isinstance(info.value, DocumentError)
+    assert info.value.location == "episodes[0].regions[0].pois[0]"
+    assert str(info.value).endswith(" (at episodes[0].regions[0].pois[0])")

@@ -40,6 +40,7 @@ from storysim.probes_oracle import oracle_clip
 from storysim.model import EntityKind, EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
+from storysim.textgen import proto_text
 
 # corpus_digest of the seed-7, 8-story corpus of the default config and
 # bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
@@ -625,7 +626,8 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     assert [n for n in CHECKS if not by_name[n]["ok"]] == ["spatial-records",
                                                            "probe-labels", "corpus-stats"]
     assert by_name["spatial-records"]["details"] == "story_00001: no relation records"
-    assert "past the 0-frame log" in by_name["probe-labels"]["details"]
+    assert by_name["probe-labels"]["details"] == ("story_00001/timeline.json spans 2472 "
+                                                  "frames, framelog.bin holds 0")
     assert by_name["corpus-stats"]["details"] == STATS_DIFFER
     assert main(["verify", "--corpus", str(root)]) == 1
     assert "FAIL spatial-records: story_00001: no relation records" in \
@@ -824,10 +826,10 @@ def _intervals_shifted(frames):
 # the camera's settling frames spans one frame more than the log holds
 @pytest.mark.parametrize("damage, named", [
     (_first_interval_dropped, "story_00001/timeline.json lacks event 0"),
-    (_intervals_shifted(100_000), "story_00001/timeline.json: event 0 ends at frame "
-                                  "100144, past the 2472-frame log"),
-    (_intervals_shifted(1), "story_00001/timeline.json spans 2473 frames, past the "
-                            "2472-frame log"),
+    (_intervals_shifted(100_000), "story_00001/timeline.json spans 102472 frames, "
+                                  "framelog.bin holds 2472"),
+    (_intervals_shifted(1), "story_00001/timeline.json spans 2473 frames, "
+                            "framelog.bin holds 2472"),
 ], ids=["event-dropped", "frames-shifted", "frames-shifted-by-one"])
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out"])
 def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_path,
@@ -846,6 +848,75 @@ def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_
     assert captured.err == f"error: {named}\n"
     assert not captured.out
     assert corpus_digest(root) == before
+    assert not out.exists()
+
+
+def _frames_taken(pick):
+    """Both binaries of story_00001 keep the frames pick(frame_count)
+    lists, re-hashed, and stats.json is rewritten to count them."""
+    def damage(root):
+        story = root / "story_00001"
+        log = binio.parse_framelog((story / "framelog.bin").read_bytes())
+        fps, table, records = binio.parse_relations((story / "relations.bin").read_bytes())
+        frames = pick(log.frame_count)
+        rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
+            replace(log, positions=log.positions[frames], yaws=log.yaws[frames]))))
+        rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
+            RelationPlanes(*(plane[frames] for plane in records.planes())), fps, *table)))
+        (root / "stats.json").write_bytes(json_document(compute_stats(root)))
+    return damage
+
+
+def _actor_renamed_in_the_binaries(root):
+    # entity 1 of both entity tables, the graph's first actor, is renamed
+    story = root / "story_00001"
+    log = binio.parse_framelog((story / "framelog.bin").read_bytes())
+    fps, (ids, kinds, names), records = binio.parse_relations(
+        (story / "relations.bin").read_bytes())
+    assert kinds[1] is EntityKind.ACTOR and names[1] != "Zed"
+    names = (names[0], "Zed", *names[2:])
+    rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
+        replace(log, entity_names=names))))
+    rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
+        records, fps, ids, kinds, names)))
+
+
+def _actor_renamed_in_the_graph_and_text(root):
+    # the graph's first actor is renamed and text.txt tells the story of
+    # the renamed graph, so only the binaries keep the old name
+    story = root / "story_00001"
+    graph = parse_graph((story / "graph.json").read_bytes())
+    timeline = parse_timeline((story / "timeline.json").read_bytes())
+    graph = replace(graph, actors=(replace(graph.actors[0], name="Zed"), *graph.actors[1:]))
+    text = proto_text(graph, timeline, build_default_registry()).full_text
+    rewrite_with_hash(root, "story_00001", "graph.json", serialize_graph(graph))
+    rewrite_with_hash(root, "story_00001", "text.txt", (text + "\n").encode())
+
+
+FRAMES_DIFFER = "story_00001/timeline.json spans 2472 frames, framelog.bin holds {}"
+ENTITIES_DIFFER = "story_00001/framelog.bin entity table differs from graph.json's"
+
+
+# each damage re-hashes what it rewrites and keeps the binaries agreeing
+# with each other, so only the frame log's shape against the graph and
+# timeline is wrong
+@pytest.mark.parametrize("damage, named", [
+    (_frames_taken(lambda n: np.arange(n - 200)), FRAMES_DIFFER.format(2272)),
+    (_frames_taken(lambda n: np.r_[np.arange(n), n - 1]), FRAMES_DIFFER.format(2473)),
+    (_actor_renamed_in_the_binaries, ENTITIES_DIFFER),
+    (_actor_renamed_in_the_graph_and_text, ENTITIES_DIFFER),
+], ids=["binaries-cut-by-200-frames", "binaries-a-frame-longer",
+        "actor-renamed-in-the-binaries", "actor-renamed-in-the-graph-and-text"])
+def test_verify_refuses_the_frame_log_that_probes_refuses(small_corpus, tmp_path, capsys,
+                                                          damage, named):
+    root, out = tmp_path / "damaged", tmp_path / "out"
+    shutil.copytree(small_corpus, root)
+    damage(root)
+    assert verify(root)["checks"] == expected_checks({"probe-labels": named})
+    assert main(["probes", "--corpus", str(root), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}\n"
+    assert not captured.out
     assert not out.exists()
 
 
@@ -1255,14 +1326,17 @@ def test_cli_reports_a_missing_input_path(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["generate", "--stories", "1", "--fps", "0"],
+    ["generate", "--stories", "2", "--seed", "7", "--fps", "2"],
     ["generate", "--stories", "-1"],
     ["generate", "--stories", "1", "--regions", "0"],
     ["generate", "--stories", "1", "--chains-per-actor", "0"],
     ["generate", "--stories", "1", "--workers", "-3"],
     ["generate", "--stories", "1", "--workers", "0"],
     ["simulate", "--graph", "{graph}", "--fps", "0"],
-], ids=["generate-fps", "generate-stories", "generate-regions", "generate-chains",
-        "generate-negative-workers", "generate-no-workers", "simulate-fps"])
+    ["simulate", "--graph", "{graph}", "--fps", "3"],
+], ids=["generate-fps", "generate-fps-2", "generate-stories", "generate-regions",
+        "generate-chains", "generate-negative-workers", "generate-no-workers",
+        "simulate-fps", "simulate-fps-3"])
 def test_cli_refuses_a_bad_value_as_a_usage_error(tmp_path, capsys, argv):
     graph = tmp_path / "graph.json"
     graph.write_bytes(serialize_graph(
@@ -1293,6 +1367,9 @@ def test_cli_probes_refuses_a_flag_that_is_not_finite(small_corpus, tmp_path, ca
 def test_corpus_config_refuses_a_frame_rate_below_one():
     with pytest.raises(ValueError, match="fps"):
         CorpusConfig(fps=0)
+    # 16 clip frames at 4 fps would collide
+    with pytest.raises(ValueError, match="fps"):
+        CorpusConfig(fps=3)
 
 
 def test_cli_text_names_an_event_the_timeline_lacks(small_corpus, tmp_path, capsys):

@@ -60,6 +60,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert not found, f"private names imported across modules: {found}"
 
 
+def test_only_simulation_names_the_camera_settle_frames():
+    # simulation.story_frames states the frames simulate writes; a module
+    # that adds the settling frames itself can drift from it
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "simulation.py"
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if "CAMERA_SETTLE_FRAMES" in (getattr(node, "id", None),
+                                           getattr(node, "attr", None),
+                                           getattr(node, "name", None))]
+    assert not found, f"CAMERA_SETTLE_FRAMES named outside simulation.py: {found}"
+
+
 def test_every_export_resolves_once():
     # a name left in __all__ after its function is removed breaks
     # `from storysim import *`
