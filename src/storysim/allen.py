@@ -260,9 +260,14 @@ def signature_bounds(rs: RelationSet) -> tuple[tuple[int, int], ...]:
     """Per-component (min, max) of endpoint signs over the set's members."""
     if not rs:
         raise ValueError("empty relation set has no bounds")
+    return _mask_bounds(rs.mask)
+
+
+@functools.lru_cache(maxsize=8192)
+def _mask_bounds(mask: int) -> tuple[tuple[int, int], ...]:
     los = [1, 1, 1, 1]
     his = [-1, -1, -1, -1]
-    for r in rs:
+    for r in RelationSet(mask):
         for c, v in enumerate(SIGNATURES[r]):
             los[c] = min(los[c], v)
             his[c] = max(his[c], v)
@@ -286,4 +291,9 @@ def convex_envelope(rs: RelationSet) -> RelationSet:
 
 
 def is_convex(rs: RelationSet) -> bool:
-    return bool(rs) and convex_envelope(rs) == rs
+    return _mask_is_convex(rs.mask)
+
+
+@functools.lru_cache(maxsize=8192)
+def _mask_is_convex(mask: int) -> bool:
+    return bool(mask) and convex_envelope(RelationSet(mask)).mask == mask

@@ -1,21 +1,30 @@
-"""Fixed-width binary artifact files.
+"""Binary artifact files: each holds per-frame columns as change runs.
 
-relations file ("GTSR"): little-endian header of magic, version u16,
-fps u16, entity_count u16, reserved u16, followed by an entity table of
-{id u16, kind u8, name_len u8, name utf-8}, then 13 bytes per record in
-four planes over the frames x E(E-1) records: every distance_m f4, then
-every azimuth_deg f4, every elevation_deg f4 and every compass u8.  The
-key is implied by position: record p is frame p // E(E-1) and the
-(p % E(E-1))-th ordered pair (a, b), a != b, in (a, b) order over the
-table's sorted ids.  A coincident pair is the one whose distance is 0.
+Both files start with a little-endian header of magic, version u16,
+fps u16, entity_count u16, reserved u16 and frame_count u32, then an
+entity table of {id u16, kind u8, name_len u8, name utf-8}, then one u32
+run count per column, then planes over all runs, column-major and in
+frame order within a column: every run's start frame u32, then each
+value plane.  A run is a maximal run of frames over which its column's
+value is bitwise equal: each column's first run starts at frame 0, its
+starts strictly increase below frame_count, and no two adjacent runs are
+equal, and reserved is 0, so a dense content has exactly one encoding.
+The dense planes a file encodes, frame_count times its columns times
+the bytes of a value, take at most MAX_DENSE_BYTES.
 
-framelog file ("GTFL"): same header shape plus frame_count u32, the
-same entity table, then float64 poses (x, y, z, yaw_deg) frame-major in
-entity-table order; the table holds the camera.  Poses stay f64 so
-spatial records recompute bit-identically from a reloaded log.
+relations file ("GTSR"): a column is an ordered pair (a, b), a != b, in
+(a, b) order over the table's sorted ids, and its value is a record:
+distance_m f4, azimuth_deg f4, elevation_deg f4 and compass u8, so 17
+bytes per run.  A coincident pair is the one whose distance is 0.
 
-A parser takes a file's bytes and raises CorruptCorpus saying what is
-wrong with them; the caller names the file.
+framelog file ("GTFL"): a column is an entity in table order, and its
+value is its pose as float64 x, y, z and yaw_deg, so 36 bytes per run;
+the table holds the camera.  Poses stay f64 so spatial records
+recompute bit-identically from a reloaded log.
+
+A parser takes a file's bytes, returns the dense RelationPlanes or
+FrameLog the runs encode, and raises CorruptCorpus saying what is wrong
+with them; the caller names the file.
 """
 
 from __future__ import annotations
@@ -25,14 +34,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectors import RelationPlanes
+from .collectors import RelationRuns, expand_runs
 from .errors import CorruptCorpus
 from .model import CAMERA_ID, EntityKind
 from .simulation import FrameLog
 
 RELATIONS_MAGIC = b"GTSR"
 FRAMELOG_MAGIC = b"GTFL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# after the magic: version, fps, entity_count, reserved, frame_count
+_HEADER = struct.Struct("<HHHHI")
+_COUNT = np.dtype("<u4")  # runs per column
+# The most bytes a file's dense planes may take, 256 MiB: the relations
+# of over half an hour of a 20-entity story at 25 fps.  A reader allocates them from
+# the header's frame_count, which the runs alone do not bound, so a
+# damaged count must not ask for more.
+MAX_DENSE_BYTES = 1 << 28
 
 _KIND_CODE = {
     EntityKind.CAMERA: 0,
@@ -82,58 +99,128 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
     return tuple(ids), tuple(kinds), tuple(names), offset
 
 
-def _parse_prefix(buf: bytes, magic: bytes, header_fmt: str, what: str):
-    """-> (header fields after the version, (ids, kinds, names), payload
-    offset) of a file's bytes."""
-    size = 4 + struct.calcsize(header_fmt)
+def _parse_prefix(buf: bytes, magic: bytes, what: str):
+    """-> (fps, frame_count, (ids, kinds, names), payload offset) of a
+    file's bytes."""
+    size = 4 + _HEADER.size
     if len(buf) < size or buf[:4] != magic:
         raise CorruptCorpus(f"not a {what} file")
-    version, *header = struct.unpack_from(header_fmt, buf, 4)
+    version, fps, entity_count, reserved, frames = _HEADER.unpack_from(buf, 4)
     if version != FORMAT_VERSION:
         raise CorruptCorpus(f"unsupported version {version}")
-    ids, kinds, names, offset = _unpack_entity_table(buf, size, header[1])
-    return header, (ids, kinds, names), offset
+    if reserved:
+        raise CorruptCorpus(f"reserved field is {reserved}, not 0")
+    ids, kinds, names, offset = _unpack_entity_table(buf, size, entity_count)
+    return fps, frames, (ids, kinds, names), offset
 
 
-_RECORD_BYTES = sum(t.itemsize for t in RelationPlanes.DTYPES)
+def _oversize(frames: int, columns: int, dtypes) -> str:
+    """Why dense planes of `frames` rows of `columns` runs of `dtypes`
+    (starts, then values) are too large for a file, or "" when they fit."""
+    size = frames * columns * sum(dtype.itemsize for dtype in dtypes[1:])
+    if size <= MAX_DENSE_BYTES:
+        return ""
+    return (f"{frames} frames of {columns} columns expand to {size} bytes, "
+            f"past the bound of {MAX_DENSE_BYTES}")
 
 
-def relations_bytes(records: RelationPlanes, fps: int, ids, kinds,
+def _runs_bytes(magic: bytes, fps: int, frames: int, ids, kinds, names,
+                counts: np.ndarray, planes, dtypes) -> memoryview:
+    """The bytes of a file of runs; the planes are copied once.
+    ValueError when the planes they encode would pass MAX_DENSE_BYTES."""
+    oversize = _oversize(frames, len(counts), dtypes)
+    if oversize:
+        raise ValueError(oversize)
+    prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, frames)
+              + _pack_entity_table(ids, kinds, names))
+    parts = (np.ascontiguousarray(plane, dtype).view(np.uint8)
+             for plane, dtype in zip((counts, *planes), (_COUNT, *dtypes)))
+    return np.concatenate((np.frombuffer(prefix, np.uint8), *parts)).data
+
+
+def _parse_runs(buf: bytes, offset: int, columns: int, frames: int, dtypes,
+                column: str):
+    """-> (counts, [starts, *value planes]) of the runs of `columns`
+    columns that start at `offset`.  The planes are copied out of `buf`,
+    where the entity table can leave them unaligned, which numpy reads
+    slowly."""
+    oversize = _oversize(frames, columns, dtypes)
+    if oversize:
+        raise CorruptCorpus(oversize)
+    payload = len(buf) - offset
+    if payload < _COUNT.itemsize * columns:
+        raise CorruptCorpus(f"payload of {payload} bytes holds no run count for "
+                            f"each of {columns} columns")
+    counts = np.frombuffer(buf, _COUNT, columns, offset)
+    offset += _COUNT.itemsize * columns
+    runs = int(counts.sum(dtype=np.uint64))
+    expect = runs * sum(dtype.itemsize for dtype in dtypes)
+    if len(buf) - offset != expect:
+        raise CorruptCorpus(f"run payload is {len(buf) - offset} bytes, expected "
+                            f"{expect} for {runs} runs")
+    planes = []
+    for dtype in dtypes:
+        planes.append(np.frombuffer(buf, dtype, runs, offset).copy())
+        offset += runs * dtype.itemsize
+    _check_runs(counts, planes, frames, column)
+    return counts, planes
+
+
+def _check_runs(counts: np.ndarray, planes, frames: int, column: str):
+    """CorruptCorpus unless each column's runs start at frame 0, strictly
+    increase below `frames`, and differ from the run before them."""
+    if frames and not counts.all():
+        raise CorruptCorpus(f"{column} column {np.argmin(counts)} has no run over "
+                            f"{frames} frames")
+    starts = planes[0]
+    owner = np.repeat(np.arange(len(counts)), counts)
+    later = np.zeros(len(starts), dtype=bool)  # a run after another of its column
+    later[1:] = owner[1:] == owner[:-1]
+    before = np.roll(starts, 1)
+    same = later.copy()
+    for plane in planes[1:]:
+        bits = plane.view(f"u{plane.dtype.itemsize}")
+        same &= bits == np.roll(bits, 1)
+    for bad, why in (
+            (~later & (starts != 0), "starts at frame {start}, not 0"),
+            (starts >= frames, f"has a run at frame {{start}}, past its {frames} frames"),
+            (later & (starts <= before), "has a run at frame {start} after one at "
+                                         "frame {before}"),
+            (same, "repeats at frame {start} the value of its run at frame {before}")):
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            raise CorruptCorpus(f"{column} column {owner[at]} "
+                                + why.format(start=starts[at], before=before[at]))
+
+
+def relations_bytes(records: RelationRuns, fps: int, ids, kinds,
                     names) -> memoryview:
-    """The bytes of a relations file; the records are copied once.
-    ValueError when the planes do not have E(E-1) columns for the E
+    """The bytes of a relations file; the runs are copied once.
+    ValueError when the runs do not have E(E-1) columns for the E
     entities of the table."""
     pairs = len(ids) * (len(ids) - 1)
-    if records.distance_m.shape[1] != pairs:
-        raise ValueError(f"relation planes of shape {records.distance_m.shape} do not "
+    if len(records.counts) != pairs:
+        raise ValueError(f"relation runs of {len(records.counts)} columns do not "
                          f"hold {pairs} pairs per frame for {len(ids)} entities")
-    prefix = (RELATIONS_MAGIC + struct.pack("<HHHH", FORMAT_VERSION, fps, len(ids), 0)
-              + _pack_entity_table(ids, kinds, names))
-    planes = (np.ascontiguousarray(plane, dtype).view(np.uint8).ravel()
-              for plane, dtype in zip(records.planes(), RelationPlanes.DTYPES))
-    return np.concatenate((np.frombuffer(prefix, np.uint8), *planes)).data
+    return _runs_bytes(RELATIONS_MAGIC, fps, records.frames, ids, kinds, names,
+                       records.counts, records.planes(), RelationRuns.DTYPES)
 
 
 def parse_relations(buf: bytes):
     """-> (fps, (ids, kinds, names), RelationPlanes) of a relations file's
-    bytes; the planes are views of `buf`, not copies."""
-    (fps, _, _), table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "<HHHH",
-                                               "relations")
+    bytes."""
+    fps, frames, table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "relations")
     entities = len(table[0])
     pairs, payload = entities * (entities - 1), len(buf) - offset
     if not pairs and payload:
         raise CorruptCorpus(f"record payload of {payload} bytes for {entities} "
                             f"entities, which make no pair")
-    if pairs and payload % (_RECORD_BYTES * pairs):
-        raise CorruptCorpus(f"record payload of {payload} bytes is not a whole number "
-                            f"of {_RECORD_BYTES * pairs}-byte frames")
-    frames = payload // (_RECORD_BYTES * pairs) if pairs else 0
-    planes = []
-    for dtype in RelationPlanes.DTYPES:
-        planes.append(np.frombuffer(buf, dtype, frames * pairs, offset).reshape(
-            frames, pairs))
-        offset += frames * pairs * dtype.itemsize
-    return fps, table, RelationPlanes(*planes)
+    counts, planes = _parse_runs(buf, offset, pairs, frames, RelationRuns.DTYPES, "pair")
+    return fps, table, RelationRuns(frames, counts, *planes).dense()
+
+
+# a pose run: start frame, then x, y, z and yaw_deg
+_POSE_DTYPES = (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4
 
 
 def framelog_bytes(log: FrameLog) -> memoryview:
@@ -141,32 +228,25 @@ def framelog_bytes(log: FrameLog) -> memoryview:
     if CAMERA_ID not in log.entity_ids:
         raise ValueError(f"entity ids {tuple(log.entity_ids)} lack the camera's "
                          f"id {CAMERA_ID}")
-    prefix = (FRAMELOG_MAGIC + struct.pack("<HHHHI", FORMAT_VERSION, log.fps,
-                                           log.entity_count, 0, log.frame_count)
-              + _pack_entity_table(log.entity_ids, log.entity_kinds, log.entity_names))
-    buf = np.empty(len(prefix) + log.frame_count * log.entity_count * 4 * 8, np.uint8)
-    buf[:len(prefix)] = np.frombuffer(prefix, np.uint8)
-    poses = buf[len(prefix):].view("<f8").reshape(log.frame_count, log.entity_count, 4)
-    poses[:, :, :3] = log.positions
-    poses[:, :, 3] = log.yaws
-    return buf.data
+    entity, frame = np.nonzero(log.pose_changes().T)
+    counts = np.bincount(entity, minlength=log.entity_count)
+    poses = (log.positions[frame, entity, axis] for axis in range(3))
+    return _runs_bytes(FRAMELOG_MAGIC, log.fps, log.frame_count, log.entity_ids,
+                       log.entity_kinds, log.entity_names, counts,
+                       (frame, *poses, log.yaws[frame, entity]), _POSE_DTYPES)
 
 
 def parse_framelog(buf: bytes) -> FrameLog:
     """The FrameLog of a framelog file's bytes."""
-    (fps, entity_count, _, frame_count), (ids, kinds, names), offset = _parse_prefix(
-        buf, FRAMELOG_MAGIC, "<HHHHI", "framelog")
+    fps, frames, (ids, kinds, names), offset = _parse_prefix(buf, FRAMELOG_MAGIC,
+                                                             "framelog")
     if CAMERA_ID not in ids:
         raise CorruptCorpus(f"entity table lacks the camera's id {CAMERA_ID}")
-    expect = frame_count * entity_count * 4 * 8
-    if len(buf) - offset != expect:
-        raise CorruptCorpus(
-            f"pose payload is {len(buf) - offset} bytes, expected {expect}")
-    poses = np.frombuffer(buf, dtype="<f8", offset=offset).reshape(
-        frame_count, entity_count, 4).copy()
+    counts, planes = _parse_runs(buf, offset, len(ids), frames, _POSE_DTYPES, "entity")
+    x, y, z, yaws = expand_runs(counts, planes, frames)
     return FrameLog(
-        positions=poses[:, :, :3],
-        yaws=poses[:, :, 3],
+        positions=np.stack((x, y, z), axis=2),
+        yaws=yaws,
         fps=fps,
         entity_ids=ids,
         entity_kinds=kinds,
@@ -174,7 +254,7 @@ def parse_framelog(buf: bytes) -> FrameLog:
     )
 
 
-def write_relations(path, records: RelationPlanes, fps: int, ids, kinds, names):
+def write_relations(path, records: RelationRuns, fps: int, ids, kinds, names):
     Path(path).write_bytes(relations_bytes(records, fps, ids, kinds, names))
 
 

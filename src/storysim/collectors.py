@@ -15,6 +15,11 @@ records in (frame, a, b) order over sorted ids, so a record's key is
 implied by its position.  Pairs closer than 1e-9 m get a zeroed record
 instead of being dropped, which keeps the per-frame record count at
 E * (E - 1): a record is coincident exactly when its distance is 0.
+
+The collector computes a record only where a pose changed and returns
+each pair's records as change runs (RelationRuns), the form the
+relations file stores; RelationRuns.dense() expands them into the
+planes (RelationPlanes).
 """
 
 from __future__ import annotations
@@ -90,19 +95,76 @@ class RelationPlanes:
         return self.distance_m.size
 
 
-# Records per chunk of collect_story_relations, whatever the entity count.
-# Its temporaries are (pairs, frames), so each row spans a chunk's frames;
-# about ten float64 ones of 256 KiB then fit a few MiB of cache.
-_CHUNK_RECORDS = 1 << 15
+@dataclass(frozen=True)
+class RelationRuns:
+    """The spatial records of one story as change runs.  Each column of
+    RelationPlanes (an ordered pair) is cut into maximal runs of frames
+    over which its record is bitwise equal; a run is its start frame and
+    its record.  `counts` holds each column's run count, and the run
+    planes hold every run, column-major and in frame order within a
+    column.  len() is the record count of the dense planes."""
+    frames: int
+    counts: np.ndarray  # u4, one per column
+    starts: np.ndarray  # u4
+    distance_m: np.ndarray  # f4
+    azimuth_deg: np.ndarray  # f4
+    elevation_deg: np.ndarray  # f4
+    compass: np.ndarray  # u1
+    # the run planes' dtypes in file order: 17 bytes per run
+    DTYPES: ClassVar[tuple[np.dtype, ...]] = (np.dtype("<u4"),) + RelationPlanes.DTYPES
+
+    def __post_init__(self):
+        runs = int(self.counts.sum())
+        lengths = [len(plane) for plane in self.planes()]
+        if lengths != [runs] * len(lengths):
+            raise ValueError(f"run planes of lengths {lengths} for {runs} runs")
+
+    def planes(self) -> tuple[np.ndarray, ...]:
+        """The run planes in file order: starts, then the record planes."""
+        return (self.starts, self.distance_m, self.azimuth_deg, self.elevation_deg,
+                self.compass)
+
+    def __len__(self) -> int:
+        return self.frames * len(self.counts)
+
+    def dense(self) -> RelationPlanes:
+        """The (frames, columns) planes that the runs encode."""
+        return RelationPlanes(*expand_runs(self.counts, self.planes(), self.frames))
+
+
+def expand_runs(counts: np.ndarray, planes, frames: int) -> list[np.ndarray]:
+    """The C-contiguous (frames, len(counts)) array of each value plane of
+    runs stored column-major, given as [starts, *value planes]; each
+    column's runs start at frame 0 and strictly increase, and each lasts
+    until the next start or the last frame."""
+    starts = planes[0]
+    ends = np.empty(len(starts), np.int64)
+    ends[:-1] = starts[1:]
+    ends[np.cumsum(counts, dtype=np.int64)[counts > 0] - 1] = frames
+    lengths = ends - starts
+    return [np.repeat(plane, lengths).reshape(len(counts), frames).T.copy()
+            for plane in planes[1:]]
+
+
+# Unordered (pair, frame) cells per chunk of collect_story_relations: its
+# temporaries, about ten float64 arrays over both directions of 8 Ki cells
+# (128 KiB each), then fit a few MiB of cache.
+_CHUNK_CELLS = 1 << 13
 _COMPASS_EDGES = (45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
 
 
-def collect_story_relations(log: FrameLog) -> RelationPlanes:
+def collect_story_relations(log: FrameLog) -> RelationRuns:
     """Vectorized per-story collection, each record computed as
     compute_pair_relation computes one pair.  Its `%` and `//` are done
     with compares and adds, which give the same bits only for yaws in
     [-180, 180], the range the simulator writes; other yaws raise
     ValueError.
+
+    A record is computed only at frame 0 and where either entity of its
+    pair has a pose that changed since the frame before
+    (FrameLog.pose_changes): elsewhere its inputs, and so its bits,
+    repeat.  Computed records that equal the one before them in their
+    column are then merged into its run.
 
     Each unordered pair {a, b} is gathered once, and its two directions'
     deltas are two subtractions, so a zero keeps the sign that direction
@@ -116,51 +178,56 @@ def collect_story_relations(log: FrameLog) -> RelationPlanes:
     ids = sorted(log.entity_ids)
     n, frames = len(ids), log.frame_count
     n_pairs = n * (n - 1)
-    out = RelationPlanes(*(np.empty((frames, n_pairs), dtype)
-                           for dtype in RelationPlanes.DTYPES))
-    if not n_pairs:
-        return out
     idx = np.array([log.index_of(e) for e in ids], dtype=np.intp)
     first, second = np.triu_indices(n, 1)
     half = len(first)
-    # the row of each ordered pair in the (forward, reverse) halves of
-    # the (pairs, frames) temporaries
+    # the row of each ordered pair in the (forward, reverse) halves
     row_of = np.empty((n, n), dtype=np.intp)
     row_of[first, second] = np.arange(half)
     row_of[second, first] = np.arange(half, n_pairs)
     order = row_of[np.nonzero(~np.eye(n, dtype=bool))]
-    undirected = order % half
-    # each unordered pair's entities, [first; second]: the forward
-    # direction's observers, then the reverse direction's
-    ends = np.concatenate((idx[first], idx[second]))
 
-    # entity-major, so that a gather copies whole runs of frames
-    x, y, z = np.ascontiguousarray(np.moveaxis(log.positions, (1, 2), (1, 0)))
-    yaws = np.ascontiguousarray(log.yaws.T)
-    step = max(1, _CHUNK_RECORDS // n_pairs)
+    # the computed cells, unordered-pair-major and in frame order within
+    # a pair, and each cell's two entities as flat entity-major indices
+    moved = log.pose_changes().T[idx]
+    pair, frame = np.nonzero(moved[first] | moved[second])
+    cells = len(pair)
+    ends = np.concatenate((idx[first][pair], idx[second][pair]))
+    ends *= frames
+    ends += np.concatenate((frame, frame))
+
+    x, y, z = np.ascontiguousarray(np.moveaxis(log.positions, (1, 2), (1, 0))).reshape(
+        3, -1)
+    yaws = np.ascontiguousarray(log.yaws.T).ravel()
+    # forward cells, then reverse cells; the distance serves both
+    dist_out = np.empty(cells, np.float32)
+    azimuth_out, elevation_out = np.empty((2, 2 * cells), np.float32)
+    compass_out = np.empty(2 * cells, np.uint8)
     # a coincident pair divides by a zero distance; its record is zeroed
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, frames, step):
-            cols = slice(lo, min(lo + step, frames))
-            dx, dy, dz = (_both_ways(c[ends, cols], half) for c in (x, y, z))
+        for lo in range(0, cells, _CHUNK_CELLS):
+            hi = min(lo + _CHUNK_CELLS, cells)
+            m = hi - lo
+            gather = np.concatenate((ends[lo:hi], ends[cells + lo:cells + hi]))
+            dx, dy, dz = (_both_ways(c[gather], m) for c in (x, y, z))
             # same operation order as compute_pair_relation
-            dist = np.multiply(dx[:half], dx[:half])
-            dist += dy[:half] * dy[:half]
-            dist += dz[:half] * dz[:half]
+            dist = np.multiply(dx[:m], dx[:m])
+            dist += dy[:m] * dy[:m]
+            dist += dz[:m] * dz[:m]
             np.sqrt(dist, out=dist)
             bearing = np.degrees(np.arctan2(dx, dy))
 
             # (yaw - bearing) % 360.0 for a difference in [-360, 360], then
             # into (-180, 180]; a zero of either sign goes round to 360.0
             # and back to +0.0, as -0.0 % 360.0 is +0.0
-            azimuth = np.subtract(yaws[ends, cols], bearing)
+            azimuth = np.subtract(yaws[gather], bearing)
             np.add(azimuth, 360.0, out=azimuth, where=azimuth <= 0.0)
             np.subtract(azimuth, 360.0, out=azimuth, where=azimuth > 180.0)
 
-            elevation = np.divide(dz[:half], dist, out=dx[:half])
+            elevation = np.divide(dz[:m], dist, out=dx[:m])
             np.clip(elevation, -1.0, 1.0, out=elevation)
             np.degrees(np.arcsin(elevation, out=elevation), out=elevation)
-            np.copysign(elevation, dz[half:], out=dx[half:])
+            np.copysign(elevation, dz[m:], out=dx[m:])
             elevation = dx
 
             # (bearing + 22.5) % 360.0 // 45.0 as the count of bin edges
@@ -177,11 +244,12 @@ def collect_story_relations(log: FrameLog) -> RelationPlanes:
                 dist[coincident] = 0.0
                 coincident = np.concatenate((coincident, coincident))
                 azimuth[coincident] = elevation[coincident] = compass[coincident] = 0
-            out.distance_m[cols] = dist[undirected].T
-            out.azimuth_deg[cols] = azimuth[order].T
-            out.elevation_deg[cols] = elevation[order].T
-            out.compass[cols] = compass[order].T
-    return out
+            dist_out[lo:hi] = dist
+            for out, plane in ((azimuth_out, azimuth), (elevation_out, elevation),
+                               (compass_out, compass)):
+                out[lo:hi], out[cells + lo:cells + hi] = plane[:m], plane[m:]
+    return _merged_runs(frames, order, half, pair, frame, dist_out, azimuth_out,
+                        elevation_out, compass_out)
 
 
 def _both_ways(ends: np.ndarray, half: int) -> np.ndarray:
@@ -191,6 +259,36 @@ def _both_ways(ends: np.ndarray, half: int) -> np.ndarray:
     np.subtract(b, a, out=out[:half])
     np.subtract(a, b, out=out[half:])
     return out
+
+
+def _merged_runs(frames: int, order: np.ndarray, half: int, pair: np.ndarray,
+                 frame: np.ndarray, distance: np.ndarray, *directed: np.ndarray
+                 ) -> RelationRuns:
+    """RelationRuns of the computed cells.  Column k holds the cells of
+    unordered pair `order[k] % half`, read from the forward or the
+    reverse half of each `directed` plane as `order[k]` says; a cell that
+    equals the cell before it in its column joins that cell's run."""
+    cells = len(pair)
+    per_pair = np.bincount(pair, minlength=half)
+    undirected = order % half
+    lengths = per_pair[undirected]
+    first = np.cumsum(lengths) - lengths
+    start_of_pair = np.cumsum(per_pair) - per_pair
+    # each column cell's unordered cell, and its index in the directed planes
+    ucell = np.arange(2 * cells) + np.repeat(start_of_pair[undirected] - first, lengths)
+    cell = ucell + np.repeat(np.where(order >= half, cells, 0), lengths)
+    planes = [distance[ucell], *(plane[cell] for plane in directed)]
+    changed = np.ones(2 * cells, dtype=bool)
+    for plane in planes:
+        bits = plane.view(f"u{plane.dtype.itemsize}")
+        changed[1:] &= bits[1:] == bits[:-1]
+    np.logical_not(changed[1:], out=changed[1:])
+    changed[first[lengths > 0]] = True
+    kept = np.flatnonzero(changed)
+    counts = np.diff(np.searchsorted(kept, first + lengths), prepend=0)
+    return RelationRuns(frames, counts.astype(np.uint32),
+                        frame[ucell[kept]].astype(np.uint32),
+                        *(plane[kept] for plane in planes))
 
 
 def collect_event_mappings(timeline: EventTimeline, graph: GestGraph) -> list[dict]:

@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import binio
 from .allen import relation_between
 from .collectors import (collect_event_mappings, collect_story_relations,
@@ -478,14 +480,17 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
         return True
     picks = [rng.randrange(len(records)) for _ in range(samples)]
     values = (plane.reshape(-1)[picks].tolist() for plane in records.planes())
-    for p, distance, azimuth, elevation, compass in zip(picks, *values):
-        f, pair = divmod(p, pairs)
-        i, j = divmod(pair, len(ids) - 1)
-        a, b = ids[i], ids[j + (j >= i)]
-        ia, ib = log.index_of(a), log.index_of(b)
-        pose_a = log.positions[f, ia].tolist(), log.yaws[f, ia].item()
-        pose_b = log.positions[f, ib].tolist(), log.yaws[f, ib].item()
-        pr = compute_pair_relation(pose_a, pose_b)
+    frame, pair = np.divmod(picks, pairs)
+    i, j = np.divmod(pair, len(ids) - 1)
+    j += j >= i
+    # the x, y, z and yaw of each pick's a, then of each pick's b
+    column = np.array([log.index_of(e) for e in ids], dtype=np.intp)
+    at = np.concatenate((frame, frame)), column[np.concatenate((i, j))]
+    poses = np.column_stack((log.positions[at], log.yaws[at])).tolist()
+    keys = zip(frame.tolist(), np.take(ids, i).tolist(), np.take(ids, j).tolist())
+    for (f, a, b), pose_a, pose_b, distance, azimuth, elevation, compass in zip(
+            keys, poses, poses[samples:], *values):
+        pr = compute_pair_relation((pose_a[:3], pose_a[3]), (pose_b[:3], pose_b[3]))
         if (abs(pr.distance_m - distance) > 1e-5
                 or abs(pr.azimuth_deg - azimuth) > 1e-5
                 or abs(pr.elevation_deg - elevation) > 1e-5

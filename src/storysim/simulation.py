@@ -91,6 +91,19 @@ class FrameLog:
     def index_of(self, entity_id: int) -> int:
         return self._index[entity_id]
 
+    def pose_changes(self) -> np.ndarray:
+        """(frames, entities) bool: true at frame 0 and wherever an
+        entity's x, y, z or yaw differs from the frame before, compared
+        as bits, so a flip between 0.0 and -0.0 is a change."""
+        positions = np.asarray(self.positions, np.float64).view(np.int64)
+        yaws = np.asarray(self.yaws, np.float64).view(np.int64)
+        out = np.ones(yaws.shape, dtype=bool)
+        np.not_equal(yaws[1:], yaws[:-1], out=out[1:])
+        moved = positions[1:] != positions[:-1]
+        for axis in range(3):  # faster than any() over an axis of 3
+            out[1:] |= moved[..., axis]
+        return out
+
 
 def bearing_deg(dx: float, dy: float) -> float:
     """Compass bearing of the horizontal vector (dx, dy); 0 = North."""

@@ -11,6 +11,10 @@ numpy_run_camera, the numpy per-frame camera loop that the whole-story
 one replaced, shares bearing_deg; and numpy_collect_story_relations, the
 remainder-and-floor-divide collector that the compare-and-add one
 replaced, keeps the keyed 22-byte rows that the planes replaced; and
+dense_collect_story_relations, the collector that computed every record
+of every frame before the change-run one replaced it, shares _both_ways
+and the compass edges and keeps its ufunc sequence and the dense planes,
+and runs_of cuts such planes into the change runs the files store; and
 closure_schedule, the schedule that pruned its backtracking over
 non-convex edges with path consistency, shares the STN and the closure
 that the STN search replaced; and per_clip_labels, the labeller that
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from storysim.collectors import (COINCIDENT_EPS, COMPASS_NAMES, compass_bin,
+from storysim.collectors import (_COMPASS_EDGES, COINCIDENT_EPS, COMPASS_NAMES,
+                                 RelationPlanes, RelationRuns, _both_ways, compass_bin,
                                  compute_pair_relation)
 from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
@@ -253,6 +258,116 @@ def numpy_collect_story_relations(log, chunk_frames: int = 1024) -> np.ndarray:
         rows["compass"] = np.where(coincident, 0, compass).ravel()
         rows["flags"] = np.where(coincident, FLAG_COINCIDENT, 0).astype(np.uint8).ravel()
     return out
+
+
+# Records per chunk of dense_collect_story_relations, whatever the entity count.
+# Its temporaries are (pairs, frames), so each row spans a chunk's frames;
+# about ten float64 ones of 256 KiB then fit a few MiB of cache.
+_CHUNK_RECORDS = 1 << 15
+
+
+def dense_collect_story_relations(log) -> RelationPlanes:
+    """Vectorized per-story collection, each record computed as
+    compute_pair_relation computes one pair.  Its `%` and `//` are done
+    with compares and adds, which give the same bits only for yaws in
+    [-180, 180], the range the simulator writes; other yaws raise
+    ValueError.
+
+    Each unordered pair {a, b} is gathered once, and its two directions'
+    deltas are two subtractions, so a zero keeps the sign that direction
+    gives.  The distance and the magnitude of the elevation (asin is odd)
+    serve both directions; each direction's own dz signs its elevation.
+    The bearing and all that follows from it run per direction, as the
+    reverse bearing is not bitwise bearing +- 180.
+    """
+    if (np.abs(log.yaws) > 180.0).any():
+        raise ValueError("yaws must lie in [-180, 180] degrees")
+    ids = sorted(log.entity_ids)
+    n, frames = len(ids), log.frame_count
+    n_pairs = n * (n - 1)
+    out = RelationPlanes(*(np.empty((frames, n_pairs), dtype)
+                           for dtype in RelationPlanes.DTYPES))
+    if not n_pairs:
+        return out
+    idx = np.array([log.index_of(e) for e in ids], dtype=np.intp)
+    first, second = np.triu_indices(n, 1)
+    half = len(first)
+    # the row of each ordered pair in the (forward, reverse) halves of
+    # the (pairs, frames) temporaries
+    row_of = np.empty((n, n), dtype=np.intp)
+    row_of[first, second] = np.arange(half)
+    row_of[second, first] = np.arange(half, n_pairs)
+    order = row_of[np.nonzero(~np.eye(n, dtype=bool))]
+    undirected = order % half
+    # each unordered pair's entities, [first; second]: the forward
+    # direction's observers, then the reverse direction's
+    ends = np.concatenate((idx[first], idx[second]))
+
+    # entity-major, so that a gather copies whole runs of frames
+    x, y, z = np.ascontiguousarray(np.moveaxis(log.positions, (1, 2), (1, 0)))
+    yaws = np.ascontiguousarray(log.yaws.T)
+    step = max(1, _CHUNK_RECORDS // n_pairs)
+    # a coincident pair divides by a zero distance; its record is zeroed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, frames, step):
+            cols = slice(lo, min(lo + step, frames))
+            dx, dy, dz = (_both_ways(c[ends, cols], half) for c in (x, y, z))
+            # same operation order as compute_pair_relation
+            dist = np.multiply(dx[:half], dx[:half])
+            dist += dy[:half] * dy[:half]
+            dist += dz[:half] * dz[:half]
+            np.sqrt(dist, out=dist)
+            bearing = np.degrees(np.arctan2(dx, dy))
+
+            # (yaw - bearing) % 360.0 for a difference in [-360, 360], then
+            # into (-180, 180]; a zero of either sign goes round to 360.0
+            # and back to +0.0, as -0.0 % 360.0 is +0.0
+            azimuth = np.subtract(yaws[ends, cols], bearing)
+            np.add(azimuth, 360.0, out=azimuth, where=azimuth <= 0.0)
+            np.subtract(azimuth, 360.0, out=azimuth, where=azimuth > 180.0)
+
+            elevation = np.divide(dz[:half], dist, out=dx[:half])
+            np.clip(elevation, -1.0, 1.0, out=elevation)
+            np.degrees(np.arcsin(elevation, out=elevation), out=elevation)
+            np.copysign(elevation, dz[half:], out=dx[half:])
+            elevation = dx
+
+            # (bearing + 22.5) % 360.0 // 45.0 as the count of bin edges
+            # passed, which is exact where a division by 45 is not; the
+            # 360.0 of a bearing a few ulps below -22.5 passes 7: NW
+            shifted = np.add(bearing, 22.5, out=bearing)
+            np.add(shifted, 360.0, out=shifted, where=shifted < 0.0)
+            compass = (shifted >= _COMPASS_EDGES[0]).view(np.uint8)
+            for edge in _COMPASS_EDGES[1:]:
+                compass += shifted >= edge
+
+            coincident = dist < COINCIDENT_EPS
+            if coincident.any():
+                dist[coincident] = 0.0
+                coincident = np.concatenate((coincident, coincident))
+                azimuth[coincident] = elevation[coincident] = compass[coincident] = 0
+            out.distance_m[cols] = dist[undirected].T
+            out.azimuth_deg[cols] = azimuth[order].T
+            out.elevation_deg[cols] = elevation[order].T
+            out.compass[cols] = compass[order].T
+    return out
+
+
+def runs_of(records: RelationPlanes) -> RelationRuns:
+    """The RelationRuns of dense planes, found from the planes alone: a
+    column's run starts at frame 0 and wherever any plane's bits differ
+    from the frame before."""
+    frames, columns = records.distance_m.shape
+    planes = [np.ascontiguousarray(plane.T) for plane in records.planes()]
+    starts = np.zeros((columns, frames), dtype=bool)
+    starts[:, :1] = True
+    for plane in planes:
+        bits = plane.view(f"u{plane.dtype.itemsize}")
+        starts[:, 1:] |= bits[:, 1:] != bits[:, :-1]
+    column, frame = np.nonzero(starts)
+    counts = np.bincount(column, minlength=columns).astype(np.uint32)
+    return RelationRuns(frames, counts, frame.astype(np.uint32),
+                        *(plane[column, frame] for plane in planes))
 
 
 _BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask

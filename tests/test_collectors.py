@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storysim import binio
 from storysim.binio import (
     FORMAT_VERSION,
+    FRAMELOG_MAGIC,
     RELATIONS_MAGIC,
     framelog_bytes,
     parse_framelog,
@@ -24,6 +28,7 @@ from storysim.binio import (
 from storysim.collectors import (
     COMPASS_NAMES,
     RelationPlanes,
+    RelationRuns,
     collect_event_mappings,
     collect_story_relations,
     compass_bin,
@@ -36,7 +41,8 @@ from storysim.pipeline import build_story, CorpusConfig
 from storysim.procgen import GenConfig
 from storysim.simulation import FrameLog
 
-from _oracles import FLAG_COINCIDENT, collect_frame, numpy_collect_story_relations
+from _oracles import (FLAG_COINCIDENT, collect_frame, dense_collect_story_relations,
+                      numpy_collect_story_relations, runs_of)
 
 
 def pose(x, y, z=0.0, yaw=0.0):
@@ -99,7 +105,7 @@ def test_bearing_ulps_below_the_nw_edge_is_nw_in_both_routes():
     log = FrameLog(positions=positions, yaws=np.zeros((1, 2)), fps=25,
                    entity_ids=(0, 1), entity_kinds=(EntityKind.CAMERA, EntityKind.ACTOR),
                    entity_names=("camera", "Anna"))
-    assert collect_story_relations(log).compass[0, 0] == COMPASS_NAMES.index("NW")
+    assert collect_story_relations(log).dense().compass[0, 0] == COMPASS_NAMES.index("NW")
 
 
 def test_azimuth_sign_is_positive_left():
@@ -147,12 +153,12 @@ def test_compass_opposition_off_bin_edges():
 PLANES = ("distance_m", "azimuth_deg", "elevation_deg", "compass")
 
 
-def _first_frames(records: RelationPlanes, frames: int) -> RelationPlanes:
-    return RelationPlanes(*(plane[:frames] for plane in records.planes()))
+def _first_frames(log: FrameLog, frames: int) -> FrameLog:
+    return replace(log, positions=log.positions[:frames], yaws=log.yaws[:frames])
 
 
 def test_records_are_13_bytes_in_four_planes(log):
-    records = collect_story_relations(log)
+    records = collect_story_relations(log).dense()
     e = log.entity_count
     assert [p.dtype for p in records.planes()] == [np.dtype(t) for t in
                                                     ("<f4", "<f4", "<f4", "u1")]
@@ -167,6 +173,7 @@ def test_record_count_and_ordering(log):
     records = collect_story_relations(log)
     e = log.entity_count
     assert len(records) == log.frame_count * e * (e - 1)
+    records = records.dense()
     # column k of a frame's row is the k-th ordered pair over sorted ids
     ids = sorted(log.entity_ids)
     pairs = [(a, b) for a in ids for b in ids if a != b]
@@ -179,7 +186,7 @@ def test_record_count_and_ordering(log):
 
 
 def test_vectorized_matches_scalar_route(log):
-    records = collect_story_relations(log)
+    records = collect_story_relations(log).dense()
     rng = random.Random(13)
     for frame in rng.sample(range(log.frame_count), 5):
         scalar = collect_frame(log, frame)
@@ -196,7 +203,7 @@ def test_vectorized_matches_scalar_route(log):
 def _assert_equals_the_numpy_route(log):
     """Each plane equals the reference's field bitwise, and distance 0
     marks exactly the records the reference flags coincident."""
-    records, rows = collect_story_relations(log), numpy_collect_story_relations(log)
+    records, rows = collect_story_relations(log).dense(), numpy_collect_story_relations(log)
     for name in PLANES:
         assert getattr(records, name).tobytes() == rows[name].tobytes(), name
     assert np.array_equal(records.distance_m.ravel() == 0.0,
@@ -205,12 +212,15 @@ def _assert_equals_the_numpy_route(log):
 
 @pytest.fixture(scope="module")
 def dense_logs():
-    cfg = CorpusConfig(gen=GenConfig(
-        master_seed=7, actors_min_max=(6, 6), max_actors_per_region=6,
-        regions_to_visit=3, relation_prob=1.0, interaction_prob=0.6,
-        exchange_prob=0.3))
     registry = build_default_registry()
-    return [build_story(cfg, registry, index)[2] for index in range(3)]
+    logs = []
+    for seed in (7, 11):
+        cfg = CorpusConfig(gen=GenConfig(
+            master_seed=seed, actors_min_max=(6, 6), max_actors_per_region=6,
+            regions_to_visit=3, relation_prob=1.0, interaction_prob=0.6,
+            exchange_prob=0.3))
+        logs += [build_story(cfg, registry, index)[2] for index in range(3)]
+    return logs
 
 
 def test_collector_matches_the_numpy_remainder_route_on_dense_stories(dense_logs):
@@ -273,6 +283,91 @@ def test_collector_matches_the_numpy_remainder_route_on_edge_cases(log):
     _assert_equals_the_numpy_route(log)
 
 
+def _assert_equals_the_dense_kernel(log):
+    """dense() equals the planes of the kernel that computed every record
+    bitwise, and the runs are exactly the change runs of those planes."""
+    runs, planes = collect_story_relations(log), dense_collect_story_relations(log)
+    assert len(runs) == len(planes)
+    for name, got, want in zip(PLANES, runs.dense().planes(), planes.planes()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    cut = runs_of(planes)
+    assert runs.frames == cut.frames == log.frame_count
+    assert runs.counts.dtype == cut.counts.dtype
+    assert runs.counts.tobytes() == cut.counts.tobytes()
+    for got, want in zip(runs.planes(), cut.planes()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_runs_expand_to_the_dense_kernel_on_dense_stories(dense_logs):
+    for log in dense_logs:
+        _assert_equals_the_dense_kernel(log)
+
+
+@st.composite
+def _moving_logs(draw):
+    """Logs of up to 6 frames that start as a _frame_logs frame.  At each
+    later frame every entity, or only one chosen entity, stays still,
+    moves next to another entity, turns, flips the sign of its zeros or
+    joins another entity's position."""
+    first = draw(_frame_logs())
+    n, frames = first.entity_count, draw(st.integers(1, 6))
+    positions, yaws = np.empty((frames, n, 3)), np.empty((frames, n))
+    positions[0], yaws[0] = first.positions[0], first.yaws[0]
+    movers = draw(st.sampled_from((range(n),) + tuple((e,) for e in range(n))))
+    for f in range(1, frames):
+        positions[f], yaws[f] = positions[f - 1], yaws[f - 1]
+        for e in movers:
+            other = draw(st.integers(0, n - 1))
+            step = draw(st.sampled_from(("still", "move", "turn", "flip", "join")))
+            if step == "move":
+                delta = draw(st.one_of(_free_delta, _edge_delta))
+                positions[f, e] = np.add(positions[f, other], delta)
+            elif step == "turn":
+                yaws[f, e] = draw(_yaw)
+            elif step == "flip":
+                positions[f, e] = np.where(positions[f, e] == 0.0, -positions[f, e],
+                                           positions[f, e])
+                yaws[f, e] = -yaws[f, e] if yaws[f, e] == 0.0 else yaws[f, e]
+            elif step == "join":
+                positions[f, e] = positions[f, other]
+    return replace(first, positions=positions, yaws=yaws)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_moving_logs())
+def test_runs_expand_to_the_dense_kernel_on_edge_cases(log):
+    _assert_equals_the_dense_kernel(log)
+
+
+def _three_entities(frames: int) -> FrameLog:
+    positions = np.zeros((frames, 3, 3))
+    positions[:, 1] = (0.0, 5.0, 0.0)
+    positions[:, 2] = (3.0, 4.0, 0.0)
+    return FrameLog(positions=positions, yaws=np.zeros((frames, 3)), fps=25,
+                    entity_ids=(0, 1, 2),
+                    entity_kinds=(EntityKind.CAMERA, EntityKind.ACTOR, EntityKind.OBJECT),
+                    entity_names=("camera", "Anna", "cup"))
+
+
+def test_only_the_pairs_of_a_moving_entity_change():
+    log = _three_entities(40)
+    log.positions[:, 2, 0] += np.arange(40)
+    runs = collect_story_relations(log)
+    # columns (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
+    assert runs.counts.tolist() == [1, 40, 1, 40, 40, 40]
+    assert len(runs) == 40 * 6
+    _assert_equals_the_dense_kernel(log)
+
+
+def test_a_signed_zero_flip_is_a_pose_change():
+    log = _three_entities(3)
+    log.positions[1, 1, 0] = -0.0
+    log.yaws[2, 2] = -0.0
+    assert log.pose_changes().tolist() == [[True] * 3, [False, True, False],
+                                           [False, True, True]]
+    _assert_equals_the_dense_kernel(log)
+
+
 def test_collector_rejects_yaws_outside_its_exact_range():
     log = FrameLog(positions=np.zeros((1, 2, 3)), yaws=np.array([[0.0, 180.5]]),
                    fps=25, entity_ids=(0, 1),
@@ -310,22 +405,73 @@ def test_relations_file_round_trip(tmp_path, log):
     assert ids == log.entity_ids
     assert kinds == log.entity_kinds
     assert names == log.entity_names
+    records = records.dense()
     for name in PLANES:
         assert getattr(loaded, name).tobytes() == getattr(records, name).tobytes()
 
 
-def test_relations_file_is_header_table_and_13_bytes_per_record(log):
-    records = collect_story_relations(log)
+def _payload_offset(raw: bytes) -> int:
+    """Where the run counts start: after the 16-byte header and the table."""
+    (entities,) = struct.unpack_from("<H", raw, 8)
+    offset = 16
+    for _ in range(entities):
+        offset += 4 + raw[offset + 3]
+    return offset
+
+
+def test_relations_file_is_header_table_counts_and_17_bytes_per_run(log):
+    runs = collect_story_relations(log)
+    raw = bytes(_relations_file(log))
+    e = log.entity_count
     table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
-    assert len(_relations_file(log)) == 12 + table + 13 * len(records)
+    assert FORMAT_VERSION == 3
+    assert struct.unpack_from("<4sHHHHI", raw) == (RELATIONS_MAGIC, 3, log.fps, e, 0,
+                                                   log.frame_count)
+    assert _payload_offset(raw) == 16 + table
+    counts = np.frombuffer(raw, "<u4", e * (e - 1), 16 + table)
+    assert counts.tobytes() == runs.counts.tobytes()
+    # a still entity's pairs repeat, so there are far fewer runs than records
+    assert len(runs.starts) == counts.sum() < len(runs) // 4
+    assert len(raw) == 16 + table + 4 * e * (e - 1) + 17 * int(counts.sum())
 
 
-def test_parse_relations_views_the_bytes_it_is_given(log):
-    buf = bytes(_relations_file(log))
-    _, _, records = parse_relations(buf)
+def test_framelog_file_is_header_table_counts_and_36_bytes_per_run(log):
+    raw = bytes(framelog_bytes(log))
+    e = log.entity_count
+    table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
+    assert struct.unpack_from("<4sHHHHI", raw) == (FRAMELOG_MAGIC, 3, log.fps, e, 0,
+                                                   log.frame_count)
+    # each entity's runs start at frame 0 and wherever its pose changed
+    changes = log.pose_changes().sum(axis=0)
+    counts = np.frombuffer(raw, "<u4", e, 16 + table)
+    assert counts.tolist() == changes.tolist()
+    assert len(raw) == 16 + table + 4 * e + 36 * int(changes.sum())
+
+
+def test_parse_relations_expands_the_run_planes_of_the_bytes(log):
+    # the counts, then every start, then each record plane over the runs
+    raw = bytes(_relations_file(log))
+    _, _, records = parse_relations(raw)
+    frames, pairs = log.frame_count, log.entity_count * (log.entity_count - 1)
+    offset = _payload_offset(raw)
+    counts = np.frombuffer(raw, "<u4", pairs, offset).tolist()
+    offset += 4 * pairs
+    planes = []
+    for dtype in RelationRuns.DTYPES:
+        planes.append(np.frombuffer(raw, dtype, sum(counts), offset))
+        offset += sum(counts) * dtype.itemsize
+    assert offset == len(raw)
+    starts, *values = planes
+    at = 0
+    for k, count in enumerate(counts):
+        column = slice(at, at + count)
+        lengths = np.diff(np.append(starts[column], frames))
+        for name, plane in zip(PLANES, values):
+            expanded = np.repeat(plane[column], lengths)
+            assert getattr(records, name)[:, k].tobytes() == expanded.tobytes(), (k, name)
+        at += count
     for plane in records.planes():
-        assert np.shares_memory(plane, np.frombuffer(buf, np.uint8))
-        assert plane.flags.c_contiguous and not plane.flags.writeable
+        assert plane.shape == (frames, pairs) and plane.flags.c_contiguous
 
 
 def test_framelog_file_round_trip(tmp_path, log):
@@ -337,14 +483,14 @@ def test_framelog_file_round_trip(tmp_path, log):
     assert np.array_equal(loaded.positions, log.positions)
     assert np.array_equal(loaded.yaws, log.yaws)
     # relations recompute bit-identically from the reloaded log
-    for again, first in zip(collect_story_relations(loaded).planes(),
-                            collect_story_relations(log).planes()):
+    for again, first in zip(collect_story_relations(loaded).dense().planes(),
+                            collect_story_relations(log).dense().planes()):
         assert again.tobytes() == first.tobytes()
 
 
 def test_read_rejects_bad_magic(tmp_path, log):
     path = tmp_path / "relations.bin"
-    write_relations(path, _first_frames(collect_story_relations(log), 1), log.fps,
+    write_relations(path, collect_story_relations(_first_frames(log, 1)), log.fps,
                     log.entity_ids, log.entity_kinds, log.entity_names)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
@@ -355,7 +501,7 @@ def test_read_rejects_bad_magic(tmp_path, log):
 
 def test_read_rejects_bad_version(tmp_path, log):
     path = tmp_path / "relations.bin"
-    write_relations(path, _first_frames(collect_story_relations(log), 1), log.fps,
+    write_relations(path, collect_story_relations(_first_frames(log, 1)), log.fps,
                     log.entity_ids, log.entity_kinds, log.entity_names)
     raw = bytearray(path.read_bytes())
     assert raw[:4] == RELATIONS_MAGIC
@@ -367,7 +513,7 @@ def test_read_rejects_bad_version(tmp_path, log):
 
 def test_read_rejects_truncated_payload(tmp_path, log):
     rel_path = tmp_path / "relations.bin"
-    write_relations(rel_path, _first_frames(collect_story_relations(log), 1), log.fps,
+    write_relations(rel_path, collect_story_relations(_first_frames(log, 1)), log.fps,
                     log.entity_ids, log.entity_kinds, log.entity_names)
     rel_path.write_bytes(rel_path.read_bytes()[:-3])
     with pytest.raises(CorruptCorpus):
@@ -380,14 +526,159 @@ def test_read_rejects_truncated_payload(tmp_path, log):
         read_framelog(fl_path)
 
 
-def test_a_payload_of_part_frames_is_refused(log):
-    # one whole record more than a frame, and a frame less three bytes
-    one_frame = bytes(relations_bytes(_first_frames(collect_story_relations(log), 1),
-                                      log.fps, log.entity_ids, log.entity_kinds,
-                                      log.entity_names))
-    for raw in (one_frame + one_frame[-13:], one_frame[:-3]):
-        with pytest.raises(CorruptCorpus, match="whole number of"):
-            parse_relations(raw)
+# each file kind: its writer, its parser, the dtypes of a run and the
+# column count of E entities
+_RUN_FILES = {
+    "framelog": (framelog_bytes, parse_framelog,
+                 (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4, lambda e: e),
+    "relations": (lambda log: _relations_file(log), parse_relations, RelationRuns.DTYPES,
+                  lambda e: e * (e - 1)),
+}
+
+
+def _edited_runs(kind: str, log: FrameLog, edit) -> bytes:
+    """The file of `log` with its counts and run planes (starts, then
+    values) split out as copies, passed to `edit`, and joined again."""
+    encode, _, dtypes, columns = _RUN_FILES[kind]
+    raw = bytes(encode(log))
+    offset = _payload_offset(raw)
+    counts = np.frombuffer(raw, "<u4", columns(log.entity_count), offset).copy()
+    at, runs, planes = offset + 4 * len(counts), int(counts.sum()), []
+    for dtype in dtypes:
+        planes.append(np.frombuffer(raw, dtype, runs, at).copy())
+        at += runs * dtype.itemsize
+    counts, planes = edit(counts, planes)
+    return (raw[:offset] + counts.astype("<u4").tobytes()
+            + b"".join(plane.tobytes() for plane in planes))
+
+
+def _first_run_of_a_changing_column(counts) -> int:
+    """The index of the first run of the first column with two runs."""
+    column = int(np.flatnonzero(counts >= 2)[0])
+    return int(counts[:column].sum())
+
+
+def _without_column_0(counts, planes):
+    dropped, counts[0] = counts[0], 0
+    return counts, [plane[dropped:] for plane in planes]
+
+
+def _column_0_from_frame_1(counts, planes):
+    planes[0][0] = 1
+    return counts, planes
+
+
+def _a_start_repeated(counts, planes):
+    at = _first_run_of_a_changing_column(counts)
+    planes[0][at + 1] = planes[0][at]
+    return counts, planes
+
+
+def _a_value_repeated(counts, planes):
+    at = _first_run_of_a_changing_column(counts)
+    for plane in planes[1:]:
+        plane[at + 1] = plane[at]
+    return counts, planes
+
+
+def _a_run_counted_twice(counts, planes):
+    counts[0] += 1
+    return counts, planes
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+@pytest.mark.parametrize("edit, refusal", [
+    pytest.param(_without_column_0, "column 0 has no run over {frames} frames",
+                 id="column-without-a-run"),
+    pytest.param(_column_0_from_frame_1, "column 0 starts at frame 1, not 0",
+                 id="first-start-not-0"),
+    pytest.param(_a_start_repeated, r"has a run at frame 0 after one at frame 0",
+                 id="starts-not-increasing"),
+    pytest.param(_a_value_repeated, r"repeats at frame \d+ the value of its run at frame 0",
+                 id="equal-neighbours"),
+    pytest.param(_a_run_counted_twice, "^run payload is .* bytes, expected",
+                 id="counts-past-the-payload"),
+])
+def test_each_run_rule_is_refused(log, kind, edit, refusal):
+    parse = _RUN_FILES[kind][1]
+    parse(_edited_runs(kind, log, lambda counts, planes: (counts, planes)))
+    with pytest.raises(CorruptCorpus, match=refusal.format(frames=log.frame_count)):
+        parse(_edited_runs(kind, log, edit))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_run_at_or_past_the_frame_count_is_refused(kind):
+    # the first column's last run starts at frame 3; then at 4 and at 5
+    log = _three_entities(4)
+    log.positions[3, :2] += ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
+    encode, parse, _, _ = _RUN_FILES[kind]
+    parse(bytes(encode(log)))
+
+    def at(frame):
+        def edit(counts, planes):
+            planes[0][counts[0] - 1] = frame
+            return counts, planes
+        return edit
+    assert parse(_edited_runs(kind, log, at(2)))  # any start inside the frames
+    for frame in (4, 5):
+        with pytest.raises(CorruptCorpus,
+                           match=f"column 0 has a run at frame {frame}, past its 4 frames"):
+            parse(_edited_runs(kind, log, at(frame)))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_nonzero_reserved_field_is_refused(log, kind):
+    # the reserved u16 follows the magic, version, fps and entity_count
+    encode, parse, _, _ = _RUN_FILES[kind]
+    raw = bytearray(encode(_first_frames(log, 1)))
+    assert raw[10:12] == bytes(2)
+    raw[10:12] = (1).to_bytes(2, "little")
+    with pytest.raises(CorruptCorpus, match="^reserved field is 1, not 0$"):
+        parse(bytes(raw))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_dense_planes_past_the_bound_are_refused_by_writer_and_reader(monkeypatch, kind):
+    # 4 frames of 3 entities pass a bound of exactly their dense bytes,
+    # and neither writer nor reader takes them past one byte less
+    log = _three_entities(4)
+    encode, parse, dtypes, columns = _RUN_FILES[kind]
+    size = 4 * columns(3) * sum(dtype.itemsize for dtype in dtypes[1:])
+    monkeypatch.setattr(binio, "MAX_DENSE_BYTES", size)
+    raw = bytes(encode(log))
+    parse(raw)
+    monkeypatch.setattr(binio, "MAX_DENSE_BYTES", size - 1)
+    refusal = (f"^4 frames of {columns(3)} columns expand to {size} bytes, "
+               f"past the bound of {size - 1}$")
+    with pytest.raises(ValueError, match=refusal):
+        encode(log)
+    with pytest.raises(CorruptCorpus, match=refusal):
+        parse(raw)
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_frame_count_past_the_dense_bound_is_refused_before_expanding(log, kind):
+    # one frame's runs under a header of 2**32 - 1 frames: a few hundred
+    # bytes that would expand to tens of gigabytes
+    encode, parse, _, _ = _RUN_FILES[kind]
+    raw = bytearray(encode(_first_frames(log, 1)))
+    raw[12:16] = (0xFFFFFFFF).to_bytes(4, "little")
+    with pytest.raises(CorruptCorpus, match=rf"^4294967295 frames of \d+ columns expand "
+                                            rf"to \d+ bytes, past the bound of "
+                                            rf"{binio.MAX_DENSE_BYTES}$"):
+        parse(bytes(raw))
+
+
+def test_a_payload_the_run_counts_do_not_fill_is_refused(log):
+    # one whole run more than the counts hold, a run less three bytes, and
+    # a stray byte, in each file
+    one_frame = _first_frames(log, 1)
+    for encode, parse, dtypes, _ in _RUN_FILES.values():
+        raw = bytes(encode(one_frame))
+        run = sum(dtype.itemsize for dtype in dtypes)
+        for damaged in (raw + raw[-run:], raw[:-3], raw + b"\0"):
+            with pytest.raises(CorruptCorpus, match="^run payload is"):
+                parse(damaged)
 
 
 @pytest.mark.parametrize("ids", [(), (0,)])
@@ -407,6 +698,10 @@ def test_relation_planes_that_the_table_does_not_fit_are_refused(log):
     with pytest.raises(ValueError, match="pairs per frame"):
         relations_bytes(records, log.fps, log.entity_ids[:-1], log.entity_kinds[:-1],
                         log.entity_names[:-1])
+    with pytest.raises(ValueError, match="run planes of lengths"):
+        RelationRuns(records.frames, records.counts, records.starts[:-1],
+                     *records.planes()[1:])
+    records = records.dense()
     with pytest.raises(ValueError, match="one 2-D shape"):
         RelationPlanes(records.distance_m, records.azimuth_deg, records.elevation_deg,
                        records.compass[:1])
@@ -425,6 +720,7 @@ def test_synthetic_log_small_counts():
                    entity_names=("camera", "Anna", "cup"))
     records = collect_story_relations(log)
     assert len(records) == 2 * 3 * 2
+    records = records.dense()
     # the first record is frame 0, pair (0, 1)
     assert records.distance_m[0, 0] == np.float32(5.0)
     assert COMPASS_NAMES[records.compass[0, 0]] == "N"

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import struct
 from collections import Counter
@@ -42,10 +43,12 @@ from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 from storysim.textgen import proto_text
 
+from _oracles import runs_of
+
 # corpus_digest of the seed-7, 8-story corpus of the default config and
 # bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
 # only in a change whose CHANGES.md says why the corpus bytes changed.
-GOLDEN_DIGEST = "436026be868bf78e777913f452a819db760408f64eca93c760493bc83d6268d9"
+GOLDEN_DIGEST = "748055433259a361cd819dcb4b7879fe114e2ec7a634344c9b53c9adeca61911"
 STORIES = 8
 
 CHECKS = ("manifest-hashes", "timeline-durations", "temporal-relations",
@@ -439,8 +442,8 @@ _zero_for_false_with_its_hash.rehashes = True
 def _frame_past_the_log(path):
     # the last frame's records written twice: a whole frame the log lacks
     fps, (ids, kinds, names), records = binio.read_relations(path)
-    binio.write_relations(path, RelationPlanes(*(
-        np.concatenate((plane, plane[-1:])) for plane in records.planes())),
+    binio.write_relations(path, runs_of(RelationPlanes(*(
+        np.concatenate((plane, plane[-1:])) for plane in records.planes()))),
         fps, ids, kinds, names)
 
 
@@ -619,8 +622,8 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
         replace(log, positions=log.positions[:0], yaws=log.yaws[:0]))))
     rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-        RelationPlanes(*(plane[:0] for plane in records.planes())), fps, ids, kinds,
-        names)))
+        runs_of(RelationPlanes(*(plane[:0] for plane in records.planes()))), fps, ids,
+        kinds, names)))
     report = verify(root)
     by_name = {c["name"]: c for c in report["checks"]}
     assert [n for n in CHECKS if not by_name[n]["ok"]] == ["spatial-records",
@@ -638,7 +641,7 @@ def _relations_renamed_and_rekinded(data: bytes) -> bytes:
     fps, (ids, kinds, names), records = binio.parse_relations(data)
     names = (names[0], "zzz") + names[2:]
     kinds = kinds[:2] + (EntityKind.POI,) + kinds[3:]
-    return bytes(binio.relations_bytes(records, fps, ids, kinds, names))
+    return bytes(binio.relations_bytes(runs_of(records), fps, ids, kinds, names))
 
 
 def _fps_30(data: bytes) -> bytes:
@@ -683,6 +686,78 @@ def test_a_version_1_binary_is_refused_by_every_reader(small_corpus, tmp_path, c
     assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == ("error: story_00001/framelog.bin cannot be "
                                        "loaded: unsupported version 1\n")
+
+
+def _as_version_2(path):
+    """Rewrite a binary, with its hash, as version 2 wrote it: the same
+    entity table, a relations header without frame_count, and the dense
+    records or poses of every frame."""
+    raw = path.read_bytes()
+    fps, entities = struct.unpack_from("<HH", raw, 6)
+    end = 16
+    for _ in range(entities):
+        end += 4 + raw[end + 3]
+    if path.name == "relations.bin":
+        _, _, records = binio.parse_relations(raw)
+        head = struct.pack("<4sHHHH", raw[:4], 2, fps, entities, 0)
+        body = b"".join(plane.tobytes() for plane in records.planes())
+    else:
+        log = binio.parse_framelog(raw)
+        head = struct.pack("<4sHHHHI", raw[:4], 2, fps, entities, 0, log.frame_count)
+        body = np.concatenate((log.positions, log.yaws[..., None]), axis=2).tobytes()
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name,
+                      head + raw[16:end] + body)
+
+
+def test_a_version_2_binary_is_refused_by_every_reader(small_corpus, tmp_path, capsys):
+    root = tmp_path / "v2"
+    shutil.copytree(small_corpus, root)
+    _as_version_2(root / "story_00001/relations.bin")
+    _as_version_2(root / "story_00001/framelog.bin")
+    relations = "story_00001/relations.bin cannot be loaded: unsupported version 2"
+    framelog = "story_00001/framelog.bin cannot be loaded: unsupported version 2"
+    assert verify(root)["checks"] == expected_checks({
+        "spatial-records": f"{framelog}; {relations}", "probe-labels": framelog,
+        "corpus-stats": f"{framelog}; {relations}"})
+    with pytest.raises(CorruptCorpus, match=f"^{relations}$"):
+        compute_stats(root)
+    assert main(["stats", "--corpus", str(root)]) == 1
+    assert capsys.readouterr().err == f"error: {relations}\n"
+    assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {framelog}\n"
+
+
+def _frame_count_past_the_dense_bound(path):
+    # the header's frame_count becomes 2**32 - 1 over the same runs, and
+    # the manifest keeps up: the runs would expand to tens of gigabytes
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = (0xFFFFFFFF).to_bytes(4, "little")
+    rewrite_with_hash(path.parent.parent, path.parent.name, path.name, bytes(raw))
+
+
+def test_a_frame_count_past_the_dense_bound_is_refused_by_every_reader(small_corpus,
+                                                                        tmp_path, capsys):
+    root = tmp_path / "huge"
+    shutil.copytree(small_corpus, root)
+    _frame_count_past_the_dense_bound(root / "story_00001/relations.bin")
+    _frame_count_past_the_dense_bound(root / "story_00001/framelog.bin")
+    past = rf"cannot be loaded: 4294967295 frames of \d+ columns expand to \d+ bytes, " \
+           rf"past the bound of {binio.MAX_DENSE_BYTES}"
+    relations, framelog = (rf"story_00001/{name} {past}"
+                           for name in ("relations.bin", "framelog.bin"))
+    by_name = {c["name"]: c for c in verify(root)["checks"]}
+    assert [name for name in CHECKS if not by_name[name]["ok"]] == [
+        "spatial-records", "probe-labels", "corpus-stats"]
+    for name, details in (("spatial-records", f"{framelog}; {relations}"),
+                          ("probe-labels", framelog),
+                          ("corpus-stats", f"{framelog}; {relations}")):
+        assert re.fullmatch(details, by_name[name]["details"]), name
+    with pytest.raises(CorruptCorpus, match=f"^{relations}$"):
+        compute_stats(root)
+    assert main(["stats", "--corpus", str(root)]) == 1
+    assert re.fullmatch(f"error: {relations}\n", capsys.readouterr().err)
+    assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
+    assert re.fullmatch(f"error: {framelog}\n", capsys.readouterr().err)
 
 
 def _first_mapping_moved(data: bytes) -> bytes:
@@ -862,7 +937,8 @@ def _frames_taken(pick):
         rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
             replace(log, positions=log.positions[frames], yaws=log.yaws[frames]))))
         rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-            RelationPlanes(*(plane[frames] for plane in records.planes())), fps, *table)))
+            runs_of(RelationPlanes(*(plane[frames] for plane in records.planes()))), fps,
+            *table)))
         (root / "stats.json").write_bytes(json_document(compute_stats(root)))
     return damage
 
@@ -878,7 +954,7 @@ def _actor_renamed_in_the_binaries(root):
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
         replace(log, entity_names=names))))
     rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-        records, fps, ids, kinds, names)))
+        runs_of(records), fps, ids, kinds, names)))
 
 
 def _actor_renamed_in_the_graph_and_text(root):

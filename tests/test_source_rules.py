@@ -72,6 +72,18 @@ def test_only_simulation_names_the_camera_settle_frames():
     assert not found, f"CAMERA_SETTLE_FRAMES named outside simulation.py: {found}"
 
 
+def test_only_binio_imports_struct():
+    # every binary layout lives in binio.py
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "binio.py"
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "struct" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] == "struct"]
+    assert not found, f"struct imported outside binio.py: {found}"
+
+
 def test_every_export_resolves_once():
     # a name left in __all__ after its function is removed breaks
     # `from storysim import *`
