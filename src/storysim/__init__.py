@@ -24,9 +24,8 @@ from .scheduling import (EventTimeline, TemporalNetwork, closure, duration_frame
 from .procgen import GenConfig, generate_story, story_seed
 from .simulation import (FrameLog, World, ground, insert_movements, simulate,
                          validate, visible_mask)
-from .collectors import (PairRelation, RelationPlanes, RelationRuns,
-                         collect_event_mappings, collect_story_relations,
-                         compute_pair_relation)
+from .collectors import (PairRelation, RelationRuns, collect_event_mappings,
+                         collect_story_relations, compute_pair_relation)
 from .textgen import ProtoText, RefineConfig, proto_text, refine
 from .probes import (ClipSpec, ProbeConfig, extract_story_clips, hybrid_sample,
                      label_clips, split_stories)
@@ -50,7 +49,7 @@ __all__ = [
     "GenConfig", "generate_story", "story_seed",
     "FrameLog", "World", "ground", "insert_movements",
     "simulate", "validate", "visible_mask",
-    "PairRelation", "RelationPlanes", "RelationRuns", "collect_event_mappings",
+    "PairRelation", "RelationRuns", "collect_event_mappings",
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
     "ClipSpec", "ProbeConfig", "extract_story_clips",

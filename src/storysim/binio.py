@@ -22,8 +22,9 @@ value is its pose as float64 x, y, z and yaw_deg, so 36 bytes per run;
 the table holds the camera.  Poses stay f64 so spatial records
 recompute bit-identically from a reloaded log.
 
-A parser takes a file's bytes, returns the dense RelationPlanes or
-FrameLog the runs encode, and raises CorruptCorpus saying what is wrong
+Every value is finite.  A parser takes a file's bytes, returns the
+RelationRuns the relations writer takes, unexpanded, or the FrameLog the
+framelog's runs encode, and raises CorruptCorpus saying what is wrong
 with them; the caller names the file.
 """
 
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectors import RelationRuns, expand_runs
+from .collectors import RelationRuns
 from .errors import CorruptCorpus
 from .model import CAMERA_ID, EntityKind
 from .simulation import FrameLog
@@ -46,9 +47,9 @@ FORMAT_VERSION = 3
 _HEADER = struct.Struct("<HHHHI")
 _COUNT = np.dtype("<u4")  # runs per column
 # The most bytes a file's dense planes may take, 256 MiB: the relations
-# of over half an hour of a 20-entity story at 25 fps.  A reader allocates them from
-# the header's frame_count, which the runs alone do not bound, so a
-# damaged count must not ask for more.
+# of over half an hour of a 20-entity story at 25 fps.  The runs do not
+# bound the header's frame_count, from which the framelog reader expands
+# poses and readers of relations index records: a damaged one must not.
 MAX_DENSE_BYTES = 1 << 28
 
 _KIND_CODE = {
@@ -114,27 +115,38 @@ def _parse_prefix(buf: bytes, magic: bytes, what: str):
     return fps, frames, (ids, kinds, names), offset
 
 
-def _oversize(frames: int, columns: int, dtypes) -> str:
-    """Why dense planes of `frames` rows of `columns` runs of `dtypes`
-    (starts, then values) are too large for a file, or "" when they fit."""
+def _check_size(frames: int, columns: int, dtypes, error: type[Exception]):
+    """`error` when dense planes of `frames` rows of `columns` runs of
+    `dtypes` (starts, then values) are too large for a file."""
     size = frames * columns * sum(dtype.itemsize for dtype in dtypes[1:])
-    if size <= MAX_DENSE_BYTES:
-        return ""
-    return (f"{frames} frames of {columns} columns expand to {size} bytes, "
-            f"past the bound of {MAX_DENSE_BYTES}")
+    if size > MAX_DENSE_BYTES:
+        raise error(f"{frames} frames of {columns} columns expand to {size} bytes, "
+                    f"past the bound of {MAX_DENSE_BYTES}")
+
+
+def _check_finite(counts: np.ndarray, planes, column: str, error: type[Exception]):
+    """`error` naming the first non-finite value of the runs [starts,
+    *value planes] of `counts` columns, if there is one."""
+    finite = np.logical_and.reduce([np.isfinite(plane) for plane in planes[1:]
+                                    if plane.dtype.kind == "f"])
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise error(f"{column} column {np.searchsorted(np.cumsum(counts), at, 'right')} "
+                    f"holds a non-finite value at frame {planes[0][at]}")
 
 
 def _runs_bytes(magic: bytes, fps: int, frames: int, ids, kinds, names,
-                counts: np.ndarray, planes, dtypes) -> memoryview:
-    """The bytes of a file of runs; the planes are copied once.
-    ValueError when the planes they encode would pass MAX_DENSE_BYTES."""
-    oversize = _oversize(frames, len(counts), dtypes)
-    if oversize:
-        raise ValueError(oversize)
+                counts: np.ndarray, planes, dtypes, column: str) -> memoryview:
+    """The bytes of a file of runs of `column` columns; the planes are
+    copied once.  ValueError when the planes they encode would pass
+    MAX_DENSE_BYTES, or when a value is not finite."""
+    _check_size(frames, len(counts), dtypes, ValueError)
+    planes = [np.ascontiguousarray(plane, dtype) for plane, dtype in zip(planes, dtypes)]
+    _check_finite(counts, planes, column, ValueError)
     prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, frames)
               + _pack_entity_table(ids, kinds, names))
-    parts = (np.ascontiguousarray(plane, dtype).view(np.uint8)
-             for plane, dtype in zip((counts, *planes), (_COUNT, *dtypes)))
+    parts = (plane.view(np.uint8)
+             for plane in (np.ascontiguousarray(counts, _COUNT), *planes))
     return np.concatenate((np.frombuffer(prefix, np.uint8), *parts)).data
 
 
@@ -144,9 +156,7 @@ def _parse_runs(buf: bytes, offset: int, columns: int, frames: int, dtypes,
     columns that start at `offset`.  The planes are copied out of `buf`,
     where the entity table can leave them unaligned, which numpy reads
     slowly."""
-    oversize = _oversize(frames, columns, dtypes)
-    if oversize:
-        raise CorruptCorpus(oversize)
+    _check_size(frames, columns, dtypes, CorruptCorpus)
     payload = len(buf) - offset
     if payload < _COUNT.itemsize * columns:
         raise CorruptCorpus(f"payload of {payload} bytes holds no run count for "
@@ -163,6 +173,7 @@ def _parse_runs(buf: bytes, offset: int, columns: int, frames: int, dtypes,
         planes.append(np.frombuffer(buf, dtype, runs, offset).copy())
         offset += runs * dtype.itemsize
     _check_runs(counts, planes, frames, column)
+    _check_finite(counts, planes, column, CorruptCorpus)
     return counts, planes
 
 
@@ -203,11 +214,11 @@ def relations_bytes(records: RelationRuns, fps: int, ids, kinds,
         raise ValueError(f"relation runs of {len(records.counts)} columns do not "
                          f"hold {pairs} pairs per frame for {len(ids)} entities")
     return _runs_bytes(RELATIONS_MAGIC, fps, records.frames, ids, kinds, names,
-                       records.counts, records.planes(), RelationRuns.DTYPES)
+                       records.counts, records.planes(), RelationRuns.DTYPES, "pair")
 
 
 def parse_relations(buf: bytes):
-    """-> (fps, (ids, kinds, names), RelationPlanes) of a relations file's
+    """-> (fps, (ids, kinds, names), RelationRuns) of a relations file's
     bytes."""
     fps, frames, table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "relations")
     entities = len(table[0])
@@ -216,7 +227,21 @@ def parse_relations(buf: bytes):
         raise CorruptCorpus(f"record payload of {payload} bytes for {entities} "
                             f"entities, which make no pair")
     counts, planes = _parse_runs(buf, offset, pairs, frames, RelationRuns.DTYPES, "pair")
-    return fps, table, RelationRuns(frames, counts, *planes).dense()
+    return fps, table, RelationRuns(frames, counts, *planes)
+
+
+def _expand_runs(counts: np.ndarray, planes, frames: int) -> list[np.ndarray]:
+    """The C-contiguous (frames, len(counts)) array of each value plane of
+    runs stored column-major, given as [starts, *value planes]; each
+    column's runs start at frame 0 and strictly increase, and each lasts
+    until the next start or the last frame."""
+    starts = planes[0]
+    ends = np.empty(len(starts), np.int64)
+    ends[:-1] = starts[1:]
+    ends[np.cumsum(counts, dtype=np.int64)[counts > 0] - 1] = frames
+    lengths = ends - starts
+    return [np.repeat(plane, lengths).reshape(len(counts), frames).T.copy()
+            for plane in planes[1:]]
 
 
 # a pose run: start frame, then x, y, z and yaw_deg
@@ -233,7 +258,7 @@ def framelog_bytes(log: FrameLog) -> memoryview:
     poses = (log.positions[frame, entity, axis] for axis in range(3))
     return _runs_bytes(FRAMELOG_MAGIC, log.fps, log.frame_count, log.entity_ids,
                        log.entity_kinds, log.entity_names, counts,
-                       (frame, *poses, log.yaws[frame, entity]), _POSE_DTYPES)
+                       (frame, *poses, log.yaws[frame, entity]), _POSE_DTYPES, "entity")
 
 
 def parse_framelog(buf: bytes) -> FrameLog:
@@ -243,7 +268,7 @@ def parse_framelog(buf: bytes) -> FrameLog:
     if CAMERA_ID not in ids:
         raise CorruptCorpus(f"entity table lacks the camera's id {CAMERA_ID}")
     counts, planes = _parse_runs(buf, offset, len(ids), frames, _POSE_DTYPES, "entity")
-    x, y, z, yaws = expand_runs(counts, planes, frames)
+    x, y, z, yaws = _expand_runs(counts, planes, frames)
     return FrameLog(
         positions=np.stack((x, y, z), axis=2),
         yaws=yaws,
@@ -259,7 +284,7 @@ def write_relations(path, records: RelationRuns, fps: int, ids, kinds, names):
 
 
 def read_relations(path):
-    """-> (fps, (ids, kinds, names), RelationPlanes) of a relations file."""
+    """-> (fps, (ids, kinds, names), RelationRuns) of a relations file."""
     return parse_relations(Path(path).read_bytes())
 
 

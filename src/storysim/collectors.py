@@ -17,9 +17,8 @@ instead of being dropped, which keeps the per-frame record count at
 E * (E - 1): a record is coincident exactly when its distance is 0.
 
 The collector computes a record only where a pose changed and returns
-each pair's records as change runs (RelationRuns), the form the
-relations file stores; RelationRuns.dense() expands them into the
-planes (RelationPlanes).
+the records as change runs (RelationRuns), their one in-memory form,
+which the relations file stores and RelationRuns.at reads unexpanded.
 """
 
 from __future__ import annotations
@@ -68,41 +67,15 @@ def compute_pair_relation(pose_a, pose_b) -> PairRelation:
 
 
 @dataclass(frozen=True)
-class RelationPlanes:
-    """The spatial records of one story as four (frames, E(E-1)) planes:
-    row f, column k is frame f and the k-th ordered pair (a, b), a != b,
-    in (a, b) order over sorted ids.  A coincident pair reads distance 0;
-    every other distance is at least COINCIDENT_EPS, which f4 keeps
-    nonzero.  len() is the record count."""
-    distance_m: np.ndarray  # f4
-    azimuth_deg: np.ndarray  # f4
-    elevation_deg: np.ndarray  # f4
-    compass: np.ndarray  # u1, an index into COMPASS_NAMES
-    # the planes' dtypes in file order: 13 bytes per record
-    DTYPES: ClassVar[tuple[np.dtype, ...]] = tuple(
-        np.dtype(t) for t in ("<f4", "<f4", "<f4", "u1"))
-
-    def __post_init__(self):
-        shapes = [np.shape(plane) for plane in self.planes()]
-        if len(shapes[0]) != 2 or len(set(shapes)) != 1:
-            raise ValueError(f"relation planes must share one 2-D shape, not {shapes}")
-
-    def planes(self) -> tuple[np.ndarray, ...]:
-        """The planes in file order."""
-        return self.distance_m, self.azimuth_deg, self.elevation_deg, self.compass
-
-    def __len__(self) -> int:
-        return self.distance_m.size
-
-
-@dataclass(frozen=True)
 class RelationRuns:
-    """The spatial records of one story as change runs.  Each column of
-    RelationPlanes (an ordered pair) is cut into maximal runs of frames
+    """The spatial records of one story as change runs.  Column k, the
+    k-th ordered pair over sorted ids, is cut into maximal runs of frames
     over which its record is bitwise equal; a run is its start frame and
     its record.  `counts` holds each column's run count, and the run
     planes hold every run, column-major and in frame order within a
-    column.  len() is the record count of the dense planes."""
+    column.  A coincident pair reads distance 0; any other distance is at
+    least COINCIDENT_EPS, which f4 keeps nonzero.  len() is the record
+    count, frames x columns."""
     frames: int
     counts: np.ndarray  # u4, one per column
     starts: np.ndarray  # u4
@@ -111,7 +84,8 @@ class RelationRuns:
     elevation_deg: np.ndarray  # f4
     compass: np.ndarray  # u1
     # the run planes' dtypes in file order: 17 bytes per run
-    DTYPES: ClassVar[tuple[np.dtype, ...]] = (np.dtype("<u4"),) + RelationPlanes.DTYPES
+    DTYPES: ClassVar[tuple[np.dtype, ...]] = tuple(
+        np.dtype(t) for t in ("<u4", "<f4", "<f4", "<f4", "u1"))
 
     def __post_init__(self):
         runs = int(self.counts.sum())
@@ -127,23 +101,15 @@ class RelationRuns:
     def __len__(self) -> int:
         return self.frames * len(self.counts)
 
-    def dense(self) -> RelationPlanes:
-        """The (frames, columns) planes that the runs encode."""
-        return RelationPlanes(*expand_runs(self.counts, self.planes(), self.frames))
-
-
-def expand_runs(counts: np.ndarray, planes, frames: int) -> list[np.ndarray]:
-    """The C-contiguous (frames, len(counts)) array of each value plane of
-    runs stored column-major, given as [starts, *value planes]; each
-    column's runs start at frame 0 and strictly increase, and each lasts
-    until the next start or the last frame."""
-    starts = planes[0]
-    ends = np.empty(len(starts), np.int64)
-    ends[:-1] = starts[1:]
-    ends[np.cumsum(counts, dtype=np.int64)[counts > 0] - 1] = frames
-    lengths = ends - starts
-    return [np.repeat(plane, lengths).reshape(len(counts), frames).T.copy()
-            for plane in planes[1:]]
+    def at(self, frame, column) -> tuple[np.ndarray, ...]:
+        """The four record planes' values at each (frame, column),
+        broadcast together: the record of the run of `column` that holds
+        `frame`.  ValueError for a cell outside frames x columns."""
+        cell = np.ravel_multi_index((column, frame), (len(self.counts), self.frames))
+        # a run's key is its cell; column-major runs in frame order sort by it
+        keys = np.repeat(np.arange(len(self.counts)) * self.frames, self.counts)
+        run = np.searchsorted(keys + self.starts, cell, side="right") - 1
+        return tuple(plane[run] for plane in self.planes()[1:])
 
 
 # Unordered (pair, frame) cells per chunk of collect_story_relations: its

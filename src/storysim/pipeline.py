@@ -50,8 +50,8 @@ class CorpusConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def __post_init__(self):
-        if self.fps < ProbeConfig.CLIP_FPS:  # clip frames would collide
-            raise ValueError(f"fps must be at least {ProbeConfig.CLIP_FPS}, the clip rate")
+        if self.fps < ProbeConfig.CLIP_FPS:
+            raise ValueError(ProbeConfig.FPS_RULE)
 
 
 def _sha256(data: bytes) -> str:
@@ -479,8 +479,8 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
         failures.append(f"{story_id}: no relation records")
         return True
     picks = [rng.randrange(len(records)) for _ in range(samples)]
-    values = (plane.reshape(-1)[picks].tolist() for plane in records.planes())
     frame, pair = np.divmod(picks, pairs)
+    values = (plane.tolist() for plane in records.at(frame, pair))
     i, j = np.divmod(pair, len(ids) - 1)
     j += j >= i
     # the x, y, z and yaw of each pick's a, then of each pick's b

@@ -48,6 +48,8 @@ class ProbeConfig:
     ambiguity_eps_deg: float = 2.0
     # fixed by the probe task definitions, not settable
     CLIP_FPS: ClassVar[int] = 4
+    # what a story's fps must meet, or its clip frames would collide
+    FPS_RULE: ClassVar[str] = f"fps must be at least {CLIP_FPS}, the clip rate"
     CLIP_FRAMES: ClassVar[int] = 16
     CAMERA_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (3.0, 8.0)
     PAIR_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (2.0, 6.0)

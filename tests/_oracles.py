@@ -13,8 +13,9 @@ remainder-and-floor-divide collector that the compare-and-add one
 replaced, keeps the keyed 22-byte rows that the planes replaced; and
 dense_collect_story_relations, the collector that computed every record
 of every frame before the change-run one replaced it, shares _both_ways
-and the compass edges and keeps its ufunc sequence and the dense planes,
-and runs_of cuts such planes into the change runs the files store; and
+and the compass edges and keeps its ufunc sequence and the dense planes
+(Planes), and runs_of cuts such planes into the change runs the files
+store; and
 closure_schedule, the schedule that pruned its backtracking over
 non-convex edges with path consistency, shares the STN and the closure
 that the STN search replaced; and per_clip_labels, the labeller that
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from storysim.collectors import (_COMPASS_EDGES, COINCIDENT_EPS, COMPASS_NAMES,
-                                 RelationPlanes, RelationRuns, _both_ways, compass_bin,
+                                 RelationRuns, _both_ways, compass_bin,
                                  compute_pair_relation)
 from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
@@ -266,7 +268,22 @@ def numpy_collect_story_relations(log, chunk_frames: int = 1024) -> np.ndarray:
 _CHUNK_RECORDS = 1 << 15
 
 
-def dense_collect_story_relations(log) -> RelationPlanes:
+class Planes(NamedTuple):
+    """The spatial records of one story as four (frames, E(E-1)) planes,
+    in the order of RelationRuns' record planes: row f, column k is frame
+    f and the k-th ordered pair."""
+    distance_m: np.ndarray  # f4
+    azimuth_deg: np.ndarray  # f4
+    elevation_deg: np.ndarray  # f4
+    compass: np.ndarray  # u1, an index into COMPASS_NAMES
+
+
+def planes_of(runs: RelationRuns) -> Planes:
+    """The dense planes that RelationRuns encode, read through at()."""
+    return Planes(*runs.at(*np.indices((runs.frames, len(runs.counts)))))
+
+
+def dense_collect_story_relations(log) -> Planes:
     """Vectorized per-story collection, each record computed as
     compute_pair_relation computes one pair.  Its `%` and `//` are done
     with compares and adds, which give the same bits only for yaws in
@@ -285,8 +302,8 @@ def dense_collect_story_relations(log) -> RelationPlanes:
     ids = sorted(log.entity_ids)
     n, frames = len(ids), log.frame_count
     n_pairs = n * (n - 1)
-    out = RelationPlanes(*(np.empty((frames, n_pairs), dtype)
-                           for dtype in RelationPlanes.DTYPES))
+    out = Planes(*(np.empty((frames, n_pairs), dtype)
+                   for dtype in RelationRuns.DTYPES[1:]))
     if not n_pairs:
         return out
     idx = np.array([log.index_of(e) for e in ids], dtype=np.intp)
@@ -353,12 +370,12 @@ def dense_collect_story_relations(log) -> RelationPlanes:
     return out
 
 
-def runs_of(records: RelationPlanes) -> RelationRuns:
+def runs_of(records: Planes) -> RelationRuns:
     """The RelationRuns of dense planes, found from the planes alone: a
     column's run starts at frame 0 and wherever any plane's bits differ
     from the frame before."""
     frames, columns = records.distance_m.shape
-    planes = [np.ascontiguousarray(plane.T) for plane in records.planes()]
+    planes = [np.ascontiguousarray(plane.T) for plane in records]
     starts = np.zeros((columns, frames), dtype=bool)
     starts[:, :1] = True
     for plane in planes:

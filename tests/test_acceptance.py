@@ -220,11 +220,12 @@ def test_ac06_spatial_records_recompute(corpus200):
             pr = compute_pair_relation(
                 (tuple(log.positions[f, ia]), float(log.yaws[f, ia])),
                 (tuple(log.positions[f, ib]), float(log.yaws[f, ib])))
-            distance = float(records.distance_m[f, pair])
+            distance, azimuth, elevation, compass = records.at(f, pair)
+            distance = float(distance)
             assert abs(pr.distance_m - distance) <= 1e-5
-            assert abs(pr.azimuth_deg - float(records.azimuth_deg[f, pair])) <= 1e-5
-            assert abs(pr.elevation_deg - float(records.elevation_deg[f, pair])) <= 1e-5
-            assert COMPASS_NAMES[records.compass[f, pair]] == pr.compass
+            assert abs(pr.azimuth_deg - float(azimuth)) <= 1e-5
+            assert abs(pr.elevation_deg - float(elevation)) <= 1e-5
+            assert COMPASS_NAMES[compass] == pr.compass
             assert (distance == 0.0) == pr.coincident
             sampled += 1
 
@@ -236,7 +237,7 @@ def test_ac06_spatial_records_recompute(corpus200):
             if min(edge, 45.0 - edge) < 0.5:
                 continue
             rev = pair_of(b, a)
-            assert (int(records.compass[f, pair]) - int(records.compass[f, rev])) % 8 == 4
+            assert (int(compass) - int(records.at(f, rev)[3])) % 8 == 4
             opposition_checked += 1
     assert sampled >= 10000
     assert opposition_checked > 1000

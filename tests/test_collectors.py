@@ -27,7 +27,6 @@ from storysim.binio import (
 )
 from storysim.collectors import (
     COMPASS_NAMES,
-    RelationPlanes,
     RelationRuns,
     collect_event_mappings,
     collect_story_relations,
@@ -42,7 +41,7 @@ from storysim.procgen import GenConfig
 from storysim.simulation import FrameLog
 
 from _oracles import (FLAG_COINCIDENT, collect_frame, dense_collect_story_relations,
-                      numpy_collect_story_relations, runs_of)
+                      numpy_collect_story_relations, planes_of, runs_of)
 
 
 def pose(x, y, z=0.0, yaw=0.0):
@@ -105,7 +104,7 @@ def test_bearing_ulps_below_the_nw_edge_is_nw_in_both_routes():
     log = FrameLog(positions=positions, yaws=np.zeros((1, 2)), fps=25,
                    entity_ids=(0, 1), entity_kinds=(EntityKind.CAMERA, EntityKind.ACTOR),
                    entity_names=("camera", "Anna"))
-    assert collect_story_relations(log).dense().compass[0, 0] == COMPASS_NAMES.index("NW")
+    assert collect_story_relations(log).at(0, 0)[3] == COMPASS_NAMES.index("NW")
 
 
 def test_azimuth_sign_is_positive_left():
@@ -158,22 +157,21 @@ def _first_frames(log: FrameLog, frames: int) -> FrameLog:
 
 
 def test_records_are_13_bytes_in_four_planes(log):
-    records = collect_story_relations(log).dense()
+    records = collect_story_relations(log)
     e = log.entity_count
-    assert [p.dtype for p in records.planes()] == [np.dtype(t) for t in
-                                                    ("<f4", "<f4", "<f4", "u1")]
-    assert RelationPlanes.DTYPES == tuple(p.dtype for p in records.planes())
-    assert sum(p.itemsize for p in records.planes()) == 13
-    assert {p.shape for p in records.planes()} == {(log.frame_count, e * (e - 1))}
-    assert all(getattr(records, name) is plane
-               for name, plane in zip(PLANES, records.planes()))
+    planes = records.planes()[1:]
+    assert [p.dtype for p in planes] == [np.dtype(t) for t in ("<f4", "<f4", "<f4", "u1")]
+    assert RelationRuns.DTYPES[1:] == tuple(p.dtype for p in planes)
+    assert sum(p.itemsize for p in planes) == 13
+    assert {p.shape for p in planes_of(records)} == {(log.frame_count, e * (e - 1))}
+    assert all(getattr(records, name) is plane for name, plane in zip(PLANES, planes))
 
 
 def test_record_count_and_ordering(log):
     records = collect_story_relations(log)
     e = log.entity_count
     assert len(records) == log.frame_count * e * (e - 1)
-    records = records.dense()
+    records = planes_of(records)
     # column k of a frame's row is the k-th ordered pair over sorted ids
     ids = sorted(log.entity_ids)
     pairs = [(a, b) for a in ids for b in ids if a != b]
@@ -186,11 +184,11 @@ def test_record_count_and_ordering(log):
 
 
 def test_vectorized_matches_scalar_route(log):
-    records = collect_story_relations(log).dense()
+    records = planes_of(collect_story_relations(log))
     rng = random.Random(13)
     for frame in rng.sample(range(log.frame_count), 5):
         scalar = collect_frame(log, frame)
-        block = zip(*(plane[frame].tolist() for plane in records.planes()))
+        block = zip(*(plane[frame].tolist() for plane in records))
         for rec, (distance, azimuth, elevation, compass) in zip(scalar, block):
             # identical fp operation order: f32 casts must agree bitwise
             assert np.float32(rec.distance_m) == distance
@@ -203,7 +201,8 @@ def test_vectorized_matches_scalar_route(log):
 def _assert_equals_the_numpy_route(log):
     """Each plane equals the reference's field bitwise, and distance 0
     marks exactly the records the reference flags coincident."""
-    records, rows = collect_story_relations(log).dense(), numpy_collect_story_relations(log)
+    records = planes_of(collect_story_relations(log))
+    rows = numpy_collect_story_relations(log)
     for name in PLANES:
         assert getattr(records, name).tobytes() == rows[name].tobytes(), name
     assert np.array_equal(records.distance_m.ravel() == 0.0,
@@ -284,11 +283,12 @@ def test_collector_matches_the_numpy_remainder_route_on_edge_cases(log):
 
 
 def _assert_equals_the_dense_kernel(log):
-    """dense() equals the planes of the kernel that computed every record
-    bitwise, and the runs are exactly the change runs of those planes."""
+    """at() reads every record of the kernel that computed every record
+    bitwise, and the runs are exactly the change runs of its planes."""
     runs, planes = collect_story_relations(log), dense_collect_story_relations(log)
-    assert len(runs) == len(planes)
-    for name, got, want in zip(PLANES, runs.dense().planes(), planes.planes()):
+    assert len(runs) == planes.distance_m.size
+    for name, got, want in zip(PLANES, runs.at(*np.indices(planes.distance_m.shape)),
+                               planes):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     cut = runs_of(planes)
     assert runs.frames == cut.frames == log.frame_count
@@ -405,9 +405,28 @@ def test_relations_file_round_trip(tmp_path, log):
     assert ids == log.entity_ids
     assert kinds == log.entity_kinds
     assert names == log.entity_names
-    records = records.dense()
-    for name in PLANES:
-        assert getattr(loaded, name).tobytes() == getattr(records, name).tobytes()
+    # the reader returns the runs the writer took, expanding nothing
+    assert type(loaded) is RelationRuns
+    _assert_same_runs(loaded, records)
+
+
+def _assert_same_runs(got: RelationRuns, want: RelationRuns):
+    assert got.frames == want.frames
+    for plane, other in zip((got.counts, *got.planes()), (want.counts, *want.planes())):
+        assert plane.dtype == other.dtype and plane.tobytes() == other.tobytes()
+
+
+def test_at_broadcasts_cells_and_refuses_cells_outside_the_records(log):
+    runs, planes = collect_story_relations(log), dense_collect_story_relations(log)
+    frames, columns = planes.distance_m.shape
+    last = runs.at(frames - 1, np.arange(columns))
+    for got, want in zip(last, planes):
+        assert got.shape == (columns,) and got.tobytes() == want[-1].tobytes()
+    assert [value.item() for value in runs.at(0, 1)] == [
+        plane[0, 1].item() for plane in planes]
+    for frame, column in ((frames, 0), (0, columns), (-1, 0), (0, [0, -1])):
+        with pytest.raises(ValueError):
+            runs.at(frame, column)
 
 
 def _payload_offset(raw: bytes) -> int:
@@ -448,10 +467,11 @@ def test_framelog_file_is_header_table_counts_and_36_bytes_per_run(log):
     assert len(raw) == 16 + table + 4 * e + 36 * int(changes.sum())
 
 
-def test_parse_relations_expands_the_run_planes_of_the_bytes(log):
+def test_parse_relations_returns_the_run_planes_of_the_bytes(log):
     # the counts, then every start, then each record plane over the runs
     raw = bytes(_relations_file(log))
-    _, _, records = parse_relations(raw)
+    _, _, runs = parse_relations(raw)
+    records = planes_of(runs)
     frames, pairs = log.frame_count, log.entity_count * (log.entity_count - 1)
     offset = _payload_offset(raw)
     counts = np.frombuffer(raw, "<u4", pairs, offset).tolist()
@@ -461,6 +481,8 @@ def test_parse_relations_expands_the_run_planes_of_the_bytes(log):
         planes.append(np.frombuffer(raw, dtype, sum(counts), offset))
         offset += sum(counts) * dtype.itemsize
     assert offset == len(raw)
+    for got, want in zip(runs.planes(), planes):
+        assert got.tobytes() == want.tobytes()
     starts, *values = planes
     at = 0
     for k, count in enumerate(counts):
@@ -470,8 +492,6 @@ def test_parse_relations_expands_the_run_planes_of_the_bytes(log):
             expanded = np.repeat(plane[column], lengths)
             assert getattr(records, name)[:, k].tobytes() == expanded.tobytes(), (k, name)
         at += count
-    for plane in records.planes():
-        assert plane.shape == (frames, pairs) and plane.flags.c_contiguous
 
 
 def test_framelog_file_round_trip(tmp_path, log):
@@ -483,9 +503,7 @@ def test_framelog_file_round_trip(tmp_path, log):
     assert np.array_equal(loaded.positions, log.positions)
     assert np.array_equal(loaded.yaws, log.yaws)
     # relations recompute bit-identically from the reloaded log
-    for again, first in zip(collect_story_relations(loaded).dense().planes(),
-                            collect_story_relations(log).dense().planes()):
-        assert again.tobytes() == first.tobytes()
+    _assert_same_runs(collect_story_relations(loaded), collect_story_relations(log))
 
 
 def test_read_rejects_bad_magic(tmp_path, log):
@@ -581,6 +599,12 @@ def _a_value_repeated(counts, planes):
     return counts, planes
 
 
+def _a_value_not_finite(counts, planes):
+    at = _first_run_of_a_changing_column(counts)
+    planes[1][at + 1] = np.nan
+    return counts, planes
+
+
 def _a_run_counted_twice(counts, planes):
     counts[0] += 1
     return counts, planes
@@ -598,6 +622,9 @@ def _a_run_counted_twice(counts, planes):
                  id="equal-neighbours"),
     pytest.param(_a_run_counted_twice, "^run payload is .* bytes, expected",
                  id="counts-past-the-payload"),
+    pytest.param(_a_value_not_finite,
+                 r"^(pair|entity) column \d+ holds a non-finite value at frame [1-9]",
+                 id="value-not-finite"),
 ])
 def test_each_run_rule_is_refused(log, kind, edit, refusal):
     parse = _RUN_FILES[kind][1]
@@ -669,6 +696,15 @@ def test_a_frame_count_past_the_dense_bound_is_refused_before_expanding(log, kin
         parse(bytes(raw))
 
 
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_non_finite_value_is_refused_by_the_writer(kind):
+    # a writer never emits what its reader refuses
+    log = _three_entities(4)
+    log.positions[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"column \d+ holds a non-finite value at frame 2$"):
+        _RUN_FILES[kind][0](log)
+
+
 def test_a_payload_the_run_counts_do_not_fill_is_refused(log):
     # one whole run more than the counts hold, a run less three bytes, and
     # a stray byte, in each file
@@ -701,12 +737,6 @@ def test_relation_planes_that_the_table_does_not_fit_are_refused(log):
     with pytest.raises(ValueError, match="run planes of lengths"):
         RelationRuns(records.frames, records.counts, records.starts[:-1],
                      *records.planes()[1:])
-    records = records.dense()
-    with pytest.raises(ValueError, match="one 2-D shape"):
-        RelationPlanes(records.distance_m, records.azimuth_deg, records.elevation_deg,
-                       records.compass[:1])
-    with pytest.raises(ValueError, match="one 2-D shape"):
-        RelationPlanes(*(plane.ravel() for plane in records.planes()))
 
 
 def test_synthetic_log_small_counts():
@@ -720,10 +750,10 @@ def test_synthetic_log_small_counts():
                    entity_names=("camera", "Anna", "cup"))
     records = collect_story_relations(log)
     assert len(records) == 2 * 3 * 2
-    records = records.dense()
     # the first record is frame 0, pair (0, 1)
-    assert records.distance_m[0, 0] == np.float32(5.0)
-    assert COMPASS_NAMES[records.compass[0, 0]] == "N"
+    distance, _, _, compass = records.at(0, 0)
+    assert distance == np.float32(5.0)
+    assert COMPASS_NAMES[compass] == "N"
 
 
 def _named_log(ids, names):

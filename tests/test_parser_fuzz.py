@@ -116,6 +116,16 @@ def test_real_files_parse(name):
 @example(data=b"GTSR\x03\x00\x19\x00\x02\x00\x00\x00\xff\xff\xff\xff"
               b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup"
               b"\x01\x00\x00\x00\x01\x00\x00\x00" + bytes(34))
+# version 3 files of one frame with a non-finite value: the camera's
+# framelog with a NaN x, then the relations of the camera and a cup with
+# an infinite distance
+@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\x01\x00\x00\x00" + bytes(4)
+              + b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + bytes(24))
+@example(data=b"GTSR\x03\x00\x19\x00\x02\x00\x00\x00\x01\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup"
+              b"\x01\x00\x00\x00\x01\x00\x00\x00" + bytes(8)
+              + b"\x00\x00\x80\x7f" * 2 + bytes(18))
 def test_arbitrary_bytes(name, data):
     parses_or_fails_closed(name, data)
 

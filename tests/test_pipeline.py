@@ -21,7 +21,6 @@ import pytest
 
 from storysim import binio, pipeline
 from storysim.cli import main
-from storysim.collectors import RelationPlanes
 from storysim.default_registry import build_default_registry
 from storysim.documents import (json_document, jsonl_document, parse_graph,
                                 parse_manifest, parse_timeline, serialize_graph,
@@ -43,7 +42,7 @@ from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 from storysim.textgen import proto_text
 
-from _oracles import runs_of
+from _oracles import Planes, planes_of, runs_of
 
 # corpus_digest of the seed-7, 8-story corpus of the default config and
 # bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
@@ -213,11 +212,17 @@ def test_verify_loads_each_artifact_once_per_story(corpus, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((pipeline, "parse_graph"), (pipeline, "parse_timeline"),
-                        (binio, "parse_framelog"), (binio, "parse_relations")):
+                        (binio, "parse_framelog"), (binio, "parse_relations"),
+                        (binio, "_expand_runs")):
         counted(owner, name)
     assert verify(root)["ok"]
-    assert calls == dict.fromkeys(
-        ("parse_graph", "parse_timeline", "parse_framelog", "parse_relations"), STORIES)
+    # each story's frame log is expanded once, and no relations file is
+    assert calls == dict.fromkeys(("parse_graph", "parse_timeline", "parse_framelog",
+                                   "parse_relations", "_expand_runs"), STORIES)
+    calls.clear()
+    compute_stats(root)
+    assert calls == dict.fromkeys(("parse_graph", "parse_framelog", "parse_relations",
+                                   "_expand_runs"), STORIES)
 
 
 def test_each_story_file_is_read_at_most_once(corpus, tmp_path, reads):
@@ -442,8 +447,8 @@ _zero_for_false_with_its_hash.rehashes = True
 def _frame_past_the_log(path):
     # the last frame's records written twice: a whole frame the log lacks
     fps, (ids, kinds, names), records = binio.read_relations(path)
-    binio.write_relations(path, runs_of(RelationPlanes(*(
-        np.concatenate((plane, plane[-1:])) for plane in records.planes()))),
+    binio.write_relations(path, runs_of(Planes(*(
+        np.concatenate((plane, plane[-1:])) for plane in planes_of(records)))),
         fps, ids, kinds, names)
 
 
@@ -622,7 +627,7 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
         replace(log, positions=log.positions[:0], yaws=log.yaws[:0]))))
     rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-        runs_of(RelationPlanes(*(plane[:0] for plane in records.planes()))), fps, ids,
+        runs_of(Planes(*(plane[:0] for plane in planes_of(records)))), fps, ids,
         kinds, names)))
     report = verify(root)
     by_name = {c["name"]: c for c in report["checks"]}
@@ -641,7 +646,7 @@ def _relations_renamed_and_rekinded(data: bytes) -> bytes:
     fps, (ids, kinds, names), records = binio.parse_relations(data)
     names = (names[0], "zzz") + names[2:]
     kinds = kinds[:2] + (EntityKind.POI,) + kinds[3:]
-    return bytes(binio.relations_bytes(runs_of(records), fps, ids, kinds, names))
+    return bytes(binio.relations_bytes(records, fps, ids, kinds, names))
 
 
 def _fps_30(data: bytes) -> bytes:
@@ -700,7 +705,7 @@ def _as_version_2(path):
     if path.name == "relations.bin":
         _, _, records = binio.parse_relations(raw)
         head = struct.pack("<4sHHHH", raw[:4], 2, fps, entities, 0)
-        body = b"".join(plane.tobytes() for plane in records.planes())
+        body = b"".join(plane.tobytes() for plane in planes_of(records))
     else:
         log = binio.parse_framelog(raw)
         head = struct.pack("<4sHHHHI", raw[:4], 2, fps, entities, 0, log.frame_count)
@@ -889,6 +894,10 @@ def _first_interval_dropped(doc):
     del doc["intervals"][0]
 
 
+def _fps_2(doc):
+    doc["fps"] = 2
+
+
 def _intervals_shifted(frames):
     def damage(doc):
         for row in doc["intervals"]:
@@ -905,7 +914,10 @@ def _intervals_shifted(frames):
                                   "framelog.bin holds 2472"),
     (_intervals_shifted(1), "story_00001/timeline.json spans 2473 frames, "
                             "framelog.bin holds 2472"),
-], ids=["event-dropped", "frames-shifted", "frames-shifted-by-one"])
+    # below the clip rate, clip frames would collide
+    (_fps_2, "story_00001/timeline.json cannot be loaded: fps must be at least 4, "
+             "the clip rate (at fps)"),
+], ids=["event-dropped", "frames-shifted", "frames-shifted-by-one", "fps-2"])
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out"])
 def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_path,
                                                                capsys, damage, named,
@@ -937,7 +949,7 @@ def _frames_taken(pick):
         rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
             replace(log, positions=log.positions[frames], yaws=log.yaws[frames]))))
         rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-            runs_of(RelationPlanes(*(plane[frames] for plane in records.planes()))), fps,
+            runs_of(Planes(*(plane[frames] for plane in planes_of(records)))), fps,
             *table)))
         (root / "stats.json").write_bytes(json_document(compute_stats(root)))
     return damage
@@ -954,7 +966,7 @@ def _actor_renamed_in_the_binaries(root):
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
         replace(log, entity_names=names))))
     rewrite_with_hash(root, "story_00001", "relations.bin", bytes(binio.relations_bytes(
-        runs_of(records), fps, ids, kinds, names)))
+        records, fps, ids, kinds, names)))
 
 
 def _actor_renamed_in_the_graph_and_text(root):
@@ -1191,12 +1203,18 @@ def _no_graph_hash(manifest):
     del manifest["stories"][1]["files"]["graph.json"]
 
 
+def _fps_below_the_clip_rate(manifest):
+    manifest["config"]["fps"] = 2
+
+
 @pytest.mark.parametrize("damage, problem", [
     (b"[" * 200_000, "not valid JSON"),
     (_probe_value_of_401_digits, "min_event_s is not a finite number"),
     (_format_version_2, "unsupported format_version 2"),
     (_no_graph_hash, "no hash of graph.json (at stories[1].files)"),
-], ids=["deeply-nested", "huge-int", "format-version-2", "story-without-graph-hash"])
+    (_fps_below_the_clip_rate, "fps must be at least 4, the clip rate (at config.fps)"),
+], ids=["deeply-nested", "huge-int", "format-version-2", "story-without-graph-hash",
+        "fps-below-the-clip-rate"])
 def test_every_manifest_reader_refuses_a_damaged_manifest(small_corpus, tmp_path, capsys,
                                                          damage, problem):
     # bytes, or an edit of the decoded manifest

@@ -84,6 +84,16 @@ def test_only_binio_imports_struct():
     assert not found, f"struct imported outside binio.py: {found}"
 
 
+def test_only_binio_and_collectors_read_the_run_layout():
+    # a RelationRuns' run planes are laid out by collectors.py and stored
+    # by binio.py; every other module reads records through at()
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in SOURCES if path.name not in ("binio.py", "collectors.py")
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("starts", "counts")]
+    assert not found, f"run layout read outside binio.py and collectors.py: {found}"
+
+
 def test_every_export_resolves_once():
     # a name left in __all__ after its function is removed breaks
     # `from storysim import *`
