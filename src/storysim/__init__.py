@@ -24,8 +24,9 @@ from .scheduling import (EventTimeline, TemporalNetwork, closure, duration_frame
 from .procgen import GenConfig, generate_story, story_seed
 from .simulation import (FrameLog, World, ground, insert_movements, simulate,
                          validate, visible_mask)
-from .collectors import (PairRelation, RelationRuns, collect_event_mappings,
-                         collect_story_relations, compute_pair_relation)
+from .binio import Runs
+from .collectors import (PairRelation, collect_event_mappings, collect_story_relations,
+                         compute_pair_relation)
 from .textgen import ProtoText, RefineConfig, proto_text, refine
 from .probes import (ClipSpec, ProbeConfig, extract_story_clips, hybrid_sample,
                      label_clips, split_stories)
@@ -49,7 +50,7 @@ __all__ = [
     "GenConfig", "generate_story", "story_seed",
     "FrameLog", "World", "ground", "insert_movements",
     "simulate", "validate", "visible_mask",
-    "PairRelation", "RelationRuns", "collect_event_mappings",
+    "Runs", "PairRelation", "collect_event_mappings",
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
     "ClipSpec", "ProbeConfig", "extract_story_clips",

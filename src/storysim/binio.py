@@ -22,20 +22,20 @@ value is its pose as float64 x, y, z and yaw_deg, so 36 bytes per run;
 the table holds the camera.  Poses stay f64 so spatial records
 recompute bit-identically from a reloaded log.
 
-Every value is finite.  A parser takes a file's bytes, returns the
-RelationRuns the relations writer takes, unexpanded, or the FrameLog the
-framelog's runs encode, and raises CorruptCorpus saying what is wrong
-with them; the caller names the file.
+Every value is finite.  Runs holds either file's runs in memory.  A
+parser takes a file's bytes, returns the relations' Runs, which the
+writer takes, or the FrameLog the framelog's Runs expand to, and raises
+CorruptCorpus saying what is wrong with them; the caller names the file.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .collectors import RelationRuns
 from .errors import CorruptCorpus
 from .model import CAMERA_ID, EntityKind
 from .simulation import FrameLog
@@ -59,6 +59,78 @@ _KIND_CODE = {
     EntityKind.POI: 3,
 }
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+
+
+# each run's start frame, then its value: a spatial record, or a pose
+_RECORD_DTYPES = tuple(np.dtype(t) for t in ("<u4", "<f4", "<f4", "<f4", "u1"))
+_POSE_DTYPES = (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4
+
+
+@dataclass(frozen=True)
+class Runs:
+    """Per-frame columns as change runs.  Column k of `frames` frames is
+    cut into runs of frames over which its value is bitwise equal; a run
+    is its start frame and its value.  `counts` holds each column's run
+    count, and `starts` and each plane of `values` hold every run,
+    column-major and in frame order within a column.  len() is the cell
+    count, frames x columns.  A value is a spatial record (distance_m,
+    azimuth_deg, elevation_deg, compass) or a pose (x, y, z, yaw_deg)."""
+    frames: int
+    counts: np.ndarray  # runs per column
+    starts: np.ndarray  # each run's start frame
+    values: tuple[np.ndarray, ...]  # each value plane, over the runs
+
+    def __post_init__(self):
+        runs = int(self.counts.sum())
+        lengths = [len(plane) for plane in (self.starts, *self.values)]
+        if lengths != [runs] * len(lengths):
+            raise ValueError(f"run planes of lengths {lengths} for {runs} runs")
+
+    def __len__(self) -> int:
+        return self.frames * len(self.counts)
+
+    def _follows(self) -> np.ndarray:
+        """Whether each run follows another run of its column."""
+        first = np.cumsum(self.counts, dtype=np.int64) - self.counts
+        return np.arange(len(self.starts)) != np.repeat(first, self.counts)
+
+    def _repeats(self) -> np.ndarray:
+        """Whether each run bitwise repeats the run before it in its
+        column: the runs that are not maximal."""
+        same = self._follows()
+        for plane in self.values:
+            bits = plane.view(f"u{plane.dtype.itemsize}")
+            same[1:] &= bits[1:] == bits[:-1]
+        return same
+
+    def merged(self) -> Runs:
+        """These runs with each run that repeats the run before it joined
+        to that run: maximal runs, the only ones a file holds."""
+        kept = np.flatnonzero(~self._repeats())
+        ends = np.searchsorted(kept, np.cumsum(self.counts, dtype=np.int64))
+        return Runs(self.frames, np.diff(ends, prepend=0).astype(self.counts.dtype),
+                    self.starts[kept],
+                    tuple(plane[kept] for plane in self.values))
+
+    def at(self, frame, column) -> tuple[np.ndarray, ...]:
+        """The value planes' values at each (frame, column), broadcast
+        together: the value of the run of `column` that holds `frame`.
+        ValueError for a cell outside frames x columns."""
+        cell = np.ravel_multi_index((column, frame), (len(self.counts), self.frames))
+        # a run's key is its cell; column-major runs in frame order sort by it
+        keys = np.repeat(np.arange(len(self.counts)) * self.frames, self.counts)
+        run = np.searchsorted(keys + self.starts, cell, side="right") - 1
+        return tuple(plane[run] for plane in self.values)
+
+    def dense(self) -> list[np.ndarray]:
+        """The C-contiguous (frames, columns) array of each value plane;
+        a run lasts until the next start in its column or the last frame."""
+        ends = np.empty(len(self.starts), np.int64)
+        ends[:-1] = self.starts[1:]
+        ends[np.cumsum(self.counts, dtype=np.int64)[self.counts > 0] - 1] = self.frames
+        lengths = ends - self.starts
+        return [np.repeat(plane, lengths).reshape(len(self.counts), self.frames).T.copy()
+                for plane in self.values]
 
 
 def _pack_entity_table(ids, kinds, names) -> bytes:
@@ -124,38 +196,39 @@ def _check_size(frames: int, columns: int, dtypes, error: type[Exception]):
                     f"past the bound of {MAX_DENSE_BYTES}")
 
 
-def _check_finite(counts: np.ndarray, planes, column: str, error: type[Exception]):
-    """`error` naming the first non-finite value of the runs [starts,
-    *value planes] of `counts` columns, if there is one."""
-    finite = np.logical_and.reduce([np.isfinite(plane) for plane in planes[1:]
+def _check_finite(runs: Runs, column: str, error: type[Exception]):
+    """`error` naming the first non-finite value of `runs`, if there is
+    one."""
+    finite = np.logical_and.reduce([np.isfinite(plane) for plane in runs.values
                                     if plane.dtype.kind == "f"])
     if not finite.all():
         at = int(np.argmin(finite))
-        raise error(f"{column} column {np.searchsorted(np.cumsum(counts), at, 'right')} "
-                    f"holds a non-finite value at frame {planes[0][at]}")
+        owner = np.searchsorted(np.cumsum(runs.counts), at, "right")
+        raise error(f"{column} column {owner} holds a non-finite value at frame "
+                    f"{runs.starts[at]}")
 
 
-def _runs_bytes(magic: bytes, fps: int, frames: int, ids, kinds, names,
-                counts: np.ndarray, planes, dtypes, column: str) -> memoryview:
-    """The bytes of a file of runs of `column` columns; the planes are
-    copied once.  ValueError when the planes they encode would pass
-    MAX_DENSE_BYTES, or when a value is not finite."""
-    _check_size(frames, len(counts), dtypes, ValueError)
-    planes = [np.ascontiguousarray(plane, dtype) for plane, dtype in zip(planes, dtypes)]
-    _check_finite(counts, planes, column, ValueError)
-    prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, frames)
+def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
+                column: str) -> memoryview:
+    """The bytes of a file of `runs` of `column` columns, stored as
+    `dtypes`; the planes are copied once.  ValueError when the planes
+    they encode would pass MAX_DENSE_BYTES, or when a value is not
+    finite."""
+    _check_size(runs.frames, len(runs.counts), dtypes, ValueError)
+    counts, starts, *values = (np.ascontiguousarray(plane, dtype) for plane, dtype in zip(
+        (runs.counts, runs.starts, *runs.values), (_COUNT, *dtypes)))
+    _check_finite(Runs(runs.frames, counts, starts, tuple(values)), column, ValueError)
+    prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, runs.frames)
               + _pack_entity_table(ids, kinds, names))
-    parts = (plane.view(np.uint8)
-             for plane in (np.ascontiguousarray(counts, _COUNT), *planes))
+    parts = (plane.view(np.uint8) for plane in (counts, starts, *values))
     return np.concatenate((np.frombuffer(prefix, np.uint8), *parts)).data
 
 
 def _parse_runs(buf: bytes, offset: int, columns: int, frames: int, dtypes,
-                column: str):
-    """-> (counts, [starts, *value planes]) of the runs of `columns`
-    columns that start at `offset`.  The planes are copied out of `buf`,
-    where the entity table can leave them unaligned, which numpy reads
-    slowly."""
+                column: str) -> Runs:
+    """The Runs of `columns` columns, stored as `dtypes`, that start at
+    `offset`.  The planes are copied out of `buf`, where the entity table
+    can leave them unaligned, which numpy reads slowly."""
     _check_size(frames, columns, dtypes, CorruptCorpus)
     payload = len(buf) - offset
     if payload < _COUNT.itemsize * columns:
@@ -172,40 +245,37 @@ def _parse_runs(buf: bytes, offset: int, columns: int, frames: int, dtypes,
     for dtype in dtypes:
         planes.append(np.frombuffer(buf, dtype, runs, offset).copy())
         offset += runs * dtype.itemsize
-    _check_runs(counts, planes, frames, column)
-    _check_finite(counts, planes, column, CorruptCorpus)
-    return counts, planes
+    starts, *values = planes
+    runs = Runs(frames, counts, starts, tuple(values))
+    _check_runs(runs, column)
+    _check_finite(runs, column, CorruptCorpus)
+    return runs
 
 
-def _check_runs(counts: np.ndarray, planes, frames: int, column: str):
+def _check_runs(runs: Runs, column: str):
     """CorruptCorpus unless each column's runs start at frame 0, strictly
-    increase below `frames`, and differ from the run before them."""
+    increase below the frame count, and are maximal."""
+    frames, counts, starts = runs.frames, runs.counts, runs.starts
     if frames and not counts.all():
         raise CorruptCorpus(f"{column} column {np.argmin(counts)} has no run over "
                             f"{frames} frames")
-    starts = planes[0]
-    owner = np.repeat(np.arange(len(counts)), counts)
-    later = np.zeros(len(starts), dtype=bool)  # a run after another of its column
-    later[1:] = owner[1:] == owner[:-1]
+    later = runs._follows()
     before = np.roll(starts, 1)
-    same = later.copy()
-    for plane in planes[1:]:
-        bits = plane.view(f"u{plane.dtype.itemsize}")
-        same &= bits == np.roll(bits, 1)
     for bad, why in (
             (~later & (starts != 0), "starts at frame {start}, not 0"),
             (starts >= frames, f"has a run at frame {{start}}, past its {frames} frames"),
             (later & (starts <= before), "has a run at frame {start} after one at "
                                          "frame {before}"),
-            (same, "repeats at frame {start} the value of its run at frame {before}")):
+            (runs._repeats(), "repeats at frame {start} the value of its run at "
+                              "frame {before}")):
         if bad.any():
             at = int(np.flatnonzero(bad)[0])
-            raise CorruptCorpus(f"{column} column {owner[at]} "
+            owner = np.searchsorted(np.cumsum(counts), at, "right")
+            raise CorruptCorpus(f"{column} column {owner} "
                                 + why.format(start=starts[at], before=before[at]))
 
 
-def relations_bytes(records: RelationRuns, fps: int, ids, kinds,
-                    names) -> memoryview:
+def relations_bytes(records: Runs, fps: int, ids, kinds, names) -> memoryview:
     """The bytes of a relations file; the runs are copied once.
     ValueError when the runs do not have E(E-1) columns for the E
     entities of the table."""
@@ -213,39 +283,19 @@ def relations_bytes(records: RelationRuns, fps: int, ids, kinds,
     if len(records.counts) != pairs:
         raise ValueError(f"relation runs of {len(records.counts)} columns do not "
                          f"hold {pairs} pairs per frame for {len(ids)} entities")
-    return _runs_bytes(RELATIONS_MAGIC, fps, records.frames, ids, kinds, names,
-                       records.counts, records.planes(), RelationRuns.DTYPES, "pair")
+    return _runs_bytes(RELATIONS_MAGIC, fps, ids, kinds, names, records,
+                       _RECORD_DTYPES, "pair")
 
 
 def parse_relations(buf: bytes):
-    """-> (fps, (ids, kinds, names), RelationRuns) of a relations file's
-    bytes."""
+    """-> (fps, (ids, kinds, names), Runs) of a relations file's bytes."""
     fps, frames, table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "relations")
     entities = len(table[0])
     pairs, payload = entities * (entities - 1), len(buf) - offset
     if not pairs and payload:
         raise CorruptCorpus(f"record payload of {payload} bytes for {entities} "
                             f"entities, which make no pair")
-    counts, planes = _parse_runs(buf, offset, pairs, frames, RelationRuns.DTYPES, "pair")
-    return fps, table, RelationRuns(frames, counts, *planes)
-
-
-def _expand_runs(counts: np.ndarray, planes, frames: int) -> list[np.ndarray]:
-    """The C-contiguous (frames, len(counts)) array of each value plane of
-    runs stored column-major, given as [starts, *value planes]; each
-    column's runs start at frame 0 and strictly increase, and each lasts
-    until the next start or the last frame."""
-    starts = planes[0]
-    ends = np.empty(len(starts), np.int64)
-    ends[:-1] = starts[1:]
-    ends[np.cumsum(counts, dtype=np.int64)[counts > 0] - 1] = frames
-    lengths = ends - starts
-    return [np.repeat(plane, lengths).reshape(len(counts), frames).T.copy()
-            for plane in planes[1:]]
-
-
-# a pose run: start frame, then x, y, z and yaw_deg
-_POSE_DTYPES = (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4
+    return fps, table, _parse_runs(buf, offset, pairs, frames, _RECORD_DTYPES, "pair")
 
 
 def framelog_bytes(log: FrameLog) -> memoryview:
@@ -254,11 +304,10 @@ def framelog_bytes(log: FrameLog) -> memoryview:
         raise ValueError(f"entity ids {tuple(log.entity_ids)} lack the camera's "
                          f"id {CAMERA_ID}")
     entity, frame = np.nonzero(log.pose_changes().T)
-    counts = np.bincount(entity, minlength=log.entity_count)
-    poses = (log.positions[frame, entity, axis] for axis in range(3))
-    return _runs_bytes(FRAMELOG_MAGIC, log.fps, log.frame_count, log.entity_ids,
-                       log.entity_kinds, log.entity_names, counts,
-                       (frame, *poses, log.yaws[frame, entity]), _POSE_DTYPES, "entity")
+    runs = Runs(log.frame_count, np.bincount(entity, minlength=log.entity_count), frame,
+                (*log.positions[frame, entity].T, log.yaws[frame, entity]))
+    return _runs_bytes(FRAMELOG_MAGIC, log.fps, log.entity_ids, log.entity_kinds,
+                       log.entity_names, runs, _POSE_DTYPES, "entity")
 
 
 def parse_framelog(buf: bytes) -> FrameLog:
@@ -267,8 +316,8 @@ def parse_framelog(buf: bytes) -> FrameLog:
                                                              "framelog")
     if CAMERA_ID not in ids:
         raise CorruptCorpus(f"entity table lacks the camera's id {CAMERA_ID}")
-    counts, planes = _parse_runs(buf, offset, len(ids), frames, _POSE_DTYPES, "entity")
-    x, y, z, yaws = _expand_runs(counts, planes, frames)
+    x, y, z, yaws = _parse_runs(buf, offset, len(ids), frames, _POSE_DTYPES,
+                                "entity").dense()
     return FrameLog(
         positions=np.stack((x, y, z), axis=2),
         yaws=yaws,
@@ -279,12 +328,12 @@ def parse_framelog(buf: bytes) -> FrameLog:
     )
 
 
-def write_relations(path, records: RelationRuns, fps: int, ids, kinds, names):
+def write_relations(path, records: Runs, fps: int, ids, kinds, names):
     Path(path).write_bytes(relations_bytes(records, fps, ids, kinds, names))
 
 
 def read_relations(path):
-    """-> (fps, (ids, kinds, names), RelationRuns) of a relations file."""
+    """-> (fps, (ids, kinds, names), Runs) of a relations file."""
     return parse_relations(Path(path).read_bytes())
 
 

@@ -17,18 +17,19 @@ instead of being dropped, which keeps the per-frame record count at
 E * (E - 1): a record is coincident exactly when its distance is 0.
 
 The collector computes a record only where a pose changed and returns
-the records as change runs (RelationRuns), their one in-memory form,
-which the relations file stores and RelationRuns.at reads unexpanded.
+the records as binio.Runs, the change runs that the relations file
+stores; Runs.at reads any record without expanding them.  The run
+layout lives in binio alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
+from .binio import Runs
 from .model import EventKind, GestGraph
 from .scheduling import EventTimeline
 from .simulation import FrameLog, wrap_signed
@@ -66,52 +67,6 @@ def compute_pair_relation(pose_a, pose_b) -> PairRelation:
                         elevation, False)
 
 
-@dataclass(frozen=True)
-class RelationRuns:
-    """The spatial records of one story as change runs.  Column k, the
-    k-th ordered pair over sorted ids, is cut into maximal runs of frames
-    over which its record is bitwise equal; a run is its start frame and
-    its record.  `counts` holds each column's run count, and the run
-    planes hold every run, column-major and in frame order within a
-    column.  A coincident pair reads distance 0; any other distance is at
-    least COINCIDENT_EPS, which f4 keeps nonzero.  len() is the record
-    count, frames x columns."""
-    frames: int
-    counts: np.ndarray  # u4, one per column
-    starts: np.ndarray  # u4
-    distance_m: np.ndarray  # f4
-    azimuth_deg: np.ndarray  # f4
-    elevation_deg: np.ndarray  # f4
-    compass: np.ndarray  # u1
-    # the run planes' dtypes in file order: 17 bytes per run
-    DTYPES: ClassVar[tuple[np.dtype, ...]] = tuple(
-        np.dtype(t) for t in ("<u4", "<f4", "<f4", "<f4", "u1"))
-
-    def __post_init__(self):
-        runs = int(self.counts.sum())
-        lengths = [len(plane) for plane in self.planes()]
-        if lengths != [runs] * len(lengths):
-            raise ValueError(f"run planes of lengths {lengths} for {runs} runs")
-
-    def planes(self) -> tuple[np.ndarray, ...]:
-        """The run planes in file order: starts, then the record planes."""
-        return (self.starts, self.distance_m, self.azimuth_deg, self.elevation_deg,
-                self.compass)
-
-    def __len__(self) -> int:
-        return self.frames * len(self.counts)
-
-    def at(self, frame, column) -> tuple[np.ndarray, ...]:
-        """The four record planes' values at each (frame, column),
-        broadcast together: the record of the run of `column` that holds
-        `frame`.  ValueError for a cell outside frames x columns."""
-        cell = np.ravel_multi_index((column, frame), (len(self.counts), self.frames))
-        # a run's key is its cell; column-major runs in frame order sort by it
-        keys = np.repeat(np.arange(len(self.counts)) * self.frames, self.counts)
-        run = np.searchsorted(keys + self.starts, cell, side="right") - 1
-        return tuple(plane[run] for plane in self.planes()[1:])
-
-
 # Unordered (pair, frame) cells per chunk of collect_story_relations: its
 # temporaries, about ten float64 arrays over both directions of 8 Ki cells
 # (128 KiB each), then fit a few MiB of cache.
@@ -119,7 +74,7 @@ _CHUNK_CELLS = 1 << 13
 _COMPASS_EDGES = (45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
 
 
-def collect_story_relations(log: FrameLog) -> RelationRuns:
+def collect_story_relations(log: FrameLog) -> Runs:
     """Vectorized per-story collection, each record computed as
     compute_pair_relation computes one pair.  Its `%` and `//` are done
     with compares and adds, which give the same bits only for yaws in
@@ -129,8 +84,8 @@ def collect_story_relations(log: FrameLog) -> RelationRuns:
     A record is computed only at frame 0 and where either entity of its
     pair has a pose that changed since the frame before
     (FrameLog.pose_changes): elsewhere its inputs, and so its bits,
-    repeat.  Computed records that equal the one before them in their
-    column are then merged into its run.
+    repeat.  Each computed record starts a run, and Runs.merged joins
+    each run that repeats the one before it in its column to that run.
 
     Each unordered pair {a, b} is gathered once, and its two directions'
     deltas are two subtractions, so a zero keeps the sign that direction
@@ -214,8 +169,8 @@ def collect_story_relations(log: FrameLog) -> RelationRuns:
             for out, plane in ((azimuth_out, azimuth), (elevation_out, elevation),
                                (compass_out, compass)):
                 out[lo:hi], out[cells + lo:cells + hi] = plane[:m], plane[m:]
-    return _merged_runs(frames, order, half, pair, frame, dist_out, azimuth_out,
-                        elevation_out, compass_out)
+    return _column_runs(frames, order, half, pair, frame, dist_out, azimuth_out,
+                        elevation_out, compass_out).merged()
 
 
 def _both_ways(ends: np.ndarray, half: int) -> np.ndarray:
@@ -227,13 +182,11 @@ def _both_ways(ends: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def _merged_runs(frames: int, order: np.ndarray, half: int, pair: np.ndarray,
-                 frame: np.ndarray, distance: np.ndarray, *directed: np.ndarray
-                 ) -> RelationRuns:
-    """RelationRuns of the computed cells.  Column k holds the cells of
-    unordered pair `order[k] % half`, read from the forward or the
-    reverse half of each `directed` plane as `order[k]` says; a cell that
-    equals the cell before it in its column joins that cell's run."""
+def _column_runs(frames: int, order: np.ndarray, half: int, pair: np.ndarray,
+                 frame: np.ndarray, distance: np.ndarray, *directed: np.ndarray) -> Runs:
+    """Runs of the computed cells, one cell per run.  Column k holds the
+    cells of unordered pair `order[k] % half`, read from the forward or
+    the reverse half of each `directed` plane as `order[k]` says."""
     cells = len(pair)
     per_pair = np.bincount(pair, minlength=half)
     undirected = order % half
@@ -243,18 +196,8 @@ def _merged_runs(frames: int, order: np.ndarray, half: int, pair: np.ndarray,
     # each column cell's unordered cell, and its index in the directed planes
     ucell = np.arange(2 * cells) + np.repeat(start_of_pair[undirected] - first, lengths)
     cell = ucell + np.repeat(np.where(order >= half, cells, 0), lengths)
-    planes = [distance[ucell], *(plane[cell] for plane in directed)]
-    changed = np.ones(2 * cells, dtype=bool)
-    for plane in planes:
-        bits = plane.view(f"u{plane.dtype.itemsize}")
-        changed[1:] &= bits[1:] == bits[:-1]
-    np.logical_not(changed[1:], out=changed[1:])
-    changed[first[lengths > 0]] = True
-    kept = np.flatnonzero(changed)
-    counts = np.diff(np.searchsorted(kept, first + lengths), prepend=0)
-    return RelationRuns(frames, counts.astype(np.uint32),
-                        frame[ucell[kept]].astype(np.uint32),
-                        *(plane[kept] for plane in planes))
+    return Runs(frames, lengths.astype(np.uint32), frame[ucell].astype(np.uint32),
+                (distance[ucell], *(plane[cell] for plane in directed)))
 
 
 def collect_event_mappings(timeline: EventTimeline, graph: GestGraph) -> list[dict]:

@@ -104,6 +104,14 @@ def _movement_actions(registry: CapabilityRegistry) -> set[str]:
     return {k for k, a in registry.actions.items() if a.is_movement_only}
 
 
+def _unmatched_events(graph: GestGraph, timeline: EventTimeline) -> tuple[list, list]:
+    """The ids of the graph events that the timeline lacks, and of the
+    timeline events that the graph lacks."""
+    known = graph.event_index()
+    return ([ev.event_id for ev in graph.events if ev.event_id not in timeline.intervals],
+            [eid for eid in timeline.intervals if eid not in known])
+
+
 def _misfit_log(story_id: str, graph: GestGraph, timeline: EventTimeline,
                 log: FrameLog) -> str | None:
     """Why `log` does not hold the entity_table of the story's graph and
@@ -121,12 +129,15 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
                registry: CapabilityRegistry, probe: ProbeConfig,
                split: str) -> dict[str, bytes]:
     """probes/clips.jsonl and probes/labels.jsonl of one story, by path.
-    A timeline that lacks a graph event, or a frame log that is not the
-    one simulate writes for the graph and timeline (_misfit_log), raises
-    CorruptCorpus."""
-    for ev in graph.events:
-        if ev.event_id not in timeline.intervals:
-            raise CorruptCorpus(f"{story_id}/timeline.json lacks event {ev.event_id}")
+    A timeline whose events are not the graph's (_unmatched_events), or a
+    frame log that is not the one simulate writes for the graph and
+    timeline (_misfit_log), raises CorruptCorpus."""
+    lacked, unknown = _unmatched_events(graph, timeline)
+    if lacked:
+        raise CorruptCorpus(f"{story_id}/timeline.json lacks event {lacked[0]}")
+    if unknown:
+        raise CorruptCorpus(f"{story_id}/timeline.json holds event {unknown[0]}, "
+                            f"which graph.json lacks")
     misfit = _misfit_log(story_id, graph, timeline, log)
     if misfit:
         raise CorruptCorpus(misfit)
@@ -374,9 +385,9 @@ def compute_stats(corpus_dir: Path | str) -> dict:
         mappings = story.require("events.jsonl", lambda data: data.count(b"\n"))
         relation_file = story.require("relations.bin", binio.parse_relations)
         log = story.require("framelog.bin", binio.parse_framelog)
-        misfit = _misfit_records(story_id, log, relation_file)
-        if misfit:
-            raise CorruptCorpus(misfit)
+        disagreement = _binaries_disagree(story_id, log, relation_file)
+        if disagreement:
+            raise CorruptCorpus(disagreement)
         counts.append(story_counts(graph, mappings, len(relation_file[2]),
                                    log.frame_count))
     return corpus_stats(registry, manifest["config"]["fps"], counts)
@@ -404,15 +415,13 @@ def _check_timeline(story_id: str, graph: GestGraph, timeline: EventTimeline,
     before = len(durations) + len(relations)
     if timeline.fps != fps:
         durations.append(f"{story_id}: fps {timeline.fps} != {fps}")
-    missing = [f"{story_id}: event {ev.event_id} not in the timeline"
-               for ev in graph.events if ev.event_id not in timeline.intervals]
-    if missing:
+    lacked, unknown = _unmatched_events(graph, timeline)
+    if lacked:
         for found in (durations, relations, *derived):
-            found.extend(missing)
+            found.extend(f"{story_id}: event {eid} not in the timeline" for eid in lacked)
         return False
-    known = graph.event_index()
     durations.extend(f"{story_id}: timeline event {eid} not in the graph"
-                     for eid in timeline.intervals if eid not in known)
+                     for eid in unknown)
     for ev in graph.events:
         s, e = timeline.interval(ev.event_id)
         if e - s != duration_frames(ev.duration_s, fps):
@@ -439,15 +448,19 @@ def _check_text(story_id: str, graph: GestGraph, timeline: EventTimeline,
                         f"and timeline")
 
 
-def _misfit_records(story_id: str, log: FrameLog, relation_file) -> str | None:
-    """Why parse_relations' `relation_file` does not hold E(E-1) records
-    for each frame of the story's log, or None when it does.  A story
-    whose records do not fit cannot be counted, by verify or by
-    compute_stats."""
-    entities = len(relation_file[1][0])
-    records, expect = len(relation_file[2]), log.frame_count * entities * (entities - 1)
-    if records != expect:
-        return f"{story_id}/relations.bin has {records} records, expected {expect}"
+def _binaries_disagree(story_id: str, log: FrameLog, relation_file) -> str | None:
+    """Why parse_relations' `relation_file` and the story's frame log do
+    not hold the same fps, entity table and frame count, or None when they
+    do; then the file holds E(E-1) records for each frame of the log.  A
+    story whose binaries disagree cannot be counted, by verify or stats."""
+    fps, table, records = relation_file
+    if fps != log.fps:
+        return f"{story_id}/relations.bin fps {fps} != framelog.bin's {log.fps}"
+    if table != (log.entity_ids, log.entity_kinds, log.entity_names):
+        return f"{story_id}/relations.bin entity table differs from framelog.bin's"
+    if records.frames != log.frame_count:
+        return (f"{story_id}/relations.bin holds {records.frames} frames, "
+                f"framelog.bin {log.frame_count}")
     return None
 
 
@@ -455,25 +468,18 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
                    rng: random.Random, samples: int, failures: list[str],
                    stats: list[str]) -> bool:
     """Recompute `samples` records of parse_relations' `relation_file`,
-    drawn by `rng`, with the scalar route.  Both binaries must hold the
-    manifest's `fps` and the same entity table, which fixes each record's
-    key: record p is frame p // E(E-1) and ordered pair p % E(E-1).
-    False when the records do not fit the log (_misfit_records), which
-    also fails `stats`: the story cannot be counted."""
-    relations_fps, table, records = relation_file
-    for name, found in (("relations.bin", relations_fps), ("framelog.bin", log.fps)):
-        if found != fps:
-            failures.append(f"{story_id}/{name} fps {found} != {fps}")
-    misfit = _misfit_records(story_id, log, relation_file)
-    if misfit:
-        failures.append(misfit)
-        stats.append(misfit)
+    drawn by `rng`, with the scalar route: record p is frame p // E(E-1)
+    and ordered pair p % E(E-1).  The binaries must agree
+    (_binaries_disagree) and hold the manifest's `fps`.  False when they
+    disagree, which also fails `stats`: the story cannot be counted."""
+    disagreement = _binaries_disagree(story_id, log, relation_file)
+    if disagreement:
+        failures.append(disagreement)
+        stats.append(disagreement)
         return False
-    if table != (log.entity_ids, log.entity_kinds, log.entity_names):
-        failures.append(f"{story_id}/relations.bin entity table differs from "
-                        f"framelog.bin's")
-        return True
-    ids = sorted(table[0])
+    if log.fps != fps:
+        failures.append(f"{story_id}: binaries hold fps {log.fps}, manifest {fps}")
+    records, ids = relation_file[2], sorted(log.entity_ids)
     pairs = len(ids) * (len(ids) - 1)
     if not records:
         failures.append(f"{story_id}: no relation records")

@@ -31,9 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from storysim.binio import _RECORD_DTYPES, Runs
 from storysim.collectors import (_COMPASS_EDGES, COINCIDENT_EPS, COMPASS_NAMES,
-                                 RelationRuns, _both_ways, compass_bin,
-                                 compute_pair_relation)
+                                 _both_ways, compass_bin, compute_pair_relation)
 from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import CAMERA_ID, EntityKind
@@ -270,7 +270,7 @@ _CHUNK_RECORDS = 1 << 15
 
 class Planes(NamedTuple):
     """The spatial records of one story as four (frames, E(E-1)) planes,
-    in the order of RelationRuns' record planes: row f, column k is frame
+    in the order of a relations Runs' value planes: row f, column k is frame
     f and the k-th ordered pair."""
     distance_m: np.ndarray  # f4
     azimuth_deg: np.ndarray  # f4
@@ -278,8 +278,8 @@ class Planes(NamedTuple):
     compass: np.ndarray  # u1, an index into COMPASS_NAMES
 
 
-def planes_of(runs: RelationRuns) -> Planes:
-    """The dense planes that RelationRuns encode, read through at()."""
+def planes_of(runs: Runs) -> Planes:
+    """The dense planes that relations Runs encode, read through at()."""
     return Planes(*runs.at(*np.indices((runs.frames, len(runs.counts)))))
 
 
@@ -303,7 +303,7 @@ def dense_collect_story_relations(log) -> Planes:
     n, frames = len(ids), log.frame_count
     n_pairs = n * (n - 1)
     out = Planes(*(np.empty((frames, n_pairs), dtype)
-                   for dtype in RelationRuns.DTYPES[1:]))
+                   for dtype in _RECORD_DTYPES[1:]))
     if not n_pairs:
         return out
     idx = np.array([log.index_of(e) for e in ids], dtype=np.intp)
@@ -370,8 +370,8 @@ def dense_collect_story_relations(log) -> Planes:
     return out
 
 
-def runs_of(records: Planes) -> RelationRuns:
-    """The RelationRuns of dense planes, found from the planes alone: a
+def runs_of(records: Planes) -> Runs:
+    """The Runs of dense planes, found from the planes alone: a
     column's run starts at frame 0 and wherever any plane's bits differ
     from the frame before."""
     frames, columns = records.distance_m.shape
@@ -383,8 +383,8 @@ def runs_of(records: Planes) -> RelationRuns:
         starts[:, 1:] |= bits[:, 1:] != bits[:, :-1]
     column, frame = np.nonzero(starts)
     counts = np.bincount(column, minlength=columns).astype(np.uint32)
-    return RelationRuns(frames, counts, frame.astype(np.uint32),
-                        *(plane[column, frame] for plane in planes))
+    return Runs(frames, counts, frame.astype(np.uint32),
+                tuple(plane[column, frame] for plane in planes))
 
 
 _BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask

@@ -16,6 +16,7 @@ from storysim.binio import (
     FORMAT_VERSION,
     FRAMELOG_MAGIC,
     RELATIONS_MAGIC,
+    Runs,
     framelog_bytes,
     parse_framelog,
     parse_relations,
@@ -27,7 +28,6 @@ from storysim.binio import (
 )
 from storysim.collectors import (
     COMPASS_NAMES,
-    RelationRuns,
     collect_event_mappings,
     collect_story_relations,
     compass_bin,
@@ -159,12 +159,12 @@ def _first_frames(log: FrameLog, frames: int) -> FrameLog:
 def test_records_are_13_bytes_in_four_planes(log):
     records = collect_story_relations(log)
     e = log.entity_count
-    planes = records.planes()[1:]
+    planes = records.values
     assert [p.dtype for p in planes] == [np.dtype(t) for t in ("<f4", "<f4", "<f4", "u1")]
-    assert RelationRuns.DTYPES[1:] == tuple(p.dtype for p in planes)
+    assert binio._RECORD_DTYPES[1:] == tuple(p.dtype for p in planes)
     assert sum(p.itemsize for p in planes) == 13
     assert {p.shape for p in planes_of(records)} == {(log.frame_count, e * (e - 1))}
-    assert all(getattr(records, name) is plane for name, plane in zip(PLANES, planes))
+    assert planes_of(records)._fields == PLANES
 
 
 def test_record_count_and_ordering(log):
@@ -294,7 +294,7 @@ def _assert_equals_the_dense_kernel(log):
     assert runs.frames == cut.frames == log.frame_count
     assert runs.counts.dtype == cut.counts.dtype
     assert runs.counts.tobytes() == cut.counts.tobytes()
-    for got, want in zip(runs.planes(), cut.planes()):
+    for got, want in zip(_run_planes(runs), _run_planes(cut)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -406,13 +406,19 @@ def test_relations_file_round_trip(tmp_path, log):
     assert kinds == log.entity_kinds
     assert names == log.entity_names
     # the reader returns the runs the writer took, expanding nothing
-    assert type(loaded) is RelationRuns
+    assert type(loaded) is Runs
     _assert_same_runs(loaded, records)
 
 
-def _assert_same_runs(got: RelationRuns, want: RelationRuns):
+def _run_planes(runs: Runs) -> tuple:
+    """The run planes in file order: starts, then the value planes."""
+    return (runs.starts, *runs.values)
+
+
+def _assert_same_runs(got: Runs, want: Runs):
     assert got.frames == want.frames
-    for plane, other in zip((got.counts, *got.planes()), (want.counts, *want.planes())):
+    for plane, other in zip((got.counts, *_run_planes(got)),
+                            (want.counts, *_run_planes(want))):
         assert plane.dtype == other.dtype and plane.tobytes() == other.tobytes()
 
 
@@ -427,6 +433,79 @@ def test_at_broadcasts_cells_and_refuses_cells_outside_the_records(log):
     for frame, column in ((frames, 0), (0, columns), (-1, 0), (0, [0, -1])):
         with pytest.raises(ValueError):
             runs.at(frame, column)
+
+
+def test_dense_equals_at_over_every_cell(log, monkeypatch):
+    # the collector's runs, and the runs parse_framelog expands
+    parsed, dense = [], Runs.dense
+    monkeypatch.setattr(Runs, "dense", lambda runs: parsed.append(runs) or dense(runs))
+    parse_framelog(bytes(framelog_bytes(log)))
+    assert len(parsed) == 1 and len(parsed[0].values) == 4
+    for runs in (collect_story_relations(log), parsed[0]):
+        cells = np.indices((runs.frames, len(runs.counts)))
+        for got, want in zip(dense(runs), runs.at(*cells)):
+            assert got.shape == cells[0].shape
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_the_merge_leaves_maximal_runs_as_they_are(log):
+    runs = collect_story_relations(log)
+    _assert_same_runs(runs.merged(), runs)
+    # column 0 reads 0.0 from frame 0, -0.0 from frame 1 and -0.0 again
+    # from frame 2: only the last run repeats the one before it
+    repeated = Runs(3, np.array([3, 1], np.uint32), np.array([0, 1, 2, 0], np.uint32),
+                    (np.array([0.0, -0.0, -0.0, 1.0], np.float32),
+                     *(np.zeros(4, np.float32) for _ in range(2)), np.zeros(4, np.uint8)))
+    merged = repeated.merged()
+    assert merged.counts.tolist() == [2, 1] and merged.starts.tolist() == [0, 1, 0]
+    _assert_same_runs(merged.merged(), merged)
+
+
+@st.composite
+def _small_runs(draw):
+    """(entities, relations Runs) of up to 3 entities and 5 frames whose
+    runs start anywhere and may repeat the run before them; each float
+    is 0.0, -0.0 or 2.5, so equal values can differ in their bits."""
+    entities, frames = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    counts, starts = [], []
+    for _ in range(entities * (entities - 1)):
+        cuts = draw(st.lists(st.booleans(), min_size=frames - 1, max_size=frames - 1))
+        column = [0] + [frame for frame, cut in enumerate(cuts, 1) if cut]
+        counts.append(len(column))
+        starts += column
+
+    def plane(values, dtype):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=len(starts),
+                                      max_size=len(starts))), dtype)
+    values = (*(plane((0.0, -0.0, 2.5), np.float32) for _ in range(3)),
+              plane((0, 7), np.uint8))
+    return entities, Runs(frames, np.array(counts, np.uint32),
+                          np.array(starts, np.uint32), values)
+
+
+def _small_relations(entities: int, runs: Runs) -> bytes:
+    ids = tuple(range(entities))
+    kinds = (EntityKind.CAMERA,) + (EntityKind.OBJECT,) * (entities - 1)
+    return bytes(relations_bytes(runs, 25, ids, kinds, tuple(f"e{i}" for i in ids)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_small_runs())
+def test_the_parser_accepts_exactly_what_the_merge_emits(small):
+    entities, runs = small
+    merged = runs.merged()
+    _, _, parsed = parse_relations(_small_relations(entities, merged))
+    _assert_same_runs(parsed, merged)
+    _assert_same_runs(merged.merged(), merged)
+    # the merge changes no cell, and bits decide what repeats
+    cells = np.indices((runs.frames, len(runs.counts)))
+    for before, after in zip(runs.at(*cells), merged.at(*cells)):
+        assert before.tobytes() == after.tobytes()
+    if len(merged.starts) == len(runs.starts):
+        _assert_same_runs(parse_relations(_small_relations(entities, runs))[2], runs)
+    else:
+        with pytest.raises(CorruptCorpus, match="repeats at frame"):
+            parse_relations(_small_relations(entities, runs))
 
 
 def _payload_offset(raw: bytes) -> int:
@@ -477,11 +556,11 @@ def test_parse_relations_returns_the_run_planes_of_the_bytes(log):
     counts = np.frombuffer(raw, "<u4", pairs, offset).tolist()
     offset += 4 * pairs
     planes = []
-    for dtype in RelationRuns.DTYPES:
+    for dtype in binio._RECORD_DTYPES:
         planes.append(np.frombuffer(raw, dtype, sum(counts), offset))
         offset += sum(counts) * dtype.itemsize
     assert offset == len(raw)
-    for got, want in zip(runs.planes(), planes):
+    for got, want in zip(_run_planes(runs), planes):
         assert got.tobytes() == want.tobytes()
     starts, *values = planes
     at = 0
@@ -549,7 +628,7 @@ def test_read_rejects_truncated_payload(tmp_path, log):
 _RUN_FILES = {
     "framelog": (framelog_bytes, parse_framelog,
                  (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4, lambda e: e),
-    "relations": (lambda log: _relations_file(log), parse_relations, RelationRuns.DTYPES,
+    "relations": (lambda log: _relations_file(log), parse_relations, binio._RECORD_DTYPES,
                   lambda e: e * (e - 1)),
 }
 
@@ -735,8 +814,7 @@ def test_relation_planes_that_the_table_does_not_fit_are_refused(log):
         relations_bytes(records, log.fps, log.entity_ids[:-1], log.entity_kinds[:-1],
                         log.entity_names[:-1])
     with pytest.raises(ValueError, match="run planes of lengths"):
-        RelationRuns(records.frames, records.counts, records.starts[:-1],
-                     *records.planes()[1:])
+        Runs(records.frames, records.counts, records.starts[:-1], records.values)
 
 
 def test_synthetic_log_small_counts():

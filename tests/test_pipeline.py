@@ -213,16 +213,16 @@ def test_verify_loads_each_artifact_once_per_story(corpus, monkeypatch):
 
     for owner, name in ((pipeline, "parse_graph"), (pipeline, "parse_timeline"),
                         (binio, "parse_framelog"), (binio, "parse_relations"),
-                        (binio, "_expand_runs")):
+                        (binio.Runs, "dense")):
         counted(owner, name)
     assert verify(root)["ok"]
     # each story's frame log is expanded once, and no relations file is
     assert calls == dict.fromkeys(("parse_graph", "parse_timeline", "parse_framelog",
-                                   "parse_relations", "_expand_runs"), STORIES)
+                                   "parse_relations", "dense"), STORIES)
     calls.clear()
     compute_stats(root)
     assert calls == dict.fromkeys(("parse_graph", "parse_framelog", "parse_relations",
-                                   "_expand_runs"), STORIES)
+                                   "dense"), STORIES)
 
 
 def test_each_story_file_is_read_at_most_once(corpus, tmp_path, reads):
@@ -460,6 +460,31 @@ def _frame_past_the_log_with_its_hash(path):
 _frame_past_the_log_with_its_hash.rehashes = True
 
 
+def _relations_rehashed(edit):
+    """The damage that rewrites relations.bin, with its hash, as the
+    relations_bytes of edit(runs, fps, ids, kinds, names)."""
+    def damage(path):
+        fps, table, records = binio.read_relations(path)
+        data = binio.relations_bytes(*edit(records, fps, *table))
+        rewrite_with_hash(path.parent.parent, path.parent.name, path.name, bytes(data))
+    damage.rehashes = True
+    return damage
+
+
+def _without_the_last_frame(records: binio.Runs) -> binio.Runs:
+    return runs_of(Planes(*(plane[:-1] for plane in planes_of(records))))
+
+
+def _both_binaries_at_fps_30(path):
+    # the binaries agree with each other, not with the manifest's fps
+    for name in ("relations.bin", "framelog.bin"):
+        rewrite_with_hash(path.parent.parent, path.parent.name, name,
+                          _fps_30((path.parent / name).read_bytes()))
+
+
+_both_binaries_at_fps_30.rehashes = True
+
+
 CLIPS_DIFFER = ("story_00001/probes/clips.jsonl differs from the clips of the graph "
                 "and timeline")
 
@@ -505,9 +530,10 @@ DAMAGES = [
                  "registry.json missing", id="registry-missing"),
     pytest.param("story_00001/probes/clips.jsonl", _reverse_first_clip,
                  ("probe-labels",), CLIPS_DIFFER, id="clip-frames-reversed"),
-    # a story whose records do not fit its log cannot be counted
+    # a story whose binaries disagree cannot be counted
     pytest.param("story_00001/relations.bin", _frame_past_the_log,
-                 ("spatial-records", "corpus-stats"), "story_00001/relations.bin has ",
+                 ("spatial-records", "corpus-stats"),
+                 "story_00001/relations.bin holds 2473 frames",
                  id="record-frames-past-the-log"),
     pytest.param("story_00001/timeline.json", _drop_first_interval,
                  ("timeline-durations", "temporal-relations", "probe-labels",
@@ -531,8 +557,28 @@ DAMAGES = [
                  ("probe-labels",), CLIPS_DIFFER, id="first-clip-dropped"),
     pytest.param("story_00001/relations.bin", _frame_past_the_log_with_its_hash,
                  ("spatial-records", "corpus-stats"),
-                 "story_00001/relations.bin has 272030 records, expected 271920",
+                 "story_00001/relations.bin holds 2473 frames, framelog.bin 2472",
                  id="record-frames-past-the-log-rehashed"),
+    pytest.param("story_00001/relations.bin",
+                 _relations_rehashed(lambda records, fps, *table: (records, 30, *table)),
+                 ("spatial-records", "corpus-stats"),
+                 "story_00001/relations.bin fps 30 != framelog.bin's 25",
+                 id="relations-fps-rehashed"),
+    pytest.param("story_00001/relations.bin",
+                 _relations_rehashed(lambda records, fps, ids, kinds, names: (
+                     records, fps, ids, kinds, (names[0], "Zed", *names[2:]))),
+                 ("spatial-records", "corpus-stats"),
+                 "story_00001/relations.bin entity table differs from framelog.bin's",
+                 id="relations-entity-renamed-rehashed"),
+    pytest.param("story_00001/relations.bin",
+                 _relations_rehashed(lambda records, fps, *table: (
+                     _without_the_last_frame(records), fps, *table)),
+                 ("spatial-records", "corpus-stats"),
+                 "story_00001/relations.bin holds 2471 frames, framelog.bin 2472",
+                 id="relations-a-frame-short-rehashed"),
+    pytest.param("story_00001/relations.bin", _both_binaries_at_fps_30,
+                 ("spatial-records",), "story_00001: binaries hold fps 30, manifest 25",
+                 id="binaries-fps-rehashed"),
 ]
 
 
@@ -657,18 +703,20 @@ def _fps_30(data: bytes) -> bytes:
 @pytest.mark.parametrize("rel_path, damage, named", [
     ("relations.bin", _relations_renamed_and_rekinded,
      "story_00001/relations.bin entity table differs from framelog.bin's"),
-    ("relations.bin", _fps_30, "story_00001/relations.bin fps 30 != 25"),
-    ("framelog.bin", _fps_30, "story_00001/framelog.bin fps 30 != 25"),
+    ("relations.bin", _fps_30, "story_00001/relations.bin fps 30 != framelog.bin's 25"),
+    ("framelog.bin", _fps_30, "story_00001/relations.bin fps 25 != framelog.bin's 30"),
 ], ids=["relations-entities-renamed", "relations-fps", "framelog-fps"])
 def test_verify_checks_the_binary_headers_against_each_other(small_corpus, tmp_path,
                                                              rel_path, damage, named):
-    # each file rewritten with its hash, so only the header check can catch it
+    # each file rewritten with its hash, so only the header check can catch
+    # it; binaries that disagree cannot be counted
     root = tmp_path / "damaged"
     shutil.copytree(small_corpus, root)
     rewrite_with_hash(root, "story_00001", rel_path,
                       damage((root / "story_00001" / rel_path).read_bytes()))
     report = verify(root)
-    assert report["checks"] == expected_checks({"spatial-records": named})
+    assert report["checks"] == expected_checks({"spatial-records": named,
+                                                "corpus-stats": named})
 
 
 def _version_1(path):
@@ -898,6 +946,10 @@ def _fps_2(doc):
     doc["fps"] = 2
 
 
+def _an_unknown_event_added(doc):
+    doc["intervals"].append([9999, 10, 20])
+
+
 def _intervals_shifted(frames):
     def damage(doc):
         for row in doc["intervals"]:
@@ -910,6 +962,8 @@ def _intervals_shifted(frames):
 # the camera's settling frames spans one frame more than the log holds
 @pytest.mark.parametrize("damage, named", [
     (_first_interval_dropped, "story_00001/timeline.json lacks event 0"),
+    (_an_unknown_event_added, "story_00001/timeline.json holds event 9999, which "
+                              "graph.json lacks"),
     (_intervals_shifted(100_000), "story_00001/timeline.json spans 102472 frames, "
                                   "framelog.bin holds 2472"),
     (_intervals_shifted(1), "story_00001/timeline.json spans 2473 frames, "
@@ -917,7 +971,8 @@ def _intervals_shifted(frames):
     # below the clip rate, clip frames would collide
     (_fps_2, "story_00001/timeline.json cannot be loaded: fps must be at least 4, "
              "the clip rate (at fps)"),
-], ids=["event-dropped", "frames-shifted", "frames-shifted-by-one", "fps-2"])
+], ids=["event-dropped", "unknown-event-added", "frames-shifted",
+        "frames-shifted-by-one", "fps-2"])
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out"])
 def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_path,
                                                                capsys, damage, named,

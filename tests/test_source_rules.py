@@ -84,14 +84,30 @@ def test_only_binio_imports_struct():
     assert not found, f"struct imported outside binio.py: {found}"
 
 
-def test_only_binio_and_collectors_read_the_run_layout():
-    # a RelationRuns' run planes are laid out by collectors.py and stored
-    # by binio.py; every other module reads records through at()
+def test_only_binio_reads_the_run_layout():
+    # binio.Runs lays out and stores both binaries' runs; every other
+    # module builds them through Runs and reads them through at()
     found = [f"{path.name}:{node.lineno} .{node.attr}"
-             for path in SOURCES if path.name not in ("binio.py", "collectors.py")
+             for path in SOURCES if path.name != "binio.py"
              for node in ast.walk(ast.parse(path.read_text("utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in ("starts", "counts")]
-    assert not found, f"run layout read outside binio.py and collectors.py: {found}"
+    assert not found, f"run layout read outside binio.py: {found}"
+
+
+def test_binio_imports_none_of_its_readers():
+    # the codecs sit below the modules that collect, check and label what
+    # they store, so none of those can shape a file's layout
+    path = Path(storysim.__file__).parent / "binio.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(part for a in node.names if a.name.startswith("storysim")
+                         for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("storysim")):
+            found.update((node.module or "").split("."), (a.name for a in node.names))
+    found &= {"collectors", "pipeline", "probes"}
+    assert not found, f"binio.py imports {sorted(found)}"
 
 
 def test_every_export_resolves_once():
