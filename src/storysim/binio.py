@@ -22,10 +22,15 @@ value is its pose as float64 x, y, z and yaw_deg, so 36 bytes per run;
 the table holds the camera.  Poses stay f64 so spatial records
 recompute bit-identically from a reloaded log.
 
-Every value is finite.  Runs holds either file's runs in memory.  A
-parser takes a file's bytes, returns the relations' Runs, which the
-writer takes, or the FrameLog the framelog's Runs expand to, and raises
-CorruptCorpus saying what is wrong with them; the caller names the file.
+Every value is finite.  Runs holds either file's runs in memory, and
+one rule, _check_runs, says which runs a file may hold: the writers
+refuse the runs the parser refuses, with the same message.  Both parsers
+take a file's bytes and return its (fps, (ids, kinds, names), Runs),
+unexpanded, and raise CorruptCorpus saying what is wrong with them; the
+caller names the file.  The relations' Runs are what relations_bytes
+takes, and frame_log expands a framelog's into the FrameLog that
+framelog_bytes takes.  A table holds u16 ids and names of at most
+MAX_NAME_BYTES of UTF-8 (model.py), which the document readers enforce.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptCorpus
-from .model import CAMERA_ID, EntityKind
+from .model import CAMERA_ID, MAX_ENTITY_ID, MAX_NAME_BYTES, EntityKind
 from .simulation import FrameLog
 
 RELATIONS_MAGIC = b"GTSR"
@@ -91,8 +96,10 @@ class Runs:
 
     def _follows(self) -> np.ndarray:
         """Whether each run follows another run of its column."""
+        follows = np.ones(len(self.starts), bool)
         first = np.cumsum(self.counts, dtype=np.int64) - self.counts
-        return np.arange(len(self.starts)) != np.repeat(first, self.counts)
+        follows[first[self.counts > 0]] = False
+        return follows
 
     def _repeats(self) -> np.ndarray:
         """Whether each run bitwise repeats the run before it in its
@@ -138,10 +145,12 @@ def _pack_entity_table(ids, kinds, names) -> bytes:
         raise ValueError(f"entity ids {tuple(ids)} repeat an id")
     rows = []
     for eid, kind, name in zip(ids, kinds, names):
-        if not 0 <= eid <= 0xFFFF:
+        if not 0 <= eid <= MAX_ENTITY_ID:
             raise ValueError(f"entity id {eid} does not fit the u16 id field")
-        # a name longer than 255 bytes is cut on a character boundary
-        raw = name.encode("utf-8")[:255].decode("utf-8", "ignore").encode("utf-8")
+        raw = name.encode("utf-8")
+        if len(raw) > MAX_NAME_BYTES:
+            raise ValueError(f"entity {eid} name of {len(raw)} UTF-8 bytes does not fit "
+                             f"the u8 name length")
         rows.append(struct.pack("<HBB", eid, _KIND_CODE[kind], len(raw)) + raw)
     return b"".join(rows)
 
@@ -172,9 +181,59 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
     return tuple(ids), tuple(kinds), tuple(names), offset
 
 
-def _parse_prefix(buf: bytes, magic: bytes, what: str):
-    """-> (fps, frame_count, (ids, kinds, names), payload offset) of a
-    file's bytes."""
+def _check_runs(runs: Runs, column: str, error: type[Exception]):
+    """`error` unless `runs` may be a file's: the dense planes they encode
+    take at most MAX_DENSE_BYTES, each column's runs start at frame 0,
+    strictly increase below the frame count and are maximal, and every
+    value is finite."""
+    frames, counts, starts = runs.frames, runs.counts, runs.starts
+    size = frames * len(counts) * sum(plane.itemsize for plane in runs.values)
+    if size > MAX_DENSE_BYTES:
+        raise error(f"{frames} frames of {len(counts)} columns expand to {size} bytes, "
+                    f"past the bound of {MAX_DENSE_BYTES}")
+    if frames and not counts.all():
+        raise error(f"{column} column {np.argmin(counts)} has no run over {frames} "
+                    f"frames")
+    later = runs._follows()
+    before = np.concatenate((starts[:1], starts[:-1]))  # the start of the run before
+    finite = np.ones(len(starts), bool)
+    for plane in runs.values:
+        if plane.dtype.kind == "f":
+            finite &= np.isfinite(plane)
+    for bad, why in (
+            (~later & (starts != 0), "starts at frame {start}, not 0"),
+            (starts >= frames, f"has a run at frame {{start}}, past its {frames} frames"),
+            (later & (starts <= before), "has a run at frame {start} after one at "
+                                         "frame {before}"),
+            (runs._repeats(), "repeats at frame {start} the value of its run at "
+                              "frame {before}"),
+            (~finite, "holds a non-finite value at frame {start}")):
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            owner = np.searchsorted(np.cumsum(counts), at, "right")
+            raise error(f"{column} column {owner} "
+                        + why.format(start=starts[at], before=before[at]))
+
+
+def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
+                column: str) -> memoryview:
+    """The bytes of a file of `runs` of `column` columns, stored as
+    `dtypes`; the planes are copied once.  ValueError for runs that the
+    parser refuses (_check_runs)."""
+    counts, starts, *values = (np.ascontiguousarray(plane, dtype) for plane, dtype in zip(
+        (runs.counts, runs.starts, *runs.values), (_COUNT, *dtypes)))
+    _check_runs(Runs(runs.frames, counts, starts, tuple(values)), column, ValueError)
+    prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, runs.frames)
+              + _pack_entity_table(ids, kinds, names))
+    parts = (plane.view(np.uint8) for plane in (counts, starts, *values))
+    return np.concatenate((np.frombuffer(prefix, np.uint8), *parts)).data
+
+
+def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str):
+    """-> (fps, (ids, kinds, names), Runs) of a file's bytes, which hold
+    the runs of columns_of(ids) columns for the table's `ids`, stored as
+    `dtypes`.  The planes are copied out of `buf`, where the entity
+    table can leave them unaligned, which numpy reads slowly."""
     size = 4 + _HEADER.size
     if len(buf) < size or buf[:4] != magic:
         raise CorruptCorpus(f"not a {what} file")
@@ -184,118 +243,46 @@ def _parse_prefix(buf: bytes, magic: bytes, what: str):
     if reserved:
         raise CorruptCorpus(f"reserved field is {reserved}, not 0")
     ids, kinds, names, offset = _unpack_entity_table(buf, size, entity_count)
-    return fps, frames, (ids, kinds, names), offset
-
-
-def _check_size(frames: int, columns: int, dtypes, error: type[Exception]):
-    """`error` when dense planes of `frames` rows of `columns` runs of
-    `dtypes` (starts, then values) are too large for a file."""
-    size = frames * columns * sum(dtype.itemsize for dtype in dtypes[1:])
-    if size > MAX_DENSE_BYTES:
-        raise error(f"{frames} frames of {columns} columns expand to {size} bytes, "
-                    f"past the bound of {MAX_DENSE_BYTES}")
-
-
-def _check_finite(runs: Runs, column: str, error: type[Exception]):
-    """`error` naming the first non-finite value of `runs`, if there is
-    one."""
-    finite = np.logical_and.reduce([np.isfinite(plane) for plane in runs.values
-                                    if plane.dtype.kind == "f"])
-    if not finite.all():
-        at = int(np.argmin(finite))
-        owner = np.searchsorted(np.cumsum(runs.counts), at, "right")
-        raise error(f"{column} column {owner} holds a non-finite value at frame "
-                    f"{runs.starts[at]}")
-
-
-def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
-                column: str) -> memoryview:
-    """The bytes of a file of `runs` of `column` columns, stored as
-    `dtypes`; the planes are copied once.  ValueError when the planes
-    they encode would pass MAX_DENSE_BYTES, or when a value is not
-    finite."""
-    _check_size(runs.frames, len(runs.counts), dtypes, ValueError)
-    counts, starts, *values = (np.ascontiguousarray(plane, dtype) for plane, dtype in zip(
-        (runs.counts, runs.starts, *runs.values), (_COUNT, *dtypes)))
-    _check_finite(Runs(runs.frames, counts, starts, tuple(values)), column, ValueError)
-    prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, runs.frames)
-              + _pack_entity_table(ids, kinds, names))
-    parts = (plane.view(np.uint8) for plane in (counts, starts, *values))
-    return np.concatenate((np.frombuffer(prefix, np.uint8), *parts)).data
-
-
-def _parse_runs(buf: bytes, offset: int, columns: int, frames: int, dtypes,
-                column: str) -> Runs:
-    """The Runs of `columns` columns, stored as `dtypes`, that start at
-    `offset`.  The planes are copied out of `buf`, where the entity table
-    can leave them unaligned, which numpy reads slowly."""
-    _check_size(frames, columns, dtypes, CorruptCorpus)
-    payload = len(buf) - offset
-    if payload < _COUNT.itemsize * columns:
-        raise CorruptCorpus(f"payload of {payload} bytes holds no run count for "
-                            f"each of {columns} columns")
+    columns = columns_of(ids)
+    if len(buf) - offset < _COUNT.itemsize * columns:
+        raise CorruptCorpus(f"payload of {len(buf) - offset} bytes holds no run count "
+                            f"for each of {columns} columns")
     counts = np.frombuffer(buf, _COUNT, columns, offset)
     offset += _COUNT.itemsize * columns
-    runs = int(counts.sum(dtype=np.uint64))
-    expect = runs * sum(dtype.itemsize for dtype in dtypes)
+    total = int(counts.sum(dtype=np.uint64))
+    expect = total * sum(dtype.itemsize for dtype in dtypes)
     if len(buf) - offset != expect:
         raise CorruptCorpus(f"run payload is {len(buf) - offset} bytes, expected "
-                            f"{expect} for {runs} runs")
+                            f"{expect} for {total} runs")
     planes = []
     for dtype in dtypes:
-        planes.append(np.frombuffer(buf, dtype, runs, offset).copy())
-        offset += runs * dtype.itemsize
+        planes.append(np.frombuffer(buf, dtype, total, offset).copy())
+        offset += total * dtype.itemsize
     starts, *values = planes
     runs = Runs(frames, counts, starts, tuple(values))
-    _check_runs(runs, column)
-    _check_finite(runs, column, CorruptCorpus)
-    return runs
+    _check_runs(runs, column, CorruptCorpus)
+    return fps, (ids, kinds, names), runs
 
 
-def _check_runs(runs: Runs, column: str):
-    """CorruptCorpus unless each column's runs start at frame 0, strictly
-    increase below the frame count, and are maximal."""
-    frames, counts, starts = runs.frames, runs.counts, runs.starts
-    if frames and not counts.all():
-        raise CorruptCorpus(f"{column} column {np.argmin(counts)} has no run over "
-                            f"{frames} frames")
-    later = runs._follows()
-    before = np.roll(starts, 1)
-    for bad, why in (
-            (~later & (starts != 0), "starts at frame {start}, not 0"),
-            (starts >= frames, f"has a run at frame {{start}}, past its {frames} frames"),
-            (later & (starts <= before), "has a run at frame {start} after one at "
-                                         "frame {before}"),
-            (runs._repeats(), "repeats at frame {start} the value of its run at "
-                              "frame {before}")):
-        if bad.any():
-            at = int(np.flatnonzero(bad)[0])
-            owner = np.searchsorted(np.cumsum(counts), at, "right")
-            raise CorruptCorpus(f"{column} column {owner} "
-                                + why.format(start=starts[at], before=before[at]))
+def _pairs(ids) -> int:
+    """The ordered pairs of `ids`: a relations file's columns."""
+    return len(ids) * (len(ids) - 1)
 
 
 def relations_bytes(records: Runs, fps: int, ids, kinds, names) -> memoryview:
     """The bytes of a relations file; the runs are copied once.
     ValueError when the runs do not have E(E-1) columns for the E
     entities of the table."""
-    pairs = len(ids) * (len(ids) - 1)
-    if len(records.counts) != pairs:
+    if len(records.counts) != _pairs(ids):
         raise ValueError(f"relation runs of {len(records.counts)} columns do not "
-                         f"hold {pairs} pairs per frame for {len(ids)} entities")
+                         f"hold {_pairs(ids)} pairs per frame for {len(ids)} entities")
     return _runs_bytes(RELATIONS_MAGIC, fps, ids, kinds, names, records,
                        _RECORD_DTYPES, "pair")
 
 
 def parse_relations(buf: bytes):
     """-> (fps, (ids, kinds, names), Runs) of a relations file's bytes."""
-    fps, frames, table, offset = _parse_prefix(buf, RELATIONS_MAGIC, "relations")
-    entities = len(table[0])
-    pairs, payload = entities * (entities - 1), len(buf) - offset
-    if not pairs and payload:
-        raise CorruptCorpus(f"record payload of {payload} bytes for {entities} "
-                            f"entities, which make no pair")
-    return fps, table, _parse_runs(buf, offset, pairs, frames, _RECORD_DTYPES, "pair")
+    return _parse(buf, RELATIONS_MAGIC, "relations", _pairs, _RECORD_DTYPES, "pair")
 
 
 def framelog_bytes(log: FrameLog) -> memoryview:
@@ -310,22 +297,23 @@ def framelog_bytes(log: FrameLog) -> memoryview:
                        log.entity_names, runs, _POSE_DTYPES, "entity")
 
 
-def parse_framelog(buf: bytes) -> FrameLog:
-    """The FrameLog of a framelog file's bytes."""
-    fps, frames, (ids, kinds, names), offset = _parse_prefix(buf, FRAMELOG_MAGIC,
-                                                             "framelog")
-    if CAMERA_ID not in ids:
+def parse_framelog(buf: bytes):
+    """-> (fps, (ids, kinds, names), Runs) of a framelog file's bytes,
+    unexpanded: frame_log expands them."""
+    fps, table, poses = _parse(buf, FRAMELOG_MAGIC, "framelog", len, _POSE_DTYPES,
+                               "entity")
+    if CAMERA_ID not in table[0]:
         raise CorruptCorpus(f"entity table lacks the camera's id {CAMERA_ID}")
-    x, y, z, yaws = _parse_runs(buf, offset, len(ids), frames, _POSE_DTYPES,
-                                "entity").dense()
-    return FrameLog(
-        positions=np.stack((x, y, z), axis=2),
-        yaws=yaws,
-        fps=fps,
-        entity_ids=ids,
-        entity_kinds=kinds,
-        entity_names=names,
-    )
+    return fps, table, poses
+
+
+def frame_log(fps: int, table, poses: Runs) -> FrameLog:
+    """The FrameLog of parse_framelog's (fps, table, poses): the poses
+    expanded to every frame, for the callers that label clips."""
+    x, y, z, yaws = poses.dense()
+    ids, kinds, names = table
+    return FrameLog(positions=np.stack((x, y, z), axis=2), yaws=yaws, fps=fps,
+                    entity_ids=ids, entity_kinds=kinds, entity_names=names)
 
 
 def write_relations(path, records: Runs, fps: int, ids, kinds, names):
@@ -342,4 +330,4 @@ def write_framelog(path, log: FrameLog):
 
 
 def read_framelog(path) -> FrameLog:
-    return parse_framelog(Path(path).read_bytes())
+    return frame_log(*parse_framelog(Path(path).read_bytes()))

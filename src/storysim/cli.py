@@ -110,7 +110,7 @@ def _cmd_probes(args) -> int:
                              ("graph.json", "timeline.json", "framelog.bin")})
         graph = story.require("graph.json", parse_graph)
         timeline = story.require("timeline.json", parse_timeline)
-        log = story.require("framelog.bin", binio.parse_framelog)
+        log = binio.frame_log(*story.require("framelog.bin", binio.parse_framelog))
         derived.append((entry, probe_docs(story_id, graph, timeline, log, registry,
                                           cfg, entry["split"])))
     # written only once every story is derived, so a refused story leaves

@@ -29,6 +29,8 @@ from .model import (
     EventKind,
     Gender,
     GestGraph,
+    MAX_ENTITY_ID,
+    MAX_NAME_BYTES,
     ObjectEntity,
     PoiSpec,
     RegionSpec,
@@ -104,6 +106,21 @@ def _strings(obj: dict, key: str, loc: str) -> tuple[str, ...]:
     return tuple(val)
 
 
+def _entity_name(name: str, what: str, loc: str) -> str:
+    """`name`, once its UTF-8 fits an entity table's name field."""
+    size = len(name.encode("utf-8"))
+    if size > MAX_NAME_BYTES:
+        raise InvariantError(f"{what} of {size} UTF-8 bytes is longer than the "
+                             f"{MAX_NAME_BYTES} an entity table holds", loc)
+    return name
+
+
+def _type_keys(obj: dict, key: str, loc: str) -> tuple[str, ...]:
+    """The object type keys of the string list field `key`."""
+    return tuple(_entity_name(type_key, "type key", loc)
+                 for type_key in _strings(obj, key, loc))
+
+
 def _vec3(val, loc: str) -> tuple[float, float, float]:
     if not (isinstance(val, list) and len(val) == 3):
         raise DocumentSyntaxError("expected a 3-element number list", loc)
@@ -175,10 +192,14 @@ def _items(obj: dict, key: str, at: str = ""):
 def _new_entity(obj: dict, kind: EntityKind, entities: dict[int, EntityId],
                 loc: str) -> EntityId:
     """The id of a declared actor or object, entered in `entities`: an int
-    above 0 (0 is the camera) that no other entity of the graph has."""
+    above 0 (0 is the camera), at most MAX_ENTITY_ID, that no other entity
+    of the graph has."""
     eid = _get(obj, "id", int, loc)
     if eid <= 0:
         raise InvariantError(f"{kind.value} ids must be positive (0 is the camera)", loc)
+    if eid > MAX_ENTITY_ID:
+        raise InvariantError(f"{kind.value} id {eid} is past {MAX_ENTITY_ID}, the "
+                             f"largest an entity table holds", loc)
     if eid in entities:
         raise InvariantError(f"duplicate entity id {eid}", loc)
     entities[eid] = EntityId(eid, kind)
@@ -208,13 +229,14 @@ def parse_graph(data: bytes) -> GestGraph:
     actor_or_object = (EntityKind.ACTOR, EntityKind.OBJECT)
     entities: dict[int, EntityId] = {}
     actors = [Actor(_new_entity(obj, EntityKind.ACTOR, entities, loc),
-                    _get(obj, "name", str, loc),
+                    _entity_name(_get(obj, "name", str, loc), "name", loc),
                     _enum(Gender, _get(obj, "gender", str, loc), loc),
                     _get(obj, "model", str, loc))
               for loc, obj in _items(doc, "actors")]
     objects = [ObjectEntity(id=_new_entity(obj, EntityKind.OBJECT, entities, loc),
                             owner=_entity_ref(obj, "owner", entities, only_actors, loc),
-                            type_key=_get(obj, "type_key", str, loc),
+                            type_key=_entity_name(_get(obj, "type_key", str, loc),
+                                                  "type key", loc),
                             home_poi=_get(obj, "home_poi", str, loc))
                for loc, obj in _items(doc, "objects")]
 
@@ -328,7 +350,7 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
     doc = _decode(data, "registry")
 
     actor_models = _strings(doc, "actor_models", "actor_models")
-    object_types = _strings(doc, "object_types", "object_types")
+    object_types = _type_keys(doc, "object_types", "object_types")
     if not actor_models:
         raise InvariantError("at least one actor model is required", "actor_models")
 
@@ -387,7 +409,7 @@ def parse_registry(data: bytes) -> CapabilityRegistry:
                     raise InvariantError(f"duplicate POI key {poi_key!r}", p_loc)
                 poi_keys.add(poi_key)
                 pois.append(PoiSpec(poi_key, position, valid_actions, transitions,
-                                    _strings(p_obj, "object_slots", p_loc)))
+                                    _type_keys(p_obj, "object_slots", p_loc)))
             if not pois:
                 raise InvariantError("region has no POIs", r_loc)
             region_key = _get(r_obj, "key", str, r_loc)
@@ -452,9 +474,9 @@ _PROBE_KEYS = frozenset(f.name for f in fields(ProbeConfig))
 
 
 def parse_manifest(data: bytes) -> dict:
-    """The manifest document, checked for all its readers use; a built
-    story's files must hash every STORY_FILES entry and stay inside its
-    directory."""
+    """The manifest document, checked for all its readers use; each story
+    is listed once, story_count times in all, and a built story's files
+    must hash every STORY_FILES entry and stay inside its directory."""
     doc = _decode(data, "manifest")
     _get(doc, "registry_hash", str, "registry_hash")
     config = _get(doc, "config", dict, "config")
@@ -470,11 +492,15 @@ def parse_manifest(data: bytes) -> dict:
         ProbeConfig(**probe)
     except ValueError as exc:
         raise DocumentSyntaxError(str(exc), "config.probe") from None
+    story_ids: set[str] = set()
     for loc, entry in _items(doc, "stories"):
         story_id = _get(entry, "story_id", str, f"{loc}.story_id")
         if story_id in ("", ".", "..") or "/" in story_id:
             raise InvariantError(f"{story_id!r} is not one path component",
                                  f"{loc}.story_id")
+        if story_id in story_ids:
+            raise InvariantError(f"duplicate story_id {story_id!r}", f"{loc}.story_id")
+        story_ids.add(story_id)
         _get(entry, "split", str, f"{loc}.split")
         if "error" in entry:
             continue  # a story that failed has no files
@@ -487,4 +513,8 @@ def parse_manifest(data: bytes) -> dict:
         missing = [name for name in STORY_FILES if name not in files]
         if missing:
             raise DocumentSyntaxError(f"no hash of {', '.join(missing)}", f"{loc}.files")
+    count = _get(doc, "story_count", int, "story_count")
+    if count != len(story_ids):
+        raise InvariantError(f"story_count {count} for {len(story_ids)} stories",
+                             "story_count")
     return doc

@@ -20,6 +20,11 @@ from enum import Enum
 from .allen import Coarse, RelationSet
 
 CAMERA_ID = 0
+# What the binaries' entity table stores of an entity: a u16 id, and a
+# name (an actor's name or an object's type key) of at most a u8 count of
+# UTF-8 bytes.  The document readers refuse more, and so do the writers.
+MAX_ENTITY_ID = 0xFFFF
+MAX_NAME_BYTES = 0xFF
 
 
 def is_finite_number(value) -> bool:

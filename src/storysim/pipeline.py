@@ -112,16 +112,17 @@ def _unmatched_events(graph: GestGraph, timeline: EventTimeline) -> tuple[list, 
             [eid for eid in timeline.intervals if eid not in known])
 
 
-def _misfit_log(story_id: str, graph: GestGraph, timeline: EventTimeline,
-                log: FrameLog) -> str | None:
-    """Why `log` does not hold the entity_table of the story's graph and
-    the story_frames of its timeline, which simulate writes, or None when
-    it does.  Its probe clips cannot be labelled otherwise."""
-    if (log.entity_ids, log.entity_kinds, log.entity_names) != entity_table(graph):
+def _misfit_log(story_id: str, graph: GestGraph, timeline: EventTimeline, table,
+                frames: int) -> str | None:
+    """Why a frame log of entity `table` and `frames` frames is not the
+    entity_table of the story's graph and the story_frames of its
+    timeline, which simulate writes, or None when it is.  Its probe clips
+    cannot be labelled otherwise."""
+    if table != entity_table(graph):
         return f"{story_id}/framelog.bin entity table differs from graph.json's"
-    if log.frame_count != story_frames(timeline):
+    if frames != story_frames(timeline):
         return (f"{story_id}/timeline.json spans {story_frames(timeline)} frames, "
-                f"framelog.bin holds {log.frame_count}")
+                f"framelog.bin holds {frames}")
     return None
 
 
@@ -138,7 +139,9 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
     if unknown:
         raise CorruptCorpus(f"{story_id}/timeline.json holds event {unknown[0]}, "
                             f"which graph.json lacks")
-    misfit = _misfit_log(story_id, graph, timeline, log)
+    misfit = _misfit_log(story_id, graph, timeline,
+                         (log.entity_ids, log.entity_kinds, log.entity_names),
+                         log.frame_count)
     if misfit:
         raise CorruptCorpus(misfit)
     clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
@@ -384,12 +387,12 @@ def compute_stats(corpus_dir: Path | str) -> dict:
         graph = story.require("graph.json", parse_graph)
         mappings = story.require("events.jsonl", lambda data: data.count(b"\n"))
         relation_file = story.require("relations.bin", binio.parse_relations)
-        log = story.require("framelog.bin", binio.parse_framelog)
-        disagreement = _binaries_disagree(story_id, log, relation_file)
+        framelog_file = story.require("framelog.bin", binio.parse_framelog)
+        disagreement = _binaries_disagree(story_id, framelog_file, relation_file)
         if disagreement:
             raise CorruptCorpus(disagreement)
-        counts.append(story_counts(graph, mappings, len(relation_file[2]),
-                                   log.frame_count))
+        records = relation_file[2]
+        counts.append(story_counts(graph, mappings, len(records), records.frames))
     return corpus_stats(registry, manifest["config"]["fps"], counts)
 
 
@@ -448,38 +451,41 @@ def _check_text(story_id: str, graph: GestGraph, timeline: EventTimeline,
                         f"and timeline")
 
 
-def _binaries_disagree(story_id: str, log: FrameLog, relation_file) -> str | None:
-    """Why parse_relations' `relation_file` and the story's frame log do
-    not hold the same fps, entity table and frame count, or None when they
-    do; then the file holds E(E-1) records for each frame of the log.  A
-    story whose binaries disagree cannot be counted, by verify or stats."""
-    fps, table, records = relation_file
-    if fps != log.fps:
-        return f"{story_id}/relations.bin fps {fps} != framelog.bin's {log.fps}"
-    if table != (log.entity_ids, log.entity_kinds, log.entity_names):
+def _binaries_disagree(story_id: str, framelog_file, relation_file) -> str | None:
+    """Why the (fps, table, runs) that parse_framelog and parse_relations
+    return of a story's binaries do not hold the same fps, entity table
+    and frame count, or None when they do; then relations.bin holds E(E-1)
+    records for each frame of the log.  A story whose binaries disagree
+    cannot be counted, by verify or stats."""
+    (fps, table, poses), (rel_fps, rel_table, records) = framelog_file, relation_file
+    if rel_fps != fps:
+        return f"{story_id}/relations.bin fps {rel_fps} != framelog.bin's {fps}"
+    if rel_table != table:
         return f"{story_id}/relations.bin entity table differs from framelog.bin's"
-    if records.frames != log.frame_count:
+    if records.frames != poses.frames:
         return (f"{story_id}/relations.bin holds {records.frames} frames, "
-                f"framelog.bin {log.frame_count}")
+                f"framelog.bin {poses.frames}")
     return None
 
 
-def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
+def _check_spatial(story_id: str, framelog_file, relation_file, fps: int,
                    rng: random.Random, samples: int, failures: list[str],
                    stats: list[str]) -> bool:
     """Recompute `samples` records of parse_relations' `relation_file`,
-    drawn by `rng`, with the scalar route: record p is frame p // E(E-1)
-    and ordered pair p % E(E-1).  The binaries must agree
-    (_binaries_disagree) and hold the manifest's `fps`.  False when they
-    disagree, which also fails `stats`: the story cannot be counted."""
-    disagreement = _binaries_disagree(story_id, log, relation_file)
+    drawn by `rng`, with the scalar route from the poses of
+    parse_framelog's `framelog_file`: record p is frame p // E(E-1) and
+    ordered pair p % E(E-1).  The binaries must agree (_binaries_disagree)
+    and hold the manifest's `fps`.  False when they disagree, which also
+    fails `stats`: the story cannot be counted."""
+    disagreement = _binaries_disagree(story_id, framelog_file, relation_file)
     if disagreement:
         failures.append(disagreement)
         stats.append(disagreement)
         return False
-    if log.fps != fps:
-        failures.append(f"{story_id}: binaries hold fps {log.fps}, manifest {fps}")
-    records, ids = relation_file[2], sorted(log.entity_ids)
+    log_fps, (table_ids, _, _), poses = framelog_file
+    if log_fps != fps:
+        failures.append(f"{story_id}: binaries hold fps {log_fps}, manifest {fps}")
+    records, ids = relation_file[2], sorted(table_ids)
     pairs = len(ids) * (len(ids) - 1)
     if not records:
         failures.append(f"{story_id}: no relation records")
@@ -489,13 +495,14 @@ def _check_spatial(story_id: str, log: FrameLog, relation_file, fps: int,
     values = (plane.tolist() for plane in records.at(frame, pair))
     i, j = np.divmod(pair, len(ids) - 1)
     j += j >= i
-    # the x, y, z and yaw of each pick's a, then of each pick's b
-    column = np.array([log.index_of(e) for e in ids], dtype=np.intp)
+    # the x, y, z and yaw of each pick's a, then of each pick's b; sorted
+    # id k is the table's column[k]
+    column = np.argsort(table_ids)
     at = np.concatenate((frame, frame)), column[np.concatenate((i, j))]
-    poses = np.column_stack((log.positions[at], log.yaws[at])).tolist()
+    pose_rows = np.column_stack(poses.at(*at)).tolist()
     keys = zip(frame.tolist(), np.take(ids, i).tolist(), np.take(ids, j).tolist())
     for (f, a, b), pose_a, pose_b, distance, azimuth, elevation, compass in zip(
-            keys, poses, poses[samples:], *values):
+            keys, pose_rows, pose_rows[samples:], *values):
         pr = compute_pair_relation((pose_a[:3], pose_a[3]), (pose_b[:3], pose_b[3]))
         if (abs(pr.distance_m - distance) > 1e-5
                 or abs(pr.azimuth_deg - azimuth) > 1e-5
@@ -574,18 +581,21 @@ def verify(corpus_dir: Path | str) -> dict:
                 clips = extract_story_clips(story_id, graph, timeline,
                                             _movement_actions(registry), cfg_probe,
                                             entry["split"])
-        log = story.load("framelog.bin", binio.parse_framelog, spatial, stats,
-                         *((labels,) if timed else ()))
+        framelog_file = story.load("framelog.bin", binio.parse_framelog, spatial, stats,
+                                   *((labels,) if timed else ()))
         relation_file = story.load("relations.bin", binio.parse_relations, spatial,
                                    stats)
 
-        countable = log is not None and relation_file is not None and _check_spatial(
-            story_id, log, relation_file, fps, rng, spatial_per_story, spatial, stats)
+        countable = (framelog_file is not None and relation_file is not None
+                     and _check_spatial(story_id, framelog_file, relation_file, fps, rng,
+                                        spatial_per_story, spatial, stats))
         if countable and graph is not None and events_doc is not None:
-            counts.append(story_counts(graph, events_doc.count(b"\n"),
-                                       len(relation_file[2]), log.frame_count))
+            records = relation_file[2]
+            counts.append(story_counts(graph, events_doc.count(b"\n"), len(records),
+                                       records.frames))
         # the story probes refuses: its labels cannot be replayed
-        misfit = timed and log is not None and _misfit_log(story_id, graph, timeline, log)
+        misfit = timed and framelog_file is not None and _misfit_log(
+            story_id, graph, timeline, framelog_file[1], framelog_file[2].frames)
         if misfit:
             labels.append(misfit)
         if clips is None:
@@ -598,10 +608,12 @@ def verify(corpus_dir: Path | str) -> dict:
         if len(label_lines) != len(clips):
             labels.append(f"{story_id}/probes/labels.jsonl: {len(label_lines)} rows "
                           f"for {len(clips)} clips")
-        if log is None or misfit:
-            continue
         # the cap is checked before a row is replayed
-        budget = min(label_per_story, LABEL_SAMPLES - sampled)
+        budget = min(label_per_story, LABEL_SAMPLES - sampled, len(clips),
+                     len(label_lines))
+        if framelog_file is None or misfit or not budget:
+            continue
+        log = binio.frame_log(*framelog_file)  # expanded only to replay labels
         for clip, line in zip(clips[:budget], label_lines):
             # byte for byte: a decoded 0 would equal false
             if line != jsonl_document([oracle_clip(clip, log, timeline, cfg_probe)]):

@@ -435,15 +435,13 @@ def test_at_broadcasts_cells_and_refuses_cells_outside_the_records(log):
             runs.at(frame, column)
 
 
-def test_dense_equals_at_over_every_cell(log, monkeypatch):
-    # the collector's runs, and the runs parse_framelog expands
-    parsed, dense = [], Runs.dense
-    monkeypatch.setattr(Runs, "dense", lambda runs: parsed.append(runs) or dense(runs))
-    parse_framelog(bytes(framelog_bytes(log)))
-    assert len(parsed) == 1 and len(parsed[0].values) == 4
-    for runs in (collect_story_relations(log), parsed[0]):
+def test_dense_equals_at_over_every_cell(log):
+    # the collector's runs, and the runs frame_log expands
+    _, _, poses = parse_framelog(bytes(framelog_bytes(log)))
+    assert type(poses) is Runs and len(poses.values) == 4
+    for runs in (collect_story_relations(log), poses):
         cells = np.indices((runs.frames, len(runs.counts)))
-        for got, want in zip(dense(runs), runs.at(*cells)):
+        for got, want in zip(runs.dense(), runs.at(*cells)):
             assert got.shape == cells[0].shape
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -501,11 +499,17 @@ def test_the_parser_accepts_exactly_what_the_merge_emits(small):
     cells = np.indices((runs.frames, len(runs.counts)))
     for before, after in zip(runs.at(*cells), merged.at(*cells)):
         assert before.tobytes() == after.tobytes()
+    # the file of `runs`, built by hand: the writer takes only maximal runs
+    by_hand = _file_of(_small_relations(entities, merged), runs.counts,
+                       (runs.starts, *runs.values), binio._RECORD_DTYPES)
     if len(merged.starts) == len(runs.starts):
-        _assert_same_runs(parse_relations(_small_relations(entities, runs))[2], runs)
+        assert by_hand == _small_relations(entities, runs)
+        _assert_same_runs(parse_relations(by_hand)[2], runs)
     else:
         with pytest.raises(CorruptCorpus, match="repeats at frame"):
-            parse_relations(_small_relations(entities, runs))
+            parse_relations(by_hand)
+        with pytest.raises(ValueError, match="repeats at frame"):
+            _small_relations(entities, runs)
 
 
 def _payload_offset(raw: bytes) -> int:
@@ -633,9 +637,17 @@ _RUN_FILES = {
 }
 
 
-def _edited_runs(kind: str, log: FrameLog, edit) -> bytes:
-    """The file of `log` with its counts and run planes (starts, then
-    values) split out as copies, passed to `edit`, and joined again."""
+def _file_of(raw: bytes, counts, planes, dtypes) -> bytes:
+    """The header and table of the file `raw`, then `counts` and the run
+    `planes` (starts, then values) stored as `dtypes`."""
+    return (raw[:_payload_offset(raw)] + np.asarray(counts, "<u4").tobytes()
+            + b"".join(np.asarray(plane, dtype).tobytes()
+                       for plane, dtype in zip(planes, dtypes)))
+
+
+def _edited_planes(kind: str, log: FrameLog, edit):
+    """-> (the file of `log`, edit(counts, planes)) for copies of the
+    file's counts and run planes (starts, then values)."""
     encode, _, dtypes, columns = _RUN_FILES[kind]
     raw = bytes(encode(log))
     offset = _payload_offset(raw)
@@ -644,9 +656,14 @@ def _edited_runs(kind: str, log: FrameLog, edit) -> bytes:
     for dtype in dtypes:
         planes.append(np.frombuffer(raw, dtype, runs, at).copy())
         at += runs * dtype.itemsize
-    counts, planes = edit(counts, planes)
-    return (raw[:offset] + counts.astype("<u4").tobytes()
-            + b"".join(plane.tobytes() for plane in planes))
+    return raw, edit(counts, planes)
+
+
+def _edited_runs(kind: str, log: FrameLog, edit) -> bytes:
+    """The file of `log` with its counts and run planes split out as
+    copies, passed to `edit`, and joined again."""
+    raw, (counts, planes) = _edited_planes(kind, log, edit)
+    return _file_of(raw, counts, planes, _RUN_FILES[kind][2])
 
 
 def _first_run_of_a_changing_column(counts) -> int:
@@ -708,8 +725,19 @@ def _a_run_counted_twice(counts, planes):
 def test_each_run_rule_is_refused(log, kind, edit, refusal):
     parse = _RUN_FILES[kind][1]
     parse(_edited_runs(kind, log, lambda counts, planes: (counts, planes)))
-    with pytest.raises(CorruptCorpus, match=refusal.format(frames=log.frame_count)):
+    refusal = refusal.format(frames=log.frame_count)
+    with pytest.raises(CorruptCorpus, match=refusal):
         parse(_edited_runs(kind, log, edit))
+    if kind != "relations":
+        return  # framelog_bytes takes a FrameLog, whose runs are maximal
+    # the writer refuses the same runs with the same message; counts that
+    # the planes do not fill make no Runs at all
+    _, (counts, (starts, *values)) = _edited_planes(kind, log, edit)
+    if edit is _a_run_counted_twice:
+        refusal = "^run planes of lengths"
+    with pytest.raises(ValueError, match=refusal):
+        relations_bytes(Runs(log.frame_count, counts, starts, tuple(values)), log.fps,
+                        log.entity_ids, log.entity_kinds, log.entity_names)
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
@@ -804,7 +832,8 @@ def test_relations_of_fewer_than_two_entities_have_an_empty_payload(ids):
     raw = bytes(_relations_file(log))
     _, _, records = parse_relations(raw)
     assert len(records) == 0
-    with pytest.raises(CorruptCorpus, match="make no pair"):
+    with pytest.raises(CorruptCorpus, match="^run payload is 1 bytes, expected 0 for 0 "
+                                            "runs$"):
         parse_relations(raw + b"\0")
 
 
@@ -840,11 +869,16 @@ def _named_log(ids, names):
                     fps=25, entity_ids=ids, entity_kinds=kinds, entity_names=names)
 
 
-def test_long_utf8_name_is_cut_on_a_character_boundary(tmp_path):
-    # 200 two-byte characters: a cut at byte 255 would split the 128th
+def test_a_name_past_255_utf8_bytes_is_refused_at_write(tmp_path):
+    # 255 bytes fit the u8 name length and are stored whole; 128 two-byte
+    # characters do not, and neither writer cuts them
     path = tmp_path / "framelog.bin"
-    write_framelog(path, _named_log((0, 1), ("camera", "é" * 200)))
-    assert read_framelog(path).entity_names == ("camera", "é" * 127)
+    write_framelog(path, _named_log((0, 1), ("camera", "é" * 127 + "a")))
+    assert read_framelog(path).entity_names == ("camera", "é" * 127 + "a")
+    for encode in (framelog_bytes, _relations_file):
+        with pytest.raises(ValueError, match="^entity 1 name of 256 UTF-8 bytes does "
+                                             "not fit the u8 name length$"):
+            encode(_named_log((0, 1), ("camera", "é" * 128)))
 
 
 def test_entity_id_outside_u16_is_rejected_at_write(tmp_path):

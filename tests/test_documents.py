@@ -309,7 +309,25 @@ GRAPH_DEFECTS = [
                  "objects[0]", id="object-id-of-the-camera"),
     pytest.param(_set("objects", 0, id="7"), DocumentSyntaxError, "field 'id'",
                  "objects[0]", id="object-id-wrong-type"),
+    # what the binaries' entity table cannot store: a u16 id, a u8 name length
+    pytest.param(_set("actors", 5, id=65536), InvariantError,
+                 "actor id 65536 is past 65535", "actors[5]", id="actor-id-past-u16"),
+    pytest.param(_set("actors", 0, name="é" * 128), InvariantError,
+                 "name of 256 UTF-8 bytes is longer than the 255", "actors[0]",
+                 id="actor-name-past-255-bytes"),
+    pytest.param(_set("objects", 0, type_key="é" * 128), InvariantError,
+                 "type key of 256 UTF-8 bytes", "objects[0]",
+                 id="object-type-key-past-255-bytes"),
 ]
+
+
+def test_graph_ids_and_names_at_the_entity_table_bounds_parse(graph):
+    def mutate(d):
+        d["actors"].append({**d["actors"][0], "id": 65535, "name": "é" * 127 + "a"})
+        d["objects"][0]["type_key"] = "b" * 255
+    parsed = parse_graph(_edit(serialize_graph(graph), mutate))
+    assert (parsed.actors[-1].id.id, parsed.actors[-1].name) == (65535, "é" * 127 + "a")
+    assert parsed.objects[0].type_key == "b" * 255
 
 
 @pytest.mark.parametrize("mutate, error, named, location", GRAPH_DEFECTS)
@@ -347,3 +365,20 @@ def test_registry_undeclared_action_rule(registry, mutate):
     assert isinstance(info.value, DocumentError)
     assert info.value.location == "episodes[0].regions[0].pois[0]"
     assert str(info.value).endswith(" (at episodes[0].regions[0].pois[0])")
+
+
+def _long_type_key(d):
+    d["object_types"].append("é" * 128)
+
+
+@pytest.mark.parametrize("mutate, location", [
+    (_long_type_key, "object_types"),
+    (_first_poi(lambda poi: poi["object_slots"].append("é" * 128)),
+     "episodes[0].regions[0].pois[0]"),
+], ids=["object-types", "object-slots"])
+def test_registry_refuses_a_type_key_past_255_utf8_bytes(registry, mutate, location):
+    # an object's type key is its name in the binaries' entity table
+    with pytest.raises(InvariantError, match=r"^type key of 256 UTF-8 bytes is longer "
+                                             r"than the 255 an entity table holds") as info:
+        parse_registry(_edit(serialize_registry(registry), mutate))
+    assert info.value.location == location

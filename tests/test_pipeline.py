@@ -216,13 +216,16 @@ def test_verify_loads_each_artifact_once_per_story(corpus, monkeypatch):
                         (binio.Runs, "dense")):
         counted(owner, name)
     assert verify(root)["ok"]
-    # each story's frame log is expanded once, and no relations file is
+    # a frame log is expanded at most once per story, only to replay its
+    # labels, and no relations file is
+    assert calls.pop("dense", 0) <= STORIES
     assert calls == dict.fromkeys(("parse_graph", "parse_timeline", "parse_framelog",
-                                   "parse_relations", "dense"), STORIES)
+                                   "parse_relations"), STORIES)
     calls.clear()
     compute_stats(root)
-    assert calls == dict.fromkeys(("parse_graph", "parse_framelog", "parse_relations",
-                                   "dense"), STORIES)
+    assert calls["dense"] == 0
+    assert calls == dict.fromkeys(("parse_graph", "parse_framelog", "parse_relations"),
+                                  STORIES)
 
 
 def test_each_story_file_is_read_at_most_once(corpus, tmp_path, reads):
@@ -667,7 +670,7 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
     root = tmp_path / "empty"
     shutil.copytree(small_corpus, root)
     story = root / "story_00001"
-    log = binio.parse_framelog((story / "framelog.bin").read_bytes())
+    log = binio.frame_log(*binio.parse_framelog((story / "framelog.bin").read_bytes()))
     fps, (ids, kinds, names), records = binio.parse_relations(
         (story / "relations.bin").read_bytes())
     rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
@@ -755,7 +758,7 @@ def _as_version_2(path):
         head = struct.pack("<4sHHHH", raw[:4], 2, fps, entities, 0)
         body = b"".join(plane.tobytes() for plane in planes_of(records))
     else:
-        log = binio.parse_framelog(raw)
+        log = binio.frame_log(*binio.parse_framelog(raw))
         head = struct.pack("<4sHHHHI", raw[:4], 2, fps, entities, 0, log.frame_count)
         body = np.concatenate((log.positions, log.yaws[..., None]), axis=2).tobytes()
     rewrite_with_hash(path.parent.parent, path.parent.name, path.name,
@@ -998,7 +1001,7 @@ def _frames_taken(pick):
     lists, re-hashed, and stats.json is rewritten to count them."""
     def damage(root):
         story = root / "story_00001"
-        log = binio.parse_framelog((story / "framelog.bin").read_bytes())
+        log = binio.frame_log(*binio.parse_framelog((story / "framelog.bin").read_bytes()))
         fps, table, records = binio.parse_relations((story / "relations.bin").read_bytes())
         frames = pick(log.frame_count)
         rewrite_with_hash(root, "story_00001", "framelog.bin", bytes(binio.framelog_bytes(
@@ -1013,7 +1016,7 @@ def _frames_taken(pick):
 def _actor_renamed_in_the_binaries(root):
     # entity 1 of both entity tables, the graph's first actor, is renamed
     story = root / "story_00001"
-    log = binio.parse_framelog((story / "framelog.bin").read_bytes())
+    log = binio.frame_log(*binio.parse_framelog((story / "framelog.bin").read_bytes()))
     fps, (ids, kinds, names), records = binio.parse_relations(
         (story / "relations.bin").read_bytes())
     assert kinds[1] is EntityKind.ACTOR and names[1] != "Zed"
@@ -1079,7 +1082,7 @@ def _clips_past_the_story(root: Path, registry) -> int:
     for story in sorted(root.glob("story_*")):
         graph = parse_graph((story / "graph.json").read_bytes())
         timeline = parse_timeline((story / "timeline.json").read_bytes())
-        frames = binio.parse_framelog((story / "framelog.bin").read_bytes()).frame_count
+        frames = binio.parse_framelog((story / "framelog.bin").read_bytes())[2].frames
         past += sum(clip_frame_indices(s, timeline.fps)[-1] >= frames
                     for ev in graph.events for s, e in [timeline.interval(ev.event_id)]
                     if not registry.actions[ev.action].is_movement_only
@@ -1262,14 +1265,25 @@ def _fps_below_the_clip_rate(manifest):
     manifest["config"]["fps"] = 2
 
 
+def _a_story_listed_twice(manifest):
+    # counted twice by stats, against a story_count of 3
+    manifest["stories"].append(json.loads(json.dumps(manifest["stories"][1])))
+
+
+def _story_count_one_more(manifest):
+    manifest["story_count"] += 1
+
+
 @pytest.mark.parametrize("damage, problem", [
     (b"[" * 200_000, "not valid JSON"),
     (_probe_value_of_401_digits, "min_event_s is not a finite number"),
     (_format_version_2, "unsupported format_version 2"),
     (_no_graph_hash, "no hash of graph.json (at stories[1].files)"),
     (_fps_below_the_clip_rate, "fps must be at least 4, the clip rate (at config.fps)"),
+    (_a_story_listed_twice, "duplicate story_id 'story_00001' (at stories[3].story_id)"),
+    (_story_count_one_more, "story_count 4 for 3 stories (at story_count)"),
 ], ids=["deeply-nested", "huge-int", "format-version-2", "story-without-graph-hash",
-        "fps-below-the-clip-rate"])
+        "fps-below-the-clip-rate", "story-listed-twice", "story-count-off-by-one"])
 def test_every_manifest_reader_refuses_a_damaged_manifest(small_corpus, tmp_path, capsys,
                                                          damage, problem):
     # bytes, or an edit of the decoded manifest
@@ -1450,6 +1464,25 @@ def test_cli_simulate_refuses_a_graph_it_cannot_ground(tmp_path, capsys, change,
     path.write_text(json.dumps({**json.loads(serialize_graph(graph)), **change}))
     assert main(["simulate", "--graph", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == issue + "\n"
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_an_id_the_binaries_cannot_store(tmp_path, capsys):
+    # the first actor, and every reference to it, takes id 70000: past the
+    # u16 id field of the entity table
+    graph = json.loads(serialize_graph(
+        generate_story(GenConfig(master_seed=7), build_default_registry(), 1)))
+    old = graph["actors"][0]["id"]
+    graph["actors"][0]["id"] = 70000
+    for row, key in [(o, "owner") for o in graph["objects"]] + [
+            (e, k) for e in graph["events"] for k in ("actor", "patient")]:
+        if row[key] == old:
+            row[key] = 70000
+    path, out = tmp_path / "graph.json", tmp_path / "o"
+    path.write_text(json.dumps(graph))
+    assert main(["simulate", "--graph", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: actor id 70000 is past 65535, the largest "
+                                       "an entity table holds (at actors[0])\n")
     assert not out.exists()
 
 

@@ -119,20 +119,33 @@ def test_every_export_resolves_once():
     assert not repeated, f"__all__ repeats {repeated}"
 
 
-def _bench_tracing(monkeypatch):
-    """perfbench/tracing.py, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _bench_module(monkeypatch, name: str):
+    """perfbench/<name>.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_workload_runs_on_the_package(monkeypatch, tmp_path):
+    # perfbench/workloads.py calls the package's build, codec and check
+    # functions; a change that breaks one of those calls breaks the bench
+    tracing = _bench_module(monkeypatch, "tracing")
+    workloads = _bench_module(monkeypatch, "workloads")
+    registry = build_default_registry()
+    for name, workload in workloads.WORKLOADS.items():
+        batch = workloads.run_batch(workload, registry, 7, 2, tmp_path / name,
+                                    tracing.Tracer())
+        assert not batch.check_failures, (name, batch.check_failures)
+        assert batch.records > 0, name
 
 
 def test_every_bench_hook_names_a_package_function(monkeypatch):
     # perfbench/tracing.py wraps the functions its SPANNED and COUNTED
     # entries name; a removal that deletes one breaks the bench's install
-    tracing = _bench_tracing(monkeypatch)
+    tracing = _bench_module(monkeypatch, "tracing")
 
     def resolve(module, attr):
         return functools.reduce(getattr, attr.split("."), importlib.import_module(module))
@@ -152,7 +165,7 @@ def test_every_bench_hook_names_a_package_function(monkeypatch):
 def test_bench_hooks_count_what_they_name(monkeypatch, tmp_path):
     # the probes counters read each label_clip row, and visible_mask runs
     # once per story; a labeller that bypasses either misreports the bench
-    tracing = _bench_tracing(monkeypatch)
+    tracing = _bench_module(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     try:
         tracer.install()
