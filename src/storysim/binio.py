@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptCorpus
-from .model import CAMERA_ID, MAX_ENTITY_ID, MAX_NAME_BYTES, EntityKind
+from .model import CAMERA_ID, MAX_ENTITY_ID, MAX_FPS, MAX_NAME_BYTES, EntityKind
 from .simulation import FrameLog
 
 RELATIONS_MAGIC = b"GTSR"
@@ -219,7 +219,9 @@ def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
                 column: str) -> memoryview:
     """The bytes of a file of `runs` of `column` columns, stored as
     `dtypes`; the planes are copied once.  ValueError for runs that the
-    parser refuses (_check_runs)."""
+    parser refuses (_check_runs) and for an fps past the u16 field."""
+    if not 0 <= fps <= MAX_FPS:
+        raise ValueError(f"fps {fps} does not fit the u16 fps field")
     counts, starts, *values = (np.ascontiguousarray(plane, dtype) for plane, dtype in zip(
         (runs.counts, runs.starts, *runs.values), (_COUNT, *dtypes)))
     _check_runs(Runs(runs.frames, counts, starts, tuple(values)), column, ValueError)

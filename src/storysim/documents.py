@@ -449,8 +449,9 @@ def serialize_timeline(timeline: EventTimeline) -> bytes:
 def parse_timeline(data: bytes) -> EventTimeline:
     doc = _decode(data, "timeline")
     fps = _get(doc, "fps", int, "fps")
-    if fps < ProbeConfig.CLIP_FPS:
-        raise InvariantError(ProbeConfig.FPS_RULE, "fps")
+    problem = ProbeConfig.fps_problem(fps)
+    if problem:
+        raise InvariantError(problem, "fps")
     intervals: dict[int, tuple[int, int]] = {}
     for loc, row in _items(doc, "intervals"):
         if not (isinstance(row, list) and len(row) == 3
@@ -480,8 +481,9 @@ def parse_manifest(data: bytes) -> dict:
     doc = _decode(data, "manifest")
     _get(doc, "registry_hash", str, "registry_hash")
     config = _get(doc, "config", dict, "config")
-    if _get(config, "fps", int, "config.fps") < ProbeConfig.CLIP_FPS:
-        raise InvariantError(ProbeConfig.FPS_RULE, "config.fps")
+    problem = ProbeConfig.fps_problem(_get(config, "fps", int, "config.fps"))
+    if problem:
+        raise InvariantError(problem, "config.fps")
     probe = _get(config, "probe", dict, "config.probe")
     for problem, keys in (("unknown", probe.keys() - _PROBE_KEYS),
                           ("missing", _PROBE_KEYS - probe.keys())):

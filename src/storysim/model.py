@@ -25,6 +25,8 @@ CAMERA_ID = 0
 # UTF-8 bytes.  The document readers refuse more, and so do the writers.
 MAX_ENTITY_ID = 0xFFFF
 MAX_NAME_BYTES = 0xFF
+# the binaries' header stores a story's fps as a u16
+MAX_FPS = 0xFFFF
 
 
 def is_finite_number(value) -> bool:

@@ -50,8 +50,9 @@ class CorpusConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def __post_init__(self):
-        if self.fps < ProbeConfig.CLIP_FPS:
-            raise ValueError(ProbeConfig.FPS_RULE)
+        problem = ProbeConfig.fps_problem(self.fps)
+        if problem:
+            raise ValueError(problem)
 
 
 def _sha256(data: bytes) -> str:
@@ -237,17 +238,20 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     """Build a corpus of `stories` stories under out_root; returns the
     manifest.  Output bytes do not depend on `workers`.  out_root must be
     absent or empty: FileExistsError otherwise, before anything is
-    written, so no file of an earlier build outlives it.
+    written, so no file of an earlier build outlives it.  A registry
+    that registry.json's reader refuses raises that reader's error before
+    anything is written too.
 
     Nothing is read back: manifest.json holds the hashes of the bytes the
     story jobs wrote, and stats.json sums the counts they returned with
     the same function as compute_stats' rescan, so the two agree byte
     for byte."""
+    registry_json = serialize_registry(registry)
+    parse_registry(registry_json)
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     if any(out_root.iterdir()):
         raise FileExistsError(f"{out_root} is not empty")
-    registry_json = serialize_registry(registry)
     (out_root / "registry.json").write_bytes(registry_json)
 
     categories = [story_category(cfg.gen, registry, i) for i in range(stories)]

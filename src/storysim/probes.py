@@ -32,7 +32,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .model import EntityKind, EventKind, GestGraph, is_finite_number
+from .model import MAX_FPS, EntityKind, EventKind, GestGraph, is_finite_number
 from .scheduling import EventTimeline
 from .simulation import CAMERA_ID, FrameLog, story_frames, visible_mask
 from .collectors import COMPASS_NAMES
@@ -48,8 +48,6 @@ class ProbeConfig:
     ambiguity_eps_deg: float = 2.0
     # fixed by the probe task definitions, not settable
     CLIP_FPS: ClassVar[int] = 4
-    # what a story's fps must meet, or its clip frames would collide
-    FPS_RULE: ClassVar[str] = f"fps must be at least {CLIP_FPS}, the clip rate"
     CLIP_FRAMES: ClassVar[int] = 16
     CAMERA_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (3.0, 8.0)
     PAIR_DIST_BOUNDS_M: ClassVar[tuple[float, float]] = (2.0, 6.0)
@@ -59,6 +57,16 @@ class ProbeConfig:
         for f in fields(self):
             if not is_finite_number(getattr(self, f.name)):
                 raise ValueError(f"{f.name} is not a finite number")
+
+    @staticmethod
+    def fps_problem(fps: int) -> str | None:
+        """The rule a story's fps breaks, or None: below the clip rate its
+        clip frames would collide, and the binaries store it as a u16."""
+        if fps < ProbeConfig.CLIP_FPS:
+            return f"fps must be at least {ProbeConfig.CLIP_FPS}, the clip rate"
+        if fps > MAX_FPS:
+            return f"fps must be at most {MAX_FPS}, the binaries' u16 fps field"
+        return None
 
 
 # the hybrid sampler's frame budget and its top-up rate

@@ -37,7 +37,8 @@ from .model import (
     PoiSpec,
     TemporalRelation,
 )
-from .scheduling import StnInfeasible, edge_constraints, graph_constraints, solve_stn
+from .scheduling import (SimpleTemporalNetwork, StnInfeasible, edge_constraints,
+                         graph_constraints)
 
 CHAIN_LEN_MIN = 3
 CHAIN_LEN_MAX = 5
@@ -270,8 +271,11 @@ def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> Non
             by_poi.setdefault(ev.poi, {}).setdefault(ev.actor.id, []).append(ev)
 
     unit = {ev.event_id: 1 for ev in draw.events}
-    rows = [row for a, b, rs in graph_constraints(_graph_so_far(draw))
-            for row in edge_constraints(a, b, rs, unit)]
+    # feasible: chain rows raise starts along each actor's events, in id
+    # order, and a pair ties only the two consecutive ids it created
+    stn = SimpleTemporalNetwork(unit)
+    stn.add([row for a, b, rs in graph_constraints(_graph_so_far(draw))
+             for row in edge_constraints(a, b, rs, unit)])
 
     for poi_key in sorted(by_poi):
         actors_here = sorted(by_poi[poi_key])
@@ -279,27 +283,25 @@ def inject_relations(draw: StoryDraw, rng: random.Random, cfg: GenConfig) -> Non
             for a2 in actors_here[i + 1:]:
                 if rng.random() >= cfg.relation_prob:
                     continue
-                accepted = _try_inject(rows, unit, by_poi[poi_key][a1],
+                accepted = _try_inject(stn, unit, by_poi[poi_key][a1],
                                        by_poi[poi_key][a2], rng)
                 if accepted is not None:
                     draw.relations.append(accepted)
 
 
-def _try_inject(rows: list, unit: dict[int, int], events_a: list[Event],
+def _try_inject(stn: SimpleTemporalNetwork, unit: dict[int, int], events_a: list[Event],
                 events_b: list[Event], rng: random.Random) -> TemporalRelation | None:
-    """The first drawn relation the STN `rows` stays feasible with, its
-    rows added to `rows`, or None when the retry bound is hit."""
+    """The first drawn relation whose rows `stn` accepts, its rows left
+    in `stn`, or None when the retry bound is hit."""
     for _ in range(RELATION_RETRY_BOUND):
         source = rng.choice(events_a).event_id
         target = rng.choice(events_b).event_id
         coarse = rng.choice((Coarse.BEFORE, Coarse.AFTER, Coarse.SAME_TIME))
         allen_set = coarse_to_allen(coarse)
-        candidate = list(edge_constraints(source, target, allen_set, unit))
         try:
-            solve_stn(unit, rows + candidate)
+            stn.add(edge_constraints(source, target, allen_set, unit))
         except StnInfeasible:
             continue
-        rows.extend(candidate)
         return TemporalRelation(source, target, coarse, allen_set)
     return None
 

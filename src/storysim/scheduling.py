@@ -2,12 +2,15 @@
 
 Convex relation sets become difference constraints on event start
 points (edge_constraints: a simple temporal network, durations
-substituted out), exact for convex sets and solved by Bellman-Ford with
-earliest-start extraction (solve_stn).  schedule() turns a story graph
-into concrete half-open frame intervals with it: each non-convex set is
-a choice of base relation, searched depth first with the STN of every
-partial choice as the pruning test.  procgen accepts an injected
-relation when the same STN stays feasible.
+substituted out), exact for convex sets.  SimpleTemporalNetwork keeps
+those rows feasible incrementally: each new row relaxes shortest
+distances from its own head, a row that closes a negative cycle is
+refused and rolled back, and earliest starts are read off the
+distances.  schedule() turns a story graph into concrete half-open
+frame intervals with it: each non-convex set is a choice of base
+relation, searched depth first, each choice added to the one network
+and undone on backtrack.  procgen accepts an injected relation when the
+same network accepts its rows.
 
 A TemporalNetwork holds one RelationSet per ordered event pair (stored
 converse-consistently, missing edges are the full 13-set), and closure()
@@ -182,6 +185,8 @@ def closure(net: TemporalNetwork) -> TemporalNetwork:
 
 
 class StnInfeasible(Exception):
+    """The row (u, v, c) that SimpleTemporalNetwork refused."""
+
     def __init__(self, u, v):
         self.u = u
         self.v = v
@@ -208,75 +213,136 @@ def edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
             yield (b, a, off - lb_v)
 
 
-_ORIGIN = object()
+class SimpleTemporalNetwork:
+    """Difference rows (x, y, c), start_x - start_y <= c, over event
+    start points, kept feasible one row at a time.
 
+    Each node holds its shortest distance from an origin with a 0-edge to
+    every node, so every distance starts at 0 and the earliest start is
+    ORIGIN_FRAME - distance.  A row is an edge x -> y of weight c.  A row
+    that lowers its head's distance relaxes FIFO from that head only.
+    The network was feasible before the row, so the row closes a
+    negative cycle exactly when that relaxation would lower its own
+    tail.  Every row and every distance change goes on a trail, which
+    mark() and undo() rewind.  The out-edges hold the rows themselves
+    and the trail plain ints, so the network allocates no container per
+    row or change for the garbage collector to track."""
 
-def solve_stn(node_ids, constraints) -> dict[int, int]:
-    """Earliest-start solution of difference constraints (x, y, c):
-    start_x - start_y <= c, with every start >= ORIGIN_FRAME."""
-    rev = list(constraints)
-    for nid in node_ids:
-        rev.append((_ORIGIN, nid, 0))  # origin <= every start
-    dist = {nid: float("inf") for nid in node_ids}
-    dist[_ORIGIN] = 0
-    for _ in range(len(node_ids)):
-        changed = False
-        for x, y, c in rev:
+    def __init__(self, node_ids):
+        self._dist = dict.fromkeys(node_ids, 0)
+        self._out: dict[int, list[tuple[int, int, int]]] = {nid: [] for nid in self._dist}
+        self._trail: list[int] = []  # node, distance before, node, ...
+        self._tails: list[int] = []  # the tail of every row, in add order
+
+    def mark(self) -> tuple[int, int]:
+        return len(self._trail), len(self._tails)
+
+    def undo(self, mark: tuple[int, int]) -> None:
+        """Restore the network exactly as it was at mark."""
+        trail_len, rows_len = mark
+        dist, trail, tails, out = self._dist, self._trail, self._tails, self._out
+        while len(trail) > trail_len:
+            before = trail.pop()
+            dist[trail.pop()] = before
+        while len(tails) > rows_len:
+            out[tails.pop()].pop()
+
+    def add(self, rows) -> None:
+        """Add every row, or none: a row that makes the network infeasible
+        undoes the whole call and raises StnInfeasible naming that row's
+        two nodes."""
+        mark = self.mark()
+        dist, out, trail, tails = self._dist, self._out, self._trail, self._tails
+        for row in rows:
+            x, y, c = row
+            out[x].append(row)
+            tails.append(x)
             d = dist[x] + c
-            if d < dist[y]:
+            if d >= dist[y]:
+                continue
+            if y != x:
+                trail.append(y)
+                trail.append(dist[y])
                 dist[y] = d
-                changed = True
-        if not changed:
-            break
-    else:
-        for x, y, c in rev:
-            if dist[x] + c < dist[y]:
-                raise StnInfeasible(x, y)
-    return {nid: ORIGIN_FRAME - int(dist[nid]) for nid in node_ids}
+                if not out[y] or self._relax_from(y, x):
+                    continue
+            self.undo(mark)
+            raise StnInfeasible(x, y)
+
+    def _relax_from(self, y: int, x: int) -> bool:
+        """Relax FIFO from y, just lowered; False, with the lowered
+        distances left on the trail, when that would lower x."""
+        dist, out, trail = self._dist, self._out, self._trail
+        queue = deque((y,))
+        queued = {y}
+        while queue:
+            u = queue.popleft()
+            queued.discard(u)
+            du = dist[u]
+            for _, v, w in out[u]:
+                d = du + w
+                if d < dist[v]:
+                    if v == x:
+                        return False
+                    trail.append(v)
+                    trail.append(dist[v])
+                    dist[v] = d
+                    if v not in queued:
+                        queued.add(v)
+                        queue.append(v)
+        return True
+
+    def earliest(self) -> dict[int, int]:
+        """The earliest start of every node."""
+        return {nid: ORIGIN_FRAME - d for nid, d in self._dist.items()}
 
 
 def schedule(graph: GestGraph, fps: int) -> EventTimeline:
     """Concrete earliest-start frame intervals for every graph event.
 
-    One depth-first search picks a base relation for each non-convex
-    constraint, in (size, source, target) order; a node whose STN is
-    infeasible is pruned.  A story without a non-convex constraint is
-    solved at the root."""
+    The convex constraints form the root STN; when it is infeasible the
+    error names the two events of the row that made it so.  One
+    depth-first search then picks a base relation for each non-convex
+    constraint, in (size, source, target) order, adding its rows to the
+    same network and undoing them on the way back; a choice whose rows
+    the network refuses is pruned.  A story without a non-convex
+    constraint is solved at the root."""
     ids = [e.event_id for e in graph.events]
     lengths = {e.event_id: duration_frames(e.duration_s, fps) for e in graph.events}
 
     base = graph_constraints(graph)
-    convex = [c for a, b, rs in base if is_convex(rs)
-              for c in edge_constraints(a, b, rs, lengths)]
     disjunctions = sorted(((a, b, rs) for a, b, rs in base if not is_convex(rs)),
                           key=lambda abr: (len(abr[2]), abr[0], abr[1]))
+    stn = SimpleTemporalNetwork(ids)
+    try:
+        stn.add([c for a, b, rs in base if is_convex(rs)
+                 for c in edge_constraints(a, b, rs, lengths)])
+    except StnInfeasible as exc:
+        raise InconsistentNetwork(
+            exc.u, exc.v,
+            message=f"durations admit no frame assignment near events {exc.u}, {exc.v}"
+        ) from None
 
-    def search(level: int, cons: list) -> dict[int, int] | None:
-        """Starts of the first feasible choice below this node, or None;
-        StnInfeasible when the node's own STN is."""
-        starts = solve_stn(ids, cons)
+    def search(level: int) -> dict[int, int] | None:
+        """Earliest starts of the first feasible choice below this node,
+        or None; the network is as it was on return."""
         if level == len(disjunctions):
-            return starts
+            return stn.earliest()
         a, b, rs = disjunctions[level]
         for r in rs:
             gap = STRICT_BEFORE_GAP_FRAMES if r is AllenRelation.BEFORE else 1
+            mark = stn.mark()
             try:
-                found = search(level + 1, cons + list(edge_constraints(
-                    a, b, RelationSet.of(r), lengths, before_gap=gap)))
+                stn.add(edge_constraints(a, b, RelationSet.of(r), lengths, before_gap=gap))
             except StnInfeasible:
                 continue
+            found = search(level + 1)
+            stn.undo(mark)
             if found is not None:
                 return found
         return None
 
-    try:
-        starts = search(0, convex)
-    except StnInfeasible as exc:
-        u = exc.u if exc.u is not _ORIGIN else exc.v
-        v = exc.v if exc.v is not _ORIGIN else exc.u
-        raise InconsistentNetwork(
-            u, v, message=f"durations admit no frame assignment near events {u}, {v}"
-        ) from None
+    starts = search(0)
     if starts is None:
         raise UnschedulableDisjunction(
             f"no base-relation choice over {len(disjunctions)} non-convex edge(s) "

@@ -16,9 +16,12 @@ of every frame before the change-run one replaced it, shares _both_ways
 and the compass edges and keeps its ufunc sequence and the dense planes
 (Planes), and runs_of cuts such planes into the change runs the files
 store; and
-closure_schedule, the schedule that pruned its backtracking over
-non-convex edges with path consistency, shares the STN and the closure
-that the STN search replaced; and per_clip_labels, the labeller that
+solve_stn, the whole-network Bellman-Ford that the incremental
+SimpleTemporalNetwork replaced, shares StnInfeasible and ORIGIN_FRAME;
+and closure_schedule, the schedule that pruned its backtracking over
+non-convex edges with path consistency, shares edge_constraints and the
+closure that the STN search replaced, and solves its leaves with
+solve_stn; and per_clip_labels, the labeller that
 gathered and labelled one clip at a time before the story pass replaced
 it, shares compass_bin and wrap_signed.
 """
@@ -37,10 +40,9 @@ from storysim.collectors import (_COMPASS_EDGES, COINCIDENT_EPS, COMPASS_NAMES,
 from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import CAMERA_ID, EntityKind
-from storysim.scheduling import (_ORIGIN, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
+from storysim.scheduling import (ORIGIN_FRAME, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
                                  StnInfeasible, TemporalNetwork, closure,
-                                 duration_frames, edge_constraints, graph_constraints,
-                                 solve_stn)
+                                 duration_frames, edge_constraints, graph_constraints)
 from storysim.simulation import (CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg,
                                  wrap_signed)
 
@@ -385,6 +387,47 @@ def runs_of(records: Planes) -> Runs:
     counts = np.bincount(column, minlength=columns).astype(np.uint32)
     return Runs(frames, counts, frame.astype(np.uint32),
                 tuple(plane[column, frame] for plane in planes))
+
+
+_ORIGIN = object()
+
+
+def solve_stn(node_ids, constraints) -> dict[int, int]:
+    """Earliest-start solution of difference constraints (x, y, c):
+    start_x - start_y <= c, with every start >= ORIGIN_FRAME."""
+    rev = list(constraints)
+    for nid in node_ids:
+        rev.append((_ORIGIN, nid, 0))  # origin <= every start
+    dist = {nid: float("inf") for nid in node_ids}
+    dist[_ORIGIN] = 0
+    for _ in range(len(node_ids)):
+        changed = False
+        for x, y, c in rev:
+            d = dist[x] + c
+            if d < dist[y]:
+                dist[y] = d
+                changed = True
+        if not changed:
+            break
+    else:
+        for x, y, c in rev:
+            if dist[x] + c < dist[y]:
+                raise StnInfeasible(x, y)
+    return {nid: ORIGIN_FRAME - int(dist[nid]) for nid in node_ids}
+
+
+class BellmanFordNetwork:
+    """SimpleTemporalNetwork's add over solve_stn: each add solves every
+    row from scratch and keeps the new rows only when that succeeds."""
+
+    def __init__(self, node_ids):
+        self.ids = list(node_ids)
+        self.rows: list[tuple[int, int, int]] = []
+
+    def add(self, rows) -> None:
+        rows = list(rows)
+        solve_stn(self.ids, self.rows + rows)
+        self.rows += rows
 
 
 _BEFORE_MASK = RelationSet.of(AllenRelation.BEFORE).mask

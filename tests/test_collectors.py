@@ -837,6 +837,15 @@ def test_relations_of_fewer_than_two_entities_have_an_empty_payload(ids):
         parse_relations(raw + b"\0")
 
 
+def test_an_fps_past_the_u16_field_is_refused_by_both_writers(log):
+    fast = replace(log, fps=70_000)
+    with pytest.raises(ValueError, match="^fps 70000 does not fit the u16 fps field$"):
+        framelog_bytes(fast)
+    with pytest.raises(ValueError, match="^fps 70000 does not fit the u16 fps field$"):
+        relations_bytes(collect_story_relations(log), fast.fps, log.entity_ids,
+                        log.entity_kinds, log.entity_names)
+
+
 def test_relation_planes_that_the_table_does_not_fit_are_refused(log):
     records = collect_story_relations(log)
     with pytest.raises(ValueError, match="pairs per frame"):

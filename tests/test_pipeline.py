@@ -23,9 +23,9 @@ from storysim import binio, pipeline
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
 from storysim.documents import (json_document, jsonl_document, parse_graph,
-                                parse_manifest, parse_timeline, serialize_graph,
-                                serialize_registry, serialize_timeline)
-from storysim.errors import CorruptCorpus, DocumentSyntaxError
+                                parse_manifest, parse_registry, parse_timeline,
+                                serialize_graph, serialize_registry, serialize_timeline)
+from storysim.errors import CorruptCorpus, DocumentSyntaxError, StorysimError
 from storysim.pipeline import (
     CorpusConfig,
     assemble_story,
@@ -37,7 +37,7 @@ from storysim.pipeline import (
 )
 from storysim.probes import ProbeConfig, clip_frame_indices
 from storysim.probes_oracle import oracle_clip
-from storysim.model import EntityKind, EventKind
+from storysim.model import CapabilityRegistry, EntityKind, EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 from storysim.textgen import proto_text
@@ -949,6 +949,10 @@ def _fps_2(doc):
     doc["fps"] = 2
 
 
+def _fps_70000(doc):
+    doc["fps"] = 70_000
+
+
 def _an_unknown_event_added(doc):
     doc["intervals"].append([9999, 10, 20])
 
@@ -974,8 +978,11 @@ def _intervals_shifted(frames):
     # below the clip rate, clip frames would collide
     (_fps_2, "story_00001/timeline.json cannot be loaded: fps must be at least 4, "
              "the clip rate (at fps)"),
+    # past the u16 fps field of the binaries
+    (_fps_70000, "story_00001/timeline.json cannot be loaded: fps must be at most "
+                 "65535, the binaries' u16 fps field (at fps)"),
 ], ids=["event-dropped", "unknown-event-added", "frames-shifted",
-        "frames-shifted-by-one", "fps-2"])
+        "frames-shifted-by-one", "fps-2", "fps-70000"])
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out"])
 def test_cli_probes_fails_closed_on_a_timeline_that_disagrees(small_corpus, tmp_path,
                                                                capsys, damage, named,
@@ -1265,6 +1272,10 @@ def _fps_below_the_clip_rate(manifest):
     manifest["config"]["fps"] = 2
 
 
+def _fps_past_the_u16_field(manifest):
+    manifest["config"]["fps"] = 70_000
+
+
 def _a_story_listed_twice(manifest):
     # counted twice by stats, against a story_count of 3
     manifest["stories"].append(json.loads(json.dumps(manifest["stories"][1])))
@@ -1280,10 +1291,13 @@ def _story_count_one_more(manifest):
     (_format_version_2, "unsupported format_version 2"),
     (_no_graph_hash, "no hash of graph.json (at stories[1].files)"),
     (_fps_below_the_clip_rate, "fps must be at least 4, the clip rate (at config.fps)"),
+    (_fps_past_the_u16_field, "fps must be at most 65535, the binaries' u16 fps field "
+                              "(at config.fps)"),
     (_a_story_listed_twice, "duplicate story_id 'story_00001' (at stories[3].story_id)"),
     (_story_count_one_more, "story_count 4 for 3 stories (at story_count)"),
 ], ids=["deeply-nested", "huge-int", "format-version-2", "story-without-graph-hash",
-        "fps-below-the-clip-rate", "story-listed-twice", "story-count-off-by-one"])
+        "fps-below-the-clip-rate", "fps-past-the-u16-field", "story-listed-twice",
+        "story-count-off-by-one"])
 def test_every_manifest_reader_refuses_a_damaged_manifest(small_corpus, tmp_path, capsys,
                                                          damage, problem):
     # bytes, or an edit of the decoded manifest
@@ -1509,6 +1523,7 @@ def test_cli_reports_a_missing_input_path(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["generate", "--stories", "1", "--fps", "0"],
     ["generate", "--stories", "2", "--seed", "7", "--fps", "2"],
+    ["generate", "--stories", "1", "--fps", "70000"],
     ["generate", "--stories", "-1"],
     ["generate", "--stories", "1", "--regions", "0"],
     ["generate", "--stories", "1", "--chains-per-actor", "0"],
@@ -1516,7 +1531,8 @@ def test_cli_reports_a_missing_input_path(tmp_path, capsys, argv):
     ["generate", "--stories", "1", "--workers", "0"],
     ["simulate", "--graph", "{graph}", "--fps", "0"],
     ["simulate", "--graph", "{graph}", "--fps", "3"],
-], ids=["generate-fps", "generate-fps-2", "generate-stories", "generate-regions",
+], ids=["generate-fps", "generate-fps-2", "generate-fps-70000", "generate-stories",
+         "generate-regions",
         "generate-chains", "generate-negative-workers", "generate-no-workers",
         "simulate-fps", "simulate-fps-3"])
 def test_cli_refuses_a_bad_value_as_a_usage_error(tmp_path, capsys, argv):
@@ -1552,6 +1568,49 @@ def test_corpus_config_refuses_a_frame_rate_below_one():
     # 16 clip frames at 4 fps would collide
     with pytest.raises(ValueError, match="fps"):
         CorpusConfig(fps=3)
+
+
+def test_corpus_config_refuses_a_frame_rate_past_the_u16_field():
+    # the binaries' header stores fps as a u16
+    with pytest.raises(ValueError, match="^fps must be at most 65535, the binaries' "
+                                         "u16 fps field$"):
+        CorpusConfig(fps=70_000)
+    assert CorpusConfig(fps=65_535).fps == 65_535
+
+
+def _with_object_type_renamed(registry: CapabilityRegistry, old: str,
+                              new: str) -> CapabilityRegistry:
+    """registry with object type `old` renamed to `new` in object_types
+    and in every POI's slots."""
+    rename = lambda types: tuple(new if t == old else t for t in types)
+    return CapabilityRegistry(
+        episodes=tuple(replace(ep, regions=tuple(
+            replace(region, pois=tuple(replace(poi, object_slots=rename(poi.object_slots))
+                                       for poi in region.pois))
+            for region in ep.regions)) for ep in registry.episodes),
+        actor_models=registry.actor_models, object_types=rename(registry.object_types),
+        actions=registry.actions)
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["absent", "empty"])
+def test_generate_refuses_a_registry_its_reader_refuses_before_writing(tmp_path,
+                                                                      out_exists):
+    # a 400-byte type name fits no entity table; the registry.json reader
+    # refuses it, so generate does before its first write, and a rerun
+    # with a good registry finds --out empty
+    registry = _with_object_type_renamed(build_default_registry(), "cup", "é" * 200)
+    out = tmp_path / "c"
+    if out_exists:
+        out.mkdir()
+    with pytest.raises(StorysimError, match=r"^type key of 400 UTF-8 bytes is longer "
+                       r"than the 255 an entity table holds \(at object_types\)$") as info:
+        generate_corpus(out, CorpusConfig(gen=GenConfig(master_seed=7)), registry,
+                        stories=6)
+    with pytest.raises(type(info.value), match=re.escape(str(info.value))):
+        parse_registry(serialize_registry(registry))
+    assert not out.exists() or not any(out.iterdir())
+    generate_corpus(out, CorpusConfig(gen=GenConfig(master_seed=7)),
+                    build_default_registry(), stories=1)
 
 
 def test_cli_text_names_an_event_the_timeline_lacks(small_corpus, tmp_path, capsys):

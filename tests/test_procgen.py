@@ -22,9 +22,13 @@ from storysim.procgen import (
     story_rng,
     story_seed,
 )
-from storysim.scheduling import (CHAIN_SET, StnInfeasible, TemporalNetwork, closure,
-                                 edge_constraints, graph_constraints, schedule, solve_stn)
+from storysim import procgen
+from storysim.scheduling import (CHAIN_SET, SimpleTemporalNetwork, StnInfeasible,
+                                 TemporalNetwork, closure, edge_constraints,
+                                 graph_constraints, schedule)
 from storysim.simulation import validate
+
+from _oracles import BellmanFordNetwork, solve_stn
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +201,9 @@ def test_injected_relations_keep_network_schedulable(stories):
 def test_unit_length_stn_decides_what_closure_decides():
     # inject_relations asks the unit-length STN, not path consistency; on
     # every set procgen constrains with, the verdicts agree on every
-    # prefix of random networks, consistent or not
+    # prefix of random networks, consistent or not, both the Bellman-Ford
+    # reference's and those of the incremental network fed one constraint
+    # at a time
     sets = [CHAIN_SET] + [coarse_to_allen(c) for c in Coarse]
     rng = random.Random(16)
     verdicts = Counter()
@@ -206,7 +212,15 @@ def test_unit_length_stn_decides_what_closure_decides():
         unit = dict.fromkeys(ids, 1)
         constraints = [(*rng.sample(ids, 2), rng.choice(sets))
                        for _ in range(rng.randint(1, 2 * len(ids)))]
+        stn = SimpleTemporalNetwork(ids)
+        refused = False
         for k in range(1, len(constraints) + 1):
+            a, b, rs = constraints[k - 1]
+            if not refused:
+                try:
+                    stn.add(edge_constraints(a, b, rs, unit))
+                except StnInfeasible:
+                    refused = True
             prefix = constraints[:k]
             try:
                 closure(TemporalNetwork.from_constraints(ids, prefix))
@@ -220,8 +234,23 @@ def test_unit_length_stn_decides_what_closure_decides():
             except StnInfeasible:
                 feasible = False
             assert feasible == consistent, prefix
+            assert (not refused) == consistent, prefix
             verdicts[consistent] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+def test_dense_one_region_stories_inject_as_bellman_ford_does(registry, monkeypatch):
+    # 8-12 actors in one region with every actor pair drawing: the
+    # config where injection refuses the most candidates.  The incremental
+    # network and a whole-network Bellman-Ford per candidate accept the
+    # same relations with the same draws, so the graphs are byte-equal.
+    cfg = GenConfig(actors_min_max=(8, 12), max_actors_per_region=12,
+                    regions_to_visit=1, relation_prob=1.0, master_seed=7)
+    graphs = [generate_story(cfg, registry, i) for i in range(40)]
+    assert sum(len(g.relations) for g in graphs) == 974
+    monkeypatch.setattr(procgen, "SimpleTemporalNetwork", BellmanFordNetwork)
+    assert [serialize_graph(g) for g in graphs] == [
+        serialize_graph(generate_story(cfg, registry, i)) for i in range(40)]
 
 
 def test_all_categories_reachable(registry):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storysim import scheduling
 from storysim.allen import AllenRelation, Coarse, RelationSet, coarse_to_allen, is_convex
@@ -16,6 +18,8 @@ from storysim.scheduling import (
     CHAIN_SET,
     MEETS_ONLY,
     EventTimeline,
+    SimpleTemporalNetwork,
+    StnInfeasible,
     TemporalNetwork,
     chain_constraints,
     closure,
@@ -26,7 +30,7 @@ from storysim.scheduling import (
 
 from _netutil import random_spec, to_network
 from _oracles import (ALL_CODES, classify, closure_schedule, find_concrete_schedule,
-                      satisfies_all)
+                      satisfies_all, solve_stn)
 
 FPS = 25
 
@@ -303,9 +307,65 @@ def test_inconsistent_convex_constraints_fail_before_the_search():
          TemporalRelation(1, 2, Coarse.BEFORE, RelationSet.from_codes("b bi"))],
         n_actors=3,
     )
+    # the convex rows go in one at a time; the error names the two events
+    # of the row the network refused: (1, 0, -15), start_0 >= start_1 + 15
+    # from {eq} with lengths 10 and 25
     with pytest.raises(InconsistentNetwork,
-                       match="durations admit no frame assignment near events"):
+                       match="^durations admit no frame assignment near events 1, 0$"
+                       ) as info:
         schedule(g, FPS)
+    assert (info.value.i, info.value.j) == (1, 0)
+
+
+@st.composite
+def _row_batches(draw):
+    """Node count and batches of one to three difference rows, mixed-sign
+    bounds, self-loops included, each batch flagged to be undone once
+    added or not."""
+    n = draw(st.integers(2, 8))
+    row = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-6, 6))
+    batch = st.tuples(st.lists(row, min_size=1, max_size=3), st.booleans())
+    return n, draw(st.lists(batch, min_size=1, max_size=16))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_row_batches())
+def test_incremental_stn_agrees_with_bellman_ford(case):
+    # after every add, accepted or refused, the verdict and the earliest
+    # starts equal the whole-network Bellman-Ford's over the rows accepted
+    # so far plus the batch.  A batch flagged undo is undone right after
+    # its add, and every mark, undone in reverse at the end, restores the
+    # earliest starts it saw; a row left behind by either would show in a
+    # later verdict or in those starts
+    n, batches = case
+    ids = list(range(n))
+    stn = SimpleTemporalNetwork(ids)
+    accepted: list[tuple[int, int, int]] = []
+    marks = []
+    for batch, undo in batches:
+        mark, before = stn.mark(), stn.earliest()
+        marks.append((mark, before))
+        try:
+            want = solve_stn(ids, accepted + batch)
+        except StnInfeasible:
+            want = None
+        try:
+            stn.add(iter(batch))
+        except StnInfeasible as exc:
+            assert want is None, batch
+            assert (exc.u, exc.v) in {(x, y) for x, y, _ in batch}
+            assert stn.earliest() == before
+            continue
+        assert want is not None, batch
+        assert stn.earliest() == want
+        if undo:
+            stn.undo(mark)
+            assert stn.earliest() == before
+        else:
+            accepted += batch
+    for mark, earliest in reversed(marks):
+        stn.undo(mark)
+        assert stn.earliest() == earliest
 
 
 def test_duration_frames_minimum_one():
