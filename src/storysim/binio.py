@@ -9,8 +9,9 @@ value plane.  A run is a maximal run of frames over which its column's
 value is bitwise equal: each column's first run starts at frame 0, its
 starts strictly increase below frame_count, and no two adjacent runs are
 equal, and reserved is 0, so a dense content has exactly one encoding.
-The dense planes a file encodes, frame_count times its columns times
-the bytes of a value, take at most MAX_DENSE_BYTES.
+The story's dense poses, frame_count times entity_count times 32 bytes,
+take at most MAX_DENSE_BYTES in either file: frame_log expands them, so
+a relations file is refused exactly when its story's framelog is.
 
 relations file ("GTSR"): a column is an ordered pair (a, b), a != b, in
 (a, b) order over the table's sorted ids, and its value is a record:
@@ -51,8 +52,8 @@ FORMAT_VERSION = 3
 # after the magic: version, fps, entity_count, reserved, frame_count
 _HEADER = struct.Struct("<HHHHI")
 _COUNT = np.dtype("<u4")  # runs per column
-# The most bytes a file's dense planes may take, 256 MiB: the relations
-# of over half an hour of a 20-entity story at 25 fps.  The runs do not
+# The most bytes a story's dense poses may take, 32 per entity and frame:
+# 256 MiB, over 4 hours of a 20-entity story at 25 fps.  The runs do not
 # bound the header's frame_count, from which the framelog reader expands
 # poses and readers of relations index records: a damaged one must not.
 MAX_DENSE_BYTES = 1 << 28
@@ -181,16 +182,16 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
     return tuple(ids), tuple(kinds), tuple(names), offset
 
 
-def _check_runs(runs: Runs, column: str, error: type[Exception]):
-    """`error` unless `runs` may be a file's: the dense planes they encode
-    take at most MAX_DENSE_BYTES, each column's runs start at frame 0,
-    strictly increase below the frame count and are maximal, and every
-    value is finite."""
+def _check_runs(runs: Runs, entities: int, column: str, error: type[Exception]):
+    """`error` unless `runs` may be a file's for a story of `entities`
+    entities: the story's dense poses take at most MAX_DENSE_BYTES, each
+    column's runs start at frame 0, strictly increase below the frame
+    count and are maximal, and every value is finite."""
     frames, counts, starts = runs.frames, runs.counts, runs.starts
-    size = frames * len(counts) * sum(plane.itemsize for plane in runs.values)
+    size = frames * entities * 32  # four float64 per pose, as frame_log expands them
     if size > MAX_DENSE_BYTES:
-        raise error(f"{frames} frames of {len(counts)} columns expand to {size} bytes, "
-                    f"past the bound of {MAX_DENSE_BYTES}")
+        raise error(f"{frames} frames of {entities} entities expand to {size} bytes of "
+                    f"poses, past the bound of {MAX_DENSE_BYTES}")
     if frames and not counts.all():
         raise error(f"{column} column {np.argmin(counts)} has no run over {frames} "
                     f"frames")
@@ -224,7 +225,8 @@ def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
         raise ValueError(f"fps {fps} does not fit the u16 fps field")
     counts, starts, *values = (np.ascontiguousarray(plane, dtype) for plane, dtype in zip(
         (runs.counts, runs.starts, *runs.values), (_COUNT, *dtypes)))
-    _check_runs(Runs(runs.frames, counts, starts, tuple(values)), column, ValueError)
+    _check_runs(Runs(runs.frames, counts, starts, tuple(values)), len(ids), column,
+                ValueError)
     prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, runs.frames)
               + _pack_entity_table(ids, kinds, names))
     parts = (plane.view(np.uint8) for plane in (counts, starts, *values))
@@ -262,7 +264,7 @@ def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str)
         offset += total * dtype.itemsize
     starts, *values = planes
     runs = Runs(frames, counts, starts, tuple(values))
-    _check_runs(runs, column, CorruptCorpus)
+    _check_runs(runs, len(ids), column, CorruptCorpus)
     return fps, (ids, kinds, names), runs
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .allen import Coarse, coarse_to_allen
 from .default_registry import EXCHANGE_ACTION_KEY
-from .errors import EmptyRegistry, NoFreeSlot, NoValidAction
+from .errors import EmptyRegistry, InconsistentNetwork, NoFreeSlot, NoValidAction
 from .model import (
     ActionCategory,
     Actor,
@@ -37,8 +37,7 @@ from .model import (
     PoiSpec,
     TemporalRelation,
 )
-from .scheduling import (SimpleTemporalNetwork, StnInfeasible, edge_constraints,
-                         graph_constraints)
+from .scheduling import SimpleTemporalNetwork, edge_constraints, graph_constraints
 
 CHAIN_LEN_MIN = 3
 CHAIN_LEN_MAX = 5
@@ -300,7 +299,7 @@ def _try_inject(stn: SimpleTemporalNetwork, unit: dict[int, int], events_a: list
         allen_set = coarse_to_allen(coarse)
         try:
             stn.add(edge_constraints(source, target, allen_set, unit))
-        except StnInfeasible:
+        except InconsistentNetwork:
             continue
         return TemporalRelation(source, target, coarse, allen_set)
     return None

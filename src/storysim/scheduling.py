@@ -2,15 +2,16 @@
 
 Convex relation sets become difference constraints on event start
 points (edge_constraints: a simple temporal network, durations
-substituted out), exact for convex sets.  SimpleTemporalNetwork keeps
-those rows feasible incrementally: each new row relaxes shortest
-distances from its own head, a row that closes a negative cycle is
-refused and rolled back, and earliest starts are read off the
-distances.  schedule() turns a story graph into concrete half-open
-frame intervals with it: each non-convex set is a choice of base
-relation, searched depth first, each choice added to the one network
-and undone on backtrack.  procgen accepts an injected relation when the
-same network accepts its rows.
+substituted out, at most one row per direction of an edge), exact for
+convex sets.  SimpleTemporalNetwork keeps those rows feasible
+incrementally: each new row relaxes shortest distances from its own
+head, a row that closes a negative cycle is rolled back and refused
+with InconsistentNetwork naming its two events, and earliest starts are
+read off the distances.  schedule() turns a story graph into concrete
+half-open frame intervals with it: each non-convex set is a choice of
+base relation, searched depth first, each choice added to the one
+network and undone on backtrack.  procgen accepts an injected relation
+when the same network accepts its rows.
 
 A TemporalNetwork holds one RelationSet per ordered event pair (stored
 converse-consistently, missing edges are the full 13-set), and closure()
@@ -20,6 +21,7 @@ calls them.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -184,33 +186,23 @@ def closure(net: TemporalNetwork) -> TemporalNetwork:
     return out
 
 
-class StnInfeasible(Exception):
-    """The row (u, v, c) that SimpleTemporalNetwork refused."""
-
-    def __init__(self, u, v):
-        self.u = u
-        self.v = v
-
-
 def edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
-                     before_gap: int = 1):
+                     before_gap: int = 1) -> list[tuple[int, int, int]]:
     """Difference constraints (x, y, c) meaning start_x - start_y <= c
-    for one convex edge a rs b; interval ends eliminated via fixed
-    lengths."""
+    for one convex edge a rs b, at most one per direction: the least
+    bound among the signature components that constrain it, interval
+    ends eliminated via fixed lengths."""
     la, lb = lengths[a], lengths[b]
     # component values: (sa-sb, sa-eb, ea-sb, ea-eb) = (sa-sb) + offset
     offsets = (0, -lb, la, la - lb)
-    for c, (lo, hi) in enumerate(signature_bounds(rs)):
-        off = offsets[c]
+    ab = ba = math.inf  # the least bound on sa - sb, and on sb - sa
+    for c, ((lo, hi), off) in enumerate(zip(signature_bounds(rs), offsets)):
         if hi <= 0:
-            ub = 0 if hi == 0 else -1
-            if c == 2 and hi == -1:
-                # strict gap applies to the end(a) < start(b) component
-                ub = -before_gap
-            yield (a, b, ub - off)
+            # strict gap applies to the end(a) < start(b) component
+            ab = min(ab, (-before_gap if c == 2 and hi < 0 else hi) - off)
         if lo >= 0:
-            lb_v = 0 if lo == 0 else 1
-            yield (b, a, off - lb_v)
+            ba = min(ba, off - lo)
+    return [row for row in ((a, b, ab), (b, a, ba)) if row[2] < math.inf]
 
 
 class SimpleTemporalNetwork:
@@ -249,8 +241,8 @@ class SimpleTemporalNetwork:
 
     def add(self, rows) -> None:
         """Add every row, or none: a row that makes the network infeasible
-        undoes the whole call and raises StnInfeasible naming that row's
-        two nodes."""
+        undoes the whole call and raises InconsistentNetwork naming that
+        row's two nodes."""
         mark = self.mark()
         dist, out, trail, tails = self._dist, self._out, self._trail, self._tails
         for row in rows:
@@ -260,14 +252,15 @@ class SimpleTemporalNetwork:
             d = dist[x] + c
             if d >= dist[y]:
                 continue
-            if y != x:
-                trail.append(y)
-                trail.append(dist[y])
-                dist[y] = d
-                if not out[y] or self._relax_from(y, x):
-                    continue
+            trail.append(y)
+            trail.append(dist[y])
+            dist[y] = d
+            # out[y] is not empty when y is x: it holds the row itself
+            if not out[y] or self._relax_from(y, x):
+                continue
             self.undo(mark)
-            raise StnInfeasible(x, y)
+            raise InconsistentNetwork(
+                x, y, message=f"durations admit no frame assignment near events {x}, {y}")
 
     def _relax_from(self, y: int, x: int) -> bool:
         """Relax FIFO from y, just lowered; False, with the lowered
@@ -314,14 +307,8 @@ def schedule(graph: GestGraph, fps: int) -> EventTimeline:
     disjunctions = sorted(((a, b, rs) for a, b, rs in base if not is_convex(rs)),
                           key=lambda abr: (len(abr[2]), abr[0], abr[1]))
     stn = SimpleTemporalNetwork(ids)
-    try:
-        stn.add([c for a, b, rs in base if is_convex(rs)
-                 for c in edge_constraints(a, b, rs, lengths)])
-    except StnInfeasible as exc:
-        raise InconsistentNetwork(
-            exc.u, exc.v,
-            message=f"durations admit no frame assignment near events {exc.u}, {exc.v}"
-        ) from None
+    stn.add([c for a, b, rs in base if is_convex(rs)
+             for c in edge_constraints(a, b, rs, lengths)])
 
     def search(level: int) -> dict[int, int] | None:
         """Earliest starts of the first feasible choice below this node,
@@ -334,7 +321,7 @@ def schedule(graph: GestGraph, fps: int) -> EventTimeline:
             mark = stn.mark()
             try:
                 stn.add(edge_constraints(a, b, RelationSet.of(r), lengths, before_gap=gap))
-            except StnInfeasible:
+            except InconsistentNetwork:
                 continue
             found = search(level + 1)
             stn.undo(mark)

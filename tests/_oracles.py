@@ -17,11 +17,14 @@ and the compass edges and keeps its ufunc sequence and the dense planes
 (Planes), and runs_of cuts such planes into the change runs the files
 store; and
 solve_stn, the whole-network Bellman-Ford that the incremental
-SimpleTemporalNetwork replaced, shares StnInfeasible and ORIGIN_FRAME;
-and closure_schedule, the schedule that pruned its backtracking over
-non-convex edges with path consistency, shares edge_constraints and the
-closure that the STN search replaced, and solves its leaves with
-solve_stn; and per_clip_labels, the labeller that
+SimpleTemporalNetwork replaced, shares ORIGIN_FRAME and refuses with a
+NegativeCycle of its own; and component_edge_constraints, the row
+builder that gave one row per signature component before the least
+bound per direction replaced it, shares signature_bounds; and
+closure_schedule, the schedule that pruned its backtracking over
+non-convex edges with path consistency, shares the closure that the STN
+search replaced, builds its rows with component_edge_constraints and
+solves its leaves with solve_stn; and per_clip_labels, the labeller that
 gathered and labelled one clip at a time before the story pass replaced
 it, shares compass_bin and wrap_signed.
 """
@@ -37,12 +40,13 @@ import numpy as np
 from storysim.binio import _RECORD_DTYPES, Runs
 from storysim.collectors import (_COMPASS_EDGES, COINCIDENT_EPS, COMPASS_NAMES,
                                  _both_ways, compass_bin, compute_pair_relation)
-from storysim.allen import AllenRelation, RelationSet, check_relation, is_convex
+from storysim.allen import (AllenRelation, RelationSet, check_relation, is_convex,
+                            signature_bounds)
 from storysim.errors import InconsistentNetwork, UnschedulableDisjunction
 from storysim.model import CAMERA_ID, EntityKind
 from storysim.scheduling import (ORIGIN_FRAME, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
-                                 StnInfeasible, TemporalNetwork, closure,
-                                 duration_frames, edge_constraints, graph_constraints)
+                                 TemporalNetwork, closure, duration_frames,
+                                 graph_constraints)
 from storysim.simulation import (CAMERA_OFFSET, CAMERA_SMOOTHING, bearing_deg,
                                  wrap_signed)
 
@@ -392,6 +396,35 @@ def runs_of(records: Planes) -> Runs:
 _ORIGIN = object()
 
 
+class NegativeCycle(Exception):
+    """The row (u, v, c) that solve_stn found still relaxing."""
+
+    def __init__(self, u, v):
+        self.u = u
+        self.v = v
+
+
+def component_edge_constraints(a: int, b: int, rs: RelationSet, lengths: dict[int, int],
+                               before_gap: int = 1):
+    """Difference constraints (x, y, c) meaning start_x - start_y <= c
+    for one convex edge a rs b; interval ends eliminated via fixed
+    lengths."""
+    la, lb = lengths[a], lengths[b]
+    # component values: (sa-sb, sa-eb, ea-sb, ea-eb) = (sa-sb) + offset
+    offsets = (0, -lb, la, la - lb)
+    for c, (lo, hi) in enumerate(signature_bounds(rs)):
+        off = offsets[c]
+        if hi <= 0:
+            ub = 0 if hi == 0 else -1
+            if c == 2 and hi == -1:
+                # strict gap applies to the end(a) < start(b) component
+                ub = -before_gap
+            yield (a, b, ub - off)
+        if lo >= 0:
+            lb_v = 0 if lo == 0 else 1
+            yield (b, a, off - lb_v)
+
+
 def solve_stn(node_ids, constraints) -> dict[int, int]:
     """Earliest-start solution of difference constraints (x, y, c):
     start_x - start_y <= c, with every start >= ORIGIN_FRAME."""
@@ -412,7 +445,7 @@ def solve_stn(node_ids, constraints) -> dict[int, int]:
     else:
         for x, y, c in rev:
             if dist[x] + c < dist[y]:
-                raise StnInfeasible(x, y)
+                raise NegativeCycle(x, y)
     return {nid: ORIGIN_FRAME - int(dist[nid]) for nid in node_ids}
 
 
@@ -426,7 +459,10 @@ class BellmanFordNetwork:
 
     def add(self, rows) -> None:
         rows = list(rows)
-        solve_stn(self.ids, self.rows + rows)
+        try:
+            solve_stn(self.ids, self.rows + rows)
+        except NegativeCycle as exc:
+            raise InconsistentNetwork(exc.u, exc.v) from None
         self.rows += rows
 
 
@@ -452,16 +488,16 @@ def closure_schedule(graph, fps: int) -> EventTimeline:
     def leaf_constraints(chosen: list[tuple[int, int, RelationSet]]):
         cons = []
         for a, b, rs in convex_edges:
-            cons.extend(edge_constraints(a, b, rs, lengths))
+            cons.extend(component_edge_constraints(a, b, rs, lengths))
         for a, b, rs in chosen:
             gap = STRICT_BEFORE_GAP_FRAMES if rs.mask == _BEFORE_MASK else 1
-            cons.extend(edge_constraints(a, b, rs, lengths, before_gap=gap))
+            cons.extend(component_edge_constraints(a, b, rs, lengths, before_gap=gap))
         return cons
 
     if not disjunctions:
         try:
             starts = solve_stn(ids, leaf_constraints([]))
-        except StnInfeasible as exc:
+        except NegativeCycle as exc:
             u = exc.u if exc.u is not _ORIGIN else exc.v
             v = exc.v if exc.v is not _ORIGIN else exc.u
             raise InconsistentNetwork(
@@ -500,7 +536,7 @@ def _backtrack(closed: TemporalNetwork, disjunctions, leaf_constraints,
             chosen = [(a, b, work.edge(a, b)) for a, b in order]
             try:
                 return solve_stn(ids, leaf_constraints(chosen))
-            except StnInfeasible:
+            except NegativeCycle:
                 return None
         a, b = order[level]
         for r in work.edge(a, b):

@@ -773,16 +773,17 @@ def test_a_nonzero_reserved_field_is_refused(log, kind):
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
 def test_dense_planes_past_the_bound_are_refused_by_writer_and_reader(monkeypatch, kind):
-    # 4 frames of 3 entities pass a bound of exactly their dense bytes,
-    # and neither writer nor reader takes them past one byte less
+    # both files of 4 frames of 3 entities pass a bound of exactly their
+    # dense poses, 32 bytes per entity and frame, and neither writer nor
+    # reader takes them past one byte less
     log = _three_entities(4)
-    encode, parse, dtypes, columns = _RUN_FILES[kind]
-    size = 4 * columns(3) * sum(dtype.itemsize for dtype in dtypes[1:])
+    encode, parse, _, _ = _RUN_FILES[kind]
+    size = 4 * 3 * 32
     monkeypatch.setattr(binio, "MAX_DENSE_BYTES", size)
     raw = bytes(encode(log))
     parse(raw)
     monkeypatch.setattr(binio, "MAX_DENSE_BYTES", size - 1)
-    refusal = (f"^4 frames of {columns(3)} columns expand to {size} bytes, "
+    refusal = (f"^4 frames of 3 entities expand to {size} bytes of poses, "
                f"past the bound of {size - 1}$")
     with pytest.raises(ValueError, match=refusal):
         encode(log)
@@ -797,8 +798,8 @@ def test_a_frame_count_past_the_dense_bound_is_refused_before_expanding(log, kin
     encode, parse, _, _ = _RUN_FILES[kind]
     raw = bytearray(encode(_first_frames(log, 1)))
     raw[12:16] = (0xFFFFFFFF).to_bytes(4, "little")
-    with pytest.raises(CorruptCorpus, match=rf"^4294967295 frames of \d+ columns expand "
-                                            rf"to \d+ bytes, past the bound of "
+    with pytest.raises(CorruptCorpus, match=rf"^4294967295 frames of \d+ entities expand "
+                                            rf"to \d+ bytes of poses, past the bound of "
                                             rf"{binio.MAX_DENSE_BYTES}$"):
         parse(bytes(raw))
 

@@ -797,8 +797,8 @@ def test_a_frame_count_past_the_dense_bound_is_refused_by_every_reader(small_cor
     shutil.copytree(small_corpus, root)
     _frame_count_past_the_dense_bound(root / "story_00001/relations.bin")
     _frame_count_past_the_dense_bound(root / "story_00001/framelog.bin")
-    past = rf"cannot be loaded: 4294967295 frames of \d+ columns expand to \d+ bytes, " \
-           rf"past the bound of {binio.MAX_DENSE_BYTES}"
+    past = rf"cannot be loaded: 4294967295 frames of \d+ entities expand to \d+ bytes " \
+           rf"of poses, past the bound of {binio.MAX_DENSE_BYTES}"
     relations, framelog = (rf"story_00001/{name} {past}"
                            for name in ("relations.bin", "framelog.bin"))
     by_name = {c["name"]: c for c in verify(root)["checks"]}
@@ -814,6 +814,23 @@ def test_a_frame_count_past_the_dense_bound_is_refused_by_every_reader(small_cor
     assert re.fullmatch(f"error: {relations}\n", capsys.readouterr().err)
     assert main(["probes", "--corpus", str(root), "--out", str(tmp_path / "out")]) == 1
     assert re.fullmatch(f"error: {framelog}\n", capsys.readouterr().err)
+
+
+def test_a_long_many_pair_story_builds_under_the_dense_bound(tmp_path):
+    # story 2 has 47,024 frames of 22 entities: 33 MB of dense poses, but
+    # 282 MB of dense relation records, which nothing expands
+    gen = GenConfig(chains_per_actor=2, max_actors_per_region=3, regions_to_visit=4,
+                    actors_min_max=(12, 14), interaction_prob=1.0, exchange_prob=1.0,
+                    relation_prob=0.5, master_seed=686723)
+    root = tmp_path / "corpus"
+    manifest = generate_corpus(root, CorpusConfig(gen=gen, fps=120),
+                               build_default_registry(), stories=3)
+    assert [e["story_id"] for e in manifest["stories"] if "error" not in e] == [
+        "story_00000", "story_00001", "story_00002"]
+    _, _, poses = binio.parse_framelog((root / "story_00002/framelog.bin").read_bytes())
+    assert (poses.frames, len(poses.counts)) == (47024, 22)
+    assert verify(root)["ok"]
+    assert (root / "stats.json").read_bytes() == json_document(compute_stats(root))
 
 
 def _first_mapping_moved(data: bytes) -> bytes:

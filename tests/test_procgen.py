@@ -23,12 +23,11 @@ from storysim.procgen import (
     story_seed,
 )
 from storysim import procgen
-from storysim.scheduling import (CHAIN_SET, SimpleTemporalNetwork, StnInfeasible,
-                                 TemporalNetwork, closure, edge_constraints,
-                                 graph_constraints, schedule)
+from storysim.scheduling import (CHAIN_SET, SimpleTemporalNetwork, TemporalNetwork,
+                                 closure, edge_constraints, graph_constraints, schedule)
 from storysim.simulation import validate
 
-from _oracles import BellmanFordNetwork, solve_stn
+from _oracles import BellmanFordNetwork, NegativeCycle, solve_stn
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +218,7 @@ def test_unit_length_stn_decides_what_closure_decides():
             if not refused:
                 try:
                     stn.add(edge_constraints(a, b, rs, unit))
-                except StnInfeasible:
+                except InconsistentNetwork:
                     refused = True
             prefix = constraints[:k]
             try:
@@ -231,7 +230,7 @@ def test_unit_length_stn_decides_what_closure_decides():
                 solve_stn(ids, [row for a, b, rs in prefix
                                 for row in edge_constraints(a, b, rs, unit)])
                 feasible = True
-            except StnInfeasible:
+            except NegativeCycle:
                 feasible = False
             assert feasible == consistent, prefix
             assert (not refused) == consistent, prefix

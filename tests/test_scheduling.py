@@ -3,6 +3,7 @@ non-convex edges."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,18 +20,19 @@ from storysim.scheduling import (
     MEETS_ONLY,
     EventTimeline,
     SimpleTemporalNetwork,
-    StnInfeasible,
     TemporalNetwork,
     chain_constraints,
     closure,
     duration_frames,
+    edge_constraints,
     graph_constraints,
     schedule,
 )
 
 from _netutil import random_spec, to_network
-from _oracles import (ALL_CODES, classify, closure_schedule, find_concrete_schedule,
-                      satisfies_all, solve_stn)
+from _oracles import (ALL_CODES, NegativeCycle, classify, closure_schedule,
+                      component_edge_constraints, find_concrete_schedule, satisfies_all,
+                      solve_stn)
 
 FPS = 25
 
@@ -317,6 +319,23 @@ def test_inconsistent_convex_constraints_fail_before_the_search():
     assert (info.value.i, info.value.j) == (1, 0)
 
 
+def test_edge_constraints_give_the_least_component_bound_per_direction():
+    # a direction's rows admit the same starts as their least bound, so
+    # the one row per direction keeps every timeline and verdict of the
+    # row per signature component that it replaced
+    convex = [rs for rs in map(RelationSet, range(1, 1 << 13)) if is_convex(rs)]
+    assert len(convex) == 82
+    for rs in convex:
+        for la, lb, gap in itertools.product((1, 2, 3, 5, 25), (1, 2, 3, 5, 25), (1, 25)):
+            lengths = {0: la, 1: lb}
+            least: dict[tuple[int, int], int] = {}
+            for x, y, c in component_edge_constraints(0, 1, rs, lengths, gap):
+                least[x, y] = min(c, least.get((x, y), c))
+            rows = edge_constraints(0, 1, rs, lengths, gap)
+            assert len(rows) == len(least), (rs, la, lb, gap)
+            assert {(x, y): c for x, y, c in rows} == least, (rs, la, lb, gap)
+
+
 @st.composite
 def _row_batches(draw):
     """Node count and batches of one to three difference rows, mixed-sign
@@ -347,13 +366,13 @@ def test_incremental_stn_agrees_with_bellman_ford(case):
         marks.append((mark, before))
         try:
             want = solve_stn(ids, accepted + batch)
-        except StnInfeasible:
+        except NegativeCycle:
             want = None
         try:
             stn.add(iter(batch))
-        except StnInfeasible as exc:
+        except InconsistentNetwork as exc:
             assert want is None, batch
-            assert (exc.u, exc.v) in {(x, y) for x, y, _ in batch}
+            assert (exc.i, exc.j) in {(x, y) for x, y, _ in batch}
             assert stn.earliest() == before
             continue
         assert want is not None, batch

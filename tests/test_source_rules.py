@@ -13,6 +13,7 @@ from pathlib import Path
 import storysim
 from storysim import pipeline
 from storysim.default_registry import build_default_registry
+from storysim.errors import StorysimError
 from storysim.procgen import GenConfig
 
 SOURCES = sorted(Path(storysim.__file__).parent.glob("*.py"))
@@ -26,6 +27,20 @@ def test_no_assert_statements_in_package():
              if isinstance(node, ast.Assert)]
     assert SOURCES
     assert not found, f"assert statements in package source: {found}"
+
+
+def test_every_exception_is_a_storysim_error_from_errors_py():
+    # errors.py states every failure the package raises for callers to
+    # handle, and StorysimError catches them all
+    found = [f"{module.__name__}.{name}"
+             for path in SOURCES
+             for module in [importlib.import_module(
+                 "storysim" if path.stem == "__init__" else f"storysim.{path.stem}")]
+             for name, obj in vars(module).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)
+             and obj.__module__ == module.__name__
+             and (path.name != "errors.py" or not issubclass(obj, StorysimError))]
+    assert not found, f"exceptions outside errors.py or StorysimError: {found}"
 
 
 def test_probe_oracle_shares_no_arithmetic_with_the_labeller():
