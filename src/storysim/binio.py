@@ -2,24 +2,31 @@
 
 Both files start with a little-endian header of magic, version u16,
 fps u16, entity_count u16, reserved u16 and frame_count u32, then an
-entity table of {id u16, kind u8, name_len u8, name utf-8}, then one u32
-run count per column, then planes over all runs, column-major and in
-frame order within a column: every run's start frame u32, then each
-value plane.  A run is a maximal run of frames over which its column's
-value is bitwise equal: each column's first run starts at frame 0, its
-starts strictly increase below frame_count, and no two adjacent runs are
-equal, and reserved is 0, so a dense content has exactly one encoding.
-The story's dense poses, frame_count times entity_count times 32 bytes,
-take at most MAX_DENSE_BYTES in either file: frame_log expands them, so
-a relations file is refused exactly when its story's framelog is.
+entity table of {id u16, kind u8, name_len u8, name utf-8}, then a start
+bitmap, then each value plane over all runs, column-major and in frame
+order within a column.  A run is a maximal run of frames over which its
+column's value is bitwise equal.  The bitmap has one bit per cell,
+column-major: bit column * frame_count + frame is set where a run
+starts, most significant bit first within a byte (as np.packbits writes
+them), and its ceil(cells / 8) bytes end in zero pad bits.  So a file
+holds no run count and no start frame, only 1/8 byte per cell; that
+costs less than a u32 start per run while runs start at one cell in 32
+or more, and loses to it below that: seed-7 stories of the bench's
+workloads start runs at 0.058 to 0.28 of a file's cells, and a log
+whose every pose changes every frame at all of them.  Each column's
+first run starts at frame 0, no two adjacent runs are equal, and
+reserved is 0, so a dense content has exactly one encoding.  The story's dense poses, frame_count
+times entity_count times 32 bytes, take at most MAX_DENSE_BYTES in
+either file: frame_log expands them, so a relations file is refused
+exactly when its story's framelog is.
 
 relations file ("GTSR"): a column is an ordered pair (a, b), a != b, in
 (a, b) order over the table's sorted ids, and its value is a record:
-distance_m f4, azimuth_deg f4, elevation_deg f4 and compass u8, so 17
+distance_m f4, azimuth_deg f4, elevation_deg f4 and compass u8, so 13
 bytes per run.  A coincident pair is the one whose distance is 0.
 
 framelog file ("GTFL"): a column is an entity in table order, and its
-value is its pose as float64 x, y, z and yaw_deg, so 36 bytes per run;
+value is its pose as float64 x, y, z and yaw_deg, so 32 bytes per run;
 the table holds the camera.  Poses stay f64 so spatial records
 recompute bit-identically from a reloaded log.
 
@@ -28,10 +35,15 @@ one rule, _check_runs, says which runs a file may hold: the writers
 refuse the runs the parser refuses, with the same message.  Both parsers
 take a file's bytes and return its (fps, (ids, kinds, names), Runs),
 unexpanded, and raise CorruptCorpus saying what is wrong with them; the
-caller names the file.  The relations' Runs are what relations_bytes
-takes, and frame_log expands a framelog's into the FrameLog that
-framelog_bytes takes.  A table holds u16 ids and names of at most
-MAX_NAME_BYTES of UTF-8 (model.py), which the document readers enforce.
+caller names the file.  A parser checks the dense bound, then that the
+bitmap is whole and its pad bits clear before it unpacks the bitmap,
+then that the value planes fill the rest, one value per set bit, before
+it builds a run; so what it allocates is bounded by a multiple of the
+file's own size, whatever the header says.  The
+relations' Runs are what relations_bytes takes, and frame_log expands a
+framelog's into the FrameLog that framelog_bytes takes.  A table holds
+u16 ids and names of at most MAX_NAME_BYTES of UTF-8 (model.py), which
+the document readers enforce.
 """
 
 from __future__ import annotations
@@ -48,10 +60,9 @@ from .simulation import FrameLog
 
 RELATIONS_MAGIC = b"GTSR"
 FRAMELOG_MAGIC = b"GTFL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # after the magic: version, fps, entity_count, reserved, frame_count
 _HEADER = struct.Struct("<HHHHI")
-_COUNT = np.dtype("<u4")  # runs per column
 # The most bytes a story's dense poses may take, 32 per entity and frame:
 # 256 MiB, over 4 hours of a 20-entity story at 25 fps.  The runs do not
 # bound the header's frame_count, from which the framelog reader expands
@@ -67,9 +78,9 @@ _KIND_CODE = {
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
-# each run's start frame, then its value: a spatial record, or a pose
-_RECORD_DTYPES = tuple(np.dtype(t) for t in ("<u4", "<f4", "<f4", "<f4", "u1"))
-_POSE_DTYPES = (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4
+# a run's value: a spatial record, or a pose
+_RECORD_DTYPES = tuple(np.dtype(t) for t in ("<f4", "<f4", "<f4", "u1"))
+_POSE_DTYPES = (np.dtype("<f8"),) * 4
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,13 @@ class Runs:
 
     def __len__(self) -> int:
         return self.frames * len(self.counts)
+
+    def _cells(self) -> np.ndarray:
+        """Each run's start cell, column * frames + start frame: the key
+        by which column-major runs in frame order sort, and its bit in a
+        file's start bitmap."""
+        columns = np.arange(len(self.counts), dtype=np.int64) * self.frames
+        return np.repeat(columns, self.counts) + self.starts
 
     def _follows(self) -> np.ndarray:
         """Whether each run follows another run of its column."""
@@ -125,9 +143,7 @@ class Runs:
         together: the value of the run of `column` that holds `frame`.
         ValueError for a cell outside frames x columns."""
         cell = np.ravel_multi_index((column, frame), (len(self.counts), self.frames))
-        # a run's key is its cell; column-major runs in frame order sort by it
-        keys = np.repeat(np.arange(len(self.counts)) * self.frames, self.counts)
-        run = np.searchsorted(keys + self.starts, cell, side="right") - 1
+        run = np.searchsorted(self._cells(), cell, side="right") - 1
         return tuple(plane[run] for plane in self.values)
 
     def dense(self) -> list[np.ndarray]:
@@ -182,19 +198,27 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
     return tuple(ids), tuple(kinds), tuple(names), offset
 
 
+def _check_dense(frames: int, entities: int, error: type[Exception]):
+    """`error` unless a story of `frames` frames of `entities` entities
+    has dense poses of at most MAX_DENSE_BYTES."""
+    size = frames * entities * 32  # four float64 per pose, as frame_log expands them
+    if size > MAX_DENSE_BYTES:
+        raise error(f"{frames} frames of {entities} entities expand to {size} bytes of "
+                    f"poses, past the bound of {MAX_DENSE_BYTES}")
+
+
 def _check_runs(runs: Runs, entities: int, column: str, error: type[Exception]):
     """`error` unless `runs` may be a file's for a story of `entities`
     entities: the story's dense poses take at most MAX_DENSE_BYTES, each
     column's runs start at frame 0, strictly increase below the frame
     count and are maximal, and every value is finite."""
     frames, counts, starts = runs.frames, runs.counts, runs.starts
-    size = frames * entities * 32  # four float64 per pose, as frame_log expands them
-    if size > MAX_DENSE_BYTES:
-        raise error(f"{frames} frames of {entities} entities expand to {size} bytes of "
-                    f"poses, past the bound of {MAX_DENSE_BYTES}")
+    _check_dense(frames, entities, error)
     if frames and not counts.all():
         raise error(f"{column} column {np.argmin(counts)} has no run over {frames} "
                     f"frames")
+    if not len(starts):
+        return  # no run to check, and a file of no frame has no array per column
     later = runs._follows()
     before = np.concatenate((starts[:1], starts[:-1]))  # the start of the run before
     finite = np.ones(len(starts), bool)
@@ -218,26 +242,30 @@ def _check_runs(runs: Runs, entities: int, column: str, error: type[Exception]):
 
 def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
                 column: str) -> memoryview:
-    """The bytes of a file of `runs` of `column` columns, stored as
-    `dtypes`; the planes are copied once.  ValueError for runs that the
-    parser refuses (_check_runs) and for an fps past the u16 field."""
+    """The bytes of a file of `runs` of `column` columns, their values
+    stored as `dtypes`; the planes are copied once.  ValueError for runs
+    that the parser refuses (_check_runs) and for an fps past the u16
+    field."""
     if not 0 <= fps <= MAX_FPS:
         raise ValueError(f"fps {fps} does not fit the u16 fps field")
-    counts, starts, *values = (np.ascontiguousarray(plane, dtype) for plane, dtype in zip(
-        (runs.counts, runs.starts, *runs.values), (_COUNT, *dtypes)))
-    _check_runs(Runs(runs.frames, counts, starts, tuple(values)), len(ids), column,
-                ValueError)
+    values = tuple(np.ascontiguousarray(plane, dtype)
+                   for plane, dtype in zip(runs.values, dtypes))
+    runs = Runs(runs.frames, runs.counts, runs.starts, values)
+    _check_runs(runs, len(ids), column, ValueError)
+    bits = np.zeros(len(runs), bool)  # one per cell, set where a run starts
+    bits[runs._cells()] = True
     prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, runs.frames)
               + _pack_entity_table(ids, kinds, names))
-    parts = (plane.view(np.uint8) for plane in (counts, starts, *values))
+    parts = (np.packbits(bits), *(plane.view(np.uint8) for plane in values))
     return np.concatenate((np.frombuffer(prefix, np.uint8), *parts)).data
 
 
 def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str):
     """-> (fps, (ids, kinds, names), Runs) of a file's bytes, which hold
-    the runs of columns_of(ids) columns for the table's `ids`, stored as
-    `dtypes`.  The planes are copied out of `buf`, where the entity
-    table can leave them unaligned, which numpy reads slowly."""
+    the runs of columns_of(ids) columns for the table's `ids`, their
+    values stored as `dtypes`.  The value planes are copied out of `buf`,
+    where the entity table can leave them unaligned, which numpy reads
+    slowly."""
     size = 4 + _HEADER.size
     if len(buf) < size or buf[:4] != magic:
         raise CorruptCorpus(f"not a {what} file")
@@ -248,21 +276,33 @@ def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str)
         raise CorruptCorpus(f"reserved field is {reserved}, not 0")
     ids, kinds, names, offset = _unpack_entity_table(buf, size, entity_count)
     columns = columns_of(ids)
-    if len(buf) - offset < _COUNT.itemsize * columns:
-        raise CorruptCorpus(f"payload of {len(buf) - offset} bytes holds no run count "
-                            f"for each of {columns} columns")
-    counts = np.frombuffer(buf, _COUNT, columns, offset)
-    offset += _COUNT.itemsize * columns
-    total = int(counts.sum(dtype=np.uint64))
+    _check_dense(frames, len(ids), CorruptCorpus)
+    cells = frames * columns
+    size = -(-cells // 8)
+    if len(buf) - offset < size:
+        raise CorruptCorpus(f"payload of {len(buf) - offset} bytes holds no start bitmap "
+                            f"of {size} bytes for {frames} frames of {columns} columns")
+    bitmap = np.frombuffer(buf, np.uint8, size, offset)
+    offset += size
+    if cells % 8 and bitmap[-1] & (0xFF >> cells % 8):
+        raise CorruptCorpus(f"start bitmap sets a pad bit past its {cells} cells")
+    bits = np.unpackbits(bitmap, count=cells).view(bool)
+    total = int(np.count_nonzero(bits))
     expect = total * sum(dtype.itemsize for dtype in dtypes)
     if len(buf) - offset != expect:
         raise CorruptCorpus(f"run payload is {len(buf) - offset} bytes, expected "
                             f"{expect} for {total} runs")
-    planes = []
+    values = []
     for dtype in dtypes:
-        planes.append(np.frombuffer(buf, dtype, total, offset).copy())
+        values.append(np.frombuffer(buf, dtype, total, offset).copy())
         offset += total * dtype.itemsize
-    starts, *values = planes
+    cell = np.flatnonzero(bits)  # each run's start cell
+    if frames:
+        first = np.arange(0, cells, frames)  # each column's first cell
+        counts = np.diff(np.searchsorted(cell, first), append=total).astype(np.uint32)
+        starts = (cell - np.repeat(first, counts)).astype(np.uint32)
+    else:  # no bitmap byte pays for the columns of no frame, so they get no array
+        counts, starts = np.broadcast_to(np.uint32(0), (columns,)), cell.astype(np.uint32)
     runs = Runs(frames, counts, starts, tuple(values))
     _check_runs(runs, len(ids), column, CorruptCorpus)
     return fps, (ids, kinds, names), runs

@@ -309,7 +309,7 @@ def dense_collect_story_relations(log) -> Planes:
     n, frames = len(ids), log.frame_count
     n_pairs = n * (n - 1)
     out = Planes(*(np.empty((frames, n_pairs), dtype)
-                   for dtype in _RECORD_DTYPES[1:]))
+                   for dtype in _RECORD_DTYPES))
     if not n_pairs:
         return out
     idx = np.array([log.index_of(e) for e in ids], dtype=np.intp)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_records_are_13_bytes_in_four_planes(log):
     e = log.entity_count
     planes = records.values
     assert [p.dtype for p in planes] == [np.dtype(t) for t in ("<f4", "<f4", "<f4", "u1")]
-    assert binio._RECORD_DTYPES[1:] == tuple(p.dtype for p in planes)
+    assert binio._RECORD_DTYPES == tuple(p.dtype for p in planes)
     assert sum(p.itemsize for p in planes) == 13
     assert {p.shape for p in planes_of(records)} == {(log.frame_count, e * (e - 1))}
     assert planes_of(records)._fields == PLANES
@@ -513,7 +514,7 @@ def test_the_parser_accepts_exactly_what_the_merge_emits(small):
 
 
 def _payload_offset(raw: bytes) -> int:
-    """Where the run counts start: after the 16-byte header and the table."""
+    """Where the start bitmap starts: after the 16-byte header and the table."""
     (entities,) = struct.unpack_from("<H", raw, 8)
     offset = 16
     for _ in range(entities):
@@ -521,60 +522,129 @@ def _payload_offset(raw: bytes) -> int:
     return offset
 
 
-def test_relations_file_is_header_table_counts_and_17_bytes_per_run(log):
+def _start_bits(raw: bytes, columns: int) -> np.ndarray:
+    """The (columns, frames) start bits of the file `raw`, read MSB-first
+    from its bitmap, which must end in clear pad bits."""
+    (frames,) = struct.unpack_from("<I", raw, 12)
+    offset, cells = _payload_offset(raw), frames * columns
+    bitmap = np.frombuffer(raw, np.uint8, -(-cells // 8), offset)
+    bits = np.array([byte >> (7 - bit) & 1 for byte in bitmap.tolist()
+                     for bit in range(8)], bool)
+    assert not bits[cells:].any()
+    return bits[:cells].reshape(columns, frames)
+
+
+def test_relations_file_is_header_table_bitmap_and_13_bytes_per_run(log):
     runs = collect_story_relations(log)
     raw = bytes(_relations_file(log))
     e = log.entity_count
+    pairs, frames = e * (e - 1), log.frame_count
     table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
-    assert FORMAT_VERSION == 3
-    assert struct.unpack_from("<4sHHHHI", raw) == (RELATIONS_MAGIC, 3, log.fps, e, 0,
-                                                   log.frame_count)
+    assert FORMAT_VERSION == 4
+    assert struct.unpack_from("<4sHHHHI", raw) == (RELATIONS_MAGIC, 4, log.fps, e, 0,
+                                                   frames)
     assert _payload_offset(raw) == 16 + table
-    counts = np.frombuffer(raw, "<u4", e * (e - 1), 16 + table)
-    assert counts.tobytes() == runs.counts.tobytes()
+    # one bit per cell, set where a run starts, and no count or start frame
+    bits = _start_bits(raw, pairs)
+    assert bits.sum(axis=1).tolist() == runs.counts.tolist()
+    assert np.flatnonzero(bits.ravel()).tolist() == (
+        np.repeat(np.arange(pairs) * frames, runs.counts) + runs.starts).tolist()
     # a still entity's pairs repeat, so there are far fewer runs than records
-    assert len(runs.starts) == counts.sum() < len(runs) // 4
-    assert len(raw) == 16 + table + 4 * e * (e - 1) + 17 * int(counts.sum())
+    assert len(runs.starts) == bits.sum() < len(runs) // 4
+    assert len(raw) == 16 + table + -(-frames * pairs // 8) + 13 * int(bits.sum())
 
 
-def test_framelog_file_is_header_table_counts_and_36_bytes_per_run(log):
+def test_framelog_file_is_header_table_bitmap_and_32_bytes_per_run(log):
     raw = bytes(framelog_bytes(log))
     e = log.entity_count
     table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
-    assert struct.unpack_from("<4sHHHHI", raw) == (FRAMELOG_MAGIC, 3, log.fps, e, 0,
+    assert struct.unpack_from("<4sHHHHI", raw) == (FRAMELOG_MAGIC, 4, log.fps, e, 0,
                                                    log.frame_count)
     # each entity's runs start at frame 0 and wherever its pose changed
-    changes = log.pose_changes().sum(axis=0)
-    counts = np.frombuffer(raw, "<u4", e, 16 + table)
-    assert counts.tolist() == changes.tolist()
-    assert len(raw) == 16 + table + 4 * e + 36 * int(changes.sum())
+    assert _start_bits(raw, e).tolist() == log.pose_changes().T.tolist()
+    changes = int(log.pose_changes().sum())
+    assert len(raw) == 16 + table + -(-log.frame_count * e // 8) + 32 * changes
 
 
 def test_parse_relations_returns_the_run_planes_of_the_bytes(log):
-    # the counts, then every start, then each record plane over the runs
+    # the start bitmap, then each record plane over the runs
     raw = bytes(_relations_file(log))
     _, _, runs = parse_relations(raw)
     records = planes_of(runs)
     frames, pairs = log.frame_count, log.entity_count * (log.entity_count - 1)
-    offset = _payload_offset(raw)
-    counts = np.frombuffer(raw, "<u4", pairs, offset).tolist()
-    offset += 4 * pairs
+    bits = _start_bits(raw, pairs)
+    total = int(bits.sum())
+    offset = _payload_offset(raw) + -(-frames * pairs // 8)
     planes = []
     for dtype in binio._RECORD_DTYPES:
-        planes.append(np.frombuffer(raw, dtype, sum(counts), offset))
-        offset += sum(counts) * dtype.itemsize
+        planes.append(np.frombuffer(raw, dtype, total, offset))
+        offset += total * dtype.itemsize
     assert offset == len(raw)
-    for got, want in zip(_run_planes(runs), planes):
+    column, starts = np.nonzero(bits)
+    assert runs.counts.dtype == runs.starts.dtype == np.uint32
+    assert runs.counts.tolist() == np.bincount(column, minlength=pairs).tolist()
+    assert runs.starts.tolist() == starts.tolist()
+    for got, want in zip(runs.values, planes):
         assert got.tobytes() == want.tobytes()
-    starts, *values = planes
     at = 0
-    for k, count in enumerate(counts):
-        column = slice(at, at + count)
-        lengths = np.diff(np.append(starts[column], frames))
-        for name, plane in zip(PLANES, values):
-            expanded = np.repeat(plane[column], lengths)
+    for k, count in enumerate(runs.counts.tolist()):
+        run = slice(at, at + count)
+        lengths = np.diff(np.append(starts[run], frames))
+        for name, plane in zip(PLANES, planes):
+            expanded = np.repeat(plane[run], lengths)
             assert getattr(records, name)[:, k].tobytes() == expanded.tobytes(), (k, name)
         at += count
+
+
+def _every_pose_changing(frames: int, entities: int) -> FrameLog:
+    """A log in which every entity moves and turns at every frame."""
+    rng = np.random.default_rng(5)
+    positions = np.cumsum(rng.uniform(0.5, 1.5, (frames, entities, 3)), axis=0)
+    yaws = rng.uniform(-179.0, 179.0, (frames, entities))
+    return FrameLog(positions=positions, yaws=yaws, fps=25,
+                    entity_ids=tuple(range(entities)),
+                    entity_kinds=(EntityKind.CAMERA,) + (EntityKind.ACTOR,) * (entities - 1),
+                    entity_names=tuple(f"e{i}" for i in range(entities)))
+
+
+@pytest.mark.parametrize("frames, entities", [(7, 4), (9, 5), (16, 3)])
+def test_a_log_whose_every_pose_changes_costs_an_eighth_byte_per_cell_more(frames,
+                                                                           entities):
+    # every cell starts a run: the bitmap is all set but its pad bits,
+    # and each record or pose is stored once
+    log = _every_pose_changing(frames, entities)
+    assert log.pose_changes().all()
+    runs = collect_story_relations(log)
+    pairs = entities * (entities - 1)
+    assert len(runs.starts) == len(runs) == frames * pairs
+    table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
+    relations, framelog = bytes(_relations_file(log)), bytes(framelog_bytes(log))
+    assert len(relations) == 16 + table + -(-frames * pairs // 8) + 13 * frames * pairs
+    assert len(framelog) == 16 + table + -(-frames * entities // 8) + 32 * frames * entities
+    assert _start_bits(relations, pairs).all() and _start_bits(framelog, entities).all()
+    _assert_same_runs(parse_relations(relations)[2], runs)
+    assert np.array_equal(binio.frame_log(*parse_framelog(framelog)).positions,
+                          log.positions)
+
+
+@pytest.mark.parametrize("frames, entities", [(7, 4), (40, 3)])
+def test_a_still_log_costs_its_bitmap_and_one_run_per_column(frames, entities):
+    # nothing moves after frame 0: one run per column, so the bitmap is
+    # the whole cost of the starts
+    log = _every_pose_changing(1, entities)
+    log = replace(log, positions=np.repeat(log.positions, frames, axis=0),
+                  yaws=np.repeat(log.yaws, frames, axis=0))
+    runs = collect_story_relations(log)
+    pairs = entities * (entities - 1)
+    assert runs.counts.tolist() == [1] * pairs
+    table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
+    relations, framelog = bytes(_relations_file(log)), bytes(framelog_bytes(log))
+    assert len(relations) == 16 + table + -(-frames * pairs // 8) + 13 * pairs
+    assert len(framelog) == 16 + table + -(-frames * entities // 8) + 32 * entities
+    for raw, columns in ((relations, pairs), (framelog, entities)):
+        bits = _start_bits(raw, columns)
+        assert bits[:, 0].all() and not bits[:, 1:].any()
+    _assert_same_runs(parse_relations(relations)[2], runs)
 
 
 def test_framelog_file_round_trip(tmp_path, log):
@@ -627,41 +697,49 @@ def test_read_rejects_truncated_payload(tmp_path, log):
         read_framelog(fl_path)
 
 
-# each file kind: its writer, its parser, the dtypes of a run and the
-# column count of E entities
+# each file kind: its writer, its parser, the dtypes of a run's value and
+# the column count of E entities
 _RUN_FILES = {
-    "framelog": (framelog_bytes, parse_framelog,
-                 (np.dtype("<u4"),) + (np.dtype("<f8"),) * 4, lambda e: e),
+    "framelog": (framelog_bytes, parse_framelog, (np.dtype("<f8"),) * 4, lambda e: e),
     "relations": (lambda log: _relations_file(log), parse_relations, binio._RECORD_DTYPES,
                   lambda e: e * (e - 1)),
+}
+# each file kind's writer of given runs under a log's table; framelog_bytes
+# takes a FrameLog, whose runs are maximal, so the framelog's is the
+# writer beneath it
+_RUN_WRITERS = {
+    "framelog": lambda log, runs: binio._runs_bytes(
+        FRAMELOG_MAGIC, log.fps, log.entity_ids, log.entity_kinds, log.entity_names, runs,
+        binio._POSE_DTYPES, "entity"),
+    "relations": lambda log, runs: relations_bytes(
+        runs, log.fps, log.entity_ids, log.entity_kinds, log.entity_names),
 }
 
 
 def _file_of(raw: bytes, counts, planes, dtypes) -> bytes:
-    """The header and table of the file `raw`, then `counts` and the run
-    `planes` (starts, then values) stored as `dtypes`."""
-    return (raw[:_payload_offset(raw)] + np.asarray(counts, "<u4").tobytes()
+    """The header and table of the file `raw`, then the start bitmap of
+    `counts` runs per column that start at planes[0], then the value
+    planes planes[1:] stored as `dtypes`."""
+    (frames,) = struct.unpack_from("<I", raw, 12)
+    starts = np.zeros((len(counts), frames), bool)
+    starts[np.repeat(np.arange(len(counts)), counts), planes[0]] = True
+    return (raw[:_payload_offset(raw)] + np.packbits(starts).tobytes()
             + b"".join(np.asarray(plane, dtype).tobytes()
-                       for plane, dtype in zip(planes, dtypes)))
+                       for plane, dtype in zip(planes[1:], dtypes)))
 
 
 def _edited_planes(kind: str, log: FrameLog, edit):
-    """-> (the file of `log`, edit(counts, planes)) for copies of the
-    file's counts and run planes (starts, then values)."""
-    encode, _, dtypes, columns = _RUN_FILES[kind]
+    """-> (the file of `log`, edit(counts, planes)) for copies of the run
+    counts and run planes (starts, then values) that the file parses to."""
+    encode, parse, _, _ = _RUN_FILES[kind]
     raw = bytes(encode(log))
-    offset = _payload_offset(raw)
-    counts = np.frombuffer(raw, "<u4", columns(log.entity_count), offset).copy()
-    at, runs, planes = offset + 4 * len(counts), int(counts.sum()), []
-    for dtype in dtypes:
-        planes.append(np.frombuffer(raw, dtype, runs, at).copy())
-        at += runs * dtype.itemsize
-    return raw, edit(counts, planes)
+    runs = parse(raw)[2]
+    return raw, edit(runs.counts.copy(), [plane.copy() for plane in _run_planes(runs)])
 
 
 def _edited_runs(kind: str, log: FrameLog, edit) -> bytes:
-    """The file of `log` with its counts and run planes split out as
-    copies, passed to `edit`, and joined again."""
+    """The file of `log` with its parsed run counts and run planes passed
+    as copies to `edit`, and written again with a hand-built bitmap."""
     raw, (counts, planes) = _edited_planes(kind, log, edit)
     return _file_of(raw, counts, planes, _RUN_FILES[kind][2])
 
@@ -678,6 +756,7 @@ def _without_column_0(counts, planes):
 
 
 def _column_0_from_frame_1(counts, planes):
+    assert counts[0] == 1 or planes[0][1] > 1  # the bitmap holds the moved start
     planes[0][0] = 1
     return counts, planes
 
@@ -701,9 +780,8 @@ def _a_value_not_finite(counts, planes):
     return counts, planes
 
 
-def _a_run_counted_twice(counts, planes):
-    counts[0] += 1
-    return counts, planes
+def _the_last_run_without_its_value(counts, planes):
+    return counts, planes[:1] + [plane[:-1] for plane in planes[1:]]
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
@@ -716,7 +794,7 @@ def _a_run_counted_twice(counts, planes):
                  id="starts-not-increasing"),
     pytest.param(_a_value_repeated, r"repeats at frame \d+ the value of its run at frame 0",
                  id="equal-neighbours"),
-    pytest.param(_a_run_counted_twice, "^run payload is .* bytes, expected",
+    pytest.param(_the_last_run_without_its_value, "^run payload is .* bytes, expected",
                  id="counts-past-the-payload"),
     pytest.param(_a_value_not_finite,
                  r"^(pair|entity) column \d+ holds a non-finite value at frame [1-9]",
@@ -724,25 +802,28 @@ def _a_run_counted_twice(counts, planes):
 ])
 def test_each_run_rule_is_refused(log, kind, edit, refusal):
     parse = _RUN_FILES[kind][1]
-    parse(_edited_runs(kind, log, lambda counts, planes: (counts, planes)))
+    raw = bytes(_RUN_FILES[kind][0](log))
+    assert _edited_runs(kind, log, lambda counts, planes: (counts, planes)) == raw
     refusal = refusal.format(frames=log.frame_count)
-    with pytest.raises(CorruptCorpus, match=refusal):
-        parse(_edited_runs(kind, log, edit))
-    if kind != "relations":
-        return  # framelog_bytes takes a FrameLog, whose runs are maximal
+    # a bitmap sets one bit per start, in frame order within its column, so
+    # it cannot hold starts that do not increase: only the writer meets them
+    if edit is not _a_start_repeated:
+        with pytest.raises(CorruptCorpus, match=refusal):
+            parse(_edited_runs(kind, log, edit))
     # the writer refuses the same runs with the same message; counts that
     # the planes do not fill make no Runs at all
     _, (counts, (starts, *values)) = _edited_planes(kind, log, edit)
-    if edit is _a_run_counted_twice:
+    if edit is _the_last_run_without_its_value:
         refusal = "^run planes of lengths"
     with pytest.raises(ValueError, match=refusal):
-        relations_bytes(Runs(log.frame_count, counts, starts, tuple(values)), log.fps,
-                        log.entity_ids, log.entity_kinds, log.entity_names)
+        _RUN_WRITERS[kind](log, Runs(log.frame_count, counts, starts, tuple(values)))
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
 def test_a_run_at_or_past_the_frame_count_is_refused(kind):
-    # the first column's last run starts at frame 3; then at 4 and at 5
+    # the first column's last run starts at frame 3; then at 4 and at 5,
+    # which no file holds: the bit of frame 4 of a column is frame 0 of
+    # the next, and past the last column it is a pad bit
     log = _three_entities(4)
     log.positions[3, :2] += ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
     encode, parse, _, _ = _RUN_FILES[kind]
@@ -755,9 +836,102 @@ def test_a_run_at_or_past_the_frame_count_is_refused(kind):
         return edit
     assert parse(_edited_runs(kind, log, at(2)))  # any start inside the frames
     for frame in (4, 5):
-        with pytest.raises(CorruptCorpus,
+        _, (counts, (starts, *values)) = _edited_planes(kind, log, at(frame))
+        with pytest.raises(ValueError,
                            match=f"column 0 has a run at frame {frame}, past its 4 frames"):
-            parse(_edited_runs(kind, log, at(frame)))
+            _RUN_WRITERS[kind](log, Runs(4, counts, starts, tuple(values)))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_set_pad_bit_is_refused(kind):
+    # 3 frames of 3 entities: the framelog's 9 cells end their 2-byte
+    # bitmap in 7 pad bits, the relations' 18 cells their 3 bytes in 6
+    encode, parse, _, columns = _RUN_FILES[kind]
+    raw = bytes(encode(_three_entities(3)))
+    parse(raw)
+    cells = 3 * columns(3)
+    last = _payload_offset(raw) + -(-cells // 8) - 1
+    for pad in range(cells % 8, 8):
+        damaged = bytearray(raw)
+        damaged[last] |= 0x80 >> pad
+        with pytest.raises(CorruptCorpus,
+                           match=f"^start bitmap sets a pad bit past its {cells} cells$"):
+            parse(bytes(damaged))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_bitmap_one_byte_short_is_refused(kind):
+    encode, parse, _, columns = _RUN_FILES[kind]
+    raw = bytes(encode(_three_entities(3)))
+    size = -(-3 * columns(3) // 8)
+    with pytest.raises(CorruptCorpus, match=f"^payload of {size - 1} bytes holds no start "
+                                            f"bitmap of {size} bytes for 3 frames of "
+                                            f"{columns(3)} columns$"):
+        parse(raw[:_payload_offset(raw) + size - 1])
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_frame_count_inside_the_dense_bound_is_refused_by_the_bitmap_length(
+        monkeypatch, kind):
+    # a 1-frame file of 3 entities under a header of 1,000,000 frames: its
+    # dense poses are inside the bound, but its bitmap would take far more
+    # bytes than the file holds, and the parser reads none of its payload
+    encode, parse, _, columns = _RUN_FILES[kind]
+    raw = bytearray(encode(_three_entities(1)))
+    raw[12:16] = (1_000_000).to_bytes(4, "little")
+    assert 1_000_000 * 3 * 32 <= binio.MAX_DENSE_BYTES
+    payload, size = len(raw) - _payload_offset(raw), 1_000_000 * columns(3) // 8
+
+    def decoded(*args, **kwargs):
+        raise AssertionError("the payload was decoded")
+    for name in ("frombuffer", "unpackbits", "flatnonzero"):
+        monkeypatch.setattr(np, name, decoded)
+    with pytest.raises(CorruptCorpus, match=f"^payload of {payload} bytes holds no start "
+                                            f"bitmap of {size} bytes for 1000000 frames "
+                                            f"of {columns(3)} columns$"):
+        parse(bytes(raw))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_file_of_no_frame_allocates_no_array_per_column(kind):
+    # a header of no frame over 4,000 entities: up to 16 million columns,
+    # which no bitmap byte pays for, read as no record in a small multiple
+    # of the file's own 16 kB (mostly the table's Python objects), where an
+    # array of 4-byte counts would take 64 MB
+    _, parse, _, columns = _RUN_FILES[kind]
+    entities = 4000
+    raw = ((FRAMELOG_MAGIC if kind == "framelog" else RELATIONS_MAGIC)
+           + struct.pack("<HHHHI", FORMAT_VERSION, 25, entities, 0, 0)
+           + b"".join(struct.pack("<HBB", eid, 0 if eid == 0 else 2, 0)
+                      for eid in range(entities)))
+    tracemalloc.start()
+    try:
+        _, _, runs = parse(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs.frames == len(runs) == len(runs.starts) == 0
+    assert len(runs.counts) == columns(entities) and not runs.counts.any()
+    assert peak < 64 * len(raw)
+
+
+def _as_version_3(raw: bytes, runs: Runs, dtypes) -> bytes:
+    """The bytes version 3 wrote for the runs of the file `raw`: its
+    header and table, a u32 run count per column, every run's u32 start
+    frame, then each value plane."""
+    return (raw[:4] + (3).to_bytes(2, "little") + raw[6:_payload_offset(raw)]
+            + b"".join(np.asarray(plane, dtype).tobytes() for plane, dtype in zip(
+                (runs.counts, *_run_planes(runs)), ("<u4", "<u4", *dtypes))))
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_a_version_3_file_is_refused(log, kind):
+    encode, parse, dtypes, _ = _RUN_FILES[kind]
+    raw = bytes(encode(log))
+    old = _as_version_3(raw, parse(raw)[2], dtypes)
+    assert len(old) > len(raw)
+    with pytest.raises(CorruptCorpus, match="^unsupported version 3$"):
+        parse(old)
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))

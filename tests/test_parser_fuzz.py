@@ -90,41 +90,45 @@ def test_real_files_parse(name):
 # version 2 relations of no entity, then of one, each with a stray payload byte
 @example(data=b"GTSR\x02\x00\x19\x00\x00\x00\x00\x00\x00")
 @example(data=b"GTSR\x02\x00\x19\x00\x01\x00\x00\x00\x00\x00\x00\x06camera\x00")
-# version 3 relations of no entity over one frame, then of one, each with a
+# version 4 relations of no entity over one frame, then of one, each with a
 # stray payload byte
-@example(data=b"GTSR\x03\x00\x19\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00")
-@example(data=b"GTSR\x03\x00\x19\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+@example(data=b"GTSR\x04\x00\x19\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00")
+@example(data=b"GTSR\x04\x00\x19\x00\x01\x00\x00\x00\x01\x00\x00\x00"
               b"\x00\x00\x00\x06camera\x00")
-# version 3 framelogs of the camera over two frames: a run count past the
-# payload, no run, a first run at frame 1, runs at frames 0 and 0, and equal
-# runs at frames 0 and 1
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\xff\xff\xff\xff")
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\x00\x00\x00\x00")
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\x01\x00\x00\x00\x01\x00\x00\x00" + bytes(32))
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\x02\x00\x00\x00" + bytes(72))
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
-              + bytes(64))
-# version 3 files of one run per column under a frame_count of 2**32 - 1:
+# version 4 framelogs of the camera over two frames: no bitmap byte, no run,
+# a first run at frame 1, a set pad bit, equal runs at frames 0 and 1, and
+# a run more than the payload holds
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+              b"\x00\x00\x00\x06camera")
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\x00")
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\x40" + bytes(32))
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\xa0" + bytes(32))
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\xc0" + bytes(64))
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\xc0" + bytes(32))
+# version 4 files of one run per column under a frame_count of 2**32 - 1,
+# past the dense bound, then of 1,000,000, inside it but past the bitmap:
 # the camera's framelog, then the relations of the camera and a cup
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\xff\xff\xff\xff"
-              b"\x00\x00\x00\x06camera\x01\x00\x00\x00" + bytes(36))
-@example(data=b"GTSR\x03\x00\x19\x00\x02\x00\x00\x00\xff\xff\xff\xff"
-              b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup"
-              b"\x01\x00\x00\x00\x01\x00\x00\x00" + bytes(34))
-# version 3 files of one frame with a non-finite value: the camera's
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\xff\xff\xff\xff"
+              b"\x00\x00\x00\x06camera\x80" + bytes(32))
+@example(data=b"GTSR\x04\x00\x19\x00\x02\x00\x00\x00\xff\xff\xff\xff"
+              b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup\xc0" + bytes(26))
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x40\x42\x0f\x00"
+              b"\x00\x00\x00\x06camera\x80" + bytes(32))
+@example(data=b"GTSR\x04\x00\x19\x00\x02\x00\x00\x00\x40\x42\x0f\x00"
+              b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup\xc0" + bytes(26))
+# version 4 files of one frame with a non-finite value: the camera's
 # framelog with a NaN x, then the relations of the camera and a cup with
 # an infinite distance
-@example(data=b"GTFL\x03\x00\x19\x00\x01\x00\x00\x00\x01\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\x01\x00\x00\x00" + bytes(4)
+@example(data=b"GTFL\x04\x00\x19\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\x80"
               + b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + bytes(24))
-@example(data=b"GTSR\x03\x00\x19\x00\x02\x00\x00\x00\x01\x00\x00\x00"
-              b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup"
-              b"\x01\x00\x00\x00\x01\x00\x00\x00" + bytes(8)
+@example(data=b"GTSR\x04\x00\x19\x00\x02\x00\x00\x00\x01\x00\x00\x00"
+              b"\x00\x00\x00\x06camera\x01\x00\x02\x03cup\xc0"
               + b"\x00\x00\x80\x7f" * 2 + bytes(18))
 def test_arbitrary_bytes(name, data):
     parses_or_fails_closed(name, data)
