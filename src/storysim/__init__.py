@@ -29,7 +29,7 @@ from .collectors import (PairRelation, collect_event_mappings, collect_story_rel
                          compute_pair_relation)
 from .textgen import ProtoText, RefineConfig, proto_text, refine
 from .probes import (ClipSpec, ProbeConfig, extract_story_clips, hybrid_sample,
-                     label_clips, split_stories)
+                     labels_document, split_stories)
 from .default_registry import build_default_registry
 from .pipeline import (CorpusConfig, assemble_story, compute_stats,
                        corpus_digest, generate_corpus, verify)
@@ -54,7 +54,7 @@ __all__ = [
     "collect_story_relations", "compute_pair_relation",
     "ProtoText", "RefineConfig", "proto_text", "refine",
     "ClipSpec", "ProbeConfig", "extract_story_clips",
-    "hybrid_sample", "label_clips", "split_stories",
+    "hybrid_sample", "labels_document", "split_stories",
     "build_default_registry",
     "CorpusConfig", "assemble_story", "compute_stats", "corpus_digest",
     "generate_corpus", "verify",

@@ -98,7 +98,13 @@ class Runs:
     values: tuple[np.ndarray, ...]  # each value plane, over the runs
 
     def __post_init__(self):
-        runs = int(self.counts.sum())
+        counts = self.counts
+        if counts.strides == (0,) and len(counts):
+            # one count broadcast to every column, as a file of no frame
+            # reads: summed once, not once per column
+            runs = int(counts[0]) * len(counts)
+        else:
+            runs = int(counts.sum())
         lengths = [len(plane) for plane in (self.starts, *self.values)]
         if lengths != [runs] * len(lengths):
             raise ValueError(f"run planes of lengths {lengths} for {runs} runs")

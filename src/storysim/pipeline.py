@@ -29,7 +29,8 @@ from .documents import (FORMAT_VERSION, json_document, jsonl_document, jsonl_lin
 from .errors import CorruptCorpus, StorysimError, ValidationFailure
 from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, select_episode, story_rng, story_seed
-from .probes import ProbeConfig, extract_story_clips, label_clips, split_stories
+from .probes import (ClipSpec, ProbeConfig, extract_story_clips, labels_document,
+                     split_stories)
 from .probes_oracle import oracle_clip
 from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
 from .simulation import (FrameLog, entity_table, ground, insert_movements, simulate,
@@ -147,9 +148,14 @@ def probe_docs(story_id: str, graph: GestGraph, timeline: EventTimeline, log: Fr
         raise CorruptCorpus(misfit)
     clips = extract_story_clips(story_id, graph, timeline, _movement_actions(registry),
                                 probe, split)
-    clips_doc = jsonl_document(map(asdict, clips))
-    labels_doc = jsonl_document(label_clips(clips, log, timeline, probe))
-    return {"probes/clips.jsonl": clips_doc, "probes/labels.jsonl": labels_doc}
+    return {"probes/clips.jsonl": _clips_document(clips),
+            "probes/labels.jsonl": labels_document(clips, log, timeline, probe)}
+
+
+def _clips_document(clips: list[ClipSpec]) -> bytes:
+    """The bytes of a story's probes/clips.jsonl.  A clip's row is its
+    fields (vars), which encode as dataclasses.asdict's copy does."""
+    return jsonl_document(map(vars, clips))
 
 
 def _text_file(text: str) -> bytes:
@@ -604,7 +610,7 @@ def verify(corpus_dir: Path | str) -> dict:
             labels.append(misfit)
         if clips is None:
             continue
-        if clips_doc is not None and clips_doc != jsonl_document(map(asdict, clips)):
+        if clips_doc is not None and clips_doc != _clips_document(clips):
             labels.append(f"{story_id}/probes/clips.jsonl differs from the clips of "
                           f"the graph and timeline")
         if label_lines is None:

@@ -8,12 +8,12 @@ at a bound belongs to the upper class.  Dynamic labels whose delta
 falls inside the ambiguity epsilon are excluded (None) rather than
 coin-flipped.
 
-Labels are computed per story: label_clips gathers every clip frame of
-the frame log once, as (clips, 16) frames, and runs visible_mask once on
-a frame log of those frames only.  The entity and pair arrays of all the
-story's clips are then computed together, each in the order labelling
-its clip alone would use, so a row's bytes do not depend on the clips
-labelled with it:
+labels_document labels a story in one pass, straight to the lines of
+labels.jsonl.  It gathers every clip frame of the frame log once, as
+(clips, 16) frames, and runs visible_mask once on a frame log of those
+frames only.  The entity and pair arrays of all the story's clips are
+then computed together, each in the order labelling its clip alone would
+use, so a row's bytes do not depend on the clips labelled with it:
 
 - direction sines and cosines add up frame by frame from 0;
 - means run over C-contiguous rows of clip frames;
@@ -21,11 +21,18 @@ labelled with it:
   the dot kernel of _norms; entity camera distances sum their squares;
 - wraps and compass bins use numpy's float % and //, which are Python's.
 
-label_clip then builds each clip's row from the story arrays as lists.
+Each label value is picked from the story arrays as its JSON text, out
+of one table of tokens (_TOKEN), and label_clip joins a clip's texts
+into its row's fields.  The lines hold the bytes documents.jsonl_document
+writes for the same rows: keys in sorted order, no spaces, ASCII only.
+verify encodes the oracle's rows with jsonl_document and compares bytes,
+so each replayed row checks the two encoders as well as the two
+labellers.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
@@ -151,14 +158,25 @@ def _largest_remainder(n: int, fracs) -> list[int]:
     return base
 
 
-def _pick(names, index: np.ndarray) -> np.ndarray:
-    """names[i] for each i in index, as an object array."""
-    return np.array(names, dtype=object)[index]
+# the JSON text of every label value: a class name, a bool or None
+_TOKEN = {value: json.dumps(value) for value in (
+    None, True, False, "near", "medium", "far", "close", "left", "right", "approach",
+    "recede", "converging", "diverging", *COMPASS_NAMES)}
 
 
-def _classes(values: np.ndarray, bounds, names) -> np.ndarray:
-    """The names of the half-open classes below, between and from the two
-    bounds that values fall in."""
+def _pick(values, index: np.ndarray) -> list:
+    """The JSON text of values[i] for each i in index, as nested lists."""
+    return np.array([_TOKEN[v] for v in values], dtype=object)[index].tolist()
+
+
+def _bools(mask: np.ndarray) -> list:
+    """The JSON text of each bool of mask, as nested lists."""
+    return _pick((False, True), mask.astype(np.intp))
+
+
+def _classes(values: np.ndarray, bounds, names) -> list:
+    """The JSON text of the names of the half-open classes below, between
+    and from the two bounds that values fall in."""
     lo, hi = bounds
     return _pick(names, np.where(values < lo, 0, np.where(values < hi, 1, 2)))
 
@@ -179,28 +197,31 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 class _StoryRows(NamedTuple):
-    """A story's label values as nested lists, indexed [clip][entity] or
-    [clip][pair]; entities run in entity id order, pairs in row-major
-    (a < b) order."""
-    entity_ids: list[int]
-    pairs: list[tuple[int, int]]  # (a, b) entity ids
+    """A story's label values as JSON texts in nested lists, indexed
+    [clip], [clip][entity] or [clip][pair]; entities run in entity id
+    order, pairs in row-major (a < b) order."""
+    # the text of each entity's and each pair's ids with the keys about
+    # them: ',"entity_id":2,"entity_presence":' and '{"a":2,"b":3,"depth_order":'
+    entity_keys: list[str]
+    pair_keys: list[str]
     actor_count: list[int]
-    event_boundary: list[bool]
-    motion_presence: list[bool]
-    entity_presence: list[list[bool]]
+    event_boundary: list[str]
+    motion_presence: list[str]
+    entity_presence: list[list[str]]
     camera_distance: list[list[str]]
-    angle_change: list[list[str | None]]
-    approach_recede: list[list[str | None]]
-    depth_order: list[list[bool]]
+    angle_change: list[list[str]]
+    approach_recede: list[list[str]]
+    depth_order: list[list[str]]
     pair_direction: list[list[str]]
     pair_distance: list[list[str]]
-    relative_motion: list[list[str | None]]
+    relative_motion: list[list[str]]
 
 
 def _story_rows(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
                 cfg: ProbeConfig) -> _StoryRows:
-    """Every label value of a story's clips, from one gather of the clip
-    frames; each value is computed as labelling its clip alone would."""
+    """Every label value of a story's clips as its JSON text, from one
+    gather of the clip frames; each value is computed as labelling its
+    clip alone would."""
     entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
                         if k in (EntityKind.ACTOR, EntityKind.OBJECT))
     cols = [log.index_of(e) for e in entity_ids]
@@ -260,73 +281,82 @@ def _story_rows(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
     compass = np.minimum(((mean_dirs + 22.5) % 360.0) // 45.0, 7).astype(int)
     deltas = dpair[..., -1] - dpair[..., 0]
 
-    ids = np.array(entity_ids, dtype=int)
     return _StoryRows(
-        entity_ids=entity_ids,
-        pairs=list(zip(ids[ia].tolist(), ids[ib].tolist())),
+        entity_keys=[f',"entity_id":{e},"entity_presence":' for e in entity_ids],
+        pair_keys=[f'{{"a":{entity_ids[a]},"b":{entity_ids[b]},"depth_order":'
+                   for a, b in zip(ia.tolist(), ib.tolist())],
         actor_count=actor_count.tolist(),
-        event_boundary=(hi - lo > own_inside).tolist(),
-        motion_presence=motion.tolist(),
-        entity_presence=vis[:, :, cols].any(axis=1).tolist(),
+        event_boundary=_bools(hi - lo > own_inside),
+        motion_presence=_bools(motion),
+        entity_presence=_bools(vis[:, :, cols].any(axis=1)),
         camera_distance=_classes(cam_dist_means, cfg.CAMERA_DIST_BOUNDS_M,
-                                 ("near", "medium", "far")).tolist(),
+                                 ("near", "medium", "far")),
         angle_change=_pick((None, "left", "right"), np.where(
-            abs(d_az) >= cfg.ambiguity_eps_deg, np.where(d_az > 0, 1, 2), 0)).tolist(),
+            abs(d_az) >= cfg.ambiguity_eps_deg, np.where(d_az > 0, 1, 2), 0)),
         approach_recede=_pick((None, "approach", "recede"), np.where(
-            abs(d_d) >= cfg.ambiguity_eps_m, np.where(d_d < 0, 1, 2), 0)).tolist(),
-        depth_order=(depth_means[:, ia] < depth_means[:, ib]).tolist(),
-        pair_direction=_pick(COMPASS_NAMES, compass).tolist(),
+            abs(d_d) >= cfg.ambiguity_eps_m, np.where(d_d < 0, 1, 2), 0)),
+        depth_order=_bools(depth_means[:, ia] < depth_means[:, ib]),
+        pair_direction=_pick(COMPASS_NAMES, compass),
         pair_distance=_classes(dpair.mean(axis=-1), cfg.PAIR_DIST_BOUNDS_M,
-                               ("close", "medium", "far")).tolist(),
+                               ("close", "medium", "far")),
         relative_motion=_pick((None, "converging", "diverging"), np.where(
             deltas < -cfg.ambiguity_eps_m, 1,
-            np.where(deltas > cfg.ambiguity_eps_m, 2, 0))).tolist(),
+            np.where(deltas > cfg.ambiguity_eps_m, 2, 0))),
     )
 
 
 def label_clip(clip: ClipSpec, n: int, rows: _StoryRows) -> dict:
-    """The labels row of clip, the n-th clip of the story pass `rows`:
-    scene, every actor/object entity, and every canonical (a < b) entity
-    pair."""
+    """The labels row of clip, the n-th clip of the story pass `rows`, as
+    encoded fields: clip_id and scene as JSON texts, and entities and
+    pairs as lists of the JSON texts of their objects, one for every
+    actor/object entity and every canonical (a < b) entity pair.  Keys
+    run in sorted order, as jsonl_document writes them."""
     return {
-        "clip_id": clip.clip_id,
-        "scene": {"actor_count": rows.actor_count[n],
-                  "event_boundary": rows.event_boundary[n],
-                  "motion_presence": rows.motion_presence[n]},
+        "clip_id": json.dumps(clip.clip_id),
+        "scene": f'{{"actor_count":{rows.actor_count[n]},'
+                 f'"event_boundary":{rows.event_boundary[n]},'
+                 f'"motion_presence":{rows.motion_presence[n]}}}',
         "entities": [
-            {"entity_id": e, "entity_presence": seen, "camera_distance": dist,
-             "angle_change": angle, "approach_recede": approach}
-            for e, seen, dist, angle, approach in zip(
-                rows.entity_ids, rows.entity_presence[n], rows.camera_distance[n],
+            f'{{"angle_change":{angle},"approach_recede":{approach},'
+            f'"camera_distance":{dist}{keys}{seen}}}'
+            for keys, seen, dist, angle, approach in zip(
+                rows.entity_keys, rows.entity_presence[n], rows.camera_distance[n],
                 rows.angle_change[n], rows.approach_recede[n])],
         "pairs": [
-            {"a": a, "b": b, "depth_order": depth, "pair_direction": direction,
-             "pair_distance": dist, "relative_motion": motion}
-            for (a, b), depth, direction, dist, motion in zip(
-                rows.pairs, rows.depth_order[n], rows.pair_direction[n],
+            f'{keys}{depth},"pair_direction":{direction},"pair_distance":{dist},'
+            f'"relative_motion":{motion}}}'
+            for keys, depth, direction, dist, motion in zip(
+                rows.pair_keys, rows.depth_order[n], rows.pair_direction[n],
                 rows.pair_distance[n], rows.relative_motion[n])],
     }
 
 
-def label_clips(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
-                cfg: ProbeConfig) -> list[dict]:
-    """The labels rows of a story's clips, in one pass over the story.
+def labels_document(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
+                    cfg: ProbeConfig) -> bytes:
+    """The bytes of a story's labels.jsonl: one line per clip, labelled in
+    one pass over the story and written straight from its arrays.
 
     One gather reads every clip frame of the frame log, and visible_mask
     runs once, on a frame log of those frames only.  The entity and pair
     arrays of all clips are computed at once, in the order that labelling
-    each clip alone would use, so the rows are the same to the bit:
+    each clip alone would use, so the lines are the same to the bit:
     direction sines and cosines add up frame by frame from 0, means run
     over C-contiguous rows of clip frames, pair and depth-order distances
     use the dot kernel and entity camera distances a sum of squares.  A
     clip's own event never marks its boundary, even when its end falls
-    inside the clip.  Each row is then built by label_clip from the story
-    arrays as lists.
+    inside the clip.  label_clip encodes each clip's fields, and each line
+    joins them in sorted key order, with jsonl_document's separators.
     """
     if not clips:
-        return []
+        return b""
     rows = _story_rows(clips, log, timeline, cfg)
-    return [label_clip(clip, n, rows) for n, clip in enumerate(clips)]
+    lines = []
+    for n, clip in enumerate(clips):
+        row = label_clip(clip, n, rows)
+        entities, pairs = ",".join(row["entities"]), ",".join(row["pairs"])
+        lines.append(f'{{"clip_id":{row["clip_id"]},"entities":[{entities}],'
+                     f'"pairs":[{pairs}],"scene":{row["scene"]}}}\n')
+    return "".join(lines).encode("ascii")
 
 
 def hybrid_sample(graph: GestGraph, timeline: EventTimeline,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -892,6 +893,15 @@ def test_a_frame_count_inside_the_dense_bound_is_refused_by_the_bitmap_length(
         parse(bytes(raw))
 
 
+def _no_frame_file(kind: str, entities: int) -> bytes:
+    """A file of no frame: a header and a table of `entities` entities,
+    the camera and then objects, and no bitmap byte."""
+    return ((FRAMELOG_MAGIC if kind == "framelog" else RELATIONS_MAGIC)
+            + struct.pack("<HHHHI", FORMAT_VERSION, 25, entities, 0, 0)
+            + b"".join(struct.pack("<HBB", eid, 0 if eid == 0 else 2, 0)
+                       for eid in range(entities)))
+
+
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
 def test_a_file_of_no_frame_allocates_no_array_per_column(kind):
     # a header of no frame over 4,000 entities: up to 16 million columns,
@@ -900,10 +910,7 @@ def test_a_file_of_no_frame_allocates_no_array_per_column(kind):
     # array of 4-byte counts would take 64 MB
     _, parse, _, columns = _RUN_FILES[kind]
     entities = 4000
-    raw = ((FRAMELOG_MAGIC if kind == "framelog" else RELATIONS_MAGIC)
-           + struct.pack("<HHHHI", FORMAT_VERSION, 25, entities, 0, 0)
-           + b"".join(struct.pack("<HBB", eid, 0 if eid == 0 else 2, 0)
-                      for eid in range(entities)))
+    raw = _no_frame_file(kind, entities)
     tracemalloc.start()
     try:
         _, _, runs = parse(raw)
@@ -913,6 +920,40 @@ def test_a_file_of_no_frame_allocates_no_array_per_column(kind):
     assert runs.frames == len(runs) == len(runs.starts) == 0
     assert len(runs.counts) == columns(entities) and not runs.counts.any()
     assert peak < 64 * len(raw)
+
+
+def test_a_file_of_no_frame_parses_in_time_of_its_table():
+    # 65,535 entities, the most the u16 count holds: a 262 kB header whose
+    # 4.3e9 pair columns hold no run.  Their one broadcast zero count is
+    # totalled once; summed column by column it took about 2 s
+    entities = 0xFFFF
+    raw = _no_frame_file("relations", entities)
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _, (ids, _, _), runs = parse_relations(raw)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.2
+    assert len(ids) == entities and runs.frames == len(runs) == 0
+    counts = runs.counts
+    assert (len(counts), counts.dtype, counts.strides) == (
+        entities * (entities - 1), np.uint32, (0,))
+    assert counts[0] == 0 and counts[-1] == 0
+    assert runs.starts.dtype == np.uint32 and not len(runs.starts)
+    assert [(plane.dtype, len(plane)) for plane in runs.values] == [
+        (dtype, 0) for dtype in binio._RECORD_DTYPES]
+
+
+def test_broadcast_counts_total_as_their_sum():
+    # a count broadcast to every column totals as the column-by-column sum,
+    # and planes of another length are refused with the same message
+    ones = np.broadcast_to(np.uint32(1), (3,))
+    runs = Runs(2, ones, np.zeros(3, np.uint32), (np.arange(3.0),))
+    assert runs.merged().counts.tolist() == [1, 1, 1]
+    for counts in (ones, np.ones(3, np.uint32)):
+        with pytest.raises(ValueError,
+                           match=r"^run planes of lengths \[2, 2\] for 3 runs$"):
+            Runs(2, counts, np.zeros(2, np.uint32), (np.arange(2.0),))
 
 
 def _as_version_3(raw: bytes, runs: Runs, dtypes) -> bytes:

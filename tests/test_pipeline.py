@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from storysim import binio, pipeline
+from storysim import binio, pipeline, probes
 from storysim.cli import main
 from storysim.default_registry import build_default_registry
 from storysim.documents import (json_document, jsonl_document, parse_graph,
@@ -1169,6 +1169,23 @@ def test_verify_judges_a_rewritten_label(small_corpus, tmp_path):
         {"probe-labels": f"{row['clip_id']}: label mismatch"})
     rewrite_with_hash(root, "story_00002", rel_path, original)
     assert verify(root)["ok"]
+
+
+@pytest.mark.parametrize("value, wrong", [("close", '"far"'), (True, "false"),
+                                          (None, '"left"')])
+def test_verify_checks_the_label_writer_against_jsonl_document(tmp_path, monkeypatch,
+                                                               value, wrong):
+    # probes writes each label from its token table, and verify encodes the
+    # oracle's row with jsonl_document: a wrong token is a label mismatch
+    # even where both labellers agree on the value.  (No camera_distance is
+    # "near" in these stories, so its token is not among the cases.)
+    monkeypatch.setitem(probes._TOKEN, value, wrong)
+    generate_corpus(tmp_path, CorpusConfig(gen=GenConfig(master_seed=7)),
+                    build_default_registry(), stories=2)
+    report = verify(tmp_path)
+    [failed] = [check for check in report["checks"] if not check["ok"]]
+    assert failed["name"] == "probe-labels"
+    assert failed["details"].endswith(": label mismatch")
 
 
 def test_config_round_trips_through_manifest(corpus):

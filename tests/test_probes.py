@@ -20,7 +20,7 @@ from storysim.probes import (
     clip_frame_indices,
     extract_story_clips,
     hybrid_sample,
-    label_clips,
+    labels_document,
     split_stories,
 )
 from storysim.probes_oracle import oracle_clip
@@ -68,19 +68,22 @@ def lerp_track(frames, p0, p1):
 TL_EMPTY = EventTimeline(intervals={0: (0, 400)}, fps=25)
 
 
+def label_row(log: FrameLog, timeline: EventTimeline = TL_EMPTY) -> dict:
+    """The decoded labels.jsonl line of clip16 over log."""
+    [line] = labels_document([clip16()], log, timeline, CFG).splitlines()
+    return json.loads(line)
+
+
 def scene_labels(log: FrameLog, timeline: EventTimeline = TL_EMPTY) -> dict:
-    [doc] = label_clips([clip16()], log, timeline, CFG)
-    return doc["scene"]
+    return label_row(log, timeline)["scene"]
 
 
 def entity_labels(log: FrameLog, entity_id: int = 2) -> dict:
-    [doc] = label_clips([clip16()], log, TL_EMPTY, CFG)
-    return next(e for e in doc["entities"] if e["entity_id"] == entity_id)
+    return next(e for e in label_row(log)["entities"] if e["entity_id"] == entity_id)
 
 
 def pair_labels(log: FrameLog, a: int = 2, b: int = 3) -> dict:
-    [doc] = label_clips([clip16()], log, TL_EMPTY, CFG)
-    return next(p for p in doc["pairs"] if (p["a"], p["b"]) == (a, b))
+    return next(p for p in label_row(log)["pairs"] if (p["a"], p["b"]) == (a, b))
 
 
 # ------------------------------------------------------- clip extraction
@@ -264,11 +267,28 @@ def test_label_clip_structure():
     log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 2),
                      3: static(16, 1, 4), 4: static(16, 2, 6)},
                     kinds={4: EntityKind.OBJECT})
-    [doc] = label_clips([clip16()], log, TL_EMPTY, CFG)
+    doc = label_row(log)
     assert doc["clip_id"] == "s-ev0000"
     assert [e["entity_id"] for e in doc["entities"]] == [2, 3, 4]
     assert [(p["a"], p["b"]) for p in doc["pairs"]] == [(2, 3), (2, 4), (3, 4)]
     assert set(doc["scene"]) == {"actor_count", "event_boundary", "motion_presence"}
+
+
+def test_label_lines_escape_the_clip_id_as_jsonl_document_does():
+    # a quote, a backslash and a non-ASCII character, which json.dumps
+    # escapes as \", \\ and \u00e9
+    log = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, 2, 0), (1, 5, 0)),
+                     3: static(16, 1, 4)})
+    clip = ClipSpec('s"\\é-ev0000', "s", 0, tuple(range(16)), "train")
+    line = labels_document([clip], log, TL_EMPTY, CFG)
+    assert line == jsonl_document([oracle_clip(clip, log, TL_EMPTY, CFG)])
+    assert line.isascii() and b'"clip_id":"s\\"\\\\\\u00e9-ev0000"' in line
+    assert json.loads(line)["clip_id"] == clip.clip_id
+
+
+def test_a_story_without_clips_has_an_empty_labels_document():
+    log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 2)})
+    assert labels_document([], log, TL_EMPTY, CFG) == jsonl_document([]) == b""
 
 
 # ---------------------------------------------------------------- splits
@@ -382,14 +402,14 @@ def test_labels_match_independent_oracle():
     movement = {k for k, a in registry.actions.items() if a.is_movement_only}
     clips = extract_story_clips("s2", graph, timeline, movement, CFG, "train")
     for clip in itertools.islice(clips, 4):
-        [mine] = label_clips([clip], log, timeline, CFG)
-        theirs = oracle_clip(clip, log, timeline, CFG)
+        mine = labels_document([clip], log, timeline, CFG)
+        theirs = jsonl_document([oracle_clip(clip, log, timeline, CFG)])
         assert mine == theirs, clip.clip_id
 
 
 def test_labels_match_oracle_on_every_clip_of_dense_stories():
     # six actors over three regions give about four times the pairs of
-    # the default corpus; compare as verify does, after a JSON round trip
+    # the default corpus; compare bytes, as verify does
     registry = build_default_registry()
     cfg = CorpusConfig(gen=GenConfig(master_seed=7, actors_min_max=(6, 6),
                                      max_actors_per_region=6, regions_to_visit=3,
@@ -402,10 +422,10 @@ def test_labels_match_oracle_on_every_clip_of_dense_stories():
         clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
         assert clips
         for clip in clips:
-            mine = json.loads(json.dumps(label_clips([clip], log, timeline, CFG)[0]))
-            theirs = json.loads(json.dumps(oracle_clip(clip, log, timeline, CFG)))
+            mine = labels_document([clip], log, timeline, CFG)
+            theirs = jsonl_document([oracle_clip(clip, log, timeline, CFG)])
             assert mine == theirs, clip.clip_id
-            pairs += len(mine["pairs"])
+            pairs += len(json.loads(mine)["pairs"])
     assert pairs > 3000
 
 
@@ -413,7 +433,7 @@ def test_labels_match_oracle_on_every_clip_of_dense_stories():
 
 def assert_story_pass_matches_per_clip(clips, log, timeline, cfg):
     vis = visible_mask(log)
-    assert jsonl_document(label_clips(clips, log, timeline, cfg)) == jsonl_document(
+    assert labels_document(clips, log, timeline, cfg) == jsonl_document(
         [per_clip_labels(clip, log, timeline, cfg, vis) for clip in clips])
 
 

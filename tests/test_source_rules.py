@@ -64,6 +64,29 @@ def test_probe_oracle_shares_no_arithmetic_with_the_labeller():
     assert not found, f"probes_oracle.py imports {found}"
 
 
+def test_labels_are_written_by_probes_and_checked_with_jsonl_document():
+    # probes.py writes labels.jsonl lines from its own token table, and
+    # verify encodes the oracle's rows with jsonl_document, so a replayed
+    # row compares the two encoders as well as the two labellers
+    package = Path(storysim.__file__).parent
+    found = [f"probes.py:{node.lineno}"
+             for node in ast.walk(ast.parse((package / "probes.py").read_text("utf-8")))
+             if "jsonl_document" in (getattr(node, "id", None),
+                                     getattr(node, "attr", None),
+                                     getattr(node, "name", None))]
+    assert not found, f"probes.py names jsonl_document: {found}"
+    [verify_def] = [node for node in ast.parse(
+        (package / "pipeline.py").read_text("utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify"]
+    encoded = [node for node in ast.walk(verify_def)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "jsonl_document"
+               and any(isinstance(inner, ast.Call)
+                       and getattr(inner.func, "id", None) == "oracle_clip"
+                       for arg in node.args for inner in ast.walk(arg))]
+    assert encoded, "verify does not encode the oracle's rows with jsonl_document"
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a leading underscore keeps a name private to its module
     found = [f"{path.name}:{node.lineno} {alias.name}"
