@@ -36,10 +36,10 @@ refuse the runs the parser refuses, with the same message.  Both parsers
 take a file's bytes and return its (fps, (ids, kinds, names), Runs),
 unexpanded, and raise CorruptCorpus saying what is wrong with them; the
 caller names the file.  A parser checks the dense bound, then that the
-bitmap is whole and its pad bits clear before it unpacks the bitmap,
-then that the value planes fill the rest, one value per set bit, before
-it builds a run; so what it allocates is bounded by a multiple of the
-file's own size, whatever the header says.  The
+bitmap is whole and its pad bits clear, then that the value planes fill
+the rest, one value per set bit, before it unpacks the bitmap's nonzero
+bytes and builds a run; so what it allocates is bounded by a multiple of
+the file's own size, whatever the header says.  The
 relations' Runs are what relations_bytes takes, and frame_log expands a
 framelog's into the FrameLog that framelog_bytes takes.  A table holds
 u16 ids and names of at most MAX_NAME_BYTES of UTF-8 (model.py), which
@@ -292,8 +292,7 @@ def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str)
     offset += size
     if cells % 8 and bitmap[-1] & (0xFF >> cells % 8):
         raise CorruptCorpus(f"start bitmap sets a pad bit past its {cells} cells")
-    bits = np.unpackbits(bitmap, count=cells).view(bool)
-    total = int(np.count_nonzero(bits))
+    total = int(np.bitwise_count(bitmap).sum())
     expect = total * sum(dtype.itemsize for dtype in dtypes)
     if len(buf) - offset != expect:
         raise CorruptCorpus(f"run payload is {len(buf) - offset} bytes, expected "
@@ -302,14 +301,21 @@ def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str)
     for dtype in dtypes:
         values.append(np.frombuffer(buf, dtype, total, offset).copy())
         offset += total * dtype.itemsize
-    cell = np.flatnonzero(bits)  # each run's start cell
+    # each run's start cell: only the nonzero bytes are unpacked, and each
+    # of their set bits moves on 8 cells per zero byte before its byte
+    byte = np.flatnonzero(bitmap)
+    packed = bitmap[byte]
+    cell = np.flatnonzero(np.unpackbits(packed))
+    byte -= np.arange(len(byte))
+    byte *= 8
+    cell += np.repeat(byte, np.bitwise_count(packed))
     if frames:
         first = np.arange(0, cells, frames)  # each column's first cell
         counts = np.diff(np.searchsorted(cell, first), append=total).astype(np.uint32)
-        starts = (cell - np.repeat(first, counts)).astype(np.uint32)
+        cell -= np.repeat(first, counts)
     else:  # no bitmap byte pays for the columns of no frame, so they get no array
-        counts, starts = np.broadcast_to(np.uint32(0), (columns,)), cell.astype(np.uint32)
-    runs = Runs(frames, counts, starts, tuple(values))
+        counts = np.broadcast_to(np.uint32(0), (columns,))
+    runs = Runs(frames, counts, cell.astype(np.uint32), tuple(values))
     _check_runs(runs, len(ids), column, CorruptCorpus)
     return fps, (ids, kinds, names), runs
 

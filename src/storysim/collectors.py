@@ -25,7 +25,7 @@ layout lives in binio alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ COMPASS_NAMES = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 COINCIDENT_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(NamedTuple):
     distance_m: float
     compass: str
     azimuth_deg: float

@@ -31,7 +31,7 @@ from .model import CapabilityRegistry, EventKind, GestGraph
 from .procgen import GenConfig, generate_story, select_episode, story_rng, story_seed
 from .probes import (ClipSpec, ProbeConfig, extract_story_clips, labels_document,
                      split_stories)
-from .probes_oracle import oracle_clip
+from .probes_oracle import oracle_rows
 from .scheduling import EventTimeline, duration_frames, graph_constraints, schedule
 from .simulation import (FrameLog, entity_table, ground, insert_movements, simulate,
                          story_frames, validate)
@@ -500,7 +500,8 @@ def _check_spatial(story_id: str, framelog_file, relation_file, fps: int,
     if not records:
         failures.append(f"{story_id}: no relation records")
         return True
-    picks = [rng.randrange(len(records)) for _ in range(samples)]
+    cells = len(records)
+    picks = [rng.randrange(cells) for _ in range(samples)]
     frame, pair = np.divmod(picks, pairs)
     values = (plane.tolist() for plane in records.at(frame, pair))
     i, j = np.divmod(pair, len(ids) - 1)
@@ -624,11 +625,11 @@ def verify(corpus_dir: Path | str) -> dict:
         if framelog_file is None or misfit or not budget:
             continue
         log = binio.frame_log(*framelog_file)  # expanded only to replay labels
-        for clip, line in zip(clips[:budget], label_lines):
-            # byte for byte: a decoded 0 would equal false
-            if line != jsonl_document([oracle_clip(clip, log, timeline, cfg_probe)]):
-                labels.append(f"{clip.clip_id}: label mismatch")
-            sampled += 1
+        replayed = jsonl_document(oracle_rows(clips[:budget], log, timeline, cfg_probe))
+        # byte for byte: a decoded 0 would equal false
+        labels.extend(f"{clip.clip_id}: label mismatch" for clip, row, line in zip(
+            clips, replayed.splitlines(keepends=True), label_lines) if row != line)
+        sampled += budget
 
     # each story that cannot be counted has already failed corpus-stats
     if (registry is not None and stats_doc is not None and len(counts) == len(entries)

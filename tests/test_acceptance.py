@@ -51,7 +51,7 @@ from storysim.pipeline import (
     load_manifest,
 )
 from storysim.probes import SPLITS, ClipSpec, hybrid_sample
-from storysim.probes_oracle import oracle_clip
+from storysim.probes_oracle import oracle_rows
 from storysim.procgen import GenConfig, generate_story, story_rng
 from storysim.scheduling import (
     TemporalNetwork,
@@ -271,11 +271,12 @@ def test_ac07_probe_labels_match_oracle(corpus200):
         if label_checked >= 1000 or not clip_rows:
             continue
         log = binio.read_framelog(story_dir / "framelog.bin")
-        for row, stored in list(zip(clip_rows, label_rows))[:per_story]:
-            clip = ClipSpec(row["clip_id"], row["story_id"], row["event_id"],
-                            tuple(row["frame_indices"]), row["split"])
-            want = json.loads(json.dumps(
-                oracle_clip(clip, log, timeline, cfg.probe)))
+        clips = [ClipSpec(row["clip_id"], row["story_id"], row["event_id"],
+                          tuple(row["frame_indices"]), row["split"])
+                 for row in clip_rows[:per_story]]
+        for clip, stored, oracle_row in zip(
+                clips, label_rows, oracle_rows(clips, log, timeline, cfg.probe)):
+            want = json.loads(json.dumps(oracle_row))
             assert stored == want, clip.clip_id
             label_checked += 1
     assert label_checked >= 1000

@@ -36,7 +36,7 @@ from storysim.pipeline import (
     verify,
 )
 from storysim.probes import ProbeConfig, clip_frame_indices
-from storysim.probes_oracle import oracle_clip
+from storysim.probes_oracle import oracle_rows
 from storysim.model import CapabilityRegistry, EntityKind, EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
@@ -640,11 +640,12 @@ def test_label_samples_cap_every_replay(small_corpus, monkeypatch):
     # 4 rows over 3 stories: 2 per story, so the third story replays none
     replayed = []
 
-    def counting_oracle(*args):
-        replayed.append(args[0].clip_id)
-        return oracle_clip(*args)
+    def counting_oracle(clips, *args):
+        for clip, row in zip(clips, oracle_rows(clips, *args)):
+            replayed.append(clip.clip_id)
+            yield row
     monkeypatch.setattr(pipeline, "LABEL_SAMPLES", 4)
-    monkeypatch.setattr(pipeline, "oracle_clip", counting_oracle)
+    monkeypatch.setattr(pipeline, "oracle_rows", counting_oracle)
     assert verify(small_corpus)["ok"]
     assert len(replayed) == 4
     assert {clip_id.split("-")[0] for clip_id in replayed} == {"story_00000",

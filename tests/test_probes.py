@@ -23,13 +23,13 @@ from storysim.probes import (
     labels_document,
     split_stories,
 )
-from storysim.probes_oracle import oracle_clip
+from storysim.probes_oracle import _still, oracle_rows
 from storysim.procgen import GenConfig
 from storysim.scheduling import EventTimeline
 from storysim.simulation import FrameLog, visible_mask
 from storysim.textgen import ProtoText  # noqa: F401  (import sanity for __init__)
 
-from _oracles import per_clip_labels
+from _oracles import oracle_clip, per_clip_labels
 
 CFG = ProbeConfig()
 
@@ -281,7 +281,7 @@ def test_label_lines_escape_the_clip_id_as_jsonl_document_does():
                      3: static(16, 1, 4)})
     clip = ClipSpec('s"\\é-ev0000', "s", 0, tuple(range(16)), "train")
     line = labels_document([clip], log, TL_EMPTY, CFG)
-    assert line == jsonl_document([oracle_clip(clip, log, TL_EMPTY, CFG)])
+    assert line == jsonl_document(oracle_rows([clip], log, TL_EMPTY, CFG))
     assert line.isascii() and b'"clip_id":"s\\"\\\\\\u00e9-ev0000"' in line
     assert json.loads(line)["clip_id"] == clip.clip_id
 
@@ -403,7 +403,7 @@ def test_labels_match_independent_oracle():
     clips = extract_story_clips("s2", graph, timeline, movement, CFG, "train")
     for clip in itertools.islice(clips, 4):
         mine = labels_document([clip], log, timeline, CFG)
-        theirs = jsonl_document([oracle_clip(clip, log, timeline, CFG)])
+        theirs = jsonl_document(oracle_rows([clip], log, timeline, CFG))
         assert mine == theirs, clip.clip_id
 
 
@@ -421,12 +421,93 @@ def test_labels_match_oracle_on_every_clip_of_dense_stories():
         graph, timeline, log = build_story(cfg, registry, index)
         clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
         assert clips
-        for clip in clips:
+        for clip, row in zip(clips, oracle_rows(clips, log, timeline, CFG)):
             mine = labels_document([clip], log, timeline, CFG)
-            theirs = jsonl_document([oracle_clip(clip, log, timeline, CFG)])
+            theirs = jsonl_document([row])
             assert mine == theirs, clip.clip_id
             pairs += len(json.loads(mine)["pairs"])
     assert pairs > 3000
+
+
+DENSE = dict(actors_min_max=(6, 6), max_actors_per_region=6, regions_to_visit=3,
+             relation_prob=1.0, interaction_prob=0.6, exchange_prob=0.3)
+
+
+def assert_rows_match_reference(clips, log, timeline):
+    """oracle_rows of the clips, encoded as verify encodes them, are the
+    reference oracle's rows to the byte."""
+    assert jsonl_document(oracle_rows(clips, log, timeline, CFG)) == jsonl_document(
+        [oracle_clip(clip, log, timeline, CFG) for clip in clips])
+
+
+@pytest.mark.parametrize("gen", [{}, DENSE], ids=["default", "dense"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_oracle_rows_are_the_reference_rows_on_every_clip(seed, gen):
+    # clips of one event that share their frames share one window
+    registry = build_default_registry()
+    cfg = CorpusConfig(gen=GenConfig(master_seed=seed, **gen))
+    movement = {k for k, a in registry.actions.items() if a.is_movement_only}
+    clips_seen = windows = 0
+    for index in range(8):
+        graph, timeline, log = build_story(cfg, registry, index)
+        clips = extract_story_clips(f"s{index}", graph, timeline, movement, CFG, "train")
+        assert_rows_match_reference(clips, log, timeline)
+        clips_seen += len(clips)
+        windows += len({clip.frame_indices for clip in clips})
+    assert windows < clips_seen
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_clips_sharing_a_window_keep_their_own_event_boundary(order):
+    # event 0 ends inside the window and event 1 spans it: only the clip of
+    # event 1 sees a boundary, since a clip's own event never marks one
+    log = synth_log({0: static(16, 0, 0), 2: lerp_track(16, (0, 2, 0), (1, 5, 0)),
+                     3: static(16, 1, 4)})
+    timeline = EventTimeline(intervals={0: (0, 10), 1: (0, 40)}, fps=25)
+    clips = [ClipSpec(f"s-ev{e:04d}", "s", e, tuple(range(16)), "train") for e in order]
+    rows = list(oracle_rows(clips, log, timeline, CFG))
+    assert {clip.event_id: row["scene"]["event_boundary"]
+            for clip, row in zip(clips, rows)} == {0: False, 1: True}
+    assert rows[0]["pairs"] == rows[1]["pairs"]
+    assert_rows_match_reference(clips, log, timeline)
+
+
+def test_oracle_rows_of_no_clip_one_entity_and_coincident_entities():
+    log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 2)})
+    assert list(oracle_rows([], log, TL_EMPTY, CFG)) == []
+    [row] = oracle_rows([clip16()], log, TL_EMPTY, CFG)
+    assert [e["entity_id"] for e in row["entities"]] == [2] and row["pairs"] == []
+    assert_rows_match_reference([clip16()], log, TL_EMPTY)
+    # two entities on one spot in every frame, then in the first half only
+    log = synth_log({0: static(16, 0, 0), 2: static(16, 1, 4), 3: static(16, 1, 4)},
+                    kinds={3: EntityKind.OBJECT})
+    [row] = oracle_rows([clip16()], log, TL_EMPTY, CFG)
+    assert row["pairs"] == [{"a": 2, "b": 3, "depth_order": False,
+                             "pair_direction": "N", "pair_distance": "close",
+                             "relative_motion": None}]
+    assert_rows_match_reference([clip16()], log, TL_EMPTY)
+    parting = static(16, 1, 4)
+    parting[8:] = (3, 4, 0)
+    log = synth_log({0: static(16, 0, 0), 2: static(16, 1, 4), 3: parting})
+    assert_rows_match_reference([clip16()], log, TL_EMPTY)
+
+
+def test_a_camera_that_stands_and_turns_sees_each_frame_anew():
+    # the camera turns 12 degrees a frame on one spot, so two still actors
+    # to its north are in view for 4 of 16 frames: short of the quorum
+    log = synth_log({0: static(16, 0, 0), 2: static(16, 0, 5), 3: static(16, 1, 5)},
+                    yaws={0: np.arange(16) * 12.0})
+    [row] = oracle_rows([clip16()], log, TL_EMPTY, CFG)
+    assert row["scene"]["actor_count"] == 1
+    assert all(e["entity_presence"] for e in row["entities"])
+    assert_rows_match_reference([clip16()], log, TL_EMPTY)
+
+
+def test_a_still_column_repeats_each_value_to_the_bit():
+    # 0.0 == -0.0, but a bearing of a -0.0 offset differs from a 0.0 one's
+    assert _still([1.5] * 16) and _still([0.0] * 16) and _still([-0.0] * 16)
+    assert not _still([0.0] * 15 + [-0.0]) and not _still([-0.0, 0.0])
+    assert not _still([1.5] * 15 + [1.5000000000000002])
 
 
 # ------------------------------------------- story pass vs per-clip labeller

@@ -82,7 +82,7 @@ def test_labels_are_written_by_probes_and_checked_with_jsonl_document():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "jsonl_document"
                and any(isinstance(inner, ast.Call)
-                       and getattr(inner.func, "id", None) == "oracle_clip"
+                       and getattr(inner.func, "id", None) == "oracle_rows"
                        for arg in node.args for inner in ast.walk(arg))]
     assert encoded, "verify does not encode the oracle's rows with jsonl_document"
 
