@@ -6,7 +6,8 @@ binds unowned objects to POI slots.  insert_movements() splices walk
 events wherever an actor's next event happens at a different POI.
 simulate() plays the timeline out frame by frame: linear interpolation
 for movements, held poses for stationary actions, objects following
-their owner when carried, and an exponentially smoothed tracking camera.
+their owner when carried, and an exponentially smoothed tracking camera
+that arrives on its target and then holds still.
 
 Coordinate conventions: +Y is North, +X is East, z is up; yaw is a
 compass heading in degrees (0 = North, 90 = East).  All motion is
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from math import atan2, degrees
 
 import numpy as np
 
@@ -43,6 +45,11 @@ WALK_SPEED = 1.4  # m/s
 # meters, per-frame smoothing factor, horizontal field of view and range
 CAMERA_OFFSET = (0.0, -6.0, 3.0)
 CAMERA_SMOOTHING = 0.1
+# the camera arrives, and sits on its target exactly, once a smoothing step
+# leaves every axis of (target - position) under this many meters; the gap
+# shrinks by 1 - CAMERA_SMOOTHING per frame, so from a 10 m jump it arrives
+# within ceil(log(1e-3 / 10) / log(0.9)) = ceil(87.4) = 88 frames
+CAMERA_ARRIVE_M = 1e-3
 CAMERA_FOV_DEG = 90.0
 CAMERA_MAX_RANGE_M = 50.0
 
@@ -518,9 +525,13 @@ def _run_camera(graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
     """Camera column of pos and yaw.  Each frame focuses the active actors
     of the region most of them are in (ties go to the lower region
     index); idle frames keep the last focus, and before any actor is
-    active the focus is every actor.  Frame 0 starts converged; later
-    frames smooth toward the focus centroid plus offset, facing the
-    centroid."""
+    active the focus is every actor.  The camera faces the centroid and
+    targets the centroid plus offset.  Frame 0 starts on the target;
+    later frames smooth toward it until a step leaves every axis within
+    CAMERA_ARRIVE_M, where the camera arrives and sits on the target
+    exactly.  So the recurrence runs only from a change of the centroid
+    until the camera arrives, and every frame after that copies the one
+    before until the centroid next changes."""
     frames, n_actors = active.shape
     n_regions = max(len(graph.region_plan), 1)
     at = pos[:, [index[a] for a in actor_ids]]
@@ -537,13 +548,38 @@ def _run_camera(graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
     centroid = acc / sel.sum(axis=1)[:, None]
     # an idle frame holds the centroid of the last busy frame, or of frame 0
     centroid = centroid[np.maximum.accumulate(np.where(busy, np.arange(frames), 0))]
-    s = CAMERA_SMOOTHING
+    s, tol = CAMERA_SMOOTHING, CAMERA_ARRIVE_M
+    txs, tys, tzs = (centroid + CAMERA_OFFSET).T.tolist()
+    cxs, cys = centroid[:, :2].T.tolist()
+    # frames whose focus centroid differs in any bit from the frame before:
+    # only there can an arrived camera move or turn
+    bits = centroid.view(np.int64)
+    changes = (np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist()
+    px, py, pz = txs[0], tys[0], tzs[0]
+    steps = [0]  # the frames computed below; every other frame copies the one before
+    poses = [px, py, pz, bearing_deg(cxs[0] - px, cys[0] - py)]  # x, y, z, yaw per step
+    f = 0  # the frame the camera last arrived in
+    while (k := bisect_right(changes, f)) < len(changes):
+        for f in range(changes[k], frames):
+            tx, ty, tz = txs[f], tys[f], tzs[f]
+            px += s * (tx - px)
+            py += s * (ty - py)
+            pz += s * (tz - pz)
+            arrived = abs(tx - px) < tol and abs(ty - py) < tol and abs(tz - pz) < tol
+            if arrived:
+                px, py, pz = tx, ty, tz
+            steps.append(f)
+            poses += px, py, pz, degrees(atan2(cxs[f] - px, cys[f] - py))  # bearing_deg
+            if arrived:
+                break
+        else:  # the story ends before the camera arrives
+            break
+    row = np.zeros(frames, dtype=np.intp)
+    row[steps] = range(len(steps))
     cam = index[CAMERA_ID]
-    for axis, target in enumerate((centroid + CAMERA_OFFSET).T.tolist()):
-        pos[:, cam, axis] = list(accumulate(target[1:], lambda p, t: p + s * (t - p),
-                                            initial=target[0]))
-    look = (centroid - pos[:, cam]).T.tolist()
-    yaw[:, cam] = list(map(bearing_deg, look[0], look[1]))
+    column = np.array(poses).reshape(-1, 4)[np.maximum.accumulate(row)]
+    pos[:, cam] = column[:, :3]
+    yaw[:, cam] = column[:, 3]
 
 
 def visible_mask(log: FrameLog) -> np.ndarray:

@@ -8,7 +8,8 @@ storysim.  Some exceptions are routes that the package must match bit
 for bit: collect_frame, the scalar per-pair route of the vectorized
 collector, shares compute_pair_relation with the package on purpose;
 numpy_run_camera, the numpy per-frame camera loop that the whole-story
-one replaced, shares bearing_deg; and numpy_collect_story_relations, the
+one replaced, shares bearing_deg and steps every frame where the package
+copies a camera that has arrived; and numpy_collect_story_relations, the
 remainder-and-floor-divide collector that the compare-and-add one
 replaced, keeps the keyed 22-byte rows that the planes replaced; and
 dense_collect_story_relations, the collector that computed every record
@@ -52,8 +53,9 @@ from storysim.probes import ClipSpec, ProbeConfig
 from storysim.scheduling import (ORIGIN_FRAME, STRICT_BEFORE_GAP_FRAMES, EventTimeline,
                                  TemporalNetwork, closure, duration_frames,
                                  graph_constraints)
-from storysim.simulation import (CAMERA_FOV_DEG, CAMERA_MAX_RANGE_M, CAMERA_OFFSET,
-                                 CAMERA_SMOOTHING, FrameLog, bearing_deg, wrap_signed)
+from storysim.simulation import (CAMERA_ARRIVE_M, CAMERA_FOV_DEG, CAMERA_MAX_RANGE_M,
+                                 CAMERA_OFFSET, CAMERA_SMOOTHING, FrameLog, bearing_deg,
+                                 wrap_signed)
 
 ALL_CODES = ("b", "m", "o", "s", "d", "f", "eq", "bi", "mi", "oi", "si", "di", "fi")
 
@@ -181,12 +183,16 @@ def numpy_update_camera(cam_pos, focus_positions):
     centroid = np.asarray(focus_positions, dtype=np.float64).mean(axis=0)
     target = centroid + np.asarray(CAMERA_OFFSET)
     new_pos = cam_pos + CAMERA_SMOOTHING * (target - cam_pos)
+    if (np.abs(target - new_pos) < CAMERA_ARRIVE_M).all():
+        new_pos = target  # arrived: the camera sits on its target exactly
     look = centroid - new_pos
     return new_pos, bearing_deg(look[0], look[1])
 
 
 def numpy_run_camera(graph, pos, yaw, index, actor_ids, active, actor_region):
-    """The camera column of pos and yaw, one frame at a time on numpy rows."""
+    """The camera column of pos and yaw, one frame at a time on numpy rows;
+    each frame smooths toward the target and arrives on it once every
+    axis is within CAMERA_ARRIVE_M."""
     frames = pos.shape[0]
     n_regions = max(len(graph.region_plan), 1)
     offset = np.array(CAMERA_OFFSET)

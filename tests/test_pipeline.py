@@ -37,7 +37,7 @@ from storysim.pipeline import (
 )
 from storysim.probes import ProbeConfig, clip_frame_indices
 from storysim.probes_oracle import oracle_rows
-from storysim.model import CapabilityRegistry, EntityKind, EventKind
+from storysim.model import CAMERA_ID, CapabilityRegistry, EntityKind, EventKind
 from storysim.procgen import GenConfig, generate_story, story_seed
 from storysim.scheduling import EventTimeline
 from storysim.textgen import proto_text
@@ -47,7 +47,7 @@ from _oracles import Planes, planes_of, runs_of
 # corpus_digest of the seed-7, 8-story corpus of the default config and
 # bundled registry, measured with numpy 2.4.6 on Python 3.11.7.  Re-pin
 # only in a change whose CHANGES.md says why the corpus bytes changed.
-GOLDEN_DIGEST = "e1aa94b58c00bfd0d27394318c64b4675ca188eddddca45a6df689162e0c0663"
+GOLDEN_DIGEST = "3131fd5c4cb0528b01d8427da9e7364414845eb56191084771ecb0fa72a7d041"
 STORIES = 8
 
 CHECKS = ("manifest-hashes", "timeline-durations", "temporal-relations",
@@ -113,6 +113,19 @@ def rewrite_with_hash(root, story_id: str, rel_path: str, data: bytes):
 def test_golden_corpus_digest(corpus):
     root, _, _ = corpus
     assert corpus_digest(root) == GOLDEN_DIGEST
+
+
+def test_camera_moves_on_under_two_fifths_of_its_frames(corpus):
+    # a camera that arrives on its target moves on about a quarter of the
+    # frames; one that smooths forever records float noise as motion on
+    # about two thirds, and each such frame starts a run in both binaries
+    root, _, manifest = corpus
+    moved = frames = 0
+    for entry in manifest["stories"]:
+        log = binio.read_framelog(root / entry["story_id"] / "framelog.bin")
+        moved += int(log.pose_changes()[:, log.index_of(CAMERA_ID)].sum())
+        frames += log.frame_count
+    assert moved < 0.4 * frames, (moved, frames)
 
 
 def test_artifact_inventory(corpus):

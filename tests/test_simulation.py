@@ -34,8 +34,10 @@ from storysim.allen import Coarse, coarse_to_allen
 from storysim.procgen import GenConfig, generate_story
 from storysim.scheduling import duration_frames, schedule
 from storysim.simulation import (
+    CAMERA_ARRIVE_M,
     CAMERA_OFFSET,
     CAMERA_SETTLE_FRAMES,
+    CAMERA_SMOOTHING,
     WALK_SPEED,
     FrameLog,
     World,
@@ -417,10 +419,34 @@ class TestCamera:
                                  [[here]] + [[there]] * 100)
         target = np.array(there) + np.array(CAMERA_OFFSET)
         assert np.linalg.norm(cam[0] - target) > 30.0
-        assert np.linalg.norm(cam[-1] - target) < 0.01
+        assert cam[-1].tobytes() == target.tobytes()
         look = np.array(there) - cam[-1]
         want = math.degrees(math.atan2(look[0], look[1]))
         assert abs(math.radians(yaw[-1] - want)) < 1e-3
+
+    @pytest.mark.parametrize("step", [(10.0, -4.0, 1.0), (0.0, 0.0, -30.0),
+                                      (-0.0004, 0.0002, 0.0)])
+    def test_arrives_within_the_settling_bound(self, step):
+        # the actor steps by `step` at frame 1, then holds still
+        here = np.array([3.0, -2.0, 0.5])
+        there = here + step
+        frames = 140
+        cam, yaw = camera_column(np.ones((frames, 1)), np.zeros((frames, 1)),
+                                 [[here]] + [[there]] * (frames - 1))
+        log = FrameLog(cam[:, None], yaw[:, None], 25, (CAMERA_ID,),
+                       (EntityKind.CAMERA,), ("camera",))
+        starts = np.flatnonzero(log.pose_changes()[:, 0])
+        # the gap shrinks by 1 - CAMERA_SMOOTHING per frame from the step on
+        bound = max(0, math.ceil(math.log(CAMERA_ARRIVE_M / np.abs(step).max())
+                                 / math.log(1.0 - CAMERA_SMOOTHING)))
+        assert bound == {10.0: 88, 30.0: 98, 0.0004: 0}[np.abs(step).max()]
+        # the camera moves on every frame from the step until it arrives
+        assert starts.tolist() == list(range(starts[-1] + 1))
+        assert starts[-1] <= 1 + bound
+        target = there + np.array(CAMERA_OFFSET)
+        settled = 1 + bound
+        assert cam[settled:].tobytes() == np.tile(target, (frames - settled, 1)).tobytes()
+        assert yaw[settled:].tobytes() == np.full(frames - settled, yaw[settled]).tobytes()
 
     def test_symmetric_actor_target(self):
         mirrored = [[[-3.0, 0.0, 0.0], [3.0, 0.0, 0.0]],
@@ -446,6 +472,16 @@ class TestCamera:
     # signed zeros in positions
     @example(_scene([[1, 0], [1, 1]], [[0, 0]] * 2,
                     [[[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]] * 2))
+    # a step, then a 120-frame hold: the camera arrives and sits on its target
+    @example(_scene([[1]] * 121, [[0]] * 121,
+                    [[[1.0, 2.0, 0.0]]] + [[[9.0, -3.0, 0.5]]] * 120))
+    # a sub-millimetre target change arrives on its first frame
+    @example(_scene([[1]] * 4, [[0]] * 4,
+                    [[[1.0, 2.0, 0.0]]] + [[[1.0004, 1.9999, 0.0]]] * 3))
+    # an actor at x = -0.0 gives a target of 0.0 on every axis, which the
+    # camera reaches from below on x and y and from above on z
+    @example(_scene([[1]] * 80, [[0]] * 80,
+                    [[[-0.5, 5.0, -2.0]]] + [[[-0.0, 6.0, -3.0]]] * 79))
     def test_camera_matches_numpy_reference_on_edge_cases(self, scene):
         active, actor_region, actor_pos, regions = scene
         got = camera_column(active, actor_region, actor_pos, regions)
