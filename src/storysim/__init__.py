@@ -10,10 +10,10 @@ kinematic 3D execution (simulation), frame-aligned annotation
 
 from .allen import (AllenRelation, Coarse, RelationSet, coarse_to_allen,
                     compose, converse, relation_between, check_relation)
-from .errors import (CorruptCorpus, DanglingReferenceError,
+from .errors import (CorruptCorpus, DanglingReferenceError, DocumentError,
                      DocumentSyntaxError, EmptyRegistry,
                      InconsistentNetwork, InvariantError, NoFreeSlot,
-                     NoValidAction, StorysimError,
+                     NoValidAction, StorysimError, UnknownActionInTransition,
                      UnschedulableDisjunction, ValidationFailure)
 from .model import (CAMERA_ID, ActionCategory, ActionSpec, Actor,
                     CapabilityRegistry, EntityId, EntityKind, EpisodeSpec,
@@ -39,8 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AllenRelation", "Coarse", "RelationSet", "coarse_to_allen", "compose",
     "converse", "relation_between", "check_relation",
-    "StorysimError", "DocumentSyntaxError", "DanglingReferenceError",
-    "InvariantError", "InconsistentNetwork", "UnschedulableDisjunction",
+    "StorysimError", "DocumentError", "DocumentSyntaxError", "DanglingReferenceError",
+    "InvariantError", "UnknownActionInTransition", "InconsistentNetwork",
+    "UnschedulableDisjunction",
     "EmptyRegistry", "NoValidAction", "NoFreeSlot", "ValidationFailure", "CorruptCorpus",
     "CAMERA_ID", "ActionCategory", "ActionSpec", "Actor", "CapabilityRegistry",
     "EntityId", "EntityKind", "EpisodeSpec", "Event", "EventKind", "Gender",

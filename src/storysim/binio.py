@@ -3,22 +3,23 @@
 Both files start with a little-endian header of magic, version u16,
 fps u16, entity_count u16, reserved u16 and frame_count u32, then an
 entity table of {id u16, kind u8, name_len u8, name utf-8}, then a start
-bitmap, then each value plane over all runs, column-major and in frame
-order within a column.  A run is a maximal run of frames over which its
-column's value is bitwise equal.  The bitmap has one bit per cell,
-column-major: bit column * frame_count + frame is set where a run
-starts, most significant bit first within a byte (as np.packbits writes
-them), and its ceil(cells / 8) bytes end in zero pad bits.  So a file
+bitmap, then each value plane over all runs.  A run is a maximal run of
+frames over which its column's value is bitwise equal, and its start
+cell is column * frame_count + its start frame.  The bitmap has one bit
+per cell, set at each run's start cell, most significant bit first
+within a byte (as np.packbits writes them), and its ceil(cells / 8)
+bytes end in zero pad bits; the value planes hold the runs in start cell
+order, so column-major and in frame order within a column.  So a file
 holds no run count and no start frame, only 1/8 byte per cell; that
 costs less than a u32 start per run while runs start at one cell in 32
 or more, and loses to it below that: seed-7 stories of the bench's
 workloads start runs at 0.058 to 0.28 of a file's cells, and a log
 whose every pose changes every frame at all of them.  Each column's
-first run starts at frame 0, no two adjacent runs are equal, and
-reserved is 0, so a dense content has exactly one encoding.  The story's dense poses, frame_count
-times entity_count times 32 bytes, take at most MAX_DENSE_BYTES in
-either file: frame_log expands them, so a relations file is refused
-exactly when its story's framelog is.
+first run starts at frame 0, no two adjacent runs of a column are equal,
+and reserved is 0, so a dense content has exactly one encoding.  The
+story's dense poses, frame_count times entity_count times 32 bytes, take
+at most MAX_DENSE_BYTES in either file: frame_log expands them, so a
+relations file is refused exactly when its story's framelog is.
 
 relations file ("GTSR"): a column is an ordered pair (a, b), a != b, in
 (a, b) order over the table's sorted ids, and its value is a record:
@@ -30,20 +31,21 @@ value is its pose as float64 x, y, z and yaw_deg, so 32 bytes per run;
 the table holds the camera.  Poses stay f64 so spatial records
 recompute bit-identically from a reloaded log.
 
-Every value is finite.  Runs holds either file's runs in memory, and
-one rule, _check_runs, says which runs a file may hold: the writers
-refuse the runs the parser refuses, with the same message.  Both parsers
-take a file's bytes and return its (fps, (ids, kinds, names), Runs),
-unexpanded, and raise CorruptCorpus saying what is wrong with them; the
-caller names the file.  A parser checks the dense bound, then that the
-bitmap is whole and its pad bits clear, then that the value planes fill
-the rest, one value per set bit, before it unpacks the bitmap's nonzero
-bytes and builds a run; so what it allocates is bounded by a multiple of
-the file's own size, whatever the header says.  The
-relations' Runs are what relations_bytes takes, and frame_log expands a
-framelog's into the FrameLog that framelog_bytes takes.  A table holds
-u16 ids and names of at most MAX_NAME_BYTES of UTF-8 (model.py), which
-the document readers enforce.
+Every value is finite.  Runs holds either file's runs in memory as the
+bitmap's set bits and the value planes, so neither the writer nor the
+parser translates between them.  One rule, _check_runs, says which runs
+a file may hold: the writers refuse the runs the parser refuses, with
+the same message.  Both parsers take a file's bytes and return its
+(fps, (ids, kinds, names), Runs), unexpanded, and raise CorruptCorpus
+saying what is wrong with them; the caller names the file.  A parser
+checks the dense bound, then that the bitmap is whole and its pad bits
+clear, then that the value planes fill the rest, one value per set bit,
+before it unpacks the bitmap's nonzero bytes into start cells; so what
+it allocates is bounded by a multiple of the file's own size, whatever
+the header says.  The relations' Runs are what relations_bytes takes,
+and frame_log expands a framelog's into the FrameLog that framelog_bytes
+takes.  A table holds u16 ids and names of at most MAX_NAME_BYTES of
+UTF-8 (model.py), which the document readers enforce.
 """
 
 from __future__ import annotations
@@ -87,49 +89,35 @@ _POSE_DTYPES = (np.dtype("<f8"),) * 4
 class Runs:
     """Per-frame columns as change runs.  Column k of `frames` frames is
     cut into runs of frames over which its value is bitwise equal; a run
-    is its start frame and its value.  `counts` holds each column's run
-    count, and `starts` and each plane of `values` hold every run,
-    column-major and in frame order within a column.  len() is the cell
-    count, frames x columns.  A value is a spatial record (distance_m,
-    azimuth_deg, elevation_deg, compass) or a pose (x, y, z, yaw_deg)."""
+    is its start cell, k * frames + its start frame, and its value.
+    `cells` holds every run's start cell in increasing order, so the runs
+    are column-major and in frame order within a column, exactly the set
+    bits of a file's start bitmap; each plane of `values` holds their
+    values in that order.  len() is the cell count, frames x columns.  A
+    value is a spatial record (distance_m, azimuth_deg, elevation_deg,
+    compass) or a pose (x, y, z, yaw_deg)."""
     frames: int
-    counts: np.ndarray  # runs per column
-    starts: np.ndarray  # each run's start frame
+    columns: int
+    cells: np.ndarray  # each run's start cell, intp: there can be 2**32 cells
     values: tuple[np.ndarray, ...]  # each value plane, over the runs
 
     def __post_init__(self):
-        counts = self.counts
-        if counts.strides == (0,) and len(counts):
-            # one count broadcast to every column, as a file of no frame
-            # reads: summed once, not once per column
-            runs = int(counts[0]) * len(counts)
-        else:
-            runs = int(counts.sum())
-        lengths = [len(plane) for plane in (self.starts, *self.values)]
+        lengths, runs = [len(plane) for plane in self.values], len(self.cells)
         if lengths != [runs] * len(lengths):
             raise ValueError(f"run planes of lengths {lengths} for {runs} runs")
 
     def __len__(self) -> int:
-        return self.frames * len(self.counts)
-
-    def _cells(self) -> np.ndarray:
-        """Each run's start cell, column * frames + start frame: the key
-        by which column-major runs in frame order sort, and its bit in a
-        file's start bitmap."""
-        columns = np.arange(len(self.counts), dtype=np.int64) * self.frames
-        return np.repeat(columns, self.counts) + self.starts
-
-    def _follows(self) -> np.ndarray:
-        """Whether each run follows another run of its column."""
-        follows = np.ones(len(self.starts), bool)
-        first = np.cumsum(self.counts, dtype=np.int64) - self.counts
-        follows[first[self.counts > 0]] = False
-        return follows
+        return self.frames * self.columns
 
     def _repeats(self) -> np.ndarray:
         """Whether each run bitwise repeats the run before it in its
         column: the runs that are not maximal."""
-        same = self._follows()
+        # each column's first run is where its frame 0 sorts among the
+        # start cells; a column of no run past the last one sorts to the
+        # slot past the runs
+        same = np.ones(len(self.cells) + 1, bool)
+        same[np.searchsorted(self.cells, np.arange(self.columns) * self.frames)] = False
+        same = same[:-1]
         for plane in self.values:
             bits = plane.view(f"u{plane.dtype.itemsize}")
             same[1:] &= bits[1:] == bits[:-1]
@@ -139,27 +127,22 @@ class Runs:
         """These runs with each run that repeats the run before it joined
         to that run: maximal runs, the only ones a file holds."""
         kept = np.flatnonzero(~self._repeats())
-        ends = np.searchsorted(kept, np.cumsum(self.counts, dtype=np.int64))
-        return Runs(self.frames, np.diff(ends, prepend=0).astype(self.counts.dtype),
-                    self.starts[kept],
+        return Runs(self.frames, self.columns, self.cells[kept],
                     tuple(plane[kept] for plane in self.values))
 
     def at(self, frame, column) -> tuple[np.ndarray, ...]:
         """The value planes' values at each (frame, column), broadcast
         together: the value of the run of `column` that holds `frame`.
         ValueError for a cell outside frames x columns."""
-        cell = np.ravel_multi_index((column, frame), (len(self.counts), self.frames))
-        run = np.searchsorted(self._cells(), cell, side="right") - 1
+        cell = np.ravel_multi_index((column, frame), (self.columns, self.frames))
+        run = np.searchsorted(self.cells, cell, side="right") - 1
         return tuple(plane[run] for plane in self.values)
 
     def dense(self) -> list[np.ndarray]:
         """The C-contiguous (frames, columns) array of each value plane;
-        a run lasts until the next start in its column or the last frame."""
-        ends = np.empty(len(self.starts), np.int64)
-        ends[:-1] = self.starts[1:]
-        ends[np.cumsum(self.counts, dtype=np.int64)[self.counts > 0] - 1] = self.frames
-        lengths = ends - self.starts
-        return [np.repeat(plane, lengths).reshape(len(self.counts), self.frames).T.copy()
+        a run lasts until the next start cell or the last cell."""
+        lengths = np.diff(self.cells, append=len(self))
+        return [np.repeat(plane, lengths).reshape(self.columns, self.frames).T.copy()
                 for plane in self.values]
 
 
@@ -215,35 +198,44 @@ def _check_dense(frames: int, entities: int, error: type[Exception]):
 
 def _check_runs(runs: Runs, entities: int, column: str, error: type[Exception]):
     """`error` unless `runs` may be a file's for a story of `entities`
-    entities: the story's dense poses take at most MAX_DENSE_BYTES, each
-    column's runs start at frame 0, strictly increase below the frame
-    count and are maximal, and every value is finite."""
-    frames, counts, starts = runs.frames, runs.counts, runs.starts
+    entities: the story's dense poses take at most MAX_DENSE_BYTES, the
+    start cells strictly increase inside the frames x columns cells, each
+    column has a run at frame 0, no run repeats the one before it in its
+    column, and every value is finite."""
+    frames, cells = runs.frames, runs.cells
     _check_dense(frames, entities, error)
-    if frames and not counts.all():
-        raise error(f"{column} column {np.argmin(counts)} has no run over {frames} "
-                    f"frames")
-    if not len(starts):
-        return  # no run to check, and a file of no frame has no array per column
-    later = runs._follows()
-    before = np.concatenate((starts[:1], starts[:-1]))  # the start of the run before
-    finite = np.ones(len(starts), bool)
+    if not len(cells):
+        if len(runs):
+            raise error(f"{column} column 0 has no run over {frames} frames")
+        return  # and a file of no frame allocates nothing per column
+    for cell in (cells.min(), cells.max()):
+        if not 0 <= cell < len(runs):
+            raise error(f"{column} runs start at cell {cell}, outside the {len(runs)} "
+                        f"cells of {frames} frames of {runs.columns} columns")
+    back = np.zeros(len(cells), bool)  # a start cell at or before the one before it
+    np.less_equal(cells[1:], cells[:-1], out=back[1:])
+    finite = np.ones(len(cells), bool)
     for plane in runs.values:
         if plane.dtype.kind == "f":
             finite &= np.isfinite(plane)
     for bad, why in (
-            (~later & (starts != 0), "starts at frame {start}, not 0"),
-            (starts >= frames, f"has a run at frame {{start}}, past its {frames} frames"),
-            (later & (starts <= before), "has a run at frame {start} after one at "
-                                         "frame {before}"),
+            (back, "has a run at frame {start} after one at frame {before}"),
             (runs._repeats(), "repeats at frame {start} the value of its run at "
                               "frame {before}"),
             (~finite, "holds a non-finite value at frame {start}")):
         if bad.any():
-            at = int(np.flatnonzero(bad)[0])
-            owner = np.searchsorted(np.cumsum(counts), at, "right")
+            at = int(np.argmax(bad))
+            owner, start = divmod(int(cells[at]), frames)
             raise error(f"{column} column {owner} "
-                        + why.format(start=starts[at], before=before[at]))
+                        + why.format(start=start, before=cells[at - 1] % frames))
+    heads = np.arange(runs.columns) * frames  # each column's frame 0
+    # the start frame of each column's first run, not in [0, frames) if it has none
+    first = cells.take(np.searchsorted(cells, heads), mode="clip") - heads
+    if first.any():
+        owner = int(np.argmax(first != 0))
+        if 0 < first[owner] < frames:
+            raise error(f"{column} column {owner} starts at frame {first[owner]}, not 0")
+        raise error(f"{column} column {owner} has no run over {frames} frames")
 
 
 def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
@@ -256,10 +248,10 @@ def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
         raise ValueError(f"fps {fps} does not fit the u16 fps field")
     values = tuple(np.ascontiguousarray(plane, dtype)
                    for plane, dtype in zip(runs.values, dtypes))
-    runs = Runs(runs.frames, runs.counts, runs.starts, values)
+    runs = Runs(runs.frames, runs.columns, runs.cells, values)
     _check_runs(runs, len(ids), column, ValueError)
     bits = np.zeros(len(runs), bool)  # one per cell, set where a run starts
-    bits[runs._cells()] = True
+    bits[runs.cells] = True
     prefix = (magic + _HEADER.pack(FORMAT_VERSION, fps, len(ids), 0, runs.frames)
               + _pack_entity_table(ids, kinds, names))
     parts = (np.packbits(bits), *(plane.view(np.uint8) for plane in values))
@@ -309,13 +301,7 @@ def _parse(buf: bytes, magic: bytes, what: str, columns_of, dtypes, column: str)
     byte -= np.arange(len(byte))
     byte *= 8
     cell += np.repeat(byte, np.bitwise_count(packed))
-    if frames:
-        first = np.arange(0, cells, frames)  # each column's first cell
-        counts = np.diff(np.searchsorted(cell, first), append=total).astype(np.uint32)
-        cell -= np.repeat(first, counts)
-    else:  # no bitmap byte pays for the columns of no frame, so they get no array
-        counts = np.broadcast_to(np.uint32(0), (columns,))
-    runs = Runs(frames, counts, cell.astype(np.uint32), tuple(values))
+    runs = Runs(frames, columns, cell, tuple(values))
     _check_runs(runs, len(ids), column, CorruptCorpus)
     return fps, (ids, kinds, names), runs
 
@@ -329,8 +315,8 @@ def relations_bytes(records: Runs, fps: int, ids, kinds, names) -> memoryview:
     """The bytes of a relations file; the runs are copied once.
     ValueError when the runs do not have E(E-1) columns for the E
     entities of the table."""
-    if len(records.counts) != _pairs(ids):
-        raise ValueError(f"relation runs of {len(records.counts)} columns do not "
+    if records.columns != _pairs(ids):
+        raise ValueError(f"relation runs of {records.columns} columns do not "
                          f"hold {_pairs(ids)} pairs per frame for {len(ids)} entities")
     return _runs_bytes(RELATIONS_MAGIC, fps, ids, kinds, names, records,
                        _RECORD_DTYPES, "pair")
@@ -346,8 +332,9 @@ def framelog_bytes(log: FrameLog) -> memoryview:
     if CAMERA_ID not in log.entity_ids:
         raise ValueError(f"entity ids {tuple(log.entity_ids)} lack the camera's "
                          f"id {CAMERA_ID}")
-    entity, frame = np.nonzero(log.pose_changes().T)
-    runs = Runs(log.frame_count, np.bincount(entity, minlength=log.entity_count), frame,
+    changes = log.pose_changes().T
+    entity, frame = np.nonzero(changes)
+    runs = Runs(log.frame_count, log.entity_count, np.flatnonzero(changes),
                 (*log.positions[frame, entity].T, log.yaws[frame, entity]))
     return _runs_bytes(FRAMELOG_MAGIC, log.fps, log.entity_ids, log.entity_kinds,
                        log.entity_names, runs, _POSE_DTYPES, "entity")

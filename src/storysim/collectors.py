@@ -195,7 +195,8 @@ def _column_runs(frames: int, order: np.ndarray, half: int, pair: np.ndarray,
     # each column cell's unordered cell, and its index in the directed planes
     ucell = np.arange(2 * cells) + np.repeat(start_of_pair[undirected] - first, lengths)
     cell = ucell + np.repeat(np.where(order >= half, cells, 0), lengths)
-    return Runs(frames, lengths.astype(np.uint32), frame[ucell].astype(np.uint32),
+    start = np.repeat(np.arange(len(order)) * frames, lengths) + frame[ucell]
+    return Runs(frames, len(order), start,
                 (distance[ucell], *(plane[cell] for plane in directed)))
 
 

@@ -245,13 +245,15 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     manifest.  Output bytes do not depend on `workers`.  out_root must be
     absent or empty: FileExistsError otherwise, before anything is
     written, so no file of an earlier build outlives it.  A registry
-    that registry.json's reader refuses raises that reader's error before
-    anything is written too.
+    that registry.json's reader refuses raises that reader's error, and a
+    negative story count ValueError, before anything is written too.
 
     Nothing is read back: manifest.json holds the hashes of the bytes the
     story jobs wrote, and stats.json sums the counts they returned with
     the same function as compute_stats' rescan, so the two agree byte
     for byte."""
+    if stories < 0:
+        raise ValueError(f"story count {stories} is negative")
     registry_json = serialize_registry(registry)
     parse_registry(registry_json)
     out_root = Path(out_root)

@@ -297,7 +297,7 @@ class Planes(NamedTuple):
 
 def planes_of(runs: Runs) -> Planes:
     """The dense planes that relations Runs encode, read through at()."""
-    return Planes(*runs.at(*np.indices((runs.frames, len(runs.counts)))))
+    return Planes(*runs.at(*np.indices((runs.frames, runs.columns))))
 
 
 def dense_collect_story_relations(log) -> Planes:
@@ -399,8 +399,7 @@ def runs_of(records: Planes) -> Runs:
         bits = plane.view(f"u{plane.dtype.itemsize}")
         starts[:, 1:] |= bits[:, 1:] != bits[:, :-1]
     column, frame = np.nonzero(starts)
-    counts = np.bincount(column, minlength=columns).astype(np.uint32)
-    return Runs(frames, counts, frame.astype(np.uint32),
+    return Runs(frames, columns, np.flatnonzero(starts),
                 tuple(plane[column, frame] for plane in planes))
 
 

@@ -293,9 +293,8 @@ def _assert_equals_the_dense_kernel(log):
                                planes):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     cut = runs_of(planes)
-    assert runs.frames == cut.frames == log.frame_count
-    assert runs.counts.dtype == cut.counts.dtype
-    assert runs.counts.tobytes() == cut.counts.tobytes()
+    assert (runs.frames, runs.columns) == (cut.frames, cut.columns) == (
+        log.frame_count, planes.distance_m.shape[1])
     for got, want in zip(_run_planes(runs), _run_planes(cut)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -355,8 +354,9 @@ def test_only_the_pairs_of_a_moving_entity_change():
     log = _three_entities(40)
     log.positions[:, 2, 0] += np.arange(40)
     runs = collect_story_relations(log)
-    # columns (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
-    assert runs.counts.tolist() == [1, 40, 1, 40, 40, 40]
+    # columns (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1): one run at
+    # frame 0 of each still pair, a run at every frame of each other
+    assert runs.cells.tolist() == [0, *range(40, 80), 80, *range(120, 240)]
     assert len(runs) == 40 * 6
     _assert_equals_the_dense_kernel(log)
 
@@ -413,14 +413,13 @@ def test_relations_file_round_trip(tmp_path, log):
 
 
 def _run_planes(runs: Runs) -> tuple:
-    """The run planes in file order: starts, then the value planes."""
-    return (runs.starts, *runs.values)
+    """The run planes in file order: start cells, then the value planes."""
+    return (runs.cells, *runs.values)
 
 
 def _assert_same_runs(got: Runs, want: Runs):
-    assert got.frames == want.frames
-    for plane, other in zip((got.counts, *_run_planes(got)),
-                            (want.counts, *_run_planes(want))):
+    assert (got.frames, got.columns) == (want.frames, want.columns)
+    for plane, other in zip(_run_planes(got), _run_planes(want)):
         assert plane.dtype == other.dtype and plane.tobytes() == other.tobytes()
 
 
@@ -442,7 +441,7 @@ def test_dense_equals_at_over_every_cell(log):
     _, _, poses = parse_framelog(bytes(framelog_bytes(log)))
     assert type(poses) is Runs and len(poses.values) == 4
     for runs in (collect_story_relations(log), poses):
-        cells = np.indices((runs.frames, len(runs.counts)))
+        cells = np.indices((runs.frames, runs.columns))
         for got, want in zip(runs.dense(), runs.at(*cells)):
             assert got.shape == cells[0].shape
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -452,12 +451,13 @@ def test_the_merge_leaves_maximal_runs_as_they_are(log):
     runs = collect_story_relations(log)
     _assert_same_runs(runs.merged(), runs)
     # column 0 reads 0.0 from frame 0, -0.0 from frame 1 and -0.0 again
-    # from frame 2: only the last run repeats the one before it
-    repeated = Runs(3, np.array([3, 1], np.uint32), np.array([0, 1, 2, 0], np.uint32),
-                    (np.array([0.0, -0.0, -0.0, 1.0], np.float32),
+    # from frame 2: only its last run repeats the one before it.  Column 1
+    # reads -0.0 from its frame 0, cell 3: a first run repeats nothing
+    repeated = Runs(3, 2, np.array([0, 1, 2, 3]),
+                    (np.array([0.0, -0.0, -0.0, -0.0], np.float32),
                      *(np.zeros(4, np.float32) for _ in range(2)), np.zeros(4, np.uint8)))
     merged = repeated.merged()
-    assert merged.counts.tolist() == [2, 1] and merged.starts.tolist() == [0, 1, 0]
+    assert merged.cells.tolist() == [0, 1, 3]
     _assert_same_runs(merged.merged(), merged)
 
 
@@ -467,20 +467,19 @@ def _small_runs(draw):
     runs start anywhere and may repeat the run before them; each float
     is 0.0, -0.0 or 2.5, so equal values can differ in their bits."""
     entities, frames = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    counts, starts = [], []
-    for _ in range(entities * (entities - 1)):
+    columns = entities * (entities - 1)
+    cells = []
+    for k in range(columns):
         cuts = draw(st.lists(st.booleans(), min_size=frames - 1, max_size=frames - 1))
-        column = [0] + [frame for frame, cut in enumerate(cuts, 1) if cut]
-        counts.append(len(column))
-        starts += column
+        cells += [k * frames] + [k * frames + frame for frame, cut in enumerate(cuts, 1)
+                                 if cut]
 
     def plane(values, dtype):
-        return np.array(draw(st.lists(st.sampled_from(values), min_size=len(starts),
-                                      max_size=len(starts))), dtype)
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=len(cells),
+                                      max_size=len(cells))), dtype)
     values = (*(plane((0.0, -0.0, 2.5), np.float32) for _ in range(3)),
               plane((0, 7), np.uint8))
-    return entities, Runs(frames, np.array(counts, np.uint32),
-                          np.array(starts, np.uint32), values)
+    return entities, Runs(frames, columns, np.array(cells, np.intp), values)
 
 
 def _small_relations(entities: int, runs: Runs) -> bytes:
@@ -498,13 +497,13 @@ def test_the_parser_accepts_exactly_what_the_merge_emits(small):
     _assert_same_runs(parsed, merged)
     _assert_same_runs(merged.merged(), merged)
     # the merge changes no cell, and bits decide what repeats
-    cells = np.indices((runs.frames, len(runs.counts)))
+    cells = np.indices((runs.frames, runs.columns))
     for before, after in zip(runs.at(*cells), merged.at(*cells)):
         assert before.tobytes() == after.tobytes()
     # the file of `runs`, built by hand: the writer takes only maximal runs
-    by_hand = _file_of(_small_relations(entities, merged), runs.counts,
-                       (runs.starts, *runs.values), binio._RECORD_DTYPES)
-    if len(merged.starts) == len(runs.starts):
+    by_hand = _file_of(_small_relations(entities, merged), runs.columns,
+                       _run_planes(runs), binio._RECORD_DTYPES)
+    if len(merged.cells) == len(runs.cells):
         assert by_hand == _small_relations(entities, runs)
         _assert_same_runs(parse_relations(by_hand)[2], runs)
     else:
@@ -545,13 +544,11 @@ def test_relations_file_is_header_table_bitmap_and_13_bytes_per_run(log):
     assert struct.unpack_from("<4sHHHHI", raw) == (RELATIONS_MAGIC, 4, log.fps, e, 0,
                                                    frames)
     assert _payload_offset(raw) == 16 + table
-    # one bit per cell, set where a run starts, and no count or start frame
+    # one bit per cell, set at each run's start cell, and no count or start frame
     bits = _start_bits(raw, pairs)
-    assert bits.sum(axis=1).tolist() == runs.counts.tolist()
-    assert np.flatnonzero(bits.ravel()).tolist() == (
-        np.repeat(np.arange(pairs) * frames, runs.counts) + runs.starts).tolist()
+    assert np.flatnonzero(bits).tolist() == runs.cells.tolist()
     # a still entity's pairs repeat, so there are far fewer runs than records
-    assert len(runs.starts) == bits.sum() < len(runs) // 4
+    assert len(runs.cells) == bits.sum() < len(runs) // 4
     assert len(raw) == 16 + table + -(-frames * pairs // 8) + 13 * int(bits.sum())
 
 
@@ -581,20 +578,17 @@ def test_parse_relations_returns_the_run_planes_of_the_bytes(log):
         planes.append(np.frombuffer(raw, dtype, total, offset))
         offset += total * dtype.itemsize
     assert offset == len(raw)
-    column, starts = np.nonzero(bits)
-    assert runs.counts.dtype == runs.starts.dtype == np.uint32
-    assert runs.counts.tolist() == np.bincount(column, minlength=pairs).tolist()
-    assert runs.starts.tolist() == starts.tolist()
+    assert runs.cells.dtype == np.intp
+    assert runs.cells.tolist() == np.flatnonzero(bits).tolist()
     for got, want in zip(runs.values, planes):
         assert got.tobytes() == want.tobytes()
-    at = 0
-    for k, count in enumerate(runs.counts.tolist()):
-        run = slice(at, at + count)
+    column, starts = np.nonzero(bits)
+    for k in range(pairs):
+        run = column == k
         lengths = np.diff(np.append(starts[run], frames))
         for name, plane in zip(PLANES, planes):
             expanded = np.repeat(plane[run], lengths)
             assert getattr(records, name)[:, k].tobytes() == expanded.tobytes(), (k, name)
-        at += count
 
 
 def _every_pose_changing(frames: int, entities: int) -> FrameLog:
@@ -617,7 +611,7 @@ def test_a_log_whose_every_pose_changes_costs_an_eighth_byte_per_cell_more(frame
     assert log.pose_changes().all()
     runs = collect_story_relations(log)
     pairs = entities * (entities - 1)
-    assert len(runs.starts) == len(runs) == frames * pairs
+    assert len(runs.cells) == len(runs) == frames * pairs
     table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
     relations, framelog = bytes(_relations_file(log)), bytes(framelog_bytes(log))
     assert len(relations) == 16 + table + -(-frames * pairs // 8) + 13 * frames * pairs
@@ -637,7 +631,7 @@ def test_a_still_log_costs_its_bitmap_and_one_run_per_column(frames, entities):
                   yaws=np.repeat(log.yaws, frames, axis=0))
     runs = collect_story_relations(log)
     pairs = entities * (entities - 1)
-    assert runs.counts.tolist() == [1] * pairs
+    assert runs.cells.tolist() == list(range(0, frames * pairs, frames))
     table = sum(4 + len(name.encode("utf-8")) for name in log.entity_names)
     relations, framelog = bytes(_relations_file(log)), bytes(framelog_bytes(log))
     assert len(relations) == 16 + table + -(-frames * pairs // 8) + 13 * pairs
@@ -717,78 +711,96 @@ _RUN_WRITERS = {
 }
 
 
-def _file_of(raw: bytes, counts, planes, dtypes) -> bytes:
-    """The header and table of the file `raw`, then the start bitmap of
-    `counts` runs per column that start at planes[0], then the value
-    planes planes[1:] stored as `dtypes`."""
+@pytest.mark.parametrize("kind", sorted(_RUN_FILES))
+def test_the_parsed_start_cells_are_the_set_bits_of_the_bitmap(log, kind):
+    encode, parse, _, columns = _RUN_FILES[kind]
+    raw = bytes(encode(log))
+    _, _, runs = parse(raw)
+    cells = log.frame_count * columns(log.entity_count)
+    bitmap = np.frombuffer(raw, np.uint8, -(-cells // 8), _payload_offset(raw))
+    assert len(runs) == cells
+    bits = np.unpackbits(bitmap, count=len(runs))
+    assert runs.cells.tolist() == np.flatnonzero(bits).tolist()
+
+
+def _file_of(raw: bytes, columns: int, planes, dtypes) -> bytes:
+    """The header and table of the file `raw` of `columns` columns, then
+    the start bitmap whose set bits are the start cells planes[0], then
+    the value planes planes[1:] stored as `dtypes`."""
     (frames,) = struct.unpack_from("<I", raw, 12)
-    starts = np.zeros((len(counts), frames), bool)
-    starts[np.repeat(np.arange(len(counts)), counts), planes[0]] = True
-    return (raw[:_payload_offset(raw)] + np.packbits(starts).tobytes()
+    bits = np.zeros(frames * columns, bool)
+    bits[planes[0]] = True
+    return (raw[:_payload_offset(raw)] + np.packbits(bits).tobytes()
             + b"".join(np.asarray(plane, dtype).tobytes()
                        for plane, dtype in zip(planes[1:], dtypes)))
 
 
-def _edited_planes(kind: str, log: FrameLog, edit):
-    """-> (the file of `log`, edit(counts, planes)) for copies of the run
-    counts and run planes (starts, then values) that the file parses to."""
+def _edited_planes(kind: str, log: FrameLog, edit) -> tuple:
+    """-> (the file of `log`, edit(frames, planes)) for copies of the run
+    planes (start cells, then values) that the file parses to."""
     encode, parse, _, _ = _RUN_FILES[kind]
     raw = bytes(encode(log))
     runs = parse(raw)[2]
-    return raw, edit(runs.counts.copy(), [plane.copy() for plane in _run_planes(runs)])
+    return raw, edit(runs.frames, [plane.copy() for plane in _run_planes(runs)])
 
 
 def _edited_runs(kind: str, log: FrameLog, edit) -> bytes:
-    """The file of `log` with its parsed run counts and run planes passed
-    as copies to `edit`, and written again with a hand-built bitmap."""
-    raw, (counts, planes) = _edited_planes(kind, log, edit)
-    return _file_of(raw, counts, planes, _RUN_FILES[kind][2])
+    """The file of `log` with its parsed run planes passed as copies to
+    `edit`, and written again with a hand-built bitmap."""
+    raw, planes = _edited_planes(kind, log, edit)
+    return _file_of(raw, _RUN_FILES[kind][3](log.entity_count), planes,
+                    _RUN_FILES[kind][2])
 
 
-def _first_run_of_a_changing_column(counts) -> int:
+def _first_run_of_a_changing_column(frames: int, cells) -> int:
     """The index of the first run of the first column with two runs."""
-    column = int(np.flatnonzero(counts >= 2)[0])
-    return int(counts[:column].sum())
+    return int(np.flatnonzero(np.diff(cells // frames) == 0)[0])
 
 
-def _without_column_0(counts, planes):
-    dropped, counts[0] = counts[0], 0
-    return counts, [plane[dropped:] for plane in planes]
+def _without_column_0(frames, planes):
+    dropped = np.searchsorted(planes[0], frames)  # the runs of column 0
+    return [plane[dropped:] for plane in planes]
 
 
-def _column_0_from_frame_1(counts, planes):
-    assert counts[0] == 1 or planes[0][1] > 1  # the bitmap holds the moved start
+def _without_any_run(frames, planes):
+    return [plane[:0] for plane in planes]
+
+
+def _column_0_from_frame_1(frames, planes):
+    assert planes[0][1] > 1  # the bitmap holds the moved start
     planes[0][0] = 1
-    return counts, planes
+    return planes
 
 
-def _a_start_repeated(counts, planes):
-    at = _first_run_of_a_changing_column(counts)
+def _a_start_repeated(frames, planes):
+    at = _first_run_of_a_changing_column(frames, planes[0])
     planes[0][at + 1] = planes[0][at]
-    return counts, planes
+    return planes
 
 
-def _a_value_repeated(counts, planes):
-    at = _first_run_of_a_changing_column(counts)
+def _a_value_repeated(frames, planes):
+    at = _first_run_of_a_changing_column(frames, planes[0])
     for plane in planes[1:]:
         plane[at + 1] = plane[at]
-    return counts, planes
+    return planes
 
 
-def _a_value_not_finite(counts, planes):
-    at = _first_run_of_a_changing_column(counts)
+def _a_value_not_finite(frames, planes):
+    at = _first_run_of_a_changing_column(frames, planes[0])
     planes[1][at + 1] = np.nan
-    return counts, planes
+    return planes
 
 
-def _the_last_run_without_its_value(counts, planes):
-    return counts, planes[:1] + [plane[:-1] for plane in planes[1:]]
+def _the_last_run_without_its_value(frames, planes):
+    return planes[:1] + [plane[:-1] for plane in planes[1:]]
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
 @pytest.mark.parametrize("edit, refusal", [
     pytest.param(_without_column_0, "column 0 has no run over {frames} frames",
                  id="column-without-a-run"),
+    pytest.param(_without_any_run, "column 0 has no run over {frames} frames",
+                 id="no-run"),
     pytest.param(_column_0_from_frame_1, "column 0 starts at frame 1, not 0",
                  id="first-start-not-0"),
     pytest.param(_a_start_repeated, r"has a run at frame 0 after one at frame 0",
@@ -802,45 +814,56 @@ def _the_last_run_without_its_value(counts, planes):
                  id="value-not-finite"),
 ])
 def test_each_run_rule_is_refused(log, kind, edit, refusal):
-    parse = _RUN_FILES[kind][1]
-    raw = bytes(_RUN_FILES[kind][0](log))
-    assert _edited_runs(kind, log, lambda counts, planes: (counts, planes)) == raw
+    encode, parse, _, columns = _RUN_FILES[kind]
+    raw = bytes(encode(log))
+    assert _edited_runs(kind, log, lambda frames, planes: planes) == raw
     refusal = refusal.format(frames=log.frame_count)
-    # a bitmap sets one bit per start, in frame order within its column, so
-    # it cannot hold starts that do not increase: only the writer meets them
+    # a bitmap sets one bit per start cell, in increasing order, so it
+    # cannot hold starts that do not increase: only the writer meets them
     if edit is not _a_start_repeated:
         with pytest.raises(CorruptCorpus, match=refusal):
             parse(_edited_runs(kind, log, edit))
-    # the writer refuses the same runs with the same message; counts that
-    # the planes do not fill make no Runs at all
-    _, (counts, (starts, *values)) = _edited_planes(kind, log, edit)
+    # the writer refuses the same runs with the same message; value planes
+    # that the start cells do not fill make no Runs at all
+    _, (cells, *values) = _edited_planes(kind, log, edit)
     if edit is _the_last_run_without_its_value:
         refusal = "^run planes of lengths"
     with pytest.raises(ValueError, match=refusal):
-        _RUN_WRITERS[kind](log, Runs(log.frame_count, counts, starts, tuple(values)))
+        _RUN_WRITERS[kind](log, Runs(log.frame_count, columns(log.entity_count), cells,
+                                     tuple(values)))
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
 def test_a_run_at_or_past_the_frame_count_is_refused(kind):
-    # the first column's last run starts at frame 3; then at 4 and at 5,
-    # which no file holds: the bit of frame 4 of a column is frame 0 of
-    # the next, and past the last column it is a pad bit
+    # column 0's last run starts at frame 3 of 4, cell 3.  A start at its
+    # frame 4 is cell 4, column 1's frame 0, where a run already starts;
+    # and no file holds a start before cell 0 or at or past its last cell,
+    # whose bits past the last cell are pad bits
     log = _three_entities(4)
     log.positions[3, :2] += ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
-    encode, parse, _, _ = _RUN_FILES[kind]
-    parse(bytes(encode(log)))
+    encode, parse, _, columns = _RUN_FILES[kind]
+    assert parse(bytes(encode(log)))[2].cells[:3].tolist() == [0, 3, 4]
+    cells = 4 * columns(3)
 
-    def at(frame):
-        def edit(counts, planes):
-            planes[0][counts[0] - 1] = frame
-            return counts, planes
+    def at(run, cell):
+        def edit(frames, planes):
+            planes[0][run] = cell
+            return planes
         return edit
-    assert parse(_edited_runs(kind, log, at(2)))  # any start inside the frames
-    for frame in (4, 5):
-        _, (counts, (starts, *values)) = _edited_planes(kind, log, at(frame))
-        with pytest.raises(ValueError,
-                           match=f"column 0 has a run at frame {frame}, past its 4 frames"):
-            _RUN_WRITERS[kind](log, Runs(4, counts, starts, tuple(values)))
+
+    def write(edit):
+        _, (starts, *values) = _edited_planes(kind, log, edit)
+        _RUN_WRITERS[kind](log, Runs(4, columns(3), starts, tuple(values)))
+    assert parse(_edited_runs(kind, log, at(1, 2)))  # any start inside the frames
+    write(at(1, 2))
+    with pytest.raises(ValueError, match="^(pair|entity) column 1 has a run at frame 0 "
+                                         "after one at frame 0$"):
+        write(at(1, 4))
+    for run, cell in ((-1, cells), (-1, cells + 1), (0, -1)):
+        with pytest.raises(ValueError, match=f"^(pair|entity) runs start at cell {cell}, "
+                                             f"outside the {cells} cells of 4 frames of "
+                                             f"{columns(3)} columns$"):
+            write(at(run, cell))
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
@@ -917,15 +940,15 @@ def test_a_file_of_no_frame_allocates_no_array_per_column(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert runs.frames == len(runs) == len(runs.starts) == 0
-    assert len(runs.counts) == columns(entities) and not runs.counts.any()
+    assert runs.frames == len(runs) == len(runs.cells) == 0
+    assert runs.columns == columns(entities)
     assert peak < 64 * len(raw)
 
 
 def test_a_file_of_no_frame_parses_in_time_of_its_table():
     # 65,535 entities, the most the u16 count holds: a 262 kB header whose
-    # 4.3e9 pair columns hold no run.  Their one broadcast zero count is
-    # totalled once; summed column by column it took about 2 s
+    # 4.3e9 pair columns hold no run and get no array; summed column by
+    # column, a count per column took about 2 s
     entities = 0xFFFF
     raw = _no_frame_file("relations", entities)
     took = []
@@ -935,34 +958,21 @@ def test_a_file_of_no_frame_parses_in_time_of_its_table():
         took.append(time.perf_counter() - start)
     assert min(took) < 0.2
     assert len(ids) == entities and runs.frames == len(runs) == 0
-    counts = runs.counts
-    assert (len(counts), counts.dtype, counts.strides) == (
-        entities * (entities - 1), np.uint32, (0,))
-    assert counts[0] == 0 and counts[-1] == 0
-    assert runs.starts.dtype == np.uint32 and not len(runs.starts)
+    assert runs.columns == entities * (entities - 1)
+    assert runs.cells.dtype == np.intp and not len(runs.cells)
     assert [(plane.dtype, len(plane)) for plane in runs.values] == [
         (dtype, 0) for dtype in binio._RECORD_DTYPES]
-
-
-def test_broadcast_counts_total_as_their_sum():
-    # a count broadcast to every column totals as the column-by-column sum,
-    # and planes of another length are refused with the same message
-    ones = np.broadcast_to(np.uint32(1), (3,))
-    runs = Runs(2, ones, np.zeros(3, np.uint32), (np.arange(3.0),))
-    assert runs.merged().counts.tolist() == [1, 1, 1]
-    for counts in (ones, np.ones(3, np.uint32)):
-        with pytest.raises(ValueError,
-                           match=r"^run planes of lengths \[2, 2\] for 3 runs$"):
-            Runs(2, counts, np.zeros(2, np.uint32), (np.arange(2.0),))
 
 
 def _as_version_3(raw: bytes, runs: Runs, dtypes) -> bytes:
     """The bytes version 3 wrote for the runs of the file `raw`: its
     header and table, a u32 run count per column, every run's u32 start
     frame, then each value plane."""
+    column, start = np.divmod(runs.cells, runs.frames)
+    counts = np.bincount(column, minlength=runs.columns)
     return (raw[:4] + (3).to_bytes(2, "little") + raw[6:_payload_offset(raw)]
             + b"".join(np.asarray(plane, dtype).tobytes() for plane, dtype in zip(
-                (runs.counts, *_run_planes(runs)), ("<u4", "<u4", *dtypes))))
+                (counts, start, *runs.values), ("<u4", "<u4", *dtypes))))
 
 
 @pytest.mark.parametrize("kind", sorted(_RUN_FILES))
@@ -1068,7 +1078,7 @@ def test_relation_planes_that_the_table_does_not_fit_are_refused(log):
         relations_bytes(records, log.fps, log.entity_ids[:-1], log.entity_kinds[:-1],
                         log.entity_names[:-1])
     with pytest.raises(ValueError, match="run planes of lengths"):
-        Runs(records.frames, records.counts, records.starts[:-1], records.values)
+        Runs(records.frames, records.columns, records.cells[:-1], records.values)
 
 
 def test_synthetic_log_small_counts():

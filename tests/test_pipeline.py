@@ -842,7 +842,7 @@ def test_a_long_many_pair_story_builds_under_the_dense_bound(tmp_path):
     assert [e["story_id"] for e in manifest["stories"] if "error" not in e] == [
         "story_00000", "story_00001", "story_00002"]
     _, _, poses = binio.parse_framelog((root / "story_00002/framelog.bin").read_bytes())
-    assert (poses.frames, len(poses.counts)) == (47024, 22)
+    assert (poses.frames, poses.columns) == (47024, 22)
     assert verify(root)["ok"]
     assert (root / "stats.json").read_bytes() == json_document(compute_stats(root))
 
@@ -1659,6 +1659,17 @@ def test_generate_refuses_a_registry_its_reader_refuses_before_writing(tmp_path,
     assert not out.exists() or not any(out.iterdir())
     generate_corpus(out, CorpusConfig(gen=GenConfig(master_seed=7)),
                     build_default_registry(), stories=1)
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["absent", "empty"])
+def test_generate_refuses_a_negative_story_count_before_writing(tmp_path, out_exists):
+    # a manifest of story_count -1 is one that verify and stats refuse
+    out = tmp_path / "c"
+    if out_exists:
+        out.mkdir()
+    with pytest.raises(ValueError, match="^story count -1 is negative$"):
+        generate_corpus(out, CorpusConfig(), build_default_registry(), -1)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_text_names_an_event_the_timeline_lacks(small_corpus, tmp_path, capsys):

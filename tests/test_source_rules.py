@@ -43,6 +43,17 @@ def test_every_exception_is_a_storysim_error_from_errors_py():
     assert not found, f"exceptions outside errors.py or StorysimError: {found}"
 
 
+def test_every_storysim_error_is_exported():
+    # a caller catches what the package raises by its public name
+    from storysim import errors
+    declared = {name for name, obj in vars(errors).items()
+                if isinstance(obj, type) and issubclass(obj, StorysimError)}
+    assert "DocumentError" in declared
+    assert not declared - set(storysim.__all__)
+    for name in declared:
+        assert getattr(storysim, name) is getattr(errors, name)
+
+
 def test_probe_oracle_shares_no_arithmetic_with_the_labeller():
     # verify judges probes.py by probes_oracle.py, so the oracle must not
     # reach numpy or the labeller's functions
