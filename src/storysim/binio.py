@@ -13,7 +13,7 @@ order, so column-major and in frame order within a column.  So a file
 holds no run count and no start frame, only 1/8 byte per cell; that
 costs less than a u32 start per run while runs start at one cell in 32
 or more, and loses to it below that: seed-7 stories of the bench's
-workloads start runs at 0.058 to 0.28 of a file's cells, and a log
+workloads start runs at 0.024 to 0.159 of a file's cells, and a log
 whose every pose changes every frame at all of them.  Each column's
 first run starts at frame 0, no two adjacent runs of a column are equal,
 and reserved is 0, so a dense content has exactly one encoding.  The
@@ -75,7 +75,6 @@ _KIND_CODE = {
     EntityKind.CAMERA: 0,
     EntityKind.ACTOR: 1,
     EntityKind.OBJECT: 2,
-    EntityKind.POI: 3,
 }
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 

@@ -42,7 +42,6 @@ class EntityKind(Enum):
     CAMERA = "camera"
     ACTOR = "actor"
     OBJECT = "object"
-    POI = "poi"
 
 
 class Gender(Enum):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storysim import binio
+from storysim import binio, collectors
 from storysim.binio import (
     FORMAT_VERSION,
     FRAMELOG_MAGIC,
@@ -335,9 +335,14 @@ def _moving_logs(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_moving_logs())
-def test_runs_expand_to_the_dense_kernel_on_edge_cases(log):
+@given(_moving_logs(), st.integers(1, 4))
+def test_runs_expand_to_the_dense_kernel_on_edge_cases(log, chunk):
     _assert_equals_the_dense_kernel(log)
+    # these logs hold far fewer cells than a chunk; in chunks of a few
+    # cells, a flip or a join can lie on either side of a chunk boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collectors, "_CHUNK_CELLS", chunk)
+        _assert_equals_the_dense_kernel(log)
 
 
 def _three_entities(frames: int) -> FrameLog:
@@ -1140,6 +1145,21 @@ def test_repeated_entity_id_is_refused_by_writer_and_reader(encode, parse):
     assert raw[second:second + 2] == (6).to_bytes(2, "little")
     raw[second:second + 2] = (0).to_bytes(2, "little")
     with pytest.raises(CorruptCorpus, match="entity id 0 appears twice"):
+        parse(bytes(raw))
+
+
+@pytest.mark.parametrize("encode, parse", [
+    pytest.param(framelog_bytes, parse_framelog, id="framelog"),
+    pytest.param(_relations_file, parse_relations, id="relations"),
+])
+def test_a_kind_code_no_writer_emits_is_refused(encode, parse):
+    # codes 0 to 2 are the camera, an actor and an object
+    raw = bytearray(encode(_named_log((0, 6), ("camera", "cup"))))
+    # the second row's kind byte follows its u16 id
+    kind = raw.index(b"camera") + len(b"camera") + 2
+    assert raw[kind] == 2
+    raw[kind] = 3
+    with pytest.raises(CorruptCorpus, match="^unknown entity kind code 3$"):
         parse(bytes(raw))
 
 

@@ -708,7 +708,8 @@ def test_verify_reports_a_story_without_relation_records(small_corpus, tmp_path,
 def _relations_renamed_and_rekinded(data: bytes) -> bytes:
     fps, (ids, kinds, names), records = binio.parse_relations(data)
     names = (names[0], "zzz") + names[2:]
-    kinds = kinds[:2] + (EntityKind.POI,) + kinds[3:]
+    other = EntityKind.OBJECT if kinds[2] is EntityKind.ACTOR else EntityKind.ACTOR
+    kinds = kinds[:2] + (other,) + kinds[3:]
     return bytes(binio.relations_bytes(records, fps, ids, kinds, names))
 
 

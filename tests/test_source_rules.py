@@ -139,7 +139,7 @@ def test_only_binio_reads_the_run_layout():
     found = [f"{path.name}:{node.lineno} .{node.attr}"
              for path in SOURCES if path.name != "binio.py"
              for node in ast.walk(ast.parse(path.read_text("utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr in ("starts", "counts")]
+             if isinstance(node, ast.Attribute) and node.attr == "cells"]
     assert not found, f"run layout read outside binio.py: {found}"
 
 
