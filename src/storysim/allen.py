@@ -16,6 +16,7 @@ compared as real numbers on the endpoints.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -156,16 +157,15 @@ def converse_mask(mask: int) -> int:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class RelationSet:
     """Immutable set of Allen relations backed by a 13-bit mask."""
 
-    __slots__ = ("mask",)
+    mask: int = 0
 
-    def __init__(self, mask: int = 0):
-        object.__setattr__(self, "mask", mask & FULL_MASK)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelationSet is immutable")
+    def __post_init__(self):
+        if self.mask & ~FULL_MASK:
+            raise ValueError(f"relation mask {self.mask:#x} is not a 13-bit mask")
 
     @classmethod
     def of(cls, *relations: AllenRelation) -> RelationSet:
@@ -199,12 +199,6 @@ class RelationSet:
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RelationSet) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
 
     def __and__(self, other: RelationSet) -> RelationSet:
         return RelationSet(self.mask & other.mask)

@@ -51,7 +51,7 @@ UTF-8 (model.py), which the document readers enforce.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +179,7 @@ def _unpack_entity_table(buf: bytes, offset: int, count: int):
         ids[eid] = None
         kinds.append(kind)
         try:
-            names.append(buf[offset:offset + name_len].decode("utf-8"))
+            names.append(str(buf[offset:offset + name_len], "utf-8"))
         except UnicodeDecodeError as exc:
             raise CorruptCorpus(f"entity {eid} name is not UTF-8: {exc}") from None
         offset += name_len
@@ -247,7 +247,7 @@ def _runs_bytes(magic: bytes, fps: int, ids, kinds, names, runs: Runs, dtypes,
         raise ValueError(f"fps {fps} does not fit the u16 fps field")
     values = tuple(np.ascontiguousarray(plane, dtype)
                    for plane, dtype in zip(runs.values, dtypes))
-    runs = Runs(runs.frames, runs.columns, runs.cells, values)
+    runs = replace(runs, values=values)
     _check_runs(runs, len(ids), column, ValueError)
     bits = np.zeros(len(runs), bool)  # one per cell, set where a run starts
     bits[runs.cells] = True
@@ -321,7 +321,7 @@ def relations_bytes(records: Runs, fps: int, ids, kinds, names) -> memoryview:
                        _RECORD_DTYPES, "pair")
 
 
-def parse_relations(buf: bytes):
+def parse_relations(buf: bytes | memoryview):
     """-> (fps, (ids, kinds, names), Runs) of a relations file's bytes."""
     return _parse(buf, RELATIONS_MAGIC, "relations", _pairs, _RECORD_DTYPES, "pair")
 
@@ -339,7 +339,7 @@ def framelog_bytes(log: FrameLog) -> memoryview:
                        log.entity_names, runs, _POSE_DTYPES, "entity")
 
 
-def parse_framelog(buf: bytes):
+def parse_framelog(buf: bytes | memoryview):
     """-> (fps, (ids, kinds, names), Runs) of a framelog file's bytes,
     unexpanded: frame_log expands them."""
     fps, table, poses = _parse(buf, FRAMELOG_MAGIC, "framelog", len, _POSE_DTYPES,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -230,9 +230,8 @@ def _story_rows(clips: list[ClipSpec], log: FrameLog, timeline: EventTimeline,
     frames = np.array([c.frame_indices for c in clips])  # (clips, clip frames)
     at = log.positions[frames]  # (clips, clip frames, log entities, 3)
     yaws = log.yaws[frames]
-    vis = visible_mask(FrameLog(
-        at.reshape(-1, *at.shape[2:]), yaws.reshape(-1, yaws.shape[2]), log.fps,
-        log.entity_ids, log.entity_kinds, log.entity_names)).reshape(yaws.shape)
+    vis = visible_mask(replace(log, positions=at.reshape(-1, *at.shape[2:]),
+                               yaws=yaws.reshape(-1, yaws.shape[2]))).reshape(yaws.shape)
 
     # scene: an actor counts when seen on at least half the clip frames;
     # a boundary is a start or end of another event strictly inside the

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import atan2, degrees
 
 import numpy as np
@@ -70,9 +69,6 @@ class World:
     # geometry snapshot so simulate() does not need the registry
     poi_position: dict[str, tuple[float, float, float]] = field(default_factory=dict)
     poi_region: dict[str, str] = field(default_factory=dict)
-
-    def stand_position(self, actor_id: int, poi_key: str) -> tuple[float, float, float]:
-        return self.stand[actor_id, poi_key]
 
 
 @dataclass
@@ -363,8 +359,8 @@ def insert_movements(graph: GestGraph, world: World,
         # an existing movement event is itself the relocation: idempotent
         if (ev.kind is not EventKind.MOVEMENT
                 and prev is not None and prev != ev.poi):
-            a = world.stand_position(ev.actor.id, prev)
-            b = world.stand_position(ev.actor.id, ev.poi)
+            a = world.stand[ev.actor.id, prev]
+            b = world.stand[ev.actor.id, ev.poi]
             dist = math.dist(a, b)
             frames = max(1, math.ceil(dist * world.fps / WALK_SPEED - 1e-9))
             out.append(Event(next_id, ev.actor, action, None, ev.poi,
@@ -372,14 +368,7 @@ def insert_movements(graph: GestGraph, world: World,
             next_id += 1
         out.append(ev)
         current[ev.actor.id] = ev.poi
-    return GestGraph(
-        actors=graph.actors,
-        objects=graph.objects,
-        events=tuple(out),
-        relations=graph.relations,
-        region_plan=graph.region_plan,
-        seed=graph.seed,
-    )
+    return replace(graph, events=tuple(out))
 
 
 # -------------------------------------------------------------- simulate
@@ -425,15 +414,14 @@ def simulate(world: World, graph: GestGraph, timeline: EventTimeline) -> FrameLo
         cur_poi = chain[0].poi if chain else None
         for ev in chain:
             start, end = timeline.interval(ev.event_id)
-            if start > cursor:
-                pos[cursor:start, idx] = cur_pos
-                yaw[cursor:start, idx] = cur_yaw
-                actor_region[cursor:start, a_pos] = cur_region
+            pos[cursor:start, idx] = cur_pos
+            yaw[cursor:start, idx] = cur_yaw
+            actor_region[cursor:start, a_pos] = cur_region
             active[start:end, a_pos] = True
             ev_region = region_index.get(world.poi_region[ev.poi], cur_region)
             if ev.kind is EventKind.MOVEMENT:
-                frm = np.array(world.stand_position(actor_id, cur_poi))
-                to = np.array(world.stand_position(actor_id, ev.poi))
+                frm = np.array(world.stand[actor_id, cur_poi])
+                to = np.array(world.stand[actor_id, ev.poi])
                 length = end - start
                 alphas = (np.arange(1, length + 1) / length)[:, None]
                 pos[start:end, idx] = frm + alphas * (to - frm)
@@ -441,14 +429,13 @@ def simulate(world: World, graph: GestGraph, timeline: EventTimeline) -> FrameLo
                 yaw[start:end, idx] = travel_yaw
                 cur_pos = to
                 cur_yaw = travel_yaw
-                cur_poi = ev.poi
             else:
-                spot = np.array(world.stand_position(actor_id, ev.poi))
+                spot = np.array(world.stand[actor_id, ev.poi])
                 pos[start:end, idx] = spot
                 if (ev.kind in (EventKind.INTERACTION, EventKind.EXCHANGE)
                         and ev.patient is not None
                         and (ev.patient.id, ev.poi) in world.stand):
-                    face_to = world.stand_position(ev.patient.id, ev.poi)
+                    face_to = world.stand[ev.patient.id, ev.poi]
                 else:
                     face_to = world.poi_position[ev.poi]
                 ev_yaw = _face(tuple(spot), face_to)
@@ -457,14 +444,13 @@ def simulate(world: World, graph: GestGraph, timeline: EventTimeline) -> FrameLo
                 yaw[start:end, idx] = ev_yaw
                 cur_pos = spot
                 cur_yaw = ev_yaw
-                cur_poi = ev.poi
+            cur_poi = ev.poi
             actor_region[start:end, a_pos] = ev_region
             cur_region = ev_region
             cursor = end
-        if cursor < frames:
-            pos[cursor:, idx] = cur_pos
-            yaw[cursor:, idx] = cur_yaw
-            actor_region[cursor:, a_pos] = cur_region
+        pos[cursor:, idx] = cur_pos
+        yaw[cursor:, idx] = cur_yaw
+        actor_region[cursor:, a_pos] = cur_region
 
     _lay_objects(world, graph, timeline, pos, yaw, index)
     _run_camera(graph, pos, yaw, index, actor_ids, active, actor_region)
@@ -502,8 +488,6 @@ def _lay_objects(world: World, graph: GestGraph, timeline: EventTimeline,
         obj_spans = spans[obj.id.id]
         for s_i, (start, owner) in enumerate(obj_spans):
             end = obj_spans[s_i + 1][0] if s_i + 1 < len(obj_spans) else frames
-            if start >= end:
-                continue
             if owner is None:
                 pos[start:end, idx] = world.entities[obj.id.id].position
                 yaw[start:end, idx] = 0.0
@@ -558,9 +542,11 @@ def _run_camera(graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
     px, py, pz = txs[0], tys[0], tzs[0]
     steps = [0]  # the frames computed below; every other frame copies the one before
     poses = [px, py, pz, bearing_deg(cxs[0] - px, cys[0] - py)]  # x, y, z, yaw per step
-    f = 0  # the frame the camera last arrived in
-    while (k := bisect_right(changes, f)) < len(changes):
-        for f in range(changes[k], frames):
+    f = 0  # the last frame computed: where the camera arrived, or the story's end
+    for change in changes:
+        if change <= f:
+            continue
+        for f in range(change, frames):
             tx, ty, tz = txs[f], tys[f], tzs[f]
             px += s * (tx - px)
             py += s * (ty - py)
@@ -572,8 +558,6 @@ def _run_camera(graph: GestGraph, pos: np.ndarray, yaw: np.ndarray,
             poses += px, py, pz, degrees(atan2(cxs[f] - px, cys[f] - py))  # bearing_deg
             if arrived:
                 break
-        else:  # the story ends before the camera arrives
-            break
     row = np.zeros(frames, dtype=np.intp)
     row[steps] = range(len(steps))
     cam = index[CAMERA_ID]

@@ -109,6 +109,19 @@ def test_relation_set_operations():
     assert set(ALL_CODES) == {r.value for r in RelationSet.full()}
 
 
+def test_relation_set_is_an_immutable_13_bit_value():
+    for mask in (1 << 13, -1):
+        with pytest.raises(ValueError, match="13-bit"):
+            RelationSet(mask)
+    rs = RelationSet.from_codes("b m o")
+    with pytest.raises(AttributeError):
+        rs.mask = 0
+    assert rs.codes() == "b m o"
+    same = RelationSet(rs.mask)
+    assert same == rs and hash(same) == hash(rs)
+    assert rs != RelationSet.from_codes("b m") and rs != rs.mask
+
+
 def test_set_composition_distributes_over_members():
     rs1 = RelationSet.from_codes("b m")
     rs2 = RelationSet.from_codes("d f")

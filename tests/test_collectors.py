@@ -1174,6 +1174,23 @@ def test_a_version_1_file_is_refused(log, encode, parse):
         parse(bytes(raw))
 
 
+@pytest.mark.parametrize("encode, parse", [
+    pytest.param(framelog_bytes, parse_framelog, id="framelog"),
+    pytest.param(_relations_file, parse_relations, id="relations"),
+])
+def test_a_writers_memoryview_parses_as_its_bytes(log, encode, parse):
+    view = encode(log)
+    assert type(view) is memoryview
+    fps, table, runs = parse(view)
+    want_fps, want_table, want_runs = parse(bytes(view))
+    assert (fps, table) == (want_fps, want_table)
+    _assert_same_runs(runs, want_runs)
+    raw = bytearray(view)
+    raw[raw.index(b"camera")] = 0xFF
+    with pytest.raises(CorruptCorpus, match="^entity 0 name is not UTF-8"):
+        parse(memoryview(raw))
+
+
 def test_framelog_without_the_camera_is_refused_by_writer_and_reader():
     with pytest.raises(ValueError, match="camera"):
         framelog_bytes(_named_log((5, 6), ("camera", "cup")))

@@ -475,6 +475,12 @@ class TestCamera:
     # a step, then a 120-frame hold: the camera arrives and sits on its target
     @example(_scene([[1]] * 121, [[0]] * 121,
                     [[[1.0, 2.0, 0.0]]] + [[[9.0, -3.0, 0.5]]] * 120))
+    # a change while the camera chases the last one: it chases on through
+    # frame 20's change, arrives at 100, and chases frame 130's change from
+    # standstill
+    @example(_scene([[1]] * 240, [[0]] * 240,
+                    [[[1.0, 2.0, 0.0]]] + [[[11.0, 2.0, 0.5]]] * 19
+                    + [[[11.0, -3.0, 0.5]]] * 110 + [[[-4.0, -3.0, 1.0]]] * 110))
     # a sub-millimetre target change arrives on its first frame
     @example(_scene([[1]] * 4, [[0]] * 4,
                     [[[1.0, 2.0, 0.0]]] + [[[1.0004, 1.9999, 0.0]]] * 3))
