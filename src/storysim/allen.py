@@ -121,13 +121,6 @@ _COMPOSE_BASE = _derive_composition()
 _CONVERSE_BIT = [1 << _CONVERSE[r].index for r in RELATIONS]
 
 
-def _codes_to_mask(codes: str) -> int:
-    mask = 0
-    for code in codes.split():
-        mask |= 1 << _INDEX[_BY_CODE[code]]
-    return mask
-
-
 def _mask_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -177,7 +170,7 @@ class RelationSet:
     @classmethod
     def from_codes(cls, codes: str) -> RelationSet:
         """Build from space-separated codes, e.g. "b m"."""
-        return cls(_codes_to_mask(codes))
+        return cls.of(*(_BY_CODE[code] for code in codes.split()))
 
     @classmethod
     def full(cls) -> RelationSet:

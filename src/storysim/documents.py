@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import PurePosixPath
 from typing import Any
 
-from .allen import Coarse, RelationSet
+from .allen import AllenRelation, Coarse, RelationSet
 from .errors import DanglingReferenceError, DocumentSyntaxError, InvariantError, UnknownActionInTransition
 from .model import (
     ActionCategory,
@@ -270,8 +270,8 @@ def parse_graph(data: bytes) -> GestGraph:
             raise InvariantError("relation endpoints must differ", loc)
         codes = _get(obj, "allen", list, loc)
         try:
-            allen_set = RelationSet.from_codes(" ".join(codes))
-        except (KeyError, TypeError, AttributeError):
+            allen_set = RelationSet.of(*map(AllenRelation, codes))
+        except ValueError:
             raise DocumentSyntaxError("bad allen relation code list", loc) from None
         if not allen_set:
             raise InvariantError("allen relation set must be nonempty", loc)

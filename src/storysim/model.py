@@ -129,9 +129,6 @@ class GestGraph:
     region_plan: tuple[str, ...]
     seed: int
 
-    def actor_index(self) -> dict[int, Actor]:
-        return {a.id.id: a for a in self.actors}
-
     def event_index(self) -> dict[int, Event]:
         return {e.event_id: e for e in self.events}
 

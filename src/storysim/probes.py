@@ -9,25 +9,8 @@ falls inside the ambiguity epsilon are excluded (None) rather than
 coin-flipped.
 
 labels_document labels a story in one pass, straight to the lines of
-labels.jsonl.  It gathers every clip frame of the frame log once, as
-(clips, 16) frames, and runs visible_mask once on a frame log of those
-frames only.  The entity and pair arrays of all the story's clips are
-then computed together, each in the order labelling its clip alone would
-use, so a row's bytes do not depend on the clips labelled with it:
-
-- direction sines and cosines add up frame by frame from 0;
-- means run over C-contiguous rows of clip frames;
-- pair distances, and the camera distances depth order compares, use
-  the dot kernel of _norms; entity camera distances sum their squares;
-- wraps and compass bins use numpy's float % and //, which are Python's.
-
-Each label value is picked from the story arrays as its JSON text, out
-of one table of tokens (_TOKEN), and label_clip joins a clip's texts
-into its row's fields.  The lines hold the bytes documents.jsonl_document
-writes for the same rows: keys in sorted order, no spaces, ASCII only.
-verify encodes the oracle's rows with jsonl_document and compares bytes,
-so each replayed row checks the two encoders as well as the two
-labellers.
+labels.jsonl; its docstring says how, and why a row's bytes do not
+depend on the clips labelled with it.
 """
 
 from __future__ import annotations
@@ -335,16 +318,26 @@ def labels_document(clips: list[ClipSpec], log: FrameLog, timeline: EventTimelin
     """The bytes of a story's labels.jsonl: one line per clip, labelled in
     one pass over the story and written straight from its arrays.
 
-    One gather reads every clip frame of the frame log, and visible_mask
-    runs once, on a frame log of those frames only.  The entity and pair
-    arrays of all clips are computed at once, in the order that labelling
-    each clip alone would use, so the lines are the same to the bit:
-    direction sines and cosines add up frame by frame from 0, means run
-    over C-contiguous rows of clip frames, pair and depth-order distances
-    use the dot kernel and entity camera distances a sum of squares.  A
-    clip's own event never marks its boundary, even when its end falls
-    inside the clip.  label_clip encodes each clip's fields, and each line
-    joins them in sorted key order, with jsonl_document's separators.
+    One gather reads every clip frame of the frame log, as (clips, 16)
+    frames, and visible_mask runs once, on a frame log of those frames
+    only.  The entity and pair arrays of all clips are computed at once,
+    each in the order that labelling its clip alone would use, so a row's
+    bytes do not depend on the clips labelled with it:
+
+    - direction sines and cosines add up frame by frame from 0;
+    - means run over C-contiguous rows of clip frames;
+    - pair distances, and the camera distances depth order compares, use
+      the dot kernel of _norms; entity camera distances sum their squares;
+    - wraps and compass bins use numpy's float % and //, which are Python's.
+
+    A clip's own event never marks its boundary, even when its end falls
+    inside the clip.  Each label value is picked from the story arrays as
+    its JSON text, out of one table of tokens (_TOKEN), and label_clip
+    joins a clip's texts into its row's fields.  The lines hold the bytes
+    documents.jsonl_document writes for the same rows: keys in sorted
+    order, no spaces, ASCII only.  verify encodes the oracle's rows with
+    jsonl_document and compares bytes, so each replayed row checks the two
+    encoders as well as the two labellers.
     """
     if not clips:
         return b""

@@ -8,17 +8,12 @@ label *contracts* (half-open class bounds, epsilon exclusion, 50%
 visibility quorum) are the same by construction; the arithmetic route is
 not.
 
-oracle_rows labels a story's clips, one row per clip, as
-labels_document does.  A window is one distinct set of clip frame
-indices: its poses, actor count, motion presence, entity rows and pair
-rows are computed once, at the first clip that has it, and every clip
-with the same frames shares them.  Within a window each entity's
-visibility is tested once per frame, next to its camera distance, and the
-camera's forward vector is computed once per frame; a value whose inputs
-are bitwise the same at every frame of the window is computed for its
-first frame only.  Only a clip's id and event boundary are its own,
-since a clip's own event never marks its boundary.  oracle_clip gives
-one clip's row for oracle_rows.
+oracle_rows labels a story's clips, one row per clip, as labels_document
+does.  It builds one _Window per distinct set of clip frame indices, at
+the first clip that has it, and every clip with those frames shares it;
+_Window says how a window's labels are computed.  Only a clip's id and
+event boundary are its own, since a clip's own event never marks its
+boundary.  oracle_clip gives one clip's row for oracle_rows.
 """
 
 from __future__ import annotations
@@ -78,16 +73,18 @@ def _bucket(value: float, lo: float, hi: float, names) -> str:
 
 class _Window:
     """The labels of one set of clip frame indices that no clip's event
-    changes, computed from one gather of the frame log.
+    changes: its actor count, motion presence, entity rows and pair rows,
+    computed from one gather of the frame log.
 
-    Each column's x, y and z are lists over the window's frames.  An
-    entity's camera distance and visibility at a frame come from one
+    Each column's x, y and z are lists over the window's frames, and the
+    camera's forward vector (sin yaw, cos yaw) is computed once per frame.
+    An entity's camera distance and visibility at a frame come from one
     difference to the camera: the distance as a root of powers, the
     visibility's range test as a root of products, then a cosine cone
-    test against the camera's forward (sin yaw, cos yaw).  A column is
-    still when each of its values is bitwise its first frame's at every
-    frame: a computation whose inputs are all still is made for the first
-    frame only, and its result repeats."""
+    test against the camera's forward.  A column is still when each of
+    its values is bitwise its first frame's at every frame: a computation
+    whose inputs are all still is made for the first frame only, and its
+    result repeats."""
 
     def __init__(self, frame_indices: tuple[int, ...], log: FrameLog, entity_ids,
                  cols, actors: frozenset[int], cfg: ProbeConfig):
@@ -205,28 +202,6 @@ class _Window:
         }
 
 
-class _StoryWindows:
-    """One story's frame log and its windows, each computed at the first
-    clip that asks for it."""
-
-    def __init__(self, log: FrameLog, timeline: EventTimeline, cfg: ProbeConfig):
-        self.log, self.timeline, self.cfg = log, timeline, cfg
-        self.entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
-                                 if k in (EntityKind.ACTOR, EntityKind.OBJECT))
-        self.cols = [log.index_of(e) for e in self.entity_ids]
-        self.actors = frozenset(i for i, k in enumerate(log.entity_kinds)
-                                if k is EntityKind.ACTOR)
-        self._windows: dict[tuple[int, ...], _Window] = {}
-
-    def window(self, frame_indices: tuple[int, ...]) -> _Window:
-        window = self._windows.get(frame_indices)
-        if window is None:
-            window = self._windows[frame_indices] = _Window(
-                frame_indices, self.log, self.entity_ids, self.cols, self.actors,
-                self.cfg)
-        return window
-
-
 def _event_boundary(clip: ClipSpec, timeline: EventTimeline) -> bool:
     """Whether another event than the clip's own starts or ends strictly
     inside the clip's frames."""
@@ -236,15 +211,14 @@ def _event_boundary(clip: ClipSpec, timeline: EventTimeline) -> bool:
                if event_id != clip.event_id)
 
 
-def oracle_clip(clip: ClipSpec, story: _StoryWindows) -> dict:
-    """The oracle row of one clip of `story`: its window's labels and its
-    own id and event boundary.  The rows of one window share their entity
-    and pair lists."""
-    window = story.window(clip.frame_indices)
+def oracle_clip(clip: ClipSpec, window: _Window, timeline: EventTimeline) -> dict:
+    """The oracle row of one clip: the labels of `window`, the window of the
+    clip's frames, and the clip's own id and event boundary.  The rows of
+    one window share their entity and pair lists."""
     return {
         "clip_id": clip.clip_id,
         "scene": {"actor_count": window.actor_count,
-                  "event_boundary": _event_boundary(clip, story.timeline),
+                  "event_boundary": _event_boundary(clip, timeline),
                   "motion_presence": window.motion_presence},
         "entities": window.entities,
         "pairs": window.pairs,
@@ -253,7 +227,16 @@ def oracle_clip(clip: ClipSpec, story: _StoryWindows) -> dict:
 
 def oracle_rows(clips: Iterable[ClipSpec], log: FrameLog, timeline: EventTimeline,
                 cfg: ProbeConfig) -> Iterator[dict]:
-    """The oracle row of each of a story's clips, in clip order."""
-    story = _StoryWindows(log, timeline, cfg)
+    """The oracle row of each of a story's clips, in clip order.  Each
+    window is built at the first clip that has its frame indices."""
+    entity_ids = sorted(e for e, k in zip(log.entity_ids, log.entity_kinds)
+                        if k in (EntityKind.ACTOR, EntityKind.OBJECT))
+    cols = [log.index_of(e) for e in entity_ids]
+    actors = frozenset(i for i, k in enumerate(log.entity_kinds) if k is EntityKind.ACTOR)
+    windows: dict[tuple[int, ...], _Window] = {}
     for clip in clips:
-        yield oracle_clip(clip, story)
+        window = windows.get(clip.frame_indices)
+        if window is None:
+            window = windows[clip.frame_indices] = _Window(
+                clip.frame_indices, log, entity_ids, cols, actors, cfg)
+        yield oracle_clip(clip, window, timeline)

@@ -191,11 +191,6 @@ def _pick_patient(draw: StoryDraw, poi: PoiSpec, rng: random.Random) -> EntityId
     raise NoFreeSlot(f"POI {poi.key!r} has no objects and no free slots")
 
 
-def _social_actions(poi: PoiSpec, registry: CapabilityRegistry) -> list[str]:
-    return [a for a in poi.valid_actions
-            if registry.actions[a].category is ActionCategory.SOCIAL]
-
-
 def plan_interactions(draw: StoryDraw, groups: dict[str, list[int]],
                       registry: CapabilityRegistry, rng: random.Random,
                       cfg: GenConfig) -> None:
@@ -213,7 +208,8 @@ def plan_interactions(draw: StoryDraw, groups: dict[str, list[int]],
             continue
         poi_key = rng.choice(eligible)
         poi = registry.poi(poi_key)
-        candidates = _social_actions(poi, registry)
+        candidates = [a for a in poi.valid_actions
+                      if registry.actions[a].category is ActionCategory.SOCIAL]
         if not candidates:
             continue
         first, second = rng.sample(groups[poi_key], 2)

@@ -72,7 +72,7 @@ def plural_verb(phrase: str) -> str:
 def proto_text(graph: GestGraph, timeline: EventTimeline,
                registry: CapabilityRegistry) -> ProtoText:
     """The template text of a scheduled story; InvariantError if it lacks an event."""
-    actors = graph.actor_index()
+    actors = {a.id.id: a for a in graph.actors}
     events = graph.event_index()
     same_time: dict[int, set[int]] = {}
     for rel in graph.relations:

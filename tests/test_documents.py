@@ -100,8 +100,10 @@ def test_rejects_wrong_field_type(graph):
 
 
 def test_rejects_bad_allen_code(graph):
-    # "full" is no relation code: serialize_graph writes all 13 codes instead
-    for codes in (["zz"], ["full"]):
+    # "full" is no relation code: serialize_graph writes all 13 codes instead.
+    # Each element is one code, so codes joined by or padded with
+    # whitespace are refused, as is a non-string element
+    for codes in (["zz"], ["full"], ["b m"], [" b ", "m"], ["b\tm"], [1], [["b"]]):
         def mutate(d):
             d["relations"] = [{"source": d["events"][0]["event_id"],
                                "target": d["events"][1]["event_id"],

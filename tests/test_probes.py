@@ -23,6 +23,7 @@ from storysim.probes import (
     labels_document,
     split_stories,
 )
+from storysim import probes_oracle
 from storysim.probes_oracle import _still, oracle_rows
 from storysim.procgen import GenConfig
 from storysim.scheduling import EventTimeline
@@ -455,6 +456,26 @@ def test_oracle_rows_are_the_reference_rows_on_every_clip(seed, gen):
         clips_seen += len(clips)
         windows += len({clip.frame_indices for clip in clips})
     assert windows < clips_seen
+
+
+def test_oracle_builds_each_window_once(monkeypatch):
+    built = []
+
+    class CountingWindow(probes_oracle._Window):
+        def __init__(self, frame_indices, *args):
+            built.append(frame_indices)
+            super().__init__(frame_indices, *args)
+
+    monkeypatch.setattr(probes_oracle, "_Window", CountingWindow)
+    registry = build_default_registry()
+    cfg = CorpusConfig(gen=GenConfig(master_seed=7, **DENSE))
+    movement = {k for k, a in registry.actions.items() if a.is_movement_only}
+    graph, timeline, log = build_story(cfg, registry, 0)
+    clips = extract_story_clips("s0", graph, timeline, movement, CFG, "train")
+    assert_rows_match_reference(clips, log, timeline)
+    frame_sets = {clip.frame_indices for clip in clips}
+    assert len(frame_sets) < len(clips)
+    assert sorted(built) == sorted(frame_sets)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
