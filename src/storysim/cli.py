@@ -70,8 +70,8 @@ def _cmd_simulate(args) -> int:
     graph = parse_graph(Path(args.graph).read_bytes())
     graph, timeline, log = simulate_graph(cfg, registry, graph)
     files, records = simulated_files(graph, timeline, log)
-    write_files(Path(args.out), files, {})
-    print(f"simulated {log.frame_count} frames, {records} relation records "
+    write_files(Path(args.out), files)
+    print(f"simulated {log.frame_count} frames, {len(records)} relation records "
           f"-> {args.out}")
     return 0
 
@@ -118,11 +118,11 @@ def _cmd_probes(args) -> int:
     n_clips = 0
     for entry, docs in derived:
         # the manifest, and so these hashes, is written only in place
-        write_files(out_root / entry["story_id"], docs, entry["files"])
+        entry["files"].update(write_files(out_root / entry["story_id"], docs))
         n_clips += docs["probes/clips.jsonl"].count(b"\n")
     if in_place:
         manifest["config"]["probe"] = asdict(cfg)
-        (corpus / "manifest.json").write_bytes(json_document(manifest))
+        write_files(corpus, {"manifest.json": json_document(manifest)})
     print(f"derived {n_clips} clips -> {out_root}")
     return 0
 

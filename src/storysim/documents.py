@@ -273,6 +273,9 @@ def parse_graph(data: bytes) -> GestGraph:
             allen_set = RelationSet.of(*map(AllenRelation, codes))
         except ValueError:
             raise DocumentSyntaxError("bad allen relation code list", loc) from None
+        if codes != allen_set.codes().split():
+            raise DocumentSyntaxError("allen relation codes must be distinct and in "
+                                      "their writer's order", loc)
         if not allen_set:
             raise InvariantError("allen relation set must be nonempty", loc)
         relations.append(TemporalRelation(

@@ -88,9 +88,9 @@ def simulate_graph(cfg: CorpusConfig, registry: CapabilityRegistry, graph: GestG
 
 
 def simulated_files(graph: GestGraph, timeline: EventTimeline,
-                    log: FrameLog) -> tuple[dict[str, bytes | memoryview], int]:
+                    log: FrameLog) -> tuple[dict[str, bytes | memoryview], binio.Runs]:
     """timeline.json, framelog.bin, relations.bin and events.jsonl of one
-    simulated story, by path, and its number of spatial records.
+    simulated story, by path, and its spatial records.
     events.jsonl holds one event-to-frame mapping per graph event."""
     records = collect_story_relations(log)
     return {
@@ -99,7 +99,7 @@ def simulated_files(graph: GestGraph, timeline: EventTimeline,
         "relations.bin": binio.relations_bytes(records, log.fps, log.entity_ids,
                                                log.entity_kinds, log.entity_names),
         "events.jsonl": jsonl_document(collect_event_mappings(timeline, graph)),
-    }, len(records)
+    }, records
 
 
 def _movement_actions(registry: CapabilityRegistry) -> set[str]:
@@ -162,14 +162,16 @@ def _text_file(text: str) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def write_files(root: Path, files: dict, hashes: dict[str, str]):
-    """Write each of `files` (rel path -> bytes) under root and record its
-    sha256 in `hashes`."""
+def write_files(root: Path, files: dict) -> dict[str, str]:
+    """Write each of `files` (rel path -> bytes) under root; returns the
+    sha256 of each, by sorted path."""
+    hashes = {}
     for rel_path, data in sorted(files.items()):
         path = root / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
         hashes[rel_path] = _sha256(data)
+    return hashes
 
 
 class StoryCounts(NamedTuple):
@@ -182,18 +184,16 @@ class StoryCounts(NamedTuple):
     frames: int
 
 
-def story_counts(graph: GestGraph, mappings: int, records: int,
-                 frames: int) -> StoryCounts:
-    return StoryCounts(len(graph.actors),
-                       sum(1 for e in graph.events if e.kind is not EventKind.MOVEMENT),
-                       len(graph.relations), mappings, records, frames)
+def story_counts(graph: GestGraph, events_doc: bytes, records: binio.Runs) -> StoryCounts:
+    events = sum(1 for e in graph.events if e.kind is not EventKind.MOVEMENT)
+    return StoryCounts(len(graph.actors), events, len(graph.relations),
+                       events_doc.count(b"\n"), len(records), records.frames)
 
 
-def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
-                   story_index: int, story_dir: Path,
-                   split: str) -> tuple[dict, StoryCounts | None]:
-    """Emit all artifacts for one story; returns its manifest entry and
-    its counts, which are None when the story fails."""
+def story_artifacts(cfg: CorpusConfig, registry: CapabilityRegistry, story_index: int,
+                    split: str) -> tuple[dict, dict, StoryCounts | None]:
+    """One story built in memory: its manifest entry without "files", its
+    files (rel path -> bytes) and its counts; no files or counts if it fails."""
     story_id = f"story_{story_index:05d}"
     entry = {
         "story_id": story_id,
@@ -201,13 +201,12 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
         "seed": story_seed(cfg.gen.master_seed, story_index),
         "category": story_category(cfg.gen, registry, story_index),
         "split": split,
-        "files": {},
     }
     try:
         graph, timeline, log = build_story(cfg, registry, story_index)
     except StorysimError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry, None
+        return entry, {}, None
 
     files, records = simulated_files(graph, timeline, log)
     files["graph.json"] = serialize_graph(graph)
@@ -219,9 +218,16 @@ def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
         entry["refine"] = "ok" if refined else "fell_back"
 
     files.update(probe_docs(story_id, graph, timeline, log, registry, cfg.probe, split))
-    write_files(story_dir, files, entry["files"])
-    return entry, story_counts(graph, files["events.jsonl"].count(b"\n"), records,
-                               log.frame_count)
+    return entry, files, story_counts(graph, files["events.jsonl"], records)
+
+
+def assemble_story(cfg: CorpusConfig, registry: CapabilityRegistry,
+                   story_index: int, story_dir: Path,
+                   split: str) -> tuple[dict, StoryCounts | None]:
+    """story_artifacts, its files written under story_dir and hashed in its entry."""
+    entry, files, counts = story_artifacts(cfg, registry, story_index, split)
+    entry["files"] = write_files(story_dir, files)
+    return entry, counts
 
 
 _WORKER: dict = {}
@@ -232,10 +238,8 @@ def _init_worker(cfg: CorpusConfig, registry_json: bytes):
     _WORKER["registry"] = parse_registry(registry_json)
 
 
-def _worker_job(args):
-    story_index, story_dir, split = args
-    return assemble_story(_WORKER["cfg"], _WORKER["registry"], story_index,
-                          Path(story_dir), split)
+def _worker_job(job):
+    return assemble_story(_WORKER["cfg"], _WORKER["registry"], *job)
 
 
 def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
@@ -248,10 +252,10 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     that registry.json's reader refuses raises that reader's error, and a
     negative story count ValueError, before anything is written too.
 
-    Nothing is read back: manifest.json holds the hashes of the bytes the
-    story jobs wrote, and stats.json sums the counts they returned with
-    the same function as compute_stats' rescan, so the two agree byte
-    for byte."""
+    Nothing is read back: each story job builds its files in memory, then
+    writes and hashes them.  Only after every story are registry.json,
+    manifest.json (those hashes) and stats.json written; stats.json sums
+    the jobs' counts as compute_stats' rescan does, byte for byte."""
     if stories < 0:
         raise ValueError(f"story count {stories} is negative")
     registry_json = serialize_registry(registry)
@@ -260,21 +264,19 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
     out_root.mkdir(parents=True, exist_ok=True)
     if any(out_root.iterdir()):
         raise FileExistsError(f"{out_root} is not empty")
-    (out_root / "registry.json").write_bytes(registry_json)
 
     categories = [story_category(cfg.gen, registry, i) for i in range(stories)]
     ids = [f"story_{i:05d}" for i in range(stories)]
     splits = split_stories(zip(ids, categories), cfg.gen.master_seed)
 
-    jobs = [(i, str(out_root / ids[i]), splits[ids[i]]) for i in range(stories)]
+    jobs = [(i, out_root / ids[i], splits[ids[i]]) for i in range(stories)]
     if workers <= 1:
-        built = [assemble_story(cfg, registry, i, Path(d), s) for i, d, s in jobs]
+        built = [assemble_story(cfg, registry, *job) for job in jobs]
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(cfg, registry_json)) as pool:
             built = list(pool.map(_worker_job, jobs))
-    entries = [entry for entry, _ in built]
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -283,11 +285,12 @@ def generate_corpus(out_root: Path | str, cfg: CorpusConfig,
         "story_count": stories,
         "registry_hash": _sha256(registry_json),
         "config": asdict(cfg),
-        "stories": entries,
+        "stories": [entry for entry, _ in built],
     }
-    (out_root / "manifest.json").write_bytes(json_document(manifest))
     stats = corpus_stats(registry, cfg.fps, [c for _, c in built if c is not None])
-    (out_root / "stats.json").write_bytes(json_document(stats))
+    write_files(out_root, {"registry.json": registry_json,
+                           "manifest.json": json_document(manifest),
+                           "stats.json": json_document(stats)})
     return manifest
 
 
@@ -397,14 +400,13 @@ def compute_stats(corpus_dir: Path | str) -> dict:
         story_id = entry["story_id"]
         story = HashedFiles(corpus_dir / story_id, f"{story_id}/", entry["files"])
         graph = story.require("graph.json", parse_graph)
-        mappings = story.require("events.jsonl", lambda data: data.count(b"\n"))
+        events_doc = story.require("events.jsonl", bytes)
         relation_file = story.require("relations.bin", binio.parse_relations)
         framelog_file = story.require("framelog.bin", binio.parse_framelog)
         disagreement = _binaries_disagree(story_id, framelog_file, relation_file)
         if disagreement:
             raise CorruptCorpus(disagreement)
-        records = relation_file[2]
-        counts.append(story_counts(graph, mappings, len(records), records.frames))
+        counts.append(story_counts(graph, events_doc, relation_file[2]))
     return corpus_stats(registry, manifest["config"]["fps"], counts)
 
 
@@ -603,9 +605,7 @@ def verify(corpus_dir: Path | str) -> dict:
                      and _check_spatial(story_id, framelog_file, relation_file, fps, rng,
                                         spatial_per_story, spatial, stats))
         if countable and graph is not None and events_doc is not None:
-            records = relation_file[2]
-            counts.append(story_counts(graph, events_doc.count(b"\n"), len(records),
-                                       records.frames))
+            counts.append(story_counts(graph, events_doc, relation_file[2]))
         # the story probes refuses: its labels cannot be replayed
         misfit = timed and framelog_file is not None and _misfit_log(
             story_id, graph, timeline, framelog_file[1], framelog_file[2].frames)

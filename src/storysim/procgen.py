@@ -36,6 +36,7 @@ from .model import (
     ObjectEntity,
     PoiSpec,
     TemporalRelation,
+    is_finite_number,
 )
 from .scheduling import SimpleTemporalNetwork, edge_constraints, graph_constraints
 
@@ -69,12 +70,16 @@ class GenConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        whole = (self.chains_per_actor, self.max_actors_per_region, self.regions_to_visit,
+                 *self.actors_min_max, self.master_seed)
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in whole):
+            raise ValueError("counts, actors_min_max and master_seed must be ints")
         lo, hi = self.actors_min_max
         if not 1 <= lo <= hi <= 16:
             raise ValueError("actors_min_max must lie within [1, 16]")
         for name in ("interaction_prob", "exchange_prob", "relation_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if not is_finite_number(p) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
         if self.chains_per_actor < 1 or self.regions_to_visit < 1:
             raise ValueError("chains_per_actor and regions_to_visit must be positive")

@@ -102,8 +102,10 @@ def test_rejects_wrong_field_type(graph):
 def test_rejects_bad_allen_code(graph):
     # "full" is no relation code: serialize_graph writes all 13 codes instead.
     # Each element is one code, so codes joined by or padded with
-    # whitespace are refused, as is a non-string element
-    for codes in (["zz"], ["full"], ["b m"], [" b ", "m"], ["b\tm"], [1], [["b"]]):
+    # whitespace are refused, as is a non-string element.  A repeated or
+    # reordered code is refused too: it would not re-serialize to itself
+    for codes in (["zz"], ["full"], ["b m"], [" b ", "m"], ["b\tm"], [1], [["b"]],
+                  ["b", "b"], ["m", "b"]):
         def mutate(d):
             d["relations"] = [{"source": d["events"][0]["event_id"],
                                "target": d["events"][1]["event_id"],

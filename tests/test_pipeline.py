@@ -298,6 +298,46 @@ def test_generate_reads_nothing_back_and_stats_equal_the_rescan(
     assert (root / "stats.json").read_bytes() == json_document(compute_stats(root))
 
 
+def test_story_artifacts_builds_what_generate_writes_and_writes_nothing(corpus,
+                                                                         monkeypatch):
+    # the pure build: assemble_story only writes its files and hashes them
+    # into its entry, so the in-memory entry, files and counts are the
+    # corpus on disk
+    root, cfg, _ = corpus
+    manifest, registry = load_manifest(root), build_default_registry()
+    failing = _registry_failing_story(cfg.gen, 1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("story_artifacts writes")
+    real_open = io.open
+
+    def read_only_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            refused()
+        return real_open(file, mode, *args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", refused)
+        m.setattr(Path, "mkdir", refused)
+        m.setattr(io, "open", read_only_open)
+        m.setattr(builtins, "open", read_only_open)
+        built = [pipeline.story_artifacts(cfg, registry, e["index"], e["split"])
+                 for e in manifest["stories"]]
+        failed = pipeline.story_artifacts(cfg, failing, 1, "train")
+
+    for want, (entry, files, counts) in zip(manifest["stories"], built, strict=True):
+        story_dir = root / want["story_id"]
+        assert {path: bytes(data) for path, data in files.items()} == {
+            path: (story_dir / path).read_bytes() for path in want["files"]}
+        hashes = {path: hashlib.sha256(data).hexdigest() for path, data in files.items()}
+        assert {**entry, "files": hashes} == want
+    assert (root / "stats.json").read_bytes() == json_document(pipeline.corpus_stats(
+        registry, cfg.fps, [counts for _, _, counts in built]))
+
+    entry, files, counts = failed
+    assert entry["error"].startswith("NoValidAction: ") and "files" not in entry
+    assert files == {} and counts is None
+
+
 def test_tamper_is_localized(corpus, tmp_path):
     root, cfg, _ = corpus
     copy = tmp_path / "tampered"

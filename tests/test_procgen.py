@@ -284,3 +284,14 @@ def test_config_validation():
         GenConfig(interaction_prob=1.5)
     with pytest.raises(ValueError):
         GenConfig(chains_per_actor=0)
+    # a value of the wrong type is refused here, before generate writes
+    # anything: a count, bound or seed is an int and a probability a finite
+    # number, neither of them a bool; any int seed is legal
+    for bad in ({"chains_per_actor": 2.5}, {"regions_to_visit": 1.5},
+                {"max_actors_per_region": 2.5}, {"actors_min_max": (2.0, 6.0)},
+                {"master_seed": 1.5}, {"chains_per_actor": True},
+                {"relation_prob": True}):
+        with pytest.raises(ValueError):
+            GenConfig(**bad)
+    for seed in (-1, 2**70):
+        assert GenConfig(master_seed=seed).master_seed == seed
